@@ -11,11 +11,12 @@ updates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engine as eng
 from .engine import DEFAULT_POLICY, UpdatePolicy
-from .predictor import Direction, Mode, PredictorConfig, PredictorState
+from .predictor import (Direction, GlobalHistoryRegister, Mode, PredictorConfig, PredictorState,
+                        index_history, index_one_level)
 from .program import Instruction, Kind
 from .timing import LatencyModel, LatencySampler, LatencyTrace, classify
 
@@ -61,9 +62,6 @@ class BranchHarness:
         lat = self.sampler.measure(mis) if self.sampler is not None else None
         return ExecRecord(pred.direction, pred.mode, mis, lat)
 
-    def run_sequence(self, addr: int, outcomes, target: int | None = None) -> list[ExecRecord]:
-        return [self.execute(addr, o, target) for o in outcomes]
-
     def replay_preamble(self, targets, base: int = 0xA000) -> None:
         """Execute one taken branch per preamble target so the GHR window
         matches the victim's context exactly."""
@@ -101,8 +99,6 @@ def _probe_preamble(predictor: PredictorState, probe: ProbeConfig) -> list[tuple
     cfg = predictor.config
     pairs = []
     addr = 0x90000
-    from .predictor import index_one_level
-
     tgt_idx = index_one_level(probe.target_branch, cfg)
     for i in range(cfg.ghr_depth):
         while index_one_level(addr, cfg) == tgt_idx:
@@ -134,6 +130,11 @@ def probe_mode(predictor: PredictorState, probe: ProbeConfig | None = None) -> M
     raise ProbeError(f"ambiguous misprediction count {count} in last {probe.test_K} executions")
 
 
+# A random pair works with probability about (1 - 1/pht_entries_history) **
+# (ghr_depth - 1): one in ~2k draws at 2 history entries and depth 12.
+PAIR_SEARCH_LIMIT = 100_000
+
+
 def probe_ghr_depth(predictor: PredictorState, max_N: int, seed: int = 0) -> int:
     """Find the minimal number of taken branches that presets the full GHR
     window, observed as a PHT collision between trainer and prober.
@@ -142,8 +143,6 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int, seed: int = 0) -> int
     shared N-branch preamble; GHR entries hold only a couple of target bits,
     so the sequences are pre-screened to guarantee every leftover stale
     suffix actually changes the folded index."""
-    from .predictor import GlobalHistoryRegister, index_history
-
     if predictor.selector.mode is not Mode.HISTORY:
         raise ProbeError("history-based prediction must be active")
     cfg = predictor.config
@@ -158,11 +157,14 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int, seed: int = 0) -> int
         entries = (pollution + preamble[:N])[-depth:]
         return index_history(target, GlobalHistoryRegister(cfg, entries), cfg)
 
-    while True:
+    for _ in range(PAIR_SEARCH_LIMIT):
         p1 = [rng.randrange(entry_values) for _ in range(depth)]
         p2 = [rng.randrange(entry_values) for _ in range(depth)]
         if all(idx_for(p1, N) != idx_for(p2, N) for N in range(1, depth)):
             break
+    else:
+        raise ProbeError(f"no pollution pair separates every preamble length "
+                         f"in {PAIR_SEARCH_LIMIT} draws")
 
     weak_nt = 1 << (n - 1)
     for N in range(1, max_N + 1):
@@ -286,13 +288,8 @@ def covert_send_receive(
     config = config or PredictorConfig()
     model = latency_model or LatencyModel()
     sampler = model.sampler()
-    predictor = PredictorState(config)
+    predictor = _setup_predictor(mode, config, seed)
     layout = build_victim_v2(config, pid=0, cond_name="bit", trigger_delay=40)
-    if mode is Mode.HISTORY:
-        activate_history_mode(predictor)
-    else:
-        predictor.randomize_reset(seed)
-        predictor.selector.frozen = True
     harness = BranchHarness(predictor, sampler)
     n = config.counter_width(mode)
     half = 1 << (n - 1)
@@ -487,8 +484,6 @@ def speculative_update_scenario(
     """Mispredicted long-latency branch shields a wrong-path child branch;
     the child resolves speculatively, then the whole path is squashed.
     Reports whether the child's PHT entry kept the speculative update."""
-    from .predictor import index_one_level
-
     config = config or PredictorConfig()
     predictor = PredictorState(config)
     predictor.selector.frozen = True
@@ -549,8 +544,6 @@ def defense_workload(iterations: int = 15) -> tuple[dict[int, list[Instruction]]
 def defense_eval(policies, config: PredictorConfig | None = None,
                  iterations: int = 15) -> dict[str, int]:
     """Total mispredictions of the nested-loop workload per policy."""
-    from .predictor import index_one_level
-
     config = config or PredictorConfig()
     programs, env = defense_workload(iterations)
     out = {}

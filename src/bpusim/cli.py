@@ -14,14 +14,27 @@ import random
 import click
 
 from . import attacks, scanner
-from .config import load_config
-from .engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy
+from .config import ConfigFileError, load_config
+from .engine import PolicyVariant, SimulationError, UpdatePolicy
 from .predictor import Mode, PredictorConfig, PredictorState
+from .program import ProgramError
 from .timing import LatencyModel, NoiseKind
 
 POLICY_CHOICES = [v.value for v in PolicyVariant]
 MODE_CHOICES = [m.value for m in Mode]
 NOISE_CHOICES = [n.value for n in NoiseKind]
+
+# domain errors reported as a one-line message and a non-zero exit status
+DOMAIN_ERRORS = (attacks.ProbeError, attacks.AttackError, attacks.TransmissionError,
+                 ConfigFileError, ProgramError, SimulationError)
+
+
+class _Group(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DOMAIN_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 class Context:
@@ -41,7 +54,7 @@ class Context:
         return self.write(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Predictor config file (key = value lines).")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -65,6 +78,12 @@ def _mode(value: str) -> Mode:
 
 def _model(noise: str, sigma: float, seed: int) -> LatencyModel:
     return LatencyModel(noise=NoiseKind(noise), noise_param=sigma, seed=seed)
+
+
+def _bit_string(ctx, param, value):
+    if value is not None and not set(value) <= {"0", "1"}:
+        raise click.BadParameter(f"{value!r} is not a string of 0s and 1s")
+    return value
 
 
 @main.command("speculative-update")
@@ -114,7 +133,8 @@ def cmd_probe_ghr(obj, max_n):
 @main.command("covert")
 @click.option("--bits", type=int, default=1024, show_default=True,
               help="Number of random message bits.")
-@click.option("--message", default=None, help="Explicit 0/1 message (overrides --bits).")
+@click.option("--message", default=None, callback=_bit_string,
+              help="Explicit 0/1 message (overrides --bits).")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.HISTORY.value,
               show_default=True)
 @click.option("--noise", type=click.Choice(NOISE_CHOICES), default="none",
@@ -158,7 +178,7 @@ def _emit_sidechannel(obj, name, mode, result):
 
 
 @main.command("sidechannel-v1")
-@click.option("--secret", default="1101110001", show_default=True)
+@click.option("--secret", default="1101110001", show_default=True, callback=_bit_string)
 @click.option("--random-bits", type=int, default=0,
               help="Use this many random secret bits instead of --secret.")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.ONE_LEVEL.value,
@@ -177,7 +197,7 @@ def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
 
 
 @main.command("sidechannel-v2")
-@click.option("--secret", default="1101110001", show_default=True)
+@click.option("--secret", default="1101110001", show_default=True, callback=_bit_string)
 @click.option("--random-bits", type=int, default=0,
               help="Use this many random secret bits instead of --secret.")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.ONE_LEVEL.value,
@@ -231,7 +251,10 @@ def cmd_scan(obj, files, registers, window, mode):
     reports = []
     csv_rows = []
     for path in paths:
-        records = scanner.parse_disasm(path.read_text())
+        try:
+            records = scanner.parse_disasm(path.read_text())
+        except scanner.DisasmParseError as exc:
+            raise click.ClickException(f"{path}: {exc}") from exc
         report = scanner.build_report(path.name, records, tracked, window, mode)
         reports.append(json.loads(report.to_json()))
         body = report.to_csv().splitlines()

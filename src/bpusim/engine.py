@@ -3,16 +3,20 @@
 Processes share one PredictorState (the per-core BPU). Fetch proceeds down
 predicted paths; branches resolve after their resolve_delay; a misprediction
 squashes everything younger in the same process. What happens to predictor
-state touched by squashed branches is decided by the update policy.
+state touched by squashed branches is decided by the update policy: one
+object per run that makes every predictor write for a resolving branch and
+is told about each squash and commit.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .predictor import Direction, Mode, PredictorState, Prediction, counter_predict
+from .predictor import (Direction, Mode, PredictorState, Prediction, counter_predict,
+                        counter_update)
 from .program import Instruction, Kind
 
 
@@ -42,15 +46,6 @@ DEFAULT_POLICY = UpdatePolicy()
 
 
 @dataclass
-class ShadowPhtEntry:
-    mode: Mode
-    index: int
-    owner_process: int
-    value: int
-    last_writer: int  # dynamic seq of the branch that last wrote it
-
-
-@dataclass
 class DynamicBranch:
     """One dynamic execution of an instruction (branch fields unused for ops)."""
 
@@ -74,10 +69,6 @@ class DynamicBranch:
     mispredicted: bool = False
     speculative: bool = False
     stalled: bool = False
-    pending_update: tuple | None = None
-    journal: list = field(default_factory=list)
-    marked: list = field(default_factory=list)
-    shadow_keys: list = field(default_factory=list)
 
     @property
     def is_branch(self) -> bool:
@@ -101,15 +92,6 @@ class RunResult:
     ticks: int
 
 
-def snapshot_entries(predictor: PredictorState, touched) -> dict:
-    """Record the current values of the given (mode, index) entries."""
-    return {(mode, index): predictor.table(mode)[index] for mode, index in touched}
-
-def restore_entries(predictor: PredictorState, snapshot: dict) -> None:
-    for (mode, index), value in snapshot.items():
-        predictor.table(mode)[index] = value
-
-
 def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
     """Set each marked entry to a seed-derived pseudorandom counter value."""
     for mode, index in sorted(set(marked), key=lambda k: (k[0].value, k[1])):
@@ -118,10 +100,135 @@ def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
         predictor.table(mode)[index] = rng.randrange(1 << width)
 
 
+# -- update policies: each conditional branch resolves once and writes one
+# PHT entry, so `pending` maps a resolved, unretired branch's dseq to what
+# its policy must remember about that write.
+
+class ResolveTime:
+    """speculative-resolve-time: every write lands at resolve and survives a squash."""
+
+    def __init__(self, predictor: PredictorState, seed: int):
+        self.predictor = predictor
+        self.seed = seed
+        self.pending: dict[int, object] = {}
+
+    def predict(self, pid: int, addr: int) -> Prediction:
+        return self.predictor.predict(addr)
+
+    def resolved(self, b: DynamicBranch, ghr_target: int | None) -> None:
+        # selector and BTB train at resolve time under every policy
+        if b.instr.kind is Kind.COND_BRANCH:
+            self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
+        else:
+            self.predictor.btb.update(b.instr.addr, b.actual_target)
+        self.write(b, ghr_target)
+
+    def write(self, b: DynamicBranch, ghr_target: int | None) -> None:
+        if b.instr.kind is Kind.COND_BRANCH:
+            self.write_pht(b)
+        if ghr_target is not None:
+            self.predictor.ghr_insert(ghr_target)
+
+    def write_pht(self, b: DynamicBranch) -> None:
+        self.predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual_dir)
+
+    def squashed(self, victims: list[DynamicBranch]) -> None:
+        for d in victims:
+            self.pending.pop(d.dseq, None)
+
+    def committed(self, d: DynamicBranch) -> None:
+        self.pending.pop(d.dseq, None)
+
+
+class CommitTime(ResolveTime):
+    """PHT and GHR writes wait for commit; squashed branches never write."""
+
+    def write(self, b, ghr_target):
+        self.pending[b.dseq] = ghr_target
+
+    def committed(self, d):
+        if d.dseq in self.pending:
+            super().write(d, self.pending.pop(d.dseq))
+
+
+class RestoreOnSquash(ResolveTime):
+    """Journal each PHT write; a squash undoes its victims' writes, newest first."""
+
+    def write_pht(self, b):
+        self.pending[b.dseq] = (b.pred_mode, b.pred_index,
+                                self.predictor.table(b.pred_mode)[b.pred_index])
+        super().write_pht(b)
+
+    def squashed(self, victims):
+        gone = {d.dseq for d in victims}
+        for dseq in [k for k in reversed(self.pending) if k in gone]:  # dict order = resolve order
+            mode, index, prev = self.pending.pop(dseq)
+            self.predictor.table(mode)[index] = prev
+
+
+class ShadowPht(ResolveTime):
+    """Speculative PHT writes go to a per-process shadow merged into the PHT at commit."""
+
+    def __init__(self, predictor, seed):
+        super().__init__(predictor, seed)
+        # (mode, index, pid) -> (counter value, dseq of its last writer)
+        self.shadow: dict[tuple[Mode, int, int], tuple[int, int]] = {}
+
+    def predict(self, pid, addr):
+        pred = self.predictor.predict(addr)
+        entry = self.shadow.get((pred.mode, pred.index, pid))
+        if entry is not None:
+            width = self.predictor.config.counter_width(pred.mode)
+            pred.direction = counter_predict(entry[0], width)
+        return pred
+
+    def write_pht(self, b):
+        if not b.speculative:
+            return super().write_pht(b)
+        mode, index = b.pred_mode, b.pred_index
+        key = (mode, index, b.instr.process_id)
+        base = self.shadow[key][0] if key in self.shadow else self.predictor.table(mode)[index]
+        width = self.predictor.config.counter_width(mode)
+        self.shadow[key] = (counter_update(base, width, b.actual_dir), b.dseq)
+        self.pending[b.dseq] = key
+
+    def squashed(self, victims):
+        for d in victims:
+            key = self.pending.pop(d.dseq, None)
+            if key in self.shadow and self.shadow[key][1] == d.dseq:  # d wrote it last
+                del self.shadow[key]
+
+    def committed(self, d):
+        key = self.pending.pop(d.dseq, None)
+        if key in self.shadow:
+            self.predictor.table(key[0])[key[1]] = self.shadow.pop(key)[0]
+
+
+class ObfuscateOnSquash(ResolveTime):
+    """A squash sets each PHT entry its victims wrote to a seed-derived value."""
+
+    def write_pht(self, b):
+        super().write_pht(b)
+        self.pending[b.dseq] = (b.pred_mode, b.pred_index)
+
+    def squashed(self, victims):
+        marked = [self.pending.pop(d.dseq) for d in victims if d.dseq in self.pending]
+        if marked:
+            obfuscate_entries(self.predictor, marked, self.seed)
+
+
+POLICY_CLASSES = {
+    PolicyVariant.SPECULATIVE_RESOLVE_TIME: ResolveTime,
+    PolicyVariant.COMMIT_TIME: CommitTime,
+    PolicyVariant.RESTORE_ON_SQUASH: RestoreOnSquash,
+    PolicyVariant.SHADOW_PHT: ShadowPht,
+    PolicyVariant.OBFUSCATE_ON_SQUASH: ObfuscateOnSquash,
+}
+
+
 class _Process:
     def __init__(self, pid: int, instrs: list[Instruction]):
         self.pid = pid
-        self.instrs = instrs
         self.addr_map = {i.addr: i for i in instrs}
         self.addr_order = sorted(self.addr_map)
         self.fetch_addr: int | None = instrs[0].addr if instrs else None
@@ -135,8 +242,6 @@ class _Process:
         self.done = False
 
     def fallthrough(self, addr: int) -> int | None:
-        import bisect
-
         i = bisect.bisect_right(self.addr_order, addr)
         return self.addr_order[i] if i < len(self.addr_order) else None
 
@@ -159,37 +264,28 @@ class Engine:
                 raise ConfigError(f"schedule references undeclared process {pid}")
         self.procs = {pid: _Process(pid, instrs) for pid, instrs in programs.items()}
         self.schedule = list(schedule)
-        self.policy = policy
+        self.policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
         self.predictor = predictor
         self.env = env or {}
         self.inflight_cap = inflight_cap
         self.max_ticks = max_ticks
-        self.shadow: dict[tuple[Mode, int, int], ShadowPhtEntry] = {}
         self.events: list[str] = []
         self.tick = 0
         self._dseq = 0
-        self._journal_order = 0
 
     # -- env -------------------------------------------------------------
 
     def _cond_value(self, instr: Instruction, env_index: int) -> int:
-        raw = self.env.get(instr.condition_source, 0)
+        name = instr.condition_source
+        if name not in self.env:
+            raise SimulationError(
+                f"cond={name} of the branch at {instr.addr:#x} is missing from env")
+        raw = self.env[name]
         if isinstance(raw, (list, tuple)):
             if not raw:
                 return 0
             return raw[env_index] if env_index < len(raw) else raw[-1]
         return raw
-
-    # -- prediction with shadow overlay ----------------------------------
-
-    def _predict(self, pid: int, addr: int) -> Prediction:
-        pred = self.predictor.predict(addr)
-        if self.policy.variant is PolicyVariant.SHADOW_PHT:
-            entry = self.shadow.get((pred.mode, pred.index, pid))
-            if entry is not None:
-                width = self.predictor.config.counter_width(pred.mode)
-                return Prediction(counter_predict(entry.value, width), pred.mode, pred.index)
-        return pred
 
     # -- main loop --------------------------------------------------------
 
@@ -260,7 +356,7 @@ class Engine:
             taken = self._cond_value(b.instr, b.env_index) != 0
             b.actual_dir = Direction.TAKEN if taken else Direction.NOT_TAKEN
             b.mispredicted = b.predicted_dir is not b.actual_dir
-            self._apply_direction_update(b)
+            self.policy.resolved(b, b.instr.static_target if taken else None)
             detail = (f"pred={b.predicted_dir.value} actual={b.actual_dir.value}")
         else:
             b.actual_target = b.instr.static_target
@@ -271,11 +367,7 @@ class Engine:
                 proc.fetch_addr = b.actual_target
             else:
                 b.mispredicted = b.predicted_target != b.actual_target
-            self.predictor.btb.update(b.instr.addr, b.actual_target)
-            if self.policy.variant is PolicyVariant.COMMIT_TIME:
-                b.pending_update = ("ghr", b.actual_target)
-            else:
-                self.predictor.ghr_insert(b.actual_target)
+            self.policy.resolved(b, b.actual_target)
             detail = (f"pred_target={b.predicted_target:#x} " if b.predicted_target is not None
                       else "pred_target=none ") + f"actual_target={b.actual_target:#x}"
         self.events.append(
@@ -285,69 +377,20 @@ class Engine:
         if b.mispredicted and not b.stalled:
             self._squash_after(b)
 
-    def _apply_direction_update(self, b: DynamicBranch) -> None:
-        predictor = self.predictor
-        mode, index = b.pred_mode, b.pred_index
-        outcome = b.actual_dir
-        addr = b.instr.addr
-        variant = self.policy.variant
-        predictor.note_resolution(addr, mode, b.mispredicted)
-        target = b.instr.static_target if b.instr.static_target is not None else addr
-        if variant is PolicyVariant.COMMIT_TIME:
-            b.pending_update = ("pht", mode, index, outcome, target)
-            return
-        if variant is PolicyVariant.SHADOW_PHT and b.speculative:
-            key = (mode, index, b.instr.process_id)
-            entry = self.shadow.get(key)
-            base = entry.value if entry is not None else predictor.table(mode)[index]
-            width = predictor.config.counter_width(mode)
-            from .predictor import counter_update
-
-            self.shadow[key] = ShadowPhtEntry(
-                mode, index, b.instr.process_id,
-                counter_update(base, width, outcome), b.dseq,
-            )
-            b.shadow_keys.append(key)
-        else:
-            prev = predictor.table(mode)[index]
-            predictor.apply_counter_update(mode, index, outcome)
-            if variant is PolicyVariant.RESTORE_ON_SQUASH:
-                b.journal.append((self._journal_order, mode, index, prev))
-                self._journal_order += 1
-            elif variant is PolicyVariant.OBFUSCATE_ON_SQUASH:
-                b.marked.append((mode, index))
-        if outcome is Direction.TAKEN:
-            predictor.ghr_insert(target)
-
     def _squash_after(self, b: DynamicBranch) -> None:
         proc = self.procs[b.instr.process_id]
         victims = [d for d in proc.rob if d.dseq > b.dseq and not d.committed]
-        journal_rollback = []
-        obf_marked = []
         for d in victims:
             d.squashed = True
             proc.exec_counts[d.instr.uid] -= 1
             self.events.append(f"{self.tick} squash {d.dseq} pid={proc.pid}")
-            journal_rollback.extend(d.journal)
-            obf_marked.extend(d.marked)
-            for key in d.shadow_keys:
-                entry = self.shadow.get(key)
-                if entry is not None and entry.last_writer == d.dseq:
-                    del self.shadow[key]
-        if self.policy.variant is PolicyVariant.RESTORE_ON_SQUASH:
-            for _, mode, index, prev in sorted(journal_rollback, reverse=True):
-                self.predictor.table(mode)[index] = prev
-        elif self.policy.variant is PolicyVariant.OBFUSCATE_ON_SQUASH and obf_marked:
-            obfuscate_entries(self.predictor, obf_marked, self.policy.obfuscation_seed)
+        self.policy.squashed(victims)
         proc.rob = [d for d in proc.rob if not d.squashed]
         # redirect fetch down the correct path
-        if b.instr.kind is Kind.COND_BRANCH:
-            if b.actual_dir is Direction.TAKEN:
-                proc.fetch_addr = b.instr.static_target
-            else:
-                proc.fetch_addr = proc.fallthrough(b.instr.addr)
+        if b.actual_dir is Direction.NOT_TAKEN:
+            proc.fetch_addr = proc.fallthrough(b.instr.addr)
         else:
-            proc.fetch_addr = b.actual_target
+            proc.fetch_addr = b.instr.static_target
         proc.fetch_active = proc.fetch_addr is not None
         proc.stall = None
 
@@ -366,20 +409,7 @@ class Engine:
 
     def _commit(self, proc: _Process, d: DynamicBranch) -> None:
         d.committed = True
-        if d.pending_update is not None:
-            upd = d.pending_update
-            if upd[0] == "pht":
-                _, mode, index, outcome, target = upd
-                self.predictor.apply_counter_update(mode, index, outcome)
-                if outcome is Direction.TAKEN:
-                    self.predictor.ghr_insert(target)
-            else:
-                self.predictor.ghr_insert(upd[1])
-        for key in d.shadow_keys:
-            entry = self.shadow.get(key)
-            if entry is not None:
-                self.predictor.table(entry.mode)[entry.index] = entry.value
-                del self.shadow[key]
+        self.policy.committed(d)
         kind = d.instr.kind
         if kind is Kind.STORE:
             proc.mem[d.instr.addr] = d.env_index + 1
@@ -422,7 +452,7 @@ class Engine:
         delay = max(instr.resolve_delay, 1)
         detail = ""
         if instr.kind is Kind.COND_BRANCH:
-            pred = self._predict(pid, addr)
+            pred = self.policy.predict(pid, addr)
             d.predicted_dir, d.pred_mode, d.pred_index = pred.direction, pred.mode, pred.index
             d.resolve_tick = self.tick + delay
             if pred.direction is Direction.TAKEN:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class Direction(enum.Enum):
@@ -50,24 +50,6 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
     return min(value + 1, (1 << width) - 1)
 
 
-@dataclass
-class SaturatingCounter:
-    width: int
-    value: int
-
-    def __post_init__(self):
-        if self.width < 2:
-            raise ValueError("counter width must be >= 2")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError("counter value out of range")
-
-    def predict(self) -> Direction:
-        return counter_predict(self.value, self.width)
-
-    def update(self, outcome: Direction) -> "SaturatingCounter":
-        return replace(self, value=counter_update(self.value, self.width, outcome))
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -92,16 +74,22 @@ class PredictorConfig:
             raise ValueError("pht_entries_one_level must be a power of two")
         if not _is_pow2(self.pht_entries_history):
             raise ValueError("pht_entries_history must be a power of two")
+        # a one-entry PHT has no index bits: the GHR fold and the probes'
+        # alias-avoiding address search would never terminate
+        if self.pht_entries_one_level < 2:
+            raise ValueError("pht_entries_one_level must be >= 2")
+        if self.pht_entries_history < 2:
+            raise ValueError("pht_entries_history must be >= 2")
+        if self.ghr_depth < 1:
+            raise ValueError("ghr_depth must be >= 1")
+        if self.target_bits_per_entry < 1:
+            raise ValueError("target_bits_per_entry must be >= 1")
         if not _is_pow2(self.btb_entries):
             raise ValueError("btb_entries must be a power of two")
         if self.transition_threshold < 1:
             raise ValueError("transition_threshold must be >= 1")
         if self.one_level_bits < 2 or self.history_bits < 2:
             raise ValueError("counter widths must be >= 2")
-
-    @property
-    def ghr_width_bits(self) -> int:
-        return self.ghr_depth * self.target_bits_per_entry
 
     def counter_width(self, mode: Mode) -> int:
         return self.one_level_bits if mode is Mode.ONE_LEVEL else self.history_bits
@@ -155,14 +143,6 @@ def index_history(addr: int, ghr: GlobalHistoryRegister, config: PredictorConfig
     return (ghr.folded(width) ^ (addr >> 2) ^ config.index_salt) & (
         config.pht_entries_history - 1
     )
-
-
-def ghr_insert_taken(
-    ghr: GlobalHistoryRegister, target: int, config: PredictorConfig
-) -> GlobalHistoryRegister:
-    out = ghr.clone()
-    out.insert_taken(target)
-    return out
 
 
 class BranchTargetBuffer:
@@ -234,9 +214,6 @@ class PredictorState:
         if mode is Mode.ONE_LEVEL:
             return index_one_level(addr, self.config)
         return index_history(addr, self.ghr, self.config)
-
-    def counter(self, mode: Mode, index: int) -> int:
-        return self.table(mode)[index]
 
     # -- prediction / resolution ----------------------------------------
 

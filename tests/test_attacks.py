@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bpusim import engine as eng
+from bpusim import attacks, engine as eng
 from bpusim.attacks import (
     AttackError,
     BranchHarness,
@@ -61,6 +61,17 @@ def test_probe_ghr_depth_error_when_max_too_small():
     activate_history_mode(p)
     with pytest.raises(ProbeError):
         probe_ghr_depth(p, 8)
+
+
+def test_probe_ghr_depth_pair_search_is_bounded(monkeypatch):
+    # two-entry history PHT, one-bit GHR entries, depth 40: a random
+    # pollution pair separates all 39 preamble lengths with odds ~2^-39
+    monkeypatch.setattr(attacks, "PAIR_SEARCH_LIMIT", 50)
+    p = PredictorState(PredictorConfig(ghr_depth=40, target_bits_per_entry=1,
+                                       pht_entries_history=2))
+    activate_history_mode(p)
+    with pytest.raises(ProbeError, match="50 draws"):
+        probe_ghr_depth(p, 48)
 
 
 @pytest.mark.parametrize("depth", [4, 8, 12, 16])

@@ -5,9 +5,13 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from bpusim import attacks
+from bpusim.attacks import AttackError, ProbeError, TransmissionError
 from bpusim.cli import main
 from bpusim.config import ConfigFileError, parse_config
+from bpusim.engine import SimulationError
 from bpusim.predictor import PredictorConfig
+from bpusim.program import ProgramError
 
 
 def _run(args, **kwargs):
@@ -35,6 +39,10 @@ def test_parse_config_monitored_branches():
     "ghr_depth\n",
     "ghr_depth = x\n",
     "pht_entries_one_level = 1000\n",  # not a power of two
+    "ghr_depth = 0\n",
+    "target_bits_per_entry = 0\n",
+    "pht_entries_history = 1\n",
+    "pht_entries_one_level = 1\n",
 ])
 def test_parse_config_errors(text):
     with pytest.raises(ConfigFileError):
@@ -135,3 +143,63 @@ def test_seed_changes_random_message(tmp_path):
     ma = json.loads((a / "covert.json").read_text())["message"]
     mb = json.loads((b / "covert.json").read_text())["message"]
     assert ma != mb
+
+
+# ---------------------------------------------------------------------------
+# errors at the boundary: one line on stderr, non-zero exit, no traceback
+
+def _fail(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    return result
+
+
+@pytest.mark.parametrize("args", [
+    ["sidechannel-v1", "--secret", "1202"],
+    ["sidechannel-v2", "--secret", "10a1"],
+    ["covert", "--message", "1x0z"],
+])
+def test_bit_string_options_reject_non_binary(tmp_path, args):
+    result = _fail(["--out", str(tmp_path), *args])
+    assert result.exit_code == 2
+    assert "is not a string of 0s and 1s" in result.output
+
+
+def test_probe_ghr_max_n_too_small_is_clean_error(tmp_path):
+    result = _fail(["--out", str(tmp_path), "probe-ghr", "--max-n", "4"])
+    assert result.output.strip().splitlines()[-1] == \
+        "Error: no PHT collision observed up to N=4"
+
+
+def test_bad_config_value_is_clean_error(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("target_bits_per_entry = 0\n")
+    result = _fail(["--config", str(cfg), "--out", str(tmp_path), "probe-ghr"])
+    assert "Error: target_bits_per_entry must be >= 1" in result.output
+
+
+def test_bad_disassembly_is_clean_error(tmp_path):
+    src = tmp_path / "bad.disasm"
+    src.write_text("401000: test r8b, 0x4\nbogus\n")
+    result = _fail(["--out", str(tmp_path), "scan", str(src)])
+    assert f"Error: {src}: line 2: unrecognized line 'bogus'" in result.output
+
+
+@pytest.mark.parametrize("exc", [
+    ProbeError("probe failed"),
+    AttackError("attack failed"),
+    TransmissionError("transmission failed", 3),
+    ConfigFileError("config failed"),
+    ProgramError("program failed"),
+    SimulationError("simulation failed"),
+], ids=lambda e: type(e).__name__)
+def test_domain_errors_become_click_errors(tmp_path, monkeypatch, exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(attacks, "defense_eval", boom)
+    result = _fail(["--out", str(tmp_path), "defense-eval"])
+    assert result.exit_code == 1
+    assert result.output.strip() == f"Error: {exc}"

@@ -149,6 +149,18 @@ def test_unresolved_branch_hits_tick_limit():
                 max_ticks=50)
 
 
+def test_missing_condition_name_is_an_error():
+    programs = parse_program(
+        """
+        0 0 CondBranch 0x100 0x200 cond=typo delay=2
+        0 1 Alu 0x200
+        0 2 Halt 0x210
+        """
+    )
+    with pytest.raises(SimulationError, match="cond=typo .* 0x100"):
+        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1})
+
+
 def test_indirect_branch_btb_miss_stalls_without_mispredict():
     programs = parse_program(
         """
@@ -308,6 +320,29 @@ def test_restore_on_squash_rolls_back_nested_updates_in_order():
     assert pred.pht_one_level[entry_idx] == start
 
 
+def test_restore_on_squash_undoes_repeated_writes_newest_first():
+    # the wrong-path child loops, writing one entry three times before the
+    # squash; undoing oldest-first would leave the first write's result
+    pred = _frozen_state()
+    entry_idx = index_one_level(0x300, pred.config)
+    start = pred.pht_one_level[entry_idx]
+    programs = parse_program(
+        """
+        0 0 CondBranch 0x100 0x400 cond=outer delay=60
+        0 1 CondBranch 0x300 0x300 cond=a delay=2
+        0 2 Alu 0x308
+        0 3 Alu 0x400
+        0 4 Halt 0x410
+        """
+    )
+    res, pred = eng.run(programs, [0],
+                        UpdatePolicy(PolicyVariant.RESTORE_ON_SQUASH), pred,
+                        env={"outer": 1, "a": [1, 1, 0]})
+    child = [b for b in res.branches if b.instr.addr == 0x300]
+    assert sum(b.resolved and b.squashed for b in child) == 3
+    assert pred.pht_one_level[entry_idx] == start
+
+
 def test_speculative_ghr_insertions_survive_squash():
     # design decision: squash restores no GHR state under the default policy
     pred = _frozen_state()
@@ -323,3 +358,37 @@ def test_speculative_ghr_insertions_survive_squash():
     res, pred = eng.run(programs, [0], DEFAULT_POLICY, pred,
                         env={"outer": 1, "a": 1})
     assert 0x313 & 3 in pred.ghr.entries
+
+
+# ---------------------------------------------------------------------------
+# leak contract: which predictor components a squashed secret-dependent
+# branch still changes, per policy (selector left unfrozen)
+
+FINGERPRINT_COMPONENTS = ("pht_one_level", "pht_history", "ghr", "btb",
+                          "selector_mode", "selector_accumulator")
+
+
+@pytest.mark.parametrize("variant, leaking", [
+    (PolicyVariant.SPECULATIVE_RESOLVE_TIME,
+     {"pht_one_level", "ghr", "selector_accumulator"}),
+    (PolicyVariant.COMMIT_TIME, {"selector_accumulator"}),
+    (PolicyVariant.RESTORE_ON_SQUASH, {"ghr", "selector_accumulator"}),
+    (PolicyVariant.SHADOW_PHT, {"ghr", "selector_accumulator"}),
+    (PolicyVariant.OBFUSCATE_ON_SQUASH, {"ghr", "selector_accumulator"}),
+])
+def test_squashed_secret_branch_leak_contract(variant, leaking):
+    text = """
+    0 0 CondBranch 0x100 0x400 cond=outer delay=50
+    0 1 CondBranch 0x300 0x313 cond=sec delay=2
+    0 2 Alu 0x313
+    0 3 Alu 0x400
+    0 4 Halt 0x410
+    """
+    fingerprints = []
+    for sec in (0, 1):
+        _, pred = eng.run(parse_program(text), [0], UpdatePolicy(variant, 7),
+                          PredictorState(), env={"outer": 1, "sec": sec})
+        fingerprints.append(pred.state_fingerprint())
+    differing = {name for name, a, b in zip(FINGERPRINT_COMPONENTS, *fingerprints)
+                 if a != b}
+    assert differing == leaking

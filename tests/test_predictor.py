@@ -12,7 +12,6 @@ from bpusim.predictor import (
     Mode,
     PredictorConfig,
     PredictorState,
-    SaturatingCounter,
     counter_predict,
     counter_update,
     index_history,
@@ -65,16 +64,6 @@ def test_misprediction_signature_exact():
         assert mis == expect
 
 
-def test_saturating_counter_validation():
-    with pytest.raises(ValueError):
-        SaturatingCounter(width=1, value=0)
-    with pytest.raises(ValueError):
-        SaturatingCounter(width=2, value=4)
-    c = SaturatingCounter(width=2, value=0)
-    assert c.predict() is Direction.TAKEN
-    assert c.update(Direction.NOT_TAKEN).value == 1
-
-
 def test_parse_outcomes():
     assert parse_outcomes("TNTNTN") == [
         Direction.TAKEN, Direction.NOT_TAKEN] * 3
@@ -89,6 +78,17 @@ def test_config_validation():
         PredictorConfig(one_level_bits=1)
     with pytest.raises(ValueError):
         PredictorConfig(transition_threshold=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ghr_depth", 0),
+    ("target_bits_per_entry", 0),
+    ("pht_entries_history", 1),
+    ("pht_entries_one_level", 1),
+])
+def test_config_rejects_degenerate_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        PredictorConfig(**{field: value})
 
 
 def test_index_one_level_hand_computed():
