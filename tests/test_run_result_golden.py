@@ -1,0 +1,117 @@
+"""Golden RunResults: every case pins a sha256 over what the engine returns.
+
+The CLI golden test pins artifacts, but no artifact records the final tick
+or the per-branch flags. These digests cover, for each run of a case:
+`(ticks, events, summary, arch)`, per branch `(dseq, resolved, squashed,
+speculative, mispredicted)`, and the predictor's final `state_fingerprint()`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from bpusim import engine as eng
+from bpusim.attacks import build_victim_v1, build_victim_v2, defense_workload
+from bpusim.engine import PolicyVariant, UpdatePolicy
+from bpusim.predictor import PredictorState
+
+
+def _v1(policy):
+    # one predictor for all four runs, so later runs start from trained state
+    predictor = PredictorState()
+    layout = build_victim_v1(predictor.config)
+    for oob in (0, 1):
+        for sec in (0, 1):
+            yield eng.run(layout.programs, layout.schedule, policy, predictor,
+                          env={"pre": 1, "oob": oob, "sec": sec})
+
+
+def _v2(policy):
+    for poison in (False, True):
+        predictor = PredictorState()
+        layout = build_victim_v2(predictor.config)
+        if poison:
+            predictor.btb.update(layout.trigger_addr, layout.bv_addr)
+        for sec in (0, 1):
+            yield eng.run(layout.programs, layout.schedule, policy, predictor,
+                          env={"pre": 1, "sec": sec})
+
+
+def _defense(policy):
+    programs, env = defense_workload()
+    yield eng.run(programs, [0], policy, PredictorState(), env=env)
+
+
+def _two_process(policy):
+    predictor = PredictorState()
+    v1 = build_victim_v1(predictor.config, pid=0)
+    v2 = build_victim_v2(predictor.config, pid=1)
+    predictor.btb.update(v2.trigger_addr, v2.bv_addr)
+    programs = {**v1.programs, **v2.programs}
+    yield eng.run(programs, [0, 1, 1], policy, predictor,
+                  env={"pre": 1, "oob": 1, "sec": 1})
+
+
+CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process}
+
+
+def run_digest(case: str, variant: PolicyVariant) -> str:
+    h = hashlib.sha256()
+    for result, predictor in CASES[case](UpdatePolicy(variant, obfuscation_seed=7)):
+        branches = [(b.dseq, b.resolved, b.squashed, b.speculative, b.mispredicted)
+                    for b in result.branches]
+        h.update(repr((result.ticks, result.events, result.summary, result.arch,
+                       branches, predictor.state_fingerprint())).encode())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "speculative-resolve-time v1":
+        "b2c6033584c5ba4b70e6d67f02ba75989b398512ab63c5ea0f14da3fef6dd99a",
+    "speculative-resolve-time v2":
+        "6e0fa9296289154098fa7df4bcbd73718ee1ed728c8d876b8d0fe414fd9a584a",
+    "speculative-resolve-time defense":
+        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
+    "speculative-resolve-time two-process":
+        "8c0bf3eab3d4d7f9150870a3a5bd9f26b3d39cc980642a1d2c61cd71e90a4615",
+    "commit-time v1":
+        "0b123bce9844e5ef14d8e476f333f877eb121b7fc20bab1c0b3113da52cd66cb",
+    "commit-time v2":
+        "e39a431b2c30fc27a124f0c270c0cafc6bef204c46245029adbaac23c51491ab",
+    "commit-time defense":
+        "97c516ff4c8edb9e01796685c43ea08aa62c754b07210d98f8827f3cdbc52e0e",
+    "commit-time two-process":
+        "57fd57424b3e5aaf5a8d0e8958b4463df69e71fff3a2cd9b2397efcc6de060f2",
+    "restore-on-squash v1":
+        "efd3b180bff9ae23c001fd0d4de10492bff49c2768ae95af503dfc32a03eac07",
+    "restore-on-squash v2":
+        "e39a431b2c30fc27a124f0c270c0cafc6bef204c46245029adbaac23c51491ab",
+    "restore-on-squash defense":
+        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
+    "restore-on-squash two-process":
+        "842cfec2eae69e792db008c4de7d69fdf0a1cab5fcc65ed7f8c7facbed40ecaf",
+    "shadow-pht v1":
+        "efd3b180bff9ae23c001fd0d4de10492bff49c2768ae95af503dfc32a03eac07",
+    "shadow-pht v2":
+        "e39a431b2c30fc27a124f0c270c0cafc6bef204c46245029adbaac23c51491ab",
+    "shadow-pht defense":
+        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
+    "shadow-pht two-process":
+        "842cfec2eae69e792db008c4de7d69fdf0a1cab5fcc65ed7f8c7facbed40ecaf",
+    "obfuscate-on-squash v1":
+        "247d4b3ad5e34e025245488cc16012f3398b3aa92b8993e01f2dae29639cac96",
+    "obfuscate-on-squash v2":
+        "5b22741dde7858508d7cb372ed4b501f46afd5a63ddfd0983a42d7ec30ec74aa",
+    "obfuscate-on-squash defense":
+        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
+    "obfuscate-on-squash two-process":
+        "d37a13bca68b345ef373dcb82c4ab2b022d0d302cf69007fcffcbb3fbbcddb3d",
+}
+
+
+@pytest.mark.parametrize("variant", list(PolicyVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("case", list(CASES))
+def test_run_result_digest(case, variant):
+    assert run_digest(case, variant) == GOLDEN[f"{variant.value} {case}"]
