@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import bisect
 import enum
+import heapq
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 from .predictor import (Direction, Mode, PredictorState, Prediction, counter_predict,
                         counter_update)
@@ -69,10 +71,10 @@ class DynamicBranch:
     mispredicted: bool = False
     speculative: bool = False
     stalled: bool = False
+    is_branch: bool = field(init=False)
 
-    @property
-    def is_branch(self) -> bool:
-        return self.instr.kind in (Kind.COND_BRANCH, Kind.INDIRECT_BRANCH)
+    def __post_init__(self):
+        self.is_branch = self.instr.kind in (Kind.COND_BRANCH, Kind.INDIRECT_BRANCH)
 
     def in_speculation(self) -> bool:
         node = self.parent
@@ -234,7 +236,8 @@ class _Process:
         self.fetch_addr: int | None = instrs[0].addr if instrs else None
         self.fetch_active = bool(instrs)
         self.stall: DynamicBranch | None = None
-        self.rob: list[DynamicBranch] = []
+        # fetched, not yet committed and not squashed, in fetch order
+        self.rob: deque[DynamicBranch] = deque()
         self.all_dyn: list[DynamicBranch] = []
         self.exec_counts: dict[tuple[int, int], int] = {}
         self.mem: dict[int, int] = {}
@@ -259,6 +262,10 @@ class Engine:
     ):
         if not schedule:
             raise ConfigError("empty schedule")
+        if inflight_cap < 1:
+            raise ConfigError(f"inflight_cap must be >= 1, got {inflight_cap}")
+        if max_ticks < 1:
+            raise ConfigError(f"max_ticks must be >= 1, got {max_ticks}")
         for pid in schedule:
             if pid not in programs:
                 raise ConfigError(f"schedule references undeclared process {pid}")
@@ -272,6 +279,9 @@ class Engine:
         self.events: list[str] = []
         self.tick = 0
         self._dseq = 0
+        # (resolve_tick, dseq, branch) of every fetched branch; squashed ones
+        # are skipped when popped
+        self._unresolved: list[tuple[int, int, DynamicBranch]] = []
 
     # -- env -------------------------------------------------------------
 
@@ -291,10 +301,12 @@ class Engine:
 
     def run(self) -> RunResult:
         while not all(p.done for p in self.procs.values()):
+            # the ticks before the next one where a phase can act change no state
+            self.tick = min(self._next_active_tick(), self.max_ticks)
             if self.tick >= self.max_ticks:
                 dangling = [
                     d for p in self.procs.values() for d in p.rob
-                    if d.is_branch and not d.resolved and not d.squashed
+                    if d.is_branch and not d.resolved
                 ]
                 if dangling:
                     b = dangling[0]
@@ -309,6 +321,25 @@ class Engine:
             self.tick += 1
         return RunResult(self.events, self._summary(), self._all_branches(),
                          self._arch(), self.tick)
+
+    def _next_active_tick(self) -> int:
+        """The earliest tick >= self.tick at which a branch resolves, a ROB-front
+        op completes, or the round-robin slot goes to a process that can fetch."""
+        t, heap = self.tick, self._unresolved
+        while heap and heap[0][2].squashed:
+            heapq.heappop(heap)
+        ticks = [heap[0][0]] if heap else []
+        for p in self.procs.values():
+            if p.rob and not p.rob[0].is_branch:
+                ticks.append(max(p.rob[0].complete_tick, t))
+        n = len(self.schedule)
+        for k in range(n):
+            p = self.procs[self.schedule[(t + k) % n]]
+            if (not p.done and p.fetch_active and p.stall is None
+                    and len(p.rob) < self.inflight_cap):
+                ticks.append(t + k)
+                break
+        return min(ticks, default=self.max_ticks)
 
     def _all_branches(self) -> list[DynamicBranch]:
         out = [d for p in self.procs.values() for d in p.all_dyn if d.is_branch]
@@ -337,16 +368,11 @@ class Engine:
     # -- phases -----------------------------------------------------------
 
     def _resolve_phase(self) -> None:
-        due = [
-            d for p in self.procs.values() for d in p.rob
-            if d.is_branch and not d.resolved and not d.squashed
-            and d.resolve_tick <= self.tick
-        ]
-        due.sort(key=lambda d: (d.resolve_tick, d.dseq))
-        for b in due:
-            if b.squashed:
-                continue
-            self._resolve(b)
+        heap = self._unresolved
+        while heap and heap[0][0] <= self.tick:
+            b = heapq.heappop(heap)[2]
+            if not b.squashed:
+                self._resolve(b)
 
     def _resolve(self, b: DynamicBranch) -> None:
         proc = self.procs[b.instr.process_id]
@@ -379,13 +405,15 @@ class Engine:
 
     def _squash_after(self, b: DynamicBranch) -> None:
         proc = self.procs[b.instr.process_id]
-        victims = [d for d in proc.rob if d.dseq > b.dseq and not d.committed]
+        victims = []
+        while proc.rob[-1] is not b:  # the ROB is in dseq order and holds b
+            victims.append(proc.rob.pop())
+        victims.reverse()
         for d in victims:
             d.squashed = True
             proc.exec_counts[d.instr.uid] -= 1
             self.events.append(f"{self.tick} squash {d.dseq} pid={proc.pid}")
         self.policy.squashed(victims)
-        proc.rob = [d for d in proc.rob if not d.squashed]
         # redirect fetch down the correct path
         if b.actual_dir is Direction.NOT_TAKEN:
             proc.fetch_addr = proc.fallthrough(b.instr.addr)
@@ -398,13 +426,10 @@ class Engine:
         for proc in self.procs.values():
             while proc.rob:
                 d = proc.rob[0]
-                if d.squashed:
-                    proc.rob.pop(0)
-                    continue
                 ready = d.resolved if d.is_branch else d.complete_tick <= self.tick
                 if not ready:
                     break
-                proc.rob.pop(0)
+                proc.rob.popleft()
                 self._commit(proc, d)
 
     def _commit(self, proc: _Process, d: DynamicBranch) -> None:
@@ -430,8 +455,7 @@ class Engine:
         proc = self.procs[pid]
         if proc.done or not proc.fetch_active or proc.stall is not None:
             return
-        inflight = len([d for d in proc.rob if not d.committed])
-        if inflight >= self.inflight_cap:
+        if len(proc.rob) >= self.inflight_cap:
             return
         addr = proc.fetch_addr
         if addr is None or addr not in proc.addr_map:
@@ -441,8 +465,7 @@ class Engine:
         env_index = proc.exec_counts.get(instr.uid, 0)
         proc.exec_counts[instr.uid] = env_index + 1
         parent = next(
-            (d for d in reversed(proc.rob)
-             if d.is_branch and not d.resolved and not d.squashed),
+            (d for d in reversed(proc.rob) if d.is_branch and not d.resolved),
             None,
         )
         d = DynamicBranch(instr, self._dseq, self.tick, env_index, parent=parent)
@@ -455,6 +478,7 @@ class Engine:
             pred = self.policy.predict(pid, addr)
             d.predicted_dir, d.pred_mode, d.pred_index = pred.direction, pred.mode, pred.index
             d.resolve_tick = self.tick + delay
+            heapq.heappush(self._unresolved, (d.resolve_tick, d.dseq, d))
             if pred.direction is Direction.TAKEN:
                 proc.fetch_addr = instr.static_target
             else:
@@ -462,6 +486,7 @@ class Engine:
             detail = f" pred={pred.direction.value} mode={pred.mode.value}"
         elif instr.kind is Kind.INDIRECT_BRANCH:
             d.resolve_tick = self.tick + delay
+            heapq.heappush(self._unresolved, (d.resolve_tick, d.dseq, d))
             target = self.predictor.btb.lookup(addr)
             if target is None:
                 d.stalled = True

@@ -50,6 +50,12 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
     return min(value + 1, (1 << width) - 1)
 
 
+# bytes.translate tables for randomize_reset: the bytes with the top bit set,
+# and byte -> byte >> s for each shift s
+_TOP_BIT_SET = bytes(range(128, 256))
+_SHIFT_RIGHT = [bytes(b >> s for b in range(256)) for s in range(8)]
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -266,20 +272,29 @@ class PredictorState:
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled
         PHTs and GHR, one-level mode selected, accumulator cleared."""
+        cfg = self.config
         rng = random.Random(seed)
-        self.pht_one_level = [
-            rng.randrange(1 << self.config.one_level_bits)
-            for _ in range(self.config.pht_entries_one_level)
-        ]
-        self.pht_history = [
-            rng.randrange(1 << self.config.history_bits)
-            for _ in range(self.config.pht_entries_history)
-        ]
-        self.ghr = GlobalHistoryRegister(
-            self.config,
-            [rng.randrange(1 << self.config.target_bits_per_entry)
-             for _ in range((self.config.ghr_depth))],
-        )
+        tables = ((cfg.pht_entries_one_level, cfg.one_level_bits),
+                  (cfg.pht_entries_history, cfg.history_bits),
+                  (cfg.ghr_depth, cfg.target_bits_per_entry))
+        if max(w for _, w in tables) < 8:
+            # randrange(2**w) keeps the top w+1 bits of one 32-bit draw and
+            # redraws while the top bit is set. randbytes(4 * k)[3::4] is the
+            # top byte of each of k draws, so the kept draws are its bytes
+            # below 128, in stream order, each shifted right by 7 - w.
+            need = sum(n for n, _ in tables)
+            kept = b""
+            while len(kept) < need:
+                top = rng.randbytes(8 * (need - len(kept)) + 256)[3::4]
+                kept += top.translate(None, _TOP_BIT_SET)
+            values, start = [], 0
+            for n, w in tables:
+                values.append(list(kept[start:start + n].translate(_SHIFT_RIGHT[7 - w])))
+                start += n
+        else:
+            values = [[rng.randrange(1 << w) for _ in range(n)] for n, w in tables]
+        self.pht_one_level, self.pht_history, ghr = values
+        self.ghr = GlobalHistoryRegister(cfg, ghr)
         self.selector.mode = Mode.ONE_LEVEL
         self.selector.mispredict_accumulator = 0
 

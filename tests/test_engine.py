@@ -161,6 +161,51 @@ def test_missing_condition_name_is_an_error():
         eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1})
 
 
+@pytest.mark.parametrize("arg", ["inflight_cap", "max_ticks"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_degenerate_engine_arguments_are_rejected(arg, value):
+    programs = parse_program("0 0 Alu 0x100\n0 1 Halt 0x108")
+    with pytest.raises(ConfigError, match=arg):
+        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
+    with pytest.raises(ConfigError, match=arg):
+        eng.Engine(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
+
+
+def _count_phase_passes(monkeypatch) -> list[int]:
+    passes = []
+    resolve_phase = eng.Engine._resolve_phase
+
+    def counted(self):
+        passes.append(self.tick)
+        resolve_phase(self)
+
+    monkeypatch.setattr(eng.Engine, "_resolve_phase", counted)
+    return passes
+
+
+def test_engine_skips_idle_ticks(monkeypatch):
+    passes = _count_phase_passes(monkeypatch)
+    programs = parse_program(
+        """
+        0 0 CondBranch 0x100 0x200 cond=c delay=90000
+        0 1 Alu 0x108
+        0 2 Halt 0x110
+        """
+    )
+    res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 0})
+    assert res.ticks == 90001
+    assert res.events[-1] == "90000 commit 2 pid=0"
+    assert len(passes) < 20
+
+
+def test_engine_reaches_tick_limit_without_visiting_idle_ticks(monkeypatch):
+    passes = _count_phase_passes(monkeypatch)
+    programs = parse_program("0 0 Alu 0x100")  # no Halt: the process never finishes
+    with pytest.raises(SimulationError, match="^tick limit exceeded$"):
+        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+    assert len(passes) < 10
+
+
 def test_indirect_branch_btb_miss_stalls_without_mispredict():
     programs = parse_program(
         """

@@ -231,6 +231,28 @@ def test_randomize_reset_deterministic_and_resets_mode():
     assert a.state_fingerprint()[:3] == b.state_fingerprint()[:3]
 
 
+@pytest.mark.parametrize("config", [
+    PredictorConfig(),
+    PredictorConfig(pht_entries_one_level=2, pht_entries_history=2, ghr_depth=1),
+    PredictorConfig(one_level_bits=7, history_bits=7, target_bits_per_entry=7),
+    PredictorConfig(one_level_bits=9, history_bits=3, target_bits_per_entry=8),
+], ids=["default", "smallest", "width-7", "width-8-and-9"])
+def test_randomize_reset_matches_per_entry_randrange(config):
+    for seed in range(60):
+        rng = random.Random(seed)
+        expected = [[rng.randrange(1 << width) for _ in range(n)] for n, width in (
+            (config.pht_entries_one_level, config.one_level_bits),
+            (config.pht_entries_history, config.history_bits),
+            (config.ghr_depth, config.target_bits_per_entry))]
+        state = PredictorState(config)
+        state.selector.mode = Mode.HISTORY
+        state.selector.mispredict_accumulator = 2
+        state.randomize_reset(seed)
+        assert [state.pht_one_level, state.pht_history, state.ghr.entries] == expected
+        assert state.selector.mode is Mode.ONE_LEVEL
+        assert state.selector.mispredict_accumulator == 0
+
+
 def test_clone_is_independent():
     a = PredictorState()
     b = a.clone()
