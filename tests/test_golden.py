@@ -37,6 +37,11 @@ ONCE = [
     ["probe-mode"],
     ["probe-mode", "--actual", "history"],
     ["probe-ghr"],
+    ["scan", "--mode", "all"],
+    ["scan", "--mode", "v1"],
+    ["scan", "--mode", "v2"],
+    ["scan", "--mode", "ss"],
+    ["scan", "--registers", "RDI,RSI", "--window", "8"],
 ]
 
 CASES = [[f"--policy={p}", *args] for p in POLICIES for args in PER_POLICY] + ONCE
@@ -129,6 +134,16 @@ GOLDEN = {
         "bb6cc1ef83cd8ef88d52d8f165adc7282ad0e7b659f80eb6b277aa662093868b",
     "probe-ghr":
         "7846f088d53acfdff63676886d57430b8a179bacc4557601443d6e1a4c9fa659",
+    "scan --mode all":
+        "2fa100f52d68971022386a091f4e3432c6f6f65a95caf51a3aa86408b515f593",
+    "scan --mode v1":
+        "9c19221c18ba4b3c0144d899577668075062416442835b6ea50c7de094d3d032",
+    "scan --mode v2":
+        "1e6840cc999718f5ca5ae908e6376cb76caf94a9ece3430ffb50c92b18545f98",
+    "scan --mode ss":
+        "422a631ea615b0a92f090cc0672b13f1acff56a0e9e75b3a509c6cfdb8cc751b",
+    "scan --registers RDI,RSI --window 8":
+        "22d24b94e816404c559e3d02ca4804b3554977ae1428a75fbb866c4b3df711ad",
 }
 
 
