@@ -6,9 +6,14 @@ Input format, one instruction per line::
 
 Hex address (with or without 0x), a colon, then whitespace-separated
 mnemonic and comma-separated operands. Addresses must be strictly
-increasing. `#` starts a comment. The format is produced from any
-disassembler with `objdump -d --no-show-raw-insn | sed 's/^\\s*//'`-style
-normalization.
+increasing. `#` starts a comment. Operands are registers, immediates and
+`[base+index*scale+disp]` memory references; a number without `0x`
+(a jump target included) is read as decimal. This normalized format is
+the only input accepted: raw `objdump` output is rejected at its section
+headers, `<sym>` labels and `rip`-relative operands, and its bare-hex jump
+targets (`je 2012`) are misread as decimal.
+
+Scan time is linear in the number of records.
 
 Scanning rules (documented approximations):
 
@@ -262,10 +267,30 @@ def _bits_of(imm: int, offset: int) -> tuple[int, ...]:
     return tuple(offset + i for i in range(64) if (imm >> i) & 1)
 
 
+def _jcc_after(records: list[DisasmRecord]) -> list[int | None]:
+    """For each index, the first later Jcc with no control-flow or
+    flag-writing record in between (the Jcc that reads the flags this record
+    leaves), else None. One backward pass."""
+    after: list[int | None] = [None] * len(records)
+    nxt = None
+    for k in range(len(records) - 1, -1, -1):
+        after[k] = nxt
+        mnemonic = records[k].mnemonic
+        if mnemonic in JCC:
+            nxt = k
+        # flags pass through a record only if it neither writes them nor
+        # transfers control: exactly NON_FLAG_WRITERS, since _writes_flags
+        # counts unknown mnemonics as writers
+        elif mnemonic not in NON_FLAG_WRITERS:
+            nxt = None
+    return after
+
+
 def scan_v2(records: list[DisasmRecord],
             tracked=DEFAULT_TRACKED) -> list[GadgetSite]:
     """Tainted TEST -> Jcc transmitter sites."""
     tracked = tuple(r.upper() for r in tracked)
+    jcc_after = _jcc_after(records)
     sites: list[GadgetSite] = []
     taint: dict[str, str] = {r: r for r in tracked}
     for i, rec in enumerate(records):
@@ -274,7 +299,7 @@ def scan_v2(records: list[DisasmRecord],
             continue
         if rec.mnemonic == "test" and len(rec.operands) == 2:
             site = _classify_test(rec, taint)
-            if site is not None and _followed_by_jcc(records, i):
+            if site is not None and jcc_after[i] is not None:
                 sites.append(site)
         _propagate_taint(rec, taint)
     return sites
@@ -299,15 +324,6 @@ def _classify_test(rec: DisasmRecord, taint: dict[str, str]) -> GadgetSite | Non
             return None
         return GadgetSite(rec.addr, "v2-zero-test", origin, ())
     return None
-
-
-def _followed_by_jcc(records: list[DisasmRecord], i: int) -> bool:
-    for rec in records[i + 1:]:
-        if rec.mnemonic in JCC:
-            return True
-        if rec.mnemonic in CONTROL_FLOW or _writes_flags(rec):
-            return False
-    return False
 
 
 def _propagate_taint(rec: DisasmRecord, taint: dict[str, str]) -> None:
@@ -342,6 +358,7 @@ def _propagate_taint(rec: DisasmRecord, taint: dict[str, str]) -> None:
 def scan_v1(records: list[DisasmRecord], window: int = 16) -> list[GadgetSite]:
     """Bounds-check branch followed by a dependent load + conditional branch."""
     by_addr = {r.addr: i for i, r in enumerate(records)}
+    jcc_after = _jcc_after(records)
     sites: list[GadgetSite] = []
     for i, rec in enumerate(records):
         if rec.mnemonic != "cmp" or len(rec.operands) != 2:
@@ -349,7 +366,7 @@ def scan_v1(records: list[DisasmRecord], window: int = 16) -> list[GadgetSite]:
         if rec.operands[0].register is None:
             continue
         compared = _canon(rec.operands[0].register)
-        j = _next_jcc(records, i)
+        j = jcc_after[i]
         if j is None:
             continue
         jcc = records[j]
@@ -362,16 +379,6 @@ def scan_v1(records: list[DisasmRecord], window: int = 16) -> list[GadgetSite]:
                for start in paths):
             sites.append(GadgetSite(rec.addr, "v1", compared, ()))
     return sites
-
-
-def _next_jcc(records: list[DisasmRecord], i: int) -> int | None:
-    for j in range(i + 1, len(records)):
-        rec = records[j]
-        if rec.mnemonic in JCC:
-            return j
-        if rec.mnemonic in CONTROL_FLOW or _writes_flags(rec):
-            return None
-    return None
 
 
 def _path_has_dependent_branch(records, start: int, compared: str, window: int) -> bool:
@@ -411,10 +418,10 @@ def scan_smotherspectre(
 ) -> list[GadgetSite]:
     """v2 sites whose taken / fall-through paths show disjoint dominant ports."""
     by_addr = {r.addr: i for i, r in enumerate(records)}
+    jcc_after = _jcc_after(records)
     out = []
     for site in scan_v2(records, tracked):
-        i = by_addr[site.addr]
-        j = _find_site_jcc(records, i)
+        j = jcc_after[by_addr[site.addr]]
         if j is None:
             continue
         jcc = records[j]
@@ -429,15 +436,6 @@ def scan_smotherspectre(
         if fall and taken and not (fall & taken):
             out.append(site)
     return out
-
-
-def _find_site_jcc(records: list[DisasmRecord], i: int) -> int | None:
-    for j in range(i + 1, len(records)):
-        if records[j].mnemonic in JCC:
-            return j
-        if records[j].mnemonic in CONTROL_FLOW:
-            return None
-    return None
 
 
 def _path_ports(records, start: int, length: int, diagnostics) -> frozenset[int] | None:
@@ -537,7 +535,7 @@ def build_report(
     rows.sort(key=lambda r: (r[0], r[1]))
     return GadgetReport(
         binary_name=binary_name,
-        v2_count=sum(1 for s in v2),
+        v2_count=len(v2),
         smotherspectre_count=len(ss),
         v1_count=len(v1),
         bit_offsets=bit_offsets,

@@ -5,11 +5,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpusim.scanner import (
+    CONTROL_FLOW,
     DEFAULT_TRACKED,
+    JCC,
     DisasmParseError,
     Memory,
+    _jcc_after,
+    _writes_flags,
     build_report,
     parse_disasm,
     scan_smotherspectre,
@@ -294,6 +299,99 @@ def test_appending_records_never_removes_sites():
             before = {(s.addr, s.classification) for s in scan(prefix)}
             after = {(s.addr, s.classification) for s in scan(recs)}
             assert before <= after
+
+
+def _forward_jcc_walk(records, i, flags_end_walk=True):
+    """Reference for `_jcc_after`: the per-index forward walks it replaced.
+    With `flags_end_walk` it is v1's `_next_jcc`; without, it is the
+    port-contention scan's `_find_site_jcc`, which stops only at control flow."""
+    for j in range(i + 1, len(records)):
+        rec = records[j]
+        if rec.mnemonic in JCC:
+            return j
+        if rec.mnemonic in CONTROL_FLOW or (flags_end_walk and _writes_flags(rec)):
+            return None
+    return None
+
+
+_ALPHABET = [
+    "test rdi, 0x1", "test dl, 0x4", "test rsi, rsi", "test rax, 0x2",
+    "cmp rdi, 0x10", "cmp rax, rbx", "mov rax, rdi", "lea rbx, [rsi+0x8]",
+    "add rdi, 0x1", "nop", "frobnicate rax",
+    "jne {target}", "je {target}", "jmp {target}", "ret",
+]
+
+
+@st.composite
+def _listings(draw):
+    body = draw(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=40))
+    targets = draw(st.lists(st.integers(0, len(body) - 1),
+                            min_size=len(body), max_size=len(body)))
+    return parse_disasm("".join(
+        f"{0x1000 + 4 * i:x}: " + ins.format(target=hex(0x1000 + 4 * t)) + "\n"
+        for i, (ins, t) in enumerate(zip(body, targets))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_listings())
+def test_jcc_index_matches_forward_walks(records):
+    after = _jcc_after(records)
+    assert after == [_forward_jcc_walk(records, i) for i in range(len(records))]
+    index = {r.addr: i for i, r in enumerate(records)}
+    for site in scan_v2(records):
+        i = index[site.addr]
+        assert after[i] is not None
+        assert after[i] == _forward_jcc_walk(records, i, flags_end_walk=False)
+
+
+# ---------------------------------------------------------------------------
+# work counting
+
+class _CountingList(list):
+    """A list that counts the elements it hands out, by index, slice or
+    iteration."""
+
+    handed_out = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        self.handed_out += len(item) if isinstance(key, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.handed_out += 1
+            yield item
+
+    def __reversed__(self):
+        for item in super().__reversed__():
+            self.handed_out += 1
+            yield item
+
+
+def _tainted_test_blocks(n_records: int, block: int = 10) -> _CountingList:
+    """Blocks of a tainted TEST, a run of MOV/NOP and a JNE to the next block."""
+    lines = []
+    for b in range(n_records // block):
+        base = 0x400000 + 0x100 * b
+        lines.append(f"{base:x}: test rdi, 0x1")
+        lines += [f"{base + 4 * k:x}: {'mov rax, rbx' if k % 2 else 'nop'}"
+                  for k in range(1, block - 1)]
+        lines.append(f"{base + 4 * (block - 1):x}: jne {base + 0x100:#x}")
+    return _CountingList(parse_disasm("\n".join(lines)))
+
+
+def test_build_report_work_is_linear_in_listing_length():
+    counts = {}
+    for n in (2000, 4000):
+        records = _tainted_test_blocks(n)
+        assert len(records) == n
+        report = build_report("x", records)
+        assert report.v2_count == n // 10
+        counts[n] = records.handed_out
+    assert counts[2000] < 20 * 2000
+    assert counts[4000] < 20 * 4000
+    assert counts[4000] <= 2.2 * counts[2000]
 
 
 # ---------------------------------------------------------------------------
