@@ -269,6 +269,12 @@ class Engine:
         for pid in schedule:
             if pid not in programs:
                 raise ConfigError(f"schedule references undeclared process {pid}")
+        # a process that is never scheduled or has nothing to fetch never halts
+        for pid, instrs in programs.items():
+            if pid not in schedule:
+                raise ConfigError(f"process {pid} is declared but not in the schedule")
+            if not instrs:
+                raise ConfigError(f"process {pid} has an empty program")
         self.procs = {pid: _Process(pid, instrs) for pid, instrs in programs.items()}
         self.schedule = list(schedule)
         self.policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)

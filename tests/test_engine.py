@@ -136,6 +136,21 @@ def test_schedule_validation():
         eng.run({0: []}, [1], DEFAULT_POLICY, _frozen_state())
 
 
+_TWO_PROCESSES = "0 0 Alu 0x10\n0 1 Halt 0x14\n1 0 Alu 0x10\n1 1 Halt 0x14\n"
+
+
+def test_unscheduled_process_is_rejected():
+    programs = parse_program(_TWO_PROCESSES)
+    with pytest.raises(ConfigError, match="process 1 .*not in the schedule"):
+        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+
+
+def test_empty_program_is_rejected():
+    programs = parse_program(_TWO_PROCESSES)
+    with pytest.raises(ConfigError, match="process 1 has an empty program"):
+        eng.run({0: programs[0], 1: []}, [0, 1], DEFAULT_POLICY, _frozen_state())
+
+
 def test_unresolved_branch_hits_tick_limit():
     programs = parse_program(
         """
