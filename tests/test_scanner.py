@@ -369,15 +369,15 @@ class _CountingList(list):
             yield item
 
 
-def _tainted_test_blocks(n_records: int, block: int = 10) -> _CountingList:
-    """Blocks of a tainted TEST, a run of MOV/NOP and a JNE to the next block."""
+def _tainted_test_blocks(n_records: int) -> _CountingList:
+    """10-record blocks: a tainted TEST, 8 MOV/NOP and a JNE to the next block."""
     lines = []
-    for b in range(n_records // block):
+    for b in range(n_records // 10):
         base = 0x400000 + 0x100 * b
         lines.append(f"{base:x}: test rdi, 0x1")
         lines += [f"{base + 4 * k:x}: {'mov rax, rbx' if k % 2 else 'nop'}"
-                  for k in range(1, block - 1)]
-        lines.append(f"{base + 4 * (block - 1):x}: jne {base + 0x100:#x}")
+                  for k in range(1, 9)]
+        lines.append(f"{base + 0x24:x}: jne {base + 0x100:#x}")
     return _CountingList(parse_disasm("\n".join(lines)))
 
 
