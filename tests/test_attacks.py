@@ -9,6 +9,7 @@ from bpusim.attacks import (
     AttackError,
     BranchHarness,
     ProbeError,
+    TransmissionError,
     activate_history_mode,
     build_victim_v1,
     build_victim_v2,
@@ -195,3 +196,30 @@ def test_transient_gadget_only_reachable_through_poisoned_btb():
                      env={"pre": 1, "sec": 1})
     bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
     assert bv and bv[0].resolved and bv[0].squashed and bv[0].speculative
+
+
+@pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)
+@pytest.mark.parametrize("channel, secret, exc_type, message", [
+    (side_channel_v1, [1, 0], AttackError,
+     "trial 0: transmitter branch squashed before resolution"),
+    (side_channel_v2, [1, 0], AttackError,
+     "trial 0: gadget never reached despite poisoning"),
+    (covert_send_receive, "10", TransmissionError,
+     "transmitter branch not resolved at bit 0"),
+], ids=["v1", "v2", "covert"])
+def test_transmitter_not_resolved_errors(monkeypatch, mode, channel, secret, exc_type, message):
+    # a one-tick trigger resolves before the transmitter can: the squash
+    # removes v1's transmitter, and v2 and the covert channel never fetch
+    # the gadget
+    v1, v2 = attacks.build_victim_v1, attacks.build_victim_v2
+    monkeypatch.setattr(attacks, "build_victim_v1",
+                        lambda config, pid=0, trigger_delay=60: v1(config, pid, 1))
+    monkeypatch.setattr(attacks, "build_victim_v2",
+                        lambda config, pid=0, cond_name="sec", trigger_delay=60:
+                        v2(config, pid, cond_name, 1))
+    with pytest.raises(exc_type) as info:
+        channel(secret, mode)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+    if exc_type is TransmissionError:
+        assert info.value.bit_position == 0

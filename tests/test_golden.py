@@ -8,11 +8,15 @@ digests below and says why in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from click.testing import CliRunner
 
+from bpusim import attacks
 from bpusim.cli import main
+from bpusim.predictor import Mode
+from bpusim.timing import LatencyModel, NoiseKind
 
 POLICIES = [
     "speculative-resolve-time",
@@ -44,7 +48,17 @@ ONCE = [
     ["scan", "--registers", "RDI,RSI", "--window", "8"],
 ]
 
-CASES = [[f"--policy={p}", *args] for p in POLICIES for args in PER_POLICY] + ONCE
+# with noise the sampler draws once per probe, so these see a changed probe count
+NOISY = [
+    ["covert", "--bits", "96", "--noise", "gaussian", "--sigma", "15", "--mode", "one-level"],
+    ["covert", "--bits", "96", "--noise", "gaussian", "--sigma", "15", "--mode", "history"],
+    ["sidechannel-v1", "--random-bits", "40", "--noise", "uniform", "--sigma", "25",
+     "--mode", "history"],
+    ["sidechannel-v2", "--no-poison", "--random-bits", "40", "--noise", "gaussian",
+     "--sigma", "10"],
+]
+
+CASES = [[f"--policy={p}", *args] for p in POLICIES for args in PER_POLICY] + ONCE + NOISY
 
 
 def artifact_digest(out) -> str:
@@ -144,6 +158,14 @@ GOLDEN = {
         "422a631ea615b0a92f090cc0672b13f1acff56a0e9e75b3a509c6cfdb8cc751b",
     "scan --registers RDI,RSI --window 8":
         "22d24b94e816404c559e3d02ca4804b3554977ae1428a75fbb866c4b3df711ad",
+    "covert --bits 96 --noise gaussian --sigma 15 --mode one-level":
+        "f487bbb51f471830df62831e8ddc46ef9b78d4a837e36adcc9a6fd47ad2d8167",
+    "covert --bits 96 --noise gaussian --sigma 15 --mode history":
+        "5df8b89f7f63d420dc1b07aeb256841f666f83f12e11bab6a6edef2810422db5",
+    "sidechannel-v1 --random-bits 40 --noise uniform --sigma 25 --mode history":
+        "941ede3c12bc36e6cd69a15ac4e9dd81b61b9ba34c388d203bf946abb64eb215",
+    "sidechannel-v2 --no-poison --random-bits 40 --noise gaussian --sigma 10":
+        "d77e9050443abb646c757d04c594ba8c3695381546ad46ab59e4713e2a2ed7d3",
 }
 
 
@@ -152,3 +174,60 @@ def test_cli_artifacts_match_golden(tmp_path, args):
     result = CliRunner().invoke(main, ["--seed", "3", "--out", str(tmp_path), *args])
     assert result.exit_code == 0, result.output
     assert artifact_digest(tmp_path) == GOLDEN[" ".join(args)]
+
+
+# ---------------------------------------------------------------------------
+# library-only paths: options the CLI never passes
+
+MESSAGE = "".join(random.Random(5).choice("01") for _ in range(80))
+SECRET = [random.Random(6).randint(0, 1) for _ in range(30)]
+
+
+def _noise(kind, sigma, seed):
+    return LatencyModel(noise=kind, noise_param=sigma, seed=seed)
+
+
+LIBRARY_CASES = {
+    "covert one-level reset_interval=16": lambda: attacks.covert_send_receive(
+        MESSAGE, Mode.ONE_LEVEL, latency_model=_noise(NoiseKind.GAUSSIAN, 15, 4),
+        seed=2, reset_interval=16),
+    "v1 one-level corrupt_preamble_entry=3": lambda: attacks.side_channel_v1(
+        SECRET, Mode.ONE_LEVEL, latency_model=_noise(NoiseKind.UNIFORM, 25, 7),
+        seed=1, corrupt_preamble_entry=3),
+    # entry 3 loses the collision for good: trial 2's transmitter is squashed
+    "v1 history corrupt_preamble_entry=3": lambda: attacks.side_channel_v1(
+        SECRET, Mode.HISTORY, latency_model=_noise(NoiseKind.UNIFORM, 25, 7),
+        seed=1, corrupt_preamble_entry=3),
+    "v1 history corrupt_preamble_entry=5": lambda: attacks.side_channel_v1(
+        SECRET, Mode.HISTORY, latency_model=_noise(NoiseKind.UNIFORM, 25, 7),
+        seed=1, corrupt_preamble_entry=5),
+}
+
+
+def library_digest(call) -> str:
+    """sha256 over the recovered bits and the trace, or over the error."""
+    try:
+        r = call()
+    except attacks.AttackError as exc:
+        text = f"AttackError: {exc}"
+    else:
+        bits = r.decoded if isinstance(r, attacks.CovertResult) else r.recovered
+        text = f"{bits!r}\n{r.trace.samples!r}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+LIBRARY_GOLDEN = {
+    "covert one-level reset_interval=16":
+        "aebd4f72c8ef86396fdfc3a8bb31c98a17d678f661f3a66f57fbcb9ab19dd991",
+    "v1 one-level corrupt_preamble_entry=3":
+        "45d7042509eef3401b6cf867daca315307ce2d97f20286901959691cbde15030",
+    "v1 history corrupt_preamble_entry=3":
+        "a4693d78f3c70828492a6cf09d4270e9d2594e611fed3ca44493147e6d509fd2",
+    "v1 history corrupt_preamble_entry=5":
+        "f09849e1f4e63cfc41b47f68e5fe96c8ba776c00efe2da4c2069ef77d4dfd153",
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_CASES)
+def test_library_paths_match_golden(name):
+    assert library_digest(LIBRARY_CASES[name]) == LIBRARY_GOLDEN[name]
