@@ -264,6 +264,80 @@ def _find_branch(result: eng.RunResult, addr: int) -> eng.DynamicBranch | None:
 
 
 # ---------------------------------------------------------------------------
+# the trial loop of the covert channel and the side channels
+
+class _Channel:
+    """An attacker and a victim sharing one predictor.
+
+    One trial presets the transmitter's PHT entry toward taken, runs the
+    victim transiently on one bit, then probes the entry in the opposite
+    direction: the `half`-th probe mispredicts exactly when the victim's
+    branch resolved in the preset direction. A chained channel (the covert
+    ST/SN protocol) probes `2^n - 1` times, which saturates the entry the
+    other way, so the next trial needs no preset and flips the direction."""
+
+    def __init__(self, layout: VictimLayout, mode: Mode, config: PredictorConfig,
+                 latency_model, policy: UpdatePolicy, seed: int, context=None):
+        self.layout, self.mode, self.policy = layout, mode, policy
+        self.model = latency_model or LatencyModel()
+        self.predictor = PredictorState(config)
+        if mode is Mode.HISTORY:
+            activate_history_mode(self.predictor)
+        else:
+            self.predictor.randomize_reset(seed)
+            self.predictor.selector.frozen = True
+        self.harness = BranchHarness(self.predictor, self.model.sampler())
+        # the GHR context the attacker replays before each of its executions
+        self.context = (context or layout.preamble_targets) if mode is Mode.HISTORY else []
+        self.n = config.counter_width(mode)
+        self.direction: Direction | None = None  # None: the entry needs a preset
+
+    def reset(self, seed: int) -> None:
+        """Scramble a one-level predictor, as a random branch storm does."""
+        if self.mode is Mode.ONE_LEVEL:
+            self.predictor.randomize_reset(seed)
+            self.direction = None
+
+    def _execute(self, direction: Direction) -> ExecRecord:
+        self.harness.replay_preamble(self.context)
+        b_a = self.layout.bv_addr
+        return self.harness.execute(b_a, direction, target=b_a + 0x40)
+
+    def trials(self, bits, env, prepare, unresolved, chained=False):
+        """One trial per bit: `prepare(i)`, the preset if needed, the victim
+        run on `env(bit)` and the probes. `unresolved(i)` is the error raised
+        when the transmitter does not resolve, or None to decode anyway.
+        Returns the decoded bits and the trace of decisive probes."""
+        half, full = 1 << (self.n - 1), (1 << self.n) - 1
+        decoded, trace, probe = [], LatencyTrace([]), 0
+        for i, bit in enumerate(bits):
+            if self.predictor.selector.mode is not self.mode:
+                raise TransmissionError(f"prediction mode drift at bit {i}", i)
+            prepare(i)
+            if self.direction is None:
+                for _ in range(full):
+                    self._execute(Direction.TAKEN)
+                self.direction = Direction.TAKEN
+            if chained:
+                self.harness.replay_preamble(self.context)
+            result, _ = eng.run(self.layout.programs, self.layout.schedule, self.policy,
+                                self.predictor, env=env(bit))
+            bv = _find_branch(result, self.layout.bv_addr)
+            if unresolved is not None and (bv is None or not bv.resolved):
+                raise unresolved(i)
+            for k in range(full if chained else half):
+                probe += 1
+                rec = self._execute(self.direction.opposite())
+                if k == half - 1:
+                    decisive = (probe, rec.latency)
+            trace.append(*decisive)
+            looks_mispredicted = classify(LatencyTrace([decisive]), self.model)[0]
+            decoded.append(int(looks_mispredicted == (self.direction is Direction.TAKEN)))
+            self.direction = self.direction.opposite() if chained else None
+        return decoded, trace
+
+
+# ---------------------------------------------------------------------------
 # covert channel
 
 @dataclass
@@ -285,61 +359,24 @@ def covert_send_receive(
 ) -> CovertResult:
     """Transmit a bit string through speculative PHT updates and decode it
     from probe latencies (chained ST/SN protocol)."""
+    if reset_interval < 1:
+        raise ValueError("reset_interval must be >= 1")
     config = config or PredictorConfig()
-    model = latency_model or LatencyModel()
-    sampler = model.sampler()
-    predictor = _setup_predictor(mode, config, seed)
     layout = build_victim_v2(config, pid=0, cond_name="bit", trigger_delay=40)
-    harness = BranchHarness(predictor, sampler)
-    n = config.counter_width(mode)
-    half = 1 << (n - 1)
-    b_a = layout.bv_addr
+    ch = _Channel(layout, mode, config, latency_model, policy, seed)
 
-    def preamble():
-        if mode is Mode.HISTORY:
-            harness.replay_preamble(layout.preamble_targets)
+    def prepare(i):
+        if i > 0 and i % reset_interval == 0:
+            ch.reset(seed + 1 + i // reset_interval)
+        ch.predictor.btb.update(layout.trigger_addr, layout.bv_addr)
 
-    def initialize():
-        for _ in range((1 << n) - 1):
-            preamble()
-            harness.execute(b_a, Direction.TAKEN, target=b_a + 0x40)
-
-    initialize()
-    direction = Direction.TAKEN
-    decoded = []
-    trace = LatencyTrace([])
-    probe_counter = 0
-    for i, ch in enumerate(message):
-        if predictor.selector.mode is not mode:
-            raise TransmissionError(f"prediction mode drift at bit {i}", i)
-        if mode is Mode.ONE_LEVEL and i > 0 and i % reset_interval == 0:
-            predictor.randomize_reset(seed + 1 + i // reset_interval)
-            initialize()
-            direction = Direction.TAKEN
-        bit = ch == "1"
-        predictor.btb.update(layout.trigger_addr, layout.bv_addr)
-        preamble()
-        result, _ = eng.run(layout.programs, layout.schedule, policy, predictor,
-                            env={"pre": 1, "bit": int(bit)})
-        bv = _find_branch(result, layout.bv_addr)
-        if bv is None or not bv.resolved:
-            raise TransmissionError(f"transmitter branch not resolved at bit {i}", i)
-        latencies = []
-        for _ in range((1 << n) - 1):
-            preamble()
-            rec = harness.execute(b_a, direction.opposite(),
-                                  target=b_a + 0x40)
-            probe_counter += 1
-            latencies.append((probe_counter, rec.latency))
-        decisive = latencies[half - 1]
-        trace.append(*decisive)
-        looks_mispredicted = classify(LatencyTrace([decisive]), model)[0]
-        sent = direction if looks_mispredicted else direction.opposite()
-        decoded.append("1" if sent is Direction.TAKEN else "0")
-        direction = direction.opposite()
-    decoded_s = "".join(decoded)
-    errors = sum(1 for a, b in zip(message, decoded_s) if a != b)
-    return CovertResult(decoded_s, errors, trace, len(message))
+    bits, trace = ch.trials(
+        message, lambda c: {"pre": 1, "bit": int(c == "1")}, prepare,
+        lambda i: TransmissionError(f"transmitter branch not resolved at bit {i}", i),
+        chained=True)
+    decoded = "".join(map(str, bits))
+    errors = sum(1 for a, b in zip(message, decoded) if a != b)
+    return CovertResult(decoded, errors, trace, len(message))
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +391,9 @@ class SideChannelResult:
     trace: LatencyTrace
 
 
-def _setup_predictor(mode: Mode, config: PredictorConfig, seed: int) -> PredictorState:
-    predictor = PredictorState(config)
-    if mode is Mode.HISTORY:
-        activate_history_mode(predictor)
-    else:
-        predictor.randomize_reset(seed)
-        predictor.selector.frozen = True
-    return predictor
-
-
-def _probe_and_decode(harness, preamble, b_a, n, trace, probe_base) -> bool:
-    """Run the inference probes; True when the transmitter resolved taken
-    (matching a taken preset)."""
-    half = 1 << (n - 1)
-    decisive = None
-    for k in range(half):
-        preamble()
-        rec = harness.execute(b_a, Direction.NOT_TAKEN, target=b_a + 0x40)
-        if k == half - 1:
-            decisive = (probe_base + k + 1, rec.latency)
-    trace.append(*decisive)
-    model = harness.sampler.model
-    return classify(LatencyTrace([decisive]), model)[0]
+def _side_channel_result(recovered, secret, trace) -> SideChannelResult:
+    acc = sum(1 for a, b in zip(recovered, secret) if a == b) / len(secret) if secret else 1.0
+    return SideChannelResult(recovered, list(secret), acc, len(secret), trace)
 
 
 def side_channel_v1(
@@ -391,41 +408,22 @@ def side_channel_v1(
 ) -> SideChannelResult:
     """Recover a secret bit array through the conditional-trigger victim."""
     config = config or PredictorConfig()
-    model = latency_model or LatencyModel()
-    sampler = model.sampler()
-    predictor = _setup_predictor(mode, config, seed)
     layout = build_victim_v1(config)
-    harness = BranchHarness(predictor, sampler)
-    n = config.counter_width(mode)
-    b_a = layout.bv_addr
     attacker_targets = list(layout.preamble_targets)
     if corrupt_preamble_entry is not None:
         attacker_targets[corrupt_preamble_entry] ^= 0x3
+    ch = _Channel(layout, mode, config, latency_model, policy, seed, attacker_targets)
 
-    def preamble():
-        if mode is Mode.HISTORY:
-            harness.replay_preamble(attacker_targets)
-
-    recovered = []
-    trace = LatencyTrace([])
-    for i, bit in enumerate(secret):
-        if mode is Mode.ONE_LEVEL:
-            predictor.randomize_reset(seed * 1000 + i)
+    def prepare(i):
+        ch.reset(seed * 1000 + i)
         for _ in range(warmups):
-            eng.run(layout.programs, layout.schedule, policy, predictor,
+            eng.run(layout.programs, layout.schedule, policy, ch.predictor,
                     env={"pre": 1, "oob": 0, "sec": 0})
-        for _ in range((1 << n) - 1):
-            preamble()
-            harness.execute(b_a, Direction.TAKEN, target=b_a + 0x40)
-        result, _ = eng.run(layout.programs, layout.schedule, policy, predictor,
-                            env={"pre": 1, "oob": 1, "sec": bit})
-        bv = _find_branch(result, layout.bv_addr)
-        if bv is None or not bv.resolved:
-            raise AttackError(f"trial {i}: transmitter branch squashed before resolution")
-        recovered.append(int(_probe_and_decode(harness, preamble, b_a, n,
-                                               trace, i * (1 << (n - 1)))))
-    acc = sum(1 for a, b in zip(recovered, secret) if a == b) / len(secret) if secret else 1.0
-    return SideChannelResult(recovered, list(secret), acc, len(secret), trace)
+
+    recovered, trace = ch.trials(
+        secret, lambda bit: {"pre": 1, "oob": 1, "sec": bit}, prepare,
+        lambda i: AttackError(f"trial {i}: transmitter branch squashed before resolution"))
+    return _side_channel_result(recovered, secret, trace)
 
 
 def side_channel_v2(
@@ -439,39 +437,18 @@ def side_channel_v2(
 ) -> SideChannelResult:
     """Recover a secret through the indirect-call victim via BTB poisoning."""
     config = config or PredictorConfig()
-    model = latency_model or LatencyModel()
-    sampler = model.sampler()
-    predictor = _setup_predictor(mode, config, seed)
     layout = build_victim_v2(config)
-    harness = BranchHarness(predictor, sampler)
-    n = config.counter_width(mode)
-    b_a = layout.bv_addr
+    ch = _Channel(layout, mode, config, latency_model, policy, seed)
 
-    def preamble():
-        if mode is Mode.HISTORY:
-            harness.replay_preamble(layout.preamble_targets)
-
-    recovered = []
-    trace = LatencyTrace([])
-    for i, bit in enumerate(secret):
-        if mode is Mode.ONE_LEVEL:
-            predictor.randomize_reset(seed * 1000 + i)
+    def prepare(i):
+        ch.reset(seed * 1000 + i)
         if poison:
-            predictor.btb.update(layout.trigger_addr, layout.bv_addr)
-            if predictor.btb.lookup(layout.trigger_addr) != layout.bv_addr:
-                raise AttackError(f"trial {i}: poisoned BTB slot evicted")
-        for _ in range((1 << n) - 1):
-            preamble()
-            harness.execute(b_a, Direction.TAKEN, target=b_a + 0x40)
-        result, _ = eng.run(layout.programs, layout.schedule, policy, predictor,
-                            env={"pre": 1, "sec": bit})
-        bv = _find_branch(result, layout.bv_addr)
-        if poison and (bv is None or not bv.resolved):
-            raise AttackError(f"trial {i}: gadget never reached despite poisoning")
-        recovered.append(int(_probe_and_decode(harness, preamble, b_a, n,
-                                               trace, i * (1 << (n - 1)))))
-    acc = sum(1 for a, b in zip(recovered, secret) if a == b) / len(secret) if secret else 1.0
-    return SideChannelResult(recovered, list(secret), acc, len(secret), trace)
+            ch.predictor.btb.update(layout.trigger_addr, layout.bv_addr)
+
+    unresolved = (lambda i: AttackError(f"trial {i}: gadget never reached despite poisoning")) \
+        if poison else None
+    recovered, trace = ch.trials(secret, lambda bit: {"pre": 1, "sec": bit}, prepare, unresolved)
+    return _side_channel_result(recovered, secret, trace)
 
 
 # ---------------------------------------------------------------------------
