@@ -23,6 +23,7 @@ from .timing import LatencyModel, NoiseKind
 POLICY_CHOICES = [v.value for v in PolicyVariant]
 MODE_CHOICES = [m.value for m in Mode]
 NOISE_CHOICES = [n.value for n in NoiseKind]
+CANONICAL_REGISTERS = {canon for canon, _ in scanner.REGISTERS.values()}
 
 # domain errors reported as a one-line message and a non-zero exit status
 DOMAIN_ERRORS = (attacks.ProbeError, attacks.AttackError, attacks.TransmissionError,
@@ -81,9 +82,22 @@ def _model(noise: str, sigma: float, seed: int) -> LatencyModel:
 
 
 def _bit_string(ctx, param, value):
+    if value == "":
+        raise click.BadParameter("must hold at least one bit")
     if value is not None and not set(value) <= {"0", "1"}:
         raise click.BadParameter(f"{value!r} is not a string of 0s and 1s")
     return value
+
+
+def _registers(ctx, param, value):
+    names = tuple(r.strip().upper() for r in value.split(",") if r.strip())
+    if not names:
+        raise click.BadParameter("name at least one register")
+    bad = [r for r in names if r not in CANONICAL_REGISTERS]
+    if bad:
+        raise click.BadParameter(f"{', '.join(bad)}: not a 64-bit general-purpose "
+                                 "register (RAX to R15)")
+    return names
 
 
 @main.command("speculative-update")
@@ -131,7 +145,7 @@ def cmd_probe_ghr(obj, max_n):
 
 
 @main.command("covert")
-@click.option("--bits", type=int, default=1024, show_default=True,
+@click.option("--bits", type=click.IntRange(min=1), default=1024, show_default=True,
               help="Number of random message bits.")
 @click.option("--message", default=None, callback=_bit_string,
               help="Explicit 0/1 message (overrides --bits).")
@@ -149,7 +163,7 @@ def cmd_covert(obj, bits, message, mode, noise, sigma):
     result = attacks.covert_send_receive(
         message, _mode(mode), latency_model=_model(noise, sigma, obj.seed),
         config=obj.config, policy=obj.policy, seed=obj.seed)
-    obj.write("covert_trace.csv", "\n".join(result.trace.csv_lines()) + "\n")
+    obj.write("covert_trace.csv", result.trace.to_csv())
     obj.write_json("covert.json", {
         "mode": mode, "bits": result.bits_sent, "errors": result.errors,
         "error_rate": result.errors / result.bits_sent if result.bits_sent else 0.0,
@@ -166,7 +180,7 @@ def _secret_option(secret, random_bits, seed):
 
 
 def _emit_sidechannel(obj, name, mode, result):
-    obj.write(f"{name}_trace.csv", "\n".join(result.trace.csv_lines()) + "\n")
+    obj.write(f"{name}_trace.csv", result.trace.to_csv())
     obj.write_json(f"{name}.json", {
         "mode": mode,
         "ground_truth": result.ground_truth,
@@ -179,7 +193,7 @@ def _emit_sidechannel(obj, name, mode, result):
 
 @main.command("sidechannel-v1")
 @click.option("--secret", default="1101110001", show_default=True, callback=_bit_string)
-@click.option("--random-bits", type=int, default=0,
+@click.option("--random-bits", type=click.IntRange(min=0), default=0,
               help="Use this many random secret bits instead of --secret.")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.ONE_LEVEL.value,
               show_default=True)
@@ -198,7 +212,7 @@ def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
 
 @main.command("sidechannel-v2")
 @click.option("--secret", default="1101110001", show_default=True, callback=_bit_string)
-@click.option("--random-bits", type=int, default=0,
+@click.option("--random-bits", type=click.IntRange(min=0), default=0,
               help="Use this many random secret bits instead of --secret.")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.ONE_LEVEL.value,
               show_default=True)
@@ -218,7 +232,7 @@ def cmd_sidechannel_v2(obj, secret, random_bits, mode, poison, noise, sigma):
 
 
 @main.command("defense-eval")
-@click.option("--iterations", type=int, default=15, show_default=True,
+@click.option("--iterations", type=click.IntRange(min=0), default=15, show_default=True,
               help="Inner loop iterations of the workload.")
 @click.pass_obj
 def cmd_defense_eval(obj, iterations):
@@ -238,16 +252,15 @@ def _bundled_corpus() -> list[pathlib.Path]:
 
 @main.command("scan")
 @click.argument("files", nargs=-1, type=click.Path(exists=True, dir_okay=False))
-@click.option("--registers", default=",".join(scanner.DEFAULT_TRACKED),
-              show_default=True, help="Comma-separated tracked registers.")
-@click.option("--window", type=int, default=16, show_default=True)
+@click.option("--registers", default=",".join(scanner.DEFAULT_TRACKED), callback=_registers,
+              show_default=True, help="Comma-separated tracked 64-bit registers.")
+@click.option("--window", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--mode", type=click.Choice(["v1", "v2", "ss", "all"]), default="all",
               show_default=True)
 @click.pass_obj
 def cmd_scan(obj, files, registers, window, mode):
     """Scan normalized disassembly for trigger/transmitter gadget patterns."""
     paths = [pathlib.Path(f) for f in files] or _bundled_corpus()
-    tracked = tuple(r.strip().upper() for r in registers.split(",") if r.strip())
     reports = []
     csv_rows = []
     for path in paths:
@@ -255,7 +268,7 @@ def cmd_scan(obj, files, registers, window, mode):
             records = scanner.parse_disasm(path.read_text())
         except scanner.DisasmParseError as exc:
             raise click.ClickException(f"{path}: {exc}") from exc
-        report = scanner.build_report(path.name, records, tracked, window, mode)
+        report = scanner.build_report(path.name, records, registers, window, mode)
         reports.append(json.loads(report.to_json()))
         body = report.to_csv().splitlines()
         header, rows = body[0], body[1:]

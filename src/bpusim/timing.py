@@ -54,10 +54,6 @@ class LatencySampler:
         return lat
 
 
-def measure(mispredict: bool, model: LatencyModel, sampler: LatencySampler | None = None) -> int:
-    return (sampler or model.sampler()).measure(mispredict)
-
-
 @dataclass
 class LatencyTrace:
     samples: list[tuple[int, int]]
@@ -74,12 +70,8 @@ class LatencyTrace:
             raise ValueError("probe indices must be strictly increasing")
         self.samples.append((probe_index, latency))
 
-    def csv_lines(self) -> list[str]:
-        return ["probe_index,latency"] + [f"{i},{lat}" for i, lat in self.samples]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
+    def to_csv(self) -> str:
+        return "".join(["probe_index,latency\n"] + [f"{i},{lat}\n" for i, lat in self.samples])
 
 
 def classify(trace: LatencyTrace, model: LatencyModel) -> list[bool]:

@@ -167,6 +167,58 @@ def test_bit_string_options_reject_non_binary(tmp_path, args):
     assert "is not a string of 0s and 1s" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["sidechannel-v1", "--secret="],
+    ["sidechannel-v2", "--secret="],
+    ["covert", "--message="],
+])
+def test_bit_string_options_reject_empty(tmp_path, args):
+    result = _fail(["--out", str(tmp_path), *args])
+    assert result.exit_code == 2
+    assert "must hold at least one bit" in result.output
+
+
+@pytest.mark.parametrize("args, option, value", [
+    (["covert", "--bits", "-4"], "--bits", "-4"),
+    (["covert", "--bits", "0"], "--bits", "0"),
+    (["sidechannel-v1", "--random-bits", "-3"], "--random-bits", "-3"),
+    (["sidechannel-v2", "--random-bits", "-1"], "--random-bits", "-1"),
+    (["defense-eval", "--iterations", "-2"], "--iterations", "-2"),
+    (["scan", "--window", "-5"], "--window", "-5"),
+    (["scan", "--window", "0"], "--window", "0"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_sizes_out_of_range_are_rejected(tmp_path, args, option, value):
+    result = _fail(["--out", str(tmp_path), *args])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}': {value} is not in the range" in result.output
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("registers, message", [
+    ("FOO", "FOO: not a 64-bit general-purpose register"),
+    ("edi", "EDI: not a 64-bit general-purpose register"),
+    ("RDI,r8d", "R8D: not a 64-bit general-purpose register"),
+    ("", "name at least one register"),
+    (" , ", "name at least one register"),
+])
+def test_scan_rejects_unknown_registers(tmp_path, registers, message):
+    result = _fail(["--out", str(tmp_path), "scan", "--registers", registers])
+    assert result.exit_code == 2
+    assert f"Invalid value for '--registers': {message}" in result.output
+
+
+def test_scan_accepts_canonical_registers_in_any_case(tmp_path):
+    r = _run(["--out", str(tmp_path), "scan", "--registers", "rdi,Rsi", "--window", "8"])
+    assert r.output == _run(["--out", str(tmp_path), "scan", "--registers", "RDI,RSI",
+                             "--window", "8"]).output
+
+
+def test_zero_sizes_stay_valid(tmp_path):
+    r = _run(["--out", str(tmp_path), "sidechannel-v1", "--random-bits", "0"])
+    assert "trials=10 accuracy=1.000" in r.output
+    _run(["--out", str(tmp_path), "defense-eval", "--iterations", "0"])
+
+
 def test_probe_ghr_max_n_too_small_is_clean_error(tmp_path):
     result = _fail(["--out", str(tmp_path), "probe-ghr", "--max-n", "4"])
     assert result.output.strip().splitlines()[-1] == \

@@ -8,7 +8,6 @@ from bpusim.timing import (
     LatencyTrace,
     NoiseKind,
     classify,
-    measure,
 )
 
 
@@ -66,11 +65,6 @@ def test_gaussian_misclassification_monotone_in_sigma():
     assert errors[-1] > 0
 
 
-def test_measure_function_matches_sampler():
-    m = LatencyModel()
-    assert measure(True, m) == 50
-
-
 def test_trace_requires_increasing_probe_indices():
     t = LatencyTrace([(1, 10)])
     t.append(5, 50)
@@ -80,12 +74,9 @@ def test_trace_requires_increasing_probe_indices():
         LatencyTrace([(2, 10), (1, 20)])
 
 
-def test_trace_csv_format(tmp_path):
-    t = LatencyTrace([(1, 10), (2, 50)])
-    assert t.csv_lines() == ["probe_index,latency", "1,10", "2,50"]
-    out = tmp_path / "trace.csv"
-    t.to_csv(out)
-    assert out.read_text() == "probe_index,latency\n1,10\n2,50\n"
+def test_trace_csv_format():
+    assert LatencyTrace([(1, 10), (2, 50)]).to_csv() == "probe_index,latency\n1,10\n2,50\n"
+    assert LatencyTrace([]).to_csv() == "probe_index,latency\n"
 
 
 @given(st.lists(st.integers(0, 200), max_size=30))
