@@ -116,6 +116,12 @@ def test_covert_one_level_survives_periodic_reset():
     assert r.errors == 0
 
 
+@pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)
+def test_covert_rejects_reset_interval_below_one(mode):
+    with pytest.raises(ValueError, match="reset_interval must be >= 1"):
+        covert_send_receive("10", mode, reset_interval=0)
+
+
 def test_covert_under_mitigation_policy_breaks_transmission():
     msg = "0110100110010110"
     r = covert_send_receive(msg, Mode.ONE_LEVEL,
