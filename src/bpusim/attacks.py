@@ -38,10 +38,8 @@ class TransmissionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # committed-execution harness
 
-@dataclass
+@dataclass(slots=True)
 class ExecRecord:
-    predicted: Direction
-    mode: Mode
     mispredicted: bool
     latency: int | None
 
@@ -60,7 +58,7 @@ class BranchHarness:
             addr, outcome, pred.mode, mis, target=target, index=pred.index
         )
         lat = self.sampler.measure(mis) if self.sampler is not None else None
-        return ExecRecord(pred.direction, pred.mode, mis, lat)
+        return ExecRecord(mis, lat)
 
     def replay_preamble(self, targets, base: int = 0xA000) -> None:
         """Execute one taken branch per preamble target so the GHR window
@@ -311,8 +309,6 @@ class _Channel:
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
-            if self.predictor.selector.mode is not self.mode:
-                raise TransmissionError(f"prediction mode drift at bit {i}", i)
             prepare(i)
             if self.direction is None:
                 for _ in range(full):

@@ -269,7 +269,7 @@ def cmd_scan(obj, files, registers, window, mode):
         except scanner.DisasmParseError as exc:
             raise click.ClickException(f"{path}: {exc}") from exc
         report = scanner.build_report(path.name, records, registers, window, mode)
-        reports.append(json.loads(report.to_json()))
+        reports.append(report.to_dict())
         body = report.to_csv().splitlines()
         header, rows = body[0], body[1:]
         if not csv_rows:

@@ -10,12 +10,12 @@ is told about each squash and commit.
 
 from __future__ import annotations
 
-import bisect
 import enum
+import functools
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .predictor import (Direction, Mode, PredictorState, Prediction, counter_predict,
                         counter_update)
@@ -47,7 +47,7 @@ class UpdatePolicy:
 DEFAULT_POLICY = UpdatePolicy()
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class DynamicBranch:
     """One dynamic execution of an instruction (branch fields unused for ops)."""
 
@@ -55,7 +55,7 @@ class DynamicBranch:
     dseq: int
     fetch_tick: int
     env_index: int
-    parent: "DynamicBranch | None" = None
+    is_branch: bool = False
     squashed: bool = False
     committed: bool = False
     complete_tick: int = 0
@@ -71,27 +71,50 @@ class DynamicBranch:
     mispredicted: bool = False
     speculative: bool = False
     stalled: bool = False
-    is_branch: bool = field(init=False)
 
-    def __post_init__(self):
-        self.is_branch = self.instr.kind in (Kind.COND_BRANCH, Kind.INDIRECT_BRANCH)
 
-    def in_speculation(self) -> bool:
-        node = self.parent
-        while node is not None:
-            if not node.resolved:
-                return True
-            node = node.parent
-        return False
+def render_events(records: list[tuple]) -> list[str]:
+    """The text trace: one line `tick kind dseq pid=P fields...` per record."""
+    lines = []
+    for tick, kind, dseq, pid, *fields in records:
+        line = f"{tick} {kind} {dseq} pid={pid}"
+        if kind == "fetch":
+            addr, instr_kind, *pred = fields
+            line += f" addr={addr:#x} kind={instr_kind.value}"
+            if len(pred) == 2:
+                line += f" pred={pred[0].value} mode={pred[1].value}"
+            elif pred:
+                line += f" pred_target={pred[0]:#x}"
+        elif kind == "resolve":
+            addr, pred, actual, mispredicted, speculative = fields
+            if isinstance(actual, Direction):
+                detail = f"pred={pred.value} actual={actual.value}"
+            else:
+                target = "none" if pred is None else f"{pred:#x}"
+                detail = f"pred_target={target} actual_target={actual:#x}"
+            line += (f" addr={addr:#x} {detail} mispredict={int(mispredicted)} "
+                     f"speculative={int(speculative)}")
+        elif kind == "stall":
+            line += " btb-miss"
+        lines.append(line)
+    return lines
 
 
 @dataclass
 class RunResult:
-    events: list[str]
+    """What one engine run returns. `records` holds one tuple
+    `(tick, kind, dseq, pid, *fields)` per event; `events` is their text,
+    rendered on first access."""
+
+    records: list[tuple]
     summary: dict
     branches: list[DynamicBranch]
     arch: dict
     ticks: int
+
+    @functools.cached_property
+    def events(self) -> list[str]:
+        return render_events(self.records)
 
 
 def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
@@ -129,7 +152,7 @@ class ResolveTime:
         if b.instr.kind is Kind.COND_BRANCH:
             self.write_pht(b)
         if ghr_target is not None:
-            self.predictor.ghr_insert(ghr_target)
+            self.predictor.ghr.insert_taken(ghr_target)
 
     def write_pht(self, b: DynamicBranch) -> None:
         self.predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual_dir)
@@ -231,22 +254,24 @@ POLICY_CLASSES = {
 class _Process:
     def __init__(self, pid: int, instrs: list[Instruction]):
         self.pid = pid
-        self.addr_map = {i.addr: i for i in instrs}
-        self.addr_order = sorted(self.addr_map)
+        addr_map = {i.addr: i for i in instrs}
+        order = sorted(addr_map)
+        # addr -> (instruction, its uid, the next address or None)
+        self.code = {a: (addr_map[a], addr_map[a].uid, b)
+                     for a, b in zip(order, order[1:] + [None])}
         self.fetch_addr: int | None = instrs[0].addr if instrs else None
         self.fetch_active = bool(instrs)
         self.stall: DynamicBranch | None = None
         # fetched, not yet committed and not squashed, in fetch order
         self.rob: deque[DynamicBranch] = deque()
+        # the branches of the ROB that have not resolved, in fetch order: a
+        # branch resolves speculatively when it is not the first of them
+        self.open: deque[DynamicBranch] = deque()
         self.all_dyn: list[DynamicBranch] = []
         self.exec_counts: dict[tuple[int, int], int] = {}
         self.mem: dict[int, int] = {}
         self.regs = {"acc": 0, "last_load": 0, "timer_reads": 0}
         self.done = False
-
-    def fallthrough(self, addr: int) -> int | None:
-        i = bisect.bisect_right(self.addr_order, addr)
-        return self.addr_order[i] if i < len(self.addr_order) else None
 
 
 class Engine:
@@ -282,7 +307,8 @@ class Engine:
         self.env = env or {}
         self.inflight_cap = inflight_cap
         self.max_ticks = max_ticks
-        self.events: list[str] = []
+        self.records: list[tuple] = []
+        self._running = len(self.procs)  # processes that have not committed their Halt
         self.tick = 0
         self._dseq = 0
         # (resolve_tick, dseq, branch) of every fetched branch; squashed ones
@@ -306,16 +332,12 @@ class Engine:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> RunResult:
-        while not all(p.done for p in self.procs.values()):
+        while self._running:
             # the ticks before the next one where a phase can act change no state
             self.tick = min(self._next_active_tick(), self.max_ticks)
             if self.tick >= self.max_ticks:
-                dangling = [
-                    d for p in self.procs.values() for d in p.rob
-                    if d.is_branch and not d.resolved
-                ]
-                if dangling:
-                    b = dangling[0]
+                b = next((p.open[0] for p in self.procs.values() if p.open), None)
+                if b is not None:
                     raise SimulationError(
                         f"unresolved branch pid={b.instr.process_id} "
                         f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit"
@@ -325,7 +347,7 @@ class Engine:
             self._commit_phase()
             self._fetch_phase()
             self.tick += 1
-        return RunResult(self.events, self._summary(), self._all_branches(),
+        return RunResult(self.records, self._summary(), self._all_branches(),
                          self._arch(), self.tick)
 
     def _next_active_tick(self) -> int:
@@ -334,23 +356,21 @@ class Engine:
         t, heap = self.tick, self._unresolved
         while heap and heap[0][2].squashed:
             heapq.heappop(heap)
-        ticks = [heap[0][0]] if heap else []
+        best = heap[0][0] if heap else self.max_ticks
         for p in self.procs.values():
-            if p.rob and not p.rob[0].is_branch:
-                ticks.append(max(p.rob[0].complete_tick, t))
+            if p.rob and not p.rob[0].is_branch and p.rob[0].complete_tick < best:
+                best = max(p.rob[0].complete_tick, t)
         n = len(self.schedule)
-        for k in range(n):
+        for k in range(min(n, best - t)):
             p = self.procs[self.schedule[(t + k) % n]]
             if (not p.done and p.fetch_active and p.stall is None
                     and len(p.rob) < self.inflight_cap):
-                ticks.append(t + k)
-                break
-        return min(ticks, default=self.max_ticks)
+                return t + k
+        return best
 
     def _all_branches(self) -> list[DynamicBranch]:
-        out = [d for p in self.procs.values() for d in p.all_dyn if d.is_branch]
-        out.sort(key=lambda d: d.dseq)
-        return out
+        return sorted((d for p in self.procs.values() for d in p.all_dyn if d.is_branch),
+                      key=lambda d: d.dseq)
 
     def _arch(self) -> dict:
         return {
@@ -381,15 +401,17 @@ class Engine:
                 self._resolve(b)
 
     def _resolve(self, b: DynamicBranch) -> None:
-        proc = self.procs[b.instr.process_id]
+        instr = b.instr
+        proc = self.procs[instr.process_id]
         b.resolved = True
-        b.speculative = b.in_speculation()
-        if b.instr.kind is Kind.COND_BRANCH:
-            taken = self._cond_value(b.instr, b.env_index) != 0
+        b.speculative = proc.open[0] is not b
+        proc.open.remove(b)
+        if instr.kind is Kind.COND_BRANCH:
+            taken = self._cond_value(instr, b.env_index) != 0
             b.actual_dir = Direction.TAKEN if taken else Direction.NOT_TAKEN
             b.mispredicted = b.predicted_dir is not b.actual_dir
-            self.policy.resolved(b, b.instr.static_target if taken else None)
-            detail = (f"pred={b.predicted_dir.value} actual={b.actual_dir.value}")
+            self.policy.resolved(b, instr.static_target if taken else None)
+            pred, actual = b.predicted_dir, b.actual_dir
         else:
             b.actual_target = b.instr.static_target
             if b.stalled:
@@ -400,12 +422,9 @@ class Engine:
             else:
                 b.mispredicted = b.predicted_target != b.actual_target
             self.policy.resolved(b, b.actual_target)
-            detail = (f"pred_target={b.predicted_target:#x} " if b.predicted_target is not None
-                      else "pred_target=none ") + f"actual_target={b.actual_target:#x}"
-        self.events.append(
-            f"{self.tick} resolve {b.dseq} pid={proc.pid} addr={b.instr.addr:#x} "
-            f"{detail} mispredict={int(b.mispredicted)} speculative={int(b.speculative)}"
-        )
+            pred, actual = b.predicted_target, b.actual_target
+        self.records.append((self.tick, "resolve", b.dseq, proc.pid, instr.addr, pred, actual,
+                             b.mispredicted, b.speculative))
         if b.mispredicted and not b.stalled:
             self._squash_after(b)
 
@@ -415,14 +434,17 @@ class Engine:
         while proc.rob[-1] is not b:  # the ROB is in dseq order and holds b
             victims.append(proc.rob.pop())
         victims.reverse()
+        # every open branch younger than b is a victim
+        while proc.open and proc.open[-1].dseq > b.dseq:
+            proc.open.pop()
         for d in victims:
             d.squashed = True
             proc.exec_counts[d.instr.uid] -= 1
-            self.events.append(f"{self.tick} squash {d.dseq} pid={proc.pid}")
+            self.records.append((self.tick, "squash", d.dseq, proc.pid))
         self.policy.squashed(victims)
         # redirect fetch down the correct path
         if b.actual_dir is Direction.NOT_TAKEN:
-            proc.fetch_addr = proc.fallthrough(b.instr.addr)
+            proc.fetch_addr = proc.code[b.instr.addr][2]
         else:
             proc.fetch_addr = b.instr.static_target
         proc.fetch_active = proc.fetch_addr is not None
@@ -450,69 +472,71 @@ class Engine:
             proc.regs["acc"] += 1
         elif kind is Kind.TIMER_READ:
             proc.regs["timer_reads"] += 1
-            self.events.append(f"{self.tick} timer {d.dseq} pid={proc.pid}")
+            self.records.append((self.tick, "timer", d.dseq, proc.pid))
         elif kind is Kind.HALT:
             proc.done = True
             proc.fetch_active = False
-        self.events.append(f"{self.tick} commit {d.dseq} pid={proc.pid}")
+            self._running -= 1
+        self.records.append((self.tick, "commit", d.dseq, proc.pid))
 
     def _fetch_phase(self) -> None:
-        pid = self.schedule[self.tick % len(self.schedule)]
+        tick = self.tick
+        pid = self.schedule[tick % len(self.schedule)]
         proc = self.procs[pid]
         if proc.done or not proc.fetch_active or proc.stall is not None:
             return
         if len(proc.rob) >= self.inflight_cap:
             return
         addr = proc.fetch_addr
-        if addr is None or addr not in proc.addr_map:
+        entry = proc.code.get(addr)
+        if entry is None:
             proc.fetch_active = False
             return
-        instr = proc.addr_map[addr]
-        env_index = proc.exec_counts.get(instr.uid, 0)
-        proc.exec_counts[instr.uid] = env_index + 1
-        parent = next(
-            (d for d in reversed(proc.rob) if d.is_branch and not d.resolved),
-            None,
-        )
-        d = DynamicBranch(instr, self._dseq, self.tick, env_index, parent=parent)
+        instr, uid, fallthrough = entry
+        kind = instr.kind
+        env_index = proc.exec_counts.get(uid, 0)
+        proc.exec_counts[uid] = env_index + 1
+        dseq = self._dseq
         self._dseq += 1
+        is_branch = kind is Kind.COND_BRANCH or kind is Kind.INDIRECT_BRANCH
+        d = DynamicBranch(instr, dseq, tick, env_index, is_branch)
         proc.rob.append(d)
         proc.all_dyn.append(d)
         delay = max(instr.resolve_delay, 1)
-        detail = ""
-        if instr.kind is Kind.COND_BRANCH:
+        if is_branch:
+            proc.open.append(d)
+            d.resolve_tick = tick + delay
+            heapq.heappush(self._unresolved, (d.resolve_tick, dseq, d))
+        if kind is Kind.COND_BRANCH:
             pred = self.policy.predict(pid, addr)
             d.predicted_dir, d.pred_mode, d.pred_index = pred.direction, pred.mode, pred.index
-            d.resolve_tick = self.tick + delay
-            heapq.heappush(self._unresolved, (d.resolve_tick, d.dseq, d))
             if pred.direction is Direction.TAKEN:
                 proc.fetch_addr = instr.static_target
             else:
-                proc.fetch_addr = proc.fallthrough(addr)
-            detail = f" pred={pred.direction.value} mode={pred.mode.value}"
-        elif instr.kind is Kind.INDIRECT_BRANCH:
-            d.resolve_tick = self.tick + delay
-            heapq.heappush(self._unresolved, (d.resolve_tick, d.dseq, d))
+                proc.fetch_addr = fallthrough
+            record = (tick, "fetch", dseq, pid, addr, kind, pred.direction, pred.mode)
+        elif kind is Kind.INDIRECT_BRANCH:
             target = self.predictor.btb.lookup(addr)
             if target is None:
                 d.stalled = True
                 proc.stall = d
-                self.events.append(f"{self.tick} stall {d.dseq} pid={pid} btb-miss")
+                self.records.append((tick, "stall", dseq, pid))
+                record = (tick, "fetch", dseq, pid, addr, kind)
             else:
                 d.predicted_target = target
                 proc.fetch_addr = target
-                detail = f" pred_target={target:#x}"
+                record = (tick, "fetch", dseq, pid, addr, kind, target)
         else:
-            d.complete_tick = self.tick + (0 if instr.kind is Kind.HALT else delay)
-            if instr.kind is Kind.HALT:
+            record = (tick, "fetch", dseq, pid, addr, kind)
+            if kind is Kind.HALT:
+                d.complete_tick = tick
                 proc.fetch_active = False
             else:
-                proc.fetch_addr = proc.fallthrough(addr)
-        if proc.fetch_addr is None and instr.kind is not Kind.HALT:
+                d.complete_tick = tick + delay
+                proc.fetch_addr = fallthrough
+        if proc.fetch_addr is None and kind is not Kind.HALT:
             proc.fetch_active = False
-        self.events.append(
-            f"{self.tick} fetch {d.dseq} pid={pid} addr={addr:#x} kind={instr.kind.value}{detail}"
-        )
+        self.records.append(record)
 
 
 def run(

@@ -191,7 +191,7 @@ class TournamentSelector:
     frozen: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     direction: Direction
     mode: Mode
@@ -216,22 +216,30 @@ class PredictorState:
     def table(self, mode: Mode) -> list[int]:
         return self.pht_one_level if mode is Mode.ONE_LEVEL else self.pht_history
 
-    def index_for(self, addr: int, mode: Mode) -> int:
-        if mode is Mode.ONE_LEVEL:
-            return index_one_level(addr, self.config)
-        return index_history(addr, self.ghr, self.config)
-
     # -- prediction / resolution ----------------------------------------
 
+    # the hot path: inlines the index functions, table, counter_width and
+    # counter_predict/counter_update
     def predict(self, addr: int) -> Prediction:
-        mode = self.selector.mode
-        index = self.index_for(addr, mode)
-        value = self.table(mode)[index]
-        return Prediction(counter_predict(value, self.config.counter_width(mode)), mode, index)
+        cfg, mode = self.config, self.selector.mode
+        if mode is Mode.ONE_LEVEL:
+            index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
+            value, width = self.pht_one_level[index], cfg.one_level_bits
+        else:
+            mask = cfg.pht_entries_history - 1
+            index = (self.ghr.folded(mask.bit_length()) ^ (addr >> 2) ^ cfg.index_salt) & mask
+            value, width = self.pht_history[index], cfg.history_bits
+        taken = value < (1 << (width - 1))
+        return Prediction(Direction.TAKEN if taken else Direction.NOT_TAKEN, mode, index)
 
     def apply_counter_update(self, mode: Mode, index: int, outcome: Direction) -> None:
-        tbl = self.table(mode)
-        tbl[index] = counter_update(tbl[index], self.config.counter_width(mode), outcome)
+        one_level = mode is Mode.ONE_LEVEL
+        tbl = self.pht_one_level if one_level else self.pht_history
+        if outcome is Direction.TAKEN:
+            tbl[index] = max(tbl[index] - 1, 0)
+        else:
+            width = self.config.one_level_bits if one_level else self.config.history_bits
+            tbl[index] = min(tbl[index] + 1, (1 << width) - 1)
 
     def note_resolution(self, addr: int, mode_used: Mode, mispredicted: bool) -> None:
         sel = self.selector
@@ -243,9 +251,6 @@ class PredictorState:
         sel.mispredict_accumulator += 1
         if sel.mispredict_accumulator >= self.config.transition_threshold:
             sel.mode = Mode.HISTORY
-
-    def ghr_insert(self, target: int) -> None:
-        self.ghr.insert_taken(target)
 
     def record_resolution(
         self,
@@ -267,7 +272,7 @@ class PredictorState:
         self.apply_counter_update(mode_used, index, outcome)
         self.note_resolution(addr, mode_used, mispredicted)
         if outcome is Direction.TAKEN:
-            self.ghr_insert(target if target is not None else addr)
+            self.ghr.insert_taken(target if target is not None else addr)
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled

@@ -477,8 +477,9 @@ class GadgetReport:
     gadget_sites: list[tuple[int, str, str | None, tuple[int, ...], bool]]
     unknown_mnemonics: set[str] = field(default_factory=set)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report as plain JSON-ready data."""
+        return {
             "binary_name": self.binary_name,
             "v2_count": self.v2_count,
             "smotherspectre_count": self.smotherspectre_count,
@@ -496,7 +497,9 @@ class GadgetReport:
             ],
             "unknown_mnemonics": sorted(self.unknown_mnemonics),
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -22,7 +22,7 @@ from bpusim.attacks import (
     side_channel_v2,
 )
 from bpusim.engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy
-from bpusim.predictor import Direction, Mode, PredictorConfig, PredictorState
+from bpusim.predictor import Direction, Mode, PredictorConfig, PredictorState, index_one_level
 from bpusim.timing import LatencyModel, NoiseKind
 
 REFERENCE_SECRET = [1, 1, 0, 1, 1, 1, 0, 0, 0, 1]
@@ -88,7 +88,7 @@ def test_harness_latency_sampling():
     h = BranchHarness(p, LatencyModel().sampler())
     rec = h.execute(0x4000, Direction.NOT_TAKEN)  # weak NT entry: correct
     assert rec.latency == 10 and not rec.mispredicted
-    p.pht_one_level[p.index_for(0x4000, Mode.ONE_LEVEL)] = 0
+    p.pht_one_level[index_one_level(0x4000, p.config)] = 0
     rec = h.execute(0x4000, Direction.NOT_TAKEN)
     assert rec.latency == 50 and rec.mispredicted
 
@@ -229,3 +229,42 @@ def test_transmitter_not_resolved_errors(monkeypatch, mode, channel, secret, exc
     assert str(info.value) == message
     if exc_type is TransmissionError:
         assert info.value.bit_position == 0
+
+
+CHANNELS = {
+    "covert": lambda mode: covert_send_receive("1101", mode, reset_interval=2),
+    "v1": lambda mode: side_channel_v1([1, 0, 1], mode),
+    "v2": lambda mode: side_channel_v2([1, 0, 1], mode),
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)
+@pytest.mark.parametrize("channel", list(CHANNELS))
+def test_selector_stays_in_the_channel_mode_after_each_trial(monkeypatch, channel, mode):
+    # the decode of a probe latency assumes the mode the channel set up; a
+    # trial ends with `classify` on its decisive probe
+    channels, seen = [], []
+    init, classify = attacks._Channel.__init__, attacks.classify
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        channels.append(self)
+
+    def observe(trace, model):
+        seen.append(channels[-1].predictor.selector.mode)
+        return classify(trace, model)
+
+    monkeypatch.setattr(attacks._Channel, "__init__", capture)
+    monkeypatch.setattr(attacks, "classify", observe)
+    CHANNELS[channel](mode)
+    assert len(channels) == 1 and channels[0].mode is mode
+    assert seen == [mode] * (4 if channel == "covert" else 3)
+
+
+def test_attack_loops_never_render_event_text(monkeypatch):
+    calls = []
+    render = eng.render_events
+    monkeypatch.setattr(eng, "render_events", lambda records: calls.append(1) or render(records))
+    assert side_channel_v1([1, 0, 1], Mode.ONE_LEVEL).accuracy == 1.0
+    assert covert_send_receive("1101", Mode.HISTORY).errors == 0
+    assert calls == []

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from bpusim import attacks
+from bpusim import attacks, engine as eng
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
 from bpusim.cli import main
 from bpusim.config import ConfigFileError, parse_config
@@ -255,3 +255,14 @@ def test_domain_errors_become_click_errors(tmp_path, monkeypatch, exc):
     result = _fail(["--out", str(tmp_path), "defense-eval"])
     assert result.exit_code == 1
     assert result.output.strip() == f"Error: {exc}"
+
+
+def test_speculative_update_trace_is_the_rendered_records(tmp_path, monkeypatch):
+    rendered = []
+    render = eng.render_events
+    monkeypatch.setattr(eng, "render_events",
+                        lambda records: rendered.append(render(records)) or rendered[-1])
+    _run(["--out", str(tmp_path), "speculative-update"])
+    lines = (tmp_path / "speculative_update_trace.txt").read_text().splitlines()
+    assert len(rendered) == 1 and lines == rendered[0]
+    assert {line.split()[1] for line in lines} == {"fetch", "resolve", "squash", "commit"}

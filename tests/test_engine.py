@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpusim import engine as eng
 from bpusim.engine import (
@@ -20,6 +21,8 @@ from bpusim.predictor import (
     index_one_level,
 )
 from bpusim.program import Instruction, Kind, parse_program
+
+BRANCH_KINDS = (Kind.COND_BRANCH, Kind.INDIRECT_BRANCH)
 
 ALL_POLICIES = [UpdatePolicy(v, obfuscation_seed=7) for v in PolicyVariant]
 
@@ -209,7 +212,7 @@ def test_engine_skips_idle_ticks(monkeypatch):
     )
     res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 0})
     assert res.ticks == 90001
-    assert res.events[-1] == "90000 commit 2 pid=0"
+    assert res.records[-1] == (90000, "commit", 2, 0)
     assert len(passes) < 20
 
 
@@ -236,7 +239,7 @@ def test_indirect_branch_btb_miss_stalls_without_mispredict():
     # wrong-path Alu at 0x108 was never fetched; BTB learned the target
     assert res.arch[0]["regs"]["acc"] == 1
     assert pred.btb.lookup(0x100) == 0x200
-    assert any("stall" in e for e in res.events)
+    assert [r[:4] for r in res.records if r[1] == "stall"] == [(0, "stall", 0, 0)]
 
 
 def test_indirect_branch_poisoned_btb_mispredicts_and_squashes():
@@ -452,3 +455,108 @@ def test_squashed_secret_branch_leak_contract(variant, leaking):
     differing = {name for name, a, b in zip(FINGERPRINT_COMPONENTS, *fingerprints)
                  if a != b}
     assert differing == leaking
+
+
+# ---------------------------------------------------------------------------
+# event records and their text rendering
+
+def test_records_render_to_the_documented_trace_layout():
+    # every record kind and both resolve layouts, including a stalled
+    # indirect branch that resolves speculatively under the outer branch
+    pred = _frozen_state()
+    pred.btb.update(0x200, 0x118)
+    programs = parse_program(
+        """
+        0 0 CondBranch 0x100 0x300 cond=c delay=6
+        0 1 TimerRead 0x108
+        0 2 IndirectBranch 0x110 0x200 delay=2
+        0 3 Alu 0x118
+        0 4 IndirectBranch 0x200 0x300 delay=2
+        0 5 Halt 0x300
+        """
+    )
+    res, _ = eng.run(programs, [0], DEFAULT_POLICY, pred, env={"c": 0})
+    assert res.records[4] == (4, "resolve", 2, 0, 0x110, None, 0x200, False, True)
+    assert res.events == [
+        "0 fetch 0 pid=0 addr=0x100 kind=CondBranch pred=N mode=one-level",
+        "1 fetch 1 pid=0 addr=0x108 kind=TimerRead",
+        "2 stall 2 pid=0 btb-miss",
+        "2 fetch 2 pid=0 addr=0x110 kind=IndirectBranch",
+        "4 resolve 2 pid=0 addr=0x110 pred_target=none actual_target=0x200 "
+        "mispredict=0 speculative=1",
+        "4 fetch 3 pid=0 addr=0x200 kind=IndirectBranch pred_target=0x118",
+        "5 fetch 4 pid=0 addr=0x118 kind=Alu",
+        "6 resolve 0 pid=0 addr=0x100 pred=N actual=N mispredict=0 speculative=0",
+        "6 resolve 3 pid=0 addr=0x200 pred_target=0x118 actual_target=0x300 "
+        "mispredict=1 speculative=0",
+        "6 squash 4 pid=0",
+        "6 commit 0 pid=0",
+        "6 timer 1 pid=0",
+        "6 commit 1 pid=0",
+        "6 commit 2 pid=0",
+        "6 commit 3 pid=0",
+        "6 fetch 5 pid=0 addr=0x300 kind=Halt",
+        "7 commit 5 pid=0",
+    ]
+    assert res.events is res.events  # rendered once, then cached
+
+
+@st.composite
+def nested_runs(draw):
+    """1-3 processes of forward-only conditional and indirect branches with
+    mixed delays (so every run halts), some indirect branches poisoned
+    toward any address of their process, under any policy."""
+    n = draw(st.integers(1, 3))
+    predictor = PredictorState()
+    predictor.randomize_reset(draw(st.integers(0, 2**16)))
+    predictor.selector.frozen = draw(st.booleans())
+    programs, env = {}, {}
+    for pid in range(n):
+        addrs = [0x1000 * (pid + 1) + 8 * i for i in range(draw(st.integers(2, 10)))]
+        instrs = []
+        for i, addr in enumerate(addrs[:-1]):
+            kind = draw(st.sampled_from(BRANCH_KINDS * 2 + (Kind.ALU, Kind.LOAD,
+                                                            Kind.STORE, Kind.TIMER_READ)))
+            delay = draw(st.integers(1, 40))
+            target = cond = None
+            if kind in BRANCH_KINDS:
+                target = draw(st.sampled_from(addrs[i + 1:]))
+            if kind is Kind.COND_BRANCH:
+                cond = f"c{pid}_{i}"
+                env[cond] = draw(st.one_of(st.integers(0, 1),
+                                           st.lists(st.integers(0, 1), max_size=4)))
+            if kind is Kind.INDIRECT_BRANCH and draw(st.booleans()):
+                predictor.btb.update(addr, draw(st.sampled_from(addrs)))
+            instrs.append(Instruction(pid, i, kind, addr, target, cond, delay))
+        instrs.append(Instruction(pid, len(addrs) - 1, Kind.HALT, addrs[-1]))
+        programs[pid] = instrs
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    schedule = draw(st.permutations(list(range(n)) + extra))
+    policy = UpdatePolicy(draw(st.sampled_from(list(PolicyVariant))), obfuscation_seed=3)
+    return programs, schedule, policy, predictor, env
+
+
+def _speculative_from_records(records) -> dict[int, bool]:
+    """dseq -> whether, when that branch resolved, an older branch of its
+    process had been fetched and was neither resolved nor squashed yet."""
+    open_by_pid: dict[int, set[int]] = {}
+    out = {}
+    for _, kind, dseq, pid, *fields in records:
+        pending = open_by_pid.setdefault(pid, set())
+        if kind == "fetch" and fields[1] in BRANCH_KINDS:
+            pending.add(dseq)
+        elif kind == "resolve":
+            pending.discard(dseq)
+            out[dseq] = any(older < dseq for older in pending)
+        elif kind == "squash":
+            pending.discard(dseq)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_runs())
+def test_speculative_flag_matches_a_reference_from_records(run_args):
+    res, _ = eng.run(*run_args)
+    expected = _speculative_from_records(res.records)
+    assert {b.dseq: b.speculative for b in res.branches if b.resolved} == expected
+    assert {r[2]: r[8] for r in res.records if r[1] == "resolve"} == expected
