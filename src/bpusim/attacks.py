@@ -10,13 +10,11 @@ updates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import engine as eng
 from .engine import DEFAULT_POLICY, UpdatePolicy
-from .predictor import (Direction, GlobalHistoryRegister, Mode, PredictorConfig, PredictorState,
-                        index_history, index_one_level)
+from .predictor import Direction, Mode, PredictorConfig, PredictorState, index_one_level
 from .program import Instruction, Kind
 from .timing import LatencyModel, LatencySampler, LatencyTrace, classify
 
@@ -128,41 +126,23 @@ def probe_mode(predictor: PredictorState, probe: ProbeConfig | None = None) -> M
     raise ProbeError(f"ambiguous misprediction count {count} in last {probe.test_K} executions")
 
 
-# A random pair works with probability about (1 - 1/pht_entries_history) **
-# (ghr_depth - 1): one in ~2k draws at 2 history entries and depth 12.
-PAIR_SEARCH_LIMIT = 100_000
-
-
-def probe_ghr_depth(predictor: PredictorState, max_N: int, seed: int = 0) -> int:
+def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
     """Find the minimal number of taken branches that presets the full GHR
     window, observed as a PHT collision between trainer and prober.
 
-    Trainer and prober use different fixed pollution sequences ahead of the
-    shared N-branch preamble; GHR entries hold only a couple of target bits,
-    so the sequences are pre-screened to guarantee every leftover stale
-    suffix actually changes the folded index."""
+    Trainer and prober use fixed pollution sequences ahead of the shared
+    N-branch preamble that differ only in the low bit of their last entry:
+    while N < depth that entry is still in the window, so the two contexts
+    differ in the history they fold into the PHT index."""
     if predictor.selector.mode is not Mode.HISTORY:
         raise ProbeError("history-based prediction must be active")
     cfg = predictor.config
     target = 0x4000
     n = cfg.history_bits
     depth = cfg.ghr_depth
-    rng = random.Random(seed)
-    entry_values = 1 << cfg.target_bits_per_entry
-    preamble = [(i * 3 + 1) % entry_values for i in range(max_N)]
-
-    def idx_for(pollution, N):
-        entries = (pollution + preamble[:N])[-depth:]
-        return index_history(target, GlobalHistoryRegister(cfg, entries), cfg)
-
-    for _ in range(PAIR_SEARCH_LIMIT):
-        p1 = [rng.randrange(entry_values) for _ in range(depth)]
-        p2 = [rng.randrange(entry_values) for _ in range(depth)]
-        if all(idx_for(p1, N) != idx_for(p2, N) for N in range(1, depth)):
-            break
-    else:
-        raise ProbeError(f"no pollution pair separates every preamble length "
-                         f"in {PAIR_SEARCH_LIMIT} draws")
+    preamble = [(i * 3 + 1) % (1 << cfg.target_bits_per_entry) for i in range(max_N)]
+    p1 = [0] * depth
+    p2 = p1[:-1] + [1]
 
     weak_nt = 1 << (n - 1)
     for N in range(1, max_N + 1):

@@ -136,7 +136,7 @@ def cmd_probe_ghr(obj, max_n):
     """Measure the global history depth via PHT collisions."""
     predictor = PredictorState(obj.config)
     attacks.activate_history_mode(predictor)
-    measured = attacks.probe_ghr_depth(predictor, max_n, seed=obj.seed)
+    measured = attacks.probe_ghr_depth(predictor, max_n)
     obj.write_json("probe_ghr.json", {
         "configured_depth": obj.config.ghr_depth,
         "measured_depth": measured,

@@ -53,7 +53,6 @@ class DynamicBranch:
 
     instr: Instruction
     dseq: int
-    fetch_tick: int
     env_index: int
     is_branch: bool = False
     squashed: bool = False
@@ -64,7 +63,6 @@ class DynamicBranch:
     predicted_target: int | None = None
     pred_mode: Mode | None = None
     pred_index: int | None = None
-    resolve_tick: int = 0
     resolved: bool = False
     actual_dir: Direction | None = None
     actual_target: int | None = None
@@ -100,14 +98,33 @@ def render_events(records: list[tuple]) -> list[str]:
     return lines
 
 
+def summarize(records: list[tuple]) -> dict:
+    """Per-process counts of predictions (fetches that carry one),
+    mispredictions, speculative resolutions, squashes and commits."""
+    keys = ("predictions", "mispredictions", "speculative_resolutions", "squashes", "commits")
+    per = {pid: dict.fromkeys(keys, 0) for pid in sorted({r[3] for r in records})}
+    for _, kind, _, pid, *fields in records:
+        counts = per[pid]
+        if kind == "fetch":
+            counts["predictions"] += len(fields) > 2
+        elif kind == "resolve":
+            counts["mispredictions"] += fields[3]
+            counts["speculative_resolutions"] += fields[4]
+        elif kind == "squash":
+            counts["squashes"] += 1
+        elif kind == "commit":
+            counts["commits"] += 1
+    return {str(pid): counts for pid, counts in per.items()}
+
+
 @dataclass
 class RunResult:
     """What one engine run returns. `records` holds one tuple
-    `(tick, kind, dseq, pid, *fields)` per event; `events` is their text,
-    rendered on first access."""
+    `(tick, kind, dseq, pid, *fields)` per event; `events` (their text) and
+    `summary` (their per-process counts) are computed on first access.
+    `branches` holds every fetched branch in dseq order."""
 
     records: list[tuple]
-    summary: dict
     branches: list[DynamicBranch]
     arch: dict
     ticks: int
@@ -115,6 +132,10 @@ class RunResult:
     @functools.cached_property
     def events(self) -> list[str]:
         return render_events(self.records)
+
+    @functools.cached_property
+    def summary(self) -> dict:
+        return summarize(self.records)
 
 
 def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
@@ -256,22 +277,19 @@ class _Process:
         self.pid = pid
         addr_map = {i.addr: i for i in instrs}
         order = sorted(addr_map)
-        # addr -> (instruction, its uid, the next address or None)
-        self.code = {a: (addr_map[a], addr_map[a].uid, b)
-                     for a, b in zip(order, order[1:] + [None])}
-        self.fetch_addr: int | None = instrs[0].addr if instrs else None
-        self.fetch_active = bool(instrs)
-        self.stall: DynamicBranch | None = None
+        # addr -> (instruction, the next address or None)
+        self.code = {a: (addr_map[a], b) for a, b in zip(order, order[1:] + [None])}
+        # None while the process cannot fetch: after a Halt, off the end of
+        # its code, or stalled on a BTB miss until that branch resolves
+        self.fetch_addr: int | None = instrs[0].addr
         # fetched, not yet committed and not squashed, in fetch order
         self.rob: deque[DynamicBranch] = deque()
         # the branches of the ROB that have not resolved, in fetch order: a
         # branch resolves speculatively when it is not the first of them
         self.open: deque[DynamicBranch] = deque()
-        self.all_dyn: list[DynamicBranch] = []
-        self.exec_counts: dict[tuple[int, int], int] = {}
+        self.exec_counts: dict[int, int] = {}  # addr -> fetches not squashed
         self.mem: dict[int, int] = {}
         self.regs = {"acc": 0, "last_load": 0, "timer_reads": 0}
-        self.done = False
 
 
 class Engine:
@@ -300,6 +318,14 @@ class Engine:
                 raise ConfigError(f"process {pid} is declared but not in the schedule")
             if not instrs:
                 raise ConfigError(f"process {pid} has an empty program")
+            seen = set()
+            for i in instrs:
+                if i.process_id != pid:
+                    raise ConfigError(f"process {pid}: the instruction at {i.addr:#x} "
+                                      f"has process_id {i.process_id}")
+                if i.addr in seen:
+                    raise ConfigError(f"process {pid}: two instructions at {i.addr:#x}")
+                seen.add(i.addr)
         self.procs = {pid: _Process(pid, instrs) for pid, instrs in programs.items()}
         self.schedule = list(schedule)
         self.policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
@@ -308,6 +334,7 @@ class Engine:
         self.inflight_cap = inflight_cap
         self.max_ticks = max_ticks
         self.records: list[tuple] = []
+        self.branches: list[DynamicBranch] = []  # every fetched branch, in dseq order
         self._running = len(self.procs)  # processes that have not committed their Halt
         self.tick = 0
         self._dseq = 0
@@ -347,8 +374,7 @@ class Engine:
             self._commit_phase()
             self._fetch_phase()
             self.tick += 1
-        return RunResult(self.records, self._summary(), self._all_branches(),
-                         self._arch(), self.tick)
+        return RunResult(self.records, self.branches, self._arch(), self.tick)
 
     def _next_active_tick(self) -> int:
         """The earliest tick >= self.tick at which a branch resolves, a ROB-front
@@ -363,33 +389,15 @@ class Engine:
         n = len(self.schedule)
         for k in range(min(n, best - t)):
             p = self.procs[self.schedule[(t + k) % n]]
-            if (not p.done and p.fetch_active and p.stall is None
-                    and len(p.rob) < self.inflight_cap):
+            if p.fetch_addr is not None and len(p.rob) < self.inflight_cap:
                 return t + k
         return best
-
-    def _all_branches(self) -> list[DynamicBranch]:
-        return sorted((d for p in self.procs.values() for d in p.all_dyn if d.is_branch),
-                      key=lambda d: d.dseq)
 
     def _arch(self) -> dict:
         return {
             pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
             for pid, p in sorted(self.procs.items())
         }
-
-    def _summary(self) -> dict:
-        per = {}
-        for pid, p in sorted(self.procs.items()):
-            resolved = [d for d in p.all_dyn if d.is_branch and d.resolved]
-            per[str(pid)] = {
-                "predictions": len([d for d in p.all_dyn if d.is_branch and not d.stalled]),
-                "mispredictions": len([d for d in resolved if d.mispredicted]),
-                "speculative_resolutions": len([d for d in resolved if d.speculative]),
-                "squashes": len([d for d in p.all_dyn if d.squashed]),
-                "commits": len([d for d in p.all_dyn if d.committed]),
-            }
-        return per
 
     # -- phases -----------------------------------------------------------
 
@@ -414,10 +422,7 @@ class Engine:
             pred, actual = b.predicted_dir, b.actual_dir
         else:
             b.actual_target = b.instr.static_target
-            if b.stalled:
-                b.mispredicted = False
-                proc.stall = None
-                proc.fetch_active = True
+            if b.stalled:  # never mispredicts: fetch resumes at the target
                 proc.fetch_addr = b.actual_target
             else:
                 b.mispredicted = b.predicted_target != b.actual_target
@@ -425,7 +430,7 @@ class Engine:
             pred, actual = b.predicted_target, b.actual_target
         self.records.append((self.tick, "resolve", b.dseq, proc.pid, instr.addr, pred, actual,
                              b.mispredicted, b.speculative))
-        if b.mispredicted and not b.stalled:
+        if b.mispredicted:
             self._squash_after(b)
 
     def _squash_after(self, b: DynamicBranch) -> None:
@@ -439,16 +444,14 @@ class Engine:
             proc.open.pop()
         for d in victims:
             d.squashed = True
-            proc.exec_counts[d.instr.uid] -= 1
+            proc.exec_counts[d.instr.addr] -= 1
             self.records.append((self.tick, "squash", d.dseq, proc.pid))
         self.policy.squashed(victims)
         # redirect fetch down the correct path
         if b.actual_dir is Direction.NOT_TAKEN:
-            proc.fetch_addr = proc.code[b.instr.addr][2]
+            proc.fetch_addr = proc.code[b.instr.addr][1]
         else:
             proc.fetch_addr = b.instr.static_target
-        proc.fetch_active = proc.fetch_addr is not None
-        proc.stall = None
 
     def _commit_phase(self) -> None:
         for proc in self.procs.values():
@@ -474,8 +477,6 @@ class Engine:
             proc.regs["timer_reads"] += 1
             self.records.append((self.tick, "timer", d.dseq, proc.pid))
         elif kind is Kind.HALT:
-            proc.done = True
-            proc.fetch_active = False
             self._running -= 1
         self.records.append((self.tick, "commit", d.dseq, proc.pid))
 
@@ -483,30 +484,27 @@ class Engine:
         tick = self.tick
         pid = self.schedule[tick % len(self.schedule)]
         proc = self.procs[pid]
-        if proc.done or not proc.fetch_active or proc.stall is not None:
-            return
-        if len(proc.rob) >= self.inflight_cap:
-            return
         addr = proc.fetch_addr
-        entry = proc.code.get(addr)
-        if entry is None:
-            proc.fetch_active = False
+        if addr is None or len(proc.rob) >= self.inflight_cap:
             return
-        instr, uid, fallthrough = entry
+        entry = proc.code.get(addr)
+        if entry is None:  # ran off the code
+            proc.fetch_addr = None
+            return
+        instr, fallthrough = entry
         kind = instr.kind
-        env_index = proc.exec_counts.get(uid, 0)
-        proc.exec_counts[uid] = env_index + 1
+        env_index = proc.exec_counts.get(addr, 0)
+        proc.exec_counts[addr] = env_index + 1
         dseq = self._dseq
         self._dseq += 1
         is_branch = kind is Kind.COND_BRANCH or kind is Kind.INDIRECT_BRANCH
-        d = DynamicBranch(instr, dseq, tick, env_index, is_branch)
+        d = DynamicBranch(instr, dseq, env_index, is_branch)
         proc.rob.append(d)
-        proc.all_dyn.append(d)
         delay = max(instr.resolve_delay, 1)
         if is_branch:
             proc.open.append(d)
-            d.resolve_tick = tick + delay
-            heapq.heappush(self._unresolved, (d.resolve_tick, dseq, d))
+            self.branches.append(d)
+            heapq.heappush(self._unresolved, (tick + delay, dseq, d))
         if kind is Kind.COND_BRANCH:
             pred = self.policy.predict(pid, addr)
             d.predicted_dir, d.pred_mode, d.pred_index = pred.direction, pred.mode, pred.index
@@ -519,7 +517,7 @@ class Engine:
             target = self.predictor.btb.lookup(addr)
             if target is None:
                 d.stalled = True
-                proc.stall = d
+                proc.fetch_addr = None
                 self.records.append((tick, "stall", dseq, pid))
                 record = (tick, "fetch", dseq, pid, addr, kind)
             else:
@@ -530,12 +528,10 @@ class Engine:
             record = (tick, "fetch", dseq, pid, addr, kind)
             if kind is Kind.HALT:
                 d.complete_tick = tick
-                proc.fetch_active = False
+                proc.fetch_addr = None
             else:
                 d.complete_tick = tick + delay
                 proc.fetch_addr = fallthrough
-        if proc.fetch_addr is None and kind is not Kind.HALT:
-            proc.fetch_active = False
         self.records.append(record)
 
 

@@ -47,10 +47,6 @@ class Instruction:
         if self.kind is Kind.INDIRECT_BRANCH and self.static_target is None:
             raise ProgramError(f"IndirectBranch at {self.addr:#x} needs a target")
 
-    @property
-    def uid(self) -> tuple[int, int]:
-        return (self.process_id, self.seq)
-
 
 def _parse_int(tok: str) -> int:
     return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
@@ -108,20 +104,3 @@ def parse_program(text: str) -> dict[int, list[Instruction]]:
             seen.add(i.addr)
     return programs
 
-
-def format_instruction(instr: Instruction) -> str:
-    parts = [str(instr.process_id), str(instr.seq), instr.kind.value, f"{instr.addr:#x}"]
-    if instr.static_target is not None:
-        parts.append(f"{instr.static_target:#x}")
-    if instr.condition_source is not None:
-        parts.append(f"cond={instr.condition_source}")
-    parts.append(f"delay={instr.resolve_delay}")
-    return " ".join(parts)
-
-
-def format_program(programs: dict[int, list[Instruction]]) -> str:
-    lines = []
-    for pid in sorted(programs):
-        for instr in programs[pid]:
-            lines.append(format_instruction(instr))
-    return "\n".join(lines) + "\n"

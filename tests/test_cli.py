@@ -89,6 +89,13 @@ def test_probe_ghr_uses_config_file(tmp_path):
     assert doc == {"configured_depth": 8, "measured_depth": 8}
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_probe_ghr_default_config_measures_12(tmp_path, seed):
+    _run(["--seed", seed, "--out", str(tmp_path), "probe-ghr"])
+    doc = json.loads((tmp_path / "probe_ghr.json").read_text())
+    assert doc == {"configured_depth": 12, "measured_depth": 12}
+
+
 def test_covert_command(tmp_path):
     _run(["--out", str(tmp_path), "covert", "--bits", "32", "--mode", "history"])
     doc = json.loads((tmp_path / "covert.json").read_text())

@@ -154,6 +154,20 @@ def test_empty_program_is_rejected():
         eng.run({0: programs[0], 1: []}, [0, 1], DEFAULT_POLICY, _frozen_state())
 
 
+def test_two_instructions_at_one_address_are_rejected():
+    programs = {0: [Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.STORE, 0x100),
+                    Instruction(0, 2, Kind.HALT, 0x108)]}
+    with pytest.raises(ConfigError, match="process 0: two instructions at 0x100"):
+        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+
+
+def test_instruction_of_another_process_is_rejected():
+    programs = {0: [Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.HALT, 0x108)],
+                1: [Instruction(1, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.HALT, 0x108)]}
+    with pytest.raises(ConfigError, match="process 1: the instruction at 0x108 has process_id 0"):
+        eng.run(programs, [0, 1], DEFAULT_POLICY, _frozen_state())
+
+
 def test_unresolved_branch_hits_tick_limit():
     programs = parse_program(
         """
@@ -560,3 +574,10 @@ def test_speculative_flag_matches_a_reference_from_records(run_args):
     expected = _speculative_from_records(res.records)
     assert {b.dseq: b.speculative for b in res.branches if b.resolved} == expected
     assert {r[2]: r[8] for r in res.records if r[1] == "resolve"} == expected
+    # the summary is counted from the records; the branch flags are kept apart
+    for pid, counts in res.summary.items():
+        own = [b for b in res.branches if b.instr.process_id == int(pid)]
+        assert counts["predictions"] == sum(not b.stalled for b in own)
+        assert counts["mispredictions"] == sum(b.resolved and b.mispredicted for b in own)
+        assert counts["speculative_resolutions"] == sum(b.resolved and b.speculative
+                                                        for b in own)

@@ -147,7 +147,7 @@ GOLDEN = {
     "probe-mode --actual history":
         "bb6cc1ef83cd8ef88d52d8f165adc7282ad0e7b659f80eb6b277aa662093868b",
     "probe-ghr":
-        "7846f088d53acfdff63676886d57430b8a179bacc4557601443d6e1a4c9fa659",
+        "f9004c3b1cb2d8dddc3ad0a8aad039b9ee81eaf064bdf6a4e179efefe5994abb",
     "scan --mode all":
         "2fa100f52d68971022386a091f4e3432c6f6f65a95caf51a3aa86408b515f593",
     "scan --mode v1":

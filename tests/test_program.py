@@ -3,10 +3,8 @@ from __future__ import annotations
 import pytest
 
 from bpusim.program import (
-    Instruction,
     Kind,
     ProgramError,
-    format_program,
     parse_program,
     parse_program_line,
 )
@@ -58,12 +56,3 @@ def test_parse_program_duplicate_address():
     with pytest.raises(ProgramError):
         parse_program("0 0 Alu 0x100\n0 1 Alu 0x100\n")
 
-
-def test_format_roundtrip():
-    text = "0 0 CondBranch 0x100 0x200 cond=c delay=2\n0 1 Halt 0x110 delay=1\n"
-    assert format_program(parse_program(text)) == text
-
-
-def test_instruction_uid():
-    i = Instruction(2, 5, Kind.ALU, 0x100)
-    assert i.uid == (2, 5)
