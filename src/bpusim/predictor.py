@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -107,28 +106,40 @@ def index_one_level(addr: int, config: PredictorConfig) -> int:
 
 
 class GlobalHistoryRegister:
-    """Fixed-depth queue of partial target-address bits of taken branches."""
+    """Fixed-depth queue of partial target-address bits of taken branches,
+    held as one history word: each entry takes `target_bits_per_entry` bits,
+    the newest entry in the low bits."""
+
+    __slots__ = ("_depth", "_bits", "_emask", "_wmask", "_word")
 
     def __init__(self, config: PredictorConfig, entries=None):
         self._depth = config.ghr_depth
         self._bits = config.target_bits_per_entry
+        self._emask = (1 << self._bits) - 1
+        self._wmask = (1 << (self._bits * self._depth)) - 1
         init = entries if entries is not None else [0] * self._depth
         if len(init) != self._depth:
             raise ValueError("GHR entry count must equal ghr_depth")
-        self._q = deque(init, maxlen=self._depth)
+        word = 0
+        for e in init:
+            if not 0 <= e <= self._emask:
+                raise ValueError(
+                    f"GHR entry {e} outside [0, 2^{self._bits})")
+            word = (word << self._bits) | e
+        self._word = word
 
     @property
     def entries(self) -> list[int]:
-        return list(self._q)
+        """Oldest first."""
+        bits, emask, word = self._bits, self._emask, self._word
+        return [(word >> (bits * k)) & emask for k in range(self._depth - 1, -1, -1)]
 
     def insert_taken(self, target: int) -> None:
-        self._q.append(target & ((1 << self._bits) - 1))
+        self._word = ((self._word << self._bits) | (target & self._emask)) & self._wmask
 
     def folded(self, width: int) -> int:
-        """Xor-fold the concatenated history word down to `width` bits."""
-        word = 0
-        for e in self._q:
-            word = (word << self._bits) | e
+        """Xor-fold the history word down to `width` bits."""
+        word = self._word
         mask = (1 << width) - 1
         out = 0
         while word:
@@ -138,9 +149,9 @@ class GlobalHistoryRegister:
 
     def clone(self) -> "GlobalHistoryRegister":
         c = object.__new__(GlobalHistoryRegister)
-        c._depth = self._depth
-        c._bits = self._bits
-        c._q = deque(self._q, maxlen=self._depth)
+        c._depth, c._bits = self._depth, self._bits
+        c._emask, c._wmask = self._emask, self._wmask
+        c._word = self._word
         return c
 
 

@@ -8,18 +8,23 @@ Hex address (with or without 0x), a colon, then whitespace-separated
 mnemonic and comma-separated operands. Addresses must be strictly
 increasing. `#` starts a comment. Operands are registers, immediates and
 `[base+index*scale+disp]` memory references; a number without `0x`
-(a jump target included) is read as decimal. This normalized format is
-the only input accepted: raw `objdump` output is rejected at its section
+(a jump target included) is read as decimal. A memory reference holds at
+most two registers, of which at most one is an index (a scaled register,
+or the second unscaled one), and a scale is 1, 2, 4 or 8; anything else is
+rejected rather than read with a register dropped. This normalized format
+is the only input accepted: raw `objdump` output is rejected at its section
 headers, `<sym>` labels and `rip`-relative operands, and its bare-hex jump
 targets (`je 2012`) are misread as decimal.
 
-Scan time is linear in the number of records.
+Parsing reads each distinct operand text once per listing (records with
+the same text share one operand tuple), and scan time is linear in the
+number of records.
 
 Scanning rules (documented approximations):
 
 * Taint is intra-straight-line and copy-only: the tracked registers are
   tainted at the start of every straight-line run (any control-flow
-  instruction ends a run), MOV/MOVZX/MOVSX/LEA propagate taint from a
+  instruction ends a run), MOV/MOVZX/MOVSX/MOVSXD/LEA propagate taint from a
   tainted register or a memory operand addressed through a tainted
   register, and any other write to a register clears its taint. Taint is
   tracked at full-register granularity.
@@ -98,18 +103,20 @@ FLAG_WRITERS = {
     "shl", "shr", "sar", "rol", "ror", "imul", "mul", "div", "idiv", "adc",
     "sbb", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr", "xadd", "cmc",
 }
-NON_FLAG_WRITERS = {"mov", "movzx", "movsx", "lea", "nop", "push", "pop", "xchg"}
+NON_FLAG_WRITERS = {
+    "mov", "movzx", "movsx", "movsxd", "lea", "nop", "push", "pop", "xchg",
+}
 # instructions whose first register operand is (over)written
 WRITES_DEST = {
-    "mov", "movzx", "movsx", "lea", "add", "sub", "and", "or", "xor", "imul",
-    "inc", "dec", "neg", "not", "shl", "shr", "sar", "rol", "ror", "pop",
-    "adc", "sbb", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr",
+    "mov", "movzx", "movsx", "movsxd", "lea", "add", "sub", "and", "or", "xor",
+    "imul", "inc", "dec", "neg", "not", "shl", "shr", "sar", "rol", "ror",
+    "pop", "adc", "sbb", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr",
 }
-COPY_MNEMONICS = {"mov", "movzx", "movsx"}
+COPY_MNEMONICS = {"mov", "movzx", "movsx", "movsxd"}
 
 PORT_TABLE: dict[str, frozenset[int]] = {}
 for _m in ("add", "sub", "and", "or", "xor", "test", "cmp", "mov", "lea",
-           "nop", "inc", "dec", "neg", "not", "movzx", "movsx"):
+           "nop", "inc", "dec", "neg", "not", "movzx", "movsx", "movsxd"):
     PORT_TABLE[_m] = frozenset({0, 1, 5, 6})
 for _m in ("imul", "mul", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr", "crc32"):
     PORT_TABLE[_m] = frozenset({1})
@@ -140,7 +147,7 @@ class Operand:
     memory: Memory | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisasmRecord:
     addr: int
     mnemonic: str
@@ -177,8 +184,14 @@ def _parse_memory(text: str, lineno: int) -> Memory:
             reg = reg.strip().lower()
             if reg not in REGISTERS:
                 raise DisasmParseError(lineno, f"unknown index register {reg!r}")
+            if index is not None:
+                raise DisasmParseError(
+                    lineno, f"more than one index register in {text!r}")
             index = REGISTERS[reg][0]
             scale = _parse_int(s.strip(), lineno)
+            if scale not in (1, 2, 4, 8):
+                raise DisasmParseError(
+                    lineno, f"scale {scale} is not 1, 2, 4 or 8 in {text!r}")
         elif term.lower() in REGISTERS:
             canon = REGISTERS[term.lower()][0]
             if base is None:
@@ -194,7 +207,8 @@ def _parse_memory(text: str, lineno: int) -> Memory:
 
 def _parse_operand(text: str, lineno: int) -> Operand:
     text = text.strip()
-    stripped = _SIZE_PREFIX.sub("", text)
+    prefix = _SIZE_PREFIX.match(text)
+    stripped = text[prefix.end():] if prefix else text
     if stripped.startswith("["):
         if not stripped.endswith("]"):
             raise DisasmParseError(lineno, f"unterminated memory operand {text!r}")
@@ -206,26 +220,35 @@ def _parse_operand(text: str, lineno: int) -> Operand:
 
 
 def parse_disasm(stream) -> list[DisasmRecord]:
-    """Parse normalized disassembly text (string or file-like)."""
+    """Parse normalized disassembly text (string or file-like).
+
+    Each distinct operand text is parsed once per call, and records with the
+    same text share one operand tuple."""
     text = stream if isinstance(stream, str) else stream.read()
     records: list[DisasmRecord] = []
+    append, match = records.append, _LINE.match
+    # operand text -> its operands, shared by every record with that text
+    parsed: dict[str, tuple[Operand, ...]] = {}
+    last = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        m = _LINE.match(line)
+        m = match(line)
         if m is None:
             raise DisasmParseError(lineno, f"unrecognized line {line!r}")
-        addr = int(m.group(1), 16)
-        mnemonic = m.group(2).lower()
-        ops = []
-        rest = m.group(3)
+        addr_text, mnemonic, rest = m.groups()
+        addr = int(addr_text, 16)
+        ops = ()
         if rest:
-            for part in rest.split(","):
-                ops.append(_parse_operand(part, lineno))
-        if records and addr <= records[-1].addr:
+            ops = parsed.get(rest)
+            if ops is None:
+                ops = parsed[rest] = tuple(
+                    [_parse_operand(part, lineno) for part in rest.split(",")])
+        if addr <= last:
             raise DisasmParseError(lineno, f"address {addr:#x} not increasing")
-        records.append(DisasmRecord(addr, mnemonic, tuple(ops)))
+        last = addr
+        append(DisasmRecord(addr, mnemonic.lower(), ops))
     return records
 
 

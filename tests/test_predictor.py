@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +107,32 @@ def test_ghr_depth_and_entry_masking():
         g.insert_taken(t)
     # only low target_bits_per_entry bits kept; oldest entry dropped
     assert g.entries == [0x202 & 3, 0x303 & 3, 0x4FF & 3, 0x500 & 3]
+
+
+def test_ghr_rejects_entries_outside_the_entry_width():
+    cfg = PredictorConfig(ghr_depth=4, target_bits_per_entry=2)
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="outside"):
+            GlobalHistoryRegister(cfg, [0, bad, 0, 0])
+    assert GlobalHistoryRegister(cfg, [3, 0, 1, 2]).entries == [3, 0, 1, 2]
+
+
+@given(st.integers(1, 14), st.integers(1, 3), st.integers(1, 12),
+       st.lists(st.integers(0, 1 << 20), max_size=40))
+def test_ghr_word_matches_a_queue_of_entries(depth, bits, width, targets):
+    """The history word against a fixed-depth queue of masked entries, the
+    representation it replaced."""
+    cfg = PredictorConfig(ghr_depth=depth, target_bits_per_entry=bits)
+    g = GlobalHistoryRegister(cfg)
+    queue = deque([0] * depth, maxlen=depth)
+    for t in targets:
+        clone, old_entries = g.clone(), g.entries
+        g.insert_taken(t)
+        queue.append(t & ((1 << bits) - 1))
+        assert g.entries == list(queue)
+        assert g.folded(width) == _reference_fold(queue, bits, width)
+        assert clone.entries == old_entries  # a clone does not see later inserts
+    assert GlobalHistoryRegister(cfg, g.entries).entries == g.entries
 
 
 def _reference_fold(entries, bits, width):

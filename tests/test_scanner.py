@@ -7,13 +7,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpusim import scanner
 from bpusim.scanner import (
+    _LINE,
     CONTROL_FLOW,
     DEFAULT_TRACKED,
     JCC,
     DisasmParseError,
+    DisasmRecord,
     Memory,
     _jcc_after,
+    _parse_operand,
     _writes_flags,
     build_report,
     parse_disasm,
@@ -65,6 +69,129 @@ def test_parse_errors_carry_line_numbers():
         parse_disasm("401000: nop\n401000: nop\n")  # not strictly increasing
     with pytest.raises(DisasmParseError):
         parse_disasm("401000: mov rax, [qqq]\n")
+
+
+@pytest.mark.parametrize("operand, reason", [
+    # a third register: RCX took the index slot, so RDX would replace it
+    ("[rbx+rcx+rdx*2]", "more than one index register"),
+    # two scaled terms: RDI would replace RSI
+    ("[rsi*2+rdi*4]", "more than one index register"),
+    ("[rbx*3]", "scale 3 is not 1, 2, 4 or 8"),
+])
+def test_parse_rejects_memory_operands_that_drop_a_register(operand, reason):
+    with pytest.raises(DisasmParseError) as err:
+        parse_disasm(f"401000: nop\n401001: mov rax, qword ptr {operand}\n")
+    assert err.value.lineno == 2
+    assert err.value.reason.startswith(reason)
+    assert operand in err.value.reason
+
+
+def test_parse_accepts_every_x86_scale():
+    for scale in (1, 2, 4, 8):
+        recs = parse_disasm(f"401000: lea rax, [rbx+rcx*{scale}+0x8]\n")
+        assert recs[0].operands[1].memory == Memory("RBX", "RCX", scale, 8)
+
+
+def _reference_parse_disasm(text):
+    """The parser `parse_disasm` replaced: it parses every operand text
+    again on every line that holds it."""
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _LINE.match(line)
+        if m is None:
+            raise DisasmParseError(lineno, f"unrecognized line {line!r}")
+        addr = int(m.group(1), 16)
+        mnemonic = m.group(2).lower()
+        ops = []
+        rest = m.group(3)
+        if rest:
+            for part in rest.split(","):
+                ops.append(_parse_operand(part, lineno))
+        if records and addr <= records[-1].addr:
+            raise DisasmParseError(lineno, f"address {addr:#x} not increasing")
+        records.append(DisasmRecord(addr, mnemonic, tuple(ops)))
+    return records
+
+
+# repeated operand texts and both sides of the memory and size-prefix rules
+_OPERAND_TEXTS = [
+    "", "rdi, 0x1", "dl, 0x4", "rax, rdi", "rax", "0x401000", "-0x8",
+    "rax, qword ptr [rbx+rcx*4+0x10]", "BYTE PTR [rsi-0x4], 0x8",
+    "eax, dword ptr [rdi]",
+]
+# an unknown register, a bad number, a lost register
+_BAD_OPERAND_TEXTS = ["[qqq]", "rax, 0xzz", "rax, [rsi*2+rdi*4]"]
+
+
+@st.composite
+def _listing_texts(draw):
+    """Listings of up to 30 lines; up to two of them carry a fault: a bad
+    operand text, an unrecognized line, an address that does not increase,
+    or both a bad operand text and such an address."""
+    n = draw(st.integers(0, 30))
+    faults = {}
+    if n:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            faults[i] = draw(st.sampled_from(
+                ["operand", "line", "address", "operand address"]))
+    lines = []
+    addr = 0x1000
+    for i in range(n):
+        fault = faults.get(i, "")
+        kind = draw(st.sampled_from(["ins"] * 6 + ["blank", "comment"]))
+        if fault == "line":
+            lines.append("garbage")
+        elif kind == "blank" and not fault:
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif kind == "comment" and not fault:
+            lines.append("# a comment")
+        else:
+            addr = max(0, addr + (draw(st.integers(-2, 0)) if "address" in fault
+                                  else draw(st.integers(1, 8))))
+            mnemonic = draw(st.sampled_from(["mov", "TEST", "jne", "nop"]))
+            operands = draw(st.sampled_from(
+                _BAD_OPERAND_TEXTS if "operand" in fault else _OPERAND_TEXTS))
+            prefix = draw(st.sampled_from(["", "0x", "  "]))
+            note = draw(st.sampled_from(["", "  # note", "# x, y"]))
+            lines.append(f"{prefix}{addr:x}: {mnemonic} {operands}{note}")
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DisasmParseError as err:
+        return (err.lineno, err.reason)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_listing_texts())
+def test_parse_disasm_matches_the_per_line_reference(text):
+    assert _outcome(parse_disasm, text) == _outcome(_reference_parse_disasm, text)
+
+
+def test_parse_disasm_parses_each_distinct_operand_text_once(monkeypatch):
+    parsed = []
+
+    def counting(text, lineno):
+        parsed.append(text)
+        return _parse_operand(text, lineno)
+
+    monkeypatch.setattr(scanner, "_parse_operand", counting)
+    texts = ["rdi, 0x1", "rax, qword ptr [rsi+0x8]", "rdi, 0x1", "", "0x1000",
+             "rax, qword ptr [rsi+0x8]", "rdi, 0x1", "0x1000"]
+    recs = parse_disasm("".join(f"{0x1000 + 4 * i:x}: mov {t}\n"
+                                for i, t in enumerate(texts)))
+    assert len(recs) == len(texts)
+    distinct = {t for t in texts if t}
+    assert len(parsed) == sum(len(t.split(",")) for t in distinct) == 5
+    assert recs[0].operands is recs[2].operands is recs[6].operands
+    assert recs[1].operands is recs[5].operands
+    assert recs[4].operands is recs[7].operands
+    assert recs[3].operands == ()
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +276,27 @@ def test_v2_flag_writer_between_test_and_jcc_invalidates():
     # non-flag-writing instructions are fine
     text = "401000: test rdi, 0x1\n401004: mov rax, rbx\n401007: jne 0x401020\n"
     assert len(scan_v2(parse_disasm(text))) == 1
+
+
+def test_v2_taint_copies_through_movsxd():
+    text = (
+        "401000: movsxd rax, dword ptr [rdi]\n"
+        "401003: test al, 0x1\n"
+        "401005: jne 0x401020\n"
+    )
+    sites = scan_v2(parse_disasm(text))
+    assert [(s.addr, s.register, s.bit_positions) for s in sites] == [
+        (0x401003, "RDI", (0,))]
+
+
+def test_movsxd_passes_flags_to_the_next_jcc():
+    recs = parse_disasm(
+        "401000: test rdi, 0x1\n"
+        "401004: movsxd rax, dword ptr [rbx]\n"
+        "401007: jne 0x401020\n"
+    )
+    assert _jcc_after(recs)[0] == 2
+    assert [s.addr for s in scan_v2(recs)] == [0x401000]
 
 
 def test_v2_respects_tracked_register_set():
