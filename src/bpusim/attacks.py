@@ -33,6 +33,22 @@ class TransmissionError(RuntimeError):
         self.bit_position = bit_position
 
 
+# the attacker's branches: the replayed GHR context (one branch per 0x20
+# bytes), the TNTNTN branch, and the branch both probes train and probe
+PREAMBLE_REPLAY_BASE = 0xA000
+HISTORY_SCRATCH_ADDR = 0xE000
+PROBE_TARGET = 0x4000
+# the mode probe counts the mispredictions of its last PROBE_TEST_K executions
+PROBE_TEST_K = 6
+# the victims' preamble starts here, so no preamble address aliases a
+# victim-body one-level entry (indices repeat every 0x1000 bytes)
+PREAMBLE_BASE = 0x1100
+# resolve delay of the v1 victim's bounds-check trigger, and the in-bounds
+# victim runs before each v1 trial that train the trigger toward the transmitter
+V1_TRIGGER_DELAY = 60
+WARMUPS = 5
+
+
 # ---------------------------------------------------------------------------
 # committed-execution harness
 
@@ -49,27 +65,25 @@ class BranchHarness:
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, addr: int, outcome: Direction, target: int | None = None) -> ExecRecord:
+    def execute(self, addr: int, outcome: Direction, target: int) -> ExecRecord:
         pred = self.predictor.predict(addr)
         mis = pred.direction is not outcome
-        self.predictor.record_resolution(
-            addr, outcome, pred.mode, mis, target=target, index=pred.index
-        )
+        self.predictor.record_resolution(addr, outcome, pred, target)
         lat = self.sampler.measure(mis) if self.sampler is not None else None
         return ExecRecord(mis, lat)
 
-    def replay_preamble(self, targets, base: int = 0xA000) -> None:
+    def replay_preamble(self, targets) -> None:
         """Execute one taken branch per preamble target so the GHR window
         matches the victim's context exactly."""
         for i, t in enumerate(targets):
-            self.execute(base + i * 0x20, Direction.TAKEN, target=t)
+            self.execute(PREAMBLE_REPLAY_BASE + i * 0x20, Direction.TAKEN, target=t)
 
 
-def activate_history_mode(predictor: PredictorState, scratch_addr: int = 0xE000) -> None:
+def activate_history_mode(predictor: PredictorState) -> None:
     """Flip the selector with the six-execution TNTNTN exercising sequence."""
     harness = BranchHarness(predictor)
     for o in (Direction.TAKEN, Direction.NOT_TAKEN) * 3:
-        harness.execute(scratch_addr, o, target=scratch_addr + 0x40)
+        harness.execute(HISTORY_SCRATCH_ADDR, o, target=HISTORY_SCRATCH_ADDR + 0x40)
     if predictor.selector.mode is not Mode.HISTORY:
         raise ProbeError("TNTNTN did not trigger history-based prediction")
 
@@ -77,25 +91,13 @@ def activate_history_mode(predictor: PredictorState, scratch_addr: int = 0xE000)
 # ---------------------------------------------------------------------------
 # probes
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    target_branch: int = 0x4000
-    seq_length: int = 64
-    mispred_rates: tuple = (0.25, 0.5, 1.0)
-    test_K: int = 6
-
-    def __post_init__(self):
-        if self.test_K <= 4:
-            raise ValueError("test_K must be > 4")
-
-
-def _probe_preamble(predictor: PredictorState, probe: ProbeConfig) -> list[tuple[int, int]]:
+def _probe_preamble(predictor: PredictorState) -> list[tuple[int, int]]:
     """(addr, target) pairs presetting the GHR; addresses are chosen to never
     alias the target's one-level entry."""
     cfg = predictor.config
     pairs = []
     addr = 0x90000
-    tgt_idx = index_one_level(probe.target_branch, cfg)
+    tgt_idx = index_one_level(PROBE_TARGET, cfg)
     for i in range(cfg.ghr_depth):
         while index_one_level(addr, cfg) == tgt_idx:
             addr += 4
@@ -104,26 +106,25 @@ def _probe_preamble(predictor: PredictorState, probe: ProbeConfig) -> list[tuple
     return pairs
 
 
-def probe_mode(predictor: PredictorState, probe: ProbeConfig | None = None) -> Mode:
+def probe_mode(predictor: PredictorState) -> Mode:
     """Classify the active prediction mode from the misprediction pattern of
     an 8xTaken / 4xNotTaken test sequence (non-destructive)."""
-    probe = probe or ProbeConfig()
     work = predictor.clone()
     work.selector.frozen = True
     harness = BranchHarness(work)
-    pairs = _probe_preamble(work, probe)
+    pairs = _probe_preamble(work)
     outcomes = [Direction.TAKEN] * 8 + [Direction.NOT_TAKEN] * 4
     mis = []
     for o in outcomes:
         for a, t in pairs:
             harness.execute(a, Direction.TAKEN, target=t)
-        mis.append(harness.execute(probe.target_branch, o, target=probe.target_branch + 0x40).mispredicted)
-    count = sum(mis[-probe.test_K:])
+        mis.append(harness.execute(PROBE_TARGET, o, target=PROBE_TARGET + 0x40).mispredicted)
+    count = sum(mis[-PROBE_TEST_K:])
     if count == 4:
         return Mode.HISTORY
     if count == 2:
         return Mode.ONE_LEVEL
-    raise ProbeError(f"ambiguous misprediction count {count} in last {probe.test_K} executions")
+    raise ProbeError(f"ambiguous misprediction count {count} in last {PROBE_TEST_K} executions")
 
 
 def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
@@ -137,7 +138,7 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
     if predictor.selector.mode is not Mode.HISTORY:
         raise ProbeError("history-based prediction must be active")
     cfg = predictor.config
-    target = 0x4000
+    target = PROBE_TARGET
     n = cfg.history_bits
     depth = cfg.ghr_depth
     preamble = [(i * 3 + 1) % (1 << cfg.target_bits_per_entry) for i in range(max_N)]
@@ -183,11 +184,9 @@ class VictimLayout:
     pid: int
 
 
-def _preamble_block(pid: int, seq0: int, depth: int, trigger_addr: int,
-                    base: int = 0x1100) -> tuple[list[Instruction], list[int]]:
-    # base chosen so no preamble address aliases a victim-body one-level
-    # entry (indices repeat every 0x1000 bytes of address space)
-    addrs = [base + i * 0x20 + ((i * 3 + 1) % 4) for i in range(depth)]
+def _preamble_block(pid: int, seq0: int, depth: int,
+                    trigger_addr: int) -> tuple[list[Instruction], list[int]]:
+    addrs = [PREAMBLE_BASE + i * 0x20 + ((i * 3 + 1) % 4) for i in range(depth)]
     instrs = []
     targets = []
     for i, a in enumerate(addrs):
@@ -197,15 +196,14 @@ def _preamble_block(pid: int, seq0: int, depth: int, trigger_addr: int,
     return instrs, targets
 
 
-def build_victim_v1(config: PredictorConfig, pid: int = 0,
-                    trigger_delay: int = 60) -> VictimLayout:
+def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
     """Listing-4 shape: bounds-check trigger (taken = skip) with the
     transmitter branch on the fall-through path."""
     t0, bv, join, out, hlt = 0x2002, 0x2008, 0x2010, 0x2040, 0x2050
     pre, targets = _preamble_block(pid, 0, config.ghr_depth, t0)
     s = len(pre)
     body = [
-        Instruction(pid, s, Kind.COND_BRANCH, t0, out, "oob", trigger_delay),
+        Instruction(pid, s, Kind.COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
         Instruction(pid, s + 1, Kind.COND_BRANCH, bv, join, "sec", 2),
         Instruction(pid, s + 2, Kind.ALU, join),
         Instruction(pid, s + 3, Kind.ALU, 0x2018),
@@ -379,7 +377,6 @@ def side_channel_v1(
     config: PredictorConfig | None = None,
     policy: UpdatePolicy = DEFAULT_POLICY,
     seed: int = 0,
-    warmups: int = 5,
     corrupt_preamble_entry: int | None = None,
 ) -> SideChannelResult:
     """Recover a secret bit array through the conditional-trigger victim."""
@@ -392,7 +389,7 @@ def side_channel_v1(
 
     def prepare(i):
         ch.reset(seed * 1000 + i)
-        for _ in range(warmups):
+        for _ in range(WARMUPS):
             eng.run(layout.programs, layout.schedule, policy, ch.predictor,
                     env={"pre": 1, "oob": 0, "sec": 0})
 
@@ -499,12 +496,16 @@ def defense_eval(policies, config: PredictorConfig | None = None,
     """Total mispredictions of the nested-loop workload per policy."""
     config = config or PredictorConfig()
     programs, env = defense_workload(iterations)
+    # past the outer branch's 120-tick resolve the loop fetches its Alu and
+    # its branch one tick each, so a run takes about 2 ticks per iteration (3
+    # when a wide counter mispredicts every iteration); budget over twice that
+    max_ticks = 1000 + 8 * iterations
     out = {}
     for policy in policies:
         predictor = PredictorState(config)
         predictor.selector.frozen = True
         idx = index_one_level(0x118, config)
         predictor.pht_one_level[idx] = (1 << config.one_level_bits) - 1
-        result, _ = eng.run(programs, [0], policy, predictor, env=env, max_ticks=5000)
+        result, _ = eng.run(programs, [0], policy, predictor, env=env, max_ticks=max_ticks)
         out[policy.variant.value] = result.summary["0"]["mispredictions"]
     return out

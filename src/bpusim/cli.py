@@ -24,6 +24,8 @@ POLICY_CHOICES = [v.value for v in PolicyVariant]
 MODE_CHOICES = [m.value for m in Mode]
 NOISE_CHOICES = [n.value for n in NoiseKind]
 CANONICAL_REGISTERS = {canon for canon, _ in scanner.REGISTERS.values()}
+# defense-eval's largest loop: about 6 s and 180 MB for the five policies
+MAX_ITERATIONS = 100_000
 
 # domain errors reported as a one-line message and a non-zero exit status
 DOMAIN_ERRORS = (attacks.ProbeError, attacks.AttackError, attacks.TransmissionError,
@@ -232,8 +234,8 @@ def cmd_sidechannel_v2(obj, secret, random_bits, mode, poison, noise, sigma):
 
 
 @main.command("defense-eval")
-@click.option("--iterations", type=click.IntRange(min=0), default=15, show_default=True,
-              help="Inner loop iterations of the workload.")
+@click.option("--iterations", type=click.IntRange(min=0, max=MAX_ITERATIONS), default=15,
+              show_default=True, help="Inner loop iterations of the workload.")
 @click.pass_obj
 def cmd_defense_eval(obj, iterations):
     """Compare total mispredictions of the update policies on a nested loop."""

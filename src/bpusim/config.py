@@ -6,7 +6,9 @@ Recognized keys are exactly the PredictorConfig field names, e.g.::
     ghr_depth = 12
     monitored_branches = 0x4000, 0x4040
 
-Blank lines and `#` comments are ignored.
+Values are decimal or 0x-prefixed hex numbers (`program.parse_int`), and
+`monitored_branches` takes a comma-separated list of them. Blank lines and
+`#` comments are ignored.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from __future__ import annotations
 import dataclasses
 
 from .predictor import PredictorConfig
+from .program import parse_int
 
 
 class ConfigFileError(ValueError):
     pass
-
-
-def _parse_int(tok: str) -> int:
-    tok = tok.strip()
-    return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
 
 
 def parse_config(text: str) -> PredictorConfig:
@@ -41,9 +39,9 @@ def parse_config(text: str) -> PredictorConfig:
             raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
         try:
             if key == "monitored_branches":
-                kwargs[key] = frozenset(_parse_int(t) for t in value.split(","))
+                kwargs[key] = frozenset(parse_int(t.strip()) for t in value.split(","))
             else:
-                kwargs[key] = _parse_int(value)
+                kwargs[key] = parse_int(value)
         except ValueError as exc:
             raise ConfigFileError(f"line {lineno}: {exc}") from exc
     try:

@@ -46,6 +46,10 @@ class UpdatePolicy:
 
 DEFAULT_POLICY = UpdatePolicy()
 
+# the reorder-buffer size: fetched ops of one process that have not committed
+# and were not squashed
+INFLIGHT_CAP = 48
+
 
 @dataclass(slots=True, eq=False)
 class DynamicBranch:
@@ -300,13 +304,10 @@ class Engine:
         policy: UpdatePolicy,
         predictor: PredictorState,
         env: dict | None = None,
-        inflight_cap: int = 48,
         max_ticks: int = 100_000,
     ):
         if not schedule:
             raise ConfigError("empty schedule")
-        if inflight_cap < 1:
-            raise ConfigError(f"inflight_cap must be >= 1, got {inflight_cap}")
         if max_ticks < 1:
             raise ConfigError(f"max_ticks must be >= 1, got {max_ticks}")
         for pid in schedule:
@@ -331,7 +332,6 @@ class Engine:
         self.policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
         self.predictor = predictor
         self.env = env or {}
-        self.inflight_cap = inflight_cap
         self.max_ticks = max_ticks
         self.records: list[tuple] = []
         self.branches: list[DynamicBranch] = []  # every fetched branch, in dseq order
@@ -389,7 +389,7 @@ class Engine:
         n = len(self.schedule)
         for k in range(min(n, best - t)):
             p = self.procs[self.schedule[(t + k) % n]]
-            if p.fetch_addr is not None and len(p.rob) < self.inflight_cap:
+            if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
                 return t + k
         return best
 
@@ -485,7 +485,7 @@ class Engine:
         pid = self.schedule[tick % len(self.schedule)]
         proc = self.procs[pid]
         addr = proc.fetch_addr
-        if addr is None or len(proc.rob) >= self.inflight_cap:
+        if addr is None or len(proc.rob) >= INFLIGHT_CAP:
             return
         entry = proc.code.get(addr)
         if entry is None:  # ran off the code
@@ -541,10 +541,9 @@ def run(
     policy: UpdatePolicy = DEFAULT_POLICY,
     predictor: PredictorState | None = None,
     env: dict | None = None,
-    inflight_cap: int = 48,
     max_ticks: int = 100_000,
 ) -> tuple[RunResult, PredictorState]:
     predictor = predictor if predictor is not None else PredictorState()
-    eng = Engine(programs, schedule, policy, predictor, env, inflight_cap, max_ticks)
+    eng = Engine(programs, schedule, policy, predictor, env, max_ticks)
     result = eng.run()
     return result, predictor

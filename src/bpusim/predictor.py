@@ -155,13 +155,6 @@ class GlobalHistoryRegister:
         return c
 
 
-def index_history(addr: int, ghr: GlobalHistoryRegister, config: PredictorConfig) -> int:
-    width = (config.pht_entries_history - 1).bit_length()
-    return (ghr.folded(width) ^ (addr >> 2) ^ config.index_salt) & (
-        config.pht_entries_history - 1
-    )
-
-
 class BranchTargetBuffer:
     """Direct-mapped, per-core (process-agnostic) target buffer."""
 
@@ -229,8 +222,9 @@ class PredictorState:
 
     # -- prediction / resolution ----------------------------------------
 
-    # the hot path: inlines the index functions, table, counter_width and
-    # counter_predict/counter_update
+    # the hot path: inlines index_one_level, table, counter_width and
+    # counter_predict/counter_update. The history index (the GHR fold, the
+    # address above its alignment bits and the salt) is computed only here.
     def predict(self, addr: int) -> Prediction:
         cfg, mode = self.config, self.selector.mode
         if mode is Mode.ONE_LEVEL:
@@ -263,27 +257,15 @@ class PredictorState:
         if sel.mispredict_accumulator >= self.config.transition_threshold:
             sel.mode = Mode.HISTORY
 
-    def record_resolution(
-        self,
-        addr: int,
-        outcome: Direction,
-        mode_used: Mode | None = None,
-        mispredicted: bool | None = None,
-        target: int | None = None,
-        index: int | None = None,
-    ) -> None:
-        """Committed-path resolution: update the active-mode counter, feed the
-        selector, and record taken targets into the GHR."""
-        if mode_used is None or mispredicted is None or index is None:
-            pred = self.predict(addr)
-            mode_used = mode_used if mode_used is not None else pred.mode
-            index = index if index is not None else pred.index
-            if mispredicted is None:
-                mispredicted = pred.direction is not outcome
-        self.apply_counter_update(mode_used, index, outcome)
-        self.note_resolution(addr, mode_used, mispredicted)
+    def record_resolution(self, addr: int, outcome: Direction, pred: Prediction,
+                          target: int) -> None:
+        """Committed-path resolution of the branch at `addr`, which `predict`
+        answered with `pred`: update that counter, feed the selector, and
+        record a taken branch's target into the GHR."""
+        self.apply_counter_update(pred.mode, pred.index, outcome)
+        self.note_resolution(addr, pred.mode, pred.direction is not outcome)
         if outcome is Direction.TAKEN:
-            self.ghr.insert_taken(target if target is not None else addr)
+            self.ghr.insert_taken(target)
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled

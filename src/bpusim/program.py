@@ -4,13 +4,15 @@ One instruction per line::
 
     pid seq kind addr [target] [cond=<operand>] [delay=<ticks>]
 
-Addresses accept hex (0x-prefixed) or decimal. Kinds: CondBranch,
-IndirectBranch, Load, Store, Alu, TimerRead, Halt.
+Every number (pid, seq, address, target, delay) is decimal or 0x-prefixed
+hex, with an optional leading minus; `parse_int` reads it. Kinds:
+CondBranch, IndirectBranch, Load, Store, Alu, TimerRead, Halt.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -48,8 +50,17 @@ class Instruction:
             raise ProgramError(f"IndirectBranch at {self.addr:#x} needs a target")
 
 
-def _parse_int(tok: str) -> int:
-    return int(tok, 16) if tok.lower().startswith("0x") else int(tok)
+_NUMBER = re.compile(r"-?(?:0[xX](?P<hex>[0-9a-fA-F]+)|[0-9]+)")
+
+
+def parse_int(tok: str) -> int:
+    """Read a decimal or 0x-prefixed hex number with an optional leading
+    minus: the number syntax of program text, config files and disassembly.
+    Anything else, such as a plus sign, `_` or a space, is a ValueError."""
+    m = _NUMBER.fullmatch(tok)
+    if m is None:
+        raise ValueError(f"bad number {tok!r}")
+    return int(tok, 16) if m["hex"] else int(tok)
 
 
 def parse_program_line(line: str, lineno: int = 0) -> Instruction:
@@ -57,9 +68,9 @@ def parse_program_line(line: str, lineno: int = 0) -> Instruction:
     if len(toks) < 4:
         raise ProgramError(f"line {lineno}: expected 'pid seq kind addr ...'")
     try:
-        pid, seq = int(toks[0]), int(toks[1])
+        pid, seq = parse_int(toks[0]), parse_int(toks[1])
         kind = Kind(toks[2])
-        addr = _parse_int(toks[3])
+        addr = parse_int(toks[3])
     except ValueError as exc:
         raise ProgramError(f"line {lineno}: {exc}") from exc
     target = None
@@ -70,12 +81,12 @@ def parse_program_line(line: str, lineno: int = 0) -> Instruction:
             cond = tok[len("cond="):]
         elif tok.startswith("delay="):
             try:
-                delay = int(tok[len("delay="):])
+                delay = parse_int(tok[len("delay="):])
             except ValueError as exc:
                 raise ProgramError(f"line {lineno}: bad delay {tok!r}") from exc
         elif target is None:
             try:
-                target = _parse_int(tok)
+                target = parse_int(tok)
             except ValueError as exc:
                 raise ProgramError(f"line {lineno}: bad target {tok!r}") from exc
         else:

@@ -7,14 +7,16 @@ Input format, one instruction per line::
 Hex address (with or without 0x), a colon, then whitespace-separated
 mnemonic and comma-separated operands. Addresses must be strictly
 increasing. `#` starts a comment. Operands are registers, immediates and
-`[base+index*scale+disp]` memory references; a number without `0x`
-(a jump target included) is read as decimal. A memory reference holds at
-most two registers, of which at most one is an index (a scaled register,
-or the second unscaled one), and a scale is 1, 2, 4 or 8; anything else is
-rejected rather than read with a register dropped. This normalized format
-is the only input accepted: raw `objdump` output is rejected at its section
-headers, `<sym>` labels and `rip`-relative operands, and its bare-hex jump
-targets (`je 2012`) are misread as decimal.
+`[base+index*scale+disp]` memory references. Every operand number is
+decimal or 0x-prefixed hex with an optional leading minus
+(`program.parse_int`): a number without `0x` (a jump target included) is
+read as decimal, and `+7`, `--5`, `1_000` or `- 5` are rejected. A memory
+reference holds at most two registers, of which at most one is an index (a
+scaled register, or the second unscaled one), and a scale is 1, 2, 4 or 8;
+anything else is rejected rather than read with a register dropped. This
+normalized format is the only input accepted: raw `objdump` output is
+rejected at its section headers, `<sym>` labels and `rip`-relative
+operands, and its bare-hex jump targets (`je 2012`) are misread as decimal.
 
 Parsing reads each distinct operand text once per listing (records with
 the same text share one operand tuple), and scan time is linear in the
@@ -37,11 +39,11 @@ Scanning rules (documented approximations):
 * The port-contention subset uses a small mnemonic -> port-set table
   modeled on public Skylake scheduling tables (an acknowledged
   approximation). A v2 site qualifies when the first B instructions of
-  the taken and fall-through paths are both complete (terminated by
-  control flow or reaching B) and their dominant (argmax-count) port
-  sets are non-empty and disjoint. Control-flow instructions do not
-  count toward ports; unknown mnemonics count as no-port and are
-  reported as diagnostics.
+  the taken and fall-through paths (B = `PATH_LENGTH` = 8) are both
+  complete (terminated by control flow or reaching B) and their dominant
+  (argmax-count) port sets are non-empty and disjoint. Control-flow
+  instructions do not count toward ports; unknown mnemonics count as
+  no-port and are reported as diagnostics.
 * The v1 scan is a heuristic: a CMP-shaped bounds check, then within a
   window on the taken or fall-through path a load indexed by the
   compared register, then a conditional branch whose flags derive from
@@ -55,6 +57,8 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+
+from .program import parse_int
 
 
 class DisasmParseError(ValueError):
@@ -130,6 +134,8 @@ for _m in CONTROL_FLOW:
     PORT_TABLE[_m] = frozenset({6})
 
 DEFAULT_TRACKED = ("RDI", "RSI", "RDX", "RCX")
+# B, the number of instructions of each path the port-contention scan compares
+PATH_LENGTH = 8
 
 
 @dataclass(frozen=True)
@@ -158,12 +164,9 @@ _LINE = re.compile(r"^\s*(?:0x)?([0-9a-fA-F]+)\s*:\s*(\S+)(?:\s+(.*))?$")
 _SIZE_PREFIX = re.compile(r"^(byte|word|dword|qword)\s+ptr\s+", re.IGNORECASE)
 
 
-def _parse_int(tok: str, lineno: int) -> int:
+def _number(tok: str, lineno: int) -> int:
     try:
-        neg = tok.startswith("-")
-        body = tok[1:] if neg else tok
-        val = int(body, 16) if body.lower().startswith("0x") else int(body)
-        return -val if neg else val
+        return parse_int(tok)
     except ValueError:
         raise DisasmParseError(lineno, f"bad numeric token {tok!r}") from None
 
@@ -188,7 +191,7 @@ def _parse_memory(text: str, lineno: int) -> Memory:
                 raise DisasmParseError(
                     lineno, f"more than one index register in {text!r}")
             index = REGISTERS[reg][0]
-            scale = _parse_int(s.strip(), lineno)
+            scale = _number(s.strip(), lineno)
             if scale not in (1, 2, 4, 8):
                 raise DisasmParseError(
                     lineno, f"scale {scale} is not 1, 2, 4 or 8 in {text!r}")
@@ -200,8 +203,10 @@ def _parse_memory(text: str, lineno: int) -> Memory:
                 index = canon
             else:
                 raise DisasmParseError(lineno, f"too many registers in {text!r}")
+        elif term.startswith("-"):  # `rax - 8` reads like `rax + 8`
+            disp += _number("-" + term[1:].lstrip(), lineno)
         else:
-            disp += _parse_int(term, lineno)
+            disp += _number(term, lineno)
     return Memory(base, index, scale, disp)
 
 
@@ -216,7 +221,7 @@ def _parse_operand(text: str, lineno: int) -> Operand:
     low = stripped.lower()
     if low in REGISTERS:
         return Operand(register=low)
-    return Operand(immediate=_parse_int(stripped, lineno))
+    return Operand(immediate=_number(stripped, lineno))
 
 
 def parse_disasm(stream) -> list[DisasmRecord]:
@@ -436,7 +441,6 @@ def _path_has_dependent_branch(records, start: int, compared: str, window: int) 
 def scan_smotherspectre(
     records: list[DisasmRecord],
     tracked=DEFAULT_TRACKED,
-    path_length: int = 8,
     diagnostics: set | None = None,
 ) -> list[GadgetSite]:
     """v2 sites whose taken / fall-through paths show disjoint dominant ports."""
@@ -448,12 +452,12 @@ def scan_smotherspectre(
         if j is None:
             continue
         jcc = records[j]
-        fall = _path_ports(records, j + 1, path_length, diagnostics)
+        fall = _path_ports(records, j + 1, diagnostics)
         taken = None
         if jcc.operands and jcc.operands[0].immediate is not None:
             tgt = by_addr.get(jcc.operands[0].immediate)
             if tgt is not None:
-                taken = _path_ports(records, tgt, path_length, diagnostics)
+                taken = _path_ports(records, tgt, diagnostics)
         if fall is None or taken is None:
             continue
         if fall and taken and not (fall & taken):
@@ -461,13 +465,13 @@ def scan_smotherspectre(
     return out
 
 
-def _path_ports(records, start: int, length: int, diagnostics) -> frozenset[int] | None:
-    """Dominant port set of a path's first instructions; None when the path
-    runs off the end of the input (incomplete)."""
+def _path_ports(records, start: int, diagnostics) -> frozenset[int] | None:
+    """Dominant port set of a path's first PATH_LENGTH instructions; None
+    when the path runs off the end of the input (incomplete)."""
     counts: dict[int, int] = {}
     seen = 0
     complete = False
-    for rec in records[start:start + length]:
+    for rec in records[start:start + PATH_LENGTH]:
         seen += 1
         if rec.mnemonic in CONTROL_FLOW:
             complete = True
@@ -479,7 +483,7 @@ def _path_ports(records, start: int, length: int, diagnostics) -> frozenset[int]
             continue
         for p in ports:
             counts[p] = counts.get(p, 0) + 1
-    if seen == length:
+    if seen == PATH_LENGTH:
         complete = True
     if not complete or not counts:
         return None if not complete else frozenset()

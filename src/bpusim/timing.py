@@ -13,21 +13,20 @@ class NoiseKind(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
+# probe latency of a correctly predicted branch, and what a misprediction adds
+BASE_LATENCY = 10
+MISPREDICT_PENALTY = 40
+
+
 @dataclass(frozen=True)
 class LatencyModel:
-    base_latency: int = 10
-    mispredict_penalty: int = 40
     noise: NoiseKind = NoiseKind.NONE
     noise_param: float = 0.0
     seed: int = 0
 
-    def __post_init__(self):
-        if self.mispredict_penalty <= 0:
-            raise ValueError("mispredict_penalty must be > 0")
-
     @property
     def threshold(self) -> float:
-        return self.base_latency + self.mispredict_penalty / 2
+        return BASE_LATENCY + MISPREDICT_PENALTY / 2
 
     def sampler(self) -> "LatencySampler":
         return LatencySampler(self)
@@ -46,7 +45,7 @@ class LatencySampler:
 
     def measure(self, mispredict: bool) -> int:
         m = self.model
-        lat = m.base_latency + (m.mispredict_penalty if mispredict else 0)
+        lat = BASE_LATENCY + (MISPREDICT_PENALTY if mispredict else 0)
         if m.noise is NoiseKind.UNIFORM:
             lat += self._rng.randint(-int(m.noise_param), int(m.noise_param))
         elif m.noise is NoiseKind.GAUSSIAN:

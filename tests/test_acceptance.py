@@ -82,8 +82,7 @@ def test_criterion_02_mode_transition(capsys):
                     mispreds += counter_predict(value, 2) is not o
                     value = counter_update(value, 2, o)
                 pred = state.predict(addr)
-                state.record_resolution(addr, o, pred.mode,
-                                        pred.direction is not o, target=addr)
+                state.record_resolution(addr, o, pred, addr)
                 expect = Mode.HISTORY if mispreds >= 3 else Mode.ONE_LEVEL
                 ok &= state.selector.mode is expect
         # TNTNTN always flips
@@ -91,8 +90,7 @@ def test_criterion_02_mode_transition(capsys):
         state.pht_one_level[index_one_level(addr, state.config)] = init
         for o in [Direction.TAKEN, Direction.NOT_TAKEN] * 3:
             pred = state.predict(addr)
-            state.record_resolution(addr, o, pred.mode,
-                                    pred.direction is not o, target=addr)
+            state.record_resolution(addr, o, pred, addr)
         ok &= state.selector.mode is Mode.HISTORY
     _report(capsys, 2, "threshold-3 mode transition, exhaustive over initial "
             "states and length-6 sequences; TNTNTN always flips", ok)

@@ -75,10 +75,10 @@ def test_harness_latency_sampling():
     p = PredictorState()
     p.selector.frozen = True
     h = BranchHarness(p, LatencyModel().sampler())
-    rec = h.execute(0x4000, Direction.NOT_TAKEN)  # weak NT entry: correct
+    rec = h.execute(0x4000, Direction.NOT_TAKEN, 0x4040)  # weak NT entry: correct
     assert rec.latency == 10 and not rec.mispredicted
     p.pht_one_level[index_one_level(0x4000, p.config)] = 0
-    rec = h.execute(0x4000, Direction.NOT_TAKEN)
+    rec = h.execute(0x4000, Direction.NOT_TAKEN, 0x4040)
     assert rec.latency == 50 and rec.mispredicted
 
 
@@ -178,6 +178,14 @@ def test_defense_workload_runs_and_resolve_time_wins():
     assert counts["speculative-resolve-time"] < counts["commit-time"]
 
 
+def test_defense_eval_tick_budget_grows_with_iterations():
+    # 3000 iterations take about 6,000 ticks: the tick budget grows with the loop
+    policies = [UpdatePolicy(v) for v in PolicyVariant]
+    counts = defense_eval(policies, iterations=3000)
+    assert sorted(counts) == sorted(v.value for v in PolicyVariant)
+    assert all(isinstance(n, int) for n in counts.values())
+
+
 def test_transient_gadget_only_reachable_through_poisoned_btb():
     cfg = PredictorConfig()
     layout = build_victim_v2(cfg)
@@ -206,9 +214,8 @@ def test_transmitter_not_resolved_errors(monkeypatch, mode, channel, secret, exc
     # a one-tick trigger resolves before the transmitter can: the squash
     # removes v1's transmitter, and v2 and the covert channel never fetch
     # the gadget
-    v1, v2 = attacks.build_victim_v1, attacks.build_victim_v2
-    monkeypatch.setattr(attacks, "build_victim_v1",
-                        lambda config, pid=0, trigger_delay=60: v1(config, pid, 1))
+    v2 = attacks.build_victim_v2
+    monkeypatch.setattr(attacks, "V1_TRIGGER_DELAY", 1)
     monkeypatch.setattr(attacks, "build_victim_v2",
                         lambda config, pid=0, cond_name="sec", trigger_delay=60:
                         v2(config, pid, cond_name, 1))

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from bpusim import attacks, engine as eng
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
-from bpusim.cli import main
+from bpusim.cli import MAX_ITERATIONS, main
 from bpusim.config import ConfigFileError, parse_config
 from bpusim.engine import SimulationError
 from bpusim.predictor import PredictorConfig
@@ -47,6 +47,23 @@ def test_parse_config_monitored_branches():
 def test_parse_config_errors(text):
     with pytest.raises(ConfigFileError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("tok, value", [
+    ("-8", -8), ("0x10", 0x10), ("0X1F", 0x1F), ("42", 42),
+    ("1_2", None), ("0x_1f", None), ("+7", None), ("--5", None), ("- 5", None),
+])
+def test_parse_config_numbers_are_decimal_or_hex(tok, value):
+    texts = (f"# salt\nindex_salt = {tok}\n",
+             f"# branches\nmonitored_branches = 0x40, {tok}\n")
+    if value is None:
+        for text in texts:
+            with pytest.raises(ConfigFileError) as err:
+                parse_config(text)
+            assert str(err.value) == f"line 2: bad number '{tok}'"
+    else:
+        assert parse_config(texts[0]).index_salt == value
+        assert parse_config(texts[1]).monitored_branches == {0x40, value}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +208,8 @@ def test_bit_string_options_reject_empty(tmp_path, args):
     (["sidechannel-v1", "--random-bits", "-3"], "--random-bits", "-3"),
     (["sidechannel-v2", "--random-bits", "-1"], "--random-bits", "-1"),
     (["defense-eval", "--iterations", "-2"], "--iterations", "-2"),
+    (["defense-eval", "--iterations", str(MAX_ITERATIONS + 1)], "--iterations",
+     str(MAX_ITERATIONS + 1)),
     (["scan", "--window", "-5"], "--window", "-5"),
     (["scan", "--window", "0"], "--window", "0"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)

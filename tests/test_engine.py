@@ -193,7 +193,7 @@ def test_missing_condition_name_is_an_error():
         eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1})
 
 
-@pytest.mark.parametrize("arg", ["inflight_cap", "max_ticks"])
+@pytest.mark.parametrize("arg", ["max_ticks"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_degenerate_engine_arguments_are_rejected(arg, value):
     programs = parse_program("0 0 Alu 0x100\n0 1 Halt 0x108")
@@ -201,6 +201,25 @@ def test_degenerate_engine_arguments_are_rejected(arg, value):
         eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
     with pytest.raises(ConfigError, match=arg):
         eng.Engine(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
+
+
+def test_reorder_buffer_holds_at_most_inflight_cap_ops():
+    # the slow branch blocks commit while fetch runs ahead down its
+    # correctly predicted fall-through path
+    lines = ["0 0 CondBranch 0x100 0x1000 cond=c delay=200"]
+    lines += [f"0 {k} Alu {0x100 + 8 * k:#x}" for k in range(1, 81)]
+    lines.append("0 81 Halt 0x1000")
+    result, _ = eng.run(parse_program("\n".join(lines)), [0], DEFAULT_POLICY,
+                        _frozen_state(), env={"c": 0})
+    inflight, peak = 0, 0
+    for _, kind, *_ in result.records:
+        if kind == "fetch":
+            inflight += 1
+        elif kind in ("commit", "squash"):
+            inflight -= 1
+        peak = max(peak, inflight)
+    assert peak == eng.INFLIGHT_CAP
+    assert result.summary["0"]["commits"] == 82
 
 
 def _count_phase_passes(monkeypatch) -> list[int]:

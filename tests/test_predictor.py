@@ -15,7 +15,6 @@ from bpusim.predictor import (
     PredictorState,
     counter_predict,
     counter_update,
-    index_history,
     index_one_level,
     parse_outcomes,
 )
@@ -146,14 +145,21 @@ def _reference_fold(entries, bits, width):
     return out
 
 
+def _history_index(cfg, entries, addr):
+    """The PHT index `predict` computes in history mode with this GHR."""
+    state = PredictorState(cfg)
+    state.ghr = GlobalHistoryRegister(cfg, entries)
+    state.selector.mode = Mode.HISTORY
+    return state.predict(addr).index
+
+
 @given(st.lists(st.integers(0, 3), min_size=12, max_size=12), st.integers(0, 1 << 30))
 def test_index_history_matches_reference(entries, addr):
     cfg = PredictorConfig()
-    g = GlobalHistoryRegister(cfg, entries)
     width = (cfg.pht_entries_history - 1).bit_length()
     expect = (_reference_fold(entries, 2, width) ^ (addr >> 2)) & (
         cfg.pht_entries_history - 1)
-    assert index_history(addr, g, cfg) == expect
+    assert _history_index(cfg, entries, addr) == expect
 
 
 def test_single_history_entry_perturbation_changes_index():
@@ -170,8 +176,8 @@ def test_single_history_entry_perturbation_changes_index():
         mutated = list(entries)
         mutated[pos] ^= delta
         addr = rng.randrange(1 << 20)
-        a = index_history(addr, GlobalHistoryRegister(cfg, entries), cfg)
-        b = index_history(addr, GlobalHistoryRegister(cfg, mutated), cfg)
+        a = _history_index(cfg, entries, addr)
+        b = _history_index(cfg, mutated, addr)
         ea = (_reference_fold(entries, 2, width) ^ (addr >> 2)) & 63
         eb = (_reference_fold(mutated, 2, width) ^ (addr >> 2)) & 63
         assert (a == b) == (ea == eb)
@@ -189,12 +195,12 @@ def test_btb_direct_mapped_with_tags():
     assert btb.lookup(alias) == 0x9999
 
 
-def _run_branch(state, addr, outcomes, target=None):
+def _run_branch(state, addr, outcomes):
     mis = []
     for o in outcomes:
         pred = state.predict(addr)
         mis.append(pred.direction is not o)
-        state.record_resolution(addr, o, pred.mode, mis[-1], target=target)
+        state.record_resolution(addr, o, pred, addr)
     return mis
 
 
@@ -216,8 +222,7 @@ def test_mode_transition_exhaustive():
                     mispreds += counter_predict(value, 2) is not o
                     value = counter_update(value, 2, o)
                 pred = state.predict(addr)
-                state.record_resolution(addr, o, pred.mode,
-                                        pred.direction is not o, target=addr)
+                state.record_resolution(addr, o, pred, addr)
                 expect = Mode.HISTORY if mispreds >= 3 else Mode.ONE_LEVEL
                 assert state.selector.mode is expect, (init, bits)
 
@@ -290,7 +295,7 @@ def test_clone_is_independent():
 
 def test_taken_resolution_inserts_target_bits():
     state = PredictorState()
-    state.record_resolution(0x4000, Direction.TAKEN, target=0x5003)
+    state.record_resolution(0x4000, Direction.TAKEN, state.predict(0x4000), 0x5003)
     assert state.ghr.entries[-1] == 0x5003 & 3
-    state.record_resolution(0x4000, Direction.NOT_TAKEN, target=0x5001)
+    state.record_resolution(0x4000, Direction.NOT_TAKEN, state.predict(0x4000), 0x5001)
     assert state.ghr.entries[-1] == 0x5003 & 3  # not-taken does not insert

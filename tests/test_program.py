@@ -38,6 +38,27 @@ def test_parse_line_errors(line):
         parse_program_line(line)
 
 
+@pytest.mark.parametrize("tok, value", [
+    ("-8", -8), ("0x10", 0x10), ("0X1F", 0x1F), ("42", 42),
+    ("0x1_00", None), ("+256", None), ("+3", None), ("1_000", None), ("0x_ff", None),
+    ("--5", None),
+])
+def test_every_number_is_decimal_or_hex(tok, value):
+    lines = {  # each number of the format
+        "process_id": f"{tok} 0 Alu 0x100",
+        "seq": f"0 {tok} Alu 0x100",
+        "addr": f"0 0 Alu {tok}",
+        "static_target": f"0 0 IndirectBranch 0x100 {tok}",
+        "resolve_delay": f"0 0 Alu 0x100 delay={tok}",
+    }
+    for field, line in lines.items():
+        if value is None:
+            with pytest.raises(ProgramError, match="^line 7: "):
+                parse_program_line(line, 7)
+        else:
+            assert getattr(parse_program_line(line, 7), field) == value
+
+
 def test_parse_program_sorts_and_groups():
     text = """
     # two processes, out-of-order seq

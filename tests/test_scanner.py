@@ -86,6 +86,24 @@ def test_parse_rejects_memory_operands_that_drop_a_register(operand, reason):
     assert operand in err.value.reason
 
 
+@pytest.mark.parametrize("instruction, value", [
+    ("mov rax, -8", -8), ("mov rax, 0x10", 0x10), ("mov rax, 0X1F", 0x1F),
+    ("mov rax, 42", 42), ("jne 0x401000", 0x401000),
+    ("mov rax, --5", None), ("mov rax, +7", None), ("mov rax, 1_000", None),
+    ("mov rax, 0x_ff", None), ("jne 0x40_1000", None), ("mov rax, - 5", None),
+    ("mov rax, [rdx+0x_8]", None),
+])
+def test_parse_numbers_are_decimal_or_hex(instruction, value):
+    text = f"401000: nop\n401001: {instruction}\n"
+    if value is None:
+        with pytest.raises(DisasmParseError) as err:
+            parse_disasm(text)
+        assert err.value.lineno == 2
+        assert err.value.reason.startswith("bad numeric token")
+    else:
+        assert parse_disasm(text)[1].operands[-1].immediate == value
+
+
 def test_parse_accepts_every_x86_scale():
     for scale in (1, 2, 4, 8):
         recs = parse_disasm(f"401000: lea rax, [rbx+rcx*{scale}+0x8]\n")

@@ -19,15 +19,10 @@ def test_noiseless_latencies_exact():
 
 
 def test_threshold_between_hit_and_penalty():
-    m = LatencyModel(base_latency=10, mispredict_penalty=40)
+    m = LatencyModel()
     assert m.threshold == 30
     trace = LatencyTrace([(1, 10), (2, 50), (3, 29), (4, 31)])
     assert classify(trace, m) == [False, True, False, True]
-
-
-def test_model_validation():
-    with pytest.raises(ValueError):
-        LatencyModel(mispredict_penalty=0)
 
 
 def test_uniform_noise_bounded():
