@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from . import engine as eng
 from .engine import DEFAULT_POLICY, UpdatePolicy
-from .predictor import Direction, Mode, PredictorConfig, PredictorState, index_one_level
-from .program import Instruction, Kind
+from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Direction, Mode,
+                        PredictorConfig, PredictorState, index_one_level)
+from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction
 from .timing import LatencyModel, LatencySampler, LatencyTrace, classify
 
 
@@ -75,16 +76,19 @@ class BranchHarness:
     def replay_preamble(self, targets) -> None:
         """Execute one taken branch per preamble target so the GHR window
         matches the victim's context exactly."""
-        for i, t in enumerate(targets):
-            self.execute(PREAMBLE_REPLAY_BASE + i * 0x20, Direction.TAKEN, target=t)
+        addrs = range(PREAMBLE_REPLAY_BASE, PREAMBLE_REPLAY_BASE + len(targets) * 0x20, 0x20)
+        mispredicted = self.predictor.replay_taken(addrs, targets)
+        if self.sampler is not None:  # one latency per execution keeps the noise stream
+            for mis in mispredicted:
+                self.sampler.measure(mis)
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
     """Flip the selector with the six-execution TNTNTN exercising sequence."""
     harness = BranchHarness(predictor)
-    for o in (Direction.TAKEN, Direction.NOT_TAKEN) * 3:
+    for o in (TAKEN, NOT_TAKEN) * 3:
         harness.execute(HISTORY_SCRATCH_ADDR, o, target=HISTORY_SCRATCH_ADDR + 0x40)
-    if predictor.selector.mode is not Mode.HISTORY:
+    if predictor.selector.mode is not HISTORY:
         raise ProbeError("TNTNTN did not trigger history-based prediction")
 
 
@@ -113,17 +117,17 @@ def probe_mode(predictor: PredictorState) -> Mode:
     work.selector.frozen = True
     harness = BranchHarness(work)
     pairs = _probe_preamble(work)
-    outcomes = [Direction.TAKEN] * 8 + [Direction.NOT_TAKEN] * 4
+    outcomes = [TAKEN] * 8 + [NOT_TAKEN] * 4
     mis = []
     for o in outcomes:
         for a, t in pairs:
-            harness.execute(a, Direction.TAKEN, target=t)
+            harness.execute(a, TAKEN, target=t)
         mis.append(harness.execute(PROBE_TARGET, o, target=PROBE_TARGET + 0x40).mispredicted)
     count = sum(mis[-PROBE_TEST_K:])
     if count == 4:
-        return Mode.HISTORY
+        return HISTORY
     if count == 2:
-        return Mode.ONE_LEVEL
+        return ONE_LEVEL
     raise ProbeError(f"ambiguous misprediction count {count} in last {PROBE_TEST_K} executions")
 
 
@@ -135,7 +139,7 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
     N-branch preamble that differ only in the low bit of their last entry:
     while N < depth that entry is still in the window, so the two contexts
     differ in the history they fold into the PHT index."""
-    if predictor.selector.mode is not Mode.HISTORY:
+    if predictor.selector.mode is not HISTORY:
         raise ProbeError("history-based prediction must be active")
     cfg = predictor.config
     target = PROBE_TARGET
@@ -154,18 +158,17 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 
         def context(pollution):
             for i, t in enumerate(pollution):
-                harness.execute(0xB0000 + i * 0x20, Direction.TAKEN, target=t)
+                harness.execute(0xB0000 + i * 0x20, TAKEN, target=t)
             for i in range(N):
-                harness.execute(0x90000 + i * 0x20, Direction.TAKEN,
-                                target=preamble[i])
+                harness.execute(0x90000 + i * 0x20, TAKEN, target=preamble[i])
 
         for _ in range((1 << n) - 1):
             context(p1)
-            harness.execute(target, Direction.TAKEN, target=target + 0x40)
+            harness.execute(target, TAKEN, target=target + 0x40)
         probes = []
         for _ in range(1 << (n - 1)):
             context(p2)
-            probes.append(harness.execute(target, Direction.NOT_TAKEN, target=target + 0x40))
+            probes.append(harness.execute(target, NOT_TAKEN, target=target + 0x40))
         if all(p.mispredicted for p in probes):
             return N
     raise ProbeError(f"no PHT collision observed up to N={max_N}")
@@ -191,7 +194,7 @@ def _preamble_block(pid: int, seq0: int, depth: int,
     targets = []
     for i, a in enumerate(addrs):
         t = addrs[i + 1] if i + 1 < depth else trigger_addr
-        instrs.append(Instruction(pid, seq0 + i, Kind.COND_BRANCH, a, t, "pre", 1))
+        instrs.append(Instruction(pid, seq0 + i, COND_BRANCH, a, t, "pre", 1))
         targets.append(t)
     return instrs, targets
 
@@ -203,12 +206,12 @@ def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
     pre, targets = _preamble_block(pid, 0, config.ghr_depth, t0)
     s = len(pre)
     body = [
-        Instruction(pid, s, Kind.COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
-        Instruction(pid, s + 1, Kind.COND_BRANCH, bv, join, "sec", 2),
-        Instruction(pid, s + 2, Kind.ALU, join),
-        Instruction(pid, s + 3, Kind.ALU, 0x2018),
-        Instruction(pid, s + 4, Kind.ALU, out),
-        Instruction(pid, s + 5, Kind.HALT, hlt),
+        Instruction(pid, s, COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
+        Instruction(pid, s + 1, COND_BRANCH, bv, join, "sec", 2),
+        Instruction(pid, s + 2, ALU, join),
+        Instruction(pid, s + 3, ALU, 0x2018),
+        Instruction(pid, s + 4, ALU, out),
+        Instruction(pid, s + 5, HALT, hlt),
     ]
     return VictimLayout({pid: pre + body}, [pid], t0, bv, targets, pid)
 
@@ -221,13 +224,13 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
     pre, targets = _preamble_block(pid, 0, config.ghr_depth, t0)
     s = len(pre)
     body = [
-        Instruction(pid, s, Kind.INDIRECT_BRANCH, t0, out, None, trigger_delay),
-        Instruction(pid, s + 1, Kind.ALU, out),
-        Instruction(pid, s + 2, Kind.HALT, hlt),
-        Instruction(pid, s + 3, Kind.COND_BRANCH, gadget, 0x3010, cond_name, 2),
-        Instruction(pid, s + 4, Kind.ALU, 0x3008),
-        Instruction(pid, s + 5, Kind.ALU, 0x3010),
-        Instruction(pid, s + 6, Kind.ALU, 0x3018),
+        Instruction(pid, s, INDIRECT_BRANCH, t0, out, None, trigger_delay),
+        Instruction(pid, s + 1, ALU, out),
+        Instruction(pid, s + 2, HALT, hlt),
+        Instruction(pid, s + 3, COND_BRANCH, gadget, 0x3010, cond_name, 2),
+        Instruction(pid, s + 4, ALU, 0x3008),
+        Instruction(pid, s + 5, ALU, 0x3010),
+        Instruction(pid, s + 6, ALU, 0x3018),
     ]
     return VictimLayout({pid: pre + body}, [pid], t0, gadget, targets, pid)
 
@@ -257,20 +260,20 @@ class _Channel:
         self.layout, self.mode, self.policy = layout, mode, policy
         self.model = latency_model or LatencyModel()
         self.predictor = PredictorState(config)
-        if mode is Mode.HISTORY:
+        if mode is HISTORY:
             activate_history_mode(self.predictor)
         else:
             self.predictor.randomize_reset(seed)
             self.predictor.selector.frozen = True
         self.harness = BranchHarness(self.predictor, self.model.sampler())
         # the GHR context the attacker replays before each of its executions
-        self.context = (context or layout.preamble_targets) if mode is Mode.HISTORY else []
+        self.context = (context or layout.preamble_targets) if mode is HISTORY else []
         self.n = config.counter_width(mode)
         self.direction: Direction | None = None  # None: the entry needs a preset
 
     def reset(self, seed: int) -> None:
         """Scramble a one-level predictor, as a random branch storm does."""
-        if self.mode is Mode.ONE_LEVEL:
+        if self.mode is ONE_LEVEL:
             self.predictor.randomize_reset(seed)
             self.direction = None
 
@@ -290,8 +293,8 @@ class _Channel:
             prepare(i)
             if self.direction is None:
                 for _ in range(full):
-                    self._execute(Direction.TAKEN)
-                self.direction = Direction.TAKEN
+                    self._execute(TAKEN)
+                self.direction = TAKEN
             if chained:
                 self.harness.replay_preamble(self.context)
             result, _ = eng.run(self.layout.programs, self.layout.schedule, self.policy,
@@ -306,7 +309,7 @@ class _Channel:
                     decisive = (probe, rec.latency)
             trace.append(*decisive)
             looks_mispredicted = classify(LatencyTrace([decisive]), self.model)[0]
-            decoded.append(int(looks_mispredicted == (self.direction is Direction.TAKEN)))
+            decoded.append(int(looks_mispredicted == (self.direction is TAKEN)))
             self.direction = self.direction.opposite() if chained else None
         return decoded, trace
 
@@ -439,11 +442,11 @@ def speculative_update_scenario(
     predictor.selector.frozen = True
     child = 0x300
     programs = {0: [
-        Instruction(0, 0, Kind.COND_BRANCH, 0x100, 0x400, "outer", 50),
-        Instruction(0, 1, Kind.COND_BRANCH, child, 0x310, "sec", 2),
-        Instruction(0, 2, Kind.ALU, 0x310),
-        Instruction(0, 3, Kind.ALU, 0x400),
-        Instruction(0, 4, Kind.HALT, 0x410),
+        Instruction(0, 0, COND_BRANCH, 0x100, 0x400, "outer", 50),
+        Instruction(0, 1, COND_BRANCH, child, 0x310, "sec", 2),
+        Instruction(0, 2, ALU, 0x310),
+        Instruction(0, 3, ALU, 0x400),
+        Instruction(0, 4, HALT, 0x410),
     ]}
     idx = index_one_level(child, config)
     outer_idx = index_one_level(0x100, config)
@@ -481,11 +484,11 @@ def defense_workload(iterations: int = 15) -> tuple[dict[int, list[Instruction]]
     resolves speculatively many times before the outer commits."""
     o, l0, l1, end, hlt = 0x100, 0x110, 0x118, 0x400, 0x410
     prog = [
-        Instruction(0, 0, Kind.COND_BRANCH, o, end, "outer", 120),
-        Instruction(0, 1, Kind.ALU, l0),
-        Instruction(0, 2, Kind.COND_BRANCH, l1, l0, "loop", 2),
-        Instruction(0, 3, Kind.ALU, end),
-        Instruction(0, 4, Kind.HALT, hlt),
+        Instruction(0, 0, COND_BRANCH, o, end, "outer", 120),
+        Instruction(0, 1, ALU, l0),
+        Instruction(0, 2, COND_BRANCH, l1, l0, "loop", 2),
+        Instruction(0, 3, ALU, end),
+        Instruction(0, 4, HALT, hlt),
     ]
     env = {"outer": 0, "loop": [1] * iterations + [0]}
     return {0: prog}, env

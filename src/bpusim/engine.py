@@ -17,9 +17,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .predictor import (Direction, Mode, PredictorState, Prediction, counter_predict,
-                        counter_update)
-from .program import Instruction, Kind
+from .predictor import (NOT_TAKEN, TAKEN, Direction, Mode, PredictorState, Prediction,
+                        counter_predict, counter_update)
+from .program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
+                      Instruction)
 
 
 class ConfigError(ValueError):
@@ -167,14 +168,14 @@ class ResolveTime:
 
     def resolved(self, b: DynamicBranch, ghr_target: int | None) -> None:
         # selector and BTB train at resolve time under every policy
-        if b.instr.kind is Kind.COND_BRANCH:
+        if b.instr.kind is COND_BRANCH:
             self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
         else:
             self.predictor.btb.update(b.instr.addr, b.actual_target)
         self.write(b, ghr_target)
 
     def write(self, b: DynamicBranch, ghr_target: int | None) -> None:
-        if b.instr.kind is Kind.COND_BRANCH:
+        if b.instr.kind is COND_BRANCH:
             self.write_pht(b)
         if ghr_target is not None:
             self.predictor.ghr.insert_taken(ghr_target)
@@ -414,9 +415,9 @@ class Engine:
         b.resolved = True
         b.speculative = proc.open[0] is not b
         proc.open.remove(b)
-        if instr.kind is Kind.COND_BRANCH:
+        if instr.kind is COND_BRANCH:
             taken = self._cond_value(instr, b.env_index) != 0
-            b.actual_dir = Direction.TAKEN if taken else Direction.NOT_TAKEN
+            b.actual_dir = TAKEN if taken else NOT_TAKEN
             b.mispredicted = b.predicted_dir is not b.actual_dir
             self.policy.resolved(b, instr.static_target if taken else None)
             pred, actual = b.predicted_dir, b.actual_dir
@@ -448,7 +449,7 @@ class Engine:
             self.records.append((self.tick, "squash", d.dseq, proc.pid))
         self.policy.squashed(victims)
         # redirect fetch down the correct path
-        if b.actual_dir is Direction.NOT_TAKEN:
+        if b.actual_dir is NOT_TAKEN:
             proc.fetch_addr = proc.code[b.instr.addr][1]
         else:
             proc.fetch_addr = b.instr.static_target
@@ -467,16 +468,16 @@ class Engine:
         d.committed = True
         self.policy.committed(d)
         kind = d.instr.kind
-        if kind is Kind.STORE:
+        if kind is STORE:
             proc.mem[d.instr.addr] = d.env_index + 1
-        elif kind is Kind.LOAD:
+        elif kind is LOAD:
             proc.regs["last_load"] = proc.mem.get(d.instr.addr, 0)
-        elif kind is Kind.ALU:
+        elif kind is ALU:
             proc.regs["acc"] += 1
-        elif kind is Kind.TIMER_READ:
+        elif kind is TIMER_READ:
             proc.regs["timer_reads"] += 1
             self.records.append((self.tick, "timer", d.dseq, proc.pid))
-        elif kind is Kind.HALT:
+        elif kind is HALT:
             self._running -= 1
         self.records.append((self.tick, "commit", d.dseq, proc.pid))
 
@@ -497,23 +498,23 @@ class Engine:
         proc.exec_counts[addr] = env_index + 1
         dseq = self._dseq
         self._dseq += 1
-        is_branch = kind is Kind.COND_BRANCH or kind is Kind.INDIRECT_BRANCH
+        is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
         d = DynamicBranch(instr, dseq, env_index, is_branch)
         proc.rob.append(d)
-        delay = max(instr.resolve_delay, 1)
+        delay = instr.resolve_delay
         if is_branch:
             proc.open.append(d)
             self.branches.append(d)
             heapq.heappush(self._unresolved, (tick + delay, dseq, d))
-        if kind is Kind.COND_BRANCH:
+        if kind is COND_BRANCH:
             pred = self.policy.predict(pid, addr)
             d.predicted_dir, d.pred_mode, d.pred_index = pred.direction, pred.mode, pred.index
-            if pred.direction is Direction.TAKEN:
+            if pred.direction is TAKEN:
                 proc.fetch_addr = instr.static_target
             else:
                 proc.fetch_addr = fallthrough
             record = (tick, "fetch", dseq, pid, addr, kind, pred.direction, pred.mode)
-        elif kind is Kind.INDIRECT_BRANCH:
+        elif kind is INDIRECT_BRANCH:
             target = self.predictor.btb.lookup(addr)
             if target is None:
                 d.stalled = True
@@ -526,7 +527,7 @@ class Engine:
                 record = (tick, "fetch", dseq, pid, addr, kind, target)
         else:
             record = (tick, "fetch", dseq, pid, addr, kind)
-            if kind is Kind.HALT:
+            if kind is HALT:
                 d.complete_tick = tick
                 proc.fetch_addr = None
             else:

@@ -13,10 +13,16 @@ class Direction(enum.Enum):
     NOT_TAKEN = "N"
 
     def opposite(self) -> "Direction":
-        return Direction.NOT_TAKEN if self is Direction.TAKEN else Direction.TAKEN
+        return NOT_TAKEN if self is TAKEN else TAKEN
 
     def __repr__(self):
         return self.value
+
+
+# Enum members bound as module globals. On CPython 3.11 `Direction.TAKEN`
+# goes through EnumType.__getattr__ and is never specialized, costing about
+# ten global reads, so code in functions reads these names instead.
+TAKEN, NOT_TAKEN = Direction
 
 
 def parse_outcomes(s: str) -> list[Direction]:
@@ -24,9 +30,9 @@ def parse_outcomes(s: str) -> list[Direction]:
     out = []
     for ch in s.upper():
         if ch == "T":
-            out.append(Direction.TAKEN)
+            out.append(TAKEN)
         elif ch == "N":
-            out.append(Direction.NOT_TAKEN)
+            out.append(NOT_TAKEN)
         else:
             raise ValueError(f"bad outcome char {ch!r}")
     return out
@@ -37,14 +43,17 @@ class Mode(enum.Enum):
     HISTORY = "history"
 
 
+ONE_LEVEL, HISTORY = Mode
+
+
 def counter_predict(value: int, width: int) -> Direction:
     """Low half of the counter range predicts taken."""
-    return Direction.TAKEN if value < (1 << (width - 1)) else Direction.NOT_TAKEN
+    return TAKEN if value < (1 << (width - 1)) else NOT_TAKEN
 
 
 def counter_update(value: int, width: int, outcome: Direction) -> int:
     """Step toward 0 on taken, toward 2^width-1 on not-taken, saturating."""
-    if outcome is Direction.TAKEN:
+    if outcome is TAKEN:
         return max(value - 1, 0)
     return min(value + 1, (1 << width) - 1)
 
@@ -97,7 +106,7 @@ class PredictorConfig:
             raise ValueError("counter widths must be >= 2")
 
     def counter_width(self, mode: Mode) -> int:
-        return self.one_level_bits if mode is Mode.ONE_LEVEL else self.history_bits
+        return self.one_level_bits if mode is ONE_LEVEL else self.history_bits
 
 
 def index_one_level(addr: int, config: PredictorConfig) -> int:
@@ -218,16 +227,17 @@ class PredictorState:
     # -- tables ----------------------------------------------------------
 
     def table(self, mode: Mode) -> list[int]:
-        return self.pht_one_level if mode is Mode.ONE_LEVEL else self.pht_history
+        return self.pht_one_level if mode is ONE_LEVEL else self.pht_history
 
     # -- prediction / resolution ----------------------------------------
 
     # the hot path: inlines index_one_level, table, counter_width and
     # counter_predict/counter_update. The history index (the GHR fold, the
-    # address above its alignment bits and the salt) is computed only here.
+    # address above its alignment bits and the salt) is computed only here
+    # and in replay_taken, which a differential test holds to this one.
     def predict(self, addr: int) -> Prediction:
         cfg, mode = self.config, self.selector.mode
-        if mode is Mode.ONE_LEVEL:
+        if mode is ONE_LEVEL:
             index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
             value, width = self.pht_one_level[index], cfg.one_level_bits
         else:
@@ -235,12 +245,12 @@ class PredictorState:
             index = (self.ghr.folded(mask.bit_length()) ^ (addr >> 2) ^ cfg.index_salt) & mask
             value, width = self.pht_history[index], cfg.history_bits
         taken = value < (1 << (width - 1))
-        return Prediction(Direction.TAKEN if taken else Direction.NOT_TAKEN, mode, index)
+        return Prediction(TAKEN if taken else NOT_TAKEN, mode, index)
 
     def apply_counter_update(self, mode: Mode, index: int, outcome: Direction) -> None:
-        one_level = mode is Mode.ONE_LEVEL
+        one_level = mode is ONE_LEVEL
         tbl = self.pht_one_level if one_level else self.pht_history
-        if outcome is Direction.TAKEN:
+        if outcome is TAKEN:
             tbl[index] = max(tbl[index] - 1, 0)
         else:
             width = self.config.one_level_bits if one_level else self.config.history_bits
@@ -248,14 +258,14 @@ class PredictorState:
 
     def note_resolution(self, addr: int, mode_used: Mode, mispredicted: bool) -> None:
         sel = self.selector
-        if sel.frozen or mode_used is not Mode.ONE_LEVEL or not mispredicted:
+        if sel.frozen or mode_used is not ONE_LEVEL or not mispredicted:
             return
         monitored = self.config.monitored_branches
         if monitored is not None and addr not in monitored:
             return
         sel.mispredict_accumulator += 1
         if sel.mispredict_accumulator >= self.config.transition_threshold:
-            sel.mode = Mode.HISTORY
+            sel.mode = HISTORY
 
     def record_resolution(self, addr: int, outcome: Direction, pred: Prediction,
                           target: int) -> None:
@@ -264,8 +274,33 @@ class PredictorState:
         record a taken branch's target into the GHR."""
         self.apply_counter_update(pred.mode, pred.index, outcome)
         self.note_resolution(addr, pred.mode, pred.direction is not outcome)
-        if outcome is Direction.TAKEN:
+        if outcome is TAKEN:
             self.ghr.insert_taken(target)
+
+    def replay_taken(self, addrs, targets) -> list[bool]:
+        """Committed taken executions of the branches at `addrs`, in order:
+        for each, what `predict` and then `record_resolution` with a taken
+        outcome and its target do, in one loop. Returns whether each one
+        mispredicted."""
+        cfg, sel, ghr = self.config, self.selector, self.ghr
+        mispredicted = []
+        for addr, target in zip(addrs, targets):
+            mode = sel.mode
+            if mode is ONE_LEVEL:
+                tbl, width = self.pht_one_level, cfg.one_level_bits
+                index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
+            else:
+                tbl, width, mask = self.pht_history, cfg.history_bits, cfg.pht_entries_history - 1
+                index = (ghr.folded(mask.bit_length()) ^ (addr >> 2) ^ cfg.index_salt) & mask
+            value = tbl[index]
+            if value:  # a step toward taken, saturating at 0
+                tbl[index] = value - 1
+            mis = value >= 1 << (width - 1)  # predicted not-taken
+            if mis:
+                self.note_resolution(addr, mode, True)
+            ghr.insert_taken(target)
+            mispredicted.append(mis)
+        return mispredicted
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled
@@ -293,7 +328,7 @@ class PredictorState:
             values = [[rng.randrange(1 << w) for _ in range(n)] for n, w in tables]
         self.pht_one_level, self.pht_history, ghr = values
         self.ghr = GlobalHistoryRegister(cfg, ghr)
-        self.selector.mode = Mode.ONE_LEVEL
+        self.selector.mode = ONE_LEVEL
         self.selector.mispredict_accumulator = 0
 
     def clone(self) -> "PredictorState":

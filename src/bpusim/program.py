@@ -5,8 +5,9 @@ One instruction per line::
     pid seq kind addr [target] [cond=<operand>] [delay=<ticks>]
 
 Every number (pid, seq, address, target, delay) is decimal or 0x-prefixed
-hex, with an optional leading minus; `parse_int` reads it. Kinds:
-CondBranch, IndirectBranch, Load, Store, Alu, TimerRead, Halt.
+hex, with an optional leading minus; `parse_int` reads it. The delay is at
+least 1 and the other numbers at least 0. Kinds: CondBranch,
+IndirectBranch, Load, Store, Alu, TimerRead, Halt.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ class Kind(enum.Enum):
     HALT = "Halt"
 
 
+COND_BRANCH, INDIRECT_BRANCH, LOAD, STORE, ALU, TIMER_READ, HALT = Kind
+
+
 class ProgramError(ValueError):
     pass
 
@@ -41,12 +45,18 @@ class Instruction:
     resolve_delay: int = 1
 
     def __post_init__(self):
-        if self.kind is Kind.COND_BRANCH:
+        for field in ("process_id", "seq", "addr", "static_target"):
+            value = getattr(self, field)
+            if value is not None and value < 0:
+                raise ProgramError(f"{field} must be >= 0, got {value}")
+        if self.resolve_delay < 1:
+            raise ProgramError(f"resolve_delay must be >= 1, got {self.resolve_delay}")
+        if self.kind is COND_BRANCH:
             if self.condition_source is None:
                 raise ProgramError(f"CondBranch at {self.addr:#x} needs cond=")
             if self.static_target is None:
                 raise ProgramError(f"CondBranch at {self.addr:#x} needs a target")
-        if self.kind is Kind.INDIRECT_BRANCH and self.static_target is None:
+        if self.kind is INDIRECT_BRANCH and self.static_target is None:
             raise ProgramError(f"IndirectBranch at {self.addr:#x} needs a target")
 
 

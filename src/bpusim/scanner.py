@@ -178,10 +178,13 @@ def _parse_memory(text: str, lineno: int) -> Memory:
     base = index = None
     scale = 1
     disp = 0
-    for term in inner.replace("-", "+-").split("+"):
+    terms = inner.replace("-", "+-").split("+")
+    if inner.startswith("-"):  # `[-8]`: the split leaves an empty first term
+        del terms[0]
+    for term in terms:
         term = term.strip()
         if not term:
-            continue
+            raise DisasmParseError(lineno, f"empty term in memory operand {text!r}")
         if "*" in term:
             reg, _, s = term.partition("*")
             reg = reg.strip().lower()

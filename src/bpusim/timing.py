@@ -13,6 +13,9 @@ class NoiseKind(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
+NONE, UNIFORM, GAUSSIAN = NoiseKind
+
+
 # probe latency of a correctly predicted branch, and what a misprediction adds
 BASE_LATENCY = 10
 MISPREDICT_PENALTY = 40
@@ -46,9 +49,9 @@ class LatencySampler:
     def measure(self, mispredict: bool) -> int:
         m = self.model
         lat = BASE_LATENCY + (MISPREDICT_PENALTY if mispredict else 0)
-        if m.noise is NoiseKind.UNIFORM:
+        if m.noise is UNIFORM:
             lat += self._rng.randint(-int(m.noise_param), int(m.noise_param))
-        elif m.noise is NoiseKind.GAUSSIAN:
+        elif m.noise is GAUSSIAN:
             lat += round(self._rng.gauss(0.0, 1.0) * m.noise_param)
         return lat
 

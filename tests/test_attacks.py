@@ -257,6 +257,24 @@ def test_selector_stays_in_the_channel_mode_after_each_trial(monkeypatch, channe
     assert seen == [mode] * (4 if channel == "covert" else 3)
 
 
+def test_covert_context_replay_is_one_predictor_call(monkeypatch):
+    """A 96-bit history-mode transmission replays the 12-branch context 775
+    times (7 presets, then per bit one replay before the victim run and one
+    before each of 7 probes) without a `BranchHarness.execute` per branch:
+    the 685 left are the 6 TNTNTN executions, 7 presets and 96 x 7 probes."""
+    calls = {"replay_preamble": 0, "execute": 0}
+    for name in calls:
+        method = getattr(BranchHarness, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(BranchHarness, name, counted)
+    message = "".join(random.Random(0).choice("01") for _ in range(96))
+    assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
+    assert calls == {"replay_preamble": 775, "execute": 685}
+
+
 def test_attack_loops_never_render_event_text(monkeypatch):
     calls = []
     render = eng.render_events

@@ -299,3 +299,35 @@ def test_taken_resolution_inserts_target_bits():
     assert state.ghr.entries[-1] == 0x5003 & 3
     state.record_resolution(0x4000, Direction.NOT_TAKEN, state.predict(0x4000), 0x5001)
     assert state.ghr.entries[-1] == 0x5003 & 3  # not-taken does not insert
+
+
+@st.composite
+def _replay_cases(draw):
+    cfg = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
+        pht_entries_one_level=1 << draw(st.integers(1, 6)),
+        pht_entries_history=1 << draw(st.integers(1, 8)),
+        ghr_depth=draw(st.integers(1, 16)), target_bits_per_entry=draw(st.integers(1, 3)),
+        transition_threshold=draw(st.integers(1, 4)), index_salt=draw(st.integers(0, 1 << 16)))
+    state = PredictorState(cfg)
+    state.randomize_reset(draw(st.integers(0, 2**32)))
+    state.selector.mode = draw(st.sampled_from(list(Mode)))
+    state.selector.frozen = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, 0x400), st.integers(0, 0xFF)), max_size=40))
+    return state, pairs
+
+
+@given(_replay_cases())
+def test_replay_taken_matches_predict_and_record_resolution(case):
+    """The fused replay against `predict` + `record_resolution` per branch,
+    through one-level -> history switches of an unfrozen selector."""
+    state, pairs = case
+    fused, reference = state.clone(), state.clone()
+    flags = []
+    for addr, target in pairs:
+        pred = reference.predict(addr)
+        flags.append(pred.direction is not Direction.TAKEN)
+        reference.record_resolution(addr, Direction.TAKEN, pred, target)
+    assert fused.replay_taken([a for a, _ in pairs], [t for _, t in pairs]) == flags
+    assert fused.state_fingerprint() == reference.state_fingerprint()
+

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from bpusim.program import (
+    Instruction,
     Kind,
     ProgramError,
     parse_program,
@@ -55,8 +56,30 @@ def test_every_number_is_decimal_or_hex(tok, value):
         if value is None:
             with pytest.raises(ProgramError, match="^line 7: "):
                 parse_program_line(line, 7)
+        elif value < 0:  # read as a number, then out of range
+            with pytest.raises(ProgramError, match=f"^line 7: {field} must be >= "):
+                parse_program_line(line, 7)
         else:
             assert getattr(parse_program_line(line, 7), field) == value
+
+
+@pytest.mark.parametrize("field, value, line", [
+    ("resolve_delay", 0, "0 0 Alu 0x100 delay=0"),
+    ("resolve_delay", -3, "0 0 CondBranch 0x100 0x200 cond=c delay=-3"),
+    ("process_id", -1, "-1 0 Alu 0x100"),
+    ("seq", -2, "0 -2 Alu 0x100"),
+    ("addr", -0x100, "0 0 Halt -0x100"),
+    ("static_target", -4, "0 0 IndirectBranch 0x100 -4"),
+])
+def test_instruction_rejects_out_of_range_fields(field, value, line):
+    bound = 1 if field == "resolve_delay" else 0
+    message = f"{field} must be >= {bound}, got {value}"
+    with pytest.raises(ProgramError, match=f"^line 3: {message}$"):
+        parse_program_line(line, 3)
+    fields = dict(process_id=0, seq=0, kind=Kind.INDIRECT_BRANCH, addr=0x100,
+                  static_target=0x200, resolve_delay=1)
+    with pytest.raises(ProgramError, match=f"^{message}$"):
+        Instruction(**{**fields, field: value})
 
 
 def test_parse_program_sorts_and_groups():

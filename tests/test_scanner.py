@@ -86,6 +86,24 @@ def test_parse_rejects_memory_operands_that_drop_a_register(operand, reason):
     assert operand in err.value.reason
 
 
+@pytest.mark.parametrize("operand, memory", [
+    ("[-8]", Memory(displacement=-8)),
+    ("[rax-8]", Memory(base="RAX", displacement=-8)),
+    ("[rax - 8]", Memory(base="RAX", displacement=-8)),
+    ("[rax+rbx*4-0x10]", Memory(base="RAX", index="RBX", scale=4, displacement=-0x10)),
+])
+def test_parse_memory_signed_terms(operand, memory):
+    assert parse_disasm(f"401000: mov rax, {operand}\n")[0].operands[1].memory == memory
+
+
+@pytest.mark.parametrize("operand", ["[rax++7]", "[rax+]", "[+rax]", "[rax+ +8]", "[rax+-8]"])
+def test_parse_rejects_empty_memory_terms(operand):
+    with pytest.raises(DisasmParseError) as err:
+        parse_disasm(f"401000: nop\n401001: mov rax, qword ptr {operand}\n")
+    assert err.value.lineno == 2
+    assert err.value.reason == f"empty term in memory operand {operand!r}"
+
+
 @pytest.mark.parametrize("instruction, value", [
     ("mov rax, -8", -8), ("mov rax, 0x10", 0x10), ("mov rax, 0X1F", 0x1F),
     ("mov rax, 42", 42), ("jne 0x401000", 0x401000),
