@@ -4,11 +4,14 @@ The CLI golden test pins artifacts, but no artifact records the final tick
 or the per-branch flags. These digests cover, for each run of a case:
 `(ticks, events, summary, arch)`, per branch `(dseq, resolved, squashed,
 speculative, mispredicted)`, and the predictor's final `state_fingerprint()`.
+The `random` case pins 20 seeded multi-process programs, whose
+interleavings the four hand-written cases do not reach.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -16,6 +19,8 @@ from bpusim import engine as eng
 from bpusim.attacks import build_victim_v1, build_victim_v2, defense_workload
 from bpusim.engine import PolicyVariant, UpdatePolicy
 from bpusim.predictor import PredictorState
+from bpusim.program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
+                            Instruction)
 
 
 def _v1(policy):
@@ -54,7 +59,49 @@ def _two_process(policy):
                   env={"pre": 1, "oob": 1, "sec": 1})
 
 
-CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process}
+def _random_run_args(seed):
+    """The shape of tests/test_engine.py's nested_runs, drawn from one seeded
+    stream: 1-3 processes of forward-only branches with mixed delays,
+    list-valued conditions, BTB misses and poisoned targets, and repeated
+    schedule slots."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    predictor = PredictorState()
+    predictor.randomize_reset(rng.randrange(2**16))
+    predictor.selector.frozen = rng.random() < 0.5
+    kinds = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU, LOAD, STORE, TIMER_READ)
+    programs, env = {}, {}
+    for pid in range(n):
+        addrs = [0x1000 * (pid + 1) + 8 * i for i in range(rng.randint(2, 10))]
+        instrs = []
+        for i, addr in enumerate(addrs[:-1]):
+            kind = rng.choice(kinds)
+            delay = rng.randint(1, 40)
+            target = cond = None
+            if kind is COND_BRANCH or kind is INDIRECT_BRANCH:
+                target = rng.choice(addrs[i + 1:])
+            if kind is COND_BRANCH:
+                cond = f"c{pid}_{i}"
+                env[cond] = (rng.randint(0, 1) if rng.random() < 0.5 else
+                             [rng.randint(0, 1) for _ in range(rng.randint(0, 4))])
+            if kind is INDIRECT_BRANCH and rng.random() < 0.5:
+                predictor.btb.update(addr, rng.choice(addrs))
+            instrs.append(Instruction(pid, i, kind, addr, target, cond, delay))
+        instrs.append(Instruction(pid, len(addrs) - 1, HALT, addrs[-1]))
+        programs[pid] = instrs
+    schedule = list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(schedule)
+    return programs, schedule, predictor, env
+
+
+def _random(policy):
+    for seed in range(20):
+        programs, schedule, predictor, env = _random_run_args(seed)
+        yield eng.run(programs, schedule, policy, predictor, env=env)
+
+
+CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process,
+         "random": _random}
 
 
 def run_digest(case: str, variant: PolicyVariant) -> str:
@@ -108,6 +155,16 @@ GOLDEN = {
         "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
     "obfuscate-on-squash two-process":
         "d37a13bca68b345ef373dcb82c4ab2b022d0d302cf69007fcffcbb3fbbcddb3d",
+    "speculative-resolve-time random":
+        "420b7304859615d077e1a7ce2f40241531aa24ce71b343cda3ff291cdacf65e3",
+    "commit-time random":
+        "f1be940fe0243e977a4b81103c7bee02c119906303a7d4c76105cdcbbc1784c1",
+    "restore-on-squash random":
+        "676679d9e63325735247488dfdb96c874fa71295490cf5e4276c02c458390b57",
+    "shadow-pht random":
+        "676679d9e63325735247488dfdb96c874fa71295490cf5e4276c02c458390b57",
+    "obfuscate-on-squash random":
+        "a4e2d912a1aad3b70550b907a6c621b84359aee019cf28f455e8a5a9f3bffbc2",
 }
 
 
