@@ -10,7 +10,7 @@ updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import engine as eng
 from .engine import DEFAULT_POLICY, UpdatePolicy
@@ -44,8 +44,9 @@ PROBE_TEST_K = 6
 # the victims' preamble starts here, so no preamble address aliases a
 # victim-body one-level entry (indices repeat every 0x1000 bytes)
 PREAMBLE_BASE = 0x1100
-# resolve delay of the v1 victim's bounds-check trigger, and the in-bounds
-# victim runs before each v1 trial that train the trigger toward the transmitter
+# resolve delay of the v1 victim's bounds-check trigger, and the fewest
+# in-bounds victim runs before each v1 trial that train the trigger toward
+# the transmitter (a wide counter takes more: see side_channel_v1)
 V1_TRIGGER_DELAY = 60
 WARMUPS = 5
 
@@ -179,12 +180,19 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 
 @dataclass
 class VictimLayout:
+    """A victim's code and addresses; `program` is `programs` checked and
+    indexed once, for the engine runs of every trial."""
+
     programs: dict[int, list[Instruction]]
     schedule: list[int]
     trigger_addr: int
     bv_addr: int
     preamble_targets: list[int]
     pid: int
+    program: eng.Program = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.program = eng.Program(self.programs)
 
 
 def _preamble_block(pid: int, seq0: int, depth: int,
@@ -284,8 +292,9 @@ class _Channel:
 
     def trials(self, bits, env, prepare, unresolved, chained=False):
         """One trial per bit: `prepare(i)`, the preset if needed, the victim
-        run on `env(bit)` and the probes. `unresolved(i)` is the error raised
-        when the transmitter does not resolve, or None to decode anyway.
+        run on `env(bit)` and the probes. `unresolved(i, bv)` is the error
+        raised when the transmitter does not resolve (`bv` is its dynamic
+        branch, or None if it was never fetched), or None to decode anyway.
         Returns the decoded bits and the trace of decisive probes."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         decoded, trace, probe = [], LatencyTrace([]), 0
@@ -297,11 +306,11 @@ class _Channel:
                 self.direction = TAKEN
             if chained:
                 self.harness.replay_preamble(self.context)
-            result, _ = eng.run(self.layout.programs, self.layout.schedule, self.policy,
+            result, _ = eng.run(self.layout.program, self.layout.schedule, self.policy,
                                 self.predictor, env=env(bit))
             bv = _find_branch(result, self.layout.bv_addr)
             if unresolved is not None and (bv is None or not bv.resolved):
-                raise unresolved(i)
+                raise unresolved(i, bv)
             for k in range(full if chained else half):
                 probe += 1
                 rec = self._execute(self.direction.opposite())
@@ -349,7 +358,7 @@ def covert_send_receive(
 
     bits, trace = ch.trials(
         message, lambda c: {"pre": 1, "bit": int(c == "1")}, prepare,
-        lambda i: TransmissionError(f"transmitter branch not resolved at bit {i}", i),
+        lambda i, _: TransmissionError(f"transmitter branch not resolved at bit {i}", i),
         chained=True)
     decoded = "".join(map(str, bits))
     errors = sum(1 for a, b in zip(message, decoded) if a != b)
@@ -389,16 +398,25 @@ def side_channel_v1(
     if corrupt_preamble_entry is not None:
         attacker_targets[corrupt_preamble_entry] ^= 0x3
     ch = _Channel(layout, mode, config, latency_model, policy, seed, attacker_targets)
+    # an n-bit trigger counter needs 2^(n-1) not-taken steps from the far end
+    # of its taken half to predict not-taken; one run more covers a history
+    # entry the first warm-up run lands on a different context
+    warmups = max(WARMUPS, (1 << (ch.n - 1)) + 1)
 
     def prepare(i):
         ch.reset(seed * 1000 + i)
-        for _ in range(WARMUPS):
-            eng.run(layout.programs, layout.schedule, policy, ch.predictor,
+        for _ in range(warmups):
+            eng.run(layout.program, layout.schedule, policy, ch.predictor,
                     env={"pre": 1, "oob": 0, "sec": 0})
 
+    def unresolved(i, bv):
+        if bv is None:
+            return AttackError(f"trial {i}: transmitter branch never fetched "
+                               "before the trigger resolved")
+        return AttackError(f"trial {i}: transmitter branch squashed before resolution")
+
     recovered, trace = ch.trials(
-        secret, lambda bit: {"pre": 1, "oob": 1, "sec": bit}, prepare,
-        lambda i: AttackError(f"trial {i}: transmitter branch squashed before resolution"))
+        secret, lambda bit: {"pre": 1, "oob": 1, "sec": bit}, prepare, unresolved)
     return _side_channel_result(recovered, secret, trace)
 
 
@@ -421,7 +439,7 @@ def side_channel_v2(
         if poison:
             ch.predictor.btb.update(layout.trigger_addr, layout.bv_addr)
 
-    unresolved = (lambda i: AttackError(f"trial {i}: gadget never reached despite poisoning")) \
+    unresolved = (lambda i, _: AttackError(f"trial {i}: gadget never reached despite poisoning")) \
         if poison else None
     recovered, trace = ch.trials(secret, lambda bit: {"pre": 1, "sec": bit}, prepare, unresolved)
     return _side_channel_result(recovered, secret, trace)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .predictor import (NOT_TAKEN, TAKEN, Direction, Mode, PredictorState, Prediction,
                         counter_predict, counter_update)
@@ -52,28 +52,31 @@ DEFAULT_POLICY = UpdatePolicy()
 INFLIGHT_CAP = 48
 
 
-@dataclass(slots=True, eq=False)
 class DynamicBranch:
-    """One dynamic execution of an instruction (branch fields unused for ops)."""
+    """One dynamic execution of an instruction (branch fields unused for ops).
+    The constructor sets four fields; the others start at these class
+    defaults, which is what keeps a fetch cheap."""
 
-    instr: Instruction
-    dseq: int
-    env_index: int
-    is_branch: bool = False
-    squashed: bool = False
-    committed: bool = False
-    complete_tick: int = 0
+    squashed = False
+    committed = False
+    complete_tick = 0
     # branch-only fields
     predicted_dir: Direction | None = None
     predicted_target: int | None = None
     pred_mode: Mode | None = None
     pred_index: int | None = None
-    resolved: bool = False
+    resolved = False
     actual_dir: Direction | None = None
     actual_target: int | None = None
-    mispredicted: bool = False
-    speculative: bool = False
-    stalled: bool = False
+    mispredicted = False
+    speculative = False
+    stalled = False
+
+    def __init__(self, instr: Instruction, dseq: int, env_index: int, is_branch: bool = False):
+        self.instr = instr
+        self.dseq = dseq
+        self.env_index = env_index
+        self.is_branch = is_branch
 
 
 def render_events(records: list[tuple]) -> list[str]:
@@ -127,12 +130,15 @@ class RunResult:
     """What one engine run returns. `records` holds one tuple
     `(tick, kind, dseq, pid, *fields)` per event; `events` (their text) and
     `summary` (their per-process counts) are computed on first access.
-    `branches` holds every fetched branch in dseq order."""
+    `branches` holds every fetched branch in dseq order. `visited_ticks`
+    counts the ticks the engine stopped at; it skips the others, where
+    nothing can happen."""
 
     records: list[tuple]
     branches: list[DynamicBranch]
     arch: dict
     ticks: int
+    visited_ticks: int = 0
 
     @functools.cached_property
     def events(self) -> list[str]:
@@ -152,36 +158,34 @@ def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
 
 
 # -- update policies: each conditional branch resolves once and writes one
-# PHT entry, so `pending` maps a resolved, unretired branch's dseq to what
-# its policy must remember about that write.
+# PHT entry. A policy keeps in `pending` what it must remember about a
+# resolved, unretired branch's writes, keyed by its dseq; the engine tells
+# it about a squash only while `pending` holds something, and about a
+# commit only of a branch held there.
 
 class ResolveTime:
     """speculative-resolve-time: every write lands at resolve and survives a squash."""
+
+    # a policy that answers some predictions itself sets this to a hook
+    # `(pid, prediction)` that may change the prediction's direction
+    shadow_predict = None
 
     def __init__(self, predictor: PredictorState, seed: int):
         self.predictor = predictor
         self.seed = seed
         self.pending: dict[int, object] = {}
 
-    def predict(self, pid: int, addr: int) -> Prediction:
-        return self.predictor.predict(addr)
-
     def resolved(self, b: DynamicBranch, ghr_target: int | None) -> None:
-        # selector and BTB train at resolve time under every policy
+        """Train the selector (conditional) or the BTB (indirect), then write
+        the PHT counter and, for a taken branch, the GHR."""
+        predictor = self.predictor
         if b.instr.kind is COND_BRANCH:
-            self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
+            predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
+            predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual_dir)
         else:
-            self.predictor.btb.update(b.instr.addr, b.actual_target)
-        self.write(b, ghr_target)
-
-    def write(self, b: DynamicBranch, ghr_target: int | None) -> None:
-        if b.instr.kind is COND_BRANCH:
-            self.write_pht(b)
+            predictor.btb.update(b.instr.addr, b.actual_target)
         if ghr_target is not None:
-            self.predictor.ghr.insert_taken(ghr_target)
-
-    def write_pht(self, b: DynamicBranch) -> None:
-        self.predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual_dir)
+            predictor.ghr.insert_taken(ghr_target)
 
     def squashed(self, victims: list[DynamicBranch]) -> None:
         for d in victims:
@@ -192,23 +196,32 @@ class ResolveTime:
 
 
 class CommitTime(ResolveTime):
-    """PHT and GHR writes wait for commit; squashed branches never write."""
+    """PHT and GHR writes wait for commit; squashed branches never write.
+    The selector and the BTB still train at resolve."""
 
-    def write(self, b, ghr_target):
+    def resolved(self, b, ghr_target):
+        if b.instr.kind is COND_BRANCH:
+            self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
+        else:
+            self.predictor.btb.update(b.instr.addr, b.actual_target)
         self.pending[b.dseq] = ghr_target
 
     def committed(self, d):
-        if d.dseq in self.pending:
-            super().write(d, self.pending.pop(d.dseq))
+        ghr_target = self.pending.pop(d.dseq)
+        if d.instr.kind is COND_BRANCH:
+            self.predictor.apply_counter_update(d.pred_mode, d.pred_index, d.actual_dir)
+        if ghr_target is not None:
+            self.predictor.ghr.insert_taken(ghr_target)
 
 
 class RestoreOnSquash(ResolveTime):
     """Journal each PHT write; a squash undoes its victims' writes, newest first."""
 
-    def write_pht(self, b):
-        self.pending[b.dseq] = (b.pred_mode, b.pred_index,
-                                self.predictor.table(b.pred_mode)[b.pred_index])
-        super().write_pht(b)
+    def resolved(self, b, ghr_target):
+        if b.instr.kind is COND_BRANCH:
+            self.pending[b.dseq] = (b.pred_mode, b.pred_index,
+                                    self.predictor.table(b.pred_mode)[b.pred_index])
+        super().resolved(b, ghr_target)
 
     def squashed(self, victims):
         gone = {d.dseq for d in victims}
@@ -225,23 +238,24 @@ class ShadowPht(ResolveTime):
         # (mode, index, pid) -> (counter value, dseq of its last writer)
         self.shadow: dict[tuple[Mode, int, int], tuple[int, int]] = {}
 
-    def predict(self, pid, addr):
-        pred = self.predictor.predict(addr)
+    def shadow_predict(self, pid: int, pred: Prediction) -> None:
         entry = self.shadow.get((pred.mode, pred.index, pid))
         if entry is not None:
             width = self.predictor.config.counter_width(pred.mode)
             pred.direction = counter_predict(entry[0], width)
-        return pred
 
-    def write_pht(self, b):
-        if not b.speculative:
-            return super().write_pht(b)
+    def resolved(self, b, ghr_target):
+        if not b.speculative or b.instr.kind is not COND_BRANCH:
+            return super().resolved(b, ghr_target)
+        self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
         mode, index = b.pred_mode, b.pred_index
         key = (mode, index, b.instr.process_id)
         base = self.shadow[key][0] if key in self.shadow else self.predictor.table(mode)[index]
         width = self.predictor.config.counter_width(mode)
         self.shadow[key] = (counter_update(base, width, b.actual_dir), b.dseq)
         self.pending[b.dseq] = key
+        if ghr_target is not None:
+            self.predictor.ghr.insert_taken(ghr_target)
 
     def squashed(self, victims):
         for d in victims:
@@ -250,7 +264,7 @@ class ShadowPht(ResolveTime):
                 del self.shadow[key]
 
     def committed(self, d):
-        key = self.pending.pop(d.dseq, None)
+        key = self.pending.pop(d.dseq)
         if key in self.shadow:
             self.predictor.table(key[0])[key[1]] = self.shadow.pop(key)[0]
 
@@ -258,9 +272,10 @@ class ShadowPht(ResolveTime):
 class ObfuscateOnSquash(ResolveTime):
     """A squash sets each PHT entry its victims wrote to a seed-derived value."""
 
-    def write_pht(self, b):
-        super().write_pht(b)
-        self.pending[b.dseq] = (b.pred_mode, b.pred_index)
+    def resolved(self, b, ghr_target):
+        super().resolved(b, ghr_target)
+        if b.instr.kind is COND_BRANCH:
+            self.pending[b.dseq] = (b.pred_mode, b.pred_index)
 
     def squashed(self, victims):
         marked = [self.pending.pop(d.dseq) for d in victims if d.dseq in self.pending]
@@ -277,16 +292,40 @@ POLICY_CLASSES = {
 }
 
 
+class Program:
+    """Each process's code, checked and indexed once so that any number of
+    runs can share it; a run only reads it. `code[pid]` maps each address to
+    (instruction, the next address or None) and `entry[pid]` is the address
+    of the process's first instruction."""
+
+    def __init__(self, programs: dict[int, list[Instruction]]):
+        self.code: dict[int, dict[int, tuple[Instruction, int | None]]] = {}
+        self.entry: dict[int, int] = {}
+        for pid, instrs in programs.items():
+            if not instrs:  # a process with nothing to fetch never halts
+                raise ConfigError(f"process {pid} has an empty program")
+            by_addr = {}
+            for i in instrs:
+                if i.process_id != pid:
+                    raise ConfigError(f"process {pid}: the instruction at {i.addr:#x} "
+                                      f"has process_id {i.process_id}")
+                if i.addr in by_addr:
+                    raise ConfigError(f"process {pid}: two instructions at {i.addr:#x}")
+                by_addr[i.addr] = i
+            order = sorted(by_addr)
+            self.code[pid] = {a: (by_addr[a], b) for a, b in zip(order, order[1:] + [None])}
+            self.entry[pid] = instrs[0].addr
+
+
 class _Process:
-    def __init__(self, pid: int, instrs: list[Instruction]):
+    __slots__ = ("pid", "code", "fetch_addr", "rob", "open", "exec_counts", "mem", "regs")
+
+    def __init__(self, pid: int, code: dict, entry: int):
         self.pid = pid
-        addr_map = {i.addr: i for i in instrs}
-        order = sorted(addr_map)
-        # addr -> (instruction, the next address or None)
-        self.code = {a: (addr_map[a], b) for a, b in zip(order, order[1:] + [None])}
+        self.code = code
         # None while the process cannot fetch: after a Halt, off the end of
         # its code, or stalled on a BTB miss until that branch resolves
-        self.fetch_addr: int | None = instrs[0].addr
+        self.fetch_addr: int | None = entry
         # fetched, not yet committed and not squashed, in fetch order
         self.rob: deque[DynamicBranch] = deque()
         # the branches of the ROB that have not resolved, in fetch order: a
@@ -300,7 +339,7 @@ class _Process:
 class Engine:
     def __init__(
         self,
-        programs: dict[int, list[Instruction]],
+        program: Program,
         schedule: list[int],
         policy: UpdatePolicy,
         predictor: PredictorState,
@@ -312,238 +351,223 @@ class Engine:
         if max_ticks < 1:
             raise ConfigError(f"max_ticks must be >= 1, got {max_ticks}")
         for pid in schedule:
-            if pid not in programs:
+            if pid not in program.code:
                 raise ConfigError(f"schedule references undeclared process {pid}")
-        # a process that is never scheduled or has nothing to fetch never halts
-        for pid, instrs in programs.items():
+        # a process that is never scheduled never halts
+        for pid in program.code:
             if pid not in schedule:
                 raise ConfigError(f"process {pid} is declared but not in the schedule")
-            if not instrs:
-                raise ConfigError(f"process {pid} has an empty program")
-            seen = set()
-            for i in instrs:
-                if i.process_id != pid:
-                    raise ConfigError(f"process {pid}: the instruction at {i.addr:#x} "
-                                      f"has process_id {i.process_id}")
-                if i.addr in seen:
-                    raise ConfigError(f"process {pid}: two instructions at {i.addr:#x}")
-                seen.add(i.addr)
-        self.procs = {pid: _Process(pid, instrs) for pid, instrs in programs.items()}
+        self.procs = {pid: _Process(pid, code, program.entry[pid])
+                      for pid, code in program.code.items()}
         self.schedule = list(schedule)
         self.policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
         self.predictor = predictor
         self.env = env or {}
         self.max_ticks = max_ticks
-        self.records: list[tuple] = []
-        self.branches: list[DynamicBranch] = []  # every fetched branch, in dseq order
-        self._running = len(self.procs)  # processes that have not committed their Halt
-        self.tick = 0
-        self._dseq = 0
-        # (resolve_tick, dseq, branch) of every fetched branch; squashed ones
-        # are skipped when popped
-        self._unresolved: list[tuple[int, int, DynamicBranch]] = []
-
-    # -- env -------------------------------------------------------------
-
-    def _cond_value(self, instr: Instruction, env_index: int) -> int:
-        name = instr.condition_source
-        if name not in self.env:
-            raise SimulationError(
-                f"cond={name} of the branch at {instr.addr:#x} is missing from env")
-        raw = self.env[name]
-        if isinstance(raw, (list, tuple)):
-            if not raw:
-                return 0
-            return raw[env_index] if env_index < len(raw) else raw[-1]
-        return raw
-
-    # -- main loop --------------------------------------------------------
+        self.visited_ticks = 0  # passes of run's loop, also after it raises
 
     def run(self) -> RunResult:
-        while self._running:
-            # the ticks before the next one where a phase can act change no state
-            self.tick = min(self._next_active_tick(), self.max_ticks)
-            if self.tick >= self.max_ticks:
-                b = next((p.open[0] for p in self.procs.values() if p.open), None)
-                if b is not None:
-                    raise SimulationError(
-                        f"unresolved branch pid={b.instr.process_id} "
-                        f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit"
-                    )
-                raise SimulationError("tick limit exceeded")
-            self._resolve_phase()
-            self._commit_phase()
-            self._fetch_phase()
-            self.tick += 1
-        return RunResult(self.records, self.branches, self._arch(), self.tick)
+        """Visit, in order, each tick at which a branch resolves, a ROB-front
+        op completes, or the round-robin slot goes to a process that can
+        fetch; at each, resolve, then commit, then fetch."""
+        procs, env, max_ticks = self.procs, self.env, self.max_ticks
+        policy, predictor = self.policy, self.predictor
+        pending, resolved, shadow_predict = policy.pending, policy.resolved, policy.shadow_predict
+        predict, btb_lookup = predictor.predict, predictor.btb.lookup
+        slots = [procs[pid] for pid in self.schedule]
+        n = len(slots)
+        order = list(procs.values())
+        records: list[tuple] = []
+        branches: list[DynamicBranch] = []  # every fetched branch, in dseq order
+        append = records.append
+        # (resolve_tick, dseq, branch) of every fetched branch; squashed ones
+        # are skipped when popped
+        heap: list[tuple[int, int, DynamicBranch]] = []
+        running = len(order)  # processes that have not committed their Halt
+        tick = dseq = visited = 0
+        try:
+            while running:
+                p = slots[tick % n]
+                if p.fetch_addr is None or len(p.rob) >= INFLIGHT_CAP:
+                    # no fetch now: skip the ticks before the next one where
+                    # a branch resolves, a ROB-front op completes or a
+                    # process's slot comes when it can fetch; they change
+                    # no state
+                    while heap and heap[0][2].squashed:
+                        heappop(heap)
+                    nxt = heap[0][0] if heap else max_ticks
+                    for p in order:
+                        rob = p.rob
+                        if rob and not rob[0].is_branch and rob[0].complete_tick < nxt:
+                            nxt = max(rob[0].complete_tick, tick)
+                    for t in range(tick + 1, min(tick + n, nxt)):
+                        p = slots[t % n]
+                        if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
+                            nxt = t
+                            break
+                    tick = nxt
+                if tick >= max_ticks:
+                    b = next((p.open[0] for p in order if p.open), None)
+                    if b is not None:
+                        raise SimulationError(
+                            f"unresolved branch pid={b.instr.process_id} "
+                            f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit"
+                        )
+                    raise SimulationError("tick limit exceeded")
+                visited += 1
 
-    def _next_active_tick(self) -> int:
-        """The earliest tick >= self.tick at which a branch resolves, a ROB-front
-        op completes, or the round-robin slot goes to a process that can fetch."""
-        t, heap = self.tick, self._unresolved
-        while heap and heap[0][2].squashed:
-            heapq.heappop(heap)
-        best = heap[0][0] if heap else self.max_ticks
-        for p in self.procs.values():
-            if p.rob and not p.rob[0].is_branch and p.rob[0].complete_tick < best:
-                best = max(p.rob[0].complete_tick, t)
-        n = len(self.schedule)
-        for k in range(min(n, best - t)):
-            p = self.procs[self.schedule[(t + k) % n]]
-            if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
-                return t + k
-        return best
+                # resolve every branch due by this tick
+                while heap and heap[0][0] <= tick:
+                    b = heappop(heap)[2]
+                    if b.squashed:
+                        continue
+                    instr = b.instr
+                    p = procs[instr.process_id]
+                    opened = p.open
+                    b.resolved = True
+                    spec = opened[0] is not b
+                    if spec:
+                        opened.remove(b)
+                    else:
+                        opened.popleft()
+                    b.speculative = spec
+                    if instr.kind is COND_BRANCH:
+                        name = instr.condition_source
+                        if name not in env:
+                            raise SimulationError(f"cond={name} of the branch at "
+                                                  f"{instr.addr:#x} is missing from env")
+                        value = env[name]
+                        if isinstance(value, (list, tuple)):  # one value per execution
+                            k = b.env_index
+                            value = (value[k] if k < len(value) else value[-1]) if value else 0
+                        pred = b.predicted_dir
+                        b.actual_dir = actual = NOT_TAKEN if value == 0 else TAKEN
+                        b.mispredicted = mispredicted = pred is not actual
+                        resolved(b, instr.static_target if actual is TAKEN else None)
+                    else:
+                        pred = b.predicted_target
+                        b.actual_target = actual = instr.static_target
+                        if b.stalled:  # never mispredicts: fetch resumes at the target
+                            p.fetch_addr = actual
+                            mispredicted = False
+                        else:
+                            b.mispredicted = mispredicted = pred != actual
+                        resolved(b, actual)
+                    append((tick, "resolve", b.dseq, p.pid, instr.addr, pred, actual,
+                            mispredicted, spec))
+                    if not mispredicted:
+                        continue
+                    # squash everything younger than b in its process
+                    rob, victims = p.rob, []
+                    while rob[-1] is not b:  # the ROB is in dseq order and holds b
+                        victims.append(rob.pop())
+                    victims.reverse()
+                    while opened and opened[-1].dseq > b.dseq:
+                        opened.pop()
+                    counts = p.exec_counts
+                    for d in victims:
+                        d.squashed = True
+                        counts[d.instr.addr] -= 1
+                        append((tick, "squash", d.dseq, p.pid))
+                    if pending:
+                        policy.squashed(victims)
+                    # redirect fetch down the correct path
+                    if actual is NOT_TAKEN:
+                        p.fetch_addr = p.code[instr.addr][1]
+                    else:
+                        p.fetch_addr = instr.static_target
 
-    def _arch(self) -> dict:
-        return {
-            pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
-            for pid, p in sorted(self.procs.items())
-        }
+                # commit each process's completed ROB prefix
+                for p in order:
+                    rob = p.rob
+                    while rob:
+                        d = rob[0]
+                        if not (d.resolved if d.is_branch else d.complete_tick <= tick):
+                            break
+                        rob.popleft()
+                        d.committed = True
+                        if d.dseq in pending:
+                            policy.committed(d)
+                        kind = d.instr.kind
+                        if kind is STORE:
+                            p.mem[d.instr.addr] = d.env_index + 1
+                        elif kind is LOAD:
+                            p.regs["last_load"] = p.mem.get(d.instr.addr, 0)
+                        elif kind is ALU:
+                            p.regs["acc"] += 1
+                        elif kind is TIMER_READ:
+                            p.regs["timer_reads"] += 1
+                            append((tick, "timer", d.dseq, p.pid))
+                        elif kind is HALT:
+                            running -= 1
+                        append((tick, "commit", d.dseq, p.pid))
 
-    # -- phases -----------------------------------------------------------
-
-    def _resolve_phase(self) -> None:
-        heap = self._unresolved
-        while heap and heap[0][0] <= self.tick:
-            b = heapq.heappop(heap)[2]
-            if not b.squashed:
-                self._resolve(b)
-
-    def _resolve(self, b: DynamicBranch) -> None:
-        instr = b.instr
-        proc = self.procs[instr.process_id]
-        b.resolved = True
-        b.speculative = proc.open[0] is not b
-        proc.open.remove(b)
-        if instr.kind is COND_BRANCH:
-            taken = self._cond_value(instr, b.env_index) != 0
-            b.actual_dir = TAKEN if taken else NOT_TAKEN
-            b.mispredicted = b.predicted_dir is not b.actual_dir
-            self.policy.resolved(b, instr.static_target if taken else None)
-            pred, actual = b.predicted_dir, b.actual_dir
-        else:
-            b.actual_target = b.instr.static_target
-            if b.stalled:  # never mispredicts: fetch resumes at the target
-                proc.fetch_addr = b.actual_target
-            else:
-                b.mispredicted = b.predicted_target != b.actual_target
-            self.policy.resolved(b, b.actual_target)
-            pred, actual = b.predicted_target, b.actual_target
-        self.records.append((self.tick, "resolve", b.dseq, proc.pid, instr.addr, pred, actual,
-                             b.mispredicted, b.speculative))
-        if b.mispredicted:
-            self._squash_after(b)
-
-    def _squash_after(self, b: DynamicBranch) -> None:
-        proc = self.procs[b.instr.process_id]
-        victims = []
-        while proc.rob[-1] is not b:  # the ROB is in dseq order and holds b
-            victims.append(proc.rob.pop())
-        victims.reverse()
-        # every open branch younger than b is a victim
-        while proc.open and proc.open[-1].dseq > b.dseq:
-            proc.open.pop()
-        for d in victims:
-            d.squashed = True
-            proc.exec_counts[d.instr.addr] -= 1
-            self.records.append((self.tick, "squash", d.dseq, proc.pid))
-        self.policy.squashed(victims)
-        # redirect fetch down the correct path
-        if b.actual_dir is NOT_TAKEN:
-            proc.fetch_addr = proc.code[b.instr.addr][1]
-        else:
-            proc.fetch_addr = b.instr.static_target
-
-    def _commit_phase(self) -> None:
-        for proc in self.procs.values():
-            while proc.rob:
-                d = proc.rob[0]
-                ready = d.resolved if d.is_branch else d.complete_tick <= self.tick
-                if not ready:
-                    break
-                proc.rob.popleft()
-                self._commit(proc, d)
-
-    def _commit(self, proc: _Process, d: DynamicBranch) -> None:
-        d.committed = True
-        self.policy.committed(d)
-        kind = d.instr.kind
-        if kind is STORE:
-            proc.mem[d.instr.addr] = d.env_index + 1
-        elif kind is LOAD:
-            proc.regs["last_load"] = proc.mem.get(d.instr.addr, 0)
-        elif kind is ALU:
-            proc.regs["acc"] += 1
-        elif kind is TIMER_READ:
-            proc.regs["timer_reads"] += 1
-            self.records.append((self.tick, "timer", d.dseq, proc.pid))
-        elif kind is HALT:
-            self._running -= 1
-        self.records.append((self.tick, "commit", d.dseq, proc.pid))
-
-    def _fetch_phase(self) -> None:
-        tick = self.tick
-        pid = self.schedule[tick % len(self.schedule)]
-        proc = self.procs[pid]
-        addr = proc.fetch_addr
-        if addr is None or len(proc.rob) >= INFLIGHT_CAP:
-            return
-        entry = proc.code.get(addr)
-        if entry is None:  # ran off the code
-            proc.fetch_addr = None
-            return
-        instr, fallthrough = entry
-        kind = instr.kind
-        env_index = proc.exec_counts.get(addr, 0)
-        proc.exec_counts[addr] = env_index + 1
-        dseq = self._dseq
-        self._dseq += 1
-        is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
-        d = DynamicBranch(instr, dseq, env_index, is_branch)
-        proc.rob.append(d)
-        delay = instr.resolve_delay
-        if is_branch:
-            proc.open.append(d)
-            self.branches.append(d)
-            heapq.heappush(self._unresolved, (tick + delay, dseq, d))
-        if kind is COND_BRANCH:
-            pred = self.policy.predict(pid, addr)
-            d.predicted_dir, d.pred_mode, d.pred_index = pred.direction, pred.mode, pred.index
-            if pred.direction is TAKEN:
-                proc.fetch_addr = instr.static_target
-            else:
-                proc.fetch_addr = fallthrough
-            record = (tick, "fetch", dseq, pid, addr, kind, pred.direction, pred.mode)
-        elif kind is INDIRECT_BRANCH:
-            target = self.predictor.btb.lookup(addr)
-            if target is None:
-                d.stalled = True
-                proc.fetch_addr = None
-                self.records.append((tick, "stall", dseq, pid))
-                record = (tick, "fetch", dseq, pid, addr, kind)
-            else:
-                d.predicted_target = target
-                proc.fetch_addr = target
-                record = (tick, "fetch", dseq, pid, addr, kind, target)
-        else:
-            record = (tick, "fetch", dseq, pid, addr, kind)
-            if kind is HALT:
-                d.complete_tick = tick
-                proc.fetch_addr = None
-            else:
-                d.complete_tick = tick + delay
-                proc.fetch_addr = fallthrough
-        self.records.append(record)
+                # fetch one instruction for the process whose slot this is
+                p = slots[tick % n]
+                addr = p.fetch_addr
+                if addr is not None and len(p.rob) < INFLIGHT_CAP:
+                    entry = p.code.get(addr)
+                    if entry is None:  # ran off the code
+                        p.fetch_addr = None
+                    else:
+                        instr, fallthrough = entry
+                        kind, pid = instr.kind, p.pid
+                        env_index = p.exec_counts.get(addr, 0)
+                        p.exec_counts[addr] = env_index + 1
+                        is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
+                        d = DynamicBranch(instr, dseq, env_index, is_branch)
+                        p.rob.append(d)
+                        if is_branch:
+                            p.open.append(d)
+                            branches.append(d)
+                            heappush(heap, (tick + instr.resolve_delay, dseq, d))
+                        if kind is COND_BRANCH:
+                            pred = predict(addr)
+                            if shadow_predict is not None:
+                                shadow_predict(pid, pred)
+                            d.predicted_dir = direction = pred.direction
+                            d.pred_mode, d.pred_index = pred.mode, pred.index
+                            p.fetch_addr = instr.static_target if direction is TAKEN else fallthrough
+                            append((tick, "fetch", dseq, pid, addr, kind, direction, pred.mode))
+                        elif kind is INDIRECT_BRANCH:
+                            target = btb_lookup(addr)
+                            if target is None:
+                                d.stalled = True
+                                p.fetch_addr = None
+                                append((tick, "stall", dseq, pid))
+                                append((tick, "fetch", dseq, pid, addr, kind))
+                            else:
+                                d.predicted_target = p.fetch_addr = target
+                                append((tick, "fetch", dseq, pid, addr, kind, target))
+                        else:
+                            if kind is HALT:
+                                d.complete_tick = tick
+                                p.fetch_addr = None
+                            else:
+                                d.complete_tick = tick + instr.resolve_delay
+                                p.fetch_addr = fallthrough
+                            append((tick, "fetch", dseq, pid, addr, kind))
+                        dseq += 1
+                tick += 1
+        finally:
+            self.visited_ticks = visited
+        arch = {pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
+                for pid, p in sorted(procs.items())}
+        return RunResult(records, branches, arch, tick, visited)
 
 
 def run(
-    programs: dict[int, list[Instruction]],
+    programs: Program | dict[int, list[Instruction]],
     schedule: list[int],
     policy: UpdatePolicy = DEFAULT_POLICY,
     predictor: PredictorState | None = None,
     env: dict | None = None,
     max_ticks: int = 100_000,
 ) -> tuple[RunResult, PredictorState]:
+    """Run `programs` (a Program, or per-process instruction lists that are
+    checked and indexed first) on `predictor`, a fresh one if None."""
+    if not isinstance(programs, Program):
+        programs = Program(programs)
     predictor = predictor if predictor is not None else PredictorState()
     eng = Engine(programs, schedule, policy, predictor, env, max_ticks)
     result = eng.run()

@@ -135,6 +135,30 @@ def test_side_channel_v1_corrupted_history_context_misses():
     assert r.accuracy < 1.0
 
 
+@pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_side_channel_v1_recovers_every_bit_at_each_counter_width(mode, width):
+    # the warm-up runs must mistrain the trigger however wide its counter is
+    config = PredictorConfig(one_level_bits=width, history_bits=width)
+    secret = [random.Random(3).randint(0, 1) for _ in range(16)]
+    r = side_channel_v1(secret, mode, config=config, seed=3)
+    assert r.recovered == secret
+
+
+def test_side_channel_v1_builds_its_victim_program_once(monkeypatch):
+    built = []
+    init = eng.Program.__init__
+
+    def counted(self, programs):
+        built.append(programs)
+        init(self, programs)
+
+    monkeypatch.setattr(eng.Program, "__init__", counted)
+    r = side_channel_v1([1, 0, 1, 1, 0, 0, 1, 0], Mode.ONE_LEVEL)
+    assert r.accuracy == 1.0
+    assert len(built) == 1
+
+
 def test_side_channel_v2_recovers_reference_secret_both_modes():
     for mode in (Mode.ONE_LEVEL, Mode.HISTORY):
         r = side_channel_v2(REFERENCE_SECRET, mode)
@@ -211,11 +235,11 @@ def test_transient_gadget_only_reachable_through_poisoned_btb():
      "transmitter branch not resolved at bit 0"),
 ], ids=["v1", "v2", "covert"])
 def test_transmitter_not_resolved_errors(monkeypatch, mode, channel, secret, exc_type, message):
-    # a one-tick trigger resolves before the transmitter can: the squash
-    # removes v1's transmitter, and v2 and the covert channel never fetch
-    # the gadget
+    # the trigger resolves before the transmitter can: v1's two-tick trigger
+    # squashes the transmitter fetched one tick after it, and under a
+    # one-tick trigger v2 and the covert channel never fetch the gadget
     v2 = attacks.build_victim_v2
-    monkeypatch.setattr(attacks, "V1_TRIGGER_DELAY", 1)
+    monkeypatch.setattr(attacks, "V1_TRIGGER_DELAY", 2)
     monkeypatch.setattr(attacks, "build_victim_v2",
                         lambda config, pid=0, cond_name="sec", trigger_delay=60:
                         v2(config, pid, cond_name, 1))
@@ -225,6 +249,16 @@ def test_transmitter_not_resolved_errors(monkeypatch, mode, channel, secret, exc
     assert str(info.value) == message
     if exc_type is TransmissionError:
         assert info.value.bit_position == 0
+
+
+@pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)
+def test_v1_transmitter_never_fetched_has_its_own_error(monkeypatch, mode):
+    # a one-tick trigger resolves before the fall-through transmitter is
+    # fetched, so the run has no dynamic transmitter at all
+    monkeypatch.setattr(attacks, "V1_TRIGGER_DELAY", 1)
+    with pytest.raises(AttackError) as info:
+        side_channel_v1([1, 0], mode)
+    assert str(info.value) == "trial 0: transmitter branch never fetched before the trigger resolved"
 
 
 CHANNELS = {

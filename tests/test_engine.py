@@ -222,20 +222,7 @@ def test_reorder_buffer_holds_at_most_inflight_cap_ops():
     assert result.summary["0"]["commits"] == 82
 
 
-def _count_phase_passes(monkeypatch) -> list[int]:
-    passes = []
-    resolve_phase = eng.Engine._resolve_phase
-
-    def counted(self):
-        passes.append(self.tick)
-        resolve_phase(self)
-
-    monkeypatch.setattr(eng.Engine, "_resolve_phase", counted)
-    return passes
-
-
-def test_engine_skips_idle_ticks(monkeypatch):
-    passes = _count_phase_passes(monkeypatch)
+def test_engine_skips_idle_ticks():
     programs = parse_program(
         """
         0 0 CondBranch 0x100 0x200 cond=c delay=90000
@@ -246,15 +233,15 @@ def test_engine_skips_idle_ticks(monkeypatch):
     res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 0})
     assert res.ticks == 90001
     assert res.records[-1] == (90000, "commit", 2, 0)
-    assert len(passes) < 20
+    assert res.visited_ticks < 20
 
 
-def test_engine_reaches_tick_limit_without_visiting_idle_ticks(monkeypatch):
-    passes = _count_phase_passes(monkeypatch)
+def test_engine_reaches_tick_limit_without_visiting_idle_ticks():
     programs = parse_program("0 0 Alu 0x100")  # no Halt: the process never finishes
+    engine = eng.Engine(eng.Program(programs), [0], DEFAULT_POLICY, _frozen_state())
     with pytest.raises(SimulationError, match="^tick limit exceeded$"):
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
-    assert len(passes) < 10
+        engine.run()
+    assert 0 < engine.visited_ticks < 10
 
 
 def test_indirect_branch_btb_miss_stalls_without_mispredict():
@@ -567,6 +554,22 @@ def nested_runs(draw):
     schedule = draw(st.permutations(list(range(n)) + extra))
     policy = UpdatePolicy(draw(st.sampled_from(list(PolicyVariant))), obfuscation_seed=3)
     return programs, schedule, policy, predictor, env
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_runs())
+def test_runs_of_one_program_are_isolated(run_args):
+    programs, schedule, policy, predictor, env = run_args
+    program = eng.Program(programs)
+    code = {pid: dict(by_addr) for pid, by_addr in program.code.items()}
+    first, p1 = eng.run(program, schedule, policy, predictor.clone(), env=env)
+    second, p2 = eng.run(program, schedule, policy, predictor.clone(), env=env)
+    assert program.code == code
+    assert second.records == first.records
+    # a field absent from vars() holds its class default in both runs
+    assert [vars(b) for b in second.branches] == [vars(b) for b in first.branches]
+    assert second.arch == first.arch
+    assert p2.state_fingerprint() == p1.state_fingerprint()
 
 
 def _speculative_from_records(records) -> dict[int, bool]:
