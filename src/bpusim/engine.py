@@ -73,10 +73,7 @@ class DynamicBranch:
     stalled = False
 
     def __init__(self, instr: Instruction, dseq: int, env_index: int, is_branch: bool = False):
-        self.instr = instr
-        self.dseq = dseq
-        self.env_index = env_index
-        self.is_branch = is_branch
+        self.instr, self.dseq, self.env_index, self.is_branch = instr, dseq, env_index, is_branch
 
 
 def render_events(records: list[tuple]) -> list[str]:
@@ -337,15 +334,8 @@ class _Process:
 
 
 class Engine:
-    def __init__(
-        self,
-        program: Program,
-        schedule: list[int],
-        policy: UpdatePolicy,
-        predictor: PredictorState,
-        env: dict | None = None,
-        max_ticks: int = 100_000,
-    ):
+    def __init__(self, program: Program, schedule: list[int], policy: UpdatePolicy,
+                 predictor: PredictorState, env: dict | None = None, max_ticks: int = 100_000):
         if not schedule:
             raise ConfigError("empty schedule")
         if max_ticks < 1:
@@ -364,7 +354,7 @@ class Engine:
         self.predictor = predictor
         self.env = env or {}
         self.max_ticks = max_ticks
-        self.visited_ticks = 0  # passes of run's loop, also after it raises
+        self.visited_ticks = 0  # passes of run's loop, readable after it raises
 
     def run(self) -> RunResult:
         """Visit, in order, each tick at which a branch resolves, a ROB-front
@@ -384,186 +374,166 @@ class Engine:
         # are skipped when popped
         heap: list[tuple[int, int, DynamicBranch]] = []
         running = len(order)  # processes that have not committed their Halt
-        tick = dseq = visited = 0
-        try:
-            while running:
-                p = slots[tick % n]
-                if p.fetch_addr is None or len(p.rob) >= INFLIGHT_CAP:
-                    # no fetch now: skip the ticks before the next one where
-                    # a branch resolves, a ROB-front op completes or a
-                    # process's slot comes when it can fetch; they change
-                    # no state
-                    while heap and heap[0][2].squashed:
-                        heappop(heap)
-                    nxt = heap[0][0] if heap else max_ticks
-                    for p in order:
-                        rob = p.rob
-                        if rob and not rob[0].is_branch and rob[0].complete_tick < nxt:
-                            nxt = max(rob[0].complete_tick, tick)
-                    for t in range(tick + 1, min(tick + n, nxt)):
-                        p = slots[t % n]
-                        if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
-                            nxt = t
-                            break
-                    tick = nxt
-                if tick >= max_ticks:
-                    b = next((p.open[0] for p in order if p.open), None)
-                    if b is not None:
-                        raise SimulationError(
-                            f"unresolved branch pid={b.instr.process_id} "
-                            f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit"
-                        )
-                    raise SimulationError("tick limit exceeded")
-                visited += 1
-
-                # resolve every branch due by this tick
-                while heap and heap[0][0] <= tick:
-                    b = heappop(heap)[2]
-                    if b.squashed:
-                        continue
-                    instr = b.instr
-                    p = procs[instr.process_id]
-                    opened = p.open
-                    b.resolved = True
-                    spec = opened[0] is not b
-                    if spec:
-                        opened.remove(b)
-                    else:
-                        opened.popleft()
-                    b.speculative = spec
-                    if instr.kind is COND_BRANCH:
-                        name = instr.condition_source
-                        if name not in env:
-                            raise SimulationError(f"cond={name} of the branch at "
-                                                  f"{instr.addr:#x} is missing from env")
-                        value = env[name]
-                        if isinstance(value, (list, tuple)):  # one value per execution
-                            k = b.env_index
-                            value = (value[k] if k < len(value) else value[-1]) if value else 0
-                        pred = b.predicted_dir
-                        b.actual_dir = actual = NOT_TAKEN if value == 0 else TAKEN
-                        b.mispredicted = mispredicted = pred is not actual
-                        resolved(b, instr.static_target if actual is TAKEN else None)
-                    else:
-                        pred = b.predicted_target
-                        b.actual_target = actual = instr.static_target
-                        if b.stalled:  # never mispredicts: fetch resumes at the target
-                            p.fetch_addr = actual
-                            mispredicted = False
-                        else:
-                            b.mispredicted = mispredicted = pred != actual
-                        resolved(b, actual)
-                    append((tick, "resolve", b.dseq, p.pid, instr.addr, pred, actual,
-                            mispredicted, spec))
-                    if not mispredicted:
-                        continue
-                    # squash everything younger than b in its process
-                    rob, victims = p.rob, []
-                    while rob[-1] is not b:  # the ROB is in dseq order and holds b
-                        victims.append(rob.pop())
-                    victims.reverse()
-                    while opened and opened[-1].dseq > b.dseq:
-                        opened.pop()
-                    counts = p.exec_counts
-                    for d in victims:
-                        d.squashed = True
-                        counts[d.instr.addr] -= 1
-                        append((tick, "squash", d.dseq, p.pid))
-                    if pending:
-                        policy.squashed(victims)
-                    # redirect fetch down the correct path
-                    if actual is NOT_TAKEN:
-                        p.fetch_addr = p.code[instr.addr][1]
-                    else:
-                        p.fetch_addr = instr.static_target
-
-                # commit each process's completed ROB prefix
+        tick = dseq = 0
+        while running:
+            p = slots[tick % n]
+            if p.fetch_addr is None or len(p.rob) >= INFLIGHT_CAP:
+                # nothing to fetch now: skip to the next tick where a phase
+                # can act, as the ticks between change no state
+                while heap and heap[0][2].squashed:
+                    heappop(heap)
+                nxt = heap[0][0] if heap else max_ticks
                 for p in order:
                     rob = p.rob
-                    while rob:
-                        d = rob[0]
-                        if not (d.resolved if d.is_branch else d.complete_tick <= tick):
-                            break
-                        rob.popleft()
-                        d.committed = True
-                        if d.dseq in pending:
-                            policy.committed(d)
-                        kind = d.instr.kind
-                        if kind is STORE:
-                            p.mem[d.instr.addr] = d.env_index + 1
-                        elif kind is LOAD:
-                            p.regs["last_load"] = p.mem.get(d.instr.addr, 0)
-                        elif kind is ALU:
-                            p.regs["acc"] += 1
-                        elif kind is TIMER_READ:
-                            p.regs["timer_reads"] += 1
-                            append((tick, "timer", d.dseq, p.pid))
-                        elif kind is HALT:
-                            running -= 1
-                        append((tick, "commit", d.dseq, p.pid))
+                    if rob and not rob[0].is_branch and rob[0].complete_tick < nxt:
+                        nxt = max(rob[0].complete_tick, tick)
+                for t in range(tick + 1, min(tick + n, nxt)):
+                    p = slots[t % n]
+                    if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
+                        nxt = t
+                        break
+                tick = nxt
+            if tick >= max_ticks:
+                b = next((p.open[0] for p in order if p.open), None)
+                if b is not None:
+                    raise SimulationError(
+                        f"unresolved branch pid={b.instr.process_id} "
+                        f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit"
+                    )
+                raise SimulationError("tick limit exceeded")
+            self.visited_ticks += 1
 
-                # fetch one instruction for the process whose slot this is
-                p = slots[tick % n]
-                addr = p.fetch_addr
-                if addr is not None and len(p.rob) < INFLIGHT_CAP:
-                    entry = p.code.get(addr)
-                    if entry is None:  # ran off the code
-                        p.fetch_addr = None
+            # resolve every branch due by this tick
+            while heap and heap[0][0] <= tick:
+                b = heappop(heap)[2]
+                if b.squashed:
+                    continue
+                instr = b.instr
+                p = procs[instr.process_id]
+                opened = p.open
+                b.resolved = True
+                b.speculative = spec = opened[0] is not b
+                opened.remove(b)
+                if instr.kind is COND_BRANCH:
+                    name = instr.condition_source
+                    if name not in env:
+                        raise SimulationError(f"cond={name} of the branch at "
+                                              f"{instr.addr:#x} is missing from env")
+                    value = env[name]
+                    if isinstance(value, (list, tuple)):  # one per execution; the last repeats
+                        value = value[min(b.env_index, len(value) - 1)] if value else 0
+                    pred = b.predicted_dir
+                    b.actual_dir = actual = NOT_TAKEN if value == 0 else TAKEN
+                    b.mispredicted = mispredicted = pred is not actual
+                    resolved(b, instr.static_target if actual is TAKEN else None)
+                else:
+                    pred = b.predicted_target
+                    b.actual_target = actual = instr.static_target
+                    if b.stalled:  # never mispredicts: fetch resumes at the target
+                        p.fetch_addr = actual
+                        mispredicted = False
                     else:
-                        instr, fallthrough = entry
-                        kind, pid = instr.kind, p.pid
-                        env_index = p.exec_counts.get(addr, 0)
-                        p.exec_counts[addr] = env_index + 1
-                        is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
-                        d = DynamicBranch(instr, dseq, env_index, is_branch)
-                        p.rob.append(d)
-                        if is_branch:
-                            p.open.append(d)
-                            branches.append(d)
-                            heappush(heap, (tick + instr.resolve_delay, dseq, d))
-                        if kind is COND_BRANCH:
-                            pred = predict(addr)
-                            if shadow_predict is not None:
-                                shadow_predict(pid, pred)
-                            d.predicted_dir = direction = pred.direction
-                            d.pred_mode, d.pred_index = pred.mode, pred.index
-                            p.fetch_addr = instr.static_target if direction is TAKEN else fallthrough
-                            append((tick, "fetch", dseq, pid, addr, kind, direction, pred.mode))
-                        elif kind is INDIRECT_BRANCH:
-                            target = btb_lookup(addr)
-                            if target is None:
-                                d.stalled = True
-                                p.fetch_addr = None
-                                append((tick, "stall", dseq, pid))
-                                append((tick, "fetch", dseq, pid, addr, kind))
-                            else:
-                                d.predicted_target = p.fetch_addr = target
-                                append((tick, "fetch", dseq, pid, addr, kind, target))
-                        else:
-                            if kind is HALT:
-                                d.complete_tick = tick
-                                p.fetch_addr = None
-                            else:
-                                d.complete_tick = tick + instr.resolve_delay
-                                p.fetch_addr = fallthrough
+                        b.mispredicted = mispredicted = pred != actual
+                    resolved(b, actual)
+                append((tick, "resolve", b.dseq, p.pid, instr.addr, pred, actual,
+                        mispredicted, spec))
+                if not mispredicted:
+                    continue
+                # squash everything younger than b in its process
+                rob, victims = p.rob, []
+                while rob[-1] is not b:  # the ROB is in dseq order and holds b
+                    victims.append(rob.pop())
+                victims.reverse()
+                while opened and opened[-1].dseq > b.dseq:
+                    opened.pop()
+                counts = p.exec_counts
+                for d in victims:
+                    d.squashed = True
+                    counts[d.instr.addr] -= 1
+                    append((tick, "squash", d.dseq, p.pid))
+                if pending:
+                    policy.squashed(victims)
+                # redirect fetch down the correct path
+                p.fetch_addr = (p.code[instr.addr][1] if actual is NOT_TAKEN
+                                else instr.static_target)
+
+            # commit each process's completed ROB prefix
+            for p in order:
+                rob = p.rob
+                while rob:
+                    d = rob[0]
+                    if not (d.resolved if d.is_branch else d.complete_tick <= tick):
+                        break
+                    rob.popleft()
+                    d.committed = True
+                    if d.dseq in pending:
+                        policy.committed(d)
+                    kind = d.instr.kind
+                    if kind is STORE:
+                        p.mem[d.instr.addr] = d.env_index + 1
+                    elif kind is LOAD:
+                        p.regs["last_load"] = p.mem.get(d.instr.addr, 0)
+                    elif kind is ALU:
+                        p.regs["acc"] += 1
+                    elif kind is TIMER_READ:
+                        p.regs["timer_reads"] += 1
+                        append((tick, "timer", d.dseq, p.pid))
+                    elif kind is HALT:
+                        running -= 1
+                    append((tick, "commit", d.dseq, p.pid))
+
+            # fetch one instruction for the process whose slot this is
+            p = slots[tick % n]
+            addr = p.fetch_addr
+            if addr is not None and len(p.rob) < INFLIGHT_CAP:
+                entry = p.code.get(addr)
+                if entry is None:  # ran off the code
+                    p.fetch_addr = None
+                else:
+                    instr, fallthrough = entry
+                    kind, pid = instr.kind, p.pid
+                    env_index = p.exec_counts.get(addr, 0)
+                    p.exec_counts[addr] = env_index + 1
+                    is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
+                    d = DynamicBranch(instr, dseq, env_index, is_branch)
+                    p.rob.append(d)
+                    if is_branch:
+                        p.open.append(d)
+                        branches.append(d)
+                        heappush(heap, (tick + instr.resolve_delay, dseq, d))
+                    if kind is COND_BRANCH:
+                        pred = predict(addr)
+                        if shadow_predict is not None:
+                            shadow_predict(pid, pred)
+                        d.predicted_dir = direction = pred.direction
+                        d.pred_mode, d.pred_index = pred.mode, pred.index
+                        p.fetch_addr = instr.static_target if direction is TAKEN else fallthrough
+                        append((tick, "fetch", dseq, pid, addr, kind, direction, pred.mode))
+                    elif kind is INDIRECT_BRANCH:
+                        target = btb_lookup(addr)
+                        if target is None:
+                            d.stalled = True
+                            p.fetch_addr = None
+                            append((tick, "stall", dseq, pid))
                             append((tick, "fetch", dseq, pid, addr, kind))
-                        dseq += 1
-                tick += 1
-        finally:
-            self.visited_ticks = visited
+                        else:
+                            d.predicted_target = p.fetch_addr = target
+                            append((tick, "fetch", dseq, pid, addr, kind, target))
+                    else:  # a Halt completes at once and ends its process's fetch
+                        halt = kind is HALT
+                        d.complete_tick = tick if halt else tick + instr.resolve_delay
+                        p.fetch_addr = None if halt else fallthrough
+                        append((tick, "fetch", dseq, pid, addr, kind))
+                    dseq += 1
+            tick += 1
         arch = {pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
                 for pid, p in sorted(procs.items())}
-        return RunResult(records, branches, arch, tick, visited)
+        return RunResult(records, branches, arch, tick, self.visited_ticks)
 
 
-def run(
-    programs: Program | dict[int, list[Instruction]],
-    schedule: list[int],
-    policy: UpdatePolicy = DEFAULT_POLICY,
-    predictor: PredictorState | None = None,
-    env: dict | None = None,
-    max_ticks: int = 100_000,
-) -> tuple[RunResult, PredictorState]:
+def run(programs: Program | dict[int, list[Instruction]], schedule: list[int],
+        policy: UpdatePolicy = DEFAULT_POLICY, predictor: PredictorState | None = None,
+        env: dict | None = None, max_ticks: int = 100_000) -> tuple[RunResult, PredictorState]:
     """Run `programs` (a Program, or per-process instruction lists that are
     checked and indexed first) on `predictor`, a fresh one if None."""
     if not isinstance(programs, Program):
