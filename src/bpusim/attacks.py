@@ -398,9 +398,10 @@ def side_channel_v1(
     if corrupt_preamble_entry is not None:
         attacker_targets[corrupt_preamble_entry] ^= 0x3
     ch = _Channel(layout, mode, config, latency_model, policy, seed, attacker_targets)
-    # an n-bit trigger counter needs 2^(n-1) not-taken steps from the far end
-    # of its taken half to predict not-taken; one run more covers a history
-    # entry the first warm-up run lands on a different context
+    # from the far end of its taken half, an n-bit trigger counter predicts
+    # not-taken after 2^(n-1) in-bounds runs. History mode needs one more:
+    # the attacker's first context replay after the victim run aliases the
+    # trigger's history entry and steps it toward taken once per trial.
     warmups = max(WARMUPS, (1 << (ch.n - 1)) + 1)
 
     def prepare(i):
