@@ -5,7 +5,7 @@ predicted paths; branches resolve after their resolve_delay; a misprediction
 squashes everything younger in the same process. What happens to predictor
 state touched by squashed branches is decided by the update policy: one
 object per run that makes every predictor write for a resolving branch and
-is told about each squash and commit.
+is told about the squash or commit of each branch it keeps state for.
 """
 
 from __future__ import annotations
