@@ -18,9 +18,12 @@ normalized format is the only input accepted: raw `objdump` output is
 rejected at its section headers, `<sym>` labels and `rip`-relative
 operands, and its bare-hex jump targets (`je 2012`) are misread as decimal.
 
-Parsing reads each distinct operand text once per listing (records with
-the same text share one operand tuple), and scan time is linear in the
-number of records.
+Records, operands and memory references are named tuples. Parsing reads
+each distinct operand text once per listing (records with the same text
+share one operand tuple). Scan time is linear in the number of records:
+each search for the Jcc that reads a TEST's or CMP's flags is a forward
+walk that ends at the next flag writer, and jump targets and sites are
+found by bisecting the strictly increasing addresses.
 
 Scanning rules (documented approximations):
 
@@ -28,8 +31,10 @@ Scanning rules (documented approximations):
   tainted at the start of every straight-line run (any control-flow
   instruction ends a run), MOV/MOVZX/MOVSX/MOVSXD/LEA propagate taint from a
   tainted register or a memory operand addressed through a tainted
-  register, and any other write to a register clears its taint. Taint is
-  tracked at full-register granularity.
+  register, and any other write to a register clears its taint. XCHG of two
+  registers swaps their taint; XCHG with a memory operand gives the
+  register what a MOV load from that operand would. Taint is tracked at
+  full-register granularity.
 * A TEST of a tainted operand followed by a conditional jump forms a v2
   site; any flag-writing (or unknown) instruction between them
   invalidates the pair. TEST with a one-or-more-bit immediate leaks those
@@ -56,7 +61,11 @@ import csv
 import io
 import json
 import re
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .program import parse_int
 
@@ -102,19 +111,16 @@ JCC = {
     "jle", "jo", "jno", "jp", "jnp", "js", "jns", "jz", "jnz", "jecxz", "jrcxz",
 }
 CONTROL_FLOW = JCC | {"jmp", "call", "ret"}
-FLAG_WRITERS = {
-    "add", "sub", "and", "or", "xor", "test", "cmp", "inc", "dec", "neg",
-    "shl", "shr", "sar", "rol", "ror", "imul", "mul", "div", "idiv", "adc",
-    "sbb", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr", "xadd", "cmc",
-}
+# every other mnemonic, an unknown one included, is taken to write the flags
 NON_FLAG_WRITERS = {
     "mov", "movzx", "movsx", "movsxd", "lea", "nop", "push", "pop", "xchg",
 }
-# instructions whose first register operand is (over)written
+# instructions whose first register operand is (over)written; only these
+# can change taint
 WRITES_DEST = {
     "mov", "movzx", "movsx", "movsxd", "lea", "add", "sub", "and", "or", "xor",
     "imul", "inc", "dec", "neg", "not", "shl", "shr", "sar", "rol", "ror",
-    "pop", "adc", "sbb", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr",
+    "pop", "adc", "sbb", "popcnt", "lzcnt", "tzcnt", "bsf", "bsr", "xchg",
 }
 COPY_MNEMONICS = {"mov", "movzx", "movsx", "movsxd"}
 
@@ -138,23 +144,22 @@ DEFAULT_TRACKED = ("RDI", "RSI", "RDX", "RCX")
 PATH_LENGTH = 8
 
 
-@dataclass(frozen=True)
-class Memory:
+# Records are named tuples: cheap to build, and the scans read their fields
+# by index (a named-tuple attribute read is slower than a tuple index).
+class Memory(NamedTuple):
     base: str | None = None
     index: str | None = None
     scale: int = 1
     displacement: int = 0
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     register: str | None = None
     immediate: int | None = None
     memory: Memory | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class DisasmRecord:
+class DisasmRecord(NamedTuple):
     addr: int
     mnemonic: str
     operands: tuple[Operand, ...]
@@ -231,10 +236,12 @@ def parse_disasm(stream) -> list[DisasmRecord]:
     """Parse normalized disassembly text (string or file-like).
 
     Each distinct operand text is parsed once per call, and records with the
-    same text share one operand tuple."""
+    same text share one operand tuple; records with the same mnemonic share
+    its lower-case string."""
     text = stream if isinstance(stream, str) else stream.read()
     records: list[DisasmRecord] = []
-    append, match = records.append, _LINE.match
+    # tuple.__new__ builds a record without the named tuple's Python __new__
+    append, match, new, intern = records.append, _LINE.match, tuple.__new__, sys.intern
     # operand text -> its operands, shared by every record with that text
     parsed: dict[str, tuple[Operand, ...]] = {}
     last = -1
@@ -256,7 +263,7 @@ def parse_disasm(stream) -> list[DisasmRecord]:
         if addr <= last:
             raise DisasmParseError(lineno, f"address {addr:#x} not increasing")
         last = addr
-        append(DisasmRecord(addr, mnemonic.lower(), ops))
+        append(new(DisasmRecord, (addr, intern(mnemonic.lower()), ops)))
     return records
 
 
@@ -275,111 +282,133 @@ def _canon(name: str) -> str:
     return REGISTERS[name][0]
 
 
-def _sub_offset(name: str) -> int:
-    return REGISTERS[name][1]
-
-
 def _writes_flags(rec: DisasmRecord) -> bool:
-    if rec.mnemonic in FLAG_WRITERS:
-        return True
-    if rec.mnemonic in NON_FLAG_WRITERS or rec.mnemonic in CONTROL_FLOW:
-        return False
-    return True  # unknown mnemonic: conservative
+    return rec[1] not in NON_FLAG_WRITERS and rec[1] not in CONTROL_FLOW
 
 
 def _mem_taint_origin(mem: Memory, taint: dict[str, str]) -> str | None:
-    for reg in (mem.base, mem.index):
+    for reg in (mem[0], mem[1]):  # base, index
         if reg is not None and reg in taint:
             return taint[reg]
     return None
 
 
 def _bits_of(imm: int, offset: int) -> tuple[int, ...]:
-    return tuple(offset + i for i in range(64) if (imm >> i) & 1)
+    """Set bit positions of the 64-bit two's-complement `imm`, plus `offset`."""
+    imm &= 0xFFFF_FFFF_FFFF_FFFF
+    bits = []
+    while imm:
+        low = imm & -imm
+        bits.append(offset + low.bit_length() - 1)
+        imm ^= low
+    return tuple(bits)
 
 
-def _jcc_after(records: list[DisasmRecord]) -> list[int | None]:
-    """For each index, the first later Jcc with no control-flow or
-    flag-writing record in between (the Jcc that reads the flags this record
-    leaves), else None. One backward pass."""
-    after: list[int | None] = [None] * len(records)
-    nxt = None
-    for k in range(len(records) - 1, -1, -1):
-        after[k] = nxt
-        mnemonic = records[k].mnemonic
+def _flag_reader(records: list[DisasmRecord], i: int) -> int | None:
+    """Index of the Jcc that reads the flags record i leaves: the first later
+    Jcc with no control-flow or flag-writing record in between, else None.
+
+    The walk stops at the first record that is not in NON_FLAG_WRITERS, and
+    TEST and CMP are not, so the walks from a listing's TEST and CMP records
+    never overlap and take linear time in total."""
+    for k in range(i + 1, len(records)):
+        mnemonic = records[k][1]
         if mnemonic in JCC:
-            nxt = k
+            return k
         # flags pass through a record only if it neither writes them nor
-        # transfers control: exactly NON_FLAG_WRITERS, since _writes_flags
-        # counts unknown mnemonics as writers
-        elif mnemonic not in NON_FLAG_WRITERS:
-            nxt = None
-    return after
+        # transfers control: exactly NON_FLAG_WRITERS
+        if mnemonic not in NON_FLAG_WRITERS:
+            return None
+    return None
+
+
+_ADDR = itemgetter(0)
+
+
+def _index_of(records: list[DisasmRecord], addr: int) -> int | None:
+    """Index of the record at `addr`, else None; a bisection, since
+    addresses strictly increase."""
+    k = bisect_left(records, addr, key=_ADDR)
+    return k if k < len(records) and records[k][0] == addr else None
+
+
+def _target_index(records: list[DisasmRecord], jcc: DisasmRecord) -> int | None:
+    """Index of the record a jump's immediate target names, else None."""
+    ops = jcc[2]
+    if ops and ops[0][1] is not None:
+        return _index_of(records, ops[0][1])
+    return None
 
 
 def scan_v2(records: list[DisasmRecord],
             tracked=DEFAULT_TRACKED) -> list[GadgetSite]:
     """Tainted TEST -> Jcc transmitter sites."""
-    tracked = tuple(r.upper() for r in tracked)
-    jcc_after = _jcc_after(records)
+    fresh = {r: r for r in map(str.upper, tracked)}
     sites: list[GadgetSite] = []
-    taint: dict[str, str] = {r: r for r in tracked}
+    taint = fresh.copy()
     for i, rec in enumerate(records):
-        if rec.mnemonic in CONTROL_FLOW:
-            taint = {r: r for r in tracked}
-            continue
-        if rec.mnemonic == "test" and len(rec.operands) == 2:
-            site = _classify_test(rec, taint)
-            if site is not None and jcc_after[i] is not None:
-                sites.append(site)
-        _propagate_taint(rec, taint)
+        mnemonic = rec[1]
+        if mnemonic in CONTROL_FLOW:
+            taint = fresh.copy()
+        elif mnemonic == "test":
+            if len(rec[2]) == 2:
+                site = _classify_test(rec, taint)
+                if site is not None and _flag_reader(records, i) is not None:
+                    sites.append(site)
+        elif mnemonic in WRITES_DEST:
+            _propagate_taint(rec, taint)
     return sites
 
 
 def _classify_test(rec: DisasmRecord, taint: dict[str, str]) -> GadgetSite | None:
-    a, b = rec.operands
-    if a.memory is not None and b.immediate is not None:
-        origin = _mem_taint_origin(a.memory, taint)
+    a, b = rec[2]
+    reg, imm = a[0], b[1]
+    if a[2] is not None and imm is not None:
+        origin = _mem_taint_origin(a[2], taint)
         if origin is None:
             return None
-        return GadgetSite(rec.addr, "v2", origin, _bits_of(b.immediate, 0))
-    if a.register is not None and b.immediate is not None:
-        origin = taint.get(_canon(a.register))
+        return GadgetSite(rec[0], "v2", origin, _bits_of(imm, 0))
+    if reg is not None and imm is not None:
+        origin = taint.get(_canon(reg))
         if origin is None:
             return None
-        return GadgetSite(rec.addr, "v2", origin,
-                          _bits_of(b.immediate, _sub_offset(a.register)))
-    if a.register is not None and b.register is not None:
-        origin = taint.get(_canon(a.register)) or taint.get(_canon(b.register))
+        return GadgetSite(rec[0], "v2", origin, _bits_of(imm, REGISTERS[reg][1]))
+    if reg is not None and b[0] is not None:
+        origin = taint.get(_canon(reg)) or taint.get(_canon(b[0]))
         if origin is None:
             return None
-        return GadgetSite(rec.addr, "v2-zero-test", origin, ())
+        return GadgetSite(rec[0], "v2-zero-test", origin, ())
     return None
 
 
 def _propagate_taint(rec: DisasmRecord, taint: dict[str, str]) -> None:
-    ops = rec.operands
-    if not ops or ops[0].register is None:
+    """Apply the register write of a WRITES_DEST record to `taint`."""
+    mnemonic, ops = rec[1], rec[2]
+    if mnemonic == "xchg" and len(ops) == 2:
+        a, b = ops
+        if a[0] is not None and b[0] is not None:  # the registers swap taint
+            ra, rb = _canon(a[0]), _canon(b[0])
+            ta, tb = taint.pop(ra, None), taint.pop(rb, None)
+            if tb is not None:
+                taint[ra] = tb
+            if ta is not None:
+                taint[rb] = ta
+            return
+        # the register takes what a `mov` load from the other operand gives it
+        mnemonic, ops = "mov", (ops if a[0] is not None else (b, a))
+    if not ops or ops[0][0] is None:
         return
-    dst = _canon(ops[0].register)
-    if rec.mnemonic in COPY_MNEMONICS and len(ops) == 2:
+    dst = _canon(ops[0][0])
+    origin = None
+    if len(ops) == 2 and (mnemonic in COPY_MNEMONICS or mnemonic == "lea"):
         src = ops[1]
-        origin = None
-        if src.register is not None:
-            origin = taint.get(_canon(src.register))
-        elif src.memory is not None:
-            origin = _mem_taint_origin(src.memory, taint)
-        if origin is not None:
-            taint[dst] = origin
-        else:
-            taint.pop(dst, None)
-    elif rec.mnemonic == "lea" and len(ops) == 2 and ops[1].memory is not None:
-        origin = _mem_taint_origin(ops[1].memory, taint)
-        if origin is not None:
-            taint[dst] = origin
-        else:
-            taint.pop(dst, None)
-    elif rec.mnemonic in WRITES_DEST:
+        if src[2] is not None:
+            origin = _mem_taint_origin(src[2], taint)
+        elif src[0] is not None and mnemonic != "lea":
+            origin = taint.get(_canon(src[0]))
+    if origin is not None:
+        taint[dst] = origin
+    else:
         taint.pop(dst, None)
 
 
@@ -388,27 +417,24 @@ def _propagate_taint(rec: DisasmRecord, taint: dict[str, str]) -> None:
 
 def scan_v1(records: list[DisasmRecord], window: int = 16) -> list[GadgetSite]:
     """Bounds-check branch followed by a dependent load + conditional branch."""
-    by_addr = {r.addr: i for i, r in enumerate(records)}
-    jcc_after = _jcc_after(records)
     sites: list[GadgetSite] = []
     for i, rec in enumerate(records):
-        if rec.mnemonic != "cmp" or len(rec.operands) != 2:
+        if rec[1] != "cmp":
             continue
-        if rec.operands[0].register is None:
+        ops = rec[2]
+        if len(ops) != 2 or ops[0][0] is None:
             continue
-        compared = _canon(rec.operands[0].register)
-        j = jcc_after[i]
+        j = _flag_reader(records, i)
         if j is None:
             continue
-        jcc = records[j]
+        compared = _canon(ops[0][0])
         paths = [j + 1]
-        if jcc.operands and jcc.operands[0].immediate is not None:
-            tgt = by_addr.get(jcc.operands[0].immediate)
-            if tgt is not None:
-                paths.append(tgt)
+        tgt = _target_index(records, records[j])
+        if tgt is not None:
+            paths.append(tgt)
         if any(_path_has_dependent_branch(records, start, compared, window)
                for start in paths):
-            sites.append(GadgetSite(rec.addr, "v1", compared, ()))
+            sites.append(GadgetSite(rec[0], "v1", compared, ()))
     return sites
 
 
@@ -416,25 +442,23 @@ def _path_has_dependent_branch(records, start: int, compared: str, window: int) 
     loaded: str | None = None
     armed = False
     for rec in records[start:start + window]:
-        if rec.mnemonic in JCC:
+        mnemonic, ops = rec[1], rec[2]
+        if mnemonic in JCC:
             if armed:
                 return True
             continue
-        if rec.mnemonic in CONTROL_FLOW:
+        if mnemonic in CONTROL_FLOW:
             return False
-        if (rec.mnemonic in COPY_MNEMONICS and len(rec.operands) == 2
-                and rec.operands[0].register is not None
-                and rec.operands[1].memory is not None):
-            mem = rec.operands[1].memory
-            if compared in (mem.base, mem.index):
-                loaded = _canon(rec.operands[0].register)
+        if (mnemonic in COPY_MNEMONICS and len(ops) == 2
+                and ops[0][0] is not None and ops[1][2] is not None):
+            mem = ops[1][2]
+            if compared == mem[0] or compared == mem[1]:
+                loaded = _canon(ops[0][0])
                 armed = False
                 continue
         if _writes_flags(rec):
             armed = loaded is not None and any(
-                op.register is not None and _canon(op.register) == loaded
-                for op in rec.operands
-            )
+                op[0] is not None and _canon(op[0]) == loaded for op in ops)
     return False
 
 
@@ -447,23 +471,13 @@ def scan_smotherspectre(
     diagnostics: set | None = None,
 ) -> list[GadgetSite]:
     """v2 sites whose taken / fall-through paths show disjoint dominant ports."""
-    by_addr = {r.addr: i for i, r in enumerate(records)}
-    jcc_after = _jcc_after(records)
     out = []
     for site in scan_v2(records, tracked):
-        j = jcc_after[by_addr[site.addr]]
-        if j is None:
-            continue
-        jcc = records[j]
+        j = _flag_reader(records, _index_of(records, site.addr))
         fall = _path_ports(records, j + 1, diagnostics)
-        taken = None
-        if jcc.operands and jcc.operands[0].immediate is not None:
-            tgt = by_addr.get(jcc.operands[0].immediate)
-            if tgt is not None:
-                taken = _path_ports(records, tgt, diagnostics)
-        if fall is None or taken is None:
-            continue
-        if fall and taken and not (fall & taken):
+        tgt = _target_index(records, records[j])
+        taken = None if tgt is None else _path_ports(records, tgt, diagnostics)
+        if fall and taken and not fall & taken:  # None: an incomplete path
             out.append(site)
     return out
 
@@ -472,24 +486,23 @@ def _path_ports(records, start: int, diagnostics) -> frozenset[int] | None:
     """Dominant port set of a path's first PATH_LENGTH instructions; None
     when the path runs off the end of the input (incomplete)."""
     counts: dict[int, int] = {}
-    seen = 0
-    complete = False
-    for rec in records[start:start + PATH_LENGTH]:
-        seen += 1
-        if rec.mnemonic in CONTROL_FLOW:
-            complete = True
+    path = records[start:start + PATH_LENGTH]
+    for rec in path:
+        mnemonic = rec[1]
+        if mnemonic in CONTROL_FLOW:
             break
-        ports = PORT_TABLE.get(rec.mnemonic)
+        ports = PORT_TABLE.get(mnemonic)
         if ports is None:
             if diagnostics is not None:
-                diagnostics.add(rec.mnemonic)
+                diagnostics.add(mnemonic)
             continue
         for p in ports:
             counts[p] = counts.get(p, 0) + 1
-    if seen == PATH_LENGTH:
-        complete = True
-    if not complete or not counts:
-        return None if not complete else frozenset()
+    else:
+        if len(path) < PATH_LENGTH:
+            return None
+    if not counts:
+        return frozenset()
     best = max(counts.values())
     return frozenset(p for p, c in counts.items() if c == best)
 

@@ -16,7 +16,8 @@ from bpusim.scanner import (
     DisasmParseError,
     DisasmRecord,
     Memory,
-    _jcc_after,
+    _bits_of,
+    _flag_reader,
     _parse_operand,
     _writes_flags,
     build_report,
@@ -331,8 +332,42 @@ def test_movsxd_passes_flags_to_the_next_jcc():
         "401004: movsxd rax, dword ptr [rbx]\n"
         "401007: jne 0x401020\n"
     )
-    assert _jcc_after(recs)[0] == 2
+    assert _flag_reader(recs, 0) == 2
     assert [s.addr for s in scan_v2(recs)] == [0x401000]
+
+
+def test_v2_xchg_swaps_register_taint():
+    # RDI takes RAX's (absent) taint, so this TEST reads an untainted value
+    text = "401000: xchg rdi, rax\n401003: test rdi, 0x4\n401007: jne 0x401020\n"
+    assert scan_v2(parse_disasm(text)) == []
+    # RBX takes the taint RAX copied from RDI
+    text = (
+        "401000: mov rax, rdi\n"
+        "401003: xchg rax, rbx\n"
+        "401006: test rbx, 0x4\n"
+        "40100a: jne 0x401020\n"
+    )
+    sites = scan_v2(parse_disasm(text))
+    assert [(s.addr, s.register, s.bit_positions) for s in sites] == [
+        (0x401006, "RDI", (2,))]
+
+
+@pytest.mark.parametrize("xchg, load, register", [
+    ("xchg rax, qword ptr [rsi+0x8]", "mov rax, qword ptr [rsi+0x8]", "RSI"),
+    ("xchg qword ptr [rsi+0x8], rax", "mov rax, qword ptr [rsi+0x8]", "RSI"),
+    ("xchg rax, qword ptr [rbx]", "mov rax, qword ptr [rbx]", None),
+    # the load overwrites RDI's own taint
+    ("xchg qword ptr [rbx], rdi", "mov rdi, qword ptr [rbx]", None),
+])
+def test_v2_xchg_with_memory_acts_as_a_load(xchg, load, register):
+    reg = load.split()[1].rstrip(",")
+
+    def sites(first):
+        return scan_v2(parse_disasm(
+            f"401000: {first}\n401004: test {reg}, 0x1\n401008: jne 0x401020\n"))
+
+    assert [s.register for s in sites(xchg)] == ([register] if register else [])
+    assert sites(xchg) == sites(load)
 
 
 def test_v2_respects_tracked_register_set():
@@ -486,9 +521,9 @@ def test_appending_records_never_removes_sites():
 
 
 def _forward_jcc_walk(records, i, flags_end_walk=True):
-    """Reference for `_jcc_after`: the per-index forward walks it replaced.
-    With `flags_end_walk` it is v1's `_next_jcc`; without, it is the
-    port-contention scan's `_find_site_jcc`, which stops only at control flow."""
+    """Reference for `_flag_reader`, written with `_writes_flags`. Without
+    `flags_end_walk` it stops only at control flow, as the port-contention
+    scan's Jcc search once did."""
     for j in range(i + 1, len(records)):
         rec = records[j]
         if rec.mnemonic in JCC:
@@ -519,13 +554,24 @@ def _listings(draw):
 @settings(max_examples=300, deadline=None)
 @given(_listings())
 def test_jcc_index_matches_forward_walks(records):
-    after = _jcc_after(records)
-    assert after == [_forward_jcc_walk(records, i) for i in range(len(records))]
+    found = [_flag_reader(records, i) for i in range(len(records))]
+    assert found == [_forward_jcc_walk(records, i) for i in range(len(records))]
     index = {r.addr: i for i, r in enumerate(records)}
     for site in scan_v2(records):
         i = index[site.addr]
-        assert after[i] is not None
-        assert after[i] == _forward_jcc_walk(records, i, flags_end_walk=False)
+        assert found[i] is not None
+        assert found[i] == _forward_jcc_walk(records, i, flags_end_walk=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-2**63, -1), st.integers(0, 2**64 - 1),
+                 st.integers(2**64, 2**80), st.sampled_from([-1, 2**63, 2**64])),
+       st.sampled_from([0, 8]))
+def test_bits_of_matches_the_64_position_reference(imm, offset):
+    """Negative immediates read as 64-bit two's complement; bits above 63
+    are ignored."""
+    assert _bits_of(imm, offset) == tuple(
+        offset + i for i in range(64) if (imm >> i) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +611,35 @@ def _tainted_test_blocks(n_records: int) -> _CountingList:
     return _CountingList(parse_disasm("\n".join(lines)))
 
 
+def _long_flag_runs(n_records: int) -> _CountingList:
+    """201-record runs: a tainted TEST or a CMP, then 200 MOV/NOP; one JNE
+    ends the listing, and only the last run's TEST reaches it."""
+    lines = []
+    addr = 0x400000
+    runs = (n_records - 1) // 201
+    for b in range(runs):
+        lines.append(f"{addr:x}: {'cmp rdi, 0x10' if (runs - b) % 2 == 0 else 'test rdi, 0x1'}")
+        lines += [f"{addr + 4 * k:x}: {'mov rax, rbx' if k % 2 else 'nop'}"
+                  for k in range(1, 201)]
+        addr += 4 * 201
+    lines.append(f"{addr:x}: jne 0x400000")
+    return _CountingList(parse_disasm("\n".join(lines)))
+
+
 def test_build_report_work_is_linear_in_listing_length():
-    counts = {}
-    for n in (2000, 4000):
-        records = _tainted_test_blocks(n)
-        assert len(records) == n
-        report = build_report("x", records)
-        assert report.v2_count == n // 10
-        counts[n] = records.handed_out
-    assert counts[2000] < 20 * 2000
-    assert counts[4000] < 20 * 4000
-    assert counts[4000] <= 2.2 * counts[2000]
+    # in the long runs, each Jcc search must stop at the next flag writer
+    # rather than walk on to the far JNE
+    for listing, v2_count in ((_tainted_test_blocks, lambda n: n // 10),
+                              (_long_flag_runs, lambda n: 1)):
+        counts = {}
+        for n in (2010, 4020):
+            records = listing(n + 1)
+            report = build_report("x", records)
+            counts[n] = records.handed_out
+            assert report.v2_count == v2_count(n), listing.__name__
+        assert counts[2010] < 20 * 2010, listing.__name__
+        assert counts[4020] < 20 * 4020, listing.__name__
+        assert counts[4020] <= 2.2 * counts[2010], listing.__name__
 
 
 # ---------------------------------------------------------------------------
