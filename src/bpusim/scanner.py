@@ -562,7 +562,10 @@ def build_report(
     window: int = 16,
     mode: str = "all",
 ) -> GadgetReport:
-    """Run the selected scans and aggregate counts + bit-offset histogram."""
+    """Run the selected scans and aggregate counts + bit-offset histogram.
+
+    `records` must have strictly increasing addresses, as `parse_disasm`
+    returns them: jump targets are found by bisection."""
     if mode not in {"v1", "v2", "ss", "all"}:
         raise ValueError(f"unknown scan mode {mode!r}")
     diagnostics: set[str] = set()

@@ -612,34 +612,32 @@ def _tainted_test_blocks(n_records: int) -> _CountingList:
 
 
 def _long_flag_runs(n_records: int) -> _CountingList:
-    """201-record runs: a tainted TEST or a CMP, then 200 MOV/NOP; one JNE
-    ends the listing, and only the last run's TEST reaches it."""
-    lines = []
-    addr = 0x400000
-    runs = (n_records - 1) // 201
-    for b in range(runs):
-        lines.append(f"{addr:x}: {'cmp rdi, 0x10' if (runs - b) % 2 == 0 else 'test rdi, 0x1'}")
-        lines += [f"{addr + 4 * k:x}: {'mov rax, rbx' if k % 2 else 'nop'}"
-                  for k in range(1, 201)]
-        addr += 4 * 201
-    lines.append(f"{addr:x}: jne 0x400000")
-    return _CountingList(parse_disasm("\n".join(lines)))
+    """200-record runs, each a CMP or a tainted TEST and then MOV/NOP; the
+    listing's last record is a JNE, which only the last TEST reaches."""
+    body = []
+    for b in range(n_records // 200):
+        body.append("test rdi, 0x1" if b % 2 else "cmp rdi, 0x10")
+        body += ["mov rax, rbx" if k % 2 else "nop" for k in range(1, 200)]
+    body[-1] = "jne 0x400000"
+    return _CountingList(parse_disasm("\n".join(
+        f"{0x400000 + 4 * i:x}: {ins}" for i, ins in enumerate(body))))
 
 
 def test_build_report_work_is_linear_in_listing_length():
-    # in the long runs, each Jcc search must stop at the next flag writer
+    # in the long runs, each Jcc search must end at the next flag writer
     # rather than walk on to the far JNE
     for listing, v2_count in ((_tainted_test_blocks, lambda n: n // 10),
                               (_long_flag_runs, lambda n: 1)):
         counts = {}
-        for n in (2010, 4020):
-            records = listing(n + 1)
+        for n in (2000, 4000):
+            records = listing(n)
+            assert len(records) == n
             report = build_report("x", records)
+            assert report.v2_count == v2_count(n)
             counts[n] = records.handed_out
-            assert report.v2_count == v2_count(n), listing.__name__
-        assert counts[2010] < 20 * 2010, listing.__name__
-        assert counts[4020] < 20 * 4020, listing.__name__
-        assert counts[4020] <= 2.2 * counts[2010], listing.__name__
+        assert counts[2000] < 20 * 2000
+        assert counts[4000] < 20 * 4000
+        assert counts[4000] <= 2.2 * counts[2000]
 
 
 # ---------------------------------------------------------------------------
