@@ -1,11 +1,12 @@
 """Attack protocols built on the engine: mode probe, GHR-depth probe,
 covert channel, and the v1/v2 side channels.
 
-Attacker-side phases (training, presetting, probing) are committed branch
-executions driven directly against the shared predictor state through
-BranchHarness; only the victim/trojan transient step goes through the
-speculation engine, so the update policy governs exactly the speculative
-updates.
+Attacker-side phases (the history-mode switch, training, presetting and
+probing) are committed branch executions: sequences of `(addr, outcome,
+target)` triples, each run by one `PredictorState.execute` call against the
+shared predictor, directly or through `BranchHarness`, which also times
+them. Only the victim/trojan transient step goes through the speculation
+engine, so the update policy governs exactly the speculative updates.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ class TransmissionError(RuntimeError):
 PREAMBLE_REPLAY_BASE = 0xA000
 HISTORY_SCRATCH_ADDR = 0xE000
 PROBE_TARGET = 0x4000
-# the mode probe counts the mispredictions of its last PROBE_TEST_K executions
-PROBE_TEST_K = 6
 # the victims' preamble starts here, so no preamble address aliases a
 # victim-body one-level entry (indices repeat every 0x1000 bytes)
 PREAMBLE_BASE = 0x1100
@@ -54,41 +53,26 @@ WARMUPS = 5
 # ---------------------------------------------------------------------------
 # committed-execution harness
 
-@dataclass(slots=True)
-class ExecRecord:
-    mispredicted: bool
-    latency: int | None
-
-
 class BranchHarness:
-    """Drives committed (non-speculative) branch executions for one process."""
+    """Drives committed (non-speculative) branch executions for one process
+    and times each one."""
 
-    def __init__(self, predictor: PredictorState, sampler: LatencySampler | None = None):
+    def __init__(self, predictor: PredictorState, sampler: LatencySampler):
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, addr: int, outcome: Direction, target: int) -> ExecRecord:
-        pred = self.predictor.predict(addr)
-        mis = pred.direction is not outcome
-        self.predictor.record_resolution(addr, outcome, pred, target)
-        lat = self.sampler.measure(mis) if self.sampler is not None else None
-        return ExecRecord(mis, lat)
-
-    def replay_preamble(self, targets) -> None:
-        """Execute one taken branch per preamble target so the GHR window
-        matches the victim's context exactly."""
-        addrs = range(PREAMBLE_REPLAY_BASE, PREAMBLE_REPLAY_BASE + len(targets) * 0x20, 0x20)
-        mispredicted = self.predictor.replay_taken(addrs, targets)
-        if self.sampler is not None:  # one latency per execution keeps the noise stream
-            for mis in mispredicted:
-                self.sampler.measure(mis)
+    def execute(self, branches) -> list[tuple[bool, int]]:
+        """Execute `(addr, outcome, target)` branches in order, in one
+        predictor call. Returns each one's mispredict flag and latency; one
+        latency is drawn per branch, in order."""
+        measure = self.sampler.measure
+        return [(mis, measure(mis)) for mis in self.predictor.execute(branches)]
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
     """Flip the selector with the six-execution TNTNTN exercising sequence."""
-    harness = BranchHarness(predictor)
-    for o in (TAKEN, NOT_TAKEN) * 3:
-        harness.execute(HISTORY_SCRATCH_ADDR, o, target=HISTORY_SCRATCH_ADDR + 0x40)
+    target = HISTORY_SCRATCH_ADDR + 0x40
+    predictor.execute([(HISTORY_SCRATCH_ADDR, o, target) for o in (TAKEN, NOT_TAKEN) * 3])
     if predictor.selector.mode is not HISTORY:
         raise ProbeError("TNTNTN did not trigger history-based prediction")
 
@@ -112,24 +96,31 @@ def _probe_preamble(predictor: PredictorState) -> list[tuple[int, int]]:
 
 
 def probe_mode(predictor: PredictorState) -> Mode:
-    """Classify the active prediction mode from the misprediction pattern of
-    an 8xTaken / 4xNotTaken test sequence (non-destructive)."""
+    """Classify the active prediction mode by the width of the counter that
+    answers a test branch (non-destructive). With `n` the wider of the two
+    widths, the branch runs `2^n` times taken, which saturates either
+    counter toward taken, then `2^(n-1)` times not-taken, of which a `w`-bit
+    counter mispredicts the first `2^(w-1)`. A GHR preset before each run
+    keeps the branch on one history entry."""
+    cfg = predictor.config
+    expected = {1 << (cfg.counter_width(m) - 1): m for m in (ONE_LEVEL, HISTORY)}
+    if len(expected) == 1:
+        raise ProbeError(f"both prediction modes use {cfg.one_level_bits}-bit counters, "
+                         "so the mode probe cannot tell them apart")
+    n = max(cfg.one_level_bits, cfg.history_bits)
     work = predictor.clone()
     work.selector.frozen = True
-    harness = BranchHarness(work)
-    pairs = _probe_preamble(work)
-    outcomes = [TAKEN] * 8 + [NOT_TAKEN] * 4
-    mis = []
-    for o in outcomes:
-        for a, t in pairs:
-            harness.execute(a, TAKEN, target=t)
-        mis.append(harness.execute(PROBE_TARGET, o, target=PROBE_TARGET + 0x40).mispredicted)
-    count = sum(mis[-PROBE_TEST_K:])
-    if count == 4:
-        return HISTORY
-    if count == 2:
-        return ONE_LEVEL
-    raise ProbeError(f"ambiguous misprediction count {count} in last {PROBE_TEST_K} executions")
+    context = [(a, TAKEN, t) for a, t in _probe_preamble(work)]
+    branches = []
+    for o in [TAKEN] * (1 << n) + [NOT_TAKEN] * (1 << (n - 1)):
+        branches += context
+        branches.append((PROBE_TARGET, o, PROBE_TARGET + 0x40))
+    stride = len(context) + 1
+    count = sum(work.execute(branches)[stride - 1::stride][1 << n:])
+    if count in expected:
+        return expected[count]
+    raise ProbeError(f"ambiguous misprediction count {count} in "
+                     f"{1 << (n - 1)} not-taken executions")
 
 
 def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
@@ -139,38 +130,26 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
     Trainer and prober use fixed pollution sequences ahead of the shared
     N-branch preamble that differ only in the low bit of their last entry:
     while N < depth that entry is still in the window, so the two contexts
-    differ in the history they fold into the PHT index."""
+    differ in the history they fold into the PHT index. Each N trains with
+    one predictor call and probes with one more."""
     if predictor.selector.mode is not HISTORY:
         raise ProbeError("history-based prediction must be active")
     cfg = predictor.config
     target = PROBE_TARGET
     n = cfg.history_bits
-    depth = cfg.ghr_depth
-    preamble = [(i * 3 + 1) % (1 << cfg.target_bits_per_entry) for i in range(max_N)]
-    p1 = [0] * depth
-    p2 = p1[:-1] + [1]
+    entry_values = 1 << cfg.target_bits_per_entry
+    p1 = [(0xB0000 + i * 0x20, TAKEN, 0) for i in range(cfg.ghr_depth)]
+    p2 = p1[:-1] + [(p1[-1][0], TAKEN, 1)]
 
     weak_nt = 1 << (n - 1)
     for N in range(1, max_N + 1):
         work = predictor.clone()
         work.selector.frozen = True
         work.pht_history = [weak_nt] * cfg.pht_entries_history
-        harness = BranchHarness(work)
-
-        def context(pollution):
-            for i, t in enumerate(pollution):
-                harness.execute(0xB0000 + i * 0x20, TAKEN, target=t)
-            for i in range(N):
-                harness.execute(0x90000 + i * 0x20, TAKEN, target=preamble[i])
-
-        for _ in range((1 << n) - 1):
-            context(p1)
-            harness.execute(target, TAKEN, target=target + 0x40)
-        probes = []
-        for _ in range(1 << (n - 1)):
-            context(p2)
-            probes.append(harness.execute(target, NOT_TAKEN, target=target + 0x40))
-        if all(p.mispredicted for p in probes):
+        preamble = [(0x90000 + i * 0x20, TAKEN, (i * 3 + 1) % entry_values) for i in range(N)]
+        work.execute((p1 + preamble + [(target, TAKEN, target + 0x40)]) * ((1 << n) - 1))
+        probe = p2 + preamble + [(target, NOT_TAKEN, target + 0x40)]
+        if all(work.execute(probe * (1 << (n - 1)))[len(probe) - 1::len(probe)]):
             return N
     raise ProbeError(f"no PHT collision observed up to N={max_N}")
 
@@ -274,8 +253,13 @@ class _Channel:
             self.predictor.randomize_reset(seed)
             self.predictor.selector.frozen = True
         self.harness = BranchHarness(self.predictor, self.model.sampler())
-        # the GHR context the attacker replays before each of its executions
-        self.context = (context or layout.preamble_targets) if mode is HISTORY else []
+        # the GHR context the attacker replays before each of its executions,
+        # and each execution of the transmitter's address, context first
+        targets = (context or layout.preamble_targets) if mode is HISTORY else []
+        self.context = [(PREAMBLE_REPLAY_BASE + i * 0x20, TAKEN, t)
+                        for i, t in enumerate(targets)]
+        b_a = layout.bv_addr
+        self.executions = {d: self.context + [(b_a, d, b_a + 0x40)] for d in Direction}
         self.n = config.counter_width(mode)
         self.direction: Direction | None = None  # None: the entry needs a preset
 
@@ -285,10 +269,9 @@ class _Channel:
             self.predictor.randomize_reset(seed)
             self.direction = None
 
-    def _execute(self, direction: Direction) -> ExecRecord:
-        self.harness.replay_preamble(self.context)
-        b_a = self.layout.bv_addr
-        return self.harness.execute(b_a, direction, target=b_a + 0x40)
+    def _execute(self, direction: Direction) -> int:
+        """One attacker execution of the transmitter's address; its latency."""
+        return self.harness.execute(self.executions[direction])[-1][1]
 
     def trials(self, bits, env, prepare, unresolved, chained=False):
         """One trial per bit: `prepare(i)`, the preset if needed, the victim
@@ -305,7 +288,7 @@ class _Channel:
                     self._execute(TAKEN)
                 self.direction = TAKEN
             if chained:
-                self.harness.replay_preamble(self.context)
+                self.harness.execute(self.context)
             result, _ = eng.run(self.layout.program, self.layout.schedule, self.policy,
                                 self.predictor, env=env(bit))
             bv = _find_branch(result, self.layout.bv_addr)
@@ -313,9 +296,9 @@ class _Channel:
                 raise unresolved(i, bv)
             for k in range(full if chained else half):
                 probe += 1
-                rec = self._execute(self.direction.opposite())
+                latency = self._execute(self.direction.opposite())
                 if k == half - 1:
-                    decisive = (probe, rec.latency)
+                    decisive = (probe, latency)
             trace.append(*decisive)
             looks_mispredicted = classify(LatencyTrace([decisive]), self.model)[0]
             decoded.append(int(looks_mispredicted == (self.direction is TAKEN)))

@@ -26,6 +26,9 @@ NOISE_CHOICES = [n.value for n in NoiseKind]
 CANONICAL_REGISTERS = {canon for canon, _ in scanner.REGISTERS.values()}
 # defense-eval's largest loop: about 6 s and 180 MB for the five policies
 MAX_ITERATIONS = 100_000
+# probe-ghr's longest run: with a GHR deeper than this and 65,536 history
+# entries no collision is found, and all 256 lengths take about 4 s, 19 MB
+MAX_PROBE_N = 256
 
 # domain errors reported as a one-line message and a non-zero exit status
 DOMAIN_ERRORS = (attacks.ProbeError, attacks.AttackError, attacks.TransmissionError,
@@ -131,8 +134,8 @@ def cmd_probe_mode(obj, actual):
 
 
 @main.command("probe-ghr")
-@click.option("--max-n", type=int, default=32, show_default=True,
-              help="Largest preamble length to try.")
+@click.option("--max-n", type=click.IntRange(min=1, max=MAX_PROBE_N), default=32,
+              show_default=True, help="Largest preamble length to try.")
 @click.pass_obj
 def cmd_probe_ghr(obj, max_n):
     """Measure the global history depth via PHT collisions."""

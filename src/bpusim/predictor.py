@@ -146,16 +146,6 @@ class GlobalHistoryRegister:
     def insert_taken(self, target: int) -> None:
         self._word = ((self._word << self._bits) | (target & self._emask)) & self._wmask
 
-    def folded(self, width: int) -> int:
-        """Xor-fold the history word down to `width` bits."""
-        word = self._word
-        mask = (1 << width) - 1
-        out = 0
-        while word:
-            out ^= word & mask
-            word >>= width
-        return out
-
     def clone(self) -> "GlobalHistoryRegister":
         c = object.__new__(GlobalHistoryRegister)
         c._depth, c._bits = self._depth, self._bits
@@ -231,21 +221,29 @@ class PredictorState:
 
     # -- prediction / resolution ----------------------------------------
 
-    # the hot path: inlines index_one_level, table, counter_width and
-    # counter_predict/counter_update. The history index (the GHR fold, the
-    # address above its alignment bits and the salt) is computed only here
-    # and in replay_taken, which a differential test holds to this one.
+    # the hot path: inlines index_one_level, table, counter_width, counter_predict
     def predict(self, addr: int) -> Prediction:
         cfg, mode = self.config, self.selector.mode
         if mode is ONE_LEVEL:
             index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
             value, width = self.pht_one_level[index], cfg.one_level_bits
         else:
-            mask = cfg.pht_entries_history - 1
-            index = (self.ghr.folded(mask.bit_length()) ^ (addr >> 2) ^ cfg.index_salt) & mask
+            index = self.history_index(addr)
             value, width = self.pht_history[index], cfg.history_bits
         taken = value < (1 << (width - 1))
         return Prediction(TAKEN if taken else NOT_TAKEN, mode, index)
+
+    def history_index(self, addr: int) -> int:
+        """History-PHT index of the branch at `addr`: the GHR word xor-folded
+        to the index width, xor the address above its alignment bits and the
+        salt. `predict` and `execute` both read this one copy."""
+        mask = self.config.pht_entries_history - 1
+        width = mask.bit_length()
+        word, index = self.ghr._word, (addr >> 2) ^ self.config.index_salt
+        while word:  # bits above the index width are masked off at the end
+            index ^= word
+            word >>= width
+        return index & mask
 
     def apply_counter_update(self, mode: Mode, index: int, outcome: Direction) -> None:
         one_level = mode is ONE_LEVEL
@@ -277,28 +275,34 @@ class PredictorState:
         if outcome is TAKEN:
             self.ghr.insert_taken(target)
 
-    def replay_taken(self, addrs, targets) -> list[bool]:
-        """Committed taken executions of the branches at `addrs`, in order:
-        for each, what `predict` and then `record_resolution` with a taken
-        outcome and its target do, in one loop. Returns whether each one
+    def execute(self, branches) -> list[bool]:
+        """Committed executions of `(addr, outcome, target)` branches, in
+        order: for each, what `predict` and then `record_resolution` do, in
+        one loop. The mode is read per branch, so an unfrozen selector can
+        switch to history mode mid-sequence. Returns whether each one
         mispredicted."""
         cfg, sel, ghr = self.config, self.selector, self.ghr
         mispredicted = []
-        for addr, target in zip(addrs, targets):
+        for addr, outcome, target in branches:
             mode = sel.mode
             if mode is ONE_LEVEL:
                 tbl, width = self.pht_one_level, cfg.one_level_bits
                 index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
             else:
-                tbl, width, mask = self.pht_history, cfg.history_bits, cfg.pht_entries_history - 1
-                index = (ghr.folded(mask.bit_length()) ^ (addr >> 2) ^ cfg.index_salt) & mask
+                tbl, width = self.pht_history, cfg.history_bits
+                index = self.history_index(addr)
             value = tbl[index]
-            if value:  # a step toward taken, saturating at 0
-                tbl[index] = value - 1
-            mis = value >= 1 << (width - 1)  # predicted not-taken
+            if outcome is TAKEN:
+                mis = value >= 1 << (width - 1)  # predicted not-taken
+                if value:  # a step toward taken, saturating at 0
+                    tbl[index] = value - 1
+                ghr.insert_taken(target)
+            else:
+                mis = value < 1 << (width - 1)
+                if value < (1 << width) - 1:
+                    tbl[index] = value + 1
             if mis:
                 self.note_resolution(addr, mode, True)
-            ghr.insert_taken(target)
             mispredicted.append(mis)
         return mispredicted
 

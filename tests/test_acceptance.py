@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from bpusim import engine as eng
 from bpusim.attacks import (
+    PREAMBLE_REPLAY_BASE,
     BranchHarness,
     activate_history_mode,
     build_victim_v2,
@@ -122,15 +123,19 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 else:
                     p.selector.frozen = True
                 layout = build_victim_v2(cfg, cond_name="bit")
-                h = BranchHarness(p)
+                h = BranchHarness(p, LatencyModel().sampler())
+                context = [(PREAMBLE_REPLAY_BASE + i * 0x20, Direction.TAKEN, t)
+                           for i, t in enumerate(layout.preamble_targets)
+                           if mode is Mode.HISTORY]
 
-                def preamble():
-                    if mode is Mode.HISTORY:
-                        h.replay_preamble(layout.preamble_targets)
+                def execute(direction):
+                    """Mispredict flag of one execution of the transmitter
+                    after the context."""
+                    return h.execute(context + [(layout.bv_addr, direction,
+                                                 layout.bv_addr + 0x40)])[-1][0]
 
                 for _ in range((1 << n) - 1):
-                    preamble()
-                    h.execute(layout.bv_addr, d, target=layout.bv_addr + 0x40)
+                    execute(d)
                 p.btb.update(layout.trigger_addr, layout.bv_addr)
                 res, _ = eng.run(layout.programs, layout.schedule,
                                  DEFAULT_POLICY, p,
@@ -140,9 +145,7 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 ok &= bool(bv) and bv[0].resolved and bv[0].squashed
                 mis = None
                 for k in range(half):
-                    preamble()
-                    mis = h.execute(layout.bv_addr, d.opposite(),
-                                    target=layout.bv_addr + 0x40).mispredicted
+                    mis = execute(d.opposite())
                 good = mis == (o is d)
                 ok &= good
                 cases.append(good)

@@ -34,22 +34,39 @@ def test_activate_history_mode():
     assert p.selector.mode is Mode.HISTORY
 
 
-def test_probe_mode_detects_both_modes_without_mutating_state():
-    p = PredictorState()
+# (one_level_bits, history_bits): the mode probe tells the modes apart by
+# counter width, so it raises where they are equal
+WIDTH_PAIRS = [(a, b) for a in (2, 3, 4) for b in (2, 3, 4)]
+
+
+def _assert_probe_finds(p, mode):
+    cfg = p.config
+    if cfg.one_level_bits == cfg.history_bits:
+        with pytest.raises(ProbeError, match=f"both prediction modes use "
+                                             f"{cfg.history_bits}-bit counters"):
+            probe_mode(p)
+    else:
+        assert probe_mode(p) is mode
+
+
+@pytest.mark.parametrize("widths", WIDTH_PAIRS, ids=str)
+def test_probe_mode_detects_both_modes_without_mutating_state(widths):
+    p = PredictorState(PredictorConfig(one_level_bits=widths[0], history_bits=widths[1]))
     fp = p.state_fingerprint()
-    assert probe_mode(p) is Mode.ONE_LEVEL
+    _assert_probe_finds(p, Mode.ONE_LEVEL)
     assert p.state_fingerprint() == fp
     activate_history_mode(p)
     fp = p.state_fingerprint()
-    assert probe_mode(p) is Mode.HISTORY
+    _assert_probe_finds(p, Mode.HISTORY)
     assert p.state_fingerprint() == fp
 
 
-def test_probe_mode_on_randomized_states():
-    for seed in range(8):
-        p = PredictorState()
+@pytest.mark.parametrize("widths", WIDTH_PAIRS, ids=str)
+def test_probe_mode_on_randomized_states(widths):
+    for seed in range(10):
+        p = PredictorState(PredictorConfig(one_level_bits=widths[0], history_bits=widths[1]))
         p.randomize_reset(seed)
-        assert probe_mode(p) is Mode.ONE_LEVEL
+        _assert_probe_finds(p, Mode.ONE_LEVEL)
 
 
 def test_probe_ghr_depth_requires_history_mode():
@@ -75,11 +92,12 @@ def test_harness_latency_sampling():
     p = PredictorState()
     p.selector.frozen = True
     h = BranchHarness(p, LatencyModel().sampler())
-    rec = h.execute(0x4000, Direction.NOT_TAKEN, 0x4040)  # weak NT entry: correct
-    assert rec.latency == 10 and not rec.mispredicted
+    # the fresh entry is weakly not-taken: predicted correctly
+    [(mispredicted, latency)] = h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)])
+    assert latency == 10 and not mispredicted
     p.pht_one_level[index_one_level(0x4000, p.config)] = 0
-    rec = h.execute(0x4000, Direction.NOT_TAKEN, 0x4040)
-    assert rec.latency == 50 and rec.mispredicted
+    [(mispredicted, latency)] = h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)])
+    assert latency == 50 and mispredicted
 
 
 def test_victim_layouts_are_valid_programs():
@@ -291,22 +309,53 @@ def test_selector_stays_in_the_channel_mode_after_each_trial(monkeypatch, channe
     assert seen == [mode] * (4 if channel == "covert" else 3)
 
 
-def test_covert_context_replay_is_one_predictor_call(monkeypatch):
-    """A 96-bit history-mode transmission replays the 12-branch context 775
-    times (7 presets, then per bit one replay before the victim run and one
-    before each of 7 probes) without a `BranchHarness.execute` per branch:
-    the 685 left are the 6 TNTNTN executions, 7 presets and 96 x 7 probes."""
-    calls = {"replay_preamble": 0, "execute": 0}
-    for name in calls:
-        method = getattr(BranchHarness, name)
+def _count_calls(monkeypatch, methods):
+    """Count the calls of each `(owner, name)` method; returns the counts,
+    keyed by `owner.name`."""
+    calls = {}
+    for owner, name in methods:
+        key, method = f"{owner.__name__}.{name}", getattr(owner, name)
+        calls[key] = 0
 
-        def counted(self, *args, _name=name, _method=method, **kwargs):
-            calls[_name] += 1
+        def counted(self, *args, _key=key, _method=method, **kwargs):
+            calls[_key] += 1
             return _method(self, *args, **kwargs)
-        monkeypatch.setattr(BranchHarness, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_covert_context_replay_is_one_predictor_call(monkeypatch):
+    """A 96-bit history-mode transmission is 776 kernel calls: the TNTNTN
+    switch, then 775 harness calls, each an attacker execution with its
+    12-branch context (7 presets, then per bit one context replay before the
+    victim run and 7 probes). The 1,248 `predict` calls are the engine's
+    victim runs: the kernel makes none."""
+    calls = _count_calls(monkeypatch, [
+        (PredictorState, "execute"), (BranchHarness, "execute"),
+        (PredictorState, "predict"), (PredictorState, "record_resolution")])
     message = "".join(random.Random(0).choice("01") for _ in range(96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
-    assert calls == {"replay_preamble": 775, "execute": 685}
+    assert calls == {"PredictorState.execute": 776, "BranchHarness.execute": 775,
+                     "PredictorState.predict": 1248,
+                     "PredictorState.record_resolution": 0}
+
+
+def test_probes_make_one_predictor_call_per_phase(monkeypatch):
+    """The history-mode switch and the mode probe are one kernel call each;
+    the depth probe is two per preamble length tried (train, probe), 24 for
+    the default depth 12."""
+    calls = _count_calls(monkeypatch, [
+        (PredictorState, "execute"), (PredictorState, "predict"),
+        (PredictorState, "record_resolution")])
+    p = PredictorState()
+    counts = []
+    for probe in (lambda: activate_history_mode(p), lambda: probe_mode(p),
+                  lambda: probe_ghr_depth(p, 16)):
+        probe()
+        counts.append(dict(calls))
+        calls.update(dict.fromkeys(calls, 0))
+    assert counts == [{"PredictorState.execute": k, "PredictorState.predict": 0,
+                       "PredictorState.record_resolution": 0} for k in (1, 1, 24)]
 
 
 def test_attack_loops_never_render_event_text(monkeypatch):

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from bpusim import attacks, engine as eng
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
-from bpusim.cli import MAX_ITERATIONS, main
+from bpusim.cli import MAX_ITERATIONS, MAX_PROBE_N, main
 from bpusim.config import ConfigFileError, parse_config
 from bpusim.engine import SimulationError
 from bpusim.predictor import PredictorConfig
@@ -212,6 +212,10 @@ def test_bit_string_options_reject_empty(tmp_path, args):
      str(MAX_ITERATIONS + 1)),
     (["scan", "--window", "-5"], "--window", "-5"),
     (["scan", "--window", "0"], "--window", "0"),
+    (["probe-ghr", "--max-n", "0"], "--max-n", "0"),
+    (["probe-ghr", "--max-n", "-3"], "--max-n", "-3"),
+    (["probe-ghr", "--max-n", str(MAX_PROBE_N + 1)], "--max-n", str(MAX_PROBE_N + 1)),
+    (["probe-ghr", "--max-n", "30000000"], "--max-n", "30000000"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_sizes_out_of_range_are_rejected(tmp_path, args, option, value):
     result = _fail(["--out", str(tmp_path), *args])

@@ -120,16 +120,19 @@ def test_ghr_rejects_entries_outside_the_entry_width():
        st.lists(st.integers(0, 1 << 20), max_size=40))
 def test_ghr_word_matches_a_queue_of_entries(depth, bits, width, targets):
     """The history word against a fixed-depth queue of masked entries, the
-    representation it replaced."""
-    cfg = PredictorConfig(ghr_depth=depth, target_bits_per_entry=bits)
-    g = GlobalHistoryRegister(cfg)
+    representation it replaced; at address 0 and salt 0 the history index is
+    the word's fold to the index width."""
+    cfg = PredictorConfig(ghr_depth=depth, target_bits_per_entry=bits,
+                          pht_entries_history=1 << width)
+    state = PredictorState(cfg)
+    g = state.ghr
     queue = deque([0] * depth, maxlen=depth)
     for t in targets:
         clone, old_entries = g.clone(), g.entries
         g.insert_taken(t)
         queue.append(t & ((1 << bits) - 1))
         assert g.entries == list(queue)
-        assert g.folded(width) == _reference_fold(queue, bits, width)
+        assert state.history_index(0) == _reference_fold(queue, bits, width)
         assert clone.entries == old_entries  # a clone does not see later inserts
     assert GlobalHistoryRegister(cfg, g.entries).entries == g.entries
 
@@ -302,7 +305,7 @@ def test_taken_resolution_inserts_target_bits():
 
 
 @st.composite
-def _replay_cases(draw):
+def _execute_cases(draw):
     cfg = PredictorConfig(
         one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
         pht_entries_one_level=1 << draw(st.integers(1, 6)),
@@ -313,21 +316,23 @@ def _replay_cases(draw):
     state.randomize_reset(draw(st.integers(0, 2**32)))
     state.selector.mode = draw(st.sampled_from(list(Mode)))
     state.selector.frozen = draw(st.booleans())
-    pairs = draw(st.lists(st.tuples(st.integers(0, 0x400), st.integers(0, 0xFF)), max_size=40))
-    return state, pairs
+    branches = draw(st.lists(st.tuples(st.integers(0, 0x400), st.sampled_from(list(Direction)),
+                                       st.integers(0, 0xFF)), max_size=40))
+    return state, branches
 
 
-@given(_replay_cases())
-def test_replay_taken_matches_predict_and_record_resolution(case):
-    """The fused replay against `predict` + `record_resolution` per branch,
-    through one-level -> history switches of an unfrozen selector."""
-    state, pairs = case
+@given(_execute_cases())
+def test_execute_matches_predict_and_record_resolution(case):
+    """The committed-execution kernel against `predict` + `record_resolution`
+    per branch, through one-level -> history switches of an unfrozen
+    selector."""
+    state, branches = case
     fused, reference = state.clone(), state.clone()
     flags = []
-    for addr, target in pairs:
+    for addr, outcome, target in branches:
         pred = reference.predict(addr)
-        flags.append(pred.direction is not Direction.TAKEN)
-        reference.record_resolution(addr, Direction.TAKEN, pred, target)
-    assert fused.replay_taken([a for a, _ in pairs], [t for _, t in pairs]) == flags
+        flags.append(pred.direction is not outcome)
+        reference.record_resolution(addr, outcome, pred, target)
+    assert fused.execute(branches) == flags
     assert fused.state_fingerprint() == reference.state_fingerprint()
 
