@@ -10,6 +10,7 @@ from .predictor import (
     parse_outcomes,
 )
 from .engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy, run
+from .program import Program
 from .timing import LatencyModel, LatencyTrace, NoiseKind, classify
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "PolicyVariant",
     "PredictorConfig",
     "PredictorState",
+    "Program",
     "UpdatePolicy",
     "classify",
     "parse_outcomes",

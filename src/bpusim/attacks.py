@@ -11,13 +11,13 @@ engine, so the update policy governs exactly the speculative updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engine as eng
 from .engine import DEFAULT_POLICY, UpdatePolicy
 from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Direction, Mode,
                         PredictorConfig, PredictorState, index_one_level)
-from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction
+from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 from .timing import LatencyModel, LatencySampler, LatencyTrace, classify
 
 
@@ -159,19 +159,15 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 
 @dataclass
 class VictimLayout:
-    """A victim's code and addresses; `program` is `programs` checked and
-    indexed once, for the engine runs of every trial."""
+    """A victim's code, checked and indexed once for the engine runs of
+    every trial, and its addresses."""
 
-    programs: dict[int, list[Instruction]]
+    program: Program
     schedule: list[int]
     trigger_addr: int
     bv_addr: int
     preamble_targets: list[int]
     pid: int
-    program: eng.Program = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.program = eng.Program(self.programs)
 
 
 def _preamble_block(pid: int, seq0: int, depth: int,
@@ -200,7 +196,7 @@ def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
         Instruction(pid, s + 4, ALU, out),
         Instruction(pid, s + 5, HALT, hlt),
     ]
-    return VictimLayout({pid: pre + body}, [pid], t0, bv, targets, pid)
+    return VictimLayout(Program(pre + body), [pid], t0, bv, targets, pid)
 
 
 def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec",
@@ -219,7 +215,7 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
         Instruction(pid, s + 5, ALU, 0x3010),
         Instruction(pid, s + 6, ALU, 0x3018),
     ]
-    return VictimLayout({pid: pre + body}, [pid], t0, gadget, targets, pid)
+    return VictimLayout(Program(pre + body), [pid], t0, gadget, targets, pid)
 
 
 def _find_branch(result: eng.RunResult, addr: int) -> eng.DynamicBranch | None:
@@ -269,23 +265,22 @@ class _Channel:
             self.predictor.randomize_reset(seed)
             self.direction = None
 
-    def _execute(self, direction: Direction) -> int:
-        """One attacker execution of the transmitter's address; its latency."""
-        return self.harness.execute(self.executions[direction])[-1][1]
-
     def trials(self, bits, env, prepare, unresolved, chained=False):
         """One trial per bit: `prepare(i)`, the preset if needed, the victim
-        run on `env(bit)` and the probes. `unresolved(i, bv)` is the error
-        raised when the transmitter does not resolve (`bv` is its dynamic
-        branch, or None if it was never fetched), or None to decode anyway.
-        Returns the decoded bits and the trace of decisive probes."""
+        run on `env(bit)` and the probes; the preset and the probes are one
+        harness call each. `unresolved(i, bv)` is the error raised when the
+        transmitter does not resolve (`bv` is its dynamic branch, or None if
+        it was never fetched), or None to decode anyway. Returns the decoded
+        bits and the trace of decisive probes."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
+        probes = full if chained else half
+        # the last branch of the half-th probe execution
+        decisive_index = half * (len(self.context) + 1) - 1
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
             prepare(i)
             if self.direction is None:
-                for _ in range(full):
-                    self._execute(TAKEN)
+                self.harness.execute(self.executions[TAKEN] * full)
                 self.direction = TAKEN
             if chained:
                 self.harness.execute(self.context)
@@ -294,11 +289,9 @@ class _Channel:
             bv = _find_branch(result, self.layout.bv_addr)
             if unresolved is not None and (bv is None or not bv.resolved):
                 raise unresolved(i, bv)
-            for k in range(full if chained else half):
-                probe += 1
-                latency = self._execute(self.direction.opposite())
-                if k == half - 1:
-                    decisive = (probe, latency)
+            samples = self.harness.execute(self.executions[self.direction.opposite()] * probes)
+            decisive = (probe + half, samples[decisive_index][1])
+            probe += probes
             trace.append(*decisive)
             looks_mispredicted = classify(LatencyTrace([decisive]), self.model)[0]
             decoded.append(int(looks_mispredicted == (self.direction is TAKEN)))
@@ -443,18 +436,18 @@ def speculative_update_scenario(
     predictor = PredictorState(config)
     predictor.selector.frozen = True
     child = 0x300
-    programs = {0: [
+    program = Program([
         Instruction(0, 0, COND_BRANCH, 0x100, 0x400, "outer", 50),
         Instruction(0, 1, COND_BRANCH, child, 0x310, "sec", 2),
         Instruction(0, 2, ALU, 0x310),
         Instruction(0, 3, ALU, 0x400),
         Instruction(0, 4, HALT, 0x410),
-    ]}
+    ])
     idx = index_one_level(child, config)
     outer_idx = index_one_level(0x100, config)
     before = predictor.pht_one_level[idx]
     table_before = list(predictor.pht_one_level)
-    result, predictor = eng.run(programs, [0], policy, predictor,
+    result, predictor = eng.run(program, [0], policy, predictor,
                                 env={"outer": 1, "sec": 1})
     after = predictor.pht_one_level[idx]
     child_dyn = _find_branch(result, child)
@@ -481,26 +474,26 @@ def speculative_update_scenario(
 # ---------------------------------------------------------------------------
 # defense evaluation workload
 
-def defense_workload(iterations: int = 15) -> tuple[dict[int, list[Instruction]], dict]:
+def defense_workload(iterations: int = 15) -> tuple[Program, dict]:
     """Nested loop under a long-latency outer branch: the inner branch
     resolves speculatively many times before the outer commits."""
     o, l0, l1, end, hlt = 0x100, 0x110, 0x118, 0x400, 0x410
-    prog = [
+    program = Program([
         Instruction(0, 0, COND_BRANCH, o, end, "outer", 120),
         Instruction(0, 1, ALU, l0),
         Instruction(0, 2, COND_BRANCH, l1, l0, "loop", 2),
         Instruction(0, 3, ALU, end),
         Instruction(0, 4, HALT, hlt),
-    ]
+    ])
     env = {"outer": 0, "loop": [1] * iterations + [0]}
-    return {0: prog}, env
+    return program, env
 
 
 def defense_eval(policies, config: PredictorConfig | None = None,
                  iterations: int = 15) -> dict[str, int]:
     """Total mispredictions of the nested-loop workload per policy."""
     config = config or PredictorConfig()
-    programs, env = defense_workload(iterations)
+    program, env = defense_workload(iterations)
     # past the outer branch's 120-tick resolve the loop fetches its Alu and
     # its branch one tick each, so a run takes about 2 ticks per iteration (3
     # when a wide counter mispredicts every iteration); budget over twice that
@@ -511,6 +504,6 @@ def defense_eval(policies, config: PredictorConfig | None = None,
         predictor.selector.frozen = True
         idx = index_one_level(0x118, config)
         predictor.pht_one_level[idx] = (1 << config.one_level_bits) - 1
-        result, _ = eng.run(programs, [0], policy, predictor, env=env, max_ticks=max_ticks)
+        result, _ = eng.run(program, [0], policy, predictor, env=env, max_ticks=max_ticks)
         out[policy.variant.value] = result.summary["0"]["mispredictions"]
     return out

@@ -78,10 +78,6 @@ def main(ctx, config_path, seed, out, policy):
                       UpdatePolicy(PolicyVariant(policy), obfuscation_seed=seed))
 
 
-def _mode(value: str) -> Mode:
-    return Mode(value)
-
-
 def _model(noise: str, sigma: float, seed: int) -> LatencyModel:
     return LatencyModel(noise=NoiseKind(noise), noise_param=sigma, seed=seed)
 
@@ -124,12 +120,12 @@ def cmd_speculative_update(obj):
 def cmd_probe_mode(obj, actual):
     """Infer the active prediction mode from misprediction patterns."""
     predictor = PredictorState(obj.config)
-    if _mode(actual) is Mode.HISTORY:
+    if Mode(actual) is Mode.HISTORY:
         attacks.activate_history_mode(predictor)
     detected = attacks.probe_mode(predictor)
     obj.write_json("probe_mode.json", {"actual": actual, "detected": detected.value})
     click.echo(f"actual={actual} detected={detected.value}")
-    if detected is not _mode(actual):
+    if detected is not Mode(actual):
         raise click.ClickException("probe disagrees with configured mode")
 
 
@@ -166,7 +162,7 @@ def cmd_covert(obj, bits, message, mode, noise, sigma):
         rng = random.Random(obj.seed)
         message = "".join(rng.choice("01") for _ in range(bits))
     result = attacks.covert_send_receive(
-        message, _mode(mode), latency_model=_model(noise, sigma, obj.seed),
+        message, Mode(mode), latency_model=_model(noise, sigma, obj.seed),
         config=obj.config, policy=obj.policy, seed=obj.seed)
     obj.write("covert_trace.csv", result.trace.to_csv())
     obj.write_json("covert.json", {
@@ -210,7 +206,7 @@ def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
     """Recover a victim secret via the conditional-trigger gadget."""
     bits = _secret_option(secret, random_bits, obj.seed)
     result = attacks.side_channel_v1(
-        bits, _mode(mode), latency_model=_model(noise, sigma, obj.seed),
+        bits, Mode(mode), latency_model=_model(noise, sigma, obj.seed),
         config=obj.config, policy=obj.policy, seed=obj.seed)
     _emit_sidechannel(obj, "sidechannel_v1", mode, result)
 
@@ -231,7 +227,7 @@ def cmd_sidechannel_v2(obj, secret, random_bits, mode, poison, noise, sigma):
     """Recover a victim secret via BTB poisoning toward a gadget."""
     bits = _secret_option(secret, random_bits, obj.seed)
     result = attacks.side_channel_v2(
-        bits, _mode(mode), latency_model=_model(noise, sigma, obj.seed),
+        bits, Mode(mode), latency_model=_model(noise, sigma, obj.seed),
         config=obj.config, policy=obj.policy, seed=obj.seed, poison=poison)
     _emit_sidechannel(obj, "sidechannel_v2", mode, result)
 

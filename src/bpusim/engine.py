@@ -1,11 +1,14 @@
 """Nested-speculation execution engine with pluggable PHT update policies.
 
-Processes share one PredictorState (the per-core BPU). Fetch proceeds down
-predicted paths; branches resolve after their resolve_delay; a misprediction
-squashes everything younger in the same process. What happens to predictor
-state touched by squashed branches is decided by the update policy: one
-object per run that makes every predictor write for a resolving branch and
-is told about the squash or commit of each branch it keeps state for.
+`run` takes a `program.Program` (each process's code) and the run's
+arguments: the round-robin schedule, the policy, the predictor, the
+condition values and a tick budget. Processes share one PredictorState (the
+per-core BPU). Fetch proceeds down predicted paths; branches resolve after
+their resolve_delay; a misprediction squashes everything younger in the
+same process. What happens to predictor state touched by squashed
+branches is decided by the update policy: one object per run that makes
+every predictor write for a resolving branch and is told about the squash
+or commit of each branch it keeps state for.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from heapq import heappop, heappush
 from .predictor import (NOT_TAKEN, TAKEN, Direction, Mode, PredictorState, Prediction,
                         counter_predict, counter_update)
 from .program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
-                      Instruction)
+                      Instruction, Program)
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad run argument: the schedule or `max_ticks`."""
 
 
 class SimulationError(RuntimeError):
@@ -289,31 +292,6 @@ POLICY_CLASSES = {
 }
 
 
-class Program:
-    """Each process's code, checked and indexed once so that any number of
-    runs can share it; a run only reads it. `code[pid]` maps each address to
-    (instruction, the next address or None) and `entry[pid]` is the address
-    of the process's first instruction."""
-
-    def __init__(self, programs: dict[int, list[Instruction]]):
-        self.code: dict[int, dict[int, tuple[Instruction, int | None]]] = {}
-        self.entry: dict[int, int] = {}
-        for pid, instrs in programs.items():
-            if not instrs:  # a process with nothing to fetch never halts
-                raise ConfigError(f"process {pid} has an empty program")
-            by_addr = {}
-            for i in instrs:
-                if i.process_id != pid:
-                    raise ConfigError(f"process {pid}: the instruction at {i.addr:#x} "
-                                      f"has process_id {i.process_id}")
-                if i.addr in by_addr:
-                    raise ConfigError(f"process {pid}: two instructions at {i.addr:#x}")
-                by_addr[i.addr] = i
-            order = sorted(by_addr)
-            self.code[pid] = {a: (by_addr[a], b) for a, b in zip(order, order[1:] + [None])}
-            self.entry[pid] = instrs[0].addr
-
-
 class _Process:
     __slots__ = ("pid", "code", "fetch_addr", "rob", "open", "exec_counts", "mem", "regs")
 
@@ -531,14 +509,10 @@ class Engine:
         return RunResult(records, branches, arch, tick, self.visited_ticks)
 
 
-def run(programs: Program | dict[int, list[Instruction]], schedule: list[int],
-        policy: UpdatePolicy = DEFAULT_POLICY, predictor: PredictorState | None = None,
-        env: dict | None = None, max_ticks: int = 100_000) -> tuple[RunResult, PredictorState]:
-    """Run `programs` (a Program, or per-process instruction lists that are
-    checked and indexed first) on `predictor`, a fresh one if None."""
-    if not isinstance(programs, Program):
-        programs = Program(programs)
+def run(program: Program, schedule: list[int], policy: UpdatePolicy = DEFAULT_POLICY,
+        predictor: PredictorState | None = None, env: dict | None = None,
+        max_ticks: int = 100_000) -> tuple[RunResult, PredictorState]:
+    """Run `program` on `predictor`, a fresh one if None."""
     predictor = predictor if predictor is not None else PredictorState()
-    eng = Engine(programs, schedule, policy, predictor, env, max_ticks)
-    result = eng.run()
+    result = Engine(program, schedule, policy, predictor, env, max_ticks).run()
     return result, predictor

@@ -7,7 +7,12 @@ One instruction per line::
 Every number (pid, seq, address, target, delay) is decimal or 0x-prefixed
 hex, with an optional leading minus; `parse_int` reads it. The delay is at
 least 1 and the other numbers at least 0. Kinds: CondBranch,
-IndirectBranch, Load, Store, Alu, TimerRead, Halt.
+IndirectBranch, Load, Store, Alu, TimerRead, Halt. A `#` starts a comment.
+
+`parse_program` reads the text into a `Program`, the one program value the
+engine runs and victim builders make. `Program` groups a flat list of
+instructions by process and rejects two instructions of one process at one
+address; every check raises `ProgramError`.
 """
 
 from __future__ import annotations
@@ -107,21 +112,36 @@ def parse_program_line(line: str, lineno: int = 0) -> Instruction:
         raise ProgramError(f"line {lineno}: {exc}") from exc
 
 
-def parse_program(text: str) -> dict[int, list[Instruction]]:
-    """Parse program text into per-process instruction lists (program order)."""
-    programs: dict[int, list[Instruction]] = {}
+class Program:
+    """Every process's code, grouped by `process_id` from a flat list of
+    instructions, checked and indexed once so that any number of engine
+    runs can share it; a run only reads it. Processes keep the order of
+    their first instruction. `code[pid]` maps each address to (instruction,
+    the next address or None) and `entry[pid]` is the address of the
+    process's lowest-seq instruction. `instructions` keeps the input, so
+    programs compose: `Program(a.instructions + b.instructions)`."""
+
+    def __init__(self, instructions):
+        self.instructions = tuple(instructions)
+        by_pid: dict[int, dict[int, Instruction]] = {}
+        for i in self.instructions:
+            by_addr = by_pid.setdefault(i.process_id, {})
+            if i.addr in by_addr:
+                raise ProgramError(f"process {i.process_id}: two instructions at {i.addr:#x}")
+            by_addr[i.addr] = i
+        self.code: dict[int, dict[int, tuple[Instruction, int | None]]] = {}
+        self.entry: dict[int, int] = {}
+        for pid, by_addr in by_pid.items():
+            order = sorted(by_addr)
+            self.code[pid] = {a: (by_addr[a], b) for a, b in zip(order, order[1:] + [None])}
+            self.entry[pid] = min(by_addr.values(), key=lambda i: i.seq).addr
+
+
+def parse_program(text: str) -> Program:
+    """Parse program text, one instruction per line, into a Program."""
+    instrs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        instr = parse_program_line(line, lineno)
-        programs.setdefault(instr.process_id, []).append(instr)
-    for pid, instrs in programs.items():
-        instrs.sort(key=lambda i: i.seq)
-        seen = set()
-        for i in instrs:
-            if i.addr in seen:
-                raise ProgramError(f"pid {pid}: duplicate address {i.addr:#x}")
-            seen.add(i.addr)
-    return programs
-
+        if line:
+            instrs.append(parse_program_line(line, lineno))
+    return Program(instrs)

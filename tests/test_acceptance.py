@@ -137,7 +137,7 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 for _ in range((1 << n) - 1):
                     execute(d)
                 p.btb.update(layout.trigger_addr, layout.bv_addr)
-                res, _ = eng.run(layout.programs, layout.schedule,
+                res, _ = eng.run(layout.program, layout.schedule,
                                  DEFAULT_POLICY, p,
                                  env={"pre": 1,
                                       "bit": 1 if o is Direction.TAKEN else 0})

@@ -23,6 +23,7 @@ from bpusim.attacks import (
 )
 from bpusim.engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy
 from bpusim.predictor import Direction, Mode, PredictorConfig, PredictorState, index_one_level
+from bpusim.program import Program
 from bpusim.timing import LatencyModel, NoiseKind
 
 REFERENCE_SECRET = [1, 1, 0, 1, 1, 1, 0, 0, 0, 1]
@@ -103,7 +104,7 @@ def test_harness_latency_sampling():
 def test_victim_layouts_are_valid_programs():
     cfg = PredictorConfig()
     for layout in (build_victim_v1(cfg), build_victim_v2(cfg)):
-        instrs = layout.programs[layout.pid]
+        instrs = layout.program.instructions
         assert [i.seq for i in instrs] == list(range(len(instrs)))
         assert len({i.addr for i in instrs}) == len(instrs)
         assert len(layout.preamble_targets) == cfg.ghr_depth
@@ -165,13 +166,13 @@ def test_side_channel_v1_recovers_every_bit_at_each_counter_width(mode, width):
 
 def test_side_channel_v1_builds_its_victim_program_once(monkeypatch):
     built = []
-    init = eng.Program.__init__
+    init = Program.__init__
 
-    def counted(self, programs):
-        built.append(programs)
-        init(self, programs)
+    def counted(self, instructions):
+        built.append(instructions)
+        init(self, instructions)
 
-    monkeypatch.setattr(eng.Program, "__init__", counted)
+    monkeypatch.setattr(Program, "__init__", counted)
     r = side_channel_v1([1, 0, 1, 1, 0, 0, 1, 0], Mode.ONE_LEVEL)
     assert r.accuracy == 1.0
     assert len(built) == 1
@@ -213,7 +214,7 @@ def test_noise_degrades_covert_channel_monotonically():
 
 
 def test_defense_workload_runs_and_resolve_time_wins():
-    programs, env = defense_workload()
+    _, env = defense_workload()
     assert env["loop"][-1] == 0
     counts = defense_eval([UpdatePolicy(PolicyVariant.SPECULATIVE_RESOLVE_TIME),
                            UpdatePolicy(PolicyVariant.COMMIT_TIME)])
@@ -233,11 +234,11 @@ def test_transient_gadget_only_reachable_through_poisoned_btb():
     layout = build_victim_v2(cfg)
     p = PredictorState(cfg)
     p.selector.frozen = True
-    res, p = eng.run(layout.programs, layout.schedule, DEFAULT_POLICY, p,
+    res, p = eng.run(layout.program, layout.schedule, DEFAULT_POLICY, p,
                      env={"pre": 1, "sec": 1})
     assert not any(b.instr.addr == layout.bv_addr for b in res.branches)
     p.btb.update(layout.trigger_addr, layout.bv_addr)
-    res, _ = eng.run(layout.programs, layout.schedule, DEFAULT_POLICY, p,
+    res, _ = eng.run(layout.program, layout.schedule, DEFAULT_POLICY, p,
                      env={"pre": 1, "sec": 1})
     bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
     assert bv and bv[0].resolved and bv[0].squashed and bv[0].speculative
@@ -325,17 +326,18 @@ def _count_calls(monkeypatch, methods):
 
 
 def test_covert_context_replay_is_one_predictor_call(monkeypatch):
-    """A 96-bit history-mode transmission is 776 kernel calls: the TNTNTN
-    switch, then 775 harness calls, each an attacker execution with its
-    12-branch context (7 presets, then per bit one context replay before the
-    victim run and 7 probes). The 1,248 `predict` calls are the engine's
-    victim runs: the kernel makes none."""
+    """A 96-bit history-mode transmission is 194 kernel calls: the TNTNTN
+    switch, then 193 harness calls, one per attacker phase (one call for the
+    7 presets, then per bit one context replay before the victim run and
+    one call for the 7 probes, each probe an execution with its 12-branch
+    context). The 1,248 `predict` calls are the engine's victim runs: the
+    kernel makes none."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (BranchHarness, "execute"),
         (PredictorState, "predict"), (PredictorState, "record_resolution")])
     message = "".join(random.Random(0).choice("01") for _ in range(96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
-    assert calls == {"PredictorState.execute": 776, "BranchHarness.execute": 775,
+    assert calls == {"PredictorState.execute": 194, "BranchHarness.execute": 193,
                      "PredictorState.predict": 1248,
                      "PredictorState.record_resolution": 0}
 

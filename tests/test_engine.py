@@ -20,7 +20,7 @@ from bpusim.predictor import (
     PredictorState,
     index_one_level,
 )
-from bpusim.program import Instruction, Kind, parse_program
+from bpusim.program import Instruction, Kind, Program, ProgramError, parse_program
 
 BRANCH_KINDS = (Kind.COND_BRANCH, Kind.INDIRECT_BRANCH)
 
@@ -133,10 +133,12 @@ def test_round_robin_schedule_interleaves_processes():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        eng.run({0: []}, [], DEFAULT_POLICY, _frozen_state())
-    with pytest.raises(ConfigError):
-        eng.run({0: []}, [1], DEFAULT_POLICY, _frozen_state())
+    # a process with no instructions is not in the program, so scheduling
+    # it is scheduling an undeclared process
+    with pytest.raises(ConfigError, match="empty schedule"):
+        eng.run(Program([]), [], DEFAULT_POLICY, _frozen_state())
+    with pytest.raises(ConfigError, match="undeclared process 1"):
+        eng.run(Program([]), [1], DEFAULT_POLICY, _frozen_state())
 
 
 _TWO_PROCESSES = "0 0 Alu 0x10\n0 1 Halt 0x14\n1 0 Alu 0x10\n1 1 Halt 0x14\n"
@@ -148,24 +150,10 @@ def test_unscheduled_process_is_rejected():
         eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
 
 
-def test_empty_program_is_rejected():
-    programs = parse_program(_TWO_PROCESSES)
-    with pytest.raises(ConfigError, match="process 1 has an empty program"):
-        eng.run({0: programs[0], 1: []}, [0, 1], DEFAULT_POLICY, _frozen_state())
-
-
 def test_two_instructions_at_one_address_are_rejected():
-    programs = {0: [Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.STORE, 0x100),
-                    Instruction(0, 2, Kind.HALT, 0x108)]}
-    with pytest.raises(ConfigError, match="process 0: two instructions at 0x100"):
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
-
-
-def test_instruction_of_another_process_is_rejected():
-    programs = {0: [Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.HALT, 0x108)],
-                1: [Instruction(1, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.HALT, 0x108)]}
-    with pytest.raises(ConfigError, match="process 1: the instruction at 0x108 has process_id 0"):
-        eng.run(programs, [0, 1], DEFAULT_POLICY, _frozen_state())
+    with pytest.raises(ProgramError, match="process 0: two instructions at 0x100"):
+        Program([Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.STORE, 0x100),
+                 Instruction(0, 2, Kind.HALT, 0x108)])
 
 
 def test_unresolved_branch_hits_tick_limit():
@@ -238,7 +226,7 @@ def test_engine_skips_idle_ticks():
 
 def test_engine_reaches_tick_limit_without_visiting_idle_ticks():
     programs = parse_program("0 0 Alu 0x100")  # no Halt: the process never finishes
-    engine = eng.Engine(eng.Program(programs), [0], DEFAULT_POLICY, _frozen_state())
+    engine = eng.Engine(programs, [0], DEFAULT_POLICY, _frozen_state())
     with pytest.raises(SimulationError, match="^tick limit exceeded$"):
         engine.run()
     assert 0 < engine.visited_ticks < 10
@@ -530,10 +518,9 @@ def nested_runs(draw):
     predictor = PredictorState()
     predictor.randomize_reset(draw(st.integers(0, 2**16)))
     predictor.selector.frozen = draw(st.booleans())
-    programs, env = {}, {}
+    instrs, env = [], {}
     for pid in range(n):
         addrs = [0x1000 * (pid + 1) + 8 * i for i in range(draw(st.integers(2, 10)))]
-        instrs = []
         for i, addr in enumerate(addrs[:-1]):
             kind = draw(st.sampled_from(BRANCH_KINDS * 2 + (Kind.ALU, Kind.LOAD,
                                                             Kind.STORE, Kind.TIMER_READ)))
@@ -549,18 +536,16 @@ def nested_runs(draw):
                 predictor.btb.update(addr, draw(st.sampled_from(addrs)))
             instrs.append(Instruction(pid, i, kind, addr, target, cond, delay))
         instrs.append(Instruction(pid, len(addrs) - 1, Kind.HALT, addrs[-1]))
-        programs[pid] = instrs
     extra = draw(st.lists(st.integers(0, n - 1), max_size=3))
     schedule = draw(st.permutations(list(range(n)) + extra))
     policy = UpdatePolicy(draw(st.sampled_from(list(PolicyVariant))), obfuscation_seed=3)
-    return programs, schedule, policy, predictor, env
+    return Program(instrs), schedule, policy, predictor, env
 
 
 @settings(max_examples=60, deadline=None)
 @given(nested_runs())
 def test_runs_of_one_program_are_isolated(run_args):
-    programs, schedule, policy, predictor, env = run_args
-    program = eng.Program(programs)
+    program, schedule, policy, predictor, env = run_args
     code = {pid: dict(by_addr) for pid, by_addr in program.code.items()}
     first, p1 = eng.run(program, schedule, policy, predictor.clone(), env=env)
     second, p2 = eng.run(program, schedule, policy, predictor.clone(), env=env)

@@ -90,10 +90,11 @@ def test_parse_program_sorts_and_groups():
     1 0 Alu 0x200
     0 1 Halt 0x110
     """
-    programs = parse_program(text)
-    assert sorted(programs) == [0, 1]
-    assert [i.seq for i in programs[0]] == [0, 1]
-    assert [i.seq for i in programs[1]] == [0, 1]
+    program = parse_program(text)
+    assert list(program.code) == [1, 0]  # the order of each process's first line
+    assert program.entry == {0: 0x100, 1: 0x200}  # the lowest seq, not the first line
+    assert [(a, nxt) for a, (_, nxt) in program.code[1].items()] == [(0x200, 0x210),
+                                                                     (0x210, None)]
 
 
 def test_parse_program_duplicate_address():

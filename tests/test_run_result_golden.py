@@ -20,7 +20,7 @@ from bpusim.attacks import build_victim_v1, build_victim_v2, defense_workload
 from bpusim.engine import PolicyVariant, UpdatePolicy
 from bpusim.predictor import PredictorState
 from bpusim.program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
-                            Instruction)
+                            Instruction, Program)
 
 
 def _v1(policy):
@@ -29,7 +29,7 @@ def _v1(policy):
     layout = build_victim_v1(predictor.config)
     for oob in (0, 1):
         for sec in (0, 1):
-            yield eng.run(layout.programs, layout.schedule, policy, predictor,
+            yield eng.run(layout.program, layout.schedule, policy, predictor,
                           env={"pre": 1, "oob": oob, "sec": sec})
 
 
@@ -40,13 +40,13 @@ def _v2(policy):
         if poison:
             predictor.btb.update(layout.trigger_addr, layout.bv_addr)
         for sec in (0, 1):
-            yield eng.run(layout.programs, layout.schedule, policy, predictor,
+            yield eng.run(layout.program, layout.schedule, policy, predictor,
                           env={"pre": 1, "sec": sec})
 
 
 def _defense(policy):
-    programs, env = defense_workload()
-    yield eng.run(programs, [0], policy, PredictorState(), env=env)
+    program, env = defense_workload()
+    yield eng.run(program, [0], policy, PredictorState(), env=env)
 
 
 def _two_process(policy):
@@ -54,8 +54,8 @@ def _two_process(policy):
     v1 = build_victim_v1(predictor.config, pid=0)
     v2 = build_victim_v2(predictor.config, pid=1)
     predictor.btb.update(v2.trigger_addr, v2.bv_addr)
-    programs = {**v1.programs, **v2.programs}
-    yield eng.run(programs, [0, 1, 1], policy, predictor,
+    program = Program(v1.program.instructions + v2.program.instructions)
+    yield eng.run(program, [0, 1, 1], policy, predictor,
                   env={"pre": 1, "oob": 1, "sec": 1})
 
 
@@ -70,10 +70,9 @@ def _random_run_args(seed):
     predictor.randomize_reset(rng.randrange(2**16))
     predictor.selector.frozen = rng.random() < 0.5
     kinds = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU, LOAD, STORE, TIMER_READ)
-    programs, env = {}, {}
+    instrs, env = [], {}
     for pid in range(n):
         addrs = [0x1000 * (pid + 1) + 8 * i for i in range(rng.randint(2, 10))]
-        instrs = []
         for i, addr in enumerate(addrs[:-1]):
             kind = rng.choice(kinds)
             delay = rng.randint(1, 40)
@@ -88,16 +87,15 @@ def _random_run_args(seed):
                 predictor.btb.update(addr, rng.choice(addrs))
             instrs.append(Instruction(pid, i, kind, addr, target, cond, delay))
         instrs.append(Instruction(pid, len(addrs) - 1, HALT, addrs[-1]))
-        programs[pid] = instrs
     schedule = list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 3))]
     rng.shuffle(schedule)
-    return programs, schedule, predictor, env
+    return Program(instrs), schedule, predictor, env
 
 
 def _random(policy):
     for seed in range(20):
-        programs, schedule, predictor, env = _random_run_args(seed)
-        yield eng.run(programs, schedule, policy, predictor, env=env)
+        program, schedule, predictor, env = _random_run_args(seed)
+        yield eng.run(program, schedule, policy, predictor, env=env)
 
 
 CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process,
