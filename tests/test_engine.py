@@ -150,10 +150,34 @@ def test_unscheduled_process_is_rejected():
         eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
 
 
+def test_empty_program_is_rejected():
+    # a process without instructions gets no code of its own, so a schedule
+    # that runs it names an undeclared process
+    two = parse_program(_TWO_PROCESSES)
+    only_0 = Program([i for i in two.instructions if i.process_id == 0])
+    assert set(only_0.code) == set(only_0.entry) == {0}
+    with pytest.raises(ConfigError, match="undeclared process 1"):
+        eng.run(only_0, [0, 1], DEFAULT_POLICY, _frozen_state())
+
+
 def test_two_instructions_at_one_address_are_rejected():
     with pytest.raises(ProgramError, match="process 0: two instructions at 0x100"):
         Program([Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.STORE, 0x100),
                  Instruction(0, 2, Kind.HALT, 0x108)])
+
+
+def test_instruction_of_another_process_is_rejected():
+    # an instruction goes to the process its process_id names, wherever it
+    # sits in the list, so one listed among process 1's that lands on an
+    # address of process 0 is a second instruction there
+    proc_0 = [Instruction(0, 0, Kind.ALU, 0x100), Instruction(0, 1, Kind.HALT, 0x108)]
+    proc_1 = [Instruction(1, 0, Kind.ALU, 0x100), Instruction(1, 1, Kind.HALT, 0x108)]
+    with pytest.raises(ProgramError, match="process 0: two instructions at 0x108"):
+        Program(proc_0 + proc_1[:1] + [Instruction(0, 1, Kind.HALT, 0x108)])
+    stray = Instruction(0, 2, Kind.HALT, 0x110)
+    program = Program(proc_0 + proc_1[:1] + [stray] + proc_1[1:])
+    assert program.code[0][0x110] == (stray, None)
+    assert 0x110 not in program.code[1]
 
 
 def test_unresolved_branch_hits_tick_limit():
