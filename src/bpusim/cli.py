@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import pathlib
 import random
 
@@ -29,6 +30,9 @@ MAX_ITERATIONS = 100_000
 # probe-ghr's longest run: with a GHR deeper than this and 65,536 history
 # entries no collision is found, and all 256 lengths take about 4 s, 19 MB
 MAX_PROBE_N = 256
+# covert --bits and the side channels' --random-bits: the slowest command at
+# this bound, sidechannel-v1 under shadow-pht, takes about 12 s and 20 MB
+MAX_BITS = 10_000
 
 # domain errors reported as a one-line message and a non-zero exit status
 DOMAIN_ERRORS = (attacks.ProbeError, attacks.AttackError, attacks.TransmissionError,
@@ -80,6 +84,12 @@ def main(ctx, config_path, seed, out, policy):
 
 def _model(noise: str, sigma: float, seed: int) -> LatencyModel:
     return LatencyModel(noise=NoiseKind(noise), noise_param=sigma, seed=seed)
+
+
+def _sigma(ctx, param, value):
+    if not math.isfinite(value) or value < 0:
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
 
 
 def _bit_string(ctx, param, value):
@@ -146,7 +156,7 @@ def cmd_probe_ghr(obj, max_n):
 
 
 @main.command("covert")
-@click.option("--bits", type=click.IntRange(min=1), default=1024, show_default=True,
+@click.option("--bits", type=click.IntRange(min=1, max=MAX_BITS), default=1024, show_default=True,
               help="Number of random message bits.")
 @click.option("--message", default=None, callback=_bit_string,
               help="Explicit 0/1 message (overrides --bits).")
@@ -154,7 +164,7 @@ def cmd_probe_ghr(obj, max_n):
               show_default=True)
 @click.option("--noise", type=click.Choice(NOISE_CHOICES), default="none",
               show_default=True)
-@click.option("--sigma", type=float, default=0.0, show_default=True)
+@click.option("--sigma", type=float, default=0.0, show_default=True, callback=_sigma)
 @click.pass_obj
 def cmd_covert(obj, bits, message, mode, noise, sigma):
     """Transmit bits through speculative PHT updates and decode them."""
@@ -194,13 +204,13 @@ def _emit_sidechannel(obj, name, mode, result):
 
 @main.command("sidechannel-v1")
 @click.option("--secret", default="1101110001", show_default=True, callback=_bit_string)
-@click.option("--random-bits", type=click.IntRange(min=0), default=0,
+@click.option("--random-bits", type=click.IntRange(min=0, max=MAX_BITS), default=0,
               help="Use this many random secret bits instead of --secret.")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.ONE_LEVEL.value,
               show_default=True)
 @click.option("--noise", type=click.Choice(NOISE_CHOICES), default="none",
               show_default=True)
-@click.option("--sigma", type=float, default=0.0, show_default=True)
+@click.option("--sigma", type=float, default=0.0, show_default=True, callback=_sigma)
 @click.pass_obj
 def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
     """Recover a victim secret via the conditional-trigger gadget."""
@@ -213,7 +223,7 @@ def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
 
 @main.command("sidechannel-v2")
 @click.option("--secret", default="1101110001", show_default=True, callback=_bit_string)
-@click.option("--random-bits", type=click.IntRange(min=0), default=0,
+@click.option("--random-bits", type=click.IntRange(min=0, max=MAX_BITS), default=0,
               help="Use this many random secret bits instead of --secret.")
 @click.option("--mode", type=click.Choice(MODE_CHOICES), default=Mode.ONE_LEVEL.value,
               show_default=True)
@@ -221,7 +231,7 @@ def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
               help="Whether the attacker poisons the victim's BTB slot.")
 @click.option("--noise", type=click.Choice(NOISE_CHOICES), default="none",
               show_default=True)
-@click.option("--sigma", type=float, default=0.0, show_default=True)
+@click.option("--sigma", type=float, default=0.0, show_default=True, callback=_sigma)
 @click.pass_obj
 def cmd_sidechannel_v2(obj, secret, random_bits, mode, poison, noise, sigma):
     """Recover a victim secret via BTB poisoning toward a gadget."""
@@ -266,8 +276,8 @@ def cmd_scan(obj, files, registers, window, mode):
     csv_rows = []
     for path in paths:
         try:
-            records = scanner.parse_disasm(path.read_text())
-        except scanner.DisasmParseError as exc:
+            records = scanner.parse_disasm(path.read_text(encoding="utf-8"))
+        except (scanner.DisasmParseError, UnicodeDecodeError) as exc:
             raise click.ClickException(f"{path}: {exc}") from exc
         report = scanner.build_report(path.name, records, registers, window, mode)
         reports.append(report.to_dict())

@@ -8,12 +8,13 @@ Recognized keys are exactly the PredictorConfig field names, e.g.::
 
 Values are decimal or 0x-prefixed hex numbers (`program.parse_int`), and
 `monitored_branches` takes a comma-separated list of them. Blank lines and
-`#` comments are ignored.
+`#` comments are ignored. The file is read as UTF-8.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 
 from .predictor import PredictorConfig
 from .program import parse_int
@@ -51,5 +52,8 @@ def parse_config(text: str) -> PredictorConfig:
 
 
 def load_config(path) -> PredictorConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigFileError(f"{path}: {exc}") from exc
+    return parse_config(text)

@@ -31,7 +31,8 @@ class ConfigError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    pass
+    """A run that cannot go on. At the tick limit it carries `visited_ticks`,
+    the count of ticks the run stopped at before it raised."""
 
 
 class PolicyVariant(enum.Enum):
@@ -61,16 +62,15 @@ class DynamicBranch:
     defaults, which is what keeps a fetch cheap."""
 
     squashed = False
-    committed = False
     complete_tick = 0
-    # branch-only fields
-    predicted_dir: Direction | None = None
-    predicted_target: int | None = None
+    # branch-only fields; `predicted` and `actual` are what the resolve
+    # record holds: Directions for a conditional branch, targets for an
+    # indirect one (`predicted` stays None after a BTB miss)
+    predicted: Direction | int | None = None
     pred_mode: Mode | None = None
     pred_index: int | None = None
     resolved = False
-    actual_dir: Direction | None = None
-    actual_target: int | None = None
+    actual: Direction | int | None = None
     mispredicted = False
     speculative = False
     stalled = False
@@ -132,7 +132,8 @@ class RunResult:
     `summary` (their per-process counts) are computed on first access.
     `branches` holds every fetched branch in dseq order. `visited_ticks`
     counts the ticks the engine stopped at; it skips the others, where
-    nothing can happen."""
+    nothing can happen. A run that hits its tick limit returns no result;
+    its `SimulationError` carries `visited_ticks` instead."""
 
     records: list[tuple]
     branches: list[DynamicBranch]
@@ -181,9 +182,9 @@ class ResolveTime:
         predictor = self.predictor
         if b.instr.kind is COND_BRANCH:
             predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
-            predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual_dir)
+            predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual)
         else:
-            predictor.btb.update(b.instr.addr, b.actual_target)
+            predictor.btb.update(b.instr.addr, b.actual)
         if ghr_target is not None:
             predictor.ghr.insert_taken(ghr_target)
 
@@ -203,13 +204,13 @@ class CommitTime(ResolveTime):
         if b.instr.kind is COND_BRANCH:
             self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
         else:
-            self.predictor.btb.update(b.instr.addr, b.actual_target)
+            self.predictor.btb.update(b.instr.addr, b.actual)
         self.pending[b.dseq] = ghr_target
 
     def committed(self, d):
         ghr_target = self.pending.pop(d.dseq)
         if d.instr.kind is COND_BRANCH:
-            self.predictor.apply_counter_update(d.pred_mode, d.pred_index, d.actual_dir)
+            self.predictor.apply_counter_update(d.pred_mode, d.pred_index, d.actual)
         if ghr_target is not None:
             self.predictor.ghr.insert_taken(ghr_target)
 
@@ -252,7 +253,7 @@ class ShadowPht(ResolveTime):
         key = (mode, index, b.instr.process_id)
         base = self.shadow[key][0] if key in self.shadow else self.predictor.table(mode)[index]
         width = self.predictor.config.counter_width(mode)
-        self.shadow[key] = (counter_update(base, width, b.actual_dir), b.dseq)
+        self.shadow[key] = (counter_update(base, width, b.actual), b.dseq)
         self.pending[b.dseq] = key
         if ghr_target is not None:
             self.predictor.ghr.insert_taken(ghr_target)
@@ -311,208 +312,185 @@ class _Process:
         self.regs = {"acc": 0, "last_load": 0, "timer_reads": 0}
 
 
-class Engine:
-    def __init__(self, program: Program, schedule: list[int], policy: UpdatePolicy,
-                 predictor: PredictorState, env: dict | None = None, max_ticks: int = 100_000):
-        if not schedule:
-            raise ConfigError("empty schedule")
-        if max_ticks < 1:
-            raise ConfigError(f"max_ticks must be >= 1, got {max_ticks}")
-        for pid in schedule:
-            if pid not in program.code:
-                raise ConfigError(f"schedule references undeclared process {pid}")
-        # a process that is never scheduled never halts
-        for pid in program.code:
-            if pid not in schedule:
-                raise ConfigError(f"process {pid} is declared but not in the schedule")
-        self.procs = {pid: _Process(pid, code, program.entry[pid])
-                      for pid, code in program.code.items()}
-        self.schedule = list(schedule)
-        self.policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
-        self.predictor = predictor
-        self.env = env or {}
-        self.max_ticks = max_ticks
-        self.visited_ticks = 0  # passes of run's loop, readable after it raises
-
-    def run(self) -> RunResult:
-        """Visit, in order, each tick at which a branch resolves, a ROB-front
-        op completes, or the round-robin slot goes to a process that can
-        fetch; at each, resolve, then commit, then fetch."""
-        procs, env, max_ticks = self.procs, self.env, self.max_ticks
-        policy, predictor = self.policy, self.predictor
-        pending, resolved, shadow_predict = policy.pending, policy.resolved, policy.shadow_predict
-        predict, btb_lookup = predictor.predict, predictor.btb.lookup
-        slots = [procs[pid] for pid in self.schedule]
-        n = len(slots)
-        order = list(procs.values())
-        records: list[tuple] = []
-        branches: list[DynamicBranch] = []  # every fetched branch, in dseq order
-        append = records.append
-        # (resolve_tick, dseq, branch) of every fetched branch; squashed ones
-        # are skipped when popped
-        heap: list[tuple[int, int, DynamicBranch]] = []
-        running = len(order)  # processes that have not committed their Halt
-        tick = dseq = 0
-        while running:
-            p = slots[tick % n]
-            if p.fetch_addr is None or len(p.rob) >= INFLIGHT_CAP:
-                # nothing to fetch now: skip to the next tick where a phase
-                # can act, as the ticks between change no state
-                while heap and heap[0][2].squashed:
-                    heappop(heap)
-                nxt = heap[0][0] if heap else max_ticks
-                for p in order:
-                    rob = p.rob
-                    if rob and not rob[0].is_branch and rob[0].complete_tick < nxt:
-                        nxt = max(rob[0].complete_tick, tick)
-                for t in range(tick + 1, min(tick + n, nxt)):
-                    p = slots[t % n]
-                    if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
-                        nxt = t
-                        break
-                tick = nxt
-            if tick >= max_ticks:
-                b = next((p.open[0] for p in order if p.open), None)
-                if b is not None:
-                    raise SimulationError(
-                        f"unresolved branch pid={b.instr.process_id} "
-                        f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit"
-                    )
-                raise SimulationError("tick limit exceeded")
-            self.visited_ticks += 1
-
-            # resolve every branch due by this tick
-            while heap and heap[0][0] <= tick:
-                b = heappop(heap)[2]
-                if b.squashed:
-                    continue
-                instr = b.instr
-                p = procs[instr.process_id]
-                opened = p.open
-                b.resolved = True
-                b.speculative = spec = opened[0] is not b
-                opened.remove(b)
-                if instr.kind is COND_BRANCH:
-                    name = instr.condition_source
-                    if name not in env:
-                        raise SimulationError(f"cond={name} of the branch at "
-                                              f"{instr.addr:#x} is missing from env")
-                    value = env[name]
-                    if isinstance(value, (list, tuple)):  # one per execution; the last repeats
-                        value = value[min(b.env_index, len(value) - 1)] if value else 0
-                    pred = b.predicted_dir
-                    b.actual_dir = actual = NOT_TAKEN if value == 0 else TAKEN
-                    b.mispredicted = mispredicted = pred is not actual
-                    resolved(b, instr.static_target if actual is TAKEN else None)
-                else:
-                    pred = b.predicted_target
-                    b.actual_target = actual = instr.static_target
-                    if b.stalled:  # never mispredicts: fetch resumes at the target
-                        p.fetch_addr = actual
-                        mispredicted = False
-                    else:
-                        b.mispredicted = mispredicted = pred != actual
-                    resolved(b, actual)
-                append((tick, "resolve", b.dseq, p.pid, instr.addr, pred, actual,
-                        mispredicted, spec))
-                if not mispredicted:
-                    continue
-                # squash everything younger than b in its process
-                rob, victims = p.rob, []
-                while rob[-1] is not b:  # the ROB is in dseq order and holds b
-                    victims.append(rob.pop())
-                victims.reverse()
-                while opened and opened[-1].dseq > b.dseq:
-                    opened.pop()
-                counts = p.exec_counts
-                for d in victims:
-                    d.squashed = True
-                    counts[d.instr.addr] -= 1
-                    append((tick, "squash", d.dseq, p.pid))
-                if pending:
-                    policy.squashed(victims)
-                # redirect fetch down the correct path
-                p.fetch_addr = (p.code[instr.addr][1] if actual is NOT_TAKEN
-                                else instr.static_target)
-
-            # commit each process's completed ROB prefix
-            for p in order:
-                rob = p.rob
-                while rob:
-                    d = rob[0]
-                    if not (d.resolved if d.is_branch else d.complete_tick <= tick):
-                        break
-                    rob.popleft()
-                    d.committed = True
-                    if d.dseq in pending:
-                        policy.committed(d)
-                    kind = d.instr.kind
-                    if kind is STORE:
-                        p.mem[d.instr.addr] = d.env_index + 1
-                    elif kind is LOAD:
-                        p.regs["last_load"] = p.mem.get(d.instr.addr, 0)
-                    elif kind is ALU:
-                        p.regs["acc"] += 1
-                    elif kind is TIMER_READ:
-                        p.regs["timer_reads"] += 1
-                        append((tick, "timer", d.dseq, p.pid))
-                    elif kind is HALT:
-                        running -= 1
-                    append((tick, "commit", d.dseq, p.pid))
-
-            # fetch one instruction for the process whose slot this is
-            p = slots[tick % n]
-            addr = p.fetch_addr
-            if addr is not None and len(p.rob) < INFLIGHT_CAP:
-                entry = p.code.get(addr)
-                if entry is None:  # ran off the code
-                    p.fetch_addr = None
-                else:
-                    instr, fallthrough = entry
-                    kind, pid = instr.kind, p.pid
-                    env_index = p.exec_counts.get(addr, 0)
-                    p.exec_counts[addr] = env_index + 1
-                    is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
-                    d = DynamicBranch(instr, dseq, env_index, is_branch)
-                    p.rob.append(d)
-                    if is_branch:
-                        p.open.append(d)
-                        branches.append(d)
-                        heappush(heap, (tick + instr.resolve_delay, dseq, d))
-                    if kind is COND_BRANCH:
-                        pred = predict(addr)
-                        if shadow_predict is not None:
-                            shadow_predict(pid, pred)
-                        d.predicted_dir = direction = pred.direction
-                        d.pred_mode, d.pred_index = pred.mode, pred.index
-                        p.fetch_addr = instr.static_target if direction is TAKEN else fallthrough
-                        append((tick, "fetch", dseq, pid, addr, kind, direction, pred.mode))
-                    elif kind is INDIRECT_BRANCH:
-                        target = btb_lookup(addr)
-                        if target is None:
-                            d.stalled = True
-                            p.fetch_addr = None
-                            append((tick, "stall", dseq, pid))
-                            append((tick, "fetch", dseq, pid, addr, kind))
-                        else:
-                            d.predicted_target = p.fetch_addr = target
-                            append((tick, "fetch", dseq, pid, addr, kind, target))
-                    else:  # a Halt completes at once and ends its process's fetch
-                        halt = kind is HALT
-                        d.complete_tick = tick if halt else tick + instr.resolve_delay
-                        p.fetch_addr = None if halt else fallthrough
-                        append((tick, "fetch", dseq, pid, addr, kind))
-                    dseq += 1
-            tick += 1
-        arch = {pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
-                for pid, p in sorted(procs.items())}
-        return RunResult(records, branches, arch, tick, self.visited_ticks)
-
-
 def run(program: Program, schedule: list[int], policy: UpdatePolicy = DEFAULT_POLICY,
         predictor: PredictorState | None = None, env: dict | None = None,
         max_ticks: int = 100_000) -> tuple[RunResult, PredictorState]:
-    """Run `program` on `predictor`, a fresh one if None."""
+    """Run `program` on `predictor`, a fresh one if None. Visit, in order,
+    each tick at which a branch resolves, a ROB-front op completes, or the
+    round-robin slot goes to a process that can fetch; at each, resolve,
+    then commit, then fetch."""
+    if not schedule:
+        raise ConfigError("empty schedule")
+    if max_ticks < 1:
+        raise ConfigError(f"max_ticks must be >= 1, got {max_ticks}")
+    for pid in schedule:
+        if pid not in program.code:
+            raise ConfigError(f"schedule references undeclared process {pid}")
+    # a process that is never scheduled never halts
+    for pid in program.code:
+        if pid not in schedule:
+            raise ConfigError(f"process {pid} is declared but not in the schedule")
     predictor = predictor if predictor is not None else PredictorState()
-    result = Engine(program, schedule, policy, predictor, env, max_ticks).run()
-    return result, predictor
+    env = env or {}
+    procs = {pid: _Process(pid, code, program.entry[pid]) for pid, code in program.code.items()}
+    policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
+    pending, resolved, shadow_predict = policy.pending, policy.resolved, policy.shadow_predict
+    predict, btb_lookup = predictor.predict, predictor.btb.lookup
+    slots = [procs[pid] for pid in schedule]
+    n = len(slots)
+    order = list(procs.values())
+    records: list[tuple] = []
+    branches: list[DynamicBranch] = []  # every fetched branch, in dseq order
+    append = records.append
+    # (resolve_tick, dseq, branch) of every fetched branch; squashed ones
+    # are skipped when popped
+    heap: list[tuple[int, int, DynamicBranch]] = []
+    running = len(order)  # processes that have not committed their Halt
+    tick = dseq = visited_ticks = 0
+    while running:
+        p = slots[tick % n]
+        if p.fetch_addr is None or len(p.rob) >= INFLIGHT_CAP:
+            # nothing to fetch now: skip to the next tick where a phase
+            # can act, as the ticks between change no state
+            while heap and heap[0][2].squashed:
+                heappop(heap)
+            nxt = heap[0][0] if heap else max_ticks
+            for p in order:
+                rob = p.rob
+                if rob and not rob[0].is_branch and rob[0].complete_tick < nxt:
+                    nxt = max(rob[0].complete_tick, tick)
+            for t in range(tick + 1, min(tick + n, nxt)):
+                p = slots[t % n]
+                if p.fetch_addr is not None and len(p.rob) < INFLIGHT_CAP:
+                    nxt = t
+                    break
+            tick = nxt
+        if tick >= max_ticks:
+            b = next((p.open[0] for p in order if p.open), None)
+            exc = SimulationError("tick limit exceeded" if b is None else
+                                  f"unresolved branch pid={b.instr.process_id} "
+                                  f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit")
+            exc.visited_ticks = visited_ticks
+            raise exc
+        visited_ticks += 1
+
+        # resolve every branch due by this tick
+        while heap and heap[0][0] <= tick:
+            b = heappop(heap)[2]
+            if b.squashed:
+                continue
+            instr = b.instr
+            p = procs[instr.process_id]
+            opened = p.open
+            b.resolved = True
+            b.speculative = spec = opened[0] is not b
+            opened.remove(b)
+            pred = b.predicted
+            if instr.kind is COND_BRANCH:
+                name = instr.condition_source
+                if name not in env:
+                    raise SimulationError(f"cond={name} of the branch at "
+                                          f"{instr.addr:#x} is missing from env")
+                value = env[name]
+                if isinstance(value, (list, tuple)):  # one per execution; the last repeats
+                    value = value[min(b.env_index, len(value) - 1)] if value else 0
+                b.actual = actual = NOT_TAKEN if value == 0 else TAKEN
+                ghr_target = instr.static_target if actual is TAKEN else None
+            else:
+                b.actual = actual = ghr_target = instr.static_target
+                if b.stalled:  # never mispredicts: fetch resumes at the target
+                    p.fetch_addr = actual
+            b.mispredicted = mispredicted = pred != actual and not b.stalled
+            resolved(b, ghr_target)
+            append((tick, "resolve", b.dseq, p.pid, instr.addr, pred, actual,
+                    mispredicted, spec))
+            if not mispredicted:
+                continue
+            # squash everything younger than b in its process
+            rob, victims = p.rob, []
+            while rob[-1] is not b:  # the ROB is in dseq order and holds b
+                victims.append(rob.pop())
+            victims.reverse()
+            while opened and opened[-1].dseq > b.dseq:
+                opened.pop()
+            counts = p.exec_counts
+            for d in victims:
+                d.squashed = True
+                counts[d.instr.addr] -= 1
+                append((tick, "squash", d.dseq, p.pid))
+            if pending:
+                policy.squashed(victims)
+            # redirect fetch down the correct path
+            p.fetch_addr = p.code[instr.addr][1] if actual is NOT_TAKEN else instr.static_target
+
+        # commit each process's completed ROB prefix
+        for p in order:
+            rob = p.rob
+            while rob:
+                d = rob[0]
+                if not (d.resolved if d.is_branch else d.complete_tick <= tick):
+                    break
+                rob.popleft()
+                if d.dseq in pending:
+                    policy.committed(d)
+                kind = d.instr.kind
+                if kind is STORE:
+                    p.mem[d.instr.addr] = d.env_index + 1
+                elif kind is LOAD:
+                    p.regs["last_load"] = p.mem.get(d.instr.addr, 0)
+                elif kind is ALU:
+                    p.regs["acc"] += 1
+                elif kind is TIMER_READ:
+                    p.regs["timer_reads"] += 1
+                    append((tick, "timer", d.dseq, p.pid))
+                elif kind is HALT:
+                    running -= 1
+                append((tick, "commit", d.dseq, p.pid))
+
+        # fetch one instruction for the process whose slot this is
+        p = slots[tick % n]
+        addr = p.fetch_addr
+        if addr is not None and len(p.rob) < INFLIGHT_CAP:
+            entry = p.code.get(addr)
+            if entry is None:  # ran off the code
+                p.fetch_addr = None
+            else:
+                instr, fallthrough = entry
+                kind, pid = instr.kind, p.pid
+                env_index = p.exec_counts.get(addr, 0)
+                p.exec_counts[addr] = env_index + 1
+                is_branch = kind is COND_BRANCH or kind is INDIRECT_BRANCH
+                d = DynamicBranch(instr, dseq, env_index, is_branch)
+                p.rob.append(d)
+                if is_branch:
+                    p.open.append(d)
+                    branches.append(d)
+                    heappush(heap, (tick + instr.resolve_delay, dseq, d))
+                if kind is COND_BRANCH:
+                    pred = predict(addr)
+                    if shadow_predict is not None:
+                        shadow_predict(pid, pred)
+                    d.predicted = direction = pred.direction
+                    d.pred_mode, d.pred_index = pred.mode, pred.index
+                    p.fetch_addr = instr.static_target if direction is TAKEN else fallthrough
+                    append((tick, "fetch", dseq, pid, addr, kind, direction, pred.mode))
+                elif kind is INDIRECT_BRANCH:
+                    target = btb_lookup(addr)
+                    if target is None:
+                        d.stalled = True
+                        p.fetch_addr = None
+                        append((tick, "stall", dseq, pid))
+                        append((tick, "fetch", dseq, pid, addr, kind))
+                    else:
+                        d.predicted = p.fetch_addr = target
+                        append((tick, "fetch", dseq, pid, addr, kind, target))
+                else:  # a Halt completes at once and ends its process's fetch
+                    halt = kind is HALT
+                    d.complete_tick = tick if halt else tick + instr.resolve_delay
+                    p.fetch_addr = None if halt else fallthrough
+                    append((tick, "fetch", dseq, pid, addr, kind))
+                dseq += 1
+        tick += 1
+    arch = {pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
+            for pid, p in sorted(procs.items())}
+    return RunResult(records, branches, arch, tick, visited_ticks), predictor

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 
@@ -26,6 +27,10 @@ class LatencyModel:
     noise: NoiseKind = NoiseKind.NONE
     noise_param: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.noise_param) or self.noise_param < 0:
+            raise ValueError(f"noise_param must be a finite number >= 0, got {self.noise_param}")
 
     @property
     def threshold(self) -> float:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from bpusim import attacks, engine as eng
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
-from bpusim.cli import MAX_ITERATIONS, MAX_PROBE_N, main
+from bpusim.cli import MAX_BITS, MAX_ITERATIONS, MAX_PROBE_N, main
 from bpusim.config import ConfigFileError, parse_config
 from bpusim.engine import SimulationError
 from bpusim.predictor import PredictorConfig
@@ -205,8 +205,13 @@ def test_bit_string_options_reject_empty(tmp_path, args):
 @pytest.mark.parametrize("args, option, value", [
     (["covert", "--bits", "-4"], "--bits", "-4"),
     (["covert", "--bits", "0"], "--bits", "0"),
+    (["covert", "--bits", str(MAX_BITS + 1)], "--bits", str(MAX_BITS + 1)),
     (["sidechannel-v1", "--random-bits", "-3"], "--random-bits", "-3"),
+    (["sidechannel-v1", "--random-bits", str(MAX_BITS + 1)], "--random-bits",
+     str(MAX_BITS + 1)),
     (["sidechannel-v2", "--random-bits", "-1"], "--random-bits", "-1"),
+    (["sidechannel-v2", "--random-bits", str(MAX_BITS + 1)], "--random-bits",
+     str(MAX_BITS + 1)),
     (["defense-eval", "--iterations", "-2"], "--iterations", "-2"),
     (["defense-eval", "--iterations", str(MAX_ITERATIONS + 1)], "--iterations",
      str(MAX_ITERATIONS + 1)),
@@ -221,6 +226,17 @@ def test_sizes_out_of_range_are_rejected(tmp_path, args, option, value):
     result = _fail(["--out", str(tmp_path), *args])
     assert result.exit_code == 2
     assert f"Invalid value for '{option}': {value} is not in the range" in result.output
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["covert", "sidechannel-v1", "sidechannel-v2"])
+@pytest.mark.parametrize("noise", ["uniform", "gaussian"])
+@pytest.mark.parametrize("sigma", ["-5", "nan", "inf"])
+def test_sigma_must_be_finite_and_non_negative(tmp_path, command, noise, sigma):
+    result = _fail(["--out", str(tmp_path), command, "--noise", noise, "--sigma", sigma])
+    assert result.exit_code == 2
+    assert "Invalid value for '--sigma'" in result.output
+    assert "is not a finite number >= 0" in result.output
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
@@ -267,6 +283,24 @@ def test_bad_disassembly_is_clean_error(tmp_path):
     src.write_text("401000: test r8b, 0x4\nbogus\n")
     result = _fail(["--out", str(tmp_path), "scan", str(src)])
     assert f"Error: {src}: line 2: unrecognized line 'bogus'" in result.output
+
+
+def test_disassembly_that_is_not_utf8_is_clean_error(tmp_path):
+    src = tmp_path / "bad.disasm"
+    src.write_bytes(b"401000: test r8b, 0x4\n401004: nop \xff\n")
+    result = _fail(["--out", str(tmp_path), "scan", str(src)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {src}: 'utf-8' codec can't decode byte 0xff")
+    assert len(result.output.strip().splitlines()) == 1
+
+
+def test_config_that_is_not_utf8_is_clean_error(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"ghr_depth = 8 # \xff\n")
+    result = _fail(["--config", str(cfg), "--out", str(tmp_path), "probe-ghr"])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+    assert len(result.output.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("exc", [

@@ -211,8 +211,6 @@ def test_degenerate_engine_arguments_are_rejected(arg, value):
     programs = parse_program("0 0 Alu 0x100\n0 1 Halt 0x108")
     with pytest.raises(ConfigError, match=arg):
         eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
-    with pytest.raises(ConfigError, match=arg):
-        eng.Engine(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
 
 
 def test_reorder_buffer_holds_at_most_inflight_cap_ops():
@@ -250,10 +248,9 @@ def test_engine_skips_idle_ticks():
 
 def test_engine_reaches_tick_limit_without_visiting_idle_ticks():
     programs = parse_program("0 0 Alu 0x100")  # no Halt: the process never finishes
-    engine = eng.Engine(programs, [0], DEFAULT_POLICY, _frozen_state())
-    with pytest.raises(SimulationError, match="^tick limit exceeded$"):
-        engine.run()
-    assert 0 < engine.visited_ticks < 10
+    with pytest.raises(SimulationError, match="^tick limit exceeded$") as raised:
+        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+    assert 0 < raised.value.visited_ticks < 10
 
 
 def test_indirect_branch_btb_miss_stalls_without_mispredict():
@@ -367,7 +364,8 @@ def test_shadow_pht_merges_on_commit():
                         pred, env={"outer": 1, "sec": 1})
     assert res.summary["0"]["speculative_resolutions"] == 1
     child = next(b for b in res.branches if b.instr.addr == 0x300)
-    assert child.committed and not child.squashed
+    assert (child.dseq, "commit") in {(r[2], r[1]) for r in res.records}
+    assert not child.squashed
     assert pred.pht_one_level[child_idx] == before - 1
 
 
@@ -391,7 +389,7 @@ def test_shadow_pht_serves_own_process_speculatively():
     # first execution mispredicts (weak NT vs taken); after two taken shadow
     # updates the third prediction must be taken
     assert child[0].mispredicted
-    assert child[2].predicted_dir is Direction.TAKEN
+    assert child[2].predicted is Direction.TAKEN
 
 
 def test_restore_on_squash_rolls_back_nested_updates_in_order():
@@ -612,3 +610,15 @@ def test_speculative_flag_matches_a_reference_from_records(run_args):
         assert counts["mispredictions"] == sum(b.resolved and b.mispredicted for b in own)
         assert counts["speculative_resolutions"] == sum(b.resolved and b.speculative
                                                         for b in own)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_runs())
+def test_branch_fields_mirror_the_resolve_and_squash_records(run_args):
+    res, _ = eng.run(*run_args)
+    resolves = {r[2]: r[5:] for r in res.records if r[1] == "resolve"}
+    assert {b.dseq: (b.predicted, b.actual, b.mispredicted, b.speculative)
+            for b in res.branches if b.resolved} == resolves
+    dseqs = {b.dseq for b in res.branches}
+    squashes = {r[2] for r in res.records if r[1] == "squash"}
+    assert {b.dseq for b in res.branches if b.squashed} == squashes & dseqs

@@ -60,6 +60,13 @@ def test_gaussian_misclassification_monotone_in_sigma():
     assert errors[-1] > 0
 
 
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("sigma", [-5, float("nan"), float("inf")])
+def test_noise_param_must_be_finite_and_non_negative(kind, sigma):
+    with pytest.raises(ValueError, match="noise_param must be a finite number >= 0"):
+        LatencyModel(noise=kind, noise_param=sigma)
+
+
 def test_trace_requires_increasing_probe_indices():
     t = LatencyTrace([(1, 10)])
     t.append(5, 50)
