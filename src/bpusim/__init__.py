@@ -9,24 +9,22 @@ from .predictor import (
     PredictorState,
     parse_outcomes,
 )
-from .engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy, run
-from .program import Program
-from .timing import LatencyModel, LatencyTrace, NoiseKind, classify
+from .engine import POLICIES, run
+from .program import Program, parse_program
+from .timing import LatencyModel, LatencyTrace, NoiseKind
 
 __all__ = [
-    "DEFAULT_POLICY",
     "Direction",
     "LatencyModel",
     "LatencyTrace",
     "Mode",
     "NoiseKind",
-    "PolicyVariant",
+    "POLICIES",
     "PredictorConfig",
     "PredictorState",
     "Program",
-    "UpdatePolicy",
-    "classify",
     "parse_outcomes",
+    "parse_program",
     "run",
 ]
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine as eng
-from .engine import DEFAULT_POLICY, UpdatePolicy
+from .engine import ResolveTime
 from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Direction, Mode,
                         PredictorConfig, PredictorState, index_one_level)
 from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
-from .timing import LatencyModel, LatencySampler, LatencyTrace, classify
+from .timing import LatencyModel, LatencySampler, LatencyTrace
 
 
 class ProbeError(RuntimeError):
@@ -236,11 +236,12 @@ class _Channel:
     direction: the `half`-th probe mispredicts exactly when the victim's
     branch resolved in the preset direction. A chained channel (the covert
     ST/SN protocol) probes `2^n - 1` times, which saturates the entry the
-    other way, so the next trial needs no preset and flips the direction."""
+    other way, so the next trial needs no preset and flips the direction.
+    `seed` scrambles a one-level predictor and seeds the update policy."""
 
     def __init__(self, layout: VictimLayout, mode: Mode, config: PredictorConfig,
-                 latency_model, policy: UpdatePolicy, seed: int, context=None):
-        self.layout, self.mode, self.policy = layout, mode, policy
+                 latency_model, policy: type[ResolveTime], seed: int, context=None):
+        self.layout, self.mode, self.policy, self.seed = layout, mode, policy, seed
         self.model = latency_model or LatencyModel()
         self.predictor = PredictorState(config)
         if mode is HISTORY:
@@ -285,15 +286,15 @@ class _Channel:
             if chained:
                 self.harness.execute(self.context)
             result, _ = eng.run(self.layout.program, self.layout.schedule, self.policy,
-                                self.predictor, env=env(bit))
+                                self.predictor, env=env(bit), seed=self.seed)
             bv = _find_branch(result, self.layout.bv_addr)
             if unresolved is not None and (bv is None or not bv.resolved):
                 raise unresolved(i, bv)
             samples = self.harness.execute(self.executions[self.direction.opposite()] * probes)
-            decisive = (probe + half, samples[decisive_index][1])
+            latency = samples[decisive_index][1]
+            trace.append(probe + half, latency)
             probe += probes
-            trace.append(*decisive)
-            looks_mispredicted = classify(LatencyTrace([decisive]), self.model)[0]
+            looks_mispredicted = latency > self.model.threshold
             decoded.append(int(looks_mispredicted == (self.direction is TAKEN)))
             self.direction = self.direction.opposite() if chained else None
         return decoded, trace
@@ -315,7 +316,7 @@ def covert_send_receive(
     mode: Mode,
     latency_model: LatencyModel | None = None,
     config: PredictorConfig | None = None,
-    policy: UpdatePolicy = DEFAULT_POLICY,
+    policy: type[ResolveTime] = ResolveTime,
     seed: int = 0,
     reset_interval: int = 64,
 ) -> CovertResult:
@@ -363,7 +364,7 @@ def side_channel_v1(
     mode: Mode,
     latency_model: LatencyModel | None = None,
     config: PredictorConfig | None = None,
-    policy: UpdatePolicy = DEFAULT_POLICY,
+    policy: type[ResolveTime] = ResolveTime,
     seed: int = 0,
     corrupt_preamble_entry: int | None = None,
 ) -> SideChannelResult:
@@ -372,6 +373,9 @@ def side_channel_v1(
     layout = build_victim_v1(config)
     attacker_targets = list(layout.preamble_targets)
     if corrupt_preamble_entry is not None:
+        if not 0 <= corrupt_preamble_entry < config.ghr_depth:
+            raise ValueError(f"corrupt_preamble_entry must be in 0..{config.ghr_depth - 1}, "
+                             f"got {corrupt_preamble_entry}")
         attacker_targets[corrupt_preamble_entry] ^= 0x3
     ch = _Channel(layout, mode, config, latency_model, policy, seed, attacker_targets)
     # from the far end of its taken half, an n-bit trigger counter predicts
@@ -384,7 +388,7 @@ def side_channel_v1(
         ch.reset(seed * 1000 + i)
         for _ in range(warmups):
             eng.run(layout.program, layout.schedule, policy, ch.predictor,
-                    env={"pre": 1, "oob": 0, "sec": 0})
+                    env={"pre": 1, "oob": 0, "sec": 0}, seed=seed)
 
     def unresolved(i, bv):
         if bv is None:
@@ -402,7 +406,7 @@ def side_channel_v2(
     mode: Mode,
     latency_model: LatencyModel | None = None,
     config: PredictorConfig | None = None,
-    policy: UpdatePolicy = DEFAULT_POLICY,
+    policy: type[ResolveTime] = ResolveTime,
     seed: int = 0,
     poison: bool = True,
 ) -> SideChannelResult:
@@ -426,8 +430,9 @@ def side_channel_v2(
 # speculative-persistence scenario
 
 def speculative_update_scenario(
-    policy: UpdatePolicy = DEFAULT_POLICY,
+    policy: type[ResolveTime] = ResolveTime,
     config: PredictorConfig | None = None,
+    seed: int = 0,
 ) -> dict:
     """Mispredicted long-latency branch shields a wrong-path child branch;
     the child resolves speculatively, then the whole path is squashed.
@@ -448,7 +453,7 @@ def speculative_update_scenario(
     before = predictor.pht_one_level[idx]
     table_before = list(predictor.pht_one_level)
     result, predictor = eng.run(program, [0], policy, predictor,
-                                env={"outer": 1, "sec": 1})
+                                env={"outer": 1, "sec": 1}, seed=seed)
     after = predictor.pht_one_level[idx]
     child_dyn = _find_branch(result, child)
     if child_dyn is None or not child_dyn.resolved or not child_dyn.squashed:
@@ -459,7 +464,7 @@ def speculative_update_scenario(
                     enumerate(zip(table_before, predictor.pht_one_level))
                     if i != outer_idx)
     return {
-        "policy": policy.variant.value,
+        "policy": policy.name,
         "child_addr": f"{child:#x}",
         "entry_before": before,
         "entry_after": after,
@@ -490,7 +495,7 @@ def defense_workload(iterations: int = 15) -> tuple[Program, dict]:
 
 
 def defense_eval(policies, config: PredictorConfig | None = None,
-                 iterations: int = 15) -> dict[str, int]:
+                 iterations: int = 15, seed: int = 0) -> dict[str, int]:
     """Total mispredictions of the nested-loop workload per policy."""
     config = config or PredictorConfig()
     program, env = defense_workload(iterations)
@@ -504,6 +509,7 @@ def defense_eval(policies, config: PredictorConfig | None = None,
         predictor.selector.frozen = True
         idx = index_one_level(0x118, config)
         predictor.pht_one_level[idx] = (1 << config.one_level_bits) - 1
-        result, _ = eng.run(program, [0], policy, predictor, env=env, max_ticks=max_ticks)
-        out[policy.variant.value] = result.summary["0"]["mispredictions"]
+        result, _ = eng.run(program, [0], policy, predictor, env=env, max_ticks=max_ticks,
+                            seed=seed)
+        out[policy.name] = result.summary["0"]["mispredictions"]
     return out

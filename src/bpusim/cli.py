@@ -16,12 +16,12 @@ import click
 
 from . import attacks, scanner
 from .config import ConfigFileError, load_config
-from .engine import PolicyVariant, SimulationError, UpdatePolicy
+from .engine import POLICIES, SimulationError
 from .predictor import Mode, PredictorConfig, PredictorState
 from .program import ProgramError
 from .timing import LatencyModel, NoiseKind
 
-POLICY_CHOICES = [v.value for v in PolicyVariant]
+POLICY_CHOICES = {p.name: p for p in POLICIES}
 MODE_CHOICES = [m.value for m in Mode]
 NOISE_CHOICES = [n.value for n in NoiseKind]
 CANONICAL_REGISTERS = {canon for canon, _ in scanner.REGISTERS.values()}
@@ -71,19 +71,20 @@ class Context:
               help="Seed for every stochastic choice.")
 @click.option("--out", type=click.Path(file_okay=False), default="out",
               show_default=True, help="Artifact output directory.")
-@click.option("--policy", type=click.Choice(POLICY_CHOICES),
-              default=PolicyVariant.SPECULATIVE_RESOLVE_TIME.value,
+@click.option("--policy", type=click.Choice(list(POLICY_CHOICES)), default=POLICIES[0].name,
               show_default=True, help="PHT update policy.")
 @click.pass_context
 def main(ctx, config_path, seed, out, policy):
     """Branch prediction unit simulator and attack experiment harness."""
     config = load_config(config_path) if config_path else PredictorConfig()
-    ctx.obj = Context(config, seed, out,
-                      UpdatePolicy(PolicyVariant(policy), obfuscation_seed=seed))
+    ctx.obj = Context(config, seed, out, POLICY_CHOICES[policy])
 
 
 def _model(noise: str, sigma: float, seed: int) -> LatencyModel:
-    return LatencyModel(noise=NoiseKind(noise), noise_param=sigma, seed=seed)
+    try:
+        return LatencyModel(noise=NoiseKind(noise), noise_param=sigma, seed=seed)
+    except ValueError as exc:  # --sigma that does not suit --noise
+        raise click.BadParameter(str(exc), param_hint="'--sigma'") from exc
 
 
 def _sigma(ctx, param, value):
@@ -115,7 +116,7 @@ def _registers(ctx, param, value):
 @click.pass_obj
 def cmd_speculative_update(obj):
     """Check whether a squashed speculative branch leaves a PHT update."""
-    doc = attacks.speculative_update_scenario(obj.policy, obj.config)
+    doc = attacks.speculative_update_scenario(obj.policy, obj.config, obj.seed)
     events = doc.pop("events")
     obj.write("speculative_update_trace.txt", "\n".join(events) + "\n")
     obj.write_json("speculative_update.json", doc)
@@ -248,9 +249,8 @@ def cmd_sidechannel_v2(obj, secret, random_bits, mode, poison, noise, sigma):
 @click.pass_obj
 def cmd_defense_eval(obj, iterations):
     """Compare total mispredictions of the update policies on a nested loop."""
-    counts = attacks.defense_eval([UpdatePolicy(v, obfuscation_seed=obj.seed)
-                                   for v in PolicyVariant],
-                                  config=obj.config, iterations=iterations)
+    counts = attacks.defense_eval(POLICIES, config=obj.config, iterations=iterations,
+                                  seed=obj.seed)
     obj.write_json("defense_eval.json", counts)
     for name in sorted(counts):
         click.echo(f"{name:25s} {counts[name]:4d} mispredictions")

@@ -13,7 +13,6 @@ or commit of each branch it keeps state for.
 
 from __future__ import annotations
 
-import enum
 import functools
 import random
 from collections import deque
@@ -34,22 +33,6 @@ class SimulationError(RuntimeError):
     """A run that cannot go on. At the tick limit it carries `visited_ticks`,
     the count of ticks the run stopped at before it raised."""
 
-
-class PolicyVariant(enum.Enum):
-    SPECULATIVE_RESOLVE_TIME = "speculative-resolve-time"
-    COMMIT_TIME = "commit-time"
-    RESTORE_ON_SQUASH = "restore-on-squash"
-    SHADOW_PHT = "shadow-pht"
-    OBFUSCATE_ON_SQUASH = "obfuscate-on-squash"
-
-
-@dataclass(frozen=True)
-class UpdatePolicy:
-    variant: PolicyVariant = PolicyVariant.SPECULATIVE_RESOLVE_TIME
-    obfuscation_seed: int = 0
-
-
-DEFAULT_POLICY = UpdatePolicy()
 
 # the reorder-buffer size: fetched ops of one process that have not committed
 # and were not squashed
@@ -167,6 +150,8 @@ def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
 class ResolveTime:
     """speculative-resolve-time: every write lands at resolve and survives a squash."""
 
+    name = "speculative-resolve-time"
+
     # a policy that answers some predictions itself sets this to a hook
     # `(pid, prediction)` that may change the prediction's direction
     shadow_predict = None
@@ -200,6 +185,8 @@ class CommitTime(ResolveTime):
     """PHT and GHR writes wait for commit; squashed branches never write.
     The selector and the BTB still train at resolve."""
 
+    name = "commit-time"
+
     def resolved(self, b, ghr_target):
         if b.instr.kind is COND_BRANCH:
             self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
@@ -218,6 +205,8 @@ class CommitTime(ResolveTime):
 class RestoreOnSquash(ResolveTime):
     """Journal each PHT write; a squash undoes its victims' writes, newest first."""
 
+    name = "restore-on-squash"
+
     def resolved(self, b, ghr_target):
         if b.instr.kind is COND_BRANCH:
             self.pending[b.dseq] = (b.pred_mode, b.pred_index,
@@ -233,6 +222,8 @@ class RestoreOnSquash(ResolveTime):
 
 class ShadowPht(ResolveTime):
     """Speculative PHT writes go to a per-process shadow merged into the PHT at commit."""
+
+    name = "shadow-pht"
 
     def __init__(self, predictor, seed):
         super().__init__(predictor, seed)
@@ -273,6 +264,8 @@ class ShadowPht(ResolveTime):
 class ObfuscateOnSquash(ResolveTime):
     """A squash sets each PHT entry its victims wrote to a seed-derived value."""
 
+    name = "obfuscate-on-squash"
+
     def resolved(self, b, ghr_target):
         super().resolved(b, ghr_target)
         if b.instr.kind is COND_BRANCH:
@@ -284,13 +277,8 @@ class ObfuscateOnSquash(ResolveTime):
             obfuscate_entries(self.predictor, marked, self.seed)
 
 
-POLICY_CLASSES = {
-    PolicyVariant.SPECULATIVE_RESOLVE_TIME: ResolveTime,
-    PolicyVariant.COMMIT_TIME: CommitTime,
-    PolicyVariant.RESTORE_ON_SQUASH: RestoreOnSquash,
-    PolicyVariant.SHADOW_PHT: ShadowPht,
-    PolicyVariant.OBFUSCATE_ON_SQUASH: ObfuscateOnSquash,
-}
+# every update policy, in the CLI's order; `name` is each one's CLI string
+POLICIES = (ResolveTime, CommitTime, RestoreOnSquash, ShadowPht, ObfuscateOnSquash)
 
 
 class _Process:
@@ -312,10 +300,11 @@ class _Process:
         self.regs = {"acc": 0, "last_load": 0, "timer_reads": 0}
 
 
-def run(program: Program, schedule: list[int], policy: UpdatePolicy = DEFAULT_POLICY,
+def run(program: Program, schedule: list[int], policy: type[ResolveTime] = ResolveTime,
         predictor: PredictorState | None = None, env: dict | None = None,
-        max_ticks: int = 100_000) -> tuple[RunResult, PredictorState]:
-    """Run `program` on `predictor`, a fresh one if None. Visit, in order,
+        max_ticks: int = 100_000, seed: int = 0) -> tuple[RunResult, PredictorState]:
+    """Run `program` on `predictor`, a fresh one if None, under the update
+    policy class `policy`, built with `seed`. Visit, in order,
     each tick at which a branch resolves, a ROB-front op completes, or the
     round-robin slot goes to a process that can fetch; at each, resolve,
     then commit, then fetch."""
@@ -333,7 +322,7 @@ def run(program: Program, schedule: list[int], policy: UpdatePolicy = DEFAULT_PO
     predictor = predictor if predictor is not None else PredictorState()
     env = env or {}
     procs = {pid: _Process(pid, code, program.entry[pid]) for pid, code in program.code.items()}
-    policy = POLICY_CLASSES[policy.variant](predictor, policy.obfuscation_seed)
+    policy = policy(predictor, seed)
     pending, resolved, shadow_predict = policy.pending, policy.resolved, policy.shadow_predict
     predict, btb_lookup = predictor.predict, predictor.btb.lookup
     slots = [procs[pid] for pid in schedule]

@@ -31,6 +31,9 @@ class LatencyModel:
     def __post_init__(self):
         if not math.isfinite(self.noise_param) or self.noise_param < 0:
             raise ValueError(f"noise_param must be a finite number >= 0, got {self.noise_param}")
+        if self.noise is UNIFORM and self.noise_param != int(self.noise_param):
+            raise ValueError("uniform noise takes a whole number of latency units, "
+                             f"got {self.noise_param}")
 
     @property
     def threshold(self) -> float:
@@ -43,8 +46,9 @@ class LatencyModel:
 class LatencySampler:
     """Owns the seeded noise stream for one simulation run.
 
-    Gaussian noise is drawn as a standard normal scaled by sigma, so runs
-    that share a seed see error counts monotone in sigma.
+    Uniform noise adds a whole number of latency units drawn uniformly from
+    [-sigma, sigma]. Gaussian noise is drawn as a standard normal scaled by
+    sigma, so runs that share a seed see error counts monotone in sigma.
     """
 
     def __init__(self, model: LatencyModel):
@@ -79,9 +83,3 @@ class LatencyTrace:
 
     def to_csv(self) -> str:
         return "".join(["probe_index,latency\n"] + [f"{i},{lat}\n" for i, lat in self.samples])
-
-
-def classify(trace: LatencyTrace, model: LatencyModel) -> list[bool]:
-    """Threshold each sample; True means the probe looked like a mispredict."""
-    thr = model.threshold
-    return [lat > thr for _, lat in trace.samples]

@@ -26,7 +26,7 @@ from bpusim.attacks import (
     speculative_update_scenario,
 )
 from bpusim.cli import main as cli_main
-from bpusim.engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy
+from bpusim.engine import CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash, ShadowPht
 from bpusim.predictor import (
     Direction,
     Mode,
@@ -138,7 +138,7 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                     execute(d)
                 p.btb.update(layout.trigger_addr, layout.bv_addr)
                 res, _ = eng.run(layout.program, layout.schedule,
-                                 DEFAULT_POLICY, p,
+                                 ResolveTime, p,
                                  env={"pre": 1,
                                       "bit": 1 if o is Direction.TAKEN else 0})
                 bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
@@ -155,14 +155,13 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
 
 
 def test_criterion_05_speculative_persistence(capsys):
-    default = speculative_update_scenario(DEFAULT_POLICY)
+    default = speculative_update_scenario(ResolveTime)
     ok = default["persisted"]
     details = [f"default:{default['entry_before']}->{default['entry_after']}"]
-    for variant in (PolicyVariant.COMMIT_TIME, PolicyVariant.RESTORE_ON_SQUASH,
-                    PolicyVariant.SHADOW_PHT):
-        doc = speculative_update_scenario(UpdatePolicy(variant))
+    for policy in (CommitTime, RestoreOnSquash, ShadowPht):
+        doc = speculative_update_scenario(policy)
         ok &= not doc["persisted"] and doc["state_unchanged"]
-        details.append(f"{variant.value}:unchanged={doc['state_unchanged']}")
+        details.append(f"{policy.name}:unchanged={doc['state_unchanged']}")
     _report(capsys, 5, "squashed speculative update persists by default, "
             "bit-identical under the mitigation policies", ok,
             " ".join(details))
@@ -200,12 +199,10 @@ def test_criterion_07_side_channel_poc(capsys):
         details.append(f"{mode.value}:500-trial={r.accuracy:.3f}")
     balanced = [1] * 50 + [0] * 50
     random.Random(8).shuffle(balanced)
-    for variant in (PolicyVariant.COMMIT_TIME, PolicyVariant.RESTORE_ON_SQUASH,
-                    PolicyVariant.SHADOW_PHT, PolicyVariant.OBFUSCATE_ON_SQUASH):
-        r = side_channel_v1(balanced, Mode.ONE_LEVEL,
-                            policy=UpdatePolicy(variant, obfuscation_seed=3))
+    for policy in (CommitTime, RestoreOnSquash, ShadowPht, ObfuscateOnSquash):
+        r = side_channel_v1(balanced, Mode.ONE_LEVEL, policy=policy, seed=3)
         ok &= 0.45 <= r.accuracy <= 0.55
-        details.append(f"{variant.value}={r.accuracy:.2f}")
+        details.append(f"{policy.name}={r.accuracy:.2f}")
     _report(capsys, 7, "reference secret recovered exactly in both modes; "
             "500-trial runs 100% noiseless; mitigations near chance", ok,
             " ".join(details))
@@ -258,8 +255,7 @@ def test_criterion_09_gadget_scanner(capsys):
 
 
 def test_criterion_10_defense_eval_direction(capsys):
-    counts = defense_eval([UpdatePolicy(PolicyVariant.SPECULATIVE_RESOLVE_TIME),
-                           UpdatePolicy(PolicyVariant.COMMIT_TIME)])
+    counts = defense_eval([ResolveTime, CommitTime])
     ok = counts["speculative-resolve-time"] < counts["commit-time"]
     _report(capsys, 10, "nested-loop workload: strictly fewer mispredictions "
             "under resolve-time than commit-time updates", ok, str(counts))

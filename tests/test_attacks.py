@@ -21,7 +21,8 @@ from bpusim.attacks import (
     side_channel_v1,
     side_channel_v2,
 )
-from bpusim.engine import DEFAULT_POLICY, PolicyVariant, UpdatePolicy
+from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash,
+                           ShadowPht)
 from bpusim.predictor import Direction, Mode, PredictorConfig, PredictorState, index_one_level
 from bpusim.program import Program
 from bpusim.timing import LatencyModel, NoiseKind
@@ -132,8 +133,7 @@ def test_covert_rejects_reset_interval_below_one(mode):
 
 def test_covert_under_mitigation_policy_breaks_transmission():
     msg = "0110100110010110"
-    r = covert_send_receive(msg, Mode.ONE_LEVEL,
-                            policy=UpdatePolicy(PolicyVariant.COMMIT_TIME))
+    r = covert_send_receive(msg, Mode.ONE_LEVEL, policy=CommitTime)
     assert r.errors > 0
 
 
@@ -152,6 +152,17 @@ def test_side_channel_v1_corrupted_history_context_misses():
     except AttackError:
         return
     assert r.accuracy < 1.0
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+def test_side_channel_v1_rejects_a_preamble_entry_out_of_range(depth):
+    config = PredictorConfig(ghr_depth=depth)
+    for entry in (-1, depth):
+        with pytest.raises(ValueError, match=rf"corrupt_preamble_entry must be in "
+                                             rf"0\.\.{depth - 1}, got {entry}"):
+            side_channel_v1([1, 0], Mode.HISTORY, config=config, corrupt_preamble_entry=entry)
+    r = side_channel_v1([1, 0], Mode.ONE_LEVEL, config=config, corrupt_preamble_entry=depth - 1)
+    assert r.recovered == [1, 0]
 
 
 @pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)
@@ -195,11 +206,9 @@ def test_side_channel_v2_without_poisoning_is_chance():
 def test_side_channel_mitigations_near_chance():
     secret = [1] * 30 + [0] * 30
     random.Random(2).shuffle(secret)
-    for variant in (PolicyVariant.COMMIT_TIME, PolicyVariant.RESTORE_ON_SQUASH,
-                    PolicyVariant.SHADOW_PHT, PolicyVariant.OBFUSCATE_ON_SQUASH):
-        r = side_channel_v1(secret, Mode.ONE_LEVEL,
-                            policy=UpdatePolicy(variant, obfuscation_seed=5))
-        assert 0.3 <= r.accuracy <= 0.7, variant
+    for policy in (CommitTime, RestoreOnSquash, ShadowPht, ObfuscateOnSquash):
+        r = side_channel_v1(secret, Mode.ONE_LEVEL, policy=policy, seed=5)
+        assert 0.3 <= r.accuracy <= 0.7, policy.name
 
 
 def test_noise_degrades_covert_channel_monotonically():
@@ -216,16 +225,14 @@ def test_noise_degrades_covert_channel_monotonically():
 def test_defense_workload_runs_and_resolve_time_wins():
     _, env = defense_workload()
     assert env["loop"][-1] == 0
-    counts = defense_eval([UpdatePolicy(PolicyVariant.SPECULATIVE_RESOLVE_TIME),
-                           UpdatePolicy(PolicyVariant.COMMIT_TIME)])
+    counts = defense_eval([ResolveTime, CommitTime])
     assert counts["speculative-resolve-time"] < counts["commit-time"]
 
 
 def test_defense_eval_tick_budget_grows_with_iterations():
     # 3000 iterations take about 6,000 ticks: the tick budget grows with the loop
-    policies = [UpdatePolicy(v) for v in PolicyVariant]
-    counts = defense_eval(policies, iterations=3000)
-    assert sorted(counts) == sorted(v.value for v in PolicyVariant)
+    counts = defense_eval(POLICIES, iterations=3000)
+    assert sorted(counts) == sorted(p.name for p in POLICIES)
     assert all(isinstance(n, int) for n in counts.values())
 
 
@@ -234,11 +241,11 @@ def test_transient_gadget_only_reachable_through_poisoned_btb():
     layout = build_victim_v2(cfg)
     p = PredictorState(cfg)
     p.selector.frozen = True
-    res, p = eng.run(layout.program, layout.schedule, DEFAULT_POLICY, p,
+    res, p = eng.run(layout.program, layout.schedule, ResolveTime, p,
                      env={"pre": 1, "sec": 1})
     assert not any(b.instr.addr == layout.bv_addr for b in res.branches)
     p.btb.update(layout.trigger_addr, layout.bv_addr)
-    res, _ = eng.run(layout.program, layout.schedule, DEFAULT_POLICY, p,
+    res, _ = eng.run(layout.program, layout.schedule, ResolveTime, p,
                      env={"pre": 1, "sec": 1})
     bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
     assert bv and bv[0].resolved and bv[0].squashed and bv[0].speculative
@@ -291,20 +298,20 @@ CHANNELS = {
 @pytest.mark.parametrize("channel", list(CHANNELS))
 def test_selector_stays_in_the_channel_mode_after_each_trial(monkeypatch, channel, mode):
     # the decode of a probe latency assumes the mode the channel set up; a
-    # trial ends with `classify` on its decisive probe
+    # trial ends by appending its decisive probe to the trace and decoding it
     channels, seen = [], []
-    init, classify = attacks._Channel.__init__, attacks.classify
+    init, append = attacks._Channel.__init__, attacks.LatencyTrace.append
 
     def capture(self, *args, **kwargs):
         init(self, *args, **kwargs)
         channels.append(self)
 
-    def observe(trace, model):
+    def observe(trace, probe_index, latency):
         seen.append(channels[-1].predictor.selector.mode)
-        return classify(trace, model)
+        return append(trace, probe_index, latency)
 
     monkeypatch.setattr(attacks._Channel, "__init__", capture)
-    monkeypatch.setattr(attacks, "classify", observe)
+    monkeypatch.setattr(attacks.LatencyTrace, "append", observe)
     CHANNELS[channel](mode)
     assert len(channels) == 1 and channels[0].mode is mode
     assert seen == [mode] * (4 if channel == "covert" else 3)

@@ -240,6 +240,23 @@ def test_sigma_must_be_finite_and_non_negative(tmp_path, command, noise, sigma):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, size", [("covert", "--bits"),
+                                           ("sidechannel-v1", "--random-bits"),
+                                           ("sidechannel-v2", "--random-bits")])
+def test_uniform_sigma_must_be_a_whole_number(tmp_path, command, size):
+    # either option order: the check needs both --noise and --sigma
+    for args in (["--noise", "uniform", "--sigma", "0.9"],
+                 ["--sigma", "0.9", "--noise", "uniform"]):
+        result = _fail(["--out", str(tmp_path), command, *args])
+        assert result.exit_code == 2
+        assert ("Invalid value for '--sigma': uniform noise takes a whole number "
+                "of latency units, got 0.9") in result.output
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+    for args in (["--noise", "gaussian", "--sigma", "0.9"],
+                 ["--noise", "uniform", "--sigma", "2.0"]):
+        _run(["--out", str(tmp_path), command, size, "4", *args])
+
+
 @pytest.mark.parametrize("registers, message", [
     ("FOO", "FOO: not a 64-bit general-purpose register"),
     ("edi", "EDI: not a 64-bit general-purpose register"),

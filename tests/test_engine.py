@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from bpusim import engine as eng
 from bpusim.engine import (
+    POLICIES,
+    CommitTime,
     ConfigError,
-    DEFAULT_POLICY,
-    PolicyVariant,
+    ObfuscateOnSquash,
+    ResolveTime,
+    RestoreOnSquash,
+    ShadowPht,
     SimulationError,
-    UpdatePolicy,
     obfuscate_entries,
 )
 from bpusim.attacks import speculative_update_scenario
@@ -23,9 +26,6 @@ from bpusim.predictor import (
 from bpusim.program import Instruction, Kind, Program, ProgramError, parse_program
 
 BRANCH_KINDS = (Kind.COND_BRANCH, Kind.INDIRECT_BRANCH)
-
-ALL_POLICIES = [UpdatePolicy(v, obfuscation_seed=7) for v in PolicyVariant]
-
 
 def _frozen_state(config=None):
     p = PredictorState(config)
@@ -43,7 +43,7 @@ def test_straight_line_commit_and_arch_effects():
         0 4 Halt 0x120
         """
     )
-    res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+    res, _ = eng.run(programs, [0], ResolveTime, _frozen_state())
     arch = res.arch[0]
     assert arch["mem"] == {0x100: 1}
     assert arch["regs"]["last_load"] == 0  # nothing stored at the load's slot
@@ -62,7 +62,7 @@ def test_taken_branch_redirects_fetch():
         0 3 Halt 0x210
         """
     )
-    res, pred = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1})
+    res, pred = eng.run(programs, [0], ResolveTime, _frozen_state(), env={"c": 1})
     # fresh weak-not-taken entry predicts NotTaken, branch is actually taken
     assert res.summary["0"]["mispredictions"] == 1
     assert res.summary["0"]["squashes"] == 1
@@ -82,7 +82,7 @@ def test_wrong_path_store_never_commits():
         0 3 Halt 0x210
         """
     )
-    res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1})
+    res, _ = eng.run(programs, [0], ResolveTime, _frozen_state(), env={"c": 1})
     assert res.arch[0]["mem"] == {}
 
 
@@ -100,8 +100,9 @@ def test_architectural_state_identical_across_policies():
     envs = [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
     for env in envs:
         outcomes = []
-        for policy in ALL_POLICIES:
-            res, _ = eng.run(parse_program(text), [0], policy, _frozen_state(), env=env)
+        for policy in POLICIES:
+            res, _ = eng.run(parse_program(text), [0], policy, _frozen_state(), env=env,
+                             seed=7)
             outcomes.append((res.arch, res.summary["0"]["commits"]))
         assert all(o == outcomes[0] for o in outcomes), env
 
@@ -114,7 +115,7 @@ def test_env_list_condition_indexed_per_execution():
         0 2 Halt 0x110
         """
     )
-    res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(),
+    res, _ = eng.run(programs, [0], ResolveTime, _frozen_state(),
                      env={"loop": [1, 1, 1, 0]})
     # three taken iterations + final not-taken: Alu commits 4 times
     assert res.arch[0]["regs"]["acc"] == 4
@@ -127,7 +128,7 @@ def test_round_robin_schedule_interleaves_processes():
     1 0 Alu 0x100
     1 1 Halt 0x108
     """
-    res, _ = eng.run(parse_program(text), [0, 1], DEFAULT_POLICY, _frozen_state())
+    res, _ = eng.run(parse_program(text), [0, 1], ResolveTime, _frozen_state())
     assert res.summary["0"]["commits"] == 2
     assert res.summary["1"]["commits"] == 2
 
@@ -136,9 +137,9 @@ def test_schedule_validation():
     # a process with no instructions is not in the program, so scheduling
     # it is scheduling an undeclared process
     with pytest.raises(ConfigError, match="empty schedule"):
-        eng.run(Program([]), [], DEFAULT_POLICY, _frozen_state())
+        eng.run(Program([]), [], ResolveTime, _frozen_state())
     with pytest.raises(ConfigError, match="undeclared process 1"):
-        eng.run(Program([]), [1], DEFAULT_POLICY, _frozen_state())
+        eng.run(Program([]), [1], ResolveTime, _frozen_state())
 
 
 _TWO_PROCESSES = "0 0 Alu 0x10\n0 1 Halt 0x14\n1 0 Alu 0x10\n1 1 Halt 0x14\n"
@@ -147,7 +148,7 @@ _TWO_PROCESSES = "0 0 Alu 0x10\n0 1 Halt 0x14\n1 0 Alu 0x10\n1 1 Halt 0x14\n"
 def test_unscheduled_process_is_rejected():
     programs = parse_program(_TWO_PROCESSES)
     with pytest.raises(ConfigError, match="process 1 .*not in the schedule"):
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+        eng.run(programs, [0], ResolveTime, _frozen_state())
 
 
 def test_empty_program_is_rejected():
@@ -157,7 +158,7 @@ def test_empty_program_is_rejected():
     only_0 = Program([i for i in two.instructions if i.process_id == 0])
     assert set(only_0.code) == set(only_0.entry) == {0}
     with pytest.raises(ConfigError, match="undeclared process 1"):
-        eng.run(only_0, [0, 1], DEFAULT_POLICY, _frozen_state())
+        eng.run(only_0, [0, 1], ResolveTime, _frozen_state())
 
 
 def test_two_instructions_at_one_address_are_rejected():
@@ -189,7 +190,7 @@ def test_unresolved_branch_hits_tick_limit():
         """
     )
     with pytest.raises(SimulationError, match="unresolved branch"):
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1},
+        eng.run(programs, [0], ResolveTime, _frozen_state(), env={"c": 1},
                 max_ticks=50)
 
 
@@ -202,7 +203,7 @@ def test_missing_condition_name_is_an_error():
         """
     )
     with pytest.raises(SimulationError, match="cond=typo .* 0x100"):
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 1})
+        eng.run(programs, [0], ResolveTime, _frozen_state(), env={"c": 1})
 
 
 @pytest.mark.parametrize("arg", ["max_ticks"])
@@ -210,7 +211,7 @@ def test_missing_condition_name_is_an_error():
 def test_degenerate_engine_arguments_are_rejected(arg, value):
     programs = parse_program("0 0 Alu 0x100\n0 1 Halt 0x108")
     with pytest.raises(ConfigError, match=arg):
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), **{arg: value})
+        eng.run(programs, [0], ResolveTime, _frozen_state(), **{arg: value})
 
 
 def test_reorder_buffer_holds_at_most_inflight_cap_ops():
@@ -219,7 +220,7 @@ def test_reorder_buffer_holds_at_most_inflight_cap_ops():
     lines = ["0 0 CondBranch 0x100 0x1000 cond=c delay=200"]
     lines += [f"0 {k} Alu {0x100 + 8 * k:#x}" for k in range(1, 81)]
     lines.append("0 81 Halt 0x1000")
-    result, _ = eng.run(parse_program("\n".join(lines)), [0], DEFAULT_POLICY,
+    result, _ = eng.run(parse_program("\n".join(lines)), [0], ResolveTime,
                         _frozen_state(), env={"c": 0})
     inflight, peak = 0, 0
     for _, kind, *_ in result.records:
@@ -240,7 +241,7 @@ def test_engine_skips_idle_ticks():
         0 2 Halt 0x110
         """
     )
-    res, _ = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state(), env={"c": 0})
+    res, _ = eng.run(programs, [0], ResolveTime, _frozen_state(), env={"c": 0})
     assert res.ticks == 90001
     assert res.records[-1] == (90000, "commit", 2, 0)
     assert 0 < res.visited_ticks < 20
@@ -249,7 +250,7 @@ def test_engine_skips_idle_ticks():
 def test_engine_reaches_tick_limit_without_visiting_idle_ticks():
     programs = parse_program("0 0 Alu 0x100")  # no Halt: the process never finishes
     with pytest.raises(SimulationError, match="^tick limit exceeded$") as raised:
-        eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+        eng.run(programs, [0], ResolveTime, _frozen_state())
     assert 0 < raised.value.visited_ticks < 10
 
 
@@ -262,7 +263,7 @@ def test_indirect_branch_btb_miss_stalls_without_mispredict():
         0 3 Halt 0x210
         """
     )
-    res, pred = eng.run(programs, [0], DEFAULT_POLICY, _frozen_state())
+    res, pred = eng.run(programs, [0], ResolveTime, _frozen_state())
     assert res.summary["0"]["mispredictions"] == 0
     assert res.summary["0"]["squashes"] == 0
     # wrong-path Alu at 0x108 was never fetched; BTB learned the target
@@ -283,7 +284,7 @@ def test_indirect_branch_poisoned_btb_mispredicts_and_squashes():
         0 4 Alu 0x308
         """
     )
-    res, pred = eng.run(programs, [0], DEFAULT_POLICY, pred)
+    res, pred = eng.run(programs, [0], ResolveTime, pred)
     assert res.summary["0"]["mispredictions"] == 1
     assert res.summary["0"]["squashes"] >= 1
     assert res.arch[0]["regs"]["acc"] == 1  # only the real target's Alu commits
@@ -294,27 +295,21 @@ def test_indirect_branch_poisoned_btb_mispredicts_and_squashes():
 # update policies
 
 def test_speculative_update_persists_by_default():
-    doc = speculative_update_scenario(DEFAULT_POLICY)
+    doc = speculative_update_scenario(ResolveTime)
     assert doc["persisted"] and doc["verdict"] == "persisted"
     assert doc["entry_after"] == doc["entry_before"] - 1  # moved toward taken
 
 
-@pytest.mark.parametrize("variant", [
-    PolicyVariant.COMMIT_TIME,
-    PolicyVariant.RESTORE_ON_SQUASH,
-    PolicyVariant.SHADOW_PHT,
-])
-def test_mitigations_leave_entry_bit_identical(variant):
-    doc = speculative_update_scenario(UpdatePolicy(variant))
+@pytest.mark.parametrize("policy", [CommitTime, RestoreOnSquash, ShadowPht])
+def test_mitigations_leave_entry_bit_identical(policy):
+    doc = speculative_update_scenario(policy)
     assert not doc["persisted"] and doc["verdict"] == "not persisted"
     assert doc["state_unchanged"]
 
 
 def test_obfuscate_on_squash_scrambles_deterministically():
-    a = speculative_update_scenario(UpdatePolicy(PolicyVariant.OBFUSCATE_ON_SQUASH,
-                                                 obfuscation_seed=9))
-    b = speculative_update_scenario(UpdatePolicy(PolicyVariant.OBFUSCATE_ON_SQUASH,
-                                                 obfuscation_seed=9))
+    a = speculative_update_scenario(ObfuscateOnSquash, seed=9)
+    b = speculative_update_scenario(ObfuscateOnSquash, seed=9)
     assert a["entry_after"] == b["entry_after"]
     probe = PredictorState()
     idx = index_one_level(0x300, probe.config)
@@ -336,10 +331,9 @@ def test_commit_time_matches_resolve_time_without_speculation():
     0 2 Alu 0x118
     0 3 Halt 0x120
     """
-    _, pred_a = eng.run(parse_program(text), [0], DEFAULT_POLICY, pred_a,
+    _, pred_a = eng.run(parse_program(text), [0], ResolveTime, pred_a,
                         env={"t": 1, "n": 0})
-    _, pred_b = eng.run(parse_program(text), [0],
-                        UpdatePolicy(PolicyVariant.COMMIT_TIME), pred_b,
+    _, pred_b = eng.run(parse_program(text), [0], CommitTime, pred_b,
                         env={"t": 1, "n": 0})
     assert pred_a.state_fingerprint() == pred_b.state_fingerprint()
 
@@ -360,7 +354,7 @@ def test_shadow_pht_merges_on_commit():
         0 3 Halt 0x318
         """
     )
-    res, pred = eng.run(programs, [0], UpdatePolicy(PolicyVariant.SHADOW_PHT),
+    res, pred = eng.run(programs, [0], ShadowPht,
                         pred, env={"outer": 1, "sec": 1})
     assert res.summary["0"]["speculative_resolutions"] == 1
     child = next(b for b in res.branches if b.instr.addr == 0x300)
@@ -383,7 +377,7 @@ def test_shadow_pht_serves_own_process_speculatively():
         0 2 Halt 0x308
         """
     )
-    res, pred = eng.run(programs, [0], UpdatePolicy(PolicyVariant.SHADOW_PHT),
+    res, pred = eng.run(programs, [0], ShadowPht,
                         pred, env={"outer": 1, "sec": [1, 1, 0]})
     child = [b for b in res.branches if b.instr.addr == 0x300]
     # first execution mispredicts (weak NT vs taken); after two taken shadow
@@ -408,7 +402,7 @@ def test_restore_on_squash_rolls_back_nested_updates_in_order():
         """
     )
     res, pred = eng.run(programs, [0],
-                        UpdatePolicy(PolicyVariant.RESTORE_ON_SQUASH), pred,
+                        RestoreOnSquash, pred,
                         env={"outer": 1, "a": 1})
     assert pred.pht_one_level[entry_idx] == start
 
@@ -429,7 +423,7 @@ def test_restore_on_squash_undoes_repeated_writes_newest_first():
         """
     )
     res, pred = eng.run(programs, [0],
-                        UpdatePolicy(PolicyVariant.RESTORE_ON_SQUASH), pred,
+                        RestoreOnSquash, pred,
                         env={"outer": 1, "a": [1, 1, 0]})
     child = [b for b in res.branches if b.instr.addr == 0x300]
     assert sum(b.resolved and b.squashed for b in child) == 3
@@ -448,7 +442,7 @@ def test_speculative_ghr_insertions_survive_squash():
         0 4 Halt 0x410
         """
     )
-    res, pred = eng.run(programs, [0], DEFAULT_POLICY, pred,
+    res, pred = eng.run(programs, [0], ResolveTime, pred,
                         env={"outer": 1, "a": 1})
     assert 0x313 & 3 in pred.ghr.entries
 
@@ -461,15 +455,14 @@ FINGERPRINT_COMPONENTS = ("pht_one_level", "pht_history", "ghr", "btb",
                           "selector_mode", "selector_accumulator")
 
 
-@pytest.mark.parametrize("variant, leaking", [
-    (PolicyVariant.SPECULATIVE_RESOLVE_TIME,
-     {"pht_one_level", "ghr", "selector_accumulator"}),
-    (PolicyVariant.COMMIT_TIME, {"selector_accumulator"}),
-    (PolicyVariant.RESTORE_ON_SQUASH, {"ghr", "selector_accumulator"}),
-    (PolicyVariant.SHADOW_PHT, {"ghr", "selector_accumulator"}),
-    (PolicyVariant.OBFUSCATE_ON_SQUASH, {"ghr", "selector_accumulator"}),
+@pytest.mark.parametrize("policy, leaking", [
+    (ResolveTime, {"pht_one_level", "ghr", "selector_accumulator"}),
+    (CommitTime, {"selector_accumulator"}),
+    (RestoreOnSquash, {"ghr", "selector_accumulator"}),
+    (ShadowPht, {"ghr", "selector_accumulator"}),
+    (ObfuscateOnSquash, {"ghr", "selector_accumulator"}),
 ])
-def test_squashed_secret_branch_leak_contract(variant, leaking):
+def test_squashed_secret_branch_leak_contract(policy, leaking):
     text = """
     0 0 CondBranch 0x100 0x400 cond=outer delay=50
     0 1 CondBranch 0x300 0x313 cond=sec delay=2
@@ -479,8 +472,8 @@ def test_squashed_secret_branch_leak_contract(variant, leaking):
     """
     fingerprints = []
     for sec in (0, 1):
-        _, pred = eng.run(parse_program(text), [0], UpdatePolicy(variant, 7),
-                          PredictorState(), env={"outer": 1, "sec": sec})
+        _, pred = eng.run(parse_program(text), [0], policy, PredictorState(),
+                          env={"outer": 1, "sec": sec}, seed=7)
         fingerprints.append(pred.state_fingerprint())
     differing = {name for name, a, b in zip(FINGERPRINT_COMPONENTS, *fingerprints)
                  if a != b}
@@ -505,7 +498,7 @@ def test_records_render_to_the_documented_trace_layout():
         0 5 Halt 0x300
         """
     )
-    res, _ = eng.run(programs, [0], DEFAULT_POLICY, pred, env={"c": 0})
+    res, _ = eng.run(programs, [0], ResolveTime, pred, env={"c": 0})
     assert res.records[4] == (4, "resolve", 2, 0, 0x110, None, 0x200, False, True)
     assert res.events == [
         "0 fetch 0 pid=0 addr=0x100 kind=CondBranch pred=N mode=one-level",
@@ -560,7 +553,7 @@ def nested_runs(draw):
         instrs.append(Instruction(pid, len(addrs) - 1, Kind.HALT, addrs[-1]))
     extra = draw(st.lists(st.integers(0, n - 1), max_size=3))
     schedule = draw(st.permutations(list(range(n)) + extra))
-    policy = UpdatePolicy(draw(st.sampled_from(list(PolicyVariant))), obfuscation_seed=3)
+    policy = draw(st.sampled_from(POLICIES))
     return Program(instrs), schedule, policy, predictor, env
 
 
@@ -569,8 +562,8 @@ def nested_runs(draw):
 def test_runs_of_one_program_are_isolated(run_args):
     program, schedule, policy, predictor, env = run_args
     code = {pid: dict(by_addr) for pid, by_addr in program.code.items()}
-    first, p1 = eng.run(program, schedule, policy, predictor.clone(), env=env)
-    second, p2 = eng.run(program, schedule, policy, predictor.clone(), env=env)
+    first, p1 = eng.run(program, schedule, policy, predictor.clone(), env=env, seed=3)
+    second, p2 = eng.run(program, schedule, policy, predictor.clone(), env=env, seed=3)
     assert program.code == code
     assert second.records == first.records
     # a field absent from vars() holds its class default in both runs
@@ -599,7 +592,7 @@ def _speculative_from_records(records) -> dict[int, bool]:
 @settings(max_examples=150, deadline=None)
 @given(nested_runs())
 def test_speculative_flag_matches_a_reference_from_records(run_args):
-    res, _ = eng.run(*run_args)
+    res, _ = eng.run(*run_args, seed=3)
     expected = _speculative_from_records(res.records)
     assert {b.dseq: b.speculative for b in res.branches if b.resolved} == expected
     assert {r[2]: r[8] for r in res.records if r[1] == "resolve"} == expected
@@ -615,7 +608,7 @@ def test_speculative_flag_matches_a_reference_from_records(run_args):
 @settings(max_examples=100, deadline=None)
 @given(nested_runs())
 def test_branch_fields_mirror_the_resolve_and_squash_records(run_args):
-    res, _ = eng.run(*run_args)
+    res, _ = eng.run(*run_args, seed=3)
     resolves = {r[2]: r[5:] for r in res.records if r[1] == "resolve"}
     assert {b.dseq: (b.predicted, b.actual, b.mispredicted, b.speculative)
             for b in res.branches if b.resolved} == resolves

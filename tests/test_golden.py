@@ -13,7 +13,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from bpusim import attacks
+from bpusim import attacks, cli, engine
 from bpusim.cli import main
 from bpusim.predictor import Mode
 from bpusim.timing import LatencyModel, NoiseKind
@@ -167,6 +167,20 @@ GOLDEN = {
     "sidechannel-v2 --no-poison --random-bits 40 --noise gaussian --sigma 10":
         "d77e9050443abb646c757d04c594ba8c3695381546ad46ab59e4713e2a2ed7d3",
 }
+
+
+def test_policy_registry_holds_each_policy_class_once():
+    # a policy class missing from engine.POLICIES has no --policy string, so
+    # no CLI case above would run it
+    classes, todo = set(), [engine.ResolveTime]
+    while todo:
+        cls = todo.pop()
+        classes.add(cls)
+        todo.extend(cls.__subclasses__())
+    assert len(set(engine.POLICIES)) == len(engine.POLICIES)
+    assert set(engine.POLICIES) == classes
+    assert [p.name for p in engine.POLICIES] == POLICIES
+    assert list(cli.POLICY_CHOICES) == POLICIES
 
 
 @pytest.mark.parametrize("args", CASES, ids=" ".join)
