@@ -373,6 +373,9 @@ def side_channel_v1(
     layout = build_victim_v1(config)
     attacker_targets = list(layout.preamble_targets)
     if corrupt_preamble_entry is not None:
+        if mode is not HISTORY:
+            raise ValueError("corrupt_preamble_entry applies only to history mode: "
+                             "the one-level channel replays no GHR context")
         if not 0 <= corrupt_preamble_entry < config.ghr_depth:
             raise ValueError(f"corrupt_preamble_entry must be in 0..{config.ghr_depth - 1}, "
                              f"got {corrupt_preamble_entry}")

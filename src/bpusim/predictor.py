@@ -154,6 +154,83 @@ class GlobalHistoryRegister:
         return c
 
 
+class _ResetStream:
+    """The random stream of one `randomize_reset`, drawn in table order as
+    the tables are first read: the one-level PHT, the history PHT, then the
+    GHR entries. Every value is the one a `randrange` per entry would give."""
+
+    __slots__ = ("_config", "_rng", "_bulk", "_kept", "_history")
+
+    def __init__(self, config: PredictorConfig, seed: int):
+        self._config = config
+        self._rng = random.Random(seed)
+        self._bulk = max(config.one_level_bits, config.history_bits,
+                         config.target_bits_per_entry) < 8
+        self._kept = b""
+        self._history: list[int] | None = None
+
+    def draw(self, n: int, width: int) -> list[int]:
+        """The next `n` values below 2^width."""
+        if not self._bulk:
+            randrange = self._rng.randrange
+            return [randrange(1 << width) for _ in range(n)]
+        # randrange(2**w) keeps the top w+1 bits of one 32-bit draw and
+        # redraws while the top bit is set. randbytes(4 * k)[3::4] is the top
+        # byte of each of k draws, so the kept draws are its bytes below 128,
+        # in stream order, each shifted right by 7 - w. Kept bytes left over
+        # start the next draw, so split draws give what one big draw does.
+        kept = self._kept
+        while len(kept) < n:
+            top = self._rng.randbytes(8 * (n - len(kept)) + 256)[3::4]
+            kept += top.translate(None, _TOP_BIT_SET)
+        self._kept = kept[n:]
+        return list(kept[:n].translate(_SHIFT_RIGHT[7 - width]))
+
+    def history(self) -> list[int]:
+        """The history PHT, drawn on the first call."""
+        if self._history is None:
+            cfg = self._config
+            self._history = self.draw(cfg.pht_entries_history, cfg.history_bits)
+        return self._history
+
+
+class _ResetGHR(GlobalHistoryRegister):
+    """The GHR that `randomize_reset` leaves: until it is read it holds only
+    the targets inserted since the reset, over entries still undrawn in
+    `_rest`. A read draws them and merges them in under the inserted ones;
+    once `ghr_depth` inserts have pushed them all out, nothing is drawn."""
+
+    __slots__ = ("_rest", "_inserted")
+
+    def __init__(self, config: PredictorConfig, rest: _ResetStream):
+        super().__init__(config)
+        self._rest = rest
+        self._inserted = 0
+
+    def insert_taken(self, target: int) -> None:
+        super().insert_taken(target)
+        self._inserted += 1
+
+    def draw(self) -> None:
+        rest, self._rest = self._rest, None
+        if rest is None or self._inserted >= self._depth:
+            return
+        rest.history()  # the GHR entries follow the history PHT in the stream
+        word = 0
+        for e in rest.draw(self._depth, self._bits):
+            word = (word << self._bits) | e
+        self._word = ((word << (self._bits * self._inserted)) | self._word) & self._wmask
+
+    @property
+    def entries(self) -> list[int]:
+        self.draw()
+        return super().entries
+
+    def clone(self) -> GlobalHistoryRegister:
+        self.draw()
+        return super().clone()
+
+
 class BranchTargetBuffer:
     """Direct-mapped, per-core (process-agnostic) target buffer."""
 
@@ -209,12 +286,32 @@ class PredictorState:
         weak_one = 1 << (self.config.one_level_bits - 1)
         weak_hist = 1 << (self.config.history_bits - 1)
         self.pht_one_level = [weak_one] * self.config.pht_entries_one_level
-        self.pht_history = [weak_hist] * self.config.pht_entries_history
+        self._pht_history: list[int] | None = [weak_hist] * self.config.pht_entries_history
+        # the rest of the last reset's stream while `_pht_history` is undrawn
+        self._rest: _ResetStream | None = None
         self.ghr = GlobalHistoryRegister(self.config)
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.selector = TournamentSelector()
 
     # -- tables ----------------------------------------------------------
+
+    @property
+    def pht_history(self) -> list[int]:
+        if self._pht_history is None:
+            self._draw_rest()
+        return self._pht_history
+
+    @pht_history.setter
+    def pht_history(self, values: list[int]) -> None:
+        if self._pht_history is None:
+            self._draw_rest()  # the GHR entries follow it in the stream
+        self._pht_history = values
+
+    def _draw_rest(self) -> None:
+        """Draw what the last reset left undrawn: the history PHT and the GHR."""
+        self._pht_history, self._rest = self._rest.history(), None
+        if isinstance(self.ghr, _ResetGHR):
+            self.ghr.draw()
 
     def table(self, mode: Mode) -> list[int]:
         return self.pht_one_level if mode is ONE_LEVEL else self.pht_history
@@ -229,14 +326,18 @@ class PredictorState:
             value, width = self.pht_one_level[index], cfg.one_level_bits
         else:
             index = self.history_index(addr)
-            value, width = self.pht_history[index], cfg.history_bits
+            value, width = self._pht_history[index], cfg.history_bits
         taken = value < (1 << (width - 1))
         return Prediction(TAKEN if taken else NOT_TAKEN, mode, index)
 
     def history_index(self, addr: int) -> int:
         """History-PHT index of the branch at `addr`: the GHR word xor-folded
         to the index width, xor the address above its alignment bits and the
-        salt. `predict` and `execute` both read this one copy."""
+        salt. `predict` and `execute` both read this one copy. After a reset
+        it first draws the history PHT and the GHR, so they read
+        `_pht_history` after it."""
+        if self._pht_history is None:
+            self._draw_rest()
         mask = self.config.pht_entries_history - 1
         width = mask.bit_length()
         word, index = self.ghr._word, (addr >> 2) ^ self.config.index_salt
@@ -289,8 +390,8 @@ class PredictorState:
                 tbl, width = self.pht_one_level, cfg.one_level_bits
                 index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
             else:
-                tbl, width = self.pht_history, cfg.history_bits
                 index = self.history_index(addr)
+                tbl, width = self._pht_history, cfg.history_bits
             value = tbl[index]
             if outcome is TAKEN:
                 mis = value >= 1 << (width - 1)  # predicted not-taken
@@ -308,30 +409,14 @@ class PredictorState:
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled
-        PHTs and GHR, one-level mode selected, accumulator cleared."""
+        PHTs and GHR, one-level mode selected, accumulator cleared. Only the
+        one-level PHT is drawn now; the history PHT and the GHR entries are
+        drawn from the same stream when first read."""
         cfg = self.config
-        rng = random.Random(seed)
-        tables = ((cfg.pht_entries_one_level, cfg.one_level_bits),
-                  (cfg.pht_entries_history, cfg.history_bits),
-                  (cfg.ghr_depth, cfg.target_bits_per_entry))
-        if max(w for _, w in tables) < 8:
-            # randrange(2**w) keeps the top w+1 bits of one 32-bit draw and
-            # redraws while the top bit is set. randbytes(4 * k)[3::4] is the
-            # top byte of each of k draws, so the kept draws are its bytes
-            # below 128, in stream order, each shifted right by 7 - w.
-            need = sum(n for n, _ in tables)
-            kept = b""
-            while len(kept) < need:
-                top = rng.randbytes(8 * (need - len(kept)) + 256)[3::4]
-                kept += top.translate(None, _TOP_BIT_SET)
-            values, start = [], 0
-            for n, w in tables:
-                values.append(list(kept[start:start + n].translate(_SHIFT_RIGHT[7 - w])))
-                start += n
-        else:
-            values = [[rng.randrange(1 << w) for _ in range(n)] for n, w in tables]
-        self.pht_one_level, self.pht_history, ghr = values
-        self.ghr = GlobalHistoryRegister(cfg, ghr)
+        rest = _ResetStream(cfg, seed)
+        self.pht_one_level = rest.draw(cfg.pht_entries_one_level, cfg.one_level_bits)
+        self._pht_history, self._rest = None, rest
+        self.ghr = _ResetGHR(cfg, rest)
         self.selector.mode = ONE_LEVEL
         self.selector.mispredict_accumulator = 0
 
@@ -339,7 +424,7 @@ class PredictorState:
         c = object.__new__(PredictorState)
         c.config = self.config
         c.pht_one_level = list(self.pht_one_level)
-        c.pht_history = list(self.pht_history)
+        c._pht_history, c._rest = list(self.pht_history), None
         c.ghr = self.ghr.clone()
         c.btb = self.btb.clone()
         c.selector = TournamentSelector(

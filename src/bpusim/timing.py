@@ -31,6 +31,8 @@ class LatencyModel:
     def __post_init__(self):
         if not math.isfinite(self.noise_param) or self.noise_param < 0:
             raise ValueError(f"noise_param must be a finite number >= 0, got {self.noise_param}")
+        if self.noise is NONE and self.noise_param != 0:
+            raise ValueError(f"no noise takes no sigma, got {self.noise_param}")
         if self.noise is UNIFORM and self.noise_param != int(self.noise_param):
             raise ValueError("uniform noise takes a whole number of latency units, "
                              f"got {self.noise_param}")

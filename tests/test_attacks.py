@@ -161,8 +161,8 @@ def test_side_channel_v1_rejects_a_preamble_entry_out_of_range(depth):
         with pytest.raises(ValueError, match=rf"corrupt_preamble_entry must be in "
                                              rf"0\.\.{depth - 1}, got {entry}"):
             side_channel_v1([1, 0], Mode.HISTORY, config=config, corrupt_preamble_entry=entry)
-    r = side_channel_v1([1, 0], Mode.ONE_LEVEL, config=config, corrupt_preamble_entry=depth - 1)
-    assert r.recovered == [1, 0]
+    with pytest.raises(ValueError, match="corrupt_preamble_entry applies only to history mode"):
+        side_channel_v1([1, 0], Mode.ONE_LEVEL, config=config, corrupt_preamble_entry=depth - 1)
 
 
 @pytest.mark.parametrize("mode", [Mode.ONE_LEVEL, Mode.HISTORY], ids=lambda m: m.value)

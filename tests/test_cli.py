@@ -257,6 +257,19 @@ def test_uniform_sigma_must_be_a_whole_number(tmp_path, command, size):
         _run(["--out", str(tmp_path), command, size, "4", *args])
 
 
+@pytest.mark.parametrize("command, size", [("covert", "--bits"),
+                                           ("sidechannel-v1", "--random-bits"),
+                                           ("sidechannel-v2", "--random-bits")])
+def test_sigma_is_refused_without_noise(tmp_path, command, size):
+    # --noise none is the default, so a bare --sigma is refused too
+    for args in (["--noise", "none", "--sigma", "7.5"], ["--sigma", "7.5"]):
+        result = _fail(["--out", str(tmp_path), command, *args])
+        assert result.exit_code == 2
+        assert "Invalid value for '--sigma': no noise takes no sigma, got 7.5" in result.output
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+    _run(["--out", str(tmp_path), command, size, "4", "--noise", "none", "--sigma", "0"])
+
+
 @pytest.mark.parametrize("registers, message", [
     ("FOO", "FOO: not a 64-bit general-purpose register"),
     ("edi", "EDI: not a 64-bit general-purpose register"),

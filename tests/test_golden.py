@@ -205,9 +205,6 @@ LIBRARY_CASES = {
     "covert one-level reset_interval=16": lambda: attacks.covert_send_receive(
         MESSAGE, Mode.ONE_LEVEL, latency_model=_noise(NoiseKind.GAUSSIAN, 15, 4),
         seed=2, reset_interval=16),
-    "v1 one-level corrupt_preamble_entry=3": lambda: attacks.side_channel_v1(
-        SECRET, Mode.ONE_LEVEL, latency_model=_noise(NoiseKind.UNIFORM, 25, 7),
-        seed=1, corrupt_preamble_entry=3),
     # entry 3 loses the collision for good: trial 2's transmitter is never
     # fetched, and the digest is over that error's text
     "v1 history corrupt_preamble_entry=3": lambda: attacks.side_channel_v1(
@@ -234,8 +231,6 @@ def library_digest(call) -> str:
 LIBRARY_GOLDEN = {
     "covert one-level reset_interval=16":
         "aebd4f72c8ef86396fdfc3a8bb31c98a17d678f661f3a66f57fbcb9ab19dd991",
-    "v1 one-level corrupt_preamble_entry=3":
-        "45d7042509eef3401b6cf867daca315307ce2d97f20286901959691cbde15030",
     "v1 history corrupt_preamble_entry=3":
         "e8fee95ae43377a26cbf5b65601ec7a7eb576d4b4866ff84c0212bdb6b06c974",
     "v1 history corrupt_preamble_entry=5":

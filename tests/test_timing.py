@@ -37,6 +37,13 @@ def test_uniform_noise_rejects_a_fractional_sigma(sigma):
         LatencyModel(noise=NoiseKind.UNIFORM, noise_param=sigma)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1, 7.5])
+def test_no_noise_rejects_a_sigma(sigma):
+    with pytest.raises(ValueError, match=f"no noise takes no sigma, got {sigma}"):
+        LatencyModel(noise=NoiseKind.NONE, noise_param=sigma)
+    assert LatencyModel(noise=NoiseKind.NONE, noise_param=0.0).noise_param == 0
+
+
 def test_gaussian_noise_seeded_and_deterministic():
     m = LatencyModel(noise=NoiseKind.GAUSSIAN, noise_param=8, seed=3)
     a = [m.sampler().measure(True) for _ in range(1)]
