@@ -218,6 +218,12 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
     return VictimLayout(Program(pre + body), [pid], t0, gadget, targets, pid)
 
 
+def _check_bits(bits, zero, one) -> None:
+    for i, b in enumerate(bits):
+        if b != zero and b != one:
+            raise ValueError(f"bit {i} is {b!r}, not {zero!r} or {one!r}")
+
+
 def _find_branch(result: eng.RunResult, addr: int) -> eng.DynamicBranch | None:
     for b in result.branches:
         if b.instr.addr == addr:
@@ -324,6 +330,7 @@ def covert_send_receive(
     from probe latencies (chained ST/SN protocol)."""
     if reset_interval < 1:
         raise ValueError("reset_interval must be >= 1")
+    _check_bits(message, "0", "1")
     config = config or PredictorConfig()
     layout = build_victim_v2(config, pid=0, cond_name="bit", trigger_delay=40)
     ch = _Channel(layout, mode, config, latency_model, policy, seed)
@@ -369,6 +376,7 @@ def side_channel_v1(
     corrupt_preamble_entry: int | None = None,
 ) -> SideChannelResult:
     """Recover a secret bit array through the conditional-trigger victim."""
+    _check_bits(secret, 0, 1)
     config = config or PredictorConfig()
     layout = build_victim_v1(config)
     attacker_targets = list(layout.preamble_targets)
@@ -414,6 +422,7 @@ def side_channel_v2(
     poison: bool = True,
 ) -> SideChannelResult:
     """Recover a secret through the indirect-call victim via BTB poisoning."""
+    _check_bits(secret, 0, 1)
     config = config or PredictorConfig()
     layout = build_victim_v2(config)
     ch = _Channel(layout, mode, config, latency_model, policy, seed)

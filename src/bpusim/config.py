@@ -9,6 +9,16 @@ Recognized keys are exactly the PredictorConfig field names, e.g.::
 Values are decimal or 0x-prefixed hex numbers (`program.parse_int`), and
 `monitored_branches` takes a comma-separated list of them. Blank lines and
 `#` comments are ignored. The file is read as UTF-8.
+
+PredictorConfig bounds the size fields, and a value past a bound is a
+ConfigFileError:
+
+- `one_level_bits`, `history_bits`: 2 to 9;
+- `target_bits_per_entry`: 1 to 9;
+- `ghr_depth`: 1 to 256;
+- `pht_entries_one_level`, `pht_entries_history`: a power of two, 2 to 65536;
+- `btb_entries`: a power of two, 1 to 65536;
+- `transition_threshold`: at least 1.
 """
 
 from __future__ import annotations

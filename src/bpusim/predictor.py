@@ -58,14 +58,46 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
     return min(value + 1, (1 << width) - 1)
 
 
-# bytes.translate tables for randomize_reset: the bytes with the top bit set,
-# and byte -> byte >> s for each shift s
+# bytes.translate tables for _draw: the bytes with the top bit set, and
+# byte -> byte >> s for each shift s
 _TOP_BIT_SET = bytes(range(128, 256))
 _SHIFT_RIGHT = [bytes(b >> s for b in range(256)) for s in range(8)]
 
 
+def _draw(rng: random.Random, n: int, width: int) -> list[int]:
+    """Exactly what `n` calls of `rng.randrange(1 << width)` return, leaving
+    `rng` where they would."""
+    if width >= 8:
+        randrange = rng.randrange
+        return [randrange(1 << width) for _ in range(n)]
+    # randrange(2**w) keeps the top w+1 bits of one 32-bit draw and redraws
+    # while the top bit is set. randbytes(4 * k)[3::4] is the top byte of
+    # each of k draws, so the kept draws are its bytes below 128, in stream
+    # order, each shifted right by 7 - w. Each round draws only as many words
+    # as values are missing, so the last word drawn is the last one kept.
+    kept = b""
+    while len(kept) < n:
+        top = rng.randbytes(4 * (n - len(kept)))[3::4]
+        kept += top.translate(None, _TOP_BIT_SET)
+    return list(kept.translate(_SHIFT_RIGHT[7 - width]))
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+# PredictorConfig's size fields, each with its least and largest value. A
+# one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
+# address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
+# reaches every admitted GHR depth. With every field at its bound the slowest
+# command at its default arguments, probe-ghr, takes about 86 s and 26 MB; the
+# channels' victim runs stop at the engine's tick limit there. covert at
+# ghr_depth 122, the deepest its victim runs, and every other field at its
+# bound takes about 12 minutes and 29 MB for its 1,024 bits.
+_SIZE_BOUNDS = (
+    ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
+    ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),
+    ("pht_entries_history", 2, 1 << 16), ("btb_entries", 1, 1 << 16))
 
 
 @dataclass(frozen=True)
@@ -84,26 +116,17 @@ class PredictorConfig:
     monitored_branches: frozenset[int] | None = None
 
     def __post_init__(self):
-        if not _is_pow2(self.pht_entries_one_level):
-            raise ValueError("pht_entries_one_level must be a power of two")
-        if not _is_pow2(self.pht_entries_history):
-            raise ValueError("pht_entries_history must be a power of two")
-        # a one-entry PHT has no index bits: the GHR fold and the probes'
-        # alias-avoiding address search would never terminate
-        if self.pht_entries_one_level < 2:
-            raise ValueError("pht_entries_one_level must be >= 2")
-        if self.pht_entries_history < 2:
-            raise ValueError("pht_entries_history must be >= 2")
-        if self.ghr_depth < 1:
-            raise ValueError("ghr_depth must be >= 1")
-        if self.target_bits_per_entry < 1:
-            raise ValueError("target_bits_per_entry must be >= 1")
-        if not _is_pow2(self.btb_entries):
-            raise ValueError("btb_entries must be a power of two")
+        for name in ("pht_entries_one_level", "pht_entries_history", "btb_entries"):
+            if not _is_pow2(getattr(self, name)):
+                raise ValueError(f"{name} must be a power of two")
+        for name, least, most in _SIZE_BOUNDS:
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            if value > most:
+                raise ValueError(f"{name} must be <= {most}")
         if self.transition_threshold < 1:
             raise ValueError("transition_threshold must be >= 1")
-        if self.one_level_bits < 2 or self.history_bits < 2:
-            raise ValueError("counter widths must be >= 2")
 
     def counter_width(self, mode: Mode) -> int:
         return self.one_level_bits if mode is ONE_LEVEL else self.history_bits
@@ -152,83 +175,6 @@ class GlobalHistoryRegister:
         c._emask, c._wmask = self._emask, self._wmask
         c._word = self._word
         return c
-
-
-class _ResetStream:
-    """The random stream of one `randomize_reset`, drawn in table order as
-    the tables are first read: the one-level PHT, the history PHT, then the
-    GHR entries. Every value is the one a `randrange` per entry would give."""
-
-    __slots__ = ("_config", "_rng", "_bulk", "_kept", "_history")
-
-    def __init__(self, config: PredictorConfig, seed: int):
-        self._config = config
-        self._rng = random.Random(seed)
-        self._bulk = max(config.one_level_bits, config.history_bits,
-                         config.target_bits_per_entry) < 8
-        self._kept = b""
-        self._history: list[int] | None = None
-
-    def draw(self, n: int, width: int) -> list[int]:
-        """The next `n` values below 2^width."""
-        if not self._bulk:
-            randrange = self._rng.randrange
-            return [randrange(1 << width) for _ in range(n)]
-        # randrange(2**w) keeps the top w+1 bits of one 32-bit draw and
-        # redraws while the top bit is set. randbytes(4 * k)[3::4] is the top
-        # byte of each of k draws, so the kept draws are its bytes below 128,
-        # in stream order, each shifted right by 7 - w. Kept bytes left over
-        # start the next draw, so split draws give what one big draw does.
-        kept = self._kept
-        while len(kept) < n:
-            top = self._rng.randbytes(8 * (n - len(kept)) + 256)[3::4]
-            kept += top.translate(None, _TOP_BIT_SET)
-        self._kept = kept[n:]
-        return list(kept[:n].translate(_SHIFT_RIGHT[7 - width]))
-
-    def history(self) -> list[int]:
-        """The history PHT, drawn on the first call."""
-        if self._history is None:
-            cfg = self._config
-            self._history = self.draw(cfg.pht_entries_history, cfg.history_bits)
-        return self._history
-
-
-class _ResetGHR(GlobalHistoryRegister):
-    """The GHR that `randomize_reset` leaves: until it is read it holds only
-    the targets inserted since the reset, over entries still undrawn in
-    `_rest`. A read draws them and merges them in under the inserted ones;
-    once `ghr_depth` inserts have pushed them all out, nothing is drawn."""
-
-    __slots__ = ("_rest", "_inserted")
-
-    def __init__(self, config: PredictorConfig, rest: _ResetStream):
-        super().__init__(config)
-        self._rest = rest
-        self._inserted = 0
-
-    def insert_taken(self, target: int) -> None:
-        super().insert_taken(target)
-        self._inserted += 1
-
-    def draw(self) -> None:
-        rest, self._rest = self._rest, None
-        if rest is None or self._inserted >= self._depth:
-            return
-        rest.history()  # the GHR entries follow the history PHT in the stream
-        word = 0
-        for e in rest.draw(self._depth, self._bits):
-            word = (word << self._bits) | e
-        self._word = ((word << (self._bits * self._inserted)) | self._word) & self._wmask
-
-    @property
-    def entries(self) -> list[int]:
-        self.draw()
-        return super().entries
-
-    def clone(self) -> GlobalHistoryRegister:
-        self.draw()
-        return super().clone()
 
 
 class BranchTargetBuffer:
@@ -287,8 +233,8 @@ class PredictorState:
         weak_hist = 1 << (self.config.history_bits - 1)
         self.pht_one_level = [weak_one] * self.config.pht_entries_one_level
         self._pht_history: list[int] | None = [weak_hist] * self.config.pht_entries_history
-        # the rest of the last reset's stream while `_pht_history` is undrawn
-        self._rest: _ResetStream | None = None
+        # the last reset's generator while `_pht_history` is undrawn
+        self._rest: random.Random | None = None
         self.ghr = GlobalHistoryRegister(self.config)
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.selector = TournamentSelector()
@@ -298,20 +244,18 @@ class PredictorState:
     @property
     def pht_history(self) -> list[int]:
         if self._pht_history is None:
-            self._draw_rest()
+            self._draw_history()
         return self._pht_history
 
     @pht_history.setter
     def pht_history(self, values: list[int]) -> None:
-        if self._pht_history is None:
-            self._draw_rest()  # the GHR entries follow it in the stream
-        self._pht_history = values
+        self._pht_history, self._rest = values, None
 
-    def _draw_rest(self) -> None:
-        """Draw what the last reset left undrawn: the history PHT and the GHR."""
-        self._pht_history, self._rest = self._rest.history(), None
-        if isinstance(self.ghr, _ResetGHR):
-            self.ghr.draw()
+    def _draw_history(self) -> None:
+        """Draw the history PHT the last reset left undrawn."""
+        cfg = self.config
+        self._pht_history = _draw(self._rest, cfg.pht_entries_history, cfg.history_bits)
+        self._rest = None
 
     def table(self, mode: Mode) -> list[int]:
         return self.pht_one_level if mode is ONE_LEVEL else self.pht_history
@@ -334,10 +278,10 @@ class PredictorState:
         """History-PHT index of the branch at `addr`: the GHR word xor-folded
         to the index width, xor the address above its alignment bits and the
         salt. `predict` and `execute` both read this one copy. After a reset
-        it first draws the history PHT and the GHR, so they read
-        `_pht_history` after it."""
+        it first draws the history PHT, so they read `_pht_history` after
+        it."""
         if self._pht_history is None:
-            self._draw_rest()
+            self._draw_history()
         mask = self.config.pht_entries_history - 1
         width = mask.bit_length()
         word, index = self.ghr._word, (addr >> 2) ^ self.config.index_salt
@@ -409,14 +353,14 @@ class PredictorState:
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled
-        PHTs and GHR, one-level mode selected, accumulator cleared. Only the
-        one-level PHT is drawn now; the history PHT and the GHR entries are
-        drawn from the same stream when first read."""
+        PHTs and GHR, one-level mode selected, accumulator cleared. The
+        one-level PHT and then the GHR entries are drawn now; the history PHT
+        is drawn from the same generator when first read."""
         cfg = self.config
-        rest = _ResetStream(cfg, seed)
-        self.pht_one_level = rest.draw(cfg.pht_entries_one_level, cfg.one_level_bits)
-        self._pht_history, self._rest = None, rest
-        self.ghr = _ResetGHR(cfg, rest)
+        rng = random.Random(seed)
+        self.pht_one_level = _draw(rng, cfg.pht_entries_one_level, cfg.one_level_bits)
+        self.ghr = GlobalHistoryRegister(cfg, _draw(rng, cfg.ghr_depth, cfg.target_bits_per_entry))
+        self._pht_history, self._rest = None, rng
         self.selector.mode = ONE_LEVEL
         self.selector.mispredict_accumulator = 0
 

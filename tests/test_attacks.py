@@ -131,6 +131,16 @@ def test_covert_rejects_reset_interval_below_one(mode):
         covert_send_receive("10", mode, reset_interval=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: covert_send_receive("10x1", Mode.HISTORY), "bit 2 is 'x', not '0' or '1'"),
+    (lambda: side_channel_v1([1, 2, 0], Mode.ONE_LEVEL), "bit 1 is 2, not 0 or 1"),
+    (lambda: side_channel_v2([1, -1, 0], Mode.ONE_LEVEL), "bit 1 is -1, not 0 or 1"),
+], ids=["covert", "v1", "v2"])
+def test_attacks_reject_a_bit_that_is_not_0_or_1(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_covert_under_mitigation_policy_breaks_transmission():
     msg = "0110100110010110"
     r = covert_send_receive(msg, Mode.ONE_LEVEL, policy=CommitTime)

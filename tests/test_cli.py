@@ -308,6 +308,15 @@ def test_bad_config_value_is_clean_error(tmp_path):
     assert "Error: target_bits_per_entry must be >= 1" in result.output
 
 
+def test_config_past_a_size_bound_is_clean_error(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("one_level_bits = 10\n")
+    result = _fail(["--config", str(cfg), "--out", str(tmp_path), "probe-mode"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: one_level_bits must be <= 9"]
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_bad_disassembly_is_clean_error(tmp_path):
     src = tmp_path / "bad.disasm"
     src.write_text("401000: test r8b, 0x4\nbogus\n")

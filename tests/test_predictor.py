@@ -91,6 +91,22 @@ def test_config_rejects_degenerate_sizes(field, value):
         PredictorConfig(**{field: value})
 
 
+# each size field one step past its bound; a table size steps to the next
+# power of two, since bound + 1 already fails the power-of-two check
+@pytest.mark.parametrize("field, bound, value", [
+    ("one_level_bits", 9, 10),
+    ("history_bits", 9, 10),
+    ("target_bits_per_entry", 9, 10),
+    ("ghr_depth", 256, 257),
+    ("pht_entries_one_level", 1 << 16, 1 << 17),
+    ("pht_entries_history", 1 << 16, 1 << 17),
+    ("btb_entries", 1 << 16, 1 << 17),
+])
+def test_config_rejects_sizes_past_their_bound(field, bound, value):
+    with pytest.raises(ValueError, match=f"^{field} must be <= {bound}$"):
+        PredictorConfig(**{field: value})
+
+
 def test_index_one_level_hand_computed():
     cfg = PredictorConfig()
     assert index_one_level(0x400010, cfg) == ((0x400010 >> 2) & 1023) == 4
@@ -277,13 +293,13 @@ def test_randomize_reset_matches_per_entry_randrange(config):
         rng = random.Random(seed)
         expected = [[rng.randrange(1 << width) for _ in range(n)] for n, width in (
             (config.pht_entries_one_level, config.one_level_bits),
-            (config.pht_entries_history, config.history_bits),
-            (config.ghr_depth, config.target_bits_per_entry))]
+            (config.ghr_depth, config.target_bits_per_entry),
+            (config.pht_entries_history, config.history_bits))]
         state = PredictorState(config)
         state.selector.mode = Mode.HISTORY
         state.selector.mispredict_accumulator = 2
         state.randomize_reset(seed)
-        assert [state.pht_one_level, state.pht_history, state.ghr.entries] == expected
+        assert [state.pht_one_level, state.ghr.entries, state.pht_history] == expected
         assert state.selector.mode is Mode.ONE_LEVEL
         assert state.selector.mispredict_accumulator == 0
 

@@ -1,16 +1,18 @@
-"""`randomize_reset` draws the one-level PHT at once and the history PHT and
-the GHR entries from the same stream on first read. Every value a caller
-can observe must be what one `randrange` per entry, in table order, gives;
-a channel that never reads history state must never draw it."""
+"""`randomize_reset` draws the one-level PHT and then the GHR entries at
+once, and the history PHT from the same generator on first read. Every value
+a caller can observe must be what one `randrange` per entry, in that order,
+gives; a channel that never reads the history PHT must never draw it."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpusim import predictor as pred
 from bpusim.attacks import probe_mode, side_channel_v1
+from bpusim.engine import POLICIES
 from bpusim.predictor import (
     Direction,
     GlobalHistoryRegister,
@@ -18,54 +20,64 @@ from bpusim.predictor import (
     PredictorConfig,
     PredictorState,
 )
+from test_run_result_golden import GOLDEN, run_digest
 
 
 def _eager_reset(state: PredictorState, seed: int) -> None:
     """The reference: every table drawn at once, one `randrange` per entry."""
     cfg = state.config
     rng = random.Random(seed)
-    one, history, ghr = [[rng.randrange(1 << w) for _ in range(n)] for n, w in (
+    one, ghr, history = [[rng.randrange(1 << w) for _ in range(n)] for n, w in (
         (cfg.pht_entries_one_level, cfg.one_level_bits),
-        (cfg.pht_entries_history, cfg.history_bits),
-        (cfg.ghr_depth, cfg.target_bits_per_entry))]
+        (cfg.ghr_depth, cfg.target_bits_per_entry),
+        (cfg.pht_entries_history, cfg.history_bits))]
     state.pht_one_level, state.pht_history = one, history
     state.ghr = GlobalHistoryRegister(cfg, ghr)
     state.selector.mode = Mode.ONE_LEVEL
     state.selector.mispredict_accumulator = 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3000), st.integers(1, 9))
+def test_draw_is_exactly_n_randrange_calls(seed, n, width):
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert pred._draw(rng, n, width) == [reference.randrange(1 << width) for _ in range(n)]
+    assert rng.getstate() == reference.getstate()
+
+
 def _count_draws(monkeypatch) -> list[tuple[int, int]]:
-    """Record `(n, width)` of every draw from a reset's stream."""
+    """Record `(n, width)` of every draw from a reset's generator."""
     draws = []
-    draw = pred._ResetStream.draw
+    draw = pred._draw
 
-    def counted(self, n, width):
+    def counted(rng, n, width):
         draws.append((n, width))
-        return draw(self, n, width)
+        return draw(rng, n, width)
 
-    monkeypatch.setattr(pred._ResetStream, "draw", counted)
+    monkeypatch.setattr(pred, "_draw", counted)
     return draws
 
 
-def test_one_level_side_channel_draws_only_the_one_level_table(monkeypatch):
+def test_one_level_side_channel_never_draws_the_history_table(monkeypatch):
     draws = _count_draws(monkeypatch)
     r = side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3)
     assert r.recovered == [1, 0, 1, 1]
     cfg = PredictorConfig()
     # one reset when the channel is built and one per trial
-    assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits)] * 5
+    assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits),
+                     (cfg.ghr_depth, cfg.target_bits_per_entry)] * 5
 
 
-def test_a_history_read_draws_the_rest_exactly_once(monkeypatch):
+def test_a_history_read_draws_the_history_table_exactly_once(monkeypatch):
     draws = _count_draws(monkeypatch)
     cfg = PredictorConfig()
     whole = [(cfg.pht_entries_one_level, cfg.one_level_bits),
-             (cfg.pht_entries_history, cfg.history_bits),
-             (cfg.ghr_depth, cfg.target_bits_per_entry)]
+             (cfg.ghr_depth, cfg.target_bits_per_entry),
+             (cfg.pht_entries_history, cfg.history_bits)]
 
     p = PredictorState(cfg)
     p.randomize_reset(5)
-    assert draws == whole[:1]
+    assert draws == whole[:2]
     assert probe_mode(p) is Mode.ONE_LEVEL
     assert probe_mode(p) is Mode.ONE_LEVEL
     assert draws == whole
@@ -80,17 +92,12 @@ def test_a_history_read_draws_the_rest_exactly_once(monkeypatch):
     assert draws == whole
 
 
-def test_inserts_that_fill_the_ghr_leave_its_entries_undrawn(monkeypatch):
-    draws = _count_draws(monkeypatch)
-    cfg = PredictorConfig(ghr_depth=4)
-    p = PredictorState(cfg)
-    p.randomize_reset(9)
-    for t in range(4):
-        p.ghr.insert_taken(t)
-    assert p.ghr.entries == [0, 1, 2, 3]
-    assert len(p.pht_history) == cfg.pht_entries_history
-    assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits),
-                     (cfg.pht_entries_history, cfg.history_bits)]
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_run_result_digests_match_an_eager_reset(monkeypatch, policy):
+    """The seeded random runs start from a reset predictor: with the eager
+    reference in its place, whole engine runs give the same digests."""
+    monkeypatch.setattr(PredictorState, "randomize_reset", _eager_reset)
+    assert run_digest("random", policy) == GOLDEN[f"{policy.name} random"]
 
 
 @st.composite

@@ -157,15 +157,15 @@ GOLDEN = {
     "obfuscate-on-squash two-process":
         "d37a13bca68b345ef373dcb82c4ab2b022d0d302cf69007fcffcbb3fbbcddb3d",
     "speculative-resolve-time random":
-        "420b7304859615d077e1a7ce2f40241531aa24ce71b343cda3ff291cdacf65e3",
+        "d5a095ce8d3e24e8f047a7c45a2584ad5a4a09fe71723610466df01f06084d37",
     "commit-time random":
-        "f1be940fe0243e977a4b81103c7bee02c119906303a7d4c76105cdcbbc1784c1",
+        "3dfa705dc738a34397da1184269fb43eb7cf93ecd3af52ee42df18261c2bfb23",
     "restore-on-squash random":
-        "676679d9e63325735247488dfdb96c874fa71295490cf5e4276c02c458390b57",
+        "99e4feef5182ebeebb611df0e8e82ecbd612d1a6c08da2fb7a566c3c0d6155a9",
     "shadow-pht random":
-        "676679d9e63325735247488dfdb96c874fa71295490cf5e4276c02c458390b57",
+        "99e4feef5182ebeebb611df0e8e82ecbd612d1a6c08da2fb7a566c3c0d6155a9",
     "obfuscate-on-squash random":
-        "a4e2d912a1aad3b70550b907a6c621b84359aee019cf28f455e8a5a9f3bffbc2",
+        "ac9f290ae2b884f239c0fa1f03e32ef95bc267775c1d26cbc513b0d72696b239",
 }
 
 
