@@ -35,19 +35,14 @@ class TransmissionError(RuntimeError):
         self.bit_position = bit_position
 
 
-# the attacker's branches: the replayed GHR context (one branch per 0x20
-# bytes), the TNTNTN branch, and the branch both probes train and probe
-PREAMBLE_REPLAY_BASE = 0xA000
+# the attacker's branches: the TNTNTN one and the one both probes use
 HISTORY_SCRATCH_ADDR = 0xE000
 PROBE_TARGET = 0x4000
 # the victims' preamble starts here, so no preamble address aliases a
 # victim-body one-level entry (indices repeat every 0x1000 bytes)
 PREAMBLE_BASE = 0x1100
-# resolve delay of the v1 victim's bounds-check trigger, and the fewest
-# in-bounds victim runs before each v1 trial that train the trigger toward
-# the transmitter (a wide counter takes more: see side_channel_v1)
+# resolve delay of the v1 victim's bounds-check trigger
 V1_TRIGGER_DELAY = 60
-WARMUPS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +155,30 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 @dataclass
 class VictimLayout:
     """A victim's code, checked and indexed once for the engine runs of
-    every trial, and its addresses."""
+    every trial, its addresses, and its preamble as the committed
+    executions it makes: the GHR context a history-mode attacker replays."""
 
     program: Program
     schedule: list[int]
     trigger_addr: int
     bv_addr: int
-    preamble_targets: list[int]
-    pid: int
+    context: list[tuple[int, Direction, int]]
 
 
-def _preamble_block(pid: int, seq0: int, depth: int,
-                    trigger_addr: int) -> tuple[list[Instruction], list[int]]:
+def _preamble_block(pid: int, depth: int, trigger_addr: int):
+    """The always-taken preamble to the trigger, as code and as executions."""
     addrs = [PREAMBLE_BASE + i * 0x20 + ((i * 3 + 1) % 4) for i in range(depth)]
-    instrs = []
-    targets = []
-    for i, a in enumerate(addrs):
-        t = addrs[i + 1] if i + 1 < depth else trigger_addr
-        instrs.append(Instruction(pid, seq0 + i, COND_BRANCH, a, t, "pre", 1))
-        targets.append(t)
-    return instrs, targets
+    targets = addrs[1:] + [trigger_addr]
+    instrs = [Instruction(pid, i, COND_BRANCH, a, t, "pre", 1)
+              for i, (a, t) in enumerate(zip(addrs, targets))]
+    return instrs, [(a, TAKEN, t) for a, t in zip(addrs, targets)]
 
 
 def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
     """Listing-4 shape: bounds-check trigger (taken = skip) with the
     transmitter branch on the fall-through path."""
     t0, bv, join, out, hlt = 0x2002, 0x2008, 0x2010, 0x2040, 0x2050
-    pre, targets = _preamble_block(pid, 0, config.ghr_depth, t0)
+    pre, context = _preamble_block(pid, config.ghr_depth, t0)
     s = len(pre)
     body = [
         Instruction(pid, s, COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
@@ -196,7 +188,7 @@ def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
         Instruction(pid, s + 4, ALU, out),
         Instruction(pid, s + 5, HALT, hlt),
     ]
-    return VictimLayout(Program(pre + body), [pid], t0, bv, targets, pid)
+    return VictimLayout(Program(pre + body), [pid], t0, bv, context)
 
 
 def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec",
@@ -204,7 +196,7 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
     """Indirect-call trigger whose benign target skips the gadget; the
     transmitter gadget only runs if the BTB is poisoned toward it."""
     t0, gadget, out, hlt = 0x2002, 0x3003, 0x2040, 0x2050
-    pre, targets = _preamble_block(pid, 0, config.ghr_depth, t0)
+    pre, context = _preamble_block(pid, config.ghr_depth, t0)
     s = len(pre)
     body = [
         Instruction(pid, s, INDIRECT_BRANCH, t0, out, None, trigger_delay),
@@ -215,7 +207,7 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
         Instruction(pid, s + 5, ALU, 0x3010),
         Instruction(pid, s + 6, ALU, 0x3018),
     ]
-    return VictimLayout(Program(pre + body), [pid], t0, gadget, targets, pid)
+    return VictimLayout(Program(pre + body), [pid], t0, gadget, context)
 
 
 def _check_bits(bits, zero, one) -> None:
@@ -258,9 +250,7 @@ class _Channel:
         self.harness = BranchHarness(self.predictor, self.model.sampler())
         # the GHR context the attacker replays before each of its executions,
         # and each execution of the transmitter's address, context first
-        targets = (context or layout.preamble_targets) if mode is HISTORY else []
-        self.context = [(PREAMBLE_REPLAY_BASE + i * 0x20, TAKEN, t)
-                        for i, t in enumerate(targets)]
+        self.context = (context or layout.context) if mode is HISTORY else []
         b_a = layout.bv_addr
         self.executions = {d: self.context + [(b_a, d, b_a + 0x40)] for d in Direction}
         self.n = config.counter_width(mode)
@@ -379,7 +369,7 @@ def side_channel_v1(
     _check_bits(secret, 0, 1)
     config = config or PredictorConfig()
     layout = build_victim_v1(config)
-    attacker_targets = list(layout.preamble_targets)
+    context = list(layout.context)
     if corrupt_preamble_entry is not None:
         if mode is not HISTORY:
             raise ValueError("corrupt_preamble_entry applies only to history mode: "
@@ -387,13 +377,12 @@ def side_channel_v1(
         if not 0 <= corrupt_preamble_entry < config.ghr_depth:
             raise ValueError(f"corrupt_preamble_entry must be in 0..{config.ghr_depth - 1}, "
                              f"got {corrupt_preamble_entry}")
-        attacker_targets[corrupt_preamble_entry] ^= 0x3
-    ch = _Channel(layout, mode, config, latency_model, policy, seed, attacker_targets)
+        addr, taken, target = context[corrupt_preamble_entry]
+        context[corrupt_preamble_entry] = (addr, taken, target ^ 0x3)
+    ch = _Channel(layout, mode, config, latency_model, policy, seed, context)
     # from the far end of its taken half, an n-bit trigger counter predicts
-    # not-taken after 2^(n-1) in-bounds runs. History mode needs one more:
-    # the attacker's first context replay after the victim run aliases the
-    # trigger's history entry and steps it toward taken once per trial.
-    warmups = max(WARMUPS, (1 << (ch.n - 1)) + 1)
+    # not-taken after 2^(n-1) in-bounds runs
+    warmups = 1 << (ch.n - 1)
 
     def prepare(i):
         ch.reset(seed * 1000 + i)

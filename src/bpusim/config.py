@@ -6,9 +6,10 @@ Recognized keys are exactly the PredictorConfig field names, e.g.::
     ghr_depth = 12
     monitored_branches = 0x4000, 0x4040
 
-Values are decimal or 0x-prefixed hex numbers (`program.parse_int`), and
-`monitored_branches` takes a comma-separated list of them. Blank lines and
-`#` comments are ignored. The file is read as UTF-8.
+Each key may appear at most once. Values are decimal or 0x-prefixed hex
+numbers (`program.parse_int`), and `monitored_branches` takes a
+comma-separated list of them. Blank lines and `#` comments are ignored. The
+file is read as UTF-8.
 
 PredictorConfig bounds the size fields, and a value past a bound is a
 ConfigFileError:
@@ -48,6 +49,8 @@ def parse_config(text: str) -> PredictorConfig:
         value = value.strip()
         if key not in fields:
             raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ConfigFileError(f"line {lineno}: repeated key {key!r}")
         try:
             if key == "monitored_branches":
                 kwargs[key] = frozenset(parse_int(t.strip()) for t in value.split(","))

@@ -4,9 +4,10 @@ One instruction per line::
 
     pid seq kind addr [target] [cond=<operand>] [delay=<ticks>]
 
-Every number (pid, seq, address, target, delay) is decimal or 0x-prefixed
-hex, with an optional leading minus; `parse_int` reads it. The delay is at
-least 1 and the other numbers at least 0. Kinds: CondBranch,
+Each of the optional tokens may appear at most once, and the operand is not
+empty. Every number (pid, seq, address, target, delay) is decimal or
+0x-prefixed hex, with an optional leading minus; `parse_int` reads it. The
+delay is at least 1 and the other numbers at least 0. Kinds: CondBranch,
 IndirectBranch, Load, Store, Alu, TimerRead, Halt. A `#` starts a comment.
 
 `parse_program` reads the text into a `Program`, the one program value the
@@ -88,13 +89,17 @@ def parse_program_line(line: str, lineno: int = 0) -> Instruction:
         addr = parse_int(toks[3])
     except ValueError as exc:
         raise ProgramError(f"line {lineno}: {exc}") from exc
-    target = None
-    cond = None
-    delay = 1
+    target = cond = delay = None
     for tok in toks[4:]:
         if tok.startswith("cond="):
+            if cond is not None:
+                raise ProgramError(f"line {lineno}: repeated cond=")
             cond = tok[len("cond="):]
+            if not cond:
+                raise ProgramError(f"line {lineno}: empty cond=")
         elif tok.startswith("delay="):
+            if delay is not None:
+                raise ProgramError(f"line {lineno}: repeated delay=")
             try:
                 delay = parse_int(tok[len("delay="):])
             except ValueError as exc:
@@ -107,7 +112,7 @@ def parse_program_line(line: str, lineno: int = 0) -> Instruction:
         else:
             raise ProgramError(f"line {lineno}: unexpected token {tok!r}")
     try:
-        return Instruction(pid, seq, kind, addr, target, cond, delay)
+        return Instruction(pid, seq, kind, addr, target, cond, 1 if delay is None else delay)
     except ProgramError as exc:
         raise ProgramError(f"line {lineno}: {exc}") from exc
 

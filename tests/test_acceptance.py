@@ -14,7 +14,6 @@ from click.testing import CliRunner
 
 from bpusim import engine as eng
 from bpusim.attacks import (
-    PREAMBLE_REPLAY_BASE,
     BranchHarness,
     activate_history_mode,
     build_victim_v2,
@@ -124,9 +123,7 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                     p.selector.frozen = True
                 layout = build_victim_v2(cfg, cond_name="bit")
                 h = BranchHarness(p, LatencyModel().sampler())
-                context = [(PREAMBLE_REPLAY_BASE + i * 0x20, Direction.TAKEN, t)
-                           for i, t in enumerate(layout.preamble_targets)
-                           if mode is Mode.HISTORY]
+                context = layout.context if mode is Mode.HISTORY else []
 
                 def execute(direction):
                     """Mispredict flag of one execution of the transmitter

@@ -108,7 +108,7 @@ def test_victim_layouts_are_valid_programs():
         instrs = layout.program.instructions
         assert [i.seq for i in instrs] == list(range(len(instrs)))
         assert len({i.addr for i in instrs}) == len(instrs)
-        assert len(layout.preamble_targets) == cfg.ghr_depth
+        assert len(layout.context) == cfg.ghr_depth
 
 
 def test_covert_short_messages_both_modes():
@@ -156,12 +156,28 @@ def test_side_channel_v1_recovers_reference_secret_both_modes():
 
 def test_side_channel_v1_corrupted_history_context_misses():
     # attacker replays the wrong preamble target: the PHT collision is lost,
-    # so recovery degrades or the protocol detects the broken trigger
-    try:
-        r = side_channel_v1(REFERENCE_SECRET, Mode.HISTORY, corrupt_preamble_entry=3)
-    except AttackError:
-        return
+    # so the probes miss the transmitter's entry and recovery degrades
+    r = side_channel_v1(REFERENCE_SECRET, Mode.HISTORY, corrupt_preamble_entry=3)
     assert r.accuracy < 1.0
+
+
+@pytest.mark.parametrize("mode, runs", [(Mode.ONE_LEVEL, 3), (Mode.HISTORY, 5)],
+                         ids=lambda v: getattr(v, "value", v))
+def test_side_channel_v1_trial_makes_warmups_and_one_victim_run(monkeypatch, mode, runs):
+    # 2^(n-1) in-bounds warm-ups and the transient run, at the default widths
+    calls = []
+    run = eng.run
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["env"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "run", counted)
+    n = PredictorConfig().counter_width(mode)
+    r = side_channel_v1([1], mode)
+    assert r.accuracy == 1.0
+    assert len(calls) == runs == (1 << (n - 1)) + 1
+    assert [env["oob"] for env in calls] == [0] * (runs - 1) + [1]
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -183,6 +199,17 @@ def test_side_channel_v1_recovers_every_bit_at_each_counter_width(mode, width):
     secret = [random.Random(3).randint(0, 1) for _ in range(16)]
     r = side_channel_v1(secret, mode, config=config, seed=3)
     assert r.recovered == secret
+    if mode is Mode.ONE_LEVEL:
+        return
+    # the replayed context must not disturb the trigger at any GHR shape,
+    # a one-entry window included
+    secret = secret[:8]
+    for bits in (1, 2, 3):
+        for depth in (1, 4, 12, 20):
+            config = PredictorConfig(one_level_bits=width, history_bits=width,
+                                     target_bits_per_entry=bits, ghr_depth=depth)
+            r = side_channel_v1(secret, mode, config=config, seed=depth)
+            assert r.recovered == secret, (bits, depth)
 
 
 def test_side_channel_v1_builds_its_victim_program_once(monkeypatch):

@@ -49,6 +49,11 @@ def test_parse_config_errors(text):
         parse_config(text)
 
 
+def test_parse_config_rejects_a_repeated_key():
+    with pytest.raises(ConfigFileError, match="^line 2: repeated key 'ghr_depth'$"):
+        parse_config("ghr_depth = 8\nghr_depth = 12\n")
+
+
 @pytest.mark.parametrize("tok, value", [
     ("-8", -8), ("0x10", 0x10), ("0X1F", 0x1F), ("42", 42),
     ("1_2", None), ("0x_1f", None), ("+7", None), ("--5", None), ("- 5", None),

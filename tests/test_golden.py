@@ -205,8 +205,8 @@ LIBRARY_CASES = {
     "covert one-level reset_interval=16": lambda: attacks.covert_send_receive(
         MESSAGE, Mode.ONE_LEVEL, latency_model=_noise(NoiseKind.GAUSSIAN, 15, 4),
         seed=2, reset_interval=16),
-    # entry 3 loses the collision for good: trial 2's transmitter is never
-    # fetched, and the digest is over that error's text
+    # a corrupted entry loses the collision: the probes miss the transmitter's
+    # history entry and decode a constant, so entries 3 and 5 match
     "v1 history corrupt_preamble_entry=3": lambda: attacks.side_channel_v1(
         SECRET, Mode.HISTORY, latency_model=_noise(NoiseKind.UNIFORM, 25, 7),
         seed=1, corrupt_preamble_entry=3),
@@ -232,7 +232,7 @@ LIBRARY_GOLDEN = {
     "covert one-level reset_interval=16":
         "aebd4f72c8ef86396fdfc3a8bb31c98a17d678f661f3a66f57fbcb9ab19dd991",
     "v1 history corrupt_preamble_entry=3":
-        "e8fee95ae43377a26cbf5b65601ec7a7eb576d4b4866ff84c0212bdb6b06c974",
+        "f09849e1f4e63cfc41b47f68e5fe96c8ba776c00efe2da4c2069ef77d4dfd153",
     "v1 history corrupt_preamble_entry=5":
         "f09849e1f4e63cfc41b47f68e5fe96c8ba776c00efe2da4c2069ef77d4dfd153",
 }

@@ -39,6 +39,16 @@ def test_parse_line_errors(line):
         parse_program_line(line)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0 0 CondBranch 0x100 0x200 cond=", "empty cond="),
+    ("0 0 CondBranch 0x100 0x200 cond=a cond=b", "repeated cond="),
+    ("0 0 Alu 0x100 delay=2 delay=9", "repeated delay="),
+], ids=["empty-cond", "repeated-cond", "repeated-delay"])
+def test_parse_line_rejects_an_ambiguous_token(line, message):
+    with pytest.raises(ProgramError, match=f"^line 4: {message}$"):
+        parse_program_line(line, 4)
+
+
 @pytest.mark.parametrize("tok, value", [
     ("-8", -8), ("0x10", 0x10), ("0X1F", 0x1F), ("42", 42),
     ("0x1_00", None), ("+256", None), ("+3", None), ("1_000", None), ("0x_ff", None),
