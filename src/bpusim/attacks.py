@@ -5,8 +5,11 @@ Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: sequences of `(addr, outcome,
 target)` triples, each run by one `PredictorState.execute` call against the
 shared predictor, directly or through `BranchHarness`, which also times
-them. Only the victim/trojan transient step goes through the speculation
-engine, so the update policy governs exactly the speculative updates.
+them. So is the victim's always-taken preamble to its trigger: a victim
+run (`VictimLayout.run`) is one untimed kernel call over the preamble, then
+one engine run of the victim's body. Only that body, where the transient
+step happens, goes through the speculation engine, so the update policy
+governs exactly the speculative updates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,11 @@ class TransmissionError(RuntimeError):
 HISTORY_SCRATCH_ADDR = 0xE000
 PROBE_TARGET = 0x4000
 # the victims' preamble starts here, so no preamble address aliases a
-# victim-body one-level entry (indices repeat every 0x1000 bytes)
+# victim-body one-level entry (indices repeat every 0x1000 bytes). That
+# holds only up to `ghr_depth` 120: entry 120 sits at 0x2001, whose
+# `addr >> 2`, the address term of both PHT indexes, is the v1 trigger's,
+# so from depth 121 the taken preamble steps the trigger's entry toward
+# taken and v1's transmitter is never fetched
 PREAMBLE_BASE = 0x1100
 # resolve delay of the v1 victim's bounds-check trigger
 V1_TRIGGER_DELAY = 60
@@ -154,9 +161,10 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 
 @dataclass
 class VictimLayout:
-    """A victim's code, checked and indexed once for the engine runs of
-    every trial, its addresses, and its preamble as the committed
-    executions it makes: the GHR context a history-mode attacker replays."""
+    """A victim: its body's code, checked and indexed once for the engine
+    runs of every trial, its addresses, and its always-taken preamble to
+    the trigger as the committed executions it makes, which are also the
+    GHR context a history-mode attacker replays."""
 
     program: Program
     schedule: list[int]
@@ -164,31 +172,36 @@ class VictimLayout:
     bv_addr: int
     context: list[tuple[int, Direction, int]]
 
+    def run(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
+            seed: int) -> eng.RunResult:
+        """One victim run: the preamble in one kernel call, then the body in
+        one engine run. The engine would fetch each preamble branch into an
+        empty ROB and commit it before the next fetch, with no policy state
+        yet, so under every policy it makes the same predictor reads and
+        writes, in the same order, as the kernel does."""
+        predictor.execute(self.context)
+        return eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
 
-def _preamble_block(pid: int, depth: int, trigger_addr: int):
-    """The always-taken preamble to the trigger, as code and as executions."""
+
+def _preamble_block(depth: int, trigger_addr: int) -> list[tuple[int, Direction, int]]:
+    """The always-taken preamble to the trigger, as its committed executions."""
     addrs = [PREAMBLE_BASE + i * 0x20 + ((i * 3 + 1) % 4) for i in range(depth)]
-    targets = addrs[1:] + [trigger_addr]
-    instrs = [Instruction(pid, i, COND_BRANCH, a, t, "pre", 1)
-              for i, (a, t) in enumerate(zip(addrs, targets))]
-    return instrs, [(a, TAKEN, t) for a, t in zip(addrs, targets)]
+    return [(a, TAKEN, t) for a, t in zip(addrs, addrs[1:] + [trigger_addr])]
 
 
 def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
     """Listing-4 shape: bounds-check trigger (taken = skip) with the
     transmitter branch on the fall-through path."""
     t0, bv, join, out, hlt = 0x2002, 0x2008, 0x2010, 0x2040, 0x2050
-    pre, context = _preamble_block(pid, config.ghr_depth, t0)
-    s = len(pre)
     body = [
-        Instruction(pid, s, COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
-        Instruction(pid, s + 1, COND_BRANCH, bv, join, "sec", 2),
-        Instruction(pid, s + 2, ALU, join),
-        Instruction(pid, s + 3, ALU, 0x2018),
-        Instruction(pid, s + 4, ALU, out),
-        Instruction(pid, s + 5, HALT, hlt),
+        Instruction(pid, 0, COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
+        Instruction(pid, 1, COND_BRANCH, bv, join, "sec", 2),
+        Instruction(pid, 2, ALU, join),
+        Instruction(pid, 3, ALU, 0x2018),
+        Instruction(pid, 4, ALU, out),
+        Instruction(pid, 5, HALT, hlt),
     ]
-    return VictimLayout(Program(pre + body), [pid], t0, bv, context)
+    return VictimLayout(Program(body), [pid], t0, bv, _preamble_block(config.ghr_depth, t0))
 
 
 def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec",
@@ -196,18 +209,16 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
     """Indirect-call trigger whose benign target skips the gadget; the
     transmitter gadget only runs if the BTB is poisoned toward it."""
     t0, gadget, out, hlt = 0x2002, 0x3003, 0x2040, 0x2050
-    pre, context = _preamble_block(pid, config.ghr_depth, t0)
-    s = len(pre)
     body = [
-        Instruction(pid, s, INDIRECT_BRANCH, t0, out, None, trigger_delay),
-        Instruction(pid, s + 1, ALU, out),
-        Instruction(pid, s + 2, HALT, hlt),
-        Instruction(pid, s + 3, COND_BRANCH, gadget, 0x3010, cond_name, 2),
-        Instruction(pid, s + 4, ALU, 0x3008),
-        Instruction(pid, s + 5, ALU, 0x3010),
-        Instruction(pid, s + 6, ALU, 0x3018),
+        Instruction(pid, 0, INDIRECT_BRANCH, t0, out, None, trigger_delay),
+        Instruction(pid, 1, ALU, out),
+        Instruction(pid, 2, HALT, hlt),
+        Instruction(pid, 3, COND_BRANCH, gadget, 0x3010, cond_name, 2),
+        Instruction(pid, 4, ALU, 0x3008),
+        Instruction(pid, 5, ALU, 0x3010),
+        Instruction(pid, 6, ALU, 0x3018),
     ]
-    return VictimLayout(Program(pre + body), [pid], t0, gadget, context)
+    return VictimLayout(Program(body), [pid], t0, gadget, _preamble_block(config.ghr_depth, t0))
 
 
 def _check_bits(bits, zero, one) -> None:
@@ -281,8 +292,7 @@ class _Channel:
                 self.direction = TAKEN
             if chained:
                 self.harness.execute(self.context)
-            result, _ = eng.run(self.layout.program, self.layout.schedule, self.policy,
-                                self.predictor, env=env(bit), seed=self.seed)
+            result = self.layout.run(self.policy, self.predictor, env(bit), self.seed)
             bv = _find_branch(result, self.layout.bv_addr)
             if unresolved is not None and (bv is None or not bv.resolved):
                 raise unresolved(i, bv)
@@ -331,7 +341,7 @@ def covert_send_receive(
         ch.predictor.btb.update(layout.trigger_addr, layout.bv_addr)
 
     bits, trace = ch.trials(
-        message, lambda c: {"pre": 1, "bit": int(c == "1")}, prepare,
+        message, lambda c: {"bit": int(c == "1")}, prepare,
         lambda i, _: TransmissionError(f"transmitter branch not resolved at bit {i}", i),
         chained=True)
     decoded = "".join(map(str, bits))
@@ -387,8 +397,7 @@ def side_channel_v1(
     def prepare(i):
         ch.reset(seed * 1000 + i)
         for _ in range(warmups):
-            eng.run(layout.program, layout.schedule, policy, ch.predictor,
-                    env={"pre": 1, "oob": 0, "sec": 0}, seed=seed)
+            layout.run(policy, ch.predictor, {"oob": 0, "sec": 0}, seed)
 
     def unresolved(i, bv):
         if bv is None:
@@ -397,7 +406,7 @@ def side_channel_v1(
         return AttackError(f"trial {i}: transmitter branch squashed before resolution")
 
     recovered, trace = ch.trials(
-        secret, lambda bit: {"pre": 1, "oob": 1, "sec": bit}, prepare, unresolved)
+        secret, lambda bit: {"oob": 1, "sec": bit}, prepare, unresolved)
     return _side_channel_result(recovered, secret, trace)
 
 
@@ -423,7 +432,7 @@ def side_channel_v2(
 
     unresolved = (lambda i, _: AttackError(f"trial {i}: gadget never reached despite poisoning")) \
         if poison else None
-    recovered, trace = ch.trials(secret, lambda bit: {"pre": 1, "sec": bit}, prepare, unresolved)
+    recovered, trace = ch.trials(secret, lambda bit: {"sec": bit}, prepare, unresolved)
     return _side_channel_result(recovered, secret, trace)
 
 

@@ -6,7 +6,9 @@ keys, no timestamps), so reruns are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import importlib.resources
+import io
 import json
 import math
 import pathlib
@@ -31,7 +33,8 @@ MAX_ITERATIONS = 100_000
 # entries no collision is found, and all 256 lengths take about 4 s, 19 MB
 MAX_PROBE_N = 256
 # covert --bits and the side channels' --random-bits: the slowest command at
-# this bound, sidechannel-v1 under shadow-pht, takes about 12 s and 20 MB
+# this bound, history-mode sidechannel-v1 under shadow-pht, takes about 5.5 s
+# and 20 MB, and one-level about 3.3 s (2-CPU Xeon)
 MAX_BITS = 10_000
 
 # domain errors reported as a one-line message and a non-zero exit status
@@ -261,6 +264,13 @@ def _bundled_corpus() -> list[pathlib.Path]:
     return sorted(p for p in root.iterdir() if p.name.endswith(".disasm"))
 
 
+def _csv_field(value: str) -> str:
+    """`value` as one CSV field, quoted as the report's `csv.writer` quotes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value])
+    return buf.getvalue()[:-1]
+
+
 @main.command("scan")
 @click.argument("files", nargs=-1, type=click.Path(exists=True, dir_okay=False))
 @click.option("--registers", default=",".join(scanner.DEFAULT_TRACKED), callback=_registers,
@@ -285,7 +295,8 @@ def cmd_scan(obj, files, registers, window, mode):
         header, rows = body[0], body[1:]
         if not csv_rows:
             csv_rows.append("binary," + header)
-        csv_rows.extend(f"{path.name},{row}" for row in rows)
+        binary = _csv_field(path.name)
+        csv_rows.extend(f"{binary},{row}" for row in rows)
         click.echo(f"{path.name}: v2={report.v2_count} "
                    f"ss={report.smotherspectre_count} v1={report.v1_count}")
     obj.write_json("report.json", reports)

@@ -89,11 +89,11 @@ def _is_pow2(n: int) -> bool:
 # PredictorConfig's size fields, each with its least and largest value. A
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
 # address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
-# reaches every admitted GHR depth. With every field at its bound the slowest
-# command at its default arguments, probe-ghr, takes about 86 s and 26 MB; the
-# channels' victim runs stop at the engine's tick limit there. covert at
-# ghr_depth 122, the deepest its victim runs, and every other field at its
-# bound takes about 12 minutes and 29 MB for its 1,024 bits.
+# reaches every admitted GHR depth. With every field at its bound, probe-ghr
+# at its default arguments takes about 86 s and 26 MB, and covert about 3 s
+# per bit and 38 MB, so about 55 minutes for its default 1,024 bits
+# (extrapolated from 2 and 6 bits); one-level sidechannel-v1 raises
+# AttackError there, as its preamble reaches the trigger's PHT entry.
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),

@@ -13,7 +13,7 @@ IndirectBranch, Load, Store, Alu, TimerRead, Halt. A `#` starts a comment.
 `parse_program` reads the text into a `Program`, the one program value the
 engine runs and victim builders make. `Program` groups a flat list of
 instructions by process and rejects two instructions of one process at one
-address; every check raises `ProgramError`.
+address or with one seq; every check raises `ProgramError`.
 """
 
 from __future__ import annotations
@@ -129,11 +129,15 @@ class Program:
     def __init__(self, instructions):
         self.instructions = tuple(instructions)
         by_pid: dict[int, dict[int, Instruction]] = {}
+        seqs: set[tuple[int, int]] = set()  # (process_id, seq)
         for i in self.instructions:
             by_addr = by_pid.setdefault(i.process_id, {})
             if i.addr in by_addr:
                 raise ProgramError(f"process {i.process_id}: two instructions at {i.addr:#x}")
+            if (i.process_id, i.seq) in seqs:
+                raise ProgramError(f"process {i.process_id}: two instructions with seq {i.seq}")
             by_addr[i.addr] = i
+            seqs.add((i.process_id, i.seq))
         self.code: dict[int, dict[int, tuple[Instruction, int | None]]] = {}
         self.entry: dict[int, int] = {}
         for pid, by_addr in by_pid.items():

@@ -12,7 +12,6 @@ import random
 
 from click.testing import CliRunner
 
-from bpusim import engine as eng
 from bpusim.attacks import (
     BranchHarness,
     activate_history_mode,
@@ -134,10 +133,8 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 for _ in range((1 << n) - 1):
                     execute(d)
                 p.btb.update(layout.trigger_addr, layout.bv_addr)
-                res, _ = eng.run(layout.program, layout.schedule,
-                                 ResolveTime, p,
-                                 env={"pre": 1,
-                                      "bit": 1 if o is Direction.TAKEN else 0})
+                res = layout.run(ResolveTime, p, {"bit": 1 if o is Direction.TAKEN else 0},
+                                 seed=0)
                 bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
                 ok &= bool(bv) and bv[0].resolved and bv[0].squashed
                 mis = None

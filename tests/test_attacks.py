@@ -108,7 +108,22 @@ def test_victim_layouts_are_valid_programs():
         instrs = layout.program.instructions
         assert [i.seq for i in instrs] == list(range(len(instrs)))
         assert len({i.addr for i in instrs}) == len(instrs)
+        # the program is the body: the preamble is only its executions
         assert len(layout.context) == cfg.ghr_depth
+        assert not {addr for addr, _, _ in layout.context} & {i.addr for i in instrs}
+        assert layout.context[-1][2] == layout.trigger_addr
+        assert layout.program.entry == {0: layout.trigger_addr}
+
+
+@pytest.mark.parametrize("depth", [128, 256])
+def test_deep_ghr_channels_recover_every_bit(depth):
+    # preambles this deep reach the victims' bodies' addresses, so they run
+    # only as committed executions, never as victim code
+    cfg = PredictorConfig(ghr_depth=depth)
+    secret = [1, 0, 1, 1, 0, 0, 1, 0]
+    for mode in (Mode.ONE_LEVEL, Mode.HISTORY):
+        assert side_channel_v2(secret, mode, config=cfg).recovered == secret
+    assert covert_send_receive("10110010", Mode.HISTORY, config=cfg).decoded == "10110010"
 
 
 def test_covert_short_messages_both_modes():
@@ -278,12 +293,10 @@ def test_transient_gadget_only_reachable_through_poisoned_btb():
     layout = build_victim_v2(cfg)
     p = PredictorState(cfg)
     p.selector.frozen = True
-    res, p = eng.run(layout.program, layout.schedule, ResolveTime, p,
-                     env={"pre": 1, "sec": 1})
+    res = layout.run(ResolveTime, p, {"sec": 1}, seed=0)
     assert not any(b.instr.addr == layout.bv_addr for b in res.branches)
     p.btb.update(layout.trigger_addr, layout.bv_addr)
-    res, _ = eng.run(layout.program, layout.schedule, ResolveTime, p,
-                     env={"pre": 1, "sec": 1})
+    res = layout.run(ResolveTime, p, {"sec": 1}, seed=0)
     bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
     assert bv and bv[0].resolved and bv[0].squashed and bv[0].speculative
 
@@ -370,19 +383,20 @@ def _count_calls(monkeypatch, methods):
 
 
 def test_covert_context_replay_is_one_predictor_call(monkeypatch):
-    """A 96-bit history-mode transmission is 194 kernel calls: the TNTNTN
-    switch, then 193 harness calls, one per attacker phase (one call for the
-    7 presets, then per bit one context replay before the victim run and
-    one call for the 7 probes, each probe an execution with its 12-branch
-    context). The 1,248 `predict` calls are the engine's victim runs: the
+    """A 96-bit history-mode transmission is 290 kernel calls: the TNTNTN
+    switch, 193 harness calls, one per attacker phase (one call for the 7
+    presets, then per bit one context replay before the victim run and one
+    call for the 7 probes, each probe an execution with its 12-branch
+    context), and per bit one for the victim's preamble. The 96 `predict`
+    calls are the engine's, one per victim run for the transmitter: the
     kernel makes none."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (BranchHarness, "execute"),
         (PredictorState, "predict"), (PredictorState, "record_resolution")])
     message = "".join(random.Random(0).choice("01") for _ in range(96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
-    assert calls == {"PredictorState.execute": 194, "BranchHarness.execute": 193,
-                     "PredictorState.predict": 1248,
+    assert calls == {"PredictorState.execute": 290, "BranchHarness.execute": 193,
+                     "PredictorState.predict": 96,
                      "PredictorState.record_resolution": 0}
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import importlib.resources
+import io
 import json
 
 import pytest
@@ -162,6 +165,18 @@ def test_scan_command_explicit_file_and_flags(tmp_path):
           "--mode", "v2"])
     reports = json.loads((tmp_path / "report.json").read_text())
     assert reports[0]["v2_count"] == 1
+
+
+def test_scan_csv_quotes_a_binary_name_with_a_comma(tmp_path):
+    corpus = importlib.resources.files("bpusim") / "data" / "corpus" / "corpus_v2.disasm"
+    src = tmp_path / 'a,b "v2".disasm'
+    src.write_text(corpus.read_text())
+    _run(["--out", str(tmp_path), "scan", str(src)])
+    text = (tmp_path / "report.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) == 6 and {len(r) for r in rows} == {6}
+    assert [r[0] for r in rows[1:]] == [src.name] * 5
+    assert text.splitlines()[1].startswith('"a,b ""v2"".disasm",0x')
 
 
 def test_seed_changes_random_message(tmp_path):

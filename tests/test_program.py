@@ -5,6 +5,7 @@ import pytest
 from bpusim.program import (
     Instruction,
     Kind,
+    Program,
     ProgramError,
     parse_program,
     parse_program_line,
@@ -111,3 +112,13 @@ def test_parse_program_duplicate_address():
     with pytest.raises(ProgramError):
         parse_program("0 0 Alu 0x100\n0 1 Alu 0x100\n")
 
+
+def test_repeated_seq_within_a_process_is_rejected():
+    # the entry is the lowest seq's address, so a tie would be settled by
+    # the input order
+    with pytest.raises(ProgramError, match="^process 1: two instructions with seq 0$"):
+        Program([Instruction(1, 0, Kind.ALU, 0x100), Instruction(1, 0, Kind.HALT, 0x108)])
+    with pytest.raises(ProgramError, match="^process 0: two instructions with seq 3$"):
+        parse_program("0 3 Alu 0x100\n1 3 Alu 0x100\n0 3 Halt 0x108\n")
+    # one seq in two processes is two entries
+    assert parse_program("0 0 Halt 0x100\n1 0 Halt 0x200\n").entry == {0: 0x100, 1: 0x200}

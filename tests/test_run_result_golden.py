@@ -6,19 +6,28 @@ or the per-branch flags. These digests cover, for each run of a case:
 speculative, mispredicted)`, and the predictor's final `state_fingerprint()`.
 The `random` case pins 20 seeded multi-process programs, whose
 interleavings the four hand-written cases do not reach.
+
+A victim run is its preamble's committed executions in one kernel call,
+then an engine run of its body (`VictimLayout.run`). The victim cases run
+`with_preamble(layout)` instead: the same victim with its preamble as code,
+which the property at the end shows leaves the same predictor state and
+body branches.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpusim import engine as eng
-from bpusim.attacks import build_victim_v1, build_victim_v2, defense_workload
+from bpusim.attacks import (activate_history_mode, build_victim_v1, build_victim_v2,
+                            defense_workload)
 from bpusim.engine import POLICIES
-from bpusim.predictor import PredictorState
+from bpusim.predictor import PredictorConfig, PredictorState
 from bpusim.program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
                             Instruction, Program)
 
@@ -26,13 +35,25 @@ from bpusim.program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE
 SEED = 7
 
 
+def with_preamble(layout) -> Program:
+    """`layout`'s victim with its preamble as code: one always-taken
+    (`cond=pre`), delay-1 CondBranch per `context` execution, ahead of the
+    body, whose seqs follow them."""
+    pid = layout.schedule[0]
+    pre = [Instruction(pid, i, COND_BRANCH, addr, target, "pre", 1)
+           for i, (addr, _, target) in enumerate(layout.context)]
+    body = [dataclasses.replace(i, seq=len(pre) + i.seq) for i in layout.program.instructions]
+    return Program(pre + body)
+
+
 def _v1(policy):
     # one predictor for all four runs, so later runs start from trained state
     predictor = PredictorState()
     layout = build_victim_v1(predictor.config)
+    program = with_preamble(layout)
     for oob in (0, 1):
         for sec in (0, 1):
-            yield eng.run(layout.program, layout.schedule, policy, predictor,
+            yield eng.run(program, layout.schedule, policy, predictor,
                           env={"pre": 1, "oob": oob, "sec": sec}, seed=SEED)
 
 
@@ -40,10 +61,11 @@ def _v2(policy):
     for poison in (False, True):
         predictor = PredictorState()
         layout = build_victim_v2(predictor.config)
+        program = with_preamble(layout)
         if poison:
             predictor.btb.update(layout.trigger_addr, layout.bv_addr)
         for sec in (0, 1):
-            yield eng.run(layout.program, layout.schedule, policy, predictor,
+            yield eng.run(program, layout.schedule, policy, predictor,
                           env={"pre": 1, "sec": sec}, seed=SEED)
 
 
@@ -57,7 +79,7 @@ def _two_process(policy):
     v1 = build_victim_v1(predictor.config, pid=0)
     v2 = build_victim_v2(predictor.config, pid=1)
     predictor.btb.update(v2.trigger_addr, v2.bv_addr)
-    program = Program(v1.program.instructions + v2.program.instructions)
+    program = Program(with_preamble(v1).instructions + with_preamble(v2).instructions)
     yield eng.run(program, [0, 1, 1], policy, predictor,
                   env={"pre": 1, "oob": 1, "sec": 1}, seed=SEED)
 
@@ -173,3 +195,55 @@ GOLDEN = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_run_result_digest(case, policy):
     assert run_digest(case, policy) == GOLDEN[f"{policy.name} {case}"]
+
+
+# a condition value: one for every execution, or one per execution
+_CONDITION = st.one_of(st.integers(0, 1), st.lists(st.integers(0, 1), max_size=4))
+_TABLE = st.sampled_from([1 << k for k in range(1, 11)])
+
+
+@st.composite
+def victim_runs(draw):
+    """A victim of either kind on a drawn predictor config, in a frozen or
+    free one-level mode after a seeded reset or in history mode, with a
+    drawn env, policy and policy seed; v2's trigger may be poisoned."""
+    config = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
+        ghr_depth=draw(st.integers(1, 20)), target_bits_per_entry=draw(st.integers(1, 3)),
+        pht_entries_one_level=draw(_TABLE), pht_entries_history=draw(_TABLE),
+        btb_entries=draw(_TABLE))
+    predictor = PredictorState(config)
+    mode = draw(st.sampled_from(["frozen", "free", "history"]))
+    if mode == "history":
+        activate_history_mode(predictor)
+    else:
+        predictor.randomize_reset(draw(st.integers(0, 2**16)))
+        predictor.selector.frozen = mode == "frozen"
+    if draw(st.booleans()):
+        layout = build_victim_v1(config)
+        env = {"oob": draw(_CONDITION), "sec": draw(_CONDITION)}
+    else:
+        layout = build_victim_v2(config, trigger_delay=draw(st.integers(1, 60)))
+        env = {"sec": draw(_CONDITION)}
+        if draw(st.booleans()):
+            predictor.btb.update(layout.trigger_addr, layout.bv_addr)
+    return layout, predictor, env, draw(st.sampled_from(POLICIES)), draw(st.integers(0, 99))
+
+
+def _flags(branches):
+    return [(b.predicted, b.actual, b.resolved, b.squashed, b.speculative, b.mispredicted)
+            for b in branches]
+
+
+@settings(max_examples=200, deadline=None)
+@given(victim_runs())
+def test_victim_run_matches_the_preamble_run_as_code(run_args):
+    layout, predictor, env, policy, seed = run_args
+    kernel = predictor.clone()
+    result = layout.run(policy, kernel, env, seed)
+    full, engine = eng.run(with_preamble(layout), layout.schedule, policy, predictor.clone(),
+                           env={"pre": 1, **env}, seed=seed)
+    assert kernel.state_fingerprint() == engine.state_fingerprint()
+    depth = len(layout.context)
+    assert [b.instr.addr for b in full.branches[:depth]] == [a for a, _, _ in layout.context]
+    assert _flags(result.branches) == _flags(full.branches[depth:])
