@@ -2,14 +2,17 @@
 covert channel, and the v1/v2 side channels.
 
 Attacker-side phases (the history-mode switch, training, presetting and
-probing) are committed branch executions: sequences of `(addr, outcome,
-target)` triples, each run by one `PredictorState.execute` call against the
-shared predictor, directly or through `BranchHarness`, which also times
-them. So is the victim's always-taken preamble to its trigger: a victim
-run (`VictimLayout.run`) is one untimed kernel call over the preamble, then
-one engine run of the victim's body. Only that body, where the transient
-step happens, goes through the speculation engine, so the update policy
-governs exactly the speculative updates.
+probing) are committed branch executions: a sequence of `(addr, outcome,
+target)` triples run `times` over by one `PredictorState.execute` call
+against the shared predictor, directly or through `BranchHarness`, which
+also times them. So is the victim's always-taken preamble to its trigger:
+a victim run (`VictimLayout.run`) is one untimed kernel call over the
+preamble, then one engine run of the victim's body. The channel's
+sequences and the preamble are `Branches`, built once, so their indexes
+and GHR effect are computed once and their history indexes once per
+starting GHR word. Only the body, where the transient step happens, goes
+through the speculation engine, so the update policy governs exactly the
+speculative updates.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from . import engine as eng
 from .engine import ResolveTime
-from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Direction, Mode,
+from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Branches, Direction, Mode,
                         PredictorConfig, PredictorState, index_one_level)
 from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 from .timing import LatencyModel, LatencySampler, LatencyTrace
@@ -63,12 +66,13 @@ class BranchHarness:
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, branches) -> list[tuple[bool, int]]:
-        """Execute `(addr, outcome, target)` branches in order, in one
-        predictor call. Returns each one's mispredict flag and latency; one
-        latency is drawn per branch, in order."""
+    def execute(self, branches, times: int = 1) -> list[tuple[bool, int]]:
+        """Execute a branch sequence (`Branches` or `(addr, outcome, target)`
+        triples) `times` over, in one predictor call. Returns each
+        execution's mispredict flag and latency; one latency is drawn per
+        execution, in order."""
         measure = self.sampler.measure
-        return [(mis, measure(mis)) for mis in self.predictor.execute(branches)]
+        return [(mis, measure(mis)) for mis in self.predictor.execute(branches, times)]
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -149,9 +153,9 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
         work.selector.frozen = True
         work.pht_history = [weak_nt] * cfg.pht_entries_history
         preamble = [(0x90000 + i * 0x20, TAKEN, (i * 3 + 1) % entry_values) for i in range(N)]
-        work.execute((p1 + preamble + [(target, TAKEN, target + 0x40)]) * ((1 << n) - 1))
+        work.execute(p1 + preamble + [(target, TAKEN, target + 0x40)], (1 << n) - 1)
         probe = p2 + preamble + [(target, NOT_TAKEN, target + 0x40)]
-        if all(work.execute(probe * (1 << (n - 1)))[len(probe) - 1::len(probe)]):
+        if all(work.execute(probe, 1 << (n - 1))[len(probe) - 1::len(probe)]):
             return N
     raise ProbeError(f"no PHT collision observed up to N={max_N}")
 
@@ -170,7 +174,12 @@ class VictimLayout:
     schedule: list[int]
     trigger_addr: int
     bv_addr: int
-    context: list[tuple[int, Direction, int]]
+    preamble: Branches
+
+    @property
+    def context(self) -> list[tuple[int, Direction, int]]:
+        """The preamble's `(addr, TAKEN, target)` triples."""
+        return list(self.preamble.triples)
 
     def run(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
             seed: int) -> eng.RunResult:
@@ -179,14 +188,14 @@ class VictimLayout:
         empty ROB and commit it before the next fetch, with no policy state
         yet, so under every policy it makes the same predictor reads and
         writes, in the same order, as the kernel does."""
-        predictor.execute(self.context)
+        predictor.execute(self.preamble)
         return eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
 
 
-def _preamble_block(depth: int, trigger_addr: int) -> list[tuple[int, Direction, int]]:
+def _preamble_block(config: PredictorConfig, trigger_addr: int) -> Branches:
     """The always-taken preamble to the trigger, as its committed executions."""
-    addrs = [PREAMBLE_BASE + i * 0x20 + ((i * 3 + 1) % 4) for i in range(depth)]
-    return [(a, TAKEN, t) for a, t in zip(addrs, addrs[1:] + [trigger_addr])]
+    addrs = [PREAMBLE_BASE + i * 0x20 + ((i * 3 + 1) % 4) for i in range(config.ghr_depth)]
+    return Branches([(a, TAKEN, t) for a, t in zip(addrs, addrs[1:] + [trigger_addr])], config)
 
 
 def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
@@ -201,7 +210,7 @@ def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
         Instruction(pid, 4, ALU, out),
         Instruction(pid, 5, HALT, hlt),
     ]
-    return VictimLayout(Program(body), [pid], t0, bv, _preamble_block(config.ghr_depth, t0))
+    return VictimLayout(Program(body), [pid], t0, bv, _preamble_block(config, t0))
 
 
 def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec",
@@ -218,7 +227,7 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
         Instruction(pid, 5, ALU, 0x3010),
         Instruction(pid, 6, ALU, 0x3018),
     ]
-    return VictimLayout(Program(body), [pid], t0, gadget, _preamble_block(config.ghr_depth, t0))
+    return VictimLayout(Program(body), [pid], t0, gadget, _preamble_block(config, t0))
 
 
 def _check_bits(bits, zero, one) -> None:
@@ -259,11 +268,15 @@ class _Channel:
             self.predictor.randomize_reset(seed)
             self.predictor.selector.frozen = True
         self.harness = BranchHarness(self.predictor, self.model.sampler())
-        # the GHR context the attacker replays before each of its executions,
-        # and each execution of the transmitter's address, context first
-        self.context = (context or layout.context) if mode is HISTORY else []
+        # the GHR context the attacker replays before each of its executions
+        # (by default the victim's own preamble), and each execution of the
+        # transmitter's address, context first
+        if mode is not HISTORY:
+            context = []
+        self.context = layout.preamble if context is None else Branches(context, config)
         b_a = layout.bv_addr
-        self.executions = {d: self.context + [(b_a, d, b_a + 0x40)] for d in Direction}
+        self.executions = {d: Branches([*self.context.triples, (b_a, d, b_a + 0x40)], config)
+                           for d in Direction}
         self.n = config.counter_width(mode)
         self.direction: Direction | None = None  # None: the entry needs a preset
 
@@ -283,12 +296,12 @@ class _Channel:
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
         # the last branch of the half-th probe execution
-        decisive_index = half * (len(self.context) + 1) - 1
+        decisive_index = half * (len(self.context.triples) + 1) - 1
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
             prepare(i)
             if self.direction is None:
-                self.harness.execute(self.executions[TAKEN] * full)
+                self.harness.execute(self.executions[TAKEN], full)
                 self.direction = TAKEN
             if chained:
                 self.harness.execute(self.context)
@@ -296,7 +309,7 @@ class _Channel:
             bv = _find_branch(result, self.layout.bv_addr)
             if unresolved is not None and (bv is None or not bv.resolved):
                 raise unresolved(i, bv)
-            samples = self.harness.execute(self.executions[self.direction.opposite()] * probes)
+            samples = self.harness.execute(self.executions[self.direction.opposite()], probes)
             latency = samples[decisive_index][1]
             trace.append(probe + half, latency)
             probe += probes
@@ -379,7 +392,7 @@ def side_channel_v1(
     _check_bits(secret, 0, 1)
     config = config or PredictorConfig()
     layout = build_victim_v1(config)
-    context = list(layout.context)
+    context = None  # the victim's own preamble
     if corrupt_preamble_entry is not None:
         if mode is not HISTORY:
             raise ValueError("corrupt_preamble_entry applies only to history mode: "
@@ -387,6 +400,7 @@ def side_channel_v1(
         if not 0 <= corrupt_preamble_entry < config.ghr_depth:
             raise ValueError(f"corrupt_preamble_entry must be in 0..{config.ghr_depth - 1}, "
                              f"got {corrupt_preamble_entry}")
+        context = layout.context
         addr, taken, target = context[corrupt_preamble_entry]
         context[corrupt_preamble_entry] = (addr, taken, target ^ 0x3)
     ch = _Channel(layout, mode, config, latency_model, policy, seed, context)

@@ -29,12 +29,14 @@ NOISE_CHOICES = [n.value for n in NoiseKind]
 CANONICAL_REGISTERS = {canon for canon, _ in scanner.REGISTERS.values()}
 # defense-eval's largest loop: about 6 s and 180 MB for the five policies
 MAX_ITERATIONS = 100_000
-# probe-ghr's longest run: with a GHR deeper than this and 65,536 history
-# entries no collision is found, and all 256 lengths take about 4 s, 19 MB
+# probe-ghr's longest run: at ghr_depth 256 with 65,536 history entries the
+# trainer and prober first collide at N = 256, and all 256 lengths take about
+# 1.4 s, 19 MB (2-CPU Xeon)
 MAX_PROBE_N = 256
 # covert --bits and the side channels' --random-bits: the slowest command at
-# this bound, history-mode sidechannel-v1 under shadow-pht, takes about 5.5 s
-# and 20 MB, and one-level about 3.3 s (2-CPU Xeon)
+# this bound, history-mode sidechannel-v1 under shadow-pht, takes about 2.6 s
+# and 20 MB, one-level about 2 s, and history-mode covert about 1 s (2-CPU
+# Xeon)
 MAX_BITS = 10_000
 
 # domain errors reported as a one-line message and a non-zero exit status

@@ -90,10 +90,11 @@ def _is_pow2(n: int) -> bool:
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
 # address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
 # reaches every admitted GHR depth. With every field at its bound, probe-ghr
-# at its default arguments takes about 86 s and 26 MB, and covert about 3 s
-# per bit and 38 MB, so about 55 minutes for its default 1,024 bits
-# (extrapolated from 2 and 6 bits); one-level sidechannel-v1 raises
-# AttackError there, as its preamble reaches the trigger's PHT entry.
+# at its default arguments takes about 1.2 s and 24 MB, and covert about 50 s
+# and 39 MB for its default 1,024 bits, most of it drawing one latency per
+# probe execution, 511 probes of 257 branches per bit (2-CPU Xeon, CPython
+# 3.11); one-level sidechannel-v1 raises AttackError there, as its preamble
+# reaches the trigger's PHT entry.
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),
@@ -169,6 +170,12 @@ class GlobalHistoryRegister:
     def insert_taken(self, target: int) -> None:
         self._word = ((self._word << self._bits) | (target & self._emask)) & self._wmask
 
+    def advance(self, count: int, tail: int) -> None:
+        """What `count` `insert_taken` calls do, given `tail`, their masked
+        targets packed oldest first. Only the last `ghr_depth` stay in the
+        window, so `tail` need hold no more."""
+        self._word = ((self._word << (self._bits * count)) | tail) & self._wmask
+
     def clone(self) -> "GlobalHistoryRegister":
         c = object.__new__(GlobalHistoryRegister)
         c._depth, c._bits = self._depth, self._bits
@@ -224,6 +231,64 @@ class Prediction:
     index: int
 
 
+class Branches:
+    """A committed branch sequence, `(addr, outcome, target)` triples, bound
+    to one config, with what `PredictorState.execute` reads of it computed
+    once: each branch's taken flag with its one-level index, and the
+    sequence's GHR effect, its taken count and their targets packed as
+    `GlobalHistoryRegister.advance` takes them.
+
+    Its outcomes and targets are fixed, so its history indexes depend only
+    on the GHR word it starts from. They are kept per starting word, for at
+    most `MEMO_WORDS` words; a replayed attacker sequence meets a few."""
+
+    __slots__ = ("config", "triples", "one_level", "count", "tail", "_memo", "_repeated")
+
+    # the memo starts over when it holds this many starting words
+    MEMO_WORDS = 16
+
+    def __init__(self, branches, config: PredictorConfig):
+        self.config = config
+        self.triples = tuple(branches)
+        mask = config.pht_entries_one_level - 1
+        # (taken, index) pairs: all the kernel's counter loop reads
+        self.one_level = tuple((o is TAKEN, (a >> 2) & mask) for a, o, _ in self.triples)
+        targets = [t for _, o, t in self.triples if o is TAKEN]
+        bits, emask = config.target_bits_per_entry, (1 << config.target_bits_per_entry) - 1
+        tail = 0
+        for t in targets[-config.ghr_depth:]:
+            tail = (tail << bits) | (t & emask)
+        self.count, self.tail = len(targets), tail
+        self._memo: dict[int, list[tuple[bool, int]]] = {}
+        self._repeated: tuple[int, Branches] | None = None
+
+    def history(self, state: "PredictorState") -> list[tuple[bool, int]]:
+        """(taken, history index) of each branch, run from `state`'s GHR:
+        `history_index` walked over a clone of it, kept per starting word."""
+        word = state.ghr._word
+        pairs = self._memo.get(word)
+        if pairs is None:
+            if len(self._memo) >= self.MEMO_WORDS:
+                self._memo.clear()
+            ghr, pairs = state.ghr.clone(), []
+            for addr, outcome, target in self.triples:
+                pairs.append((outcome is TAKEN, state.history_index(addr, ghr)))
+                if outcome is TAKEN:
+                    ghr.insert_taken(target)
+            self._memo[word] = pairs
+        return pairs
+
+    def repeated(self, times: int) -> "Branches":
+        """The sequence `times` over, as one `Branches`: `execute` runs
+        one-level passes as one, since none reads the GHR. The last one
+        asked for is kept."""
+        if times == 1:
+            return self
+        if self._repeated is None or self._repeated[0] != times:
+            self._repeated = times, Branches(self.triples * times, self.config)
+        return self._repeated[1]
+
+
 class PredictorState:
     """Complete per-core predictor state shared by all simulated processes."""
 
@@ -274,17 +339,19 @@ class PredictorState:
         taken = value < (1 << (width - 1))
         return Prediction(TAKEN if taken else NOT_TAKEN, mode, index)
 
-    def history_index(self, addr: int) -> int:
-        """History-PHT index of the branch at `addr`: the GHR word xor-folded
-        to the index width, xor the address above its alignment bits and the
-        salt. `predict` and `execute` both read this one copy. After a reset
-        it first draws the history PHT, so they read `_pht_history` after
-        it."""
+    def history_index(self, addr: int, ghr: GlobalHistoryRegister | None = None) -> int:
+        """History-PHT index of the branch at `addr` under `ghr`, by default
+        the predictor's own: the GHR word xor-folded to the index width, xor
+        the address above its alignment bits and the salt. This is the
+        formula's one copy: `predict` calls it per branch, and `Branches`
+        walks it over a GHR clone to fill the kernel's memo. After a reset it
+        first draws the history PHT, so callers read `_pht_history` after
+        it. The fold costs one shift-xor per index width of history bits."""
         if self._pht_history is None:
             self._draw_history()
         mask = self.config.pht_entries_history - 1
         width = mask.bit_length()
-        word, index = self.ghr._word, (addr >> 2) ^ self.config.index_salt
+        word, index = (ghr or self.ghr)._word, (addr >> 2) ^ self.config.index_salt
         while word:  # bits above the index width are masked off at the end
             index ^= word
             word >>= width
@@ -320,36 +387,70 @@ class PredictorState:
         if outcome is TAKEN:
             self.ghr.insert_taken(target)
 
-    def execute(self, branches) -> list[bool]:
-        """Committed executions of `(addr, outcome, target)` branches, in
-        order: for each, what `predict` and then `record_resolution` do, in
-        one loop. The mode is read per branch, so an unfrozen selector can
-        switch to history mode mid-sequence. Returns whether each one
-        mispredicted."""
-        cfg, sel, ghr = self.config, self.selector, self.ghr
-        mispredicted = []
-        for addr, outcome, target in branches:
-            mode = sel.mode
-            if mode is ONE_LEVEL:
-                tbl, width = self.pht_one_level, cfg.one_level_bits
-                index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
-            else:
-                index = self.history_index(addr)
-                tbl, width = self._pht_history, cfg.history_bits
-            value = tbl[index]
+    def execute(self, branches, times: int = 1) -> list[bool]:
+        """Committed executions of a branch sequence, `times` over: for each
+        branch, what `predict` and then `record_resolution` do, in one
+        counter-only loop. `branches` is a `Branches` of this config, or
+        `(addr, outcome, target)` triples, wrapped on the fly. Returns
+        whether each execution mispredicted.
+
+        Each pass reads its indexes from the `Branches` (history mode: its
+        memo, per starting GHR word) and then moves the GHR once by the
+        sequence's effect; one-level passes read no GHR, so they run as
+        one. This is exact because a history-mode pass stays in history
+        mode and a frozen one-level pass reads no history index. An
+        unfrozen one-level selector can switch to history mode mid-pass;
+        the rest of the call then runs on history indexes walked from the
+        GHR after the switching branch."""
+        cfg, sel = self.config, self.selector
+        if not isinstance(branches, Branches):
+            branches = Branches(branches, cfg)
+        elif branches.config is not cfg and branches.config != cfg:
+            raise ValueError("the branches are bound to another predictor config")
+        flags: list[bool] = []
+        append, advance, history = flags.append, self.ghr.advance, sel.mode is HISTORY
+        if history:  # a pass per memo lookup
+            tbl, width, watched = self.pht_history, cfg.history_bits, False
+            passes, run = times, branches
+        else:  # all passes as one
+            tbl, width, watched = self.pht_one_level, cfg.one_level_bits, not sel.frozen
+            passes, run = 1, branches.repeated(times)
+            pairs = run.one_level
+        half, top = 1 << (width - 1), (1 << width) - 1
+        for _ in range(passes):
+            if history:
+                pairs = branches.history(self)
+            for taken, index in pairs:
+                value = tbl[index]
+                if taken:
+                    mis = value >= half  # predicted not-taken
+                    if value:  # a step toward taken, saturating at 0
+                        tbl[index] = value - 1
+                else:
+                    mis = value < half
+                    if value < top:
+                        tbl[index] = value + 1
+                append(mis)
+                if mis and watched:
+                    self.note_resolution(run.triples[len(flags) - 1][0], ONE_LEVEL, True)
+                    if sel.mode is HISTORY:
+                        return self._switched(run, flags)
+            advance(run.count, run.tail)
+        return flags
+
+    def _switched(self, run: Branches, flags: list[bool]) -> list[bool]:
+        """Finish a one-level pass over `run` whose last flagged execution
+        switched the selector to history mode: the GHR takes the taken
+        branches done, and the rest run as a sequence of their own."""
+        done = len(flags)
+        for _, outcome, target in run.triples[:done]:
             if outcome is TAKEN:
-                mis = value >= 1 << (width - 1)  # predicted not-taken
-                if value:  # a step toward taken, saturating at 0
-                    tbl[index] = value - 1
-                ghr.insert_taken(target)
-            else:
-                mis = value < 1 << (width - 1)
-                if value < (1 << width) - 1:
-                    tbl[index] = value + 1
-            if mis:
-                self.note_resolution(addr, mode, True)
-            mispredicted.append(mis)
-        return mispredicted
+                self.ghr.insert_taken(target)
+        return flags + self._kernel(Branches(run.triples[done:], self.config))
+
+    # the kernel under a name of its own, for the rest of a switching
+    # `execute` call, which stays one call
+    _kernel = execute
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled

@@ -23,7 +23,8 @@ from bpusim.attacks import (
 )
 from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash,
                            ShadowPht)
-from bpusim.predictor import Direction, Mode, PredictorConfig, PredictorState, index_one_level
+from bpusim.predictor import (Branches, Direction, Mode, PredictorConfig, PredictorState,
+                              index_one_level)
 from bpusim.program import Program
 from bpusim.timing import LatencyModel, NoiseKind
 
@@ -416,6 +417,48 @@ def test_probes_make_one_predictor_call_per_phase(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
     assert counts == [{"PredictorState.execute": k, "PredictorState.predict": 0,
                        "PredictorState.record_resolution": 0} for k in (1, 1, 24)]
+
+
+# every size field at its bound: a history index folds a 2,304-bit GHR word
+BOUND_CONFIG = PredictorConfig(
+    one_level_bits=9, history_bits=9, target_bits_per_entry=9, ghr_depth=256,
+    pht_entries_one_level=1 << 16, pht_entries_history=1 << 16, btb_entries=1 << 16)
+
+
+def test_history_covert_folds_one_more_history_index_per_bit(monkeypatch):
+    """Each attacker sequence and victim preamble walks its history indexes
+    once per starting GHR word it meets. The words depend on the probe
+    direction and the bit, and "1001" meets all four pairs, so after it a
+    bit adds one `history_index` call: the engine's `predict` of the
+    transmitter."""
+    calls = _count_calls(monkeypatch, [(PredictorState, "history_index")])
+    counts = []
+    for bits in (4, 5, 8):
+        calls["PredictorState.history_index"] = 0
+        message = "10010110"[:bits]
+        assert covert_send_receive(message, Mode.HISTORY, config=BOUND_CONFIG).errors == 0
+        counts.append(calls["PredictorState.history_index"])
+    assert [n - counts[0] for n in counts] == [0, 1, 4]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy):
+    built = []
+    init = Branches.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Branches, "__init__", record)
+    # no memo starts over, so each holds every starting word its sequence met
+    monkeypatch.setattr(Branches, "MEMO_WORDS", 1 << 30)
+    message = "".join(random.Random(4).choice("01") for _ in range(1000))
+    covert_send_receive(message, Mode.HISTORY, policy=policy)
+    # the TNTNTN switch and the rest of it after the selector flips, the
+    # victim's preamble (also the replayed context), two transmitter executions
+    assert len(built) == 5
+    assert max(len(b._memo) for b in built) <= 3
 
 
 def test_attack_loops_never_render_event_text(monkeypatch):

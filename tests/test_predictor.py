@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bpusim.predictor import (
+    Branches,
     BranchTargetBuffer,
     Direction,
     GlobalHistoryRegister,
@@ -352,3 +354,112 @@ def test_execute_matches_predict_and_record_resolution(case):
     assert fused.execute(branches) == flags
     assert fused.state_fingerprint() == reference.state_fingerprint()
 
+
+
+def _reference_execute(state, branches, times):
+    flags = []
+    for _ in range(times):
+        for addr, outcome, target in branches:
+            pred = state.predict(addr)
+            flags.append(pred.direction is not outcome)
+            state.record_resolution(addr, outcome, pred, target)
+    return flags
+
+
+_between_calls = st.one_of(
+    st.tuples(st.just("reset"), st.integers(0, 2**32)),
+    st.tuples(st.just("clone")),
+    st.tuples(st.just("mode"), st.sampled_from(list(Mode)), st.booleans()),
+)
+
+
+@st.composite
+def _monitored_execute_cases(draw):
+    """An `_execute_cases` case whose selector may watch only some of the
+    sequence's branches."""
+    state, triples = draw(_execute_cases())
+    if triples and draw(st.booleans()):
+        monitored = draw(st.frozensets(st.sampled_from([a for a, _, _ in triples])))
+        state.config = dataclasses.replace(state.config, monitored_branches=monitored)
+    return state, triples
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monitored_execute_cases(),
+       st.lists(st.tuples(st.lists(st.integers(0, 0xFF), min_size=1, max_size=3),
+                          st.lists(_between_calls, max_size=2), st.integers(1, 4)),
+                min_size=2 * Branches.MEMO_WORDS + 1, max_size=40))
+def test_one_branches_executed_again_matches_the_reference(case, calls):
+    """One `Branches` run by many `execute` calls, `times` 1-4 each, against
+    `predict` + `record_resolution` per execution. Before each call come GHR
+    inserts, then maybe resets, clones and mode changes. The history-mode
+    calls of about half the examples start from more words than the memo
+    holds, so it starts over."""
+    state, triples = case
+    branches = Branches(triples, state.config)
+    fused, reference = state.clone(), state.clone()
+    for inserts, ops, times in calls:
+        for s in (fused, reference):
+            for t in inserts:
+                s.ghr.insert_taken(t)
+        for op in ops:
+            if op[0] == "reset":
+                fused.randomize_reset(op[1])
+                reference.randomize_reset(op[1])
+            elif op[0] == "clone":
+                fused, reference = fused.clone(), reference.clone()
+            else:
+                for s in (fused, reference):
+                    s.selector.mode, s.selector.frozen = op[1], op[2]
+        assert fused.execute(branches, times) == _reference_execute(reference, triples, times)
+        assert fused.state_fingerprint() == reference.state_fingerprint()
+        assert len(branches._memo) <= Branches.MEMO_WORDS
+
+
+def test_the_memo_starts_over_past_its_bound():
+    cfg = PredictorConfig(ghr_depth=8, target_bits_per_entry=8)
+    triples = [(0x40 * i, Direction.TAKEN if i % 3 else Direction.NOT_TAKEN, i) for i in range(9)]
+    branches = Branches(triples, cfg)
+    fused, reference = PredictorState(cfg), PredictorState(cfg)
+    for s in (fused, reference):
+        s.selector.mode = Mode.HISTORY
+    sizes = []
+    for k in range(2 * Branches.MEMO_WORDS + 3):
+        for s in (fused, reference):
+            s.ghr.insert_taken(k)  # a word no call has started from
+        assert fused.execute(branches) == _reference_execute(reference, triples, 1)
+        sizes.append(len(branches._memo))
+    assert fused.state_fingerprint() == reference.state_fingerprint()
+    assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
+
+
+def test_branches_of_another_config_are_refused():
+    branches = Branches([(0x4000, Direction.TAKEN, 0x4040)], PredictorConfig(ghr_depth=8))
+    assert PredictorState(PredictorConfig(ghr_depth=8)).execute(branches) == [True]
+    with pytest.raises(ValueError, match="another predictor config"):
+        PredictorState().execute(branches)
+
+
+@given(st.integers(1, 256), st.integers(1, 9), st.data())
+def test_advance_equals_repeated_insert_taken(depth, bits, data):
+    cfg = PredictorConfig(ghr_depth=depth, target_bits_per_entry=bits)
+    entries = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=depth,
+                                 max_size=depth))
+    targets = data.draw(st.lists(st.integers(0, 1 << 12), max_size=2 * depth + 3))
+    stepped, advanced = GlobalHistoryRegister(cfg, entries), GlobalHistoryRegister(cfg, entries)
+    tail = 0
+    for t in targets:
+        stepped.insert_taken(t)
+        tail = (tail << bits) | (t & ((1 << bits) - 1))
+    advanced.advance(len(targets), tail)
+    assert advanced.entries == stepped.entries
+    # a sequence's own GHR effect, taken and not-taken branches mixed
+    outcomes = data.draw(st.lists(st.sampled_from(list(Direction)), min_size=len(targets),
+                                  max_size=len(targets)))
+    branches = Branches([(0, o, t) for o, t in zip(outcomes, targets)], cfg)
+    stepped, advanced = GlobalHistoryRegister(cfg, entries), GlobalHistoryRegister(cfg, entries)
+    for o, t in zip(outcomes, targets):
+        if o is Direction.TAKEN:
+            stepped.insert_taken(t)
+    advanced.advance(branches.count, branches.tail)
+    assert advanced.entries == stepped.entries
