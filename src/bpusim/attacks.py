@@ -66,13 +66,24 @@ class BranchHarness:
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, branches, times: int = 1) -> list[tuple[bool, int]]:
+    def execute(self, branches, times: int = 1) -> "Samples":
         """Execute a branch sequence (`Branches` or `(addr, outcome, target)`
-        triples) `times` over, in one predictor call. Returns each
-        execution's mispredict flag and latency; one latency is drawn per
-        execution, in order."""
-        measure = self.sampler.measure
-        return [(mis, measure(mis)) for mis in self.predictor.execute(branches, times)]
+        triples) `times` over, in one predictor call, and draw the
+        latencies of all executions in one sampler call."""
+        flags = self.predictor.execute(branches, times)
+        return Samples(flags, self.sampler.measure(flags))
+
+
+@dataclass(slots=True)
+class Samples:
+    """One phase's `(mispredict flag, latency)` pairs, in execution order,
+    built only when read: a probe phase may hold 100,000s and read one."""
+
+    flags: list[bool]
+    latencies: list[int]
+
+    def __getitem__(self, i: int) -> tuple[bool, int]:
+        return self.flags[i], self.latencies[i]
 
 
 def activate_history_mode(predictor: PredictorState) -> None:

@@ -35,7 +35,7 @@ MAX_ITERATIONS = 100_000
 MAX_PROBE_N = 256
 # covert --bits and the side channels' --random-bits: the slowest command at
 # this bound, history-mode sidechannel-v1 under shadow-pht, takes about 2.6 s
-# and 20 MB, one-level about 2 s, and history-mode covert about 1 s (2-CPU
+# and 20 MB, one-level about 2.4 s, and history-mode covert about 1 s (2-CPU
 # Xeon)
 MAX_BITS = 10_000
 

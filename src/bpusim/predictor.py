@@ -90,11 +90,11 @@ def _is_pow2(n: int) -> bool:
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
 # address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
 # reaches every admitted GHR depth. With every field at its bound, probe-ghr
-# at its default arguments takes about 1.2 s and 24 MB, and covert about 50 s
-# and 39 MB for its default 1,024 bits, most of it drawing one latency per
-# probe execution, 511 probes of 257 branches per bit (2-CPU Xeon, CPython
-# 3.11); one-level sidechannel-v1 raises AttackError there, as its preamble
-# reaches the trigger's PHT entry.
+# at its default arguments takes about 1.1 s and 25 MB, and covert about 15 s
+# and 30 MB for its default 1,024 bits, most of it the kernel's counter loop
+# over 511 probes of 257 branches per bit (2-CPU Xeon, CPython 3.11);
+# one-level sidechannel-v1 raises AttackError there, as its preamble reaches
+# the trigger's PHT entry.
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),
@@ -170,11 +170,13 @@ class GlobalHistoryRegister:
     def insert_taken(self, target: int) -> None:
         self._word = ((self._word << self._bits) | (target & self._emask)) & self._wmask
 
-    def advance(self, count: int, tail: int) -> None:
-        """What `count` `insert_taken` calls do, given `tail`, their masked
-        targets packed oldest first. Only the last `ghr_depth` stay in the
-        window, so `tail` need hold no more."""
-        self._word = ((self._word << (self._bits * count)) | tail) & self._wmask
+    def advance(self, count: int, tail: int, times: int = 1) -> None:
+        """What `count` `insert_taken` calls do, `times` over, given `tail`,
+        their masked targets packed oldest first. Only the last `ghr_depth`
+        stay in the window, so `tail` need hold no more, and the passes after
+        the first ceil(ghr_depth / count) leave the word as it is."""
+        for _ in range(min(times, -(-self._depth // max(count, 1)))):
+            self._word = ((self._word << (self._bits * count)) | tail) & self._wmask
 
     def clone(self) -> "GlobalHistoryRegister":
         c = object.__new__(GlobalHistoryRegister)
@@ -242,9 +244,9 @@ class Branches:
     on the GHR word it starts from. They are kept per starting word, for at
     most `MEMO_WORDS` words; a replayed attacker sequence meets a few."""
 
-    __slots__ = ("config", "triples", "one_level", "count", "tail", "_memo", "_repeated")
+    __slots__ = ("config", "triples", "one_level", "count", "tail", "_memo", "_runs")
 
-    # the memo starts over when it holds this many starting words
+    # each memo starts over when it holds this many keys
     MEMO_WORDS = 16
 
     def __init__(self, branches, config: PredictorConfig):
@@ -260,33 +262,35 @@ class Branches:
             tail = (tail << bits) | (t & emask)
         self.count, self.tail = len(targets), tail
         self._memo: dict[int, list[tuple[bool, int]]] = {}
-        self._repeated: tuple[int, Branches] | None = None
+        self._runs: dict[tuple[int, int], list[tuple[bool, int]]] = {}
 
-    def history(self, state: "PredictorState") -> list[tuple[bool, int]]:
-        """(taken, history index) of each branch, run from `state`'s GHR:
-        `history_index` walked over a clone of it, kept per starting word."""
+    def history(self, state: "PredictorState", times: int = 1) -> list[tuple[bool, int]]:
+        """(taken, history index) of each execution of the sequence run
+        `times` over from `state`'s GHR. Each pass's pairs are walked by
+        `history_index` over a GHR clone and kept per starting word; the
+        passes joined are kept per starting word and `times`, so the lists
+        share the pairs. Both memos start over at `MEMO_WORDS` keys."""
         word = state.ghr._word
-        pairs = self._memo.get(word)
-        if pairs is None:
-            if len(self._memo) >= self.MEMO_WORDS:
-                self._memo.clear()
-            ghr, pairs = state.ghr.clone(), []
-            for addr, outcome, target in self.triples:
-                pairs.append((outcome is TAKEN, state.history_index(addr, ghr)))
-                if outcome is TAKEN:
-                    ghr.insert_taken(target)
-            self._memo[word] = pairs
-        return pairs
-
-    def repeated(self, times: int) -> "Branches":
-        """The sequence `times` over, as one `Branches`: `execute` runs
-        one-level passes as one, since none reads the GHR. The last one
-        asked for is kept."""
-        if times == 1:
-            return self
-        if self._repeated is None or self._repeated[0] != times:
-            self._repeated = times, Branches(self.triples * times, self.config)
-        return self._repeated[1]
+        run = self._runs.get((word, times))
+        if run is None:
+            if len(self._runs) >= self.MEMO_WORDS:
+                self._runs.clear()
+            ghr, run = state.ghr.clone(), []
+            for _ in range(times):
+                pairs = self._memo.get(ghr._word)
+                if pairs is None:
+                    if len(self._memo) >= self.MEMO_WORDS:
+                        self._memo.clear()
+                    walk, pairs = ghr.clone(), []
+                    for addr, outcome, target in self.triples:
+                        pairs.append((outcome is TAKEN, state.history_index(addr, walk)))
+                        if outcome is TAKEN:
+                            walk.insert_taken(target)
+                    self._memo[ghr._word] = pairs
+                run += pairs
+                ghr.advance(self.count, self.tail)
+            self._runs[word, times] = run
+        return run
 
 
 class PredictorState:
@@ -394,59 +398,50 @@ class PredictorState:
         `(addr, outcome, target)` triples, wrapped on the fly. Returns
         whether each execution mispredicted.
 
-        Each pass reads its indexes from the `Branches` (history mode: its
-        memo, per starting GHR word) and then moves the GHR once by the
-        sequence's effect; one-level passes read no GHR, so they run as
-        one. This is exact because a history-mode pass stays in history
-        mode and a frozen one-level pass reads no history index. An
-        unfrozen one-level selector can switch to history mode mid-pass;
-        the rest of the call then runs on history indexes walked from the
-        GHR after the switching branch."""
+        The loop reads the indexes of all passes from the `Branches`
+        (history mode: its walks, per starting GHR word) and then moves the
+        GHR once by their effect. This is exact because a history-mode pass
+        stays in history mode and a frozen one-level pass reads no history
+        index. An unfrozen one-level selector can switch to history mode
+        mid-call; the rest of the call then runs on history indexes walked
+        from the GHR after the switching branch."""
+        if times < 1:
+            raise ValueError(f"times must be >= 1, got {times}")
         cfg, sel = self.config, self.selector
         if not isinstance(branches, Branches):
             branches = Branches(branches, cfg)
         elif branches.config is not cfg and branches.config != cfg:
             raise ValueError("the branches are bound to another predictor config")
-        flags: list[bool] = []
-        append, advance, history = flags.append, self.ghr.advance, sel.mode is HISTORY
-        if history:  # a pass per memo lookup
+        if sel.mode is HISTORY:
             tbl, width, watched = self.pht_history, cfg.history_bits, False
-            passes, run = times, branches
-        else:  # all passes as one
+            pairs = branches.history(self, times)
+        else:
             tbl, width, watched = self.pht_one_level, cfg.one_level_bits, not sel.frozen
-            passes, run = 1, branches.repeated(times)
-            pairs = run.one_level
+            pairs = branches.one_level * times
+        flags: list[bool] = []
+        append, triples = flags.append, branches.triples
         half, top = 1 << (width - 1), (1 << width) - 1
-        for _ in range(passes):
-            if history:
-                pairs = branches.history(self)
-            for taken, index in pairs:
-                value = tbl[index]
-                if taken:
-                    mis = value >= half  # predicted not-taken
-                    if value:  # a step toward taken, saturating at 0
-                        tbl[index] = value - 1
-                else:
-                    mis = value < half
-                    if value < top:
-                        tbl[index] = value + 1
-                append(mis)
-                if mis and watched:
-                    self.note_resolution(run.triples[len(flags) - 1][0], ONE_LEVEL, True)
-                    if sel.mode is HISTORY:
-                        return self._switched(run, flags)
-            advance(run.count, run.tail)
+        for taken, index in pairs:
+            value = tbl[index]
+            if taken:
+                mis = value >= half  # predicted not-taken
+                if value:  # a step toward taken, saturating at 0
+                    tbl[index] = value - 1
+            else:
+                mis = value < half
+                if value < top:
+                    tbl[index] = value + 1
+            append(mis)
+            if mis and watched:
+                self.note_resolution(triples[(len(flags) - 1) % len(triples)][0], ONE_LEVEL, True)
+                if sel.mode is HISTORY:  # the rest runs as a sequence of its own
+                    executions = triples * times
+                    for _, outcome, target in executions[:len(flags)]:
+                        if outcome is TAKEN:
+                            self.ghr.insert_taken(target)
+                    return flags + self._kernel(Branches(executions[len(flags):], cfg))
+        self.ghr.advance(branches.count, branches.tail, times)
         return flags
-
-    def _switched(self, run: Branches, flags: list[bool]) -> list[bool]:
-        """Finish a one-level pass over `run` whose last flagged execution
-        switched the selector to history mode: the GHR takes the taken
-        branches done, and the rest run as a sequence of their own."""
-        done = len(flags)
-        for _, outcome, target in run.triples[:done]:
-            if outcome is TAKEN:
-                self.ghr.insert_taken(target)
-        return flags + self._kernel(Branches(run.triples[done:], self.config))
 
     # the kernel under a name of its own, for the rest of a switching
     # `execute` call, which stays one call

@@ -57,14 +57,17 @@ class LatencySampler:
         self.model = model
         self._rng = random.Random(model.seed)
 
-    def measure(self, mispredict: bool) -> int:
-        m = self.model
-        lat = BASE_LATENCY + (MISPREDICT_PENALTY if mispredict else 0)
+    def measure(self, mispredicts: list[bool]) -> list[int]:
+        """The latency of each execution of one phase, given its mispredict
+        flags in execution order; noise is drawn per execution, in order."""
+        m, hit, miss = self.model, BASE_LATENCY, BASE_LATENCY + MISPREDICT_PENALTY
+        lats = [miss if mis else hit for mis in mispredicts]
         if m.noise is UNIFORM:
-            lat += self._rng.randint(-int(m.noise_param), int(m.noise_param))
-        elif m.noise is GAUSSIAN:
-            lat += round(self._rng.gauss(0.0, 1.0) * m.noise_param)
-        return lat
+            s = int(m.noise_param)
+            return [lat + self._rng.randint(-s, s) for lat in lats]
+        if m.noise is GAUSSIAN:
+            return [lat + round(self._rng.gauss(0.0, 1.0) * m.noise_param) for lat in lats]
+        return lats
 
 
 @dataclass

@@ -26,7 +26,7 @@ from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime,
 from bpusim.predictor import (Branches, Direction, Mode, PredictorConfig, PredictorState,
                               index_one_level)
 from bpusim.program import Program
-from bpusim.timing import LatencyModel, NoiseKind
+from bpusim.timing import LatencyModel, LatencySampler, NoiseKind
 
 REFERENCE_SECRET = [1, 1, 0, 1, 1, 1, 0, 0, 0, 1]
 
@@ -399,6 +399,31 @@ def test_covert_context_replay_is_one_predictor_call(monkeypatch):
     assert calls == {"PredictorState.execute": 290, "BranchHarness.execute": 193,
                      "PredictorState.predict": 96,
                      "PredictorState.record_resolution": 0}
+
+
+def test_covert_draws_one_latency_list_per_harness_call(monkeypatch):
+    """The same 96-bit transmission makes one sampler call per harness call,
+    193 in all, and no `Branches` cache holds more than its bound."""
+    built = []
+    init = Branches.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Branches, "__init__", record)
+    calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
+    message = "".join(random.Random(0).choice("01") for _ in range(96))
+    assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
+    assert calls == {"BranchHarness.execute": 193, "LatencySampler.measure": 193}
+    assert max(len(c) for b in built for c in (b._memo, b._runs)) <= Branches.MEMO_WORDS
+
+
+@pytest.mark.parametrize("times", [0, -3])
+def test_harness_refuses_fewer_than_one_pass(times):
+    h = BranchHarness(PredictorState(), LatencyModel().sampler())
+    with pytest.raises(ValueError, match=f"times must be >= 1, got {times}"):
+        h.execute([(0x4000, Direction.TAKEN, 0x4040)], times)
 
 
 def test_probes_make_one_predictor_call_per_phase(monkeypatch):

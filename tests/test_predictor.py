@@ -433,6 +433,35 @@ def test_the_memo_starts_over_past_its_bound():
     assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
 
 
+def test_joined_passes_start_over_past_their_bound():
+    cfg = PredictorConfig(ghr_depth=8, target_bits_per_entry=8)
+    triples = [(0x40 * i, Direction.TAKEN if i % 3 else Direction.NOT_TAKEN, i) for i in range(9)]
+    branches = Branches(triples, cfg)
+    fused, reference = PredictorState(cfg), PredictorState(cfg)
+    for s in (fused, reference):
+        s.selector.mode = Mode.HISTORY
+    sizes = []
+    for k in range(2 * Branches.MEMO_WORDS + 3):
+        for s in (fused, reference):
+            s.ghr.insert_taken(k)
+        assert fused.execute(branches, 2) == _reference_execute(reference, triples, 2)
+        sizes.append(len(branches._runs))
+        assert len(branches._memo) <= Branches.MEMO_WORDS
+    assert fused.state_fingerprint() == reference.state_fingerprint()
+    assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("times", [0, -3])
+def test_execute_refuses_fewer_than_one_pass(mode, times):
+    state = PredictorState()
+    state.selector.mode = mode
+    before = state.state_fingerprint()
+    with pytest.raises(ValueError, match=f"times must be >= 1, got {times}"):
+        state.execute(Branches([(0x4000, Direction.TAKEN, 0x4040)], state.config), times)
+    assert state.state_fingerprint() == before
+
+
 def test_branches_of_another_config_are_refused():
     branches = Branches([(0x4000, Direction.TAKEN, 0x4040)], PredictorConfig(ghr_depth=8))
     assert PredictorState(PredictorConfig(ghr_depth=8)).execute(branches) == [True]

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from bpusim.timing import (
+    BASE_LATENCY,
+    MISPREDICT_PENALTY,
     LatencyModel,
     LatencyTrace,
     NoiseKind,
@@ -12,8 +17,8 @@ from bpusim.timing import (
 def test_noiseless_latencies_exact():
     m = LatencyModel()
     s = m.sampler()
-    assert s.measure(False) == 10
-    assert s.measure(True) == 50
+    assert s.measure([False]) == [10]
+    assert s.measure([True]) == [50]
 
 
 def test_threshold_between_hit_and_penalty():
@@ -26,8 +31,9 @@ def test_uniform_noise_bounded():
     s = m.sampler()
     hits = set()
     for _ in range(500):
-        hits.add(s.measure(False))
-        assert 45 <= s.measure(True) <= 55
+        [hit, miss] = s.measure([False, True])
+        hits.add(hit)
+        assert 45 <= miss <= 55
     assert hits == set(range(5, 16))  # every whole number in [-5, 5] is drawn
 
 
@@ -46,12 +52,12 @@ def test_no_noise_rejects_a_sigma(sigma):
 
 def test_gaussian_noise_seeded_and_deterministic():
     m = LatencyModel(noise=NoiseKind.GAUSSIAN, noise_param=8, seed=3)
-    a = [m.sampler().measure(True) for _ in range(1)]
-    b = [m.sampler().measure(True) for _ in range(1)]
+    a = m.sampler().measure([True])
+    b = m.sampler().measure([True])
     assert a == b
     s1 = m.sampler()
     s2 = m.sampler()
-    assert [s1.measure(False) for _ in range(50)] == [s2.measure(False) for _ in range(50)]
+    assert s1.measure([False] * 50) == s2.measure([False] * 50)
 
 
 def test_gaussian_misclassification_monotone_in_sigma():
@@ -64,11 +70,42 @@ def test_gaussian_misclassification_monotone_in_sigma():
         bad = 0
         for i in range(400):
             mis = i % 2 == 0
-            lat = s.measure(mis)
+            [lat] = s.measure([mis])
             bad += (lat > m.threshold) != mis
         errors.append(bad)
     assert errors == sorted(errors)
     assert errors[-1] > 0
+
+
+def _next_draw(rng: random.Random, model: LatencyModel) -> int:
+    """The noise a stream adds to its next latency, drawn per its definition."""
+    if model.noise is NoiseKind.UNIFORM:
+        return rng.randint(-int(model.noise_param), int(model.noise_param))
+    if model.noise is NoiseKind.GAUSSIAN:
+        return round(rng.gauss(0.0, 1.0) * model.noise_param)
+    return 0
+
+
+@st.composite
+def _models(draw):
+    kind = draw(st.sampled_from(list(NoiseKind)))
+    sigma = {NoiseKind.NONE: st.just(0),
+             NoiseKind.UNIFORM: st.integers(0, 30),
+             NoiseKind.GAUSSIAN: st.floats(0, 50)}[kind]
+    return LatencyModel(noise=kind, noise_param=draw(sigma), seed=draw(st.integers(0, 2**32)))
+
+
+@given(_models(), st.lists(st.booleans(), max_size=60), st.data())
+def test_one_measure_call_draws_what_any_split_of_it_draws(model, flags, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(flags)), max_size=5)))
+    split, sampler = [], model.sampler()
+    for lo, hi in zip([0] + cuts, cuts + [len(flags)]):
+        split += sampler.measure(flags[lo:hi])
+    whole = model.sampler().measure(flags)
+    assert split == whole
+    rng = random.Random(model.seed)
+    assert whole == [BASE_LATENCY + MISPREDICT_PENALTY * mis + _next_draw(rng, model)
+                     for mis in flags]
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind))
