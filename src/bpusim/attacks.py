@@ -5,14 +5,15 @@ Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: a sequence of `(addr, outcome,
 target)` triples run `times` over by one `PredictorState.execute` call
 against the shared predictor, directly or through `BranchHarness`, which
-also times them. So is the victim's always-taken preamble to its trigger:
-a victim run (`VictimLayout.run`) is one untimed kernel call over the
-preamble, then one engine run of the victim's body. The channel's
-sequences and the preamble are `Branches`, built once, so their indexes
-and GHR effect are computed once and their history indexes once per
-starting GHR word. Only the body, where the transient step happens, goes
-through the speculation engine, so the update policy governs exactly the
-speculative updates.
+also times them. So are the victim's always-taken preamble to its trigger,
+run by `VictimLayout.run` as one untimed kernel call before one engine run
+of the victim's body, and v1's in-bounds warm-ups, one untimed kernel call
+per trial over the preamble, the trigger and the transmitter. The channel's
+sequences, the preamble and the warm-up are `Branches`, built once, so
+their indexes and GHR effect are computed once and their history indexes
+once per starting GHR word. Only the body of the run on the trial's bit,
+where the transient step happens, goes through the speculation engine, so
+the update policy governs exactly the speculative updates.
 """
 
 from __future__ import annotations
@@ -194,11 +195,12 @@ class VictimLayout:
 
     def run(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
             seed: int) -> eng.RunResult:
-        """One victim run: the preamble in one kernel call, then the body in
-        one engine run. The engine would fetch each preamble branch into an
-        empty ROB and commit it before the next fetch, with no policy state
-        yet, so under every policy it makes the same predictor reads and
-        writes, in the same order, as the kernel does."""
+        """A trial's victim run, on its bit (v1's in-bounds warm-ups are one
+        kernel call instead): the preamble in one kernel call, then the body
+        in one engine run. The engine would fetch each preamble branch into
+        an empty ROB and commit it before the next fetch, with no policy
+        state yet, so under every policy it makes the same predictor reads
+        and writes, in the same order, as the kernel does."""
         predictor.execute(self.preamble)
         return eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
 
@@ -266,7 +268,7 @@ class _Channel:
     branch resolved in the preset direction. A chained channel (the covert
     ST/SN protocol) probes `2^n - 1` times, which saturates the entry the
     other way, so the next trial needs no preset and flips the direction.
-    `seed` scrambles a one-level predictor and seeds the update policy."""
+    `seed` seeds the update policy; `reset` scrambles a one-level predictor."""
 
     def __init__(self, layout: VictimLayout, mode: Mode, config: PredictorConfig,
                  latency_model, policy: type[ResolveTime], seed: int, context=None):
@@ -276,7 +278,6 @@ class _Channel:
         if mode is HISTORY:
             activate_history_mode(self.predictor)
         else:
-            self.predictor.randomize_reset(seed)
             self.predictor.selector.frozen = True
         self.harness = BranchHarness(self.predictor, self.model.sampler())
         # the GHR context the attacker replays before each of its executions
@@ -358,6 +359,7 @@ def covert_send_receive(
     config = config or PredictorConfig()
     layout = build_victim_v2(config, pid=0, cond_name="bit", trigger_delay=40)
     ch = _Channel(layout, mode, config, latency_model, policy, seed)
+    ch.reset(seed)
 
     def prepare(i):
         if i > 0 and i % reset_interval == 0:
@@ -416,13 +418,18 @@ def side_channel_v1(
         context[corrupt_preamble_entry] = (addr, taken, target ^ 0x3)
     ch = _Channel(layout, mode, config, latency_model, policy, seed, context)
     # from the far end of its taken half, an n-bit trigger counter predicts
-    # not-taken after 2^(n-1) in-bounds runs
+    # not-taken after 2^(n-1) in-bounds runs: the preamble, then trigger and
+    # transmitter not-taken (their targets unread). Such a run squashes no
+    # conditional branch and moves no GHR, BTB or selector state, so every
+    # policy makes the kernel's writes but shadow-pht when the transmitter
+    # shares the trigger's entry (2-entry tables): its merge drops a step
     warmups = 1 << (ch.n - 1)
+    warmup = Branches([*layout.preamble.triples, (layout.trigger_addr, NOT_TAKEN, 0),
+                       (layout.bv_addr, NOT_TAKEN, 0)], config)
 
     def prepare(i):
         ch.reset(seed * 1000 + i)
-        for _ in range(warmups):
-            layout.run(policy, ch.predictor, {"oob": 0, "sec": 0}, seed)
+        ch.predictor.execute(warmup, warmups)
 
     def unresolved(i, bv):
         if bv is None:

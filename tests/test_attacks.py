@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bpusim import attacks, engine as eng
 from bpusim.attacks import (
@@ -177,23 +178,81 @@ def test_side_channel_v1_corrupted_history_context_misses():
     assert r.accuracy < 1.0
 
 
+def _v1_warmup(layout: attacks.VictimLayout) -> list:
+    """One in-bounds v1 run as committed executions: the preamble, then the
+    trigger and the transmitter not-taken."""
+    nt = Direction.NOT_TAKEN
+    return [*layout.preamble.triples, (layout.trigger_addr, nt, 0), (layout.bv_addr, nt, 0)]
+
+
 @pytest.mark.parametrize("mode, runs", [(Mode.ONE_LEVEL, 3), (Mode.HISTORY, 5)],
                          ids=lambda v: getattr(v, "value", v))
 def test_side_channel_v1_trial_makes_warmups_and_one_victim_run(monkeypatch, mode, runs):
-    # 2^(n-1) in-bounds warm-ups and the transient run, at the default widths
-    calls = []
-    run = eng.run
+    # 2^(n-1) in-bounds warm-ups, as one kernel call, and the transient run
+    # through the engine, at the default widths
+    calls, warmups = [], []
+    run, execute = eng.run, PredictorState.execute
+    layout = build_victim_v1(PredictorConfig())
 
     def counted(*args, **kwargs):
         calls.append(kwargs["env"])
         return run(*args, **kwargs)
 
+    def counted_execute(self, branches, times=1):
+        triples = getattr(branches, "triples", branches)
+        if any(addr == layout.trigger_addr for addr, _, _ in triples):
+            warmups.append((list(triples), times))
+        return execute(self, branches, times)
+
     monkeypatch.setattr(eng, "run", counted)
+    monkeypatch.setattr(PredictorState, "execute", counted_execute)
     n = PredictorConfig().counter_width(mode)
     r = side_channel_v1([1], mode)
     assert r.accuracy == 1.0
-    assert len(calls) == runs == (1 << (n - 1)) + 1
-    assert [env["oob"] for env in calls] == [0] * (runs - 1) + [1]
+    assert calls == [{"oob": 1, "sec": 1}]
+    assert warmups == [(_v1_warmup(layout), runs - 1)]
+    assert runs - 1 == 1 << (n - 1)
+
+
+@st.composite
+def _warmup_cases(draw):
+    config = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
+        ghr_depth=draw(st.one_of(st.integers(1, 20), st.sampled_from([64, 120, 121, 256]))),
+        target_bits_per_entry=draw(st.integers(1, 3)),
+        pht_entries_one_level=draw(st.sampled_from([2, 4, 16, 1024])),
+        pht_entries_history=draw(st.sampled_from([2, 4, 16, 4096])))
+    envs = draw(st.lists(st.fixed_dictionaries({"oob": st.integers(0, 1),
+                                                "sec": st.integers(0, 1)}), max_size=3))
+    return (config, draw(st.sampled_from(list(Mode))), draw(st.sampled_from(POLICIES)),
+            draw(st.integers(0, 2**16)), envs, draw(st.integers(1, 8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_warmup_cases())
+def test_v1_warmups_as_one_kernel_call_match_the_engine_runs(case):
+    # in-bounds runs squash no conditional branch, so the kernel makes the
+    # engine's writes under every policy. The one exemption: under
+    # shadow-pht, a transmitter on the trigger's entry (2-entry tables)
+    # resolves speculatively first, and its shadow merge at commit
+    # overwrites the trigger's step
+    config, mode, policy, seed, envs, n = case
+    layout = build_victim_v1(config)
+    entries = config.pht_entries_one_level if mode is Mode.ONE_LEVEL \
+        else config.pht_entries_history
+    shared = ((layout.trigger_addr ^ layout.bv_addr) >> 2) & (entries - 1) == 0
+    assume(not (shared and policy is ShadowPht))
+    p = PredictorState(config)
+    p.randomize_reset(seed)
+    p.selector.mode = mode
+    p.selector.frozen = mode is Mode.ONE_LEVEL
+    for env in envs:  # scramble the state with whole victim runs
+        layout.run(policy, p, env, seed)
+    engine, kernel = p.clone(), p.clone()
+    for _ in range(n):
+        layout.run(policy, engine, {"oob": 0, "sec": 0}, seed)
+    kernel.execute(Branches(_v1_warmup(layout), config), n)
+    assert kernel.state_fingerprint() == engine.state_fingerprint()
 
 
 @pytest.mark.parametrize("depth", [6, 12])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpusim import predictor as pred
-from bpusim.attacks import probe_mode, side_channel_v1
+from bpusim.attacks import covert_send_receive, probe_mode, side_channel_v1, side_channel_v2
 from bpusim.engine import POLICIES
 from bpusim.predictor import (
     Direction,
@@ -63,9 +63,30 @@ def test_one_level_side_channel_never_draws_the_history_table(monkeypatch):
     r = side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3)
     assert r.recovered == [1, 0, 1, 1]
     cfg = PredictorConfig()
-    # one reset when the channel is built and one per trial
+    # one reset per trial, none when the channel is built
     assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits),
-                     (cfg.ghr_depth, cfg.target_bits_per_entry)] * 5
+                     (cfg.ghr_depth, cfg.target_bits_per_entry)] * 4
+
+
+def test_each_one_level_channel_resets_once_before_its_first_trial(monkeypatch):
+    seeds = []
+    reset = PredictorState.randomize_reset
+
+    def counted(state, seed):
+        seeds.append(seed)
+        reset(state, seed)
+
+    monkeypatch.setattr(PredictorState, "randomize_reset", counted)
+    covert_send_receive("0" * 130, Mode.ONE_LEVEL, seed=7, reset_interval=64)
+    assert seeds == [7, 9, 10]  # then one per 64 bits
+    for channel in (side_channel_v1, side_channel_v2):
+        seeds.clear()
+        channel([1, 0], Mode.ONE_LEVEL, seed=3)
+        assert seeds == [3000, 3001]  # one per trial
+    seeds.clear()
+    covert_send_receive("0" * 130, Mode.HISTORY, seed=7, reset_interval=64)
+    side_channel_v1([1, 0], Mode.HISTORY, seed=3)
+    assert seeds == []
 
 
 def test_a_history_read_draws_the_history_table_exactly_once(monkeypatch):
