@@ -7,6 +7,11 @@ speculative, mispredicted)`, and the predictor's final `state_fingerprint()`.
 The `random` case pins 20 seeded multi-process programs, whose
 interleavings the four hand-written cases do not reach.
 
+`GOLDEN` hashes no `arch` and draws the random case from `KINDS`;
+`LEGACY_GOLDEN` holds the earlier digests, which hash `arch` and draw Load,
+Store and TimerRead too. Both pass on this engine, which ties the new set to
+the old one before `arch` and those kinds leave the engine.
+
 A victim run is its preamble's committed executions in one kernel call,
 then an engine run of its body (`VictimLayout.run`). The victim cases run
 `with_preamble(layout)` instead: the same victim with its preamble as code,
@@ -84,7 +89,13 @@ def _two_process(policy):
                   env={"pre": 1, "oob": 1, "sec": 1}, seed=SEED)
 
 
-def _random_run_args(seed):
+# the kinds `_random_run_args` draws from; the legacy set also draws the
+# Load, Store and TimerRead kinds, and has as many slots
+KINDS = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU,) * 4
+LEGACY_KINDS = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU, LOAD, STORE, TIMER_READ)
+
+
+def _random_run_args(seed, kinds=KINDS):
     """The shape of tests/test_engine.py's nested_runs, drawn from one seeded
     stream: 1-3 processes of forward-only branches with mixed delays,
     list-valued conditions, BTB misses and poisoned targets, and repeated
@@ -94,7 +105,6 @@ def _random_run_args(seed):
     predictor = PredictorState()
     predictor.randomize_reset(rng.randrange(2**16))
     predictor.selector.frozen = rng.random() < 0.5
-    kinds = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU, LOAD, STORE, TIMER_READ)
     instrs, env = [], {}
     for pid in range(n):
         addrs = [0x1000 * (pid + 1) + 8 * i for i in range(rng.randint(2, 10))]
@@ -117,9 +127,9 @@ def _random_run_args(seed):
     return Program(instrs), schedule, predictor, env
 
 
-def _random(policy):
+def _random(policy, kinds=KINDS):
     for seed in range(20):
-        program, schedule, predictor, env = _random_run_args(seed)
+        program, schedule, predictor, env = _random_run_args(seed, kinds)
         yield eng.run(program, schedule, policy, predictor, env=env, seed=SEED)
 
 
@@ -127,17 +137,22 @@ CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process,
          "random": _random}
 
 
-def run_digest(case: str, policy) -> str:
+def run_digest(case: str, policy, legacy: bool = False) -> str:
+    """The case's digest; `legacy` hashes `arch` too and draws the random
+    case from LEGACY_KINDS."""
     h = hashlib.sha256()
-    for result, predictor in CASES[case](policy):
+    runs = (_random(policy, LEGACY_KINDS) if legacy and case == "random" else
+            CASES[case](policy))
+    for result, predictor in runs:
         branches = [(b.dseq, b.resolved, b.squashed, b.speculative, b.mispredicted)
                     for b in result.branches]
-        h.update(repr((result.ticks, result.events, result.summary, result.arch,
+        arch = (result.arch,) if legacy else ()
+        h.update(repr((result.ticks, result.events, result.summary, *arch,
                        branches, predictor.state_fingerprint())).encode())
     return h.hexdigest()
 
 
-GOLDEN = {
+LEGACY_GOLDEN = {
     "speculative-resolve-time v1":
         "b2c6033584c5ba4b70e6d67f02ba75989b398512ab63c5ea0f14da3fef6dd99a",
     "speculative-resolve-time v2":
@@ -191,10 +206,70 @@ GOLDEN = {
 }
 
 
+GOLDEN = {
+    "speculative-resolve-time v1":
+        "a49a4d4b94cf593e1ffc31552616a52ae3e6c4a7b4c3e1eef04784e99a0ec4f3",
+    "speculative-resolve-time v2":
+        "6a5be8fc019fcd4eaeebdb0c4ed96ad29cb1685c85c4f977b0563c0a83281d84",
+    "speculative-resolve-time defense":
+        "52da1cd45c4b7a135f675aaa11df844497697d6b838208933ced88e664421d6c",
+    "speculative-resolve-time two-process":
+        "85f38a71daac095923f06fc9a0c3d9fcd3560fc3d126c58952c8b5085f44b5b7",
+    "commit-time v1":
+        "7da3acedc56ca65b8ada14161cad7678a923c2a5dcaf4ae34e73edc0589cf380",
+    "commit-time v2":
+        "96ea3d75960dd073606688064fce16bd91bd7fd843c1e6b9d7f285ecf75989d2",
+    "commit-time defense":
+        "215f79168c1fe464fe28a4f856d948facd9b7637e067b8977f38af75eb1f6b87",
+    "commit-time two-process":
+        "0f9ede1648ab4d2d542324fa278629481139684909614889480db5f40d81c3ce",
+    "restore-on-squash v1":
+        "82a412f5e60b74ce7c16ce0c707be01dd68cd4eea9fc3d66822a00531db19861",
+    "restore-on-squash v2":
+        "96ea3d75960dd073606688064fce16bd91bd7fd843c1e6b9d7f285ecf75989d2",
+    "restore-on-squash defense":
+        "52da1cd45c4b7a135f675aaa11df844497697d6b838208933ced88e664421d6c",
+    "restore-on-squash two-process":
+        "2be42f404bc3b0761aa7a1be3bb07df6002340126a0d88196350e1bd710d88f7",
+    "shadow-pht v1":
+        "82a412f5e60b74ce7c16ce0c707be01dd68cd4eea9fc3d66822a00531db19861",
+    "shadow-pht v2":
+        "96ea3d75960dd073606688064fce16bd91bd7fd843c1e6b9d7f285ecf75989d2",
+    "shadow-pht defense":
+        "52da1cd45c4b7a135f675aaa11df844497697d6b838208933ced88e664421d6c",
+    "shadow-pht two-process":
+        "2be42f404bc3b0761aa7a1be3bb07df6002340126a0d88196350e1bd710d88f7",
+    "obfuscate-on-squash v1":
+        "6206b9120c4779031fbcc0391278aab11bdbfdd056a85f0418c263df42d777df",
+    "obfuscate-on-squash v2":
+        "04859b15f469a4dd139ded84dd83767a82e3d68c96c1d5ee2ea790358c185b18",
+    "obfuscate-on-squash defense":
+        "52da1cd45c4b7a135f675aaa11df844497697d6b838208933ced88e664421d6c",
+    "obfuscate-on-squash two-process":
+        "726a73dcac8b7fe7b8c5d12b722929e14e9c93ea8aabbd839fd9c94fd1bc719b",
+    "speculative-resolve-time random":
+        "953423b42134bcfa7bbc8feddee84129ac54d228339aa4e77829e05594fc5c30",
+    "commit-time random":
+        "754aa24c5c0459122d1668d098ff6c8514c9d1f9d6362a3d2de7154b44063ba9",
+    "restore-on-squash random":
+        "cadf4d5ef45e82d0ed8a84c67d30f8a885ea756ee604e00b7e35333bcefb0386",
+    "shadow-pht random":
+        "cadf4d5ef45e82d0ed8a84c67d30f8a885ea756ee604e00b7e35333bcefb0386",
+    "obfuscate-on-squash random":
+        "d3520389712c2f555daaa7c2f66f4e8c51355a605d13197887b4a7ad1c60a4ab",
+}
+
+
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
 @pytest.mark.parametrize("case", list(CASES))
 def test_run_result_digest(case, policy):
     assert run_digest(case, policy) == GOLDEN[f"{policy.name} {case}"]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("case", list(CASES))
+def test_run_result_legacy_digest(case, policy):
+    assert run_digest(case, policy, legacy=True) == LEGACY_GOLDEN[f"{policy.name} {case}"]
 
 
 # a condition value: one for every execution, or one per execution
