@@ -45,12 +45,13 @@ class TransmissionError(RuntimeError):
 # the attacker's branches: the TNTNTN one and the one both probes use
 HISTORY_SCRATCH_ADDR = 0xE000
 PROBE_TARGET = 0x4000
-# the victims' preamble starts here, so no preamble address aliases a
-# victim-body one-level entry (indices repeat every 0x1000 bytes). That
-# holds only up to `ghr_depth` 120: entry 120 sits at 0x2001, whose
-# `addr >> 2`, the address term of both PHT indexes, is the v1 trigger's,
-# so from depth 121 the taken preamble steps the trigger's entry toward
-# taken and v1's transmitter is never fetched
+# the victims' preamble starts here. `addr >> 2`, the address term of both
+# PHT indexes, is 0x440 + 8i for preamble entry i and 0x800 for the v1
+# trigger, so with N one-level entries the first entry on the trigger's is
+# i = (0x3C0 mod N) / 8: entry 120 (at 0x2001) at the default N = 1024 and
+# above, but entry 0 at N <= 64, as with `pht_entries_one_level = 2`. A
+# preamble that reaches it steps the trigger toward taken, so v1's
+# transmitter is never fetched: v1 fails at trial 0 (ROADMAP direction 2)
 PREAMBLE_BASE = 0x1100
 # resolve delay of the v1 victim's bounds-check trigger
 V1_TRIGGER_DELAY = 60
@@ -216,12 +217,12 @@ def build_victim_v1(config: PredictorConfig, pid: int = 0) -> VictimLayout:
     transmitter branch on the fall-through path."""
     t0, bv, join, out, hlt = 0x2002, 0x2008, 0x2010, 0x2040, 0x2050
     body = [
-        Instruction(pid, 0, COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
-        Instruction(pid, 1, COND_BRANCH, bv, join, "sec", 2),
-        Instruction(pid, 2, ALU, join),
-        Instruction(pid, 3, ALU, 0x2018),
-        Instruction(pid, 4, ALU, out),
-        Instruction(pid, 5, HALT, hlt),
+        Instruction(pid, COND_BRANCH, t0, out, "oob", V1_TRIGGER_DELAY),
+        Instruction(pid, COND_BRANCH, bv, join, "sec", 2),
+        Instruction(pid, ALU, join),
+        Instruction(pid, ALU, 0x2018),
+        Instruction(pid, ALU, out),
+        Instruction(pid, HALT, hlt),
     ]
     return VictimLayout(Program(body), [pid], t0, bv, _preamble_block(config, t0))
 
@@ -232,13 +233,13 @@ def build_victim_v2(config: PredictorConfig, pid: int = 0, cond_name: str = "sec
     transmitter gadget only runs if the BTB is poisoned toward it."""
     t0, gadget, out, hlt = 0x2002, 0x3003, 0x2040, 0x2050
     body = [
-        Instruction(pid, 0, INDIRECT_BRANCH, t0, out, None, trigger_delay),
-        Instruction(pid, 1, ALU, out),
-        Instruction(pid, 2, HALT, hlt),
-        Instruction(pid, 3, COND_BRANCH, gadget, 0x3010, cond_name, 2),
-        Instruction(pid, 4, ALU, 0x3008),
-        Instruction(pid, 5, ALU, 0x3010),
-        Instruction(pid, 6, ALU, 0x3018),
+        Instruction(pid, INDIRECT_BRANCH, t0, out, None, trigger_delay),
+        Instruction(pid, ALU, out),
+        Instruction(pid, HALT, hlt),
+        Instruction(pid, COND_BRANCH, gadget, 0x3010, cond_name, 2),
+        Instruction(pid, ALU, 0x3008),
+        Instruction(pid, ALU, 0x3010),
+        Instruction(pid, ALU, 0x3018),
     ]
     return VictimLayout(Program(body), [pid], t0, gadget, _preamble_block(config, t0))
 
@@ -484,11 +485,11 @@ def speculative_update_scenario(
     predictor.selector.frozen = True
     child = 0x300
     program = Program([
-        Instruction(0, 0, COND_BRANCH, 0x100, 0x400, "outer", 50),
-        Instruction(0, 1, COND_BRANCH, child, 0x310, "sec", 2),
-        Instruction(0, 2, ALU, 0x310),
-        Instruction(0, 3, ALU, 0x400),
-        Instruction(0, 4, HALT, 0x410),
+        Instruction(0, COND_BRANCH, 0x100, 0x400, "outer", 50),
+        Instruction(0, COND_BRANCH, child, 0x310, "sec", 2),
+        Instruction(0, ALU, 0x310),
+        Instruction(0, ALU, 0x400),
+        Instruction(0, HALT, 0x410),
     ])
     idx = index_one_level(child, config)
     outer_idx = index_one_level(0x100, config)
@@ -526,11 +527,11 @@ def defense_workload(iterations: int = 15) -> tuple[Program, dict]:
     resolves speculatively many times before the outer commits."""
     o, l0, l1, end, hlt = 0x100, 0x110, 0x118, 0x400, 0x410
     program = Program([
-        Instruction(0, 0, COND_BRANCH, o, end, "outer", 120),
-        Instruction(0, 1, ALU, l0),
-        Instruction(0, 2, COND_BRANCH, l1, l0, "loop", 2),
-        Instruction(0, 3, ALU, end),
-        Instruction(0, 4, HALT, hlt),
+        Instruction(0, COND_BRANCH, o, end, "outer", 120),
+        Instruction(0, ALU, l0),
+        Instruction(0, COND_BRANCH, l1, l0, "loop", 2),
+        Instruction(0, ALU, end),
+        Instruction(0, HALT, hlt),
     ])
     env = {"outer": 0, "loop": [1] * iterations + [0]}
     return program, env

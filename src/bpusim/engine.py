@@ -21,8 +21,7 @@ from heapq import heappop, heappush
 
 from .predictor import (NOT_TAKEN, TAKEN, Direction, Mode, PredictorState, Prediction,
                         counter_predict, counter_update)
-from .program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
-                      Instruction, Program)
+from .program import COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 
 
 class ConfigError(ValueError):
@@ -113,14 +112,15 @@ class RunResult:
     """What one engine run returns. `records` holds one tuple
     `(tick, kind, dseq, pid, *fields)` per event; `events` (their text) and
     `summary` (their per-process counts) are computed on first access.
-    `branches` holds every fetched branch in dseq order. `visited_ticks`
-    counts the ticks the engine stopped at; it skips the others, where
-    nothing can happen. A run that hits its tick limit returns no result;
-    its `SimulationError` carries `visited_ticks` instead."""
+    `branches` holds every fetched branch in dseq order. The `commit`
+    records are the run's architectural effect; the engine keeps no other
+    architectural state. `visited_ticks` counts the ticks the engine
+    stopped at; it skips the others, where nothing can happen. A run that
+    hits its tick limit returns no result; its `SimulationError` carries
+    `visited_ticks` instead."""
 
     records: list[tuple]
     branches: list[DynamicBranch]
-    arch: dict
     ticks: int
     visited_ticks: int = 0
 
@@ -282,7 +282,7 @@ POLICIES = (ResolveTime, CommitTime, RestoreOnSquash, ShadowPht, ObfuscateOnSqua
 
 
 class _Process:
-    __slots__ = ("pid", "code", "fetch_addr", "rob", "open", "exec_counts", "mem", "regs")
+    __slots__ = ("pid", "code", "fetch_addr", "rob", "open", "exec_counts")
 
     def __init__(self, pid: int, code: dict, entry: int):
         self.pid = pid
@@ -296,8 +296,6 @@ class _Process:
         # branch resolves speculatively when it is not the first of them
         self.open: deque[DynamicBranch] = deque()
         self.exec_counts: dict[int, int] = {}  # addr -> fetches not squashed
-        self.mem: dict[int, int] = {}
-        self.regs = {"acc": 0, "last_load": 0, "timer_reads": 0}
 
 
 def run(program: Program, schedule: list[int], policy: type[ResolveTime] = ResolveTime,
@@ -358,7 +356,7 @@ def run(program: Program, schedule: list[int], policy: type[ResolveTime] = Resol
             b = next((p.open[0] for p in order if p.open), None)
             exc = SimulationError("tick limit exceeded" if b is None else
                                   f"unresolved branch pid={b.instr.process_id} "
-                                  f"seq={b.instr.seq} addr={b.instr.addr:#x} at tick limit")
+                                  f"addr={b.instr.addr:#x} at tick limit")
             exc.visited_ticks = visited_ticks
             raise exc
         visited_ticks += 1
@@ -422,17 +420,7 @@ def run(program: Program, schedule: list[int], policy: type[ResolveTime] = Resol
                 rob.popleft()
                 if d.dseq in pending:
                     policy.committed(d)
-                kind = d.instr.kind
-                if kind is STORE:
-                    p.mem[d.instr.addr] = d.env_index + 1
-                elif kind is LOAD:
-                    p.regs["last_load"] = p.mem.get(d.instr.addr, 0)
-                elif kind is ALU:
-                    p.regs["acc"] += 1
-                elif kind is TIMER_READ:
-                    p.regs["timer_reads"] += 1
-                    append((tick, "timer", d.dseq, p.pid))
-                elif kind is HALT:
+                if d.instr.kind is HALT:
                     running -= 1
                 append((tick, "commit", d.dseq, p.pid))
 
@@ -480,6 +468,4 @@ def run(program: Program, schedule: list[int], policy: type[ResolveTime] = Resol
                     append((tick, "fetch", dseq, pid, addr, kind))
                 dseq += 1
         tick += 1
-    arch = {pid: {"mem": dict(sorted(p.mem.items())), "regs": dict(p.regs)}
-            for pid, p in sorted(procs.items())}
-    return RunResult(records, branches, arch, tick, visited_ticks), predictor
+    return RunResult(records, branches, tick, visited_ticks), predictor

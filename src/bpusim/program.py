@@ -2,18 +2,20 @@
 
 One instruction per line::
 
-    pid seq kind addr [target] [cond=<operand>] [delay=<ticks>]
+    pid kind addr [target] [cond=<operand>] [delay=<ticks>]
 
 Each of the optional tokens may appear at most once, and the operand is not
-empty. Every number (pid, seq, address, target, delay) is decimal or
-0x-prefixed hex, with an optional leading minus; `parse_int` reads it. The
-delay is at least 1 and the other numbers at least 0. Kinds: CondBranch,
-IndirectBranch, Load, Store, Alu, TimerRead, Halt. A `#` starts a comment.
+empty. Every number (pid, address, target, delay) is decimal or 0x-prefixed
+hex, with an optional leading minus; `parse_int` reads it. The delay is at
+least 1 and the other numbers at least 0. Kinds: CondBranch,
+IndirectBranch, Alu, Halt. A branch needs a target, which an Alu or Halt
+may not have; a CondBranch needs `cond=`, which no other kind takes; a
+Halt takes no delay. A `#` starts a comment.
 
 `parse_program` reads the text into a `Program`, the one program value the
 engine runs and victim builders make. `Program` groups a flat list of
 instructions by process and rejects two instructions of one process at one
-address or with one seq; every check raises `ProgramError`.
+address; every check raises `ProgramError`.
 """
 
 from __future__ import annotations
@@ -26,14 +28,11 @@ from dataclasses import dataclass
 class Kind(enum.Enum):
     COND_BRANCH = "CondBranch"
     INDIRECT_BRANCH = "IndirectBranch"
-    LOAD = "Load"
-    STORE = "Store"
     ALU = "Alu"
-    TIMER_READ = "TimerRead"
     HALT = "Halt"
 
 
-COND_BRANCH, INDIRECT_BRANCH, LOAD, STORE, ALU, TIMER_READ, HALT = Kind
+COND_BRANCH, INDIRECT_BRANCH, ALU, HALT = Kind
 
 
 class ProgramError(ValueError):
@@ -43,7 +42,6 @@ class ProgramError(ValueError):
 @dataclass(frozen=True)
 class Instruction:
     process_id: int
-    seq: int
     kind: Kind
     addr: int
     static_target: int | None = None
@@ -51,7 +49,7 @@ class Instruction:
     resolve_delay: int = 1
 
     def __post_init__(self):
-        for field in ("process_id", "seq", "addr", "static_target"):
+        for field in ("process_id", "addr", "static_target"):
             value = getattr(self, field)
             if value is not None and value < 0:
                 raise ProgramError(f"{field} must be >= 0, got {value}")
@@ -64,6 +62,12 @@ class Instruction:
                 raise ProgramError(f"CondBranch at {self.addr:#x} needs a target")
         if self.kind is INDIRECT_BRANCH and self.static_target is None:
             raise ProgramError(f"IndirectBranch at {self.addr:#x} needs a target")
+        if self.static_target is not None and self.kind in (ALU, HALT):
+            raise ProgramError(f"{self.kind.value} at {self.addr:#x} takes no target")
+        if self.condition_source is not None and self.kind is not COND_BRANCH:
+            raise ProgramError(f"{self.kind.value} at {self.addr:#x} takes no cond=")
+        if self.resolve_delay != 1 and self.kind is HALT:
+            raise ProgramError(f"Halt at {self.addr:#x} takes no delay")
 
 
 _NUMBER = re.compile(r"-?(?:0[xX](?P<hex>[0-9a-fA-F]+)|[0-9]+)")
@@ -81,16 +85,14 @@ def parse_int(tok: str) -> int:
 
 def parse_program_line(line: str, lineno: int = 0) -> Instruction:
     toks = line.split()
-    if len(toks) < 4:
-        raise ProgramError(f"line {lineno}: expected 'pid seq kind addr ...'")
+    if len(toks) < 3:
+        raise ProgramError(f"line {lineno}: expected 'pid kind addr ...'")
     try:
-        pid, seq = parse_int(toks[0]), parse_int(toks[1])
-        kind = Kind(toks[2])
-        addr = parse_int(toks[3])
+        pid, kind, addr = parse_int(toks[0]), Kind(toks[1]), parse_int(toks[2])
     except ValueError as exc:
         raise ProgramError(f"line {lineno}: {exc}") from exc
     target = cond = delay = None
-    for tok in toks[4:]:
+    for tok in toks[3:]:
         if tok.startswith("cond="):
             if cond is not None:
                 raise ProgramError(f"line {lineno}: repeated cond=")
@@ -112,7 +114,7 @@ def parse_program_line(line: str, lineno: int = 0) -> Instruction:
         else:
             raise ProgramError(f"line {lineno}: unexpected token {tok!r}")
     try:
-        return Instruction(pid, seq, kind, addr, target, cond, 1 if delay is None else delay)
+        return Instruction(pid, kind, addr, target, cond, 1 if delay is None else delay)
     except ProgramError as exc:
         raise ProgramError(f"line {lineno}: {exc}") from exc
 
@@ -122,28 +124,24 @@ class Program:
     instructions, checked and indexed once so that any number of engine
     runs can share it; a run only reads it. Processes keep the order of
     their first instruction. `code[pid]` maps each address to (instruction,
-    the next address or None) and `entry[pid]` is the address of the
-    process's lowest-seq instruction. `instructions` keeps the input, so
-    programs compose: `Program(a.instructions + b.instructions)`."""
+    the next address or None) and `entry[pid]` is the process's lowest
+    address. `instructions` keeps the input, so programs compose:
+    `Program(a.instructions + b.instructions)`."""
 
     def __init__(self, instructions):
         self.instructions = tuple(instructions)
         by_pid: dict[int, dict[int, Instruction]] = {}
-        seqs: set[tuple[int, int]] = set()  # (process_id, seq)
         for i in self.instructions:
             by_addr = by_pid.setdefault(i.process_id, {})
             if i.addr in by_addr:
                 raise ProgramError(f"process {i.process_id}: two instructions at {i.addr:#x}")
-            if (i.process_id, i.seq) in seqs:
-                raise ProgramError(f"process {i.process_id}: two instructions with seq {i.seq}")
             by_addr[i.addr] = i
-            seqs.add((i.process_id, i.seq))
         self.code: dict[int, dict[int, tuple[Instruction, int | None]]] = {}
         self.entry: dict[int, int] = {}
         for pid, by_addr in by_pid.items():
             order = sorted(by_addr)
             self.code[pid] = {a: (by_addr[a], b) for a, b in zip(order, order[1:] + [None])}
-            self.entry[pid] = min(by_addr.values(), key=lambda i: i.seq).addr
+            self.entry[pid] = order[0]
 
 
 def parse_program(text: str) -> Program:

@@ -108,7 +108,6 @@ def test_victim_layouts_are_valid_programs():
     cfg = PredictorConfig()
     for layout in (build_victim_v1(cfg), build_victim_v2(cfg)):
         instrs = layout.program.instructions
-        assert [i.seq for i in instrs] == list(range(len(instrs)))
         assert len({i.addr for i in instrs}) == len(instrs)
         # the program is the body: the preamble is only its executions
         assert len(layout.context) == cfg.ghr_depth

@@ -96,7 +96,7 @@ def test_trace_artifact_format(tmp_path):
     for line in lines:
         tick, event, seq = line.split()[:3]
         assert tick.isdigit() and seq.isdigit()
-        assert event in {"fetch", "resolve", "commit", "squash", "stall", "timer"}
+        assert event in {"fetch", "resolve", "commit", "squash", "stall"}
 
 
 def test_probe_mode_both_setups(tmp_path):

@@ -2,15 +2,16 @@
 
 The CLI golden test pins artifacts, but no artifact records the final tick
 or the per-branch flags. These digests cover, for each run of a case:
-`(ticks, events, summary, arch)`, per branch `(dseq, resolved, squashed,
+`(ticks, events, summary)`, per branch `(dseq, resolved, squashed,
 speculative, mispredicted)`, and the predictor's final `state_fingerprint()`.
 The `random` case pins 20 seeded multi-process programs, whose
 interleavings the four hand-written cases do not reach.
 
-`GOLDEN` hashes no `arch` and draws the random case from `KINDS`;
-`LEGACY_GOLDEN` holds the earlier digests, which hash `arch` and draw Load,
-Store and TimerRead too. Both pass on this engine, which ties the new set to
-the old one before `arch` and those kinds leave the engine.
+The digests once also hashed the run's architectural state (`arch`), and
+the random case drew Load, Store and TimerRead ops. The current set was
+pinned beside that one, on the engine that still had both, with both sets
+passing; only then did `arch` and those kinds leave the engine. CHANGES.md
+lists the old and new digest of each case.
 
 A victim run is its preamble's committed executions in one kernel call,
 then an engine run of its body (`VictimLayout.run`). The victim cases run
@@ -21,7 +22,6 @@ body branches.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 
@@ -33,8 +33,7 @@ from bpusim.attacks import (activate_history_mode, build_victim_v1, build_victim
                             defense_workload)
 from bpusim.engine import POLICIES
 from bpusim.predictor import PredictorConfig, PredictorState
-from bpusim.program import (ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, LOAD, STORE, TIMER_READ,
-                            Instruction, Program)
+from bpusim.program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 
 # the seed each run gives its update policy (only obfuscate-on-squash reads it)
 SEED = 7
@@ -43,12 +42,12 @@ SEED = 7
 def with_preamble(layout) -> Program:
     """`layout`'s victim with its preamble as code: one always-taken
     (`cond=pre`), delay-1 CondBranch per `context` execution, ahead of the
-    body, whose seqs follow them."""
+    body; the preamble's first address is the process's lowest, so its
+    entry."""
     pid = layout.schedule[0]
-    pre = [Instruction(pid, i, COND_BRANCH, addr, target, "pre", 1)
-           for i, (addr, _, target) in enumerate(layout.context)]
-    body = [dataclasses.replace(i, seq=len(pre) + i.seq) for i in layout.program.instructions]
-    return Program(pre + body)
+    pre = [Instruction(pid, COND_BRANCH, addr, target, "pre", 1)
+           for addr, _, target in layout.context]
+    return Program(pre + list(layout.program.instructions))
 
 
 def _v1(policy):
@@ -89,13 +88,12 @@ def _two_process(policy):
                   env={"pre": 1, "oob": 1, "sec": 1}, seed=SEED)
 
 
-# the kinds `_random_run_args` draws from; the legacy set also draws the
-# Load, Store and TimerRead kinds, and has as many slots
+# the kinds `_random_run_args` draws from: eight slots, as many as when it
+# also drew Load, Store and TimerRead, so no later draw of a seed changed
 KINDS = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU,) * 4
-LEGACY_KINDS = (COND_BRANCH, INDIRECT_BRANCH) * 2 + (ALU, LOAD, STORE, TIMER_READ)
 
 
-def _random_run_args(seed, kinds=KINDS):
+def _random_run_args(seed):
     """The shape of tests/test_engine.py's nested_runs, drawn from one seeded
     stream: 1-3 processes of forward-only branches with mixed delays,
     list-valued conditions, BTB misses and poisoned targets, and repeated
@@ -109,7 +107,7 @@ def _random_run_args(seed, kinds=KINDS):
     for pid in range(n):
         addrs = [0x1000 * (pid + 1) + 8 * i for i in range(rng.randint(2, 10))]
         for i, addr in enumerate(addrs[:-1]):
-            kind = rng.choice(kinds)
+            kind = rng.choice(KINDS)
             delay = rng.randint(1, 40)
             target = cond = None
             if kind is COND_BRANCH or kind is INDIRECT_BRANCH:
@@ -120,16 +118,16 @@ def _random_run_args(seed, kinds=KINDS):
                              [rng.randint(0, 1) for _ in range(rng.randint(0, 4))])
             if kind is INDIRECT_BRANCH and rng.random() < 0.5:
                 predictor.btb.update(addr, rng.choice(addrs))
-            instrs.append(Instruction(pid, i, kind, addr, target, cond, delay))
-        instrs.append(Instruction(pid, len(addrs) - 1, HALT, addrs[-1]))
+            instrs.append(Instruction(pid, kind, addr, target, cond, delay))
+        instrs.append(Instruction(pid, HALT, addrs[-1]))
     schedule = list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 3))]
     rng.shuffle(schedule)
     return Program(instrs), schedule, predictor, env
 
 
-def _random(policy, kinds=KINDS):
+def _random(policy):
     for seed in range(20):
-        program, schedule, predictor, env = _random_run_args(seed, kinds)
+        program, schedule, predictor, env = _random_run_args(seed)
         yield eng.run(program, schedule, policy, predictor, env=env, seed=SEED)
 
 
@@ -137,73 +135,14 @@ CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process,
          "random": _random}
 
 
-def run_digest(case: str, policy, legacy: bool = False) -> str:
-    """The case's digest; `legacy` hashes `arch` too and draws the random
-    case from LEGACY_KINDS."""
+def run_digest(case: str, policy) -> str:
     h = hashlib.sha256()
-    runs = (_random(policy, LEGACY_KINDS) if legacy and case == "random" else
-            CASES[case](policy))
-    for result, predictor in runs:
+    for result, predictor in CASES[case](policy):
         branches = [(b.dseq, b.resolved, b.squashed, b.speculative, b.mispredicted)
                     for b in result.branches]
-        arch = (result.arch,) if legacy else ()
-        h.update(repr((result.ticks, result.events, result.summary, *arch,
+        h.update(repr((result.ticks, result.events, result.summary,
                        branches, predictor.state_fingerprint())).encode())
     return h.hexdigest()
-
-
-LEGACY_GOLDEN = {
-    "speculative-resolve-time v1":
-        "b2c6033584c5ba4b70e6d67f02ba75989b398512ab63c5ea0f14da3fef6dd99a",
-    "speculative-resolve-time v2":
-        "6e0fa9296289154098fa7df4bcbd73718ee1ed728c8d876b8d0fe414fd9a584a",
-    "speculative-resolve-time defense":
-        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
-    "speculative-resolve-time two-process":
-        "8c0bf3eab3d4d7f9150870a3a5bd9f26b3d39cc980642a1d2c61cd71e90a4615",
-    "commit-time v1":
-        "0b123bce9844e5ef14d8e476f333f877eb121b7fc20bab1c0b3113da52cd66cb",
-    "commit-time v2":
-        "e39a431b2c30fc27a124f0c270c0cafc6bef204c46245029adbaac23c51491ab",
-    "commit-time defense":
-        "97c516ff4c8edb9e01796685c43ea08aa62c754b07210d98f8827f3cdbc52e0e",
-    "commit-time two-process":
-        "57fd57424b3e5aaf5a8d0e8958b4463df69e71fff3a2cd9b2397efcc6de060f2",
-    "restore-on-squash v1":
-        "efd3b180bff9ae23c001fd0d4de10492bff49c2768ae95af503dfc32a03eac07",
-    "restore-on-squash v2":
-        "e39a431b2c30fc27a124f0c270c0cafc6bef204c46245029adbaac23c51491ab",
-    "restore-on-squash defense":
-        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
-    "restore-on-squash two-process":
-        "842cfec2eae69e792db008c4de7d69fdf0a1cab5fcc65ed7f8c7facbed40ecaf",
-    "shadow-pht v1":
-        "efd3b180bff9ae23c001fd0d4de10492bff49c2768ae95af503dfc32a03eac07",
-    "shadow-pht v2":
-        "e39a431b2c30fc27a124f0c270c0cafc6bef204c46245029adbaac23c51491ab",
-    "shadow-pht defense":
-        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
-    "shadow-pht two-process":
-        "842cfec2eae69e792db008c4de7d69fdf0a1cab5fcc65ed7f8c7facbed40ecaf",
-    "obfuscate-on-squash v1":
-        "247d4b3ad5e34e025245488cc16012f3398b3aa92b8993e01f2dae29639cac96",
-    "obfuscate-on-squash v2":
-        "5b22741dde7858508d7cb372ed4b501f46afd5a63ddfd0983a42d7ec30ec74aa",
-    "obfuscate-on-squash defense":
-        "22f1cc6599618db8f48912f6dfc29fe4f6083acc430377e986561b518538945c",
-    "obfuscate-on-squash two-process":
-        "d37a13bca68b345ef373dcb82c4ab2b022d0d302cf69007fcffcbb3fbbcddb3d",
-    "speculative-resolve-time random":
-        "d5a095ce8d3e24e8f047a7c45a2584ad5a4a09fe71723610466df01f06084d37",
-    "commit-time random":
-        "3dfa705dc738a34397da1184269fb43eb7cf93ecd3af52ee42df18261c2bfb23",
-    "restore-on-squash random":
-        "99e4feef5182ebeebb611df0e8e82ecbd612d1a6c08da2fb7a566c3c0d6155a9",
-    "shadow-pht random":
-        "99e4feef5182ebeebb611df0e8e82ecbd612d1a6c08da2fb7a566c3c0d6155a9",
-    "obfuscate-on-squash random":
-        "ac9f290ae2b884f239c0fa1f03e32ef95bc267775c1d26cbc513b0d72696b239",
-}
 
 
 GOLDEN = {
@@ -264,12 +203,6 @@ GOLDEN = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_run_result_digest(case, policy):
     assert run_digest(case, policy) == GOLDEN[f"{policy.name} {case}"]
-
-
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
-@pytest.mark.parametrize("case", list(CASES))
-def test_run_result_legacy_digest(case, policy):
-    assert run_digest(case, policy, legacy=True) == LEGACY_GOLDEN[f"{policy.name} {case}"]
 
 
 # a condition value: one for every execution, or one per execution
