@@ -68,24 +68,12 @@ class BranchHarness:
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, branches, times: int = 1) -> "Samples":
+    def execute(self, branches, times: int = 1) -> list[int]:
         """Execute a branch sequence (`Branches` or `(addr, outcome, target)`
-        triples) `times` over, in one predictor call, and draw the
-        latencies of all executions in one sampler call."""
-        flags = self.predictor.execute(branches, times)
-        return Samples(flags, self.sampler.measure(flags))
-
-
-@dataclass(slots=True)
-class Samples:
-    """One phase's `(mispredict flag, latency)` pairs, in execution order,
-    built only when read: a probe phase may hold 100,000s and read one."""
-
-    flags: list[bool]
-    latencies: list[int]
-
-    def __getitem__(self, i: int) -> tuple[bool, int]:
-        return self.flags[i], self.latencies[i]
+        triples) `times` over, in one predictor call, and return the
+        latency of each execution, drawn in one sampler call: what the
+        attacker observes."""
+        return self.sampler.measure(self.predictor.execute(branches, times))
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -322,8 +310,8 @@ class _Channel:
             bv = _find_branch(result, self.layout.bv_addr)
             if unresolved is not None and (bv is None or not bv.resolved):
                 raise unresolved(i, bv)
-            samples = self.harness.execute(self.executions[self.direction.opposite()], probes)
-            latency = samples[decisive_index][1]
+            latencies = self.harness.execute(self.executions[self.direction.opposite()], probes)
+            latency = latencies[decisive_index]
             trace.append(probe + half, latency)
             probe += probes
             looks_mispredicted = latency > self.model.threshold
@@ -422,8 +410,7 @@ def side_channel_v1(
     # not-taken after 2^(n-1) in-bounds runs: the preamble, then trigger and
     # transmitter not-taken (their targets unread). Such a run squashes no
     # conditional branch and moves no GHR, BTB or selector state, so every
-    # policy makes the kernel's writes but shadow-pht when the transmitter
-    # shares the trigger's entry (2-entry tables): its merge drops a step
+    # policy makes the kernel's writes
     warmups = 1 << (ch.n - 1)
     warmup = Branches([*layout.preamble.triples, (layout.trigger_addr, NOT_TAKEN, 0),
                        (layout.bv_addr, NOT_TAKEN, 0)], config)

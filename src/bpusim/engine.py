@@ -221,44 +221,33 @@ class RestoreOnSquash(ResolveTime):
 
 
 class ShadowPht(ResolveTime):
-    """Speculative PHT writes go to a per-process shadow merged into the PHT at commit."""
+    """A speculative conditional branch waits in `pending` until it commits,
+    when its PHT step lands, or is squashed, when the step is dropped. Its
+    process's predictions see the held steps on the table, in resolve order.
+    The selector, the BTB and the GHR still train at resolve."""
 
     name = "shadow-pht"
 
-    def __init__(self, predictor, seed):
-        super().__init__(predictor, seed)
-        # (mode, index, pid) -> (counter value, dseq of its last writer)
-        self.shadow: dict[tuple[Mode, int, int], tuple[int, int]] = {}
-
     def shadow_predict(self, pid: int, pred: Prediction) -> None:
-        entry = self.shadow.get((pred.mode, pred.index, pid))
-        if entry is not None:
-            width = self.predictor.config.counter_width(pred.mode)
-            pred.direction = counter_predict(entry[0], width)
+        mode, index = pred.mode, pred.index
+        width = self.predictor.config.counter_width(mode)
+        value = self.predictor.table(mode)[index]
+        for b in self.pending.values():  # dict order = resolve order
+            if b.pred_index == index and b.pred_mode is mode and b.instr.process_id == pid:
+                value = counter_update(value, width, b.actual)
+        pred.direction = counter_predict(value, width)
 
     def resolved(self, b, ghr_target):
         if not b.speculative or b.instr.kind is not COND_BRANCH:
             return super().resolved(b, ghr_target)
         self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
-        mode, index = b.pred_mode, b.pred_index
-        key = (mode, index, b.instr.process_id)
-        base = self.shadow[key][0] if key in self.shadow else self.predictor.table(mode)[index]
-        width = self.predictor.config.counter_width(mode)
-        self.shadow[key] = (counter_update(base, width, b.actual), b.dseq)
-        self.pending[b.dseq] = key
+        self.pending[b.dseq] = b
         if ghr_target is not None:
             self.predictor.ghr.insert_taken(ghr_target)
 
-    def squashed(self, victims):
-        for d in victims:
-            key = self.pending.pop(d.dseq, None)
-            if key in self.shadow and self.shadow[key][1] == d.dseq:  # d wrote it last
-                del self.shadow[key]
-
     def committed(self, d):
-        key = self.pending.pop(d.dseq)
-        if key in self.shadow:
-            self.predictor.table(key[0])[key[1]] = self.shadow.pop(key)[0]
+        del self.pending[d.dseq]
+        self.predictor.apply_counter_update(d.pred_mode, d.pred_index, d.actual)
 
 
 class ObfuscateOnSquash(ResolveTime):

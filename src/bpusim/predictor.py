@@ -393,18 +393,17 @@ class PredictorState:
 
     def execute(self, branches, times: int = 1) -> list[bool]:
         """Committed executions of a branch sequence, `times` over: for each
-        branch, what `predict` and then `record_resolution` do, in one
-        counter-only loop. `branches` is a `Branches` of this config, or
-        `(addr, outcome, target)` triples, wrapped on the fly. Returns
-        whether each execution mispredicted.
+        branch, what `predict` and then `record_resolution` do. `branches`
+        is a `Branches` of this config, or `(addr, outcome, target)`
+        triples, wrapped on the fly. Returns whether each execution
+        mispredicted.
 
-        The loop reads the indexes of all passes from the `Branches`
-        (history mode: its walks, per starting GHR word) and then moves the
-        GHR once by their effect. This is exact because a history-mode pass
-        stays in history mode and a frozen one-level pass reads no history
-        index. An unfrozen one-level selector can switch to history mode
-        mid-call; the rest of the call then runs on history indexes walked
-        from the GHR after the switching branch."""
+        A selector that cannot switch mid-call (history mode, or a frozen
+        one-level one) takes one counter-only loop: it reads the indexes of
+        all passes from the `Branches` (history mode: its walks, per
+        starting GHR word) and then moves the GHR once by their effect. An
+        unfrozen one-level selector runs branch by branch through `predict`
+        and `record_resolution` themselves."""
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
         cfg, sel = self.config, self.selector
@@ -412,14 +411,20 @@ class PredictorState:
             branches = Branches(branches, cfg)
         elif branches.config is not cfg and branches.config != cfg:
             raise ValueError("the branches are bound to another predictor config")
-        if sel.mode is HISTORY:
-            tbl, width, watched = self.pht_history, cfg.history_bits, False
-            pairs = branches.history(self, times)
-        else:
-            tbl, width, watched = self.pht_one_level, cfg.one_level_bits, not sel.frozen
-            pairs = branches.one_level * times
         flags: list[bool] = []
-        append, triples = flags.append, branches.triples
+        if sel.mode is HISTORY:
+            tbl, width = self.pht_history, cfg.history_bits
+            pairs = branches.history(self, times)
+        elif sel.frozen:
+            tbl, width = self.pht_one_level, cfg.one_level_bits
+            pairs = branches.one_level * times
+        else:
+            for addr, outcome, target in branches.triples * times:
+                pred = self.predict(addr)
+                self.record_resolution(addr, outcome, pred, target)
+                flags.append(pred.direction is not outcome)
+            return flags
+        append = flags.append
         half, top = 1 << (width - 1), (1 << width) - 1
         for taken, index in pairs:
             value = tbl[index]
@@ -432,20 +437,8 @@ class PredictorState:
                 if value < top:
                     tbl[index] = value + 1
             append(mis)
-            if mis and watched:
-                self.note_resolution(triples[(len(flags) - 1) % len(triples)][0], ONE_LEVEL, True)
-                if sel.mode is HISTORY:  # the rest runs as a sequence of its own
-                    executions = triples * times
-                    for _, outcome, target in executions[:len(flags)]:
-                        if outcome is TAKEN:
-                            self.ghr.insert_taken(target)
-                    return flags + self._kernel(Branches(executions[len(flags):], cfg))
         self.ghr.advance(branches.count, branches.tail, times)
         return flags
-
-    # the kernel under a name of its own, for the rest of a switching
-    # `execute` call, which stays one call
-    _kernel = execute
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled

@@ -83,12 +83,17 @@ def parse_int(tok: str) -> int:
     return int(tok, 16) if m["hex"] else int(tok)
 
 
+_KINDS = {k.value: k for k in Kind}
+
+
 def parse_program_line(line: str, lineno: int = 0) -> Instruction:
     toks = line.split()
-    if len(toks) < 3:
-        raise ProgramError(f"line {lineno}: expected 'pid kind addr ...'")
+    kind = _KINDS.get(toks[1]) if len(toks) >= 3 else None
+    if kind is None:  # a short line, an old line with a seq column or a removed kind
+        raise ProgramError(f"line {lineno}: {line!r} is not 'pid kind addr [target] [cond=] "
+                           f"[delay=]' with kind one of {', '.join(_KINDS)}")
     try:
-        pid, kind, addr = parse_int(toks[0]), Kind(toks[1]), parse_int(toks[2])
+        pid, addr = parse_int(toks[0]), parse_int(toks[2])
     except ValueError as exc:
         raise ProgramError(f"line {lineno}: {exc}") from exc
     target = cond = delay = None

@@ -121,14 +121,16 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 else:
                     p.selector.frozen = True
                 layout = build_victim_v2(cfg, cond_name="bit")
-                h = BranchHarness(p, LatencyModel().sampler())
+                model = LatencyModel()
+                h = BranchHarness(p, model.sampler())
                 context = layout.context if mode is Mode.HISTORY else []
 
                 def execute(direction):
-                    """Mispredict flag of one execution of the transmitter
-                    after the context."""
-                    return h.execute(context + [(layout.bv_addr, direction,
-                                                 layout.bv_addr + 0x40)])[-1][0]
+                    """Whether one execution of the transmitter after the
+                    context mispredicted, read from its noiseless latency."""
+                    latency = h.execute(context + [(layout.bv_addr, direction,
+                                                    layout.bv_addr + 0x40)])[-1]
+                    return latency > model.threshold
 
                 for _ in range((1 << n) - 1):
                     execute(d)

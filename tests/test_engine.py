@@ -397,6 +397,31 @@ def test_shadow_pht_serves_own_process_speculatively():
     assert child[2].predicted is Direction.TAKEN
 
 
+@pytest.mark.parametrize("policy", [CommitTime, RestoreOnSquash, ShadowPht])
+def test_held_steps_survive_squashes_and_commits_around_them(policy):
+    # two 3-bit entries, each written by two branches: 0x104 (entry 1)
+    # resolves speculatively and survives; 0x10c (entry 1) resolves
+    # speculatively and is squashed by 0x108 (entry 0), which commits just
+    # after the older 0x100 (entry 0) resolves non-speculatively. The
+    # surviving steps all land: 0x100 and 0x104 not-taken, 0x108 taken. A
+    # shadow table that drops an entry's steps on a squash, and overwrites
+    # an older write at a commit, ends at [3, 4]
+    pred = _frozen_state(PredictorConfig(one_level_bits=3, pht_entries_one_level=2))
+    programs = parse_program(
+        """
+        0 CondBranch 0x100 0x200 cond=o delay=12
+        0 CondBranch 0x104 0x200 cond=a delay=2
+        0 CondBranch 0x108 0x300 cond=c delay=6
+        0 CondBranch 0x10c 0x300 cond=b delay=1
+        0 Alu 0x110
+        0 Halt 0x300
+        """
+    )
+    res, pred = eng.run(programs, [0], policy, pred, env={"o": 0, "a": 0, "c": 1, "b": 0})
+    assert [b.squashed for b in res.branches] == [False, False, False, True]
+    assert pred.pht_one_level == [4, 5]
+
+
 def test_restore_on_squash_rolls_back_nested_updates_in_order():
     # two wrong-path branches sharing one entry: rollback must restore the
     # original value, not an intermediate one
@@ -466,28 +491,50 @@ FINGERPRINT_COMPONENTS = ("pht_one_level", "pht_history", "ghr", "btb",
                           "selector_mode", "selector_accumulator")
 
 
+# per program, the condition values besides `sec`: a squashed secret branch
+# under a mispredicted outer one ("shielded"), and one under a mispredicted
+# 0x108 that resolves speculatively on the entry of the older 0x104, just
+# after 0x104 does, and is squashed only after 0x104 commits ("flush")
+LEAK_PROGRAMS = {
+    "shielded": ("""
+        0 CondBranch 0x100 0x400 cond=outer delay=50
+        0 CondBranch 0x300 0x313 cond=sec delay=2
+        0 Alu 0x313
+        0 Alu 0x400
+        0 Halt 0x410
+        """, {"outer": 1}),
+    "flush": ("""
+        0 CondBranch 0x100 0x2000 cond=outer delay=8
+        0 CondBranch 0x104 0x2000 cond=a delay=2
+        0 CondBranch 0x108 0x2000 cond=c delay=20
+        0 CondBranch 0x1104 0x2000 cond=sec delay=1
+        0 Alu 0x1108
+        0 Halt 0x2000
+        """, {"outer": 0, "a": 0, "c": 1}),
+}
+
+
 @pytest.mark.parametrize("policy, leaking", [
-    (ResolveTime, {"pht_one_level", "ghr", "selector_accumulator"}),
-    (CommitTime, {"selector_accumulator"}),
-    (RestoreOnSquash, {"ghr", "selector_accumulator"}),
-    (ShadowPht, {"ghr", "selector_accumulator"}),
-    (ObfuscateOnSquash, {"ghr", "selector_accumulator"}),
+    (ResolveTime, {"shielded": {"pht_one_level", "ghr", "selector_accumulator"},
+                   "flush": {"pht_one_level", "selector_accumulator"}}),
+    (CommitTime, {"shielded": {"selector_accumulator"}, "flush": {"selector_accumulator"}}),
+    (RestoreOnSquash, {"shielded": {"ghr", "selector_accumulator"},
+                       "flush": {"selector_accumulator"}}),
+    (ShadowPht, {"shielded": {"ghr", "selector_accumulator"},
+                 "flush": {"selector_accumulator"}}),
+    (ObfuscateOnSquash, {"shielded": {"ghr", "selector_accumulator"},
+                         "flush": {"selector_accumulator"}}),
 ])
 def test_squashed_secret_branch_leak_contract(policy, leaking):
-    text = """
-    0 CondBranch 0x100 0x400 cond=outer delay=50
-    0 CondBranch 0x300 0x313 cond=sec delay=2
-    0 Alu 0x313
-    0 Alu 0x400
-    0 Halt 0x410
-    """
-    fingerprints = []
-    for sec in (0, 1):
-        _, pred = eng.run(parse_program(text), [0], policy, PredictorState(),
-                          env={"outer": 1, "sec": sec}, seed=7)
-        fingerprints.append(pred.state_fingerprint())
-    differing = {name for name, a, b in zip(FINGERPRINT_COMPONENTS, *fingerprints)
-                 if a != b}
+    differing = {}
+    for name, (text, env) in LEAK_PROGRAMS.items():
+        fingerprints = []
+        for sec in (0, 1):
+            _, pred = eng.run(parse_program(text), [0], policy, PredictorState(),
+                              env={**env, "sec": sec}, seed=7)
+            fingerprints.append(pred.state_fingerprint())
+        differing[name] = {component for component, a, b
+                           in zip(FINGERPRINT_COMPONENTS, *fingerprints) if a != b}
     assert differing == leaking
 
 

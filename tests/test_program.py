@@ -114,12 +114,16 @@ def test_parse_program_duplicate_address():
         parse_program("0 Alu 0x100\n0 Alu 0x100\n")
 
 
-@pytest.mark.parametrize("line, message", [
-    ("0 Load 0x100", "'Load' is not a valid Kind"),
-    ("0 Store 0x100", "'Store' is not a valid Kind"),
-    ("0 TimerRead 0x100", "'TimerRead' is not a valid Kind"),
-    ("0 0 Alu 0x100", "'0' is not a valid Kind"),  # the format with a seq column
+@pytest.mark.parametrize("line", [
+    "0 Load 0x100",
+    "0 Store 0x100",
+    "0 TimerRead 0x100",
+    "0 0 Alu 0x100",  # the format with a seq column
 ], ids=["load", "store", "timer-read", "seq-column"])
-def test_parse_program_refuses_removed_kinds_and_the_seq_column(line, message):
-    with pytest.raises(ProgramError, match=f"^line 2: {message}$"):
+def test_parse_program_refuses_removed_kinds_and_the_seq_column(line):
+    # the message names the line, its layout and the kinds
+    with pytest.raises(ProgramError) as refused:
         parse_program(f"0 Alu 0x10\n{line}\n0 Halt 0x200\n")
+    assert str(refused.value) == (
+        f"line 2: {line!r} is not 'pid kind addr [target] [cond=] [delay=]' "
+        "with kind one of CondBranch, IndirectBranch, Alu, Halt")
