@@ -6,19 +6,28 @@ probing) are committed branch executions: a sequence of `(addr, outcome,
 target)` triples run `times` over by one `PredictorState.execute` call
 against the shared predictor, directly or through `BranchHarness`, which
 also times them. So are the victim's always-taken preamble to its trigger,
-run by `VictimLayout.run` as one untimed kernel call before one engine run
-of the victim's body, and v1's in-bounds warm-ups, one untimed kernel call
-per trial over the preamble, the trigger and the transmitter. The channel's
-sequences, the preamble and the warm-up are `Branches`, built once, so
-their indexes and GHR effect are computed once and their history indexes
-once per starting GHR word. Only the body of the run on the trial's bit,
-where the transient step happens, goes through the speculation engine, so
-the update policy governs exactly the speculative updates.
+one untimed kernel call before each run of the victim's body, and v1's
+in-bounds warm-ups, one untimed kernel call per trial over the preamble,
+the trigger and the transmitter. The channel's sequences, the preamble and
+the warm-up are `Branches`, built once, so their indexes and GHR effect are
+computed once and their history indexes once per starting GHR word. Only
+the body of the run on the trial's bit, where the transient step happens,
+goes through the speculation engine, so the update policy governs exactly
+the speculative updates.
+
+A trial's body run (`VictimLayout.transmit`) is replayed from a memo of
+its footprint. It is keyed on the policy, the env (lists as tuples), the
+seed, the selector's mode, the GHR word and the BTB slots of the body's
+indirect branches, and a footprint holds the before and after values of
+the PHT entries the run's conditional branches were fetched at. A run
+misses when its key is new, when some such entry's live value differs
+from each footprint of the key, or when its selector could switch mode
+mid-run (unfrozen, one-level); the engine then runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import engine as eng
 from .engine import ResolveTime
@@ -169,13 +178,22 @@ class VictimLayout:
     """A victim: its body's code, checked and indexed once for the engine
     runs of every trial, its addresses, and its always-taken preamble to
     the trigger as the committed executions it makes, which are also the
-    GHR context a history-mode attacker replays."""
+    GHR context a history-mode attacker replays. `_memo` maps a body run's
+    key to the footprints of its runs (`transmit`)."""
 
     program: Program
     schedule: list[int]
     trigger_addr: int
     bv_addr: int
     preamble: Branches
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        instrs, config = self.program.instructions, self.preamble.config
+        # a frozen one-level run's PHT entries: its conditional branches'
+        self._one_level = {index_one_level(i.addr, config) for i in instrs
+                           if i.kind is COND_BRANCH}
+        self._indirect = [i.addr for i in instrs if i.kind is INDIRECT_BRANCH]
 
     @property
     def context(self) -> list[tuple[int, Direction, int]]:
@@ -192,6 +210,58 @@ class VictimLayout:
         and writes, in the same order, as the kernel does."""
         predictor.execute(self.preamble)
         return eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
+
+    def transmit(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
+                 seed: int) -> tuple[bool, bool]:
+        """What `run` does to `predictor`, returning whether the transmitter
+        was fetched and whether it resolved, replaying the body run from the
+        memo unless it misses (module docstring). A body run whose
+        selector cannot switch mode reads and writes only the entries of its
+        mode's table that its conditional branches were fetched at, the BTB
+        slots of its indirect branches and the GHR, so its key and the
+        values of those entries fix it. A miss first copies the entries it
+        can reach: the body's static one-level ones, or the whole history
+        table. Each key keeps at most `Branches.MEMO_WORDS` footprints, and
+        the memo as many keys; each starts over when full."""
+        predictor.execute(self.preamble)
+        sel, btb = predictor.selector, predictor.btb
+        if sel.mode is ONE_LEVEL and not sel.frozen:
+            return self._outcome(eng.run(self.program, self.schedule, policy, predictor,
+                                         env=env, seed=seed)[0])
+        slots = [btb._index(a) for a in self._indirect]
+        key = (policy, tuple([(k, tuple(v) if isinstance(v, list) else v)
+                              for k, v in env.items()]),
+               seed, sel.mode, predictor.ghr._word, tuple([btb.slots[s] for s in slots]))
+        tbl = predictor.table(sel.mode)
+        footprints = self._memo.get(key)
+        if footprints is None:
+            if len(self._memo) >= Branches.MEMO_WORDS:
+                self._memo.clear()
+            footprints = self._memo[key] = []
+        for pht, ghr_word, btb_after, outcome in footprints:
+            for i, before, _ in pht:
+                if tbl[i] != before:
+                    break
+            else:
+                for i, _, after in pht:
+                    tbl[i] = after
+                predictor.ghr._word = ghr_word
+                for s, slot in zip(slots, btb_after):
+                    btb.slots[s] = slot
+                return outcome
+        before = {i: tbl[i] for i in self._one_level} if sel.mode is ONE_LEVEL else tbl[:]
+        result = eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
+        outcome = self._outcome(result)
+        touched = dict.fromkeys(b.pred_index for b in result.branches if b.pred_mode is not None)
+        if len(footprints) >= Branches.MEMO_WORDS:
+            footprints.clear()
+        footprints.append((tuple([(i, before[i], tbl[i]) for i in touched]), predictor.ghr._word,
+                           tuple([btb.slots[s] for s in slots]), outcome))
+        return outcome
+
+    def _outcome(self, result: eng.RunResult) -> tuple[bool, bool]:
+        bv = _find_branch(result, self.bv_addr)
+        return bv is not None, bv is not None and bv.resolved
 
 
 def _preamble_block(config: PredictorConfig, trigger_addr: int) -> Branches:
@@ -289,11 +359,11 @@ class _Channel:
 
     def trials(self, bits, env, prepare, unresolved, chained=False):
         """One trial per bit: `prepare(i)`, the preset if needed, the victim
-        run on `env(bit)` and the probes; the preset and the probes are one
-        harness call each. `unresolved(i, bv)` is the error raised when the
-        transmitter does not resolve (`bv` is its dynamic branch, or None if
-        it was never fetched), or None to decode anyway. Returns the decoded
-        bits and the trace of decisive probes."""
+        run on `env(bit)` (`VictimLayout.transmit`) and the probes; the
+        preset and the probes are one harness call each. `unresolved(i,
+        fetched)` is the error raised when the transmitter does not resolve
+        (`fetched` says whether it was fetched at all), or None to decode
+        anyway. Returns the decoded bits and the trace of decisive probes."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
         # the last branch of the half-th probe execution
@@ -306,10 +376,10 @@ class _Channel:
                 self.direction = TAKEN
             if chained:
                 self.harness.execute(self.context)
-            result = self.layout.run(self.policy, self.predictor, env(bit), self.seed)
-            bv = _find_branch(result, self.layout.bv_addr)
-            if unresolved is not None and (bv is None or not bv.resolved):
-                raise unresolved(i, bv)
+            fetched, resolved = self.layout.transmit(self.policy, self.predictor, env(bit),
+                                                     self.seed)
+            if unresolved is not None and not resolved:
+                raise unresolved(i, fetched)
             latencies = self.harness.execute(self.executions[self.direction.opposite()], probes)
             latency = latencies[decisive_index]
             trace.append(probe + half, latency)
@@ -419,8 +489,8 @@ def side_channel_v1(
         ch.reset(seed * 1000 + i)
         ch.predictor.execute(warmup, warmups)
 
-    def unresolved(i, bv):
-        if bv is None:
+    def unresolved(i, fetched):
+        if not fetched:
             return AttackError(f"trial {i}: transmitter branch never fetched "
                                "before the trigger resolved")
         return AttackError(f"trial {i}: transmitter branch squashed before resolution")

@@ -34,9 +34,9 @@ MAX_ITERATIONS = 100_000
 # 1.4 s, 19 MB (2-CPU Xeon)
 MAX_PROBE_N = 256
 # covert --bits and the side channels' --random-bits: the slowest command at
-# this bound, one-level sidechannel-v1, takes about 1.6 s and 20 MB, history-
-# mode sidechannel-v1 under shadow-pht about 1.3 s, and history-mode covert
-# about 1 s (2-CPU Xeon)
+# this bound, one-level sidechannel-v1, takes about 0.9-1.4 s and 20 MB,
+# history-mode sidechannel-v1 under shadow-pht about 0.4-0.5 s, and
+# history-mode covert about 0.4-0.5 s (2-CPU Xeon, CPython 3.11)
 MAX_BITS = 10_000
 
 # domain errors reported as a one-line message and a non-zero exit status

@@ -90,8 +90,8 @@ def _is_pow2(n: int) -> bool:
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
 # address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
 # reaches every admitted GHR depth. With every field at its bound, probe-ghr
-# at its default arguments takes about 1.1 s and 25 MB, and covert about 15 s
-# and 30 MB for its default 1,024 bits, most of it the kernel's counter loop
+# at its default arguments takes about 1.1 s and 25 MB, and covert about 13-14 s
+# and 28 MB for its default 1,024 bits, most of it the kernel's counter loop
 # over 511 probes of 257 branches per bit (2-CPU Xeon, CPython 3.11);
 # one-level sidechannel-v1 raises AttackError there, as its preamble reaches
 # the trigger's PHT entry.

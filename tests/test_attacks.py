@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -440,18 +443,20 @@ def test_covert_context_replay_is_one_predictor_call(monkeypatch):
     switch, 193 harness calls, one per attacker phase (one call for the 7
     presets, then per bit one context replay before the victim run and one
     call for the 7 probes, each probe an execution with its 12-branch
-    context), and per bit one for the victim's preamble. 96 `predict` calls
-    are the engine's, one per victim run for the transmitter. The other 6,
-    with the 6 `record_resolution` calls, are the TNTNTN switch, which an
-    unfrozen selector runs branch by branch; the other kernel calls make
-    none."""
+    context), and per bit one for the victim's preamble. 2 `predict` calls
+    are the engine's, one for the transmitter in each victim body run that
+    misses the memo: the message repeats one bit, and the transmitter's
+    entry is met at 0 after the presets, then at 7 after each probe phase.
+    The other 6, with the 6 `record_resolution` calls, are the TNTNTN
+    switch, which an unfrozen selector runs branch by branch; the other
+    kernel calls make none."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (BranchHarness, "execute"),
         (PredictorState, "predict"), (PredictorState, "record_resolution")])
     message = "".join(random.Random(0).choice("01") for _ in range(96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert calls == {"PredictorState.execute": 290, "BranchHarness.execute": 193,
-                     "PredictorState.predict": 102,
+                     "PredictorState.predict": 8,
                      "PredictorState.record_resolution": 6}
 
 
@@ -506,12 +511,13 @@ BOUND_CONFIG = PredictorConfig(
     pht_entries_one_level=1 << 16, pht_entries_history=1 << 16, btb_entries=1 << 16)
 
 
-def test_history_covert_folds_one_more_history_index_per_bit(monkeypatch):
+def test_history_covert_folds_no_history_index_past_its_first_four_bits(monkeypatch):
     """Each attacker sequence and victim preamble walks its history indexes
-    once per starting GHR word it meets. The words depend on the probe
+    once per starting GHR word it meets, and the victim's body reaches the
+    engine, whose `predict` folds the transmitter's index, only on a memo
+    miss. The words and the transmitter entry's value depend on the probe
     direction and the bit, and "1001" meets all four pairs, so after it a
-    bit adds one `history_index` call: the engine's `predict` of the
-    transmitter."""
+    bit adds no `history_index` call."""
     calls = _count_calls(monkeypatch, [(PredictorState, "history_index")])
     counts = []
     for bits in (4, 5, 8):
@@ -519,7 +525,133 @@ def test_history_covert_folds_one_more_history_index_per_bit(monkeypatch):
         message = "10010110"[:bits]
         assert covert_send_receive(message, Mode.HISTORY, config=BOUND_CONFIG).errors == 0
         counts.append(calls["PredictorState.history_index"])
-    assert [n - counts[0] for n in counts] == [0, 1, 4]
+    assert [n - counts[0] for n in counts] == [0, 0, 0]
+
+
+def _record_layouts(monkeypatch) -> list:
+    """Every VictimLayout built from now on."""
+    built = []
+    init = attacks.VictimLayout.__post_init__
+
+    def record(self):
+        init(self)
+        built.append(self)
+
+    monkeypatch.setattr(attacks.VictimLayout, "__post_init__", record)
+    return built
+
+
+def _assert_memo_bounded(layouts) -> None:
+    for layout in layouts:
+        assert len(layout._memo) <= Branches.MEMO_WORDS
+        assert all(len(f) <= Branches.MEMO_WORDS for f in layout._memo.values())
+
+
+@pytest.mark.parametrize("attack", [
+    lambda bits: covert_send_receive("".join(map(str, bits)), Mode.HISTORY),
+    lambda bits: side_channel_v1(bits[:200], Mode.ONE_LEVEL),
+], ids=["covert-history-1000", "v1-one-level-200"])
+def test_victim_bodies_reach_the_engine_only_on_memo_misses(monkeypatch, attack):
+    """A transmission's body runs fall under two keys, one per bit value,
+    with two footprints each: the covert transmitter's entry is met at 0
+    after the presets and at 7 after a probe phase, and v1's trigger entry
+    at 2 or 3 after a reset and the warm-ups. So 1,000 covert bits, or 200
+    v1 bits, make four engine runs."""
+    layouts, envs = _record_layouts(monkeypatch), []
+    run = eng.run
+    monkeypatch.setattr(eng, "run", lambda *args, **kwargs: envs.append(kwargs["env"])
+                        or run(*args, **kwargs))
+    rng = random.Random(4)
+    attack([rng.randint(0, 1) for _ in range(1000)])
+    assert len(envs) == 4
+    assert len(layouts) == 1
+    _assert_memo_bounded(layouts)
+
+
+def _direct_outcome(layout, policy, predictor, env, seed) -> tuple[bool, bool]:
+    bv = attacks._find_branch(layout.run(policy, predictor, env, seed), layout.bv_addr)
+    return bv is not None, bv is not None and bv.resolved
+
+
+_between_runs = st.one_of(
+    st.tuples(st.just("poison"), st.sampled_from([0x3003, 0x2040, 0x2008])),
+    st.tuples(st.just("ghr"), st.integers(0, 7)),
+    st.tuples(st.just("pht"), st.sampled_from([(0, 0x2002), (0, 0x2008), (1, 0x3003)]),
+              st.integers(0, 7)),
+    st.tuples(st.just("reset"), st.integers(0, 3)),
+    st.tuples(st.just("mode"), st.sampled_from(list(Mode)), st.booleans()),
+)
+
+
+@st.composite
+def _memo_cases(draw):
+    """Both victims, with preambles cut short so that the GHR word before
+    the body varies, on one scrambled predictor; up to four calls (victim,
+    env, seed), a first one and calls that each differ from it in one
+    field; and a list of steps, each one state change made to the last
+    step's state or to the state its last run left."""
+    config = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 3)), history_bits=draw(st.integers(2, 3)),
+        ghr_depth=draw(st.integers(1, 6)), target_bits_per_entry=draw(st.integers(1, 2)),
+        pht_entries_one_level=draw(st.sampled_from([2, 4, 16, 1024])),
+        pht_entries_history=draw(st.sampled_from([2, 4, 16, 4096])),
+        btb_entries=draw(st.sampled_from([1, 4, 512])))
+    layouts = []
+    for layout in (build_victim_v1(config), build_victim_v2(config)):
+        cut = draw(st.integers(0, config.ghr_depth))
+        layouts.append(dataclasses.replace(
+            layout, preamble=Branches(layout.preamble.triples[:cut], config)))
+    predictor = PredictorState(config)
+    predictor.randomize_reset(draw(st.integers(0, 2**16)))
+    predictor.selector.mode = draw(st.sampled_from(list(Mode)))
+    predictor.selector.frozen = draw(st.booleans())
+    if draw(st.booleans()):
+        predictor.btb.update(layouts[1].trigger_addr, layouts[1].bv_addr)
+    value = st.sampled_from([0, 1, [0, 1], [1, 0, 1]])
+    fields = (st.integers(0, 1), st.fixed_dictionaries({"oob": value, "sec": value}),
+              st.integers(0, 3))
+    calls = [tuple(draw(f) for f in fields)]
+    for k in draw(st.lists(st.integers(0, 2), max_size=3)):
+        calls.append(calls[0][:k] + (draw(fields[k]),) + calls[0][k + 1:])
+    steps = draw(st.lists(st.tuples(st.booleans(), _between_runs), min_size=3, max_size=6))
+    return layouts, predictor, calls, steps, draw(st.sampled_from([2, 64]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_memo_cases())
+def test_memoized_victim_runs_match_direct_runs(case):
+    """`transmit` against `run`, on two predictors kept equal: the same
+    outcome and state after every run, with the memo at its bound. Every
+    call runs under every policy from the first state, then from the state
+    each step leaves, so that runs sharing all but one key field, or all
+    but one PHT entry's value, meet the same state."""
+    layouts, predictor, calls, steps, memo_words = case
+    state = memo = predictor
+    with mock.patch.object(Branches, "MEMO_WORDS", memo_words):
+        for carry, change in [(False, ("none",))] + steps:
+            state = (memo if carry else state).clone()
+            if change[0] == "poison":
+                state.btb.update(layouts[1].trigger_addr, change[1])
+            elif change[0] == "ghr":
+                state.ghr.insert_taken(change[1])
+            elif change[0] == "pht":  # the entry a victim's branch reads after its preamble
+                (which, addr), value = change[1:]
+                mode, ghr, pre = state.selector.mode, state.ghr.clone(), layouts[which].preamble
+                ghr.advance(pre.count, pre.tail)
+                index = (index_one_level(addr, state.config) if mode is Mode.ONE_LEVEL
+                         else state.history_index(addr, ghr))
+                state.table(mode)[index] = value % (1 << state.config.counter_width(mode))
+            elif change[0] == "reset":
+                state.randomize_reset(change[1])
+            elif change[0] == "mode":
+                state.selector.mode, state.selector.frozen = change[1], change[2]
+            for policy, (which, env, seed) in itertools.product(POLICIES, calls):
+                memo, direct = state.clone(), state.clone()
+                layout = layouts[which]
+                assert layout.transmit(policy, memo, env, seed) == \
+                    _direct_outcome(layout, policy, direct, env, seed)
+                assert memo.state_fingerprint() == direct.state_fingerprint()
+                _assert_memo_bounded(layouts)
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)

@@ -4,6 +4,10 @@ import csv
 import importlib.resources
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -187,6 +191,32 @@ def test_seed_changes_random_message(tmp_path):
     ma = json.loads((a / "covert.json").read_text())["message"]
     mb = json.loads((b / "covert.json").read_text())["message"]
     assert ma != mb
+
+
+# both commands in one interpreter, which takes the output directory
+_TWO_COMMANDS = """
+import sys
+from bpusim.cli import main
+for args in (["covert", "--mode", "history", "--bits", "64"],
+             ["sidechannel-v1", "--mode", "one-level", "--random-bits", "64"]):
+    main(["--seed", "3", "--out", sys.argv[1], *args], standalone_mode=False)
+"""
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # str and enum hashes change with PYTHONHASHSEED, and the victim-run
+    # memo keys on env names and enum members: no artifact byte may follow
+    src = pathlib.Path(attacks.__file__).resolve().parents[1]
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", _TWO_COMMANDS, str(out)], env=env,
+                              capture_output=True, text=True, check=True)
+        written.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert written[0] == written[1]
+    assert list(written[0][1]) == ["covert.json", "covert_trace.csv", "sidechannel_v1.json",
+                                   "sidechannel_v1_trace.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,43 @@ def test_runs_of_one_program_are_isolated(run_args):
     assert p2.state_fingerprint() == p1.state_fingerprint()
 
 
+class _AccessLog(list):
+    """A PHT that logs the `(mode, index)` of each element it reads or writes."""
+
+    def __init__(self, values, mode, log):
+        super().__init__(values)
+        self.mode, self.log = mode, log
+
+    def __getitem__(self, index):
+        self.log.add((self.mode, index))
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.log.add((self.mode, index))
+        super().__setitem__(index, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_runs())
+def test_a_run_touches_only_its_fetched_branches_entries(run_args):
+    # the footprint a victim-run memo takes from the run's own output: the
+    # PHT entries a run reads or writes are its fetched conditional branches'
+    # (pred_mode, pred_index), and the BTB slots it changes its indirect
+    # branches', under every policy
+    program, schedule, _, predictor, env = run_args
+    btb_slots = {predictor.btb._index(i.addr) for i in program.instructions
+                 if i.kind is Kind.INDIRECT_BRANCH}
+    for policy in POLICIES:
+        p, log = predictor.clone(), set()
+        p.pht_one_level = _AccessLog(p.pht_one_level, Mode.ONE_LEVEL, log)
+        p.pht_history = _AccessLog(p.pht_history, Mode.HISTORY, log)
+        slots = list(p.btb.slots)
+        res, _ = eng.run(program, schedule, policy, p, env=env, seed=3)
+        assert log == {(b.pred_mode, b.pred_index) for b in res.branches
+                       if b.pred_mode is not None}
+        assert {k for k, (a, b) in enumerate(zip(slots, p.btb.slots)) if a != b} <= btb_slots
+
+
 def _speculative_from_records(records) -> dict[int, bool]:
     """dseq -> whether, when that branch resolved, an older branch of its
     process had been fetched and was neither resolved nor squashed yet."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,36 +385,43 @@ def _monitored_execute_cases(draw):
     return state, triples
 
 
+# the memo bound in the property below: small, so that a short call list
+# already makes the memo start over, and a failing example shrinks to one
+SMALL_MEMO_WORDS = 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(_monitored_execute_cases(),
        st.lists(st.tuples(st.lists(st.integers(0, 0xFF), min_size=1, max_size=3),
                           st.lists(_between_calls, max_size=2), st.integers(1, 4)),
-                min_size=2 * Branches.MEMO_WORDS + 1, max_size=40))
+                min_size=2 * SMALL_MEMO_WORDS + 1, max_size=40))
 def test_one_branches_executed_again_matches_the_reference(case, calls):
     """One `Branches` run by many `execute` calls, `times` 1-4 each, against
     `predict` + `record_resolution` per execution. Before each call come GHR
-    inserts, then maybe resets, clones and mode changes. The history-mode
-    calls of about half the examples start from more words than the memo
-    holds, so it starts over."""
+    inserts, then maybe resets, clones and mode changes. The memo holds
+    `SMALL_MEMO_WORDS` words here, and the history-mode calls of about half
+    the examples start from more, so it starts over."""
     state, triples = case
     branches = Branches(triples, state.config)
     fused, reference = state.clone(), state.clone()
-    for inserts, ops, times in calls:
-        for s in (fused, reference):
-            for t in inserts:
-                s.ghr.insert_taken(t)
-        for op in ops:
-            if op[0] == "reset":
-                fused.randomize_reset(op[1])
-                reference.randomize_reset(op[1])
-            elif op[0] == "clone":
-                fused, reference = fused.clone(), reference.clone()
-            else:
-                for s in (fused, reference):
-                    s.selector.mode, s.selector.frozen = op[1], op[2]
-        assert fused.execute(branches, times) == _reference_execute(reference, triples, times)
-        assert fused.state_fingerprint() == reference.state_fingerprint()
-        assert len(branches._memo) <= Branches.MEMO_WORDS
+    with mock.patch.object(Branches, "MEMO_WORDS", SMALL_MEMO_WORDS):
+        for inserts, ops, times in calls:
+            for s in (fused, reference):
+                for t in inserts:
+                    s.ghr.insert_taken(t)
+            for op in ops:
+                if op[0] == "reset":
+                    fused.randomize_reset(op[1])
+                    reference.randomize_reset(op[1])
+                elif op[0] == "clone":
+                    fused, reference = fused.clone(), reference.clone()
+                else:
+                    for s in (fused, reference):
+                        s.selector.mode, s.selector.frozen = op[1], op[2]
+            assert fused.execute(branches, times) == _reference_execute(reference, triples,
+                                                                        times)
+            assert fused.state_fingerprint() == reference.state_fingerprint()
+            assert len(branches._memo) <= SMALL_MEMO_WORDS
 
 
 def test_the_memo_starts_over_past_its_bound():
