@@ -21,6 +21,7 @@ from bpusim.attacks import (
     defense_eval,
     defense_workload,
     probe_ghr_depth,
+    VictimLayout,
     probe_mode,
     side_channel_v1,
     side_channel_v2,
@@ -267,7 +268,7 @@ def test_side_channel_v1_rejects_a_preamble_entry_out_of_range(depth):
 def test_side_channel_v1_recovers_every_bit_at_each_counter_width(mode, width):
     # the warm-up runs must mistrain the trigger however wide its counter is
     config = PredictorConfig(one_level_bits=width, history_bits=width)
-    secret = [random.Random(3).randint(0, 1) for _ in range(16)]
+    secret = random.Random(3).choices((0, 1), k=16)
     r = side_channel_v1(secret, mode, config=config, seed=3)
     assert r.recovered == secret
     if mode is Mode.ONE_LEVEL:
@@ -320,7 +321,7 @@ def test_side_channel_mitigations_near_chance():
 
 
 def test_noise_degrades_covert_channel_monotonically():
-    msg = "".join(random.Random(9).choice("01") for _ in range(256))
+    msg = "".join(random.Random(9).choices("01", k=256))
     errors = []
     for sigma in (10, 20, 40):
         model = LatencyModel(noise=NoiseKind.GAUSSIAN, noise_param=sigma, seed=13)
@@ -443,20 +444,21 @@ def test_covert_context_replay_is_one_predictor_call(monkeypatch):
     switch, 193 harness calls, one per attacker phase (one call for the 7
     presets, then per bit one context replay before the victim run and one
     call for the 7 probes, each probe an execution with its 12-branch
-    context), and per bit one for the victim's preamble. 2 `predict` calls
+    context), and per bit one for the victim's preamble. 4 `predict` calls
     are the engine's, one for the transmitter in each victim body run that
-    misses the memo: the message repeats one bit, and the transmitter's
-    entry is met at 0 after the presets, then at 7 after each probe phase.
-    The other 6, with the 6 `record_resolution` calls, are the TNTNTN
-    switch, which an unfrozen selector runs branch by branch; the other
-    kernel calls make none."""
+    misses the memo: a body run is keyed on its bit, and the chained probes
+    leave the transmitter's entry at 0 and at 7 in turn, so each of the two
+    bit values misses once at each value. The other 6, with the 6
+    `record_resolution` calls, are the TNTNTN switch, which an unfrozen
+    selector runs branch by branch; the other kernel calls make none."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (BranchHarness, "execute"),
         (PredictorState, "predict"), (PredictorState, "record_resolution")])
-    message = "".join(random.Random(0).choice("01") for _ in range(96))
+    message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
+    assert set(message) == {"0", "1"}
     assert calls == {"PredictorState.execute": 290, "BranchHarness.execute": 193,
-                     "PredictorState.predict": 8,
+                     "PredictorState.predict": 10,
                      "PredictorState.record_resolution": 6}
 
 
@@ -472,7 +474,7 @@ def test_covert_draws_one_latency_list_per_harness_call(monkeypatch):
 
     monkeypatch.setattr(Branches, "__init__", record)
     calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
-    message = "".join(random.Random(0).choice("01") for _ in range(96))
+    message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert calls == {"BranchHarness.execute": 193, "LatencySampler.measure": 193}
     assert max(len(c) for b in built for c in (b._memo, b._runs)) <= Branches.MEMO_WORDS
@@ -656,22 +658,52 @@ def test_memoized_victim_runs_match_direct_runs(case):
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
 def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy):
-    built = []
-    init = Branches.__init__
+    """Past the history-mode switch, each sequence of a history covert
+    transmission starts from at most three GHR words. The context (the
+    victim's preamble) refills the whole GHR, so every pass of it, and of a
+    transmitter execution (the context, then the transmitter), leaves one
+    word: the context's, with the transmitter's target shifted in when it
+    is taken. A transmitter execution's later passes start from the word its
+    own pass leaves, and its first probe pass from the word a victim run
+    leaves, one per bit value at most (a policy that lets the squashed
+    gadget's taken branch reach the GHR leaves another word on a 1). The
+    context starts from where either execution ends. The taken execution
+    also starts once from the switch's word, at the first preset."""
+    built, left = [], set()
+    init, transmit = Branches.__init__, VictimLayout.transmit
 
     def record(self, *args):
         init(self, *args)
         built.append(self)
 
+    def transmit_and_record(self, policy, predictor, env, seed):
+        outcome = transmit(self, policy, predictor, env, seed)
+        left.add(predictor.ghr._word)
+        return outcome
+
     monkeypatch.setattr(Branches, "__init__", record)
+    monkeypatch.setattr(VictimLayout, "transmit", transmit_and_record)
+    bound = Branches.MEMO_WORDS
     # no memo starts over, so each holds every starting word its sequence met
     monkeypatch.setattr(Branches, "MEMO_WORDS", 1 << 30)
-    message = "".join(random.Random(4).choice("01") for _ in range(1000))
+    message = "".join(random.Random(4).choices("01", k=1000))
+    assert set(message) == {"0", "1"}
     covert_send_receive(message, Mode.HISTORY, policy=policy)
-    # the TNTNTN switch, the victim's preamble (also the replayed context),
+    # the victim's preamble (also the replayed context), the TNTNTN switch,
     # two transmitter executions
-    assert len(built) == 4
-    assert max(len(b._memo) for b in built) <= 3
+    preamble, _, taken, not_taken = built
+    p = PredictorState()
+    activate_history_mode(p)
+    switched, ends = p.ghr._word, {}
+    for b in (taken, not_taken):
+        p.ghr.advance(b.count, b.tail)
+        ends[b] = p.ghr._word
+    assert len(left) <= 2
+    assert set(preamble._memo) <= set(ends.values())
+    assert set(not_taken._memo) <= {ends[not_taken]} | left
+    assert set(taken._memo) <= {switched, ends[taken]} | left
+    assert max(len(set(b._memo) - {switched}) for b in built) <= 3
+    assert max(len(b._memo) for b in built) <= 4 <= bound
 
 
 def test_attack_loops_never_render_event_text(monkeypatch):
