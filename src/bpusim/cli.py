@@ -33,9 +33,9 @@ MAX_ITERATIONS = 100_000
 # trainer and prober first collide at N = 256, and all 256 lengths take about
 # 1.4 s, 19 MB (2-CPU Xeon)
 MAX_PROBE_N = 256
-# covert --bits and the side channels' --random-bits: the slowest command at
-# this bound, one-level sidechannel-v1, takes about 0.9-1.4 s and 20 MB,
-# history-mode sidechannel-v1 under shadow-pht about 0.4-0.5 s, and
+# covert --bits and the side channels' --random-bits: at this bound one-level
+# sidechannel-v1 and sidechannel-v2 take about 0.5-0.75 s and 20 MB,
+# history-mode sidechannel-v1 under shadow-pht about 0.5-0.7 s, and
 # history-mode covert about 0.4-0.5 s (2-CPU Xeon, CPython 3.11)
 MAX_BITS = 10_000
 

@@ -58,28 +58,27 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
     return min(value + 1, (1 << width) - 1)
 
 
-# bytes.translate tables for _draw: the bytes with the top bit set, and
-# byte -> byte >> s for each shift s
-_TOP_BIT_SET = bytes(range(128, 256))
-_SHIFT_RIGHT = [bytes(b >> s for b in range(256)) for s in range(8)]
+# bytes.translate tables for _draw, per width up to 8: for each lane of a
+# byte, lowest first, byte -> that lane's low `width` bits. A lane is the
+# next power of two >= width bits wide: 1, 2, 4 or 8.
+_LANES = {w: [bytes((b >> s) & ((1 << w) - 1) for b in range(256))
+              for s in range(0, 8, 1 << (w - 1).bit_length())] for w in range(1, 9)}
 
 
 def _draw(rng: random.Random, n: int, width: int) -> list[int]:
-    """Exactly what `n` calls of `rng.randrange(1 << width)` return, leaving
-    `rng` where they would."""
-    if width >= 8:
-        randrange = rng.randrange
-        return [randrange(1 << width) for _ in range(n)]
-    # randrange(2**w) keeps the top w+1 bits of one 32-bit draw and redraws
-    # while the top bit is set. randbytes(4 * k)[3::4] is the top byte of
-    # each of k draws, so the kept draws are its bytes below 128, in stream
-    # order, each shifted right by 7 - w. Each round draws only as many words
-    # as values are missing, so the last word drawn is the last one kept.
-    kept = b""
-    while len(kept) < n:
-        top = rng.randbytes(4 * (n - len(kept)))[3::4]
-        kept += top.translate(None, _TOP_BIT_SET)
-    return list(kept.translate(_SHIFT_RIGHT[7 - width]))
+    """`n` uniform `width`-bit values from one `rng.getrandbits` call: value
+    i is lane i of the call's bits, lowest first, masked to `width`. A lane
+    is a power of two bits wide, so no value needs a redraw. Widths above 8
+    draw one `getrandbits(width)` per value."""
+    if width > 8:
+        return [rng.getrandbits(width) for _ in range(n)]
+    lanes = _LANES[width]
+    per = len(lanes)  # lanes per byte
+    raw = rng.getrandbits(n * (8 // per)).to_bytes(-(-n // per), "little")
+    values = bytearray(per * len(raw))
+    for k, lane in enumerate(lanes):
+        values[k::per] = raw.translate(lane)
+    return list(values[:n])
 
 
 def _is_pow2(n: int) -> bool:
@@ -90,11 +89,11 @@ def _is_pow2(n: int) -> bool:
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
 # address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
 # reaches every admitted GHR depth. With every field at its bound, probe-ghr
-# at its default arguments takes about 1.1 s and 25 MB, and covert about 13-14 s
+# at its default arguments takes about 1.5 s and 25 MB, and covert about 14-17 s
 # and 28 MB for its default 1,024 bits, most of it the kernel's counter loop
 # over 511 probes of 257 branches per bit (2-CPU Xeon, CPython 3.11);
-# one-level sidechannel-v1 raises AttackError there, as its preamble reaches
-# the trigger's PHT entry.
+# one-level sidechannel-v1 raises AttackError there within 0.2 s, as its
+# preamble reaches the trigger's PHT entry.
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),

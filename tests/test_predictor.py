@@ -21,6 +21,7 @@ from bpusim.predictor import (
     index_one_level,
     parse_outcomes,
 )
+from test_reset_draws import draw_reference
 
 
 # independent reference: explicit transition table per the definition
@@ -291,10 +292,10 @@ def test_randomize_reset_deterministic_and_resets_mode():
     PredictorConfig(one_level_bits=7, history_bits=7, target_bits_per_entry=7),
     PredictorConfig(one_level_bits=9, history_bits=3, target_bits_per_entry=8),
 ], ids=["default", "smallest", "width-7", "width-8-and-9"])
-def test_randomize_reset_matches_per_entry_randrange(config):
+def test_randomize_reset_matches_one_getrandbits_call_per_table(config):
     for seed in range(60):
         rng = random.Random(seed)
-        expected = [[rng.randrange(1 << width) for _ in range(n)] for n, width in (
+        expected = [draw_reference(rng, n, width) for n, width in (
             (config.pht_entries_one_level, config.one_level_bits),
             (config.ghr_depth, config.target_bits_per_entry),
             (config.pht_entries_history, config.history_bits))]

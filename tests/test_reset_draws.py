@@ -1,11 +1,17 @@
 """`randomize_reset` draws the one-level PHT and then the GHR entries at
-once, and the history PHT from the same generator on first read. Every value
-a caller can observe must be what one `randrange` per entry, in that order,
-gives; a channel that never reads the history PHT must never draw it."""
+once, and the history PHT from the same generator on first read. Each table
+up to 8 bits wide is one `getrandbits` call, value i its lane i: a lane is
+the next power of two >= the width bits wide, masked to the width, so every
+value is uniform and none needs a redraw. Every value a caller can observe
+must be what that draw, table by table in that order, gives; a channel that
+never reads the history PHT must never draw it."""
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +29,23 @@ from bpusim.predictor import (
 from test_run_result_golden import GOLDEN, run_digest
 
 
+def draw_reference(rng: random.Random, n: int, width: int) -> list[int]:
+    """The reference draw: one `getrandbits` call, value i its lane i,
+    lowest first, a lane the least of 1, 2, 4 and 8 bits that holds
+    `width`, masked to `width`. Above 8 bits, one `getrandbits(width)` per
+    value."""
+    if width > 8:
+        return [rng.getrandbits(width) for _ in range(n)]
+    lane = next(bits for bits in (1, 2, 4, 8) if bits >= width)
+    word = rng.getrandbits(n * lane)
+    return [(word >> (lane * i)) % (1 << width) for i in range(n)]
+
+
 def _eager_reset(state: PredictorState, seed: int) -> None:
-    """The reference: every table drawn at once, one `randrange` per entry."""
+    """The reference: every table drawn at once by `draw_reference`."""
     cfg = state.config
     rng = random.Random(seed)
-    one, ghr, history = [[rng.randrange(1 << w) for _ in range(n)] for n, w in (
+    one, ghr, history = [draw_reference(rng, n, w) for n, w in (
         (cfg.pht_entries_one_level, cfg.one_level_bits),
         (cfg.ghr_depth, cfg.target_bits_per_entry),
         (cfg.pht_entries_history, cfg.history_bits))]
@@ -39,10 +57,75 @@ def _eager_reset(state: PredictorState, seed: int) -> None:
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 3000), st.integers(1, 9))
-def test_draw_is_exactly_n_randrange_calls(seed, n, width):
+def test_draw_is_one_getrandbits_call_split_into_lanes(seed, n, width):
     rng, reference = random.Random(seed), random.Random(seed)
-    assert pred._draw(rng, n, width) == [reference.randrange(1 << width) for _ in range(n)]
+    assert pred._draw(rng, n, width) == draw_reference(reference, n, width)
     assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_drawn_values_are_uniform(width):
+    """Drawn `n` at a time until each of the `2^width` values is expected
+    256 times, every value appears, and each count is within 6 standard
+    deviations of its binomial mean: under a uniform draw a count is
+    Binomial(total, 2^-width), which leaves that bound with probability
+    about 2e-9."""
+    # 3 and 5 values end inside a byte at every lane below 8 bits, 2 at
+    # 1- and 2-bit lanes; 1,024 is a default one-level table
+    for n in (2, 3, 5, 1024):
+        rng, counts = random.Random(1000 * width + n), Counter()
+        for _ in range(-(-(256 << width) // n)):
+            counts.update(pred._draw(rng, n, width))
+        total, p = sum(counts.values()), 2.0 ** -width
+        mean, sd = total * p, math.sqrt(total * p * (1 - p))
+        assert sorted(counts) == list(range(1 << width)), n
+        assert all(abs(c - mean) <= 6 * sd for c in counts.values()), (n, counts)
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts the calls that draw from it. `random.Random`
+    draws through these two: `randrange`, `choice` and `randbytes` call
+    `getrandbits`."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("widths", [(2, 3, 2), (2, 2, 1), (5, 7, 3), (8, 8, 8)],
+                         ids=lambda w: "-".join(map(str, w)))
+def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
+    """Up to 8 bits wide, a reset makes one generator call for the one-level
+    PHT and one for the GHR, and the first history read one more, at every
+    table size and GHR depth."""
+    made = []
+
+    def counting(seed):
+        made.append(_CountingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(pred, "random", SimpleNamespace(Random=counting))
+    calls = []
+    for entries, depth in ((2, 1), (1024, 12), (1 << 16, 256)):
+        p = PredictorState(PredictorConfig(
+            one_level_bits=widths[0], history_bits=widths[1], target_bits_per_entry=widths[2],
+            pht_entries_one_level=entries, pht_entries_history=entries, ghr_depth=depth))
+        p.randomize_reset(entries)
+        drawn = made[-1].calls
+        p.selector.mode = Mode.HISTORY
+        p.predict(0x4000)
+        p.execute([(0x4000, Direction.TAKEN, 0x4041)])
+        calls.append((drawn, made[-1].calls))
+    assert len(made) == 3
+    assert calls == [(2, 3)] * 3
 
 
 def _count_draws(monkeypatch) -> list[tuple[int, int]]:
@@ -124,7 +207,7 @@ def test_run_result_digests_match_an_eager_reset(monkeypatch, policy):
 @st.composite
 def _configs(draw):
     widths = [draw(st.integers(2, 7)), draw(st.integers(2, 7)), draw(st.integers(1, 7))]
-    if draw(st.booleans()):  # a width of 8 or more takes the per-entry randrange path
+    if draw(st.booleans()):  # 8 bits fill a lane; 9 draw per value
         widths[draw(st.integers(0, 2))] = draw(st.integers(8, 9))
     return PredictorConfig(
         one_level_bits=widths[0], history_bits=widths[1], target_bits_per_entry=widths[2],
@@ -191,9 +274,8 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
             lazy.record_resolution(addr, outcome, p, target)
             eager.record_resolution(addr, outcome, q, target)
         elif kind == "assign":
-            rng = random.Random(op[1])
-            values = [rng.randrange(1 << cfg.history_bits)
-                      for _ in range(cfg.pht_entries_history)]
+            values = draw_reference(random.Random(op[1]), cfg.pht_entries_history,
+                                    cfg.history_bits)
             lazy.pht_history, eager.pht_history = values, list(values)
         elif kind == "clone":
             lazy, eager = lazy.clone(), eager.clone()

@@ -187,15 +187,15 @@ GOLDEN = {
     "obfuscate-on-squash two-process":
         "726a73dcac8b7fe7b8c5d12b722929e14e9c93ea8aabbd839fd9c94fd1bc719b",
     "speculative-resolve-time random":
-        "953423b42134bcfa7bbc8feddee84129ac54d228339aa4e77829e05594fc5c30",
+        "0c3c0b23fcb747e34c456a2772a5cad5b71dc32c5422183fe1e0b88a3e46815e",
     "commit-time random":
-        "754aa24c5c0459122d1668d098ff6c8514c9d1f9d6362a3d2de7154b44063ba9",
+        "836d182918ce90d1069da05f0888f8604749ee7274bf69d589a552906796e294",
     "restore-on-squash random":
-        "cadf4d5ef45e82d0ed8a84c67d30f8a885ea756ee604e00b7e35333bcefb0386",
+        "60cc3ece213e421d750a8717c0bcfefe8c73a9bc02966d4a7be411533886bd5b",
     "shadow-pht random":
-        "cadf4d5ef45e82d0ed8a84c67d30f8a885ea756ee604e00b7e35333bcefb0386",
+        "60cc3ece213e421d750a8717c0bcfefe8c73a9bc02966d4a7be411533886bd5b",
     "obfuscate-on-squash random":
-        "d3520389712c2f555daaa7c2f66f4e8c51355a605d13197887b4a7ad1c60a4ab",
+        "07e6a25cafeed5ecc239aecff082fe7e645f592a0fdef6c36e34b86e2b8bcb4c",
 }
 
 
