@@ -14,6 +14,7 @@ from bpusim.attacks import (
     BranchHarness,
     ProbeError,
     TransmissionError,
+    VictimLayout,
     activate_history_mode,
     build_victim_v1,
     build_victim_v2,
@@ -21,7 +22,6 @@ from bpusim.attacks import (
     defense_eval,
     defense_workload,
     probe_ghr_depth,
-    VictimLayout,
     probe_mode,
     side_channel_v1,
     side_channel_v2,
