@@ -71,18 +71,18 @@ V1_TRIGGER_DELAY = 60
 
 class BranchHarness:
     """Drives committed (non-speculative) branch executions for one process
-    and times each one."""
+    and times the one execution its receiver reads."""
 
     def __init__(self, predictor: PredictorState, sampler: LatencySampler):
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, branches, times: int = 1) -> list[int]:
+    def execute(self, branches, times: int = 1, read: int | None = None) -> int | None:
         """Execute a branch sequence (`Branches` or `(addr, outcome, target)`
-        triples) `times` over, in one predictor call, and return the
-        latency of each execution, drawn in one sampler call: what the
-        attacker observes."""
-        return self.sampler.measure(self.predictor.execute(branches, times))
+        triples) `times` over, in one predictor call, and return the latency
+        of execution `read`, or None when `read` is None: what the attacker
+        observes. One sampler call draws the noise of every execution."""
+        return self.sampler.measure(self.predictor.execute(branches, times), read)
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -380,8 +380,8 @@ class _Channel:
                                                      self.seed)
             if unresolved is not None and not resolved:
                 raise unresolved(i, fetched)
-            latencies = self.harness.execute(self.executions[self.direction.opposite()], probes)
-            latency = latencies[decisive_index]
+            latency = self.harness.execute(self.executions[self.direction.opposite()], probes,
+                                           decisive_index)
             trace.append(probe + half, latency)
             probe += probes
             looks_mispredicted = latency > self.model.threshold

@@ -173,7 +173,11 @@ class GlobalHistoryRegister:
         """What `count` `insert_taken` calls do, `times` over, given `tail`,
         their masked targets packed oldest first. Only the last `ghr_depth`
         stay in the window, so `tail` need hold no more, and the passes after
-        the first ceil(ghr_depth / count) leave the word as it is."""
+        the first ceil(ghr_depth / count) leave the word as it is: with
+        `count >= ghr_depth` it is the masked tail after one pass."""
+        if count >= self._depth and times > 0:
+            self._word = tail & self._wmask
+            return
         for _ in range(min(times, -(-self._depth // max(count, 1)))):
             self._word = ((self._word << (self._bits * count)) | tail) & self._wmask
 

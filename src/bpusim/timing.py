@@ -57,17 +57,27 @@ class LatencySampler:
         self.model = model
         self._rng = random.Random(model.seed)
 
-    def measure(self, mispredicts: list[bool]) -> list[int]:
-        """The latency of each execution of one phase, given its mispredict
-        flags in execution order; noise is drawn per execution, in order."""
-        m, hit, miss = self.model, BASE_LATENCY, BASE_LATENCY + MISPREDICT_PENALTY
-        lats = [miss if mis else hit for mis in mispredicts]
+    def measure(self, mispredicts: list[bool], read: int | None = None) -> int | None:
+        """The latency of execution `read` of one phase, given the phase's
+        mispredict flags in execution order, or None when `read` is None.
+        Noise is drawn for every execution, in order, whichever one is read,
+        so the stream ends where a latency per execution would leave it."""
+        n = len(mispredicts)
+        if read is not None and not 0 <= read < n:
+            raise IndexError(f"read index {read} outside the phase's {n} executions")
+        m, rng, noise = self.model, self._rng, 0
         if m.noise is UNIFORM:
             s = int(m.noise_param)
-            return [lat + self._rng.randint(-s, s) for lat in lats]
-        if m.noise is GAUSSIAN:
-            return [lat + round(self._rng.gauss(0.0, 1.0) * m.noise_param) for lat in lats]
-        return lats
+            draws = [rng.randint(-s, s) for _ in range(n)]
+            if read is not None:
+                noise = draws[read]
+        elif m.noise is GAUSSIAN:
+            draws = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            if read is not None:
+                noise = round(draws[read] * m.noise_param)
+        if read is None:
+            return None
+        return (BASE_LATENCY + MISPREDICT_PENALTY if mispredicts[read] else BASE_LATENCY) + noise
 
 
 @dataclass

@@ -129,7 +129,7 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                     """Whether one execution of the transmitter after the
                     context mispredicted, read from its noiseless latency."""
                     latency = h.execute(context + [(layout.bv_addr, direction,
-                                                    layout.bv_addr + 0x40)])[-1]
+                                                    layout.bv_addr + 0x40)], read=len(context))
                     return latency > model.threshold
 
                 for _ in range((1 << n) - 1):

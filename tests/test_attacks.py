@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -101,11 +102,14 @@ def test_harness_latency_sampling():
     p.selector.frozen = True
     h = BranchHarness(p, LatencyModel().sampler())
     # the fresh entry is weakly not-taken: predicted correctly
-    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)]) == [10]
+    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)], read=0) == 10
     # a strongly taken entry mispredicts the not-taken execution
     p.pht_one_level[index_one_level(0x4000, p.config)] = 0
-    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)]) == [50]
+    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)], read=0) == 50
     assert p.pht_one_level[index_one_level(0x4000, p.config)] == 1
+    # a phase read at no execution still executes
+    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)]) is None
+    assert p.pht_one_level[index_one_level(0x4000, p.config)] == 2
 
 
 def test_victim_layouts_are_valid_programs():
@@ -462,9 +466,12 @@ def test_covert_context_replay_is_one_predictor_call(monkeypatch):
                      "PredictorState.record_resolution": 6}
 
 
-def test_covert_draws_one_latency_list_per_harness_call(monkeypatch):
+def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
     """The same 96-bit transmission makes one sampler call per harness call,
-    193 in all, and no `Branches` cache holds more than its bound."""
+    193 in all, and no `Branches` cache holds more than its bound. The preset
+    and the 96 context replays read no latency; each of the 96 probe phases
+    reads its decisive execution, the last branch of the fourth 13-branch
+    probe, index 51."""
     built = []
     init = Branches.__init__
 
@@ -474,9 +481,17 @@ def test_covert_draws_one_latency_list_per_harness_call(monkeypatch):
 
     monkeypatch.setattr(Branches, "__init__", record)
     calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
+    reads, measure = Counter(), LatencySampler.measure
+
+    def record_read(self, mispredicts, read=None):
+        reads[read] += 1
+        return measure(self, mispredicts, read)
+
+    monkeypatch.setattr(LatencySampler, "measure", record_read)
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert calls == {"BranchHarness.execute": 193, "LatencySampler.measure": 193}
+    assert reads == {None: 97, 51: 96}
     assert max(len(c) for b in built for c in (b._memo, b._runs)) <= Branches.MEMO_WORDS
 
 

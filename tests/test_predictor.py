@@ -478,26 +478,33 @@ def test_branches_of_another_config_are_refused():
         PredictorState().execute(branches)
 
 
-@given(st.integers(1, 256), st.integers(1, 9), st.data())
-def test_advance_equals_repeated_insert_taken(depth, bits, data):
+@given(st.integers(1, 256), st.integers(1, 9), st.integers(1, 20), st.data())
+def test_advance_equals_repeated_insert_taken(depth, bits, times, data):
+    """`times` passes of `count` taken branches, with `count` below, at and
+    above `ghr_depth`: the one-step path serves `count >= ghr_depth`, and its
+    tail may hold more entries than the window."""
     cfg = PredictorConfig(ghr_depth=depth, target_bits_per_entry=bits)
     entries = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=depth,
                                  max_size=depth))
-    targets = data.draw(st.lists(st.integers(0, 1 << 12), max_size=2 * depth + 3))
+    count = data.draw(st.integers(0, depth - 1) | st.just(depth)
+                      | st.integers(depth + 1, 2 * depth + 3))
+    targets = data.draw(st.lists(st.integers(0, 1 << 12), min_size=count, max_size=count))
     stepped, advanced = GlobalHistoryRegister(cfg, entries), GlobalHistoryRegister(cfg, entries)
     tail = 0
     for t in targets:
-        stepped.insert_taken(t)
         tail = (tail << bits) | (t & ((1 << bits) - 1))
-    advanced.advance(len(targets), tail)
-    assert advanced.entries == stepped.entries
+    for t in targets * times:
+        stepped.insert_taken(t)
+    advanced.advance(len(targets), tail, times)
+    # the word, not only the window's entries: the history fold reads it all
+    assert advanced._word == stepped._word
     # a sequence's own GHR effect, taken and not-taken branches mixed
     outcomes = data.draw(st.lists(st.sampled_from(list(Direction)), min_size=len(targets),
                                   max_size=len(targets)))
     branches = Branches([(0, o, t) for o, t in zip(outcomes, targets)], cfg)
     stepped, advanced = GlobalHistoryRegister(cfg, entries), GlobalHistoryRegister(cfg, entries)
-    for o, t in zip(outcomes, targets):
+    for o, t in list(zip(outcomes, targets)) * times:
         if o is Direction.TAKEN:
             stepped.insert_taken(t)
-    advanced.advance(branches.count, branches.tail)
-    assert advanced.entries == stepped.entries
+    advanced.advance(branches.count, branches.tail, times)
+    assert advanced._word == stepped._word

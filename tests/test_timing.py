@@ -17,8 +17,10 @@ from bpusim.timing import (
 def test_noiseless_latencies_exact():
     m = LatencyModel()
     s = m.sampler()
-    assert s.measure([False]) == [10]
-    assert s.measure([True]) == [50]
+    assert s.measure([False], 0) == 10
+    assert s.measure([True], 0) == 50
+    assert s.measure([True, False], 1) == 10
+    assert s.measure([True, False]) is None
 
 
 def test_threshold_between_hit_and_penalty():
@@ -28,10 +30,12 @@ def test_threshold_between_hit_and_penalty():
 
 def test_uniform_noise_bounded():
     m = LatencyModel(noise=NoiseKind.UNIFORM, noise_param=5, seed=1)
-    s = m.sampler()
+    # two samplers on one seed, each reading one execution of the same phases
+    reads_hit, reads_miss = m.sampler(), m.sampler()
     hits = set()
     for _ in range(500):
-        [hit, miss] = s.measure([False, True])
+        hit = reads_hit.measure([False, True], 0)
+        miss = reads_miss.measure([False, True], 1)
         hits.add(hit)
         assert 45 <= miss <= 55
     assert hits == set(range(5, 16))  # every whole number in [-5, 5] is drawn
@@ -52,12 +56,13 @@ def test_no_noise_rejects_a_sigma(sigma):
 
 def test_gaussian_noise_seeded_and_deterministic():
     m = LatencyModel(noise=NoiseKind.GAUSSIAN, noise_param=8, seed=3)
-    a = m.sampler().measure([True])
-    b = m.sampler().measure([True])
+    a = m.sampler().measure([True], 0)
+    b = m.sampler().measure([True], 0)
     assert a == b
     s1 = m.sampler()
     s2 = m.sampler()
-    assert s1.measure([False] * 50) == s2.measure([False] * 50)
+    assert ([s1.measure([False] * 50, i) for i in range(50)]
+            == [s2.measure([False] * 50, i) for i in range(50)])
 
 
 def test_gaussian_misclassification_monotone_in_sigma():
@@ -70,7 +75,7 @@ def test_gaussian_misclassification_monotone_in_sigma():
         bad = 0
         for i in range(400):
             mis = i % 2 == 0
-            [lat] = s.measure([mis])
+            lat = s.measure([mis], 0)
             bad += (lat > m.threshold) != mis
         errors.append(bad)
     assert errors == sorted(errors)
@@ -97,15 +102,33 @@ def _models(draw):
 
 @given(_models(), st.lists(st.booleans(), max_size=60), st.data())
 def test_one_measure_call_draws_what_any_split_of_it_draws(model, flags, data):
+    """The flags split into phases at any cuts, each phase read at any index
+    or at none: each read latency is the per-execution reference's at its
+    position, and after each call the stream sits where the reference,
+    which draws once per execution, leaves it."""
     cuts = sorted(data.draw(st.lists(st.integers(0, len(flags)), max_size=5)))
-    split, sampler = [], model.sampler()
-    for lo, hi in zip([0] + cuts, cuts + [len(flags)]):
-        split += sampler.measure(flags[lo:hi])
-    whole = model.sampler().measure(flags)
-    assert split == whole
     rng = random.Random(model.seed)
-    assert whole == [BASE_LATENCY + MISPREDICT_PENALTY * mis + _next_draw(rng, model)
-                     for mis in flags]
+    reference = [BASE_LATENCY + MISPREDICT_PENALTY * mis + _next_draw(rng, model)
+                 for mis in flags]
+    sampler, rng = model.sampler(), random.Random(model.seed)
+    for lo, hi in zip([0] + cuts, cuts + [len(flags)]):
+        read = data.draw(st.none() | st.integers(lo, hi - 1)) if hi > lo else None
+        latency = sampler.measure(flags[lo:hi], None if read is None else read - lo)
+        assert latency == (None if read is None else reference[read])
+        for _ in range(lo, hi):
+            _next_draw(rng, model)
+        assert sampler._rng.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("flags,read", [([False, True], -1), ([False, True], 2), ([], 0)])
+def test_measure_refuses_a_read_outside_the_phase(kind, flags, read):
+    model = LatencyModel(noise=kind, noise_param=0 if kind is NoiseKind.NONE else 5, seed=2)
+    sampler = model.sampler()
+    with pytest.raises(IndexError, match=f"read index {read} outside the phase's "
+                                         f"{len(flags)} executions"):
+        sampler.measure(flags, read)
+    assert sampler._rng.getstate() == random.Random(2).getstate()  # nothing drawn
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind))
