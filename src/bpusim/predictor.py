@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import random
+import struct
 from dataclasses import dataclass
 
 
@@ -60,18 +61,22 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
 
 # bytes.translate tables for _draw, per width up to 8: for each lane of a
 # byte, lowest first, byte -> that lane's low `width` bits. A lane is the
-# next power of two >= width bits wide: 1, 2, 4 or 8.
+# next power of two >= width bits wide: 1, 2, 4 or 8. Wider values take
+# 16-bit lanes, whose high byte _HIGH masks to its low `width - 8` bits.
 _LANES = {w: [bytes((b >> s) & ((1 << w) - 1) for b in range(256))
               for s in range(0, 8, 1 << (w - 1).bit_length())] for w in range(1, 9)}
+_HIGH = {w: bytes(b & ((1 << (w - 8)) - 1) for b in range(256)) for w in range(9, 17)}
 
 
 def _draw(rng: random.Random, n: int, width: int) -> list[int]:
     """`n` uniform `width`-bit values from one `rng.getrandbits` call: value
     i is lane i of the call's bits, lowest first, masked to `width`. A lane
     is a power of two bits wide, so no value needs a redraw. Widths above 8
-    draw one `getrandbits(width)` per value."""
+    take 16-bit lanes, read as little-endian byte pairs on any host."""
     if width > 8:
-        return [rng.getrandbits(width) for _ in range(n)]
+        raw = bytearray(rng.getrandbits(16 * n).to_bytes(2 * n, "little"))
+        raw[1::2] = raw[1::2].translate(_HIGH[width])
+        return list(struct.unpack(f"<{n}H", raw))
     lanes = _LANES[width]
     per = len(lanes)  # lanes per byte
     raw = rng.getrandbits(n * (8 // per)).to_bytes(-(-n // per), "little")
@@ -215,7 +220,8 @@ class BranchTargetBuffer:
         self.slots[self._index(addr)] = (self._tag(addr), target)
 
     def clone(self) -> "BranchTargetBuffer":
-        c = BranchTargetBuffer(self._n)
+        c = object.__new__(BranchTargetBuffer)
+        c._n, c._idx_bits = self._n, self._idx_bits
         c.slots = list(self.slots)
         return c
 

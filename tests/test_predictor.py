@@ -316,6 +316,18 @@ def test_clone_is_independent():
     assert b.state_fingerprint() == PredictorState().state_fingerprint()
 
 
+@pytest.mark.parametrize("entries", [1, 16, 1 << 16])
+def test_btb_clone_is_an_independent_copy(entries):
+    btb, alias = BranchTargetBuffer(entries), 0x2002 + 4 * entries
+    btb.update(0x2002, 0x3003)
+    clone = btb.clone()
+    assert clone.slots == btb.slots and clone.slots is not btb.slots
+    assert clone.lookup(0x2002) == 0x3003 and clone.lookup(alias) is None
+    clone.update(alias, 0x9999)  # same slot, another tag
+    assert clone.lookup(0x2002) is None and clone.lookup(alias) == 0x9999
+    assert btb.lookup(0x2002) == 0x3003 and btb.lookup(alias) is None
+
+
 def test_taken_resolution_inserts_target_bits():
     state = PredictorState()
     state.record_resolution(0x4000, Direction.TAKEN, state.predict(0x4000), 0x5003)

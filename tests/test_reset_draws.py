@@ -1,8 +1,8 @@
 """`randomize_reset` draws the one-level PHT and then the GHR entries at
 once, and the history PHT from the same generator on first read. Each table
-up to 8 bits wide is one `getrandbits` call, value i its lane i: a lane is
-the next power of two >= the width bits wide, masked to the width, so every
-value is uniform and none needs a redraw. Every value a caller can observe
+is one `getrandbits` call, value i its lane i: a lane is the next power of
+two >= the width bits wide (16 for 9-bit values), masked to the width, so
+every value is uniform and none needs a redraw. Every value a caller can observe
 must be what that draw, table by table in that order, gives; a channel that
 never reads the history PHT must never draw it."""
 
@@ -31,12 +31,9 @@ from test_run_result_golden import GOLDEN, run_digest
 
 def draw_reference(rng: random.Random, n: int, width: int) -> list[int]:
     """The reference draw: one `getrandbits` call, value i its lane i,
-    lowest first, a lane the least of 1, 2, 4 and 8 bits that holds
-    `width`, masked to `width`. Above 8 bits, one `getrandbits(width)` per
-    value."""
-    if width > 8:
-        return [rng.getrandbits(width) for _ in range(n)]
-    lane = next(bits for bits in (1, 2, 4, 8) if bits >= width)
+    lowest first, a lane the least of 1, 2, 4, 8 and 16 bits that holds
+    `width`, masked to `width`."""
+    lane = next(bits for bits in (1, 2, 4, 8, 16) if bits >= width)
     word = rng.getrandbits(n * lane)
     return [(word >> (lane * i)) % (1 << width) for i in range(n)]
 
@@ -100,10 +97,11 @@ class _CountingRandom(random.Random):
         return super().random()
 
 
-@pytest.mark.parametrize("widths", [(2, 3, 2), (2, 2, 1), (5, 7, 3), (8, 8, 8)],
+@pytest.mark.parametrize("widths", [(2, 3, 2), (2, 2, 1), (5, 7, 3), (8, 8, 8), (9, 9, 9),
+                                    (9, 2, 1)],
                          ids=lambda w: "-".join(map(str, w)))
 def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
-    """Up to 8 bits wide, a reset makes one generator call for the one-level
+    """At every width, a reset makes one generator call for the one-level
     PHT and one for the GHR, and the first history read one more, at every
     table size and GHR depth."""
     made = []
