@@ -4,16 +4,19 @@ covert channel, and the v1/v2 side channels.
 Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: a sequence of `(addr, outcome,
 target)` triples run `times` over by one `PredictorState.execute` call
-against the shared predictor, directly or through `BranchHarness`, which
-also times them. So are the victim's always-taken preamble to its trigger,
-one untimed kernel call before each run of the victim's body, and v1's
-in-bounds warm-ups, one untimed kernel call per trial over the preamble,
-the trigger and the transmitter. The channel's sequences, the preamble and
-the warm-up are `Branches`, built once, so their indexes and GHR effect are
-computed once and their history indexes once per starting GHR word. Only
-the body of the run on the trial's bit, where the transient step happens,
-goes through the speculation engine, so the update policy governs exactly
-the speculative updates.
+against the shared predictor, directly or through `BranchHarness`. The
+harness also draws the noise of every execution and returns the latency
+of the one the receiver reads, if any: a trial's probes read the decisive
+one, and the preset and the chained context replay read none. So are the
+victim's always-taken preamble to its trigger, one untimed kernel call
+before each run of the victim's body, and v1's in-bounds warm-ups, one
+untimed kernel call per trial over the preamble, the trigger and the
+transmitter. The channel's sequences, the preamble and the warm-up are
+`Branches`, built once, so their indexes and GHR effect are computed once
+and their history indexes once per starting GHR word. Only the body of
+the run on the trial's bit, where the transient step happens, goes
+through the speculation engine, so the update policy governs exactly the
+speculative updates.
 
 A trial's body run (`VictimLayout.transmit`) is replayed from a memo of
 its footprint. It is keyed on the policy, the env (lists as tuples), the

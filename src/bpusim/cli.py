@@ -34,9 +34,9 @@ MAX_ITERATIONS = 100_000
 # 1.4 s, 19 MB (2-CPU Xeon)
 MAX_PROBE_N = 256
 # covert --bits and the side channels' --random-bits: at this bound one-level
-# sidechannel-v1 and sidechannel-v2 take about 0.5-0.75 s and 20 MB,
-# history-mode sidechannel-v1 under shadow-pht about 0.5-0.7 s, and
-# history-mode covert about 0.4-0.5 s (2-CPU Xeon, CPython 3.11)
+# sidechannel-v1 and sidechannel-v2 take about 0.55-0.75 s and 20 MB,
+# history-mode sidechannel-v1 under shadow-pht about 0.5 s, and
+# history-mode covert about 0.3-0.35 s (2-CPU Xeon, CPython 3.11)
 MAX_BITS = 10_000
 
 # domain errors reported as a one-line message and a non-zero exit status

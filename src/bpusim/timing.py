@@ -1,4 +1,7 @@
-"""Attacker-visible probe latency model and trace decoding."""
+"""What the attacker sees of its branch executions: the latency model, a
+seeded noise stream that draws once per execution, the one latency a phase
+returns (the execution its receiver reads), and the trace of decisive
+probes."""
 
 from __future__ import annotations
 
@@ -48,9 +51,12 @@ class LatencyModel:
 class LatencySampler:
     """Owns the seeded noise stream for one simulation run.
 
-    Uniform noise adds a whole number of latency units drawn uniformly from
-    [-sigma, sigma]. Gaussian noise is drawn as a standard normal scaled by
-    sigma, so runs that share a seed see error counts monotone in sigma.
+    A phase draws one noise value per execution, in order, but builds the
+    latency of only the execution its receiver reads, so the stream does
+    not depend on which one that is. Uniform noise adds a whole number of
+    latency units drawn uniformly from [-sigma, sigma]. Gaussian noise is
+    drawn as a standard normal scaled by sigma, so runs that share a seed
+    see error counts monotone in sigma.
     """
 
     def __init__(self, model: LatencyModel):
