@@ -84,8 +84,16 @@ class BranchHarness:
         """Execute a branch sequence (`Branches` or `(addr, outcome, target)`
         triples) `times` over, in one predictor call, and return the latency
         of execution `read`, or None when `read` is None: what the attacker
-        observes. One sampler call draws the noise of every execution."""
-        return self.sampler.measure(self.predictor.execute(branches, times), read)
+        observes. The predictor call reports only that execution's flag,
+        and one sampler call draws the noise of every execution."""
+        if not isinstance(branches, Branches):
+            branches = Branches(branches, self.predictor.config)
+        size = len(branches.triples)
+        if read is None or not 0 <= read < size * times:  # the sampler refuses a read outside
+            self.predictor.execute(branches, times)
+            return self.sampler.measure(size * times, read)
+        flags = self.predictor.execute(branches, times, read % size)
+        return self.sampler.measure(size * times, read, flags[read // size])
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -120,7 +128,8 @@ def probe_mode(predictor: PredictorState) -> Mode:
     widths, the branch runs `2^n` times taken, which saturates either
     counter toward taken, then `2^(n-1)` times not-taken, of which a `w`-bit
     counter mispredicts the first `2^(w-1)`. A GHR preset before each run
-    keeps the branch on one history entry."""
+    keeps the branch on one history entry. The taken runs are one kernel
+    call, and the not-taken runs, which read the branch, one more."""
     cfg = predictor.config
     expected = {1 << (cfg.counter_width(m) - 1): m for m in (ONE_LEVEL, HISTORY)}
     if len(expected) == 1:
@@ -130,12 +139,9 @@ def probe_mode(predictor: PredictorState) -> Mode:
     work = predictor.clone()
     work.selector.frozen = True
     context = [(a, TAKEN, t) for a, t in _probe_preamble(work)]
-    branches = []
-    for o in [TAKEN] * (1 << n) + [NOT_TAKEN] * (1 << (n - 1)):
-        branches += context
-        branches.append((PROBE_TARGET, o, PROBE_TARGET + 0x40))
-    stride = len(context) + 1
-    count = sum(work.execute(branches)[stride - 1::stride][1 << n:])
+    work.execute(context + [(PROBE_TARGET, TAKEN, PROBE_TARGET + 0x40)], 1 << n)
+    count = sum(work.execute(context + [(PROBE_TARGET, NOT_TAKEN, PROBE_TARGET + 0x40)],
+                             1 << (n - 1), len(context)))
     if count in expected:
         return expected[count]
     raise ProbeError(f"ambiguous misprediction count {count} in "
@@ -168,7 +174,7 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
         preamble = [(0x90000 + i * 0x20, TAKEN, (i * 3 + 1) % entry_values) for i in range(N)]
         work.execute(p1 + preamble + [(target, TAKEN, target + 0x40)], (1 << n) - 1)
         probe = p2 + preamble + [(target, NOT_TAKEN, target + 0x40)]
-        if all(work.execute(probe, 1 << (n - 1))[len(probe) - 1::len(probe)]):
+        if all(work.execute(probe, 1 << (n - 1), len(probe) - 1)):
             return N
     raise ProbeError(f"no PHT collision observed up to N={max_N}")
 
@@ -196,7 +202,10 @@ class VictimLayout:
         # a frozen one-level run's PHT entries: its conditional branches'
         self._one_level = {index_one_level(i.addr, config) for i in instrs
                            if i.kind is COND_BRANCH}
-        self._indirect = [i.addr for i in instrs if i.kind is INDIRECT_BRANCH]
+        # the BTB slots of its indirect branches, as BranchTargetBuffer._index
+        # finds them
+        self._slots = [(i.addr >> 2) & (config.btb_entries - 1) for i in instrs
+                       if i.kind is INDIRECT_BRANCH]
 
     @property
     def context(self) -> list[tuple[int, Direction, int]]:
@@ -231,11 +240,11 @@ class VictimLayout:
         if sel.mode is ONE_LEVEL and not sel.frozen:
             return self._outcome(eng.run(self.program, self.schedule, policy, predictor,
                                          env=env, seed=seed)[0])
-        slots = [btb._index(a) for a in self._indirect]
+        slots, one_level = self._slots, sel.mode is ONE_LEVEL
         key = (policy, tuple([(k, tuple(v) if isinstance(v, list) else v)
                               for k, v in env.items()]),
-               seed, sel.mode, predictor.ghr._word, tuple([btb.slots[s] for s in slots]))
-        tbl = predictor.table(sel.mode)
+               seed, one_level, predictor.ghr._word, tuple([btb.slots[s] for s in slots]))
+        tbl = predictor.pht_one_level if one_level else predictor.pht_history
         footprints = self._memo.get(key)
         if footprints is None:
             if len(self._memo) >= Branches.MEMO_WORDS:
@@ -252,7 +261,7 @@ class VictimLayout:
                 for s, slot in zip(slots, btb_after):
                     btb.slots[s] = slot
                 return outcome
-        before = {i: tbl[i] for i in self._one_level} if sel.mode is ONE_LEVEL else tbl[:]
+        before = {i: tbl[i] for i in self._one_level} if one_level else tbl[:]
         result = eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
         outcome = self._outcome(result)
         touched = dict.fromkeys(b.pred_index for b in result.branches if b.pred_mode is not None)

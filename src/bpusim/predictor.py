@@ -4,7 +4,6 @@ and tournament mode selection."""
 from __future__ import annotations
 
 import enum
-import random
 import struct
 from dataclasses import dataclass
 
@@ -59,7 +58,7 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
     return min(value + 1, (1 << width) - 1)
 
 
-# bytes.translate tables for _draw, per width up to 8: for each lane of a
+# bytes.translate tables for _split, per width up to 8: for each lane of a
 # byte, lowest first, byte -> that lane's low `width` bits. A lane is the
 # next power of two >= width bits wide: 1, 2, 4 or 8. Wider values take
 # 16-bit lanes, whose high byte _HIGH masks to its low `width - 8` bits.
@@ -67,19 +66,42 @@ _LANES = {w: [bytes((b >> s) & ((1 << w) - 1) for b in range(256))
               for s in range(0, 8, 1 << (w - 1).bit_length())] for w in range(1, 9)}
 _HIGH = {w: bytes(b & ((1 << (w - 8)) - 1) for b in range(256)) for w in range(9, 17)}
 
+# follows a seed's bytes in the key of the history PHT's stream. A seed's
+# bytes never end in two zero bytes (their top byte is zero only above a
+# byte of 0x80 or more), so no seed's own stream is this one
+_HISTORY_TAG = b"pht_history\x00\x00"
 
-def _draw(rng: random.Random, n: int, width: int) -> list[int]:
-    """`n` uniform `width`-bit values from one `rng.getrandbits` call: value
-    i is lane i of the call's bits, lowest first, masked to `width`. A lane
-    is a power of two bits wide, so no value needs a redraw. Widths above 8
-    take 16-bit lanes, read as little-endian byte pairs on any host."""
+
+def _seed_bytes(seed: int) -> bytes:
+    """The seed's signed little-endian bytes."""
+    return seed.to_bytes(seed.bit_length() // 8 + 1, "little", signed=True)
+
+
+def _xof(key: bytes, size: int) -> bytes:
+    """The first `size` bytes of the SHAKE-128 stream keyed by `key`.
+    hashlib is imported here, on the first reset, as most runs reset
+    nothing and a cold import of it is about 4 ms."""
+    import hashlib
+    return hashlib.shake_128(key).digest(size)
+
+
+def _lane_bytes(n: int, width: int) -> int:
+    """The bytes `_split` reads for `n` `width`-bit values."""
+    return 2 * n if width > 8 else -(-n // len(_LANES[width]))
+
+
+def _split(raw: bytes, n: int, width: int) -> list[int]:
+    """`n` uniform `width`-bit values from the first `_lane_bytes(n, width)`
+    bytes of `raw`: value i is lane i of their bits, lowest first, masked
+    to `width`. A lane is a power of two bits wide, so no value needs a
+    redraw. Widths above 8 take 16-bit lanes, little-endian byte pairs."""
+    raw = raw[:_lane_bytes(n, width)]
     if width > 8:
-        raw = bytearray(rng.getrandbits(16 * n).to_bytes(2 * n, "little"))
+        raw = bytearray(raw)
         raw[1::2] = raw[1::2].translate(_HIGH[width])
         return list(struct.unpack(f"<{n}H", raw))
     lanes = _LANES[width]
     per = len(lanes)  # lanes per byte
-    raw = rng.getrandbits(n * (8 // per)).to_bytes(-(-n // per), "little")
     values = bytearray(per * len(raw))
     for k, lane in enumerate(lanes):
         values[k::per] = raw.translate(lane)
@@ -245,15 +267,19 @@ class Prediction:
 class Branches:
     """A committed branch sequence, `(addr, outcome, target)` triples, bound
     to one config, with what `PredictorState.execute` reads of it computed
-    once: each branch's taken flag with its one-level index, and the
-    sequence's GHR effect, its taken count and their targets packed as
-    `GlobalHistoryRegister.advance` takes them.
+    once: each branch's taken flag with its one-level index, whether those
+    indexes are pairwise distinct, and the sequence's GHR effect, its taken
+    count and their targets packed as `GlobalHistoryRegister.advance` takes
+    them.
 
     Its outcomes and targets are fixed, so its history indexes depend only
-    on the GHR word it starts from. They are kept per starting word, for at
-    most `MEMO_WORDS` words; a replayed attacker sequence meets a few."""
+    on the GHR word it starts from. They are kept per starting word, and a
+    run of `times` passes as its groups of identical passes per starting
+    word and `times`, each memo for at most `MEMO_WORDS` keys; a replayed
+    attacker sequence meets a few."""
 
-    __slots__ = ("config", "triples", "one_level", "count", "tail", "_memo", "_runs")
+    __slots__ = ("config", "triples", "one_level", "distinct", "count", "tail", "_memo",
+                 "_runs")
 
     # each memo starts over when it holds this many keys
     MEMO_WORDS = 16
@@ -264,30 +290,35 @@ class Branches:
         mask = config.pht_entries_one_level - 1
         # (taken, index) pairs: all the kernel's counter loop reads
         self.one_level = tuple((o is TAKEN, (a >> 2) & mask) for a, o, _ in self.triples)
+        self.distinct = len({i for _, i in self.one_level}) == len(self.one_level)
         targets = [t for _, o, t in self.triples if o is TAKEN]
         bits, emask = config.target_bits_per_entry, (1 << config.target_bits_per_entry) - 1
         tail = 0
         for t in targets[-config.ghr_depth:]:
             tail = (tail << bits) | (t & emask)
         self.count, self.tail = len(targets), tail
-        self._memo: dict[int, list[tuple[bool, int]]] = {}
-        self._runs: dict[tuple[int, int], list[tuple[bool, int]]] = {}
+        self._memo: dict[int, tuple[tuple, bool]] = {}
+        self._runs: dict[tuple[int, int], list[tuple[tuple, bool, int]]] = {}
 
-    def history(self, state: "PredictorState", times: int = 1) -> list[tuple[bool, int]]:
-        """(taken, history index) of each execution of the sequence run
-        `times` over from `state`'s GHR. Each pass's pairs are walked by
-        `history_index` over a GHR clone and kept per starting word; the
-        passes joined are kept per starting word and `times`, so the lists
-        share the pairs. Both memos start over at `MEMO_WORDS` keys."""
+    def groups(self, state: "PredictorState", times: int = 1) -> list[tuple[tuple, bool, int]]:
+        """The sequence run `times` over from `state`'s GHR, in history
+        mode, as `(pairs, distinct, passes)` groups of identical passes in
+        order: the (taken, history index) of each branch of a pass, whether
+        those indexes are pairwise distinct, and how many passes in a row
+        start from that GHR word. Once a pass leaves the word as it found
+        it, every later pass starts there, so the last group holds them
+        all, and a call has at most ceil(ghr_depth / count) + 1 groups. A
+        word's pairs are walked by `history_index` over a GHR clone."""
         word = state.ghr._word
-        run = self._runs.get((word, times))
-        if run is None:
+        groups = self._runs.get((word, times))
+        if groups is None:
             if len(self._runs) >= self.MEMO_WORDS:
                 self._runs.clear()
-            ghr, run = state.ghr.clone(), []
-            for _ in range(times):
-                pairs = self._memo.get(ghr._word)
-                if pairs is None:
+            ghr, groups, left = state.ghr.clone(), [], times
+            while left:
+                start = ghr._word
+                walked = self._memo.get(start)
+                if walked is None:
                     if len(self._memo) >= self.MEMO_WORDS:
                         self._memo.clear()
                     walk, pairs = ghr.clone(), []
@@ -295,11 +326,14 @@ class Branches:
                         pairs.append((outcome is TAKEN, state.history_index(addr, walk)))
                         if outcome is TAKEN:
                             walk.insert_taken(target)
-                    self._memo[ghr._word] = pairs
-                run += pairs
+                    distinct = len({i for _, i in pairs}) == len(pairs)
+                    walked = self._memo[start] = (tuple(pairs), distinct)
                 ghr.advance(self.count, self.tail)
-            self._runs[word, times] = run
-        return run
+                passes = left if ghr._word == start else 1
+                groups.append((*walked, passes))
+                left -= passes
+            self._runs[word, times] = groups
+        return groups
 
 
 class PredictorState:
@@ -311,8 +345,8 @@ class PredictorState:
         weak_hist = 1 << (self.config.history_bits - 1)
         self.pht_one_level = [weak_one] * self.config.pht_entries_one_level
         self._pht_history: list[int] | None = [weak_hist] * self.config.pht_entries_history
-        # the last reset's generator while `_pht_history` is undrawn
-        self._rest: random.Random | None = None
+        # the last reset's seed while `_pht_history` is undrawn
+        self._reset_seed: int | None = None
         self.ghr = GlobalHistoryRegister(self.config)
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.selector = TournamentSelector()
@@ -327,13 +361,14 @@ class PredictorState:
 
     @pht_history.setter
     def pht_history(self, values: list[int]) -> None:
-        self._pht_history, self._rest = values, None
+        self._pht_history, self._reset_seed = values, None
 
     def _draw_history(self) -> None:
-        """Draw the history PHT the last reset left undrawn."""
-        cfg = self.config
-        self._pht_history = _draw(self._rest, cfg.pht_entries_history, cfg.history_bits)
-        self._rest = None
+        """Draw the history PHT the last reset left undrawn, from its seed's
+        stream under `_HISTORY_TAG`."""
+        n, width = self.config.pht_entries_history, self.config.history_bits
+        raw = _xof(_seed_bytes(self._reset_seed) + _HISTORY_TAG, _lane_bytes(n, width))
+        self._pht_history, self._reset_seed = _split(raw, n, width), None
 
     def table(self, mode: Mode) -> list[int]:
         return self.pht_one_level if mode is ONE_LEVEL else self.pht_history
@@ -400,19 +435,23 @@ class PredictorState:
         if outcome is TAKEN:
             self.ghr.insert_taken(target)
 
-    def execute(self, branches, times: int = 1) -> list[bool]:
+    def execute(self, branches, times: int = 1, read: int | None = None) -> list[bool] | None:
         """Committed executions of a branch sequence, `times` over: for each
         branch, what `predict` and then `record_resolution` do. `branches`
         is a `Branches` of this config, or `(addr, outcome, target)`
-        triples, wrapped on the fly. Returns whether each execution
-        mispredicted.
+        triples, wrapped on the fly. Returns whether the branch at position
+        `read` of the sequence mispredicted, once per pass, or None when
+        `read` is None.
 
         A selector that cannot switch mid-call (history mode, or a frozen
-        one-level one) takes one counter-only loop: it reads the indexes of
-        all passes from the `Branches` (history mode: its walks, per
-        starting GHR word) and then moves the GHR once by their effect. An
-        unfrozen one-level selector runs branch by branch through `predict`
-        and `record_resolution` themselves."""
+        one-level one) takes the counter-only path over the passes' groups
+        of identical passes (`Branches.groups`; one group when frozen), and
+        then moves the GHR once by their effect. A group whose pass touches
+        each entry once steps each of them `passes` times in one write,
+        saturating, as no other branch of the group touches it; a pass that
+        touches an entry twice runs pass by pass. An unfrozen one-level
+        selector runs branch by branch through `predict` and
+        `record_resolution` themselves."""
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
         cfg, sel = self.config, self.selector
@@ -420,45 +459,73 @@ class PredictorState:
             branches = Branches(branches, cfg)
         elif branches.config is not cfg and branches.config != cfg:
             raise ValueError("the branches are bound to another predictor config")
-        flags: list[bool] = []
+        size = len(branches.triples)
+        if read is not None and not 0 <= read < size:
+            raise IndexError(f"read position {read} outside the sequence's {size} branches")
+        flags = None if read is None else []
         if sel.mode is HISTORY:
             tbl, width = self.pht_history, cfg.history_bits
-            pairs = branches.history(self, times)
+            groups = branches.groups(self, times)
         elif sel.frozen:
             tbl, width = self.pht_one_level, cfg.one_level_bits
-            pairs = branches.one_level * times
+            groups = ((branches.one_level, branches.distinct, times),)
         else:
-            for addr, outcome, target in branches.triples * times:
-                pred = self.predict(addr)
-                self.record_resolution(addr, outcome, pred, target)
-                flags.append(pred.direction is not outcome)
+            for _ in range(times):
+                for k, (addr, outcome, target) in enumerate(branches.triples):
+                    pred = self.predict(addr)
+                    self.record_resolution(addr, outcome, pred, target)
+                    if k == read:
+                        flags.append(pred.direction is not outcome)
             return flags
-        append = flags.append
         half, top = 1 << (width - 1), (1 << width) - 1
-        for taken, index in pairs:
-            value = tbl[index]
-            if taken:
-                mis = value >= half  # predicted not-taken
-                if value:  # a step toward taken, saturating at 0
-                    tbl[index] = value - 1
-            else:
-                mis = value < half
-                if value < top:
-                    tbl[index] = value + 1
-            append(mis)
+        for pairs, distinct, passes in groups:
+            if distinct:
+                if read is not None:
+                    # a taken execution mispredicts while the entry is at or
+                    # above half, a not-taken one while it is below
+                    taken, index = pairs[read]
+                    wrong = tbl[index] - half + 1 if taken else half - tbl[index]
+                    wrong = min(max(wrong, 0), passes)
+                    flags += [True] * wrong + [False] * (passes - wrong)
+                for taken, index in pairs:
+                    value = tbl[index]
+                    if taken:
+                        tbl[index] = value - passes if value > passes else 0
+                    else:
+                        tbl[index] = value + passes if value + passes < top else top
+                continue
+            for _ in range(passes):
+                for k, (taken, index) in enumerate(pairs):
+                    value = tbl[index]
+                    if taken:
+                        mis = value >= half  # predicted not-taken
+                        if value:  # a step toward taken, saturating at 0
+                            tbl[index] = value - 1
+                    else:
+                        mis = value < half
+                        if value < top:
+                            tbl[index] = value + 1
+                    if k == read:
+                        flags.append(mis)
         self.ghr.advance(branches.count, branches.tail, times)
         return flags
 
     def randomize_reset(self, seed: int) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled
         PHTs and GHR, one-level mode selected, accumulator cleared. The
-        one-level PHT and then the GHR entries are drawn now; the history PHT
-        is drawn from the same generator when first read."""
+        one-level PHT and then the GHR word are the first bytes of one
+        SHAKE-128 stream keyed by the seed's bytes (`_split`; the word
+        masked to the window). The history PHT is drawn when first read,
+        from a second stream keyed by the same bytes and `_HISTORY_TAG`, so
+        the seed alone fixes the state, and each value is uniform."""
         cfg = self.config
-        rng = random.Random(seed)
-        self.pht_one_level = _draw(rng, cfg.pht_entries_one_level, cfg.one_level_bits)
-        self.ghr = GlobalHistoryRegister(cfg, _draw(rng, cfg.ghr_depth, cfg.target_bits_per_entry))
-        self._pht_history, self._rest = None, rng
+        n, width = cfg.pht_entries_one_level, cfg.one_level_bits
+        size = _lane_bytes(n, width)
+        raw = _xof(_seed_bytes(seed), size + -(-cfg.ghr_depth * cfg.target_bits_per_entry // 8))
+        self.pht_one_level = _split(raw, n, width)
+        self.ghr = self.ghr.clone()
+        self.ghr._word = int.from_bytes(raw[size:], "little") & self.ghr._wmask
+        self._pht_history, self._reset_seed = None, seed
         self.selector.mode = ONE_LEVEL
         self.selector.mispredict_accumulator = 0
 
@@ -466,7 +533,7 @@ class PredictorState:
         c = object.__new__(PredictorState)
         c.config = self.config
         c.pht_one_level = list(self.pht_one_level)
-        c._pht_history, c._rest = list(self.pht_history), None
+        c._pht_history, c._reset_seed = list(self.pht_history), None
         c.ghr = self.ghr.clone()
         c.btb = self.btb.clone()
         c.selector = TournamentSelector(

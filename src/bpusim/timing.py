@@ -63,12 +63,11 @@ class LatencySampler:
         self.model = model
         self._rng = random.Random(model.seed)
 
-    def measure(self, mispredicts: list[bool], read: int | None = None) -> int | None:
-        """The latency of execution `read` of one phase, given the phase's
-        mispredict flags in execution order, or None when `read` is None.
-        Noise is drawn for every execution, in order, whichever one is read,
-        so the stream ends where a latency per execution would leave it."""
-        n = len(mispredicts)
+    def measure(self, n: int, read: int | None = None, mispredicted: bool = False) -> int | None:
+        """The latency of execution `read` of a phase of `n` executions,
+        given whether it `mispredicted`, or None when `read` is None. Noise
+        is drawn for every execution, in order, whichever one is read, so
+        the stream ends where a latency per execution would leave it."""
         if read is not None and not 0 <= read < n:
             raise IndexError(f"read index {read} outside the phase's {n} executions")
         m, rng, noise = self.model, self._rng, 0
@@ -83,7 +82,7 @@ class LatencySampler:
                 noise = round(draws[read] * m.noise_param)
         if read is None:
             return None
-        return (BASE_LATENCY + MISPREDICT_PENALTY if mispredicts[read] else BASE_LATENCY) + noise
+        return (BASE_LATENCY + MISPREDICT_PENALTY if mispredicted else BASE_LATENCY) + noise
 
 
 @dataclass

@@ -112,6 +112,30 @@ def test_harness_latency_sampling():
     assert p.pht_one_level[index_one_level(0x4000, p.config)] == 2
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_harness_reads_the_execution_at_its_index(mode):
+    """Read at any execution of any pass, a harness call returns that
+    execution's noiseless latency, as the branch-by-branch reference finds
+    it, and leaves the state the reference leaves."""
+    triples = [(0x4000, Direction.NOT_TAKEN, 0x4040), (0x4100, Direction.TAKEN, 0x4141),
+               (0x4000, Direction.TAKEN, 0x4040)]
+    state = PredictorState()
+    state.selector.mode, state.selector.frozen = mode, True
+    state.pht_one_level[index_one_level(0x4000, state.config)] = 0
+    reference, flags = state.clone(), []
+    for _ in range(4):
+        for addr, outcome, target in triples:
+            pred = reference.predict(addr)
+            flags.append(pred.direction is not outcome)
+            reference.record_resolution(addr, outcome, pred, target)
+    assert True in flags and False in flags
+    for read, mispredicted in enumerate(flags):
+        p = state.clone()
+        assert BranchHarness(p, LatencyModel().sampler()).execute(triples, 4, read) == \
+            (50 if mispredicted else 10)
+        assert p.state_fingerprint() == reference.state_fingerprint()
+
+
 def test_victim_layouts_are_valid_programs():
     cfg = PredictorConfig()
     for layout in (build_victim_v1(cfg), build_victim_v2(cfg)):
@@ -205,11 +229,11 @@ def test_side_channel_v1_trial_makes_warmups_and_one_victim_run(monkeypatch, mod
         calls.append(kwargs["env"])
         return run(*args, **kwargs)
 
-    def counted_execute(self, branches, times=1):
+    def counted_execute(self, branches, times=1, read=None):
         triples = getattr(branches, "triples", branches)
         if any(addr == layout.trigger_addr for addr, _, _ in triples):
             warmups.append((list(triples), times))
-        return execute(self, branches, times)
+        return execute(self, branches, times, read)
 
     monkeypatch.setattr(eng, "run", counted)
     monkeypatch.setattr(PredictorState, "execute", counted_execute)
@@ -483,9 +507,9 @@ def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
     calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
     reads, measure = Counter(), LatencySampler.measure
 
-    def record_read(self, mispredicts, read=None):
+    def record_read(self, n, read=None, mispredicted=False):
         reads[read] += 1
-        return measure(self, mispredicts, read)
+        return measure(self, n, read, mispredicted)
 
     monkeypatch.setattr(LatencySampler, "measure", record_read)
     message = "".join(random.Random(0).choices("01", k=96))
@@ -503,10 +527,11 @@ def test_harness_refuses_fewer_than_one_pass(times):
 
 
 def test_probes_make_one_predictor_call_per_phase(monkeypatch):
-    """The history-mode switch and the mode probe are one kernel call each;
-    the depth probe is two per preamble length tried (train, probe), 24 for
-    the default depth 12. The switch runs on an unfrozen selector, so its
-    call makes one `predict` and one `record_resolution` per execution."""
+    """The history-mode switch is one kernel call, and the mode probe two
+    (its taken runs, then its not-taken runs); the depth probe is two per
+    preamble length tried (train, probe), 24 for the default depth 12. The
+    switch runs on an unfrozen selector, so its call makes one `predict`
+    and one `record_resolution` per execution."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (PredictorState, "predict"),
         (PredictorState, "record_resolution")])
@@ -519,7 +544,7 @@ def test_probes_make_one_predictor_call_per_phase(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
     assert counts == [{"PredictorState.execute": k, "PredictorState.predict": r,
                        "PredictorState.record_resolution": r}
-                      for k, r in ((1, 6), (1, 0), (24, 0))]
+                      for k, r in ((1, 6), (2, 0), (24, 0))]
 
 
 # every size field at its bound: a history index folds a 2,304-bit GHR word

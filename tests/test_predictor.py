@@ -21,7 +21,7 @@ from bpusim.predictor import (
     index_one_level,
     parse_outcomes,
 )
-from test_reset_draws import draw_reference
+from test_reset_draws import reset_reference
 
 
 # independent reference: explicit transition table per the definition
@@ -292,13 +292,9 @@ def test_randomize_reset_deterministic_and_resets_mode():
     PredictorConfig(one_level_bits=7, history_bits=7, target_bits_per_entry=7),
     PredictorConfig(one_level_bits=9, history_bits=3, target_bits_per_entry=8),
 ], ids=["default", "smallest", "width-7", "width-8-and-9"])
-def test_randomize_reset_matches_one_getrandbits_call_per_table(config):
-    for seed in range(60):
-        rng = random.Random(seed)
-        expected = [draw_reference(rng, n, width) for n, width in (
-            (config.pht_entries_one_level, config.one_level_bits),
-            (config.ghr_depth, config.target_bits_per_entry),
-            (config.pht_entries_history, config.history_bits))]
+def test_randomize_reset_matches_the_xof_reference(config):
+    for seed in [*range(60), -1, -(2**70), 2**64 + 5]:
+        expected = list(reset_reference(config, seed))
         state = PredictorState(config)
         state.selector.mode = Mode.HISTORY
         state.selector.mispredict_accumulator = 2
@@ -357,17 +353,24 @@ def _execute_cases(draw):
 def test_execute_matches_predict_and_record_resolution(case):
     """The committed-execution kernel against `predict` + `record_resolution`
     per branch, through one-level -> history switches of an unfrozen
-    selector."""
+    selector, read at every position and at none."""
     state, branches = case
-    fused, reference = state.clone(), state.clone()
+    reference = state.clone()
     flags = []
     for addr, outcome, target in branches:
         pred = reference.predict(addr)
         flags.append(pred.direction is not outcome)
         reference.record_resolution(addr, outcome, pred, target)
-    assert fused.execute(branches) == flags
-    assert fused.state_fingerprint() == reference.state_fingerprint()
+    for read in [None, *range(len(branches))]:
+        fused = state.clone()
+        assert fused.execute(branches, read=read) == _reads(flags, len(branches), read)
+        assert fused.state_fingerprint() == reference.state_fingerprint()
 
+
+def _reads(flags, size, read):
+    """Each pass's flag at position `read` of a `size`-branch sequence, from
+    the flags of all executions, or None when `read` is None."""
+    return None if read is None else flags[read::size]
 
 
 def _reference_execute(state, branches, times):
@@ -406,11 +409,13 @@ SMALL_MEMO_WORDS = 2
 @settings(max_examples=60, deadline=None)
 @given(_monitored_execute_cases(),
        st.lists(st.tuples(st.lists(st.integers(0, 0xFF), min_size=1, max_size=3),
-                          st.lists(_between_calls, max_size=2), st.integers(1, 4)),
+                          st.lists(_between_calls, max_size=2), st.integers(1, 4),
+                          st.integers(0, 40)),
                 min_size=2 * SMALL_MEMO_WORDS + 1, max_size=40))
 def test_one_branches_executed_again_matches_the_reference(case, calls):
-    """One `Branches` run by many `execute` calls, `times` 1-4 each, against
-    `predict` + `record_resolution` per execution. Before each call come GHR
+    """One `Branches` run by many `execute` calls, `times` 1-4 each and each
+    read at one position, against `predict` + `record_resolution` per
+    execution. Before each call come GHR
     inserts, then maybe resets, clones and mode changes. The memo holds
     `SMALL_MEMO_WORDS` words here, and the history-mode calls of about half
     the examples start from more, so it starts over."""
@@ -418,7 +423,7 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
     branches = Branches(triples, state.config)
     fused, reference = state.clone(), state.clone()
     with mock.patch.object(Branches, "MEMO_WORDS", SMALL_MEMO_WORDS):
-        for inserts, ops, times in calls:
+        for inserts, ops, times, read in calls:
             for s in (fused, reference):
                 for t in inserts:
                     s.ghr.insert_taken(t)
@@ -431,8 +436,9 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
                 else:
                     for s in (fused, reference):
                         s.selector.mode, s.selector.frozen = op[1], op[2]
-            assert fused.execute(branches, times) == _reference_execute(reference, triples,
-                                                                        times)
+            read = read % len(triples) if triples else None
+            assert fused.execute(branches, times, read) == _reads(
+                _reference_execute(reference, triples, times), len(triples), read)
             assert fused.state_fingerprint() == reference.state_fingerprint()
             assert len(branches._memo) <= SMALL_MEMO_WORDS
 
@@ -448,7 +454,8 @@ def test_the_memo_starts_over_past_its_bound():
     for k in range(2 * Branches.MEMO_WORDS + 3):
         for s in (fused, reference):
             s.ghr.insert_taken(k)  # a word no call has started from
-        assert fused.execute(branches) == _reference_execute(reference, triples, 1)
+        assert fused.execute(branches, read=k % 9) == _reads(
+            _reference_execute(reference, triples, 1), 9, k % 9)
         sizes.append(len(branches._memo))
     assert fused.state_fingerprint() == reference.state_fingerprint()
     assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
@@ -465,7 +472,8 @@ def test_joined_passes_start_over_past_their_bound():
     for k in range(2 * Branches.MEMO_WORDS + 3):
         for s in (fused, reference):
             s.ghr.insert_taken(k)
-        assert fused.execute(branches, 2) == _reference_execute(reference, triples, 2)
+        assert fused.execute(branches, 2, k % 9) == _reads(
+            _reference_execute(reference, triples, 2), 9, k % 9)
         sizes.append(len(branches._runs))
         assert len(branches._memo) <= Branches.MEMO_WORDS
     assert fused.state_fingerprint() == reference.state_fingerprint()
@@ -483,9 +491,110 @@ def test_execute_refuses_fewer_than_one_pass(mode, times):
     assert state.state_fingerprint() == before
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("read", [-1, 2])
+def test_execute_refuses_a_read_outside_the_sequence(mode, read):
+    state = PredictorState()
+    state.selector.mode = mode
+    before = state.state_fingerprint()
+    with pytest.raises(IndexError, match=f"read position {read} outside the sequence's 2"):
+        state.execute([(0x4000, Direction.TAKEN, 0x4040)] * 2, 3, read)
+    assert state.state_fingerprint() == before
+
+
+@st.composite
+def _aliasing_cases(draw, times=st.integers(1, 64)):
+    """A state with 2-16-entry tables, so that a pass's branches and the
+    passes' history indexes alias, in either mode, frozen or not, and a
+    sequence of 1-8 branches run `times` over."""
+    cfg = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
+        pht_entries_one_level=1 << draw(st.integers(1, 4)),
+        pht_entries_history=1 << draw(st.integers(1, 4)),
+        ghr_depth=draw(st.integers(1, 12)), target_bits_per_entry=draw(st.integers(1, 3)),
+        transition_threshold=draw(st.integers(1, 4)), index_salt=draw(st.integers(0, 15)))
+    state = PredictorState(cfg)
+    state.randomize_reset(draw(st.integers(0, 2**32)))
+    state.selector.mode = draw(st.sampled_from(list(Mode)))
+    state.selector.frozen = draw(st.booleans())
+    triples = draw(st.lists(st.tuples(st.integers(0, 0x7F), st.sampled_from(list(Direction)),
+                                      st.integers(0, 0xFF)), min_size=1, max_size=8))
+    return state, triples, draw(times)
+
+
+def _assert_every_read_matches(state, triples, times):
+    reference = state.clone()
+    flags = _reference_execute(reference, triples, times)
+    branches = Branches(triples, state.config)
+    for read in [None, *range(len(triples))]:
+        fused = state.clone()
+        assert fused.execute(branches, times, read) == _reads(flags, len(triples), read)
+        assert fused.state_fingerprint() == reference.state_fingerprint()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_aliasing_cases())
+def test_closed_form_passes_match_the_reference(case):
+    """A call's per-pass flags, read at every position and at none, and the
+    state it leaves, against `predict` + `record_resolution` per execution:
+    swept groups of passes that touch each entry once, and pass-by-pass
+    groups where a pass touches one twice."""
+    _assert_every_read_matches(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_aliasing_cases(times=st.just(511)))
+def test_closed_form_over_511_passes(case):
+    """511 passes, as many as a 9-bit covert probe phase makes."""
+    state, triples, times = case
+    _assert_every_read_matches(state, triples, times)
+
+
+class _CountingTable(list):
+    """A PHT that counts its entry reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("times", [1, 2, 3, 64, 511, 4096])
+def test_a_calls_table_reads_do_not_grow_with_its_passes(mode, times):
+    """A sequence whose passes each touch an entry once reads the table at
+    most once per branch (and once more for the read flag) per distinct GHR
+    word a pass starts from, whatever `times` is. Five taken branches shift
+    a 4-entry GHR window out at once, so history passes start from at most
+    two words; a frozen one-level call's passes are all one."""
+    cfg = PredictorConfig(ghr_depth=4)
+    triples = [(0x1000 + 0x40 * i, Direction.TAKEN, i) for i in range(5)]
+    state = PredictorState(cfg)
+    state.selector.mode, state.selector.frozen = mode, True
+    reference, words = state.clone(), set()
+    for _ in range(min(times, 8)):  # the words after the second pass repeat
+        words.add(reference.ghr._word)
+        indexes = [reference.predict(a).index for a, _, _ in triples]
+        assert len(set(indexes)) == len(indexes)  # each pass touches an entry once
+        for a, o, t in triples:
+            reference.record_resolution(a, o, reference.predict(a), t)
+    starts = 1 if mode is Mode.ONE_LEVEL else len(words)
+    assert starts == min(times, 1 if mode is Mode.ONE_LEVEL else 2)
+    for read in (None, 0, 4):
+        fused = state.clone()
+        table = _CountingTable(fused.table(mode))
+        if mode is Mode.ONE_LEVEL:
+            fused.pht_one_level = table
+        else:
+            fused.pht_history = table
+        fused.execute(Branches(triples, cfg), times, read)
+        assert table.reads <= (len(triples) + (read is not None)) * starts
+
+
 def test_branches_of_another_config_are_refused():
     branches = Branches([(0x4000, Direction.TAKEN, 0x4040)], PredictorConfig(ghr_depth=8))
-    assert PredictorState(PredictorConfig(ghr_depth=8)).execute(branches) == [True]
+    assert PredictorState(PredictorConfig(ghr_depth=8)).execute(branches, read=0) == [True]
     with pytest.raises(ValueError, match="another predictor config"):
         PredictorState().execute(branches)
 

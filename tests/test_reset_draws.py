@@ -1,17 +1,18 @@
-"""`randomize_reset` draws the one-level PHT and then the GHR entries at
-once, and the history PHT from the same generator on first read. Each table
-is one `getrandbits` call, value i its lane i: a lane is the next power of
-two >= the width bits wide (16 for 9-bit values), masked to the width, so
-every value is uniform and none needs a redraw. Every value a caller can observe
-must be what that draw, table by table in that order, gives; a channel that
-never reads the history PHT must never draw it."""
+"""`randomize_reset(seed)` reads the one-level PHT and then the GHR word
+from one SHAKE-128 stream keyed by the seed's signed little-endian bytes,
+and the history PHT, on first read, from a second stream keyed by those
+bytes and a tag. A table's value i is lane i of its bytes' bits: a lane is
+the least of 1, 2, 4, 8 and 16 bits that holds the width, masked to the
+width, so every value is uniform and none needs a redraw. Every value a
+caller can observe must be what that reference gives; a channel that never
+reads the history PHT must never draw it."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,125 +29,205 @@ from bpusim.predictor import (
 )
 from test_run_result_golden import GOLDEN, run_digest
 
+HISTORY_TAG = b"pht_history\x00\x00"
 
-def draw_reference(rng: random.Random, n: int, width: int) -> list[int]:
-    """The reference draw: one `getrandbits` call, value i its lane i,
-    lowest first, a lane the least of 1, 2, 4, 8 and 16 bits that holds
-    `width`, masked to `width`."""
-    lane = next(bits for bits in (1, 2, 4, 8, 16) if bits >= width)
-    word = rng.getrandbits(n * lane)
+
+def seed_key(seed: int) -> bytes:
+    """The seed's signed little-endian bytes, one byte wider than its
+    magnitude's bits fill: byte k is bits 8k to 8k + 7 of its two's
+    complement."""
+    size = seed.bit_length() // 8 + 1
+    word = seed % (1 << (8 * size))
+    return bytes((word >> (8 * k)) & 0xFF for k in range(size))
+
+
+def _lane(width: int) -> int:
+    return next(bits for bits in (1, 2, 4, 8, 16) if bits >= width)
+
+
+def table_bytes(n: int, width: int) -> int:
+    return -(-n * _lane(width) // 8)
+
+
+def lanes_reference(raw: bytes, n: int, width: int) -> list[int]:
+    """Value i is lane i of `raw`'s bits, lowest first, masked to `width`."""
+    lane, word = _lane(width), int.from_bytes(raw, "little")
     return [(word >> (lane * i)) % (1 << width) for i in range(n)]
 
 
+def reset_reference(cfg: PredictorConfig, seed: int):
+    """The reset's one-level PHT, GHR entries (oldest first) and history
+    PHT, from SHAKE-128, shifts and masks."""
+    key, one = seed_key(seed), table_bytes(cfg.pht_entries_one_level, cfg.one_level_bits)
+    bits, depth = cfg.target_bits_per_entry, cfg.ghr_depth
+    stream = hashlib.shake_128(key).digest(one + -(-depth * bits // 8))
+    word = int.from_bytes(stream[one:], "little") % (1 << (depth * bits))
+    history = hashlib.shake_128(key + HISTORY_TAG).digest(
+        table_bytes(cfg.pht_entries_history, cfg.history_bits))
+    return (lanes_reference(stream[:one], cfg.pht_entries_one_level, cfg.one_level_bits),
+            [(word >> (bits * k)) % (1 << bits) for k in reversed(range(depth))],
+            lanes_reference(history, cfg.pht_entries_history, cfg.history_bits))
+
+
 def _eager_reset(state: PredictorState, seed: int) -> None:
-    """The reference: every table drawn at once by `draw_reference`."""
-    cfg = state.config
-    rng = random.Random(seed)
-    one, ghr, history = [draw_reference(rng, n, w) for n, w in (
-        (cfg.pht_entries_one_level, cfg.one_level_bits),
-        (cfg.ghr_depth, cfg.target_bits_per_entry),
-        (cfg.pht_entries_history, cfg.history_bits))]
+    """The reference: every table drawn at once by `reset_reference`."""
+    one, ghr, history = reset_reference(state.config, seed)
     state.pht_one_level, state.pht_history = one, history
-    state.ghr = GlobalHistoryRegister(cfg, ghr)
+    state.ghr = GlobalHistoryRegister(state.config, ghr)
     state.selector.mode = Mode.ONE_LEVEL
     state.selector.mispredict_accumulator = 0
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32), st.integers(1, 3000), st.integers(1, 9))
-def test_draw_is_one_getrandbits_call_split_into_lanes(seed, n, width):
-    rng, reference = random.Random(seed), random.Random(seed)
-    assert pred._draw(rng, n, width) == draw_reference(reference, n, width)
-    assert rng.getstate() == reference.getstate()
+@given(st.binary(max_size=6100), st.integers(1, 3000), st.integers(1, 9))
+def test_split_reads_each_value_from_its_lane(raw, n, width):
+    raw += bytes(max(0, table_bytes(n, width) - len(raw)))
+    assert pred._lane_bytes(n, width) == table_bytes(n, width)
+    assert pred._split(raw, n, width) == lanes_reference(raw, n, width)
 
 
 @pytest.mark.parametrize("width", range(1, 10))
 def test_drawn_values_are_uniform(width):
-    """Drawn `n` at a time until each of the `2^width` values is expected
-    256 times, every value appears, and each count is within 6 standard
-    deviations of its binomial mean: under a uniform draw a count is
-    Binomial(total, 2^-width), which leaves that bound with probability
-    about 2e-9."""
+    """Read `n` at a time from the streams of successive seeds until each
+    of the `2^width` values is expected 256 times, every value appears, and
+    each count is within 6 standard deviations of its binomial mean: under
+    a uniform draw a count is Binomial(total, 2^-width), which leaves that
+    bound with probability about 2e-9."""
     # 3 and 5 values end inside a byte at every lane below 8 bits, 2 at
     # 1- and 2-bit lanes; 1,024 is a default one-level table
     for n in (2, 3, 5, 1024):
-        rng, counts = random.Random(1000 * width + n), Counter()
-        for _ in range(-(-(256 << width) // n)):
-            counts.update(pred._draw(rng, n, width))
-        total, p = sum(counts.values()), 2.0 ** -width
-        mean, sd = total * p, math.sqrt(total * p * (1 - p))
-        assert sorted(counts) == list(range(1 << width)), n
-        assert all(abs(c - mean) <= 6 * sd for c in counts.values()), (n, counts)
+        counts, size = Counter(), pred._lane_bytes(n, width)
+        for i in range(-(-(256 << width) // n)):
+            seed = (1000 * width + n) << 32 | i
+            counts.update(pred._split(pred._xof(pred._seed_bytes(seed), size), n, width))
+        _assert_uniform(counts, width, n)
 
 
-class _CountingRandom(random.Random):
-    """A generator that counts the calls that draw from it. `random.Random`
-    draws through these two: `randrange`, `choice` and `randbytes` call
-    `getrandbits`."""
+@pytest.mark.parametrize("bits", range(1, 10))
+def test_reset_ghr_entries_are_uniform(bits):
+    """The same bound on the GHR entries of successive resets: a 3-entry
+    window, so at most widths an entry straddles a byte."""
+    state = PredictorState(PredictorConfig(target_bits_per_entry=bits, ghr_depth=3,
+                                           pht_entries_one_level=2))
+    counts = Counter()
+    for seed in range(-(-(256 << bits) // 3)):
+        state.randomize_reset(seed)
+        counts.update(state.ghr.entries)
+    _assert_uniform(counts, bits, 3)
 
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
 
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
+def _assert_uniform(counts: Counter, width: int, n: int) -> None:
+    total, p = sum(counts.values()), 2.0 ** -width
+    mean, sd = total * p, math.sqrt(total * p * (1 - p))
+    assert sorted(counts) == list(range(1 << width)), n
+    assert all(abs(c - mean) <= 6 * sd for c in counts.values()), (n, counts)
 
-    def random(self):
-        self.calls += 1
-        return super().random()
+
+# seeds a reset takes: 0, both signs, each side of a byte and sign-bit
+# boundary, and beyond 64 bits
+SEEDS = [0, 1, -1, 127, 128, -128, -129, 255, 256, 2**63, -2**63, 2**64, 2**64 + 1, -2**64,
+         3**100, -(3**100)]
+
+# sha256 of repr((pht_one_level, ghr.entries, pht_history)) after a reset of
+# the default config
+RESET_DIGESTS = {
+    0: "67ae379b30921bab364d31a1cd8dd0ed1ca53d6bf0a8ee4880f02b1201e2527e",
+    -1: "d5fa8ba5a5ff32447c97913bc602538337072a9bd2cc21f33c537df2402f764d",
+    2**64: "5b521a9e3df2f096c53cf0b95c18547bf864bba91bfdedc09c7667b5079fb8c9",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_reset_keys_every_int_seed(seed):
+    cfg = PredictorConfig(one_level_bits=3, history_bits=9, target_bits_per_entry=5,
+                          pht_entries_one_level=16, pht_entries_history=8, ghr_depth=7)
+    state = PredictorState(cfg)
+    state.randomize_reset(seed)
+    assert (state.pht_one_level, state.ghr.entries, state.pht_history) == \
+        reset_reference(cfg, seed)
+
+
+@pytest.mark.parametrize("seed", list(RESET_DIGESTS), ids=str)
+def test_reset_digest(seed):
+    state = PredictorState()
+    state.randomize_reset(seed)
+    state_repr = repr((state.pht_one_level, state.ghr.entries, state.pht_history))
+    assert hashlib.sha256(state_repr.encode()).hexdigest() == RESET_DIGESTS[seed]
+
+
+@given(st.integers() | st.sampled_from(SEEDS))
+def test_seed_keys_are_distinct_and_never_the_history_key(seed):
+    """A seed's key is its own bytes back, so two seeds never share one;
+    and it never ends in two zero bytes, as the history stream's key does,
+    so no seed's stream is another's history stream."""
+    key = pred._seed_bytes(seed)
+    assert key == seed_key(seed)
+    assert int.from_bytes(key, "little", signed=True) == seed
+    assert not key.endswith(b"\x00\x00") and HISTORY_TAG.endswith(b"\x00\x00")
 
 
 @pytest.mark.parametrize("widths", [(2, 3, 2), (2, 2, 1), (5, 7, 3), (8, 8, 8), (9, 9, 9),
                                     (9, 2, 1)],
                          ids=lambda w: "-".join(map(str, w)))
 def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
-    """At every width, a reset makes one generator call for the one-level
-    PHT and one for the GHR, and the first history read one more, at every
-    table size and GHR depth."""
-    made = []
+    """At every width, table size and GHR depth, a reset makes one read of
+    one SHAKE-128 stream for the one-level PHT, which the GHR word follows,
+    and the first history read one more, of the tagged stream, for the
+    history PHT."""
+    digests, shake = [], hashlib.shake_128
 
-    def counting(seed):
-        made.append(_CountingRandom(seed))
-        return made[-1]
+    class Counted:
+        def __init__(self, key):
+            self.key, self.xof = bytes(key), shake(key)
 
-    monkeypatch.setattr(pred, "random", SimpleNamespace(Random=counting))
-    calls = []
+        def digest(self, size):
+            digests.append((self.key, size))
+            return self.xof.digest(size)
+
+    monkeypatch.setattr(hashlib, "shake_128", Counted)
     for entries, depth in ((2, 1), (1024, 12), (1 << 16, 256)):
-        p = PredictorState(PredictorConfig(
+        cfg = PredictorConfig(
             one_level_bits=widths[0], history_bits=widths[1], target_bits_per_entry=widths[2],
-            pht_entries_one_level=entries, pht_entries_history=entries, ghr_depth=depth))
+            pht_entries_one_level=entries, pht_entries_history=entries, ghr_depth=depth)
+        p = PredictorState(cfg)
+        digests.clear()
         p.randomize_reset(entries)
-        drawn = made[-1].calls
+        reset = list(digests)
         p.selector.mode = Mode.HISTORY
         p.predict(0x4000)
         p.execute([(0x4000, Direction.TAKEN, 0x4041)])
-        calls.append((drawn, made[-1].calls))
-    assert len(made) == 3
-    assert calls == [(2, 3)] * 3
+        key = seed_key(entries)
+        assert reset == [(key, table_bytes(entries, widths[0]) + -(-depth * widths[2] // 8))]
+        assert digests == reset + [(key + HISTORY_TAG, table_bytes(entries, widths[1]))]
 
 
-def _count_draws(monkeypatch) -> list[tuple[int, int]]:
-    """Record `(n, width)` of every draw from a reset's generator."""
-    draws = []
-    draw = pred._draw
+def _count_draws(monkeypatch) -> tuple[list[tuple[int, int]], list[bytes]]:
+    """Record `(n, width)` of every table split from a stream, and the key
+    of every stream read."""
+    draws, keys = [], []
+    split, xof = pred._split, pred._xof
 
-    def counted(rng, n, width):
+    def counted(raw, n, width):
         draws.append((n, width))
-        return draw(rng, n, width)
+        return split(raw, n, width)
 
-    monkeypatch.setattr(pred, "_draw", counted)
-    return draws
+    def keyed(key, size):
+        keys.append(key)
+        return xof(key, size)
+
+    monkeypatch.setattr(pred, "_split", counted)
+    monkeypatch.setattr(pred, "_xof", keyed)
+    return draws, keys
 
 
 def test_one_level_side_channel_never_draws_the_history_table(monkeypatch):
-    draws = _count_draws(monkeypatch)
+    draws, keys = _count_draws(monkeypatch)
     r = side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3)
     assert r.recovered == [1, 0, 1, 1]
     cfg = PredictorConfig()
     # one reset per trial, none when the channel is built
-    assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits),
-                     (cfg.ghr_depth, cfg.target_bits_per_entry)] * 4
+    assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits)] * 4
+    assert keys == [seed_key(3000 + i) for i in range(4)]
 
 
 def test_each_one_level_channel_resets_once_before_its_first_trial(monkeypatch):
@@ -171,18 +252,18 @@ def test_each_one_level_channel_resets_once_before_its_first_trial(monkeypatch):
 
 
 def test_a_history_read_draws_the_history_table_exactly_once(monkeypatch):
-    draws = _count_draws(monkeypatch)
+    draws, keys = _count_draws(monkeypatch)
     cfg = PredictorConfig()
     whole = [(cfg.pht_entries_one_level, cfg.one_level_bits),
-             (cfg.ghr_depth, cfg.target_bits_per_entry),
              (cfg.pht_entries_history, cfg.history_bits)]
 
     p = PredictorState(cfg)
     p.randomize_reset(5)
-    assert draws == whole[:2]
+    assert draws == whole[:1]
     assert probe_mode(p) is Mode.ONE_LEVEL
     assert probe_mode(p) is Mode.ONE_LEVEL
     assert draws == whole
+    assert keys == [seed_key(5), seed_key(5) + HISTORY_TAG]
 
     draws.clear()
     p.randomize_reset(6)
@@ -205,7 +286,7 @@ def test_run_result_digests_match_an_eager_reset(monkeypatch, policy):
 @st.composite
 def _configs(draw):
     widths = [draw(st.integers(2, 7)), draw(st.integers(2, 7)), draw(st.integers(1, 7))]
-    if draw(st.booleans()):  # 8 bits fill a lane; 9 draw per value
+    if draw(st.booleans()):  # 8 bits fill a lane; 9 take 16-bit lanes
         widths[draw(st.integers(0, 2))] = draw(st.integers(8, 9))
     return PredictorConfig(
         one_level_bits=widths[0], history_bits=widths[1], target_bits_per_entry=widths[2],
@@ -221,7 +302,7 @@ _ops = st.one_of(
     st.tuples(st.just("reset"), st.integers(0, 2**32)),
     st.tuples(st.just("insert"), st.lists(st.integers(0, 0x3FF), max_size=34)),
     st.tuples(st.just("mode"), st.sampled_from(list(Mode)), st.booleans()),
-    st.tuples(st.just("execute"), _branches),
+    st.tuples(st.just("execute"), _branches, st.integers(1, 3), st.integers(0, 11)),
     st.tuples(st.just("predict"), st.integers(0, 0x400), st.sampled_from(list(Direction)),
               st.integers(0, 0x3FF)),
     st.tuples(st.just("assign"), st.integers(0, 2**16)),
@@ -263,8 +344,10 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
         elif kind == "mode":
             for s in (lazy, eager):
                 s.selector.mode, s.selector.frozen = op[1], op[2]
-        elif kind == "execute":
-            assert lazy.execute(op[1]) == eager.execute(op[1])
+        elif kind == "execute":  # every pass's flag at one position
+            _, branches, times, read = op
+            read = read % len(branches) if branches else None
+            assert lazy.execute(branches, times, read) == eager.execute(branches, times, read)
         elif kind == "predict":
             _, addr, outcome, target = op
             p, q = lazy.predict(addr), eager.predict(addr)
@@ -272,8 +355,8 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
             lazy.record_resolution(addr, outcome, p, target)
             eager.record_resolution(addr, outcome, q, target)
         elif kind == "assign":
-            values = draw_reference(random.Random(op[1]), cfg.pht_entries_history,
-                                    cfg.history_bits)
+            rng = random.Random(op[1])
+            values = [rng.randrange(1 << cfg.history_bits) for _ in range(cfg.pht_entries_history)]
             lazy.pht_history, eager.pht_history = values, list(values)
         elif kind == "clone":
             lazy, eager = lazy.clone(), eager.clone()

@@ -17,10 +17,10 @@ from bpusim.timing import (
 def test_noiseless_latencies_exact():
     m = LatencyModel()
     s = m.sampler()
-    assert s.measure([False], 0) == 10
-    assert s.measure([True], 0) == 50
-    assert s.measure([True, False], 1) == 10
-    assert s.measure([True, False]) is None
+    assert s.measure(1, 0) == 10
+    assert s.measure(1, 0, True) == 50
+    assert s.measure(2, 1, False) == 10
+    assert s.measure(2) is None
 
 
 def test_threshold_between_hit_and_penalty():
@@ -34,8 +34,8 @@ def test_uniform_noise_bounded():
     reads_hit, reads_miss = m.sampler(), m.sampler()
     hits = set()
     for _ in range(500):
-        hit = reads_hit.measure([False, True], 0)
-        miss = reads_miss.measure([False, True], 1)
+        hit = reads_hit.measure(2, 0, False)
+        miss = reads_miss.measure(2, 1, True)
         hits.add(hit)
         assert 45 <= miss <= 55
     assert hits == set(range(5, 16))  # every whole number in [-5, 5] is drawn
@@ -56,13 +56,13 @@ def test_no_noise_rejects_a_sigma(sigma):
 
 def test_gaussian_noise_seeded_and_deterministic():
     m = LatencyModel(noise=NoiseKind.GAUSSIAN, noise_param=8, seed=3)
-    a = m.sampler().measure([True], 0)
-    b = m.sampler().measure([True], 0)
+    a = m.sampler().measure(1, 0, True)
+    b = m.sampler().measure(1, 0, True)
     assert a == b
     s1 = m.sampler()
     s2 = m.sampler()
-    assert ([s1.measure([False] * 50, i) for i in range(50)]
-            == [s2.measure([False] * 50, i) for i in range(50)])
+    assert ([s1.measure(50, i) for i in range(50)]
+            == [s2.measure(50, i) for i in range(50)])
 
 
 def test_gaussian_misclassification_monotone_in_sigma():
@@ -75,7 +75,7 @@ def test_gaussian_misclassification_monotone_in_sigma():
         bad = 0
         for i in range(400):
             mis = i % 2 == 0
-            lat = s.measure([mis], 0)
+            lat = s.measure(1, 0, mis)
             bad += (lat > m.threshold) != mis
         errors.append(bad)
     assert errors == sorted(errors)
@@ -113,7 +113,8 @@ def test_one_measure_call_draws_what_any_split_of_it_draws(model, flags, data):
     sampler, rng = model.sampler(), random.Random(model.seed)
     for lo, hi in zip([0] + cuts, cuts + [len(flags)]):
         read = data.draw(st.none() | st.integers(lo, hi - 1)) if hi > lo else None
-        latency = sampler.measure(flags[lo:hi], None if read is None else read - lo)
+        latency = (sampler.measure(hi - lo) if read is None
+                   else sampler.measure(hi - lo, read - lo, flags[read]))
         assert latency == (None if read is None else reference[read])
         for _ in range(lo, hi):
             _next_draw(rng, model)
@@ -127,7 +128,7 @@ def test_measure_refuses_a_read_outside_the_phase(kind, flags, read):
     sampler = model.sampler()
     with pytest.raises(IndexError, match=f"read index {read} outside the phase's "
                                          f"{len(flags)} executions"):
-        sampler.measure(flags, read)
+        sampler.measure(len(flags), read)
     assert sampler._rng.getstate() == random.Random(2).getstate()  # nothing drawn
 
 
