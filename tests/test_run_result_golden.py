@@ -187,15 +187,15 @@ GOLDEN = {
     "obfuscate-on-squash two-process":
         "726a73dcac8b7fe7b8c5d12b722929e14e9c93ea8aabbd839fd9c94fd1bc719b",
     "speculative-resolve-time random":
-        "0c3c0b23fcb747e34c456a2772a5cad5b71dc32c5422183fe1e0b88a3e46815e",
+        "0c361cb5c70eb7294a89eb90ad9fc3ecf6e397c5ec51441dab60ae0efacc9bd5",
     "commit-time random":
-        "836d182918ce90d1069da05f0888f8604749ee7274bf69d589a552906796e294",
+        "89b677db73165d5b117333a14afc5d2bb75e110eacb99698421b44ef67e4facb",
     "restore-on-squash random":
-        "60cc3ece213e421d750a8717c0bcfefe8c73a9bc02966d4a7be411533886bd5b",
+        "f9d8f8bb9ceee4e7a509485b7353cba98c39b0b6a79cd42542a21376cee49ca2",
     "shadow-pht random":
-        "60cc3ece213e421d750a8717c0bcfefe8c73a9bc02966d4a7be411533886bd5b",
+        "f9d8f8bb9ceee4e7a509485b7353cba98c39b0b6a79cd42542a21376cee49ca2",
     "obfuscate-on-squash random":
-        "07e6a25cafeed5ecc239aecff082fe7e645f592a0fdef6c36e34b86e2b8bcb4c",
+        "046db3640110fde401ae5afb70f3795f4fc60a6e8d4e53fc114c2e2f76af0313",
 }
 
 
