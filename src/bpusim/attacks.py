@@ -5,27 +5,28 @@ Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: a sequence of `(addr, outcome,
 target)` triples run `times` over by one `PredictorState.execute` call
 against the shared predictor, directly or through `BranchHarness`. The
-harness also draws the noise of every execution and returns the latency
-of the one the receiver reads, if any: a trial's probes read the decisive
-one, and the preset and the chained context replay read none. So are the
-victim's always-taken preamble to its trigger, one untimed kernel call
-before each run of the victim's body, and v1's in-bounds warm-ups, one
-untimed kernel call per trial over the preamble, the trigger and the
-transmitter. The channel's sequences, the preamble and the warm-up are
-`Branches`, built once, so their indexes and GHR effect are computed once
-and their history indexes once per starting GHR word. Only the body of
-the run on the trial's bit, where the transient step happens, goes
-through the speculation engine, so the update policy governs exactly the
-speculative updates.
+kernel sweeps a phase's repeated passes at once and reports the flag of
+only the execution the receiver reads, if any; the harness draws the
+noise of every execution and returns that one's latency. A trial's probes
+read the decisive execution, and the preset and the chained context
+replay read none. So are the victim's always-taken preamble to its
+trigger, one untimed kernel call before each run of the victim's body,
+and v1's in-bounds warm-ups, one untimed kernel call per trial over the
+preamble, the trigger and the transmitter. The channel's sequences, the
+preamble and the warm-up are `Branches`, built once, so their indexes and
+GHR effect are computed once and their history indexes once per starting
+GHR word. Only the body of the run on the trial's bit, where the
+transient step happens, goes through the speculation engine, so the
+update policy governs exactly the speculative updates.
 
 A trial's body run (`VictimLayout.transmit`) is replayed from a memo of
 its footprint. It is keyed on the policy, the env (lists as tuples), the
-seed, the selector's mode, the GHR word and the BTB slots of the body's
-indirect branches, and a footprint holds the before and after values of
-the PHT entries the run's conditional branches were fetched at. A run
-misses when its key is new, when some such entry's live value differs
-from each footprint of the key, or when its selector could switch mode
-mid-run (unfrozen, one-level); the engine then runs it.
+seed, whether the selector is in one-level mode, the GHR word and the BTB
+slots of the body's indirect branches, and a footprint holds the before
+and after values of the PHT entries the run's conditional branches were
+fetched at. A run misses when its key is new, when some such entry's live
+value differs from each footprint of the key, or when its selector could
+switch mode mid-run (unfrozen, one-level); the engine then runs it.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class VictimLayout:
         key = (policy, tuple([(k, tuple(v) if isinstance(v, list) else v)
                               for k, v in env.items()]),
                seed, one_level, predictor.ghr._word, tuple([btb.slots[s] for s in slots]))
-        tbl = predictor.pht_one_level if one_level else predictor.pht_history
+        tbl = predictor.table(sel.mode)
         footprints = self._memo.get(key)
         if footprints is None:
             if len(self._memo) >= Branches.MEMO_WORDS:

@@ -31,12 +31,12 @@ CANONICAL_REGISTERS = {canon for canon, _ in scanner.REGISTERS.values()}
 MAX_ITERATIONS = 100_000
 # probe-ghr's longest run: at ghr_depth 256 with 65,536 history entries the
 # trainer and prober first collide at N = 256, and all 256 lengths take about
-# 1.4 s, 19 MB (2-CPU Xeon)
+# 1.1-1.4 s, 20 MB (2-CPU Xeon)
 MAX_PROBE_N = 256
 # covert --bits and the side channels' --random-bits: at this bound one-level
-# sidechannel-v1 and sidechannel-v2 take about 0.55-0.75 s and 20 MB,
-# history-mode sidechannel-v1 under shadow-pht about 0.5 s, and
-# history-mode covert about 0.3-0.35 s (2-CPU Xeon, CPython 3.11)
+# sidechannel-v1 and sidechannel-v2 take about 0.3-0.35 s and 20 MB,
+# history-mode sidechannel-v1 under shadow-pht about 0.25 s, and
+# history-mode covert about 0.2-0.3 s (2-CPU Xeon, CPython 3.11)
 MAX_BITS = 10_000
 
 # domain errors reported as a one-line message and a non-zero exit status

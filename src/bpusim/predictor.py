@@ -77,12 +77,23 @@ def _seed_bytes(seed: int) -> bytes:
     return seed.to_bytes(seed.bit_length() // 8 + 1, "little", signed=True)
 
 
+# SHAKE-128, loaded by the first `_xof` call
+_shake_128 = None
+
+
 def _xof(key: bytes, size: int) -> bytes:
-    """The first `size` bytes of the SHAKE-128 stream keyed by `key`.
-    hashlib is imported here, on the first reset, as most runs reset
-    nothing and a cold import of it is about 4 ms."""
-    import hashlib
-    return hashlib.shake_128(key).digest(size)
+    """The first `size` bytes of the SHAKE-128 stream keyed by `key`. Most
+    runs never reset, so the hash is loaded on the first reset, and, as
+    `random` does for its SHA-512, from the lean built-in `_sha3` first:
+    importing hashlib loads OpenSSL, about 4 ms and 3.5 MB."""
+    global _shake_128
+    if _shake_128 is None:
+        try:
+            from _sha3 import shake_128
+        except ImportError:
+            from hashlib import shake_128
+        _shake_128 = shake_128
+    return _shake_128(key).digest(size)
 
 
 def _lane_bytes(n: int, width: int) -> int:
@@ -108,6 +119,18 @@ def _split(raw: bytes, n: int, width: int) -> list[int]:
     return list(values[:n])
 
 
+def _step(tbl: list[int], pairs, top: int, steps: int) -> None:
+    """Step the counter of each `(taken, index)` pair `steps` times, pair
+    after pair: toward 0 on taken, toward `top` on not-taken, saturating.
+    Pairs that share an index take one step at a time."""
+    for taken, index in pairs:
+        value = tbl[index]
+        if taken:
+            tbl[index] = value - steps if value > steps else 0
+        else:
+            tbl[index] = value + steps if value + steps < top else top
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -116,11 +139,11 @@ def _is_pow2(n: int) -> bool:
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
 # address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
 # reaches every admitted GHR depth. With every field at its bound, probe-ghr
-# at its default arguments takes about 1.25 s and 24 MB, and covert about
-# 10-11 s and 25 MB for its default 1,024 bits, most of it the kernel's counter
-# loop over 511 probes of 257 branches per bit (2-CPU Xeon, CPython 3.11);
-# one-level sidechannel-v1 raises AttackError there within 0.2 s, as its
-# preamble reaches the trigger's PHT entry.
+# at its default arguments takes about 0.6-0.9 s and 23 MB, most of it
+# walking history indexes, and covert about 0.2-0.3 s and 20 MB for its
+# default 1,024 bits, as each 511-probe phase of 257 branches is two sweeps
+# (2-CPU Xeon, CPython 3.11); one-level sidechannel-v1 raises AttackError
+# there within 0.25 s, as its preamble reaches the trigger's PHT entry.
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),
@@ -487,26 +510,18 @@ class PredictorState:
                     wrong = tbl[index] - half + 1 if taken else half - tbl[index]
                     wrong = min(max(wrong, 0), passes)
                     flags += [True] * wrong + [False] * (passes - wrong)
-                for taken, index in pairs:
-                    value = tbl[index]
-                    if taken:
-                        tbl[index] = value - passes if value > passes else 0
-                    else:
-                        tbl[index] = value + passes if value + passes < top else top
+                _step(tbl, pairs, top, passes)
                 continue
+            # the read branch's entry is read between the steps before it
+            # and the steps from it on
+            split = len(pairs) if read is None else read
+            before, after = pairs[:split], pairs[split:]
             for _ in range(passes):
-                for k, (taken, index) in enumerate(pairs):
-                    value = tbl[index]
-                    if taken:
-                        mis = value >= half  # predicted not-taken
-                        if value:  # a step toward taken, saturating at 0
-                            tbl[index] = value - 1
-                    else:
-                        mis = value < half
-                        if value < top:
-                            tbl[index] = value + 1
-                    if k == read:
-                        flags.append(mis)
+                _step(tbl, before, top, 1)
+                if read is not None:
+                    taken, index = after[0]
+                    flags.append(tbl[index] >= half if taken else tbl[index] < half)
+                _step(tbl, after, top, 1)
         self.ghr.advance(branches.count, branches.tail, times)
         return flags
 

@@ -1,7 +1,8 @@
 """What the attacker sees of its branch executions: the latency model, a
 seeded noise stream that draws once per execution, the one latency a phase
-returns (the execution its receiver reads), and the trace of decisive
-probes."""
+returns (the execution its receiver reads, known to the sampler by the
+phase's length, its index and whether it mispredicted), and the trace of
+decisive probes."""
 
 from __future__ import annotations
 

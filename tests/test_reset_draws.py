@@ -9,9 +9,14 @@ reads the history PHT must never draw it."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -143,8 +148,10 @@ def test_reset_keys_every_int_seed(seed):
                           pht_entries_one_level=16, pht_entries_history=8, ghr_depth=7)
     state = PredictorState(cfg)
     state.randomize_reset(seed)
+    one_level, entries, history = reset_reference(cfg, seed)
     assert (state.pht_one_level, state.ghr.entries, state.pht_history) == \
-        reset_reference(cfg, seed)
+        (one_level, entries, history)
+    assert state.ghr._word == GlobalHistoryRegister(cfg, entries)._word
 
 
 @pytest.mark.parametrize("seed", list(RESET_DIGESTS), ids=str)
@@ -184,7 +191,7 @@ def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
             digests.append((self.key, size))
             return self.xof.digest(size)
 
-    monkeypatch.setattr(hashlib, "shake_128", Counted)
+    monkeypatch.setattr(pred, "_shake_128", Counted)
     for entries, depth in ((2, 1), (1024, 12), (1 << 16, 256)):
         cfg = PredictorConfig(
             one_level_bits=widths[0], history_bits=widths[1], target_bits_per_entry=widths[2],
@@ -199,6 +206,25 @@ def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
         key = seed_key(entries)
         assert reset == [(key, table_bytes(entries, widths[0]) + -(-depth * widths[2] // 8))]
         assert digests == reset + [(key + HISTORY_TAG, table_bytes(entries, widths[1]))]
+
+
+def test_the_hash_loads_on_the_first_reset():
+    """Importing the CLI loads no hash module, and a reset loads the lean
+    built-in SHAKE-128 where the build has it, not hashlib, which loads
+    OpenSSL."""
+    code = ("import sys, bpusim.cli\n"
+            "names = ('hashlib', '_hashlib', '_sha3')\n"
+            "loaded = lambda: [n for n in names if n in sys.modules]\n"
+            "print(loaded())\n"
+            "bpusim.cli.PredictorState().randomize_reset(1)\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pred.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split("\n")
+    before, after = ast.literal_eval(out[0]), ast.literal_eval(out[1])
+    assert before == []
+    built_in = subprocess.run([sys.executable, "-c", "import _sha3"]).returncode == 0
+    assert after == (["_sha3"] if built_in else ["hashlib", "_hashlib"])
 
 
 def _count_draws(monkeypatch) -> tuple[list[tuple[int, int]], list[bytes]]:
