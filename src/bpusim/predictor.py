@@ -142,8 +142,9 @@ def _is_pow2(n: int) -> bool:
 # at its default arguments takes about 0.6-0.9 s and 23 MB, most of it
 # walking history indexes, and covert about 0.2-0.3 s and 20 MB for its
 # default 1,024 bits, as each 511-probe phase of 257 branches is two sweeps
-# (2-CPU Xeon, CPython 3.11); one-level sidechannel-v1 raises AttackError
-# there within 0.25 s, as its preamble reaches the trigger's PHT entry.
+# (2-CPU Xeon, CPython 3.11). One-level sidechannel-v1 there shares the
+# trigger's PHT entry with its preamble, so whether it raises AttackError
+# depends on the reset's draw of that entry (at seed 3 it does, within 0.25 s).
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),
