@@ -122,7 +122,8 @@ def _split(raw: bytes, n: int, width: int) -> list[int]:
 def _step(tbl: list[int], pairs, top: int, steps: int) -> None:
     """Step the counter of each `(taken, index)` pair `steps` times, pair
     after pair: toward 0 on taken, toward `top` on not-taken, saturating.
-    Pairs that share an index take one step at a time."""
+    With `steps` above 1 this is exact only when no two pairs share an
+    index."""
     for taken, index in pairs:
         value = tbl[index]
         if taken:
