@@ -7,6 +7,7 @@ keys, no timestamps), so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
+import gc
 import importlib.resources
 import io
 import json
@@ -273,6 +274,15 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _scan_file(path: pathlib.Path, registers, window: int, mode: str) -> scanner.GadgetReport:
+    """The report of one listing; its records are freed on return."""
+    try:
+        records = scanner.parse_disasm(path.read_text(encoding="utf-8"))
+    except (scanner.DisasmParseError, UnicodeDecodeError) as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
+    return scanner.build_report(path.name, records, registers, window, mode)
+
+
 @main.command("scan")
 @click.argument("files", nargs=-1, type=click.Path(exists=True, dir_okay=False))
 @click.option("--registers", default=",".join(scanner.DEFAULT_TRACKED), callback=_registers,
@@ -284,25 +294,32 @@ def _csv_field(value: str) -> str:
 def cmd_scan(obj, files, registers, window, mode):
     """Scan normalized disassembly for trigger/transmitter gadget patterns."""
     paths = [pathlib.Path(f) for f in files] or _bundled_corpus()
-    reports = []
-    csv_rows = []
-    for path in paths:
-        try:
-            records = scanner.parse_disasm(path.read_text(encoding="utf-8"))
-        except (scanner.DisasmParseError, UnicodeDecodeError) as exc:
-            raise click.ClickException(f"{path}: {exc}") from exc
-        report = scanner.build_report(path.name, records, registers, window, mode)
-        reports.append(report.to_dict())
-        body = report.to_csv().splitlines()
-        header, rows = body[0], body[1:]
-        if not csv_rows:
-            csv_rows.append("binary," + header)
-        binary = _csv_field(path.name)
-        csv_rows.extend(f"{binary},{row}" for row in rows)
-        click.echo(f"{path.name}: v2={report.v2_count} "
-                   f"ss={report.smotherspectre_count} v1={report.v1_count}")
-    obj.write_json("report.json", reports)
-    obj.write("report.csv", "\n".join(csv_rows) + "\n")
+    # A listing's records are long-lived tuples that hold no reference cycle:
+    # reference counting frees them when _scan_file returns, so a cyclic
+    # collection during the scan would only walk them again. Only the
+    # command knows how long a listing lives, so it pauses the collector
+    # here rather than in the library.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reports = []
+        csv_rows = []
+        for path in paths:
+            report = _scan_file(path, registers, window, mode)
+            reports.append(report.to_dict())
+            body = report.to_csv().splitlines()
+            header, rows = body[0], body[1:]
+            if not csv_rows:
+                csv_rows.append("binary," + header)
+            binary = _csv_field(path.name)
+            csv_rows.extend(f"{binary},{row}" for row in rows)
+            click.echo(f"{path.name}: v2={report.v2_count} "
+                       f"ss={report.smotherspectre_count} v1={report.v1_count}")
+        obj.write_json("report.json", reports)
+        obj.write("report.csv", "\n".join(csv_rows) + "\n")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

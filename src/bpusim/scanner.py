@@ -4,11 +4,11 @@ Input format, one instruction per line::
 
     ADDR: MNEMONIC OPERANDS
 
-Hex address (with or without 0x), a colon, then whitespace-separated
-mnemonic and comma-separated operands. Addresses must be strictly
-increasing. `#` starts a comment. Operands are registers, immediates and
-`[base+index*scale+disp]` memory references. Every operand number is
-decimal or 0x-prefixed hex with an optional leading minus
+Hex address (with or without a lower-case 0x), a colon, then
+whitespace-separated mnemonic and comma-separated operands. Addresses must
+be strictly increasing. `#` starts a comment. Operands are registers,
+immediates and `[base+index*scale+disp]` memory references. Every operand
+number is decimal or 0x-prefixed hex with an optional leading minus
 (`program.parse_int`): a number without `0x` (a jump target included) is
 read as decimal, and `+7`, `--5`, `1_000` or `- 5` are rejected. A memory
 reference holds at most two registers, of which at most one is an index (a
@@ -18,12 +18,17 @@ normalized format is the only input accepted: raw `objdump` output is
 rejected at its section headers, `<sym>` labels and `rip`-relative
 operands, and its bare-hex jump targets (`je 2012`) are misread as decimal.
 
-Records, operands and memory references are named tuples. Parsing reads
-each distinct operand text once per listing (records with the same text
-share one operand tuple). Scan time is linear in the number of records:
-each search for the Jcc that reads a TEST's or CMP's flags is a forward
-walk that ends at the next flag writer, and jump targets and sites are
-found by bisecting the strictly increasing addresses.
+Records, operands and memory references are named tuples. Parsing splits
+each line at its first colon and at whitespace, with no regular
+expression: the address is checked against the format's characters
+before `int(head, 16)` reads it. It reads each distinct operand text once
+per listing (records with the same text share one operand tuple). The
+records hold no reference cycle, so the `scan` command pauses the cyclic
+garbage collector while it runs; this module leaves the collector alone.
+Scan time is linear in the number of records: each search for the Jcc
+that reads a TEST's or CMP's flags is a forward walk that ends at the next
+flag writer, and jump targets and sites are found by bisecting the
+strictly increasing addresses.
 
 Scanning rules (documented approximations):
 
@@ -165,8 +170,8 @@ class DisasmRecord(NamedTuple):
     operands: tuple[Operand, ...]
 
 
-_LINE = re.compile(r"^\s*(?:0x)?([0-9a-fA-F]+)\s*:\s*(\S+)(?:\s+(.*))?$")
 _SIZE_PREFIX = re.compile(r"^(byte|word|dword|qword)\s+ptr\s+", re.IGNORECASE)
+_NUMBER_START = frozenset("0123456789-")
 
 
 def _number(tok: str, lineno: int) -> int:
@@ -220,6 +225,8 @@ def _parse_memory(text: str, lineno: int) -> Memory:
 
 def _parse_operand(text: str, lineno: int) -> Operand:
     text = text.strip()
+    if text[:1] in _NUMBER_START:  # no register, size prefix or `[` starts so
+        return Operand(immediate=_number(text, lineno))
     prefix = _SIZE_PREFIX.match(text)
     stripped = text[prefix.end():] if prefix else text
     if stripped.startswith("["):
@@ -235,13 +242,17 @@ def _parse_operand(text: str, lineno: int) -> Operand:
 def parse_disasm(stream) -> list[DisasmRecord]:
     """Parse normalized disassembly text (string or file-like).
 
+    A line is read as `HEAD:BODY` at its first colon. HEAD is the address:
+    `(?:0x)?[0-9a-fA-F]+` with optional trailing whitespace. BODY is the
+    mnemonic, then whitespace and the operand text, if any.
+
     Each distinct operand text is parsed once per call, and records with the
     same text share one operand tuple; records with the same mnemonic share
     its lower-case string."""
     text = stream if isinstance(stream, str) else stream.read()
     records: list[DisasmRecord] = []
     # tuple.__new__ builds a record without the named tuple's Python __new__
-    append, match, new, intern = records.append, _LINE.match, tuple.__new__, sys.intern
+    append, new, intern = records.append, tuple.__new__, sys.intern
     # operand text -> its operands, shared by every record with that text
     parsed: dict[str, tuple[Operand, ...]] = {}
     last = -1
@@ -249,13 +260,21 @@ def parse_disasm(stream) -> list[DisasmRecord]:
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        m = match(line)
-        if m is None:
-            raise DisasmParseError(lineno, f"unrecognized line {line!r}")
-        addr_text, mnemonic, rest = m.groups()
-        addr = int(addr_text, 16)
+        head, _, body = line.partition(":")
+        head = head.rstrip()
+        parts = body.split(None, 1)  # empty also when the line has no colon
+        # int(head, 16) alone would also take a sign, `_`, a `0X` prefix and
+        # non-ASCII digits; ASCII letters and digits leave only the format's
+        # hex digits and `0x` prefix for int() to accept
+        try:
+            if not (parts and head.isascii() and head.isalnum()) or head.startswith("0X"):
+                raise ValueError(head)
+            addr = int(head, 16)
+        except ValueError:
+            raise DisasmParseError(lineno, f"unrecognized line {line!r}") from None
         ops = ()
-        if rest:
+        if len(parts) == 2:
+            rest = parts[1]
             ops = parsed.get(rest)
             if ops is None:
                 ops = parsed[rest] = tuple(
@@ -263,7 +282,7 @@ def parse_disasm(stream) -> list[DisasmRecord]:
         if addr <= last:
             raise DisasmParseError(lineno, f"address {addr:#x} not increasing")
         last = addr
-        append(new(DisasmRecord, (addr, intern(mnemonic.lower()), ops)))
+        append(new(DisasmRecord, (addr, intern(parts[0].lower()), ops)))
     return records
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import importlib.resources
+import inspect
 import io
 import json
 import os
@@ -181,6 +183,73 @@ def test_scan_csv_quotes_a_binary_name_with_a_comma(tmp_path):
     assert len(rows) == 6 and {len(r) for r in rows} == {6}
     assert [r[0] for r in rows[1:]] == [src.name] * 5
     assert text.splitlines()[1].startswith('"a,b ""v2"".disasm",0x')
+
+
+def test_scan_restores_the_collector_state(tmp_path):
+    bad = tmp_path / "bad.disasm"
+    bad.write_text("401000: nop\nbogus\n")
+    assert gc.isenabled()
+    _run(["--out", str(tmp_path), "scan"])
+    assert gc.isenabled()
+    _fail(["--out", str(tmp_path), "scan", str(bad)])  # a non-zero exit
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        _run(["--out", str(tmp_path), "scan"])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _tiled_corpus(tiles: int) -> str:
+    """`tiles` copies of each bundled corpus listing, each copy at its own
+    addresses."""
+    corpus = importlib.resources.files("bpusim") / "data" / "corpus"
+    lines = []
+    for tile in range(tiles):
+        for k, name in enumerate(("corpus_v1.disasm", "corpus_v2.disasm")):
+            for raw in (corpus / name).read_text().splitlines():
+                head, colon, body = raw.split("#", 1)[0].partition(":")
+                if colon:
+                    lines.append(f"{int(head, 16) + (2 * tile + k) * 0x1000000:x}:{body}")
+    return "\n".join(lines) + "\n"
+
+
+def test_scan_runs_no_collection_and_leaves_no_cyclic_garbage_per_record(tmp_path):
+    # the collector pauses for the scan; that is safe only if the records
+    # it parses make no cyclic garbage, which would then pile up unseen
+    scan_code = inspect.unwrap(main.commands["scan"].callback).__code__
+    starts = []
+
+    def on_gc(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not scan_code:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:  # inside `scan`
+            starts.append(info["generation"])
+
+    garbage = {}
+    for tiles in (1, 20):
+        src = tmp_path / f"tiled{tiles}.disasm"
+        src.write_text(_tiled_corpus(tiles))
+        args = ["--out", str(tmp_path), "scan", str(src)]
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            assert f"v2={5 * tiles} " in _run(args).output
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert starts == []
+        # with the collector off around the command, no collection after
+        # `scan` restores it takes a share of the garbage before it is counted
+        gc.collect()
+        gc.disable()
+        try:
+            _run(args)
+            garbage[tiles] = gc.collect()
+        finally:
+            gc.enable()
+    assert garbage[1] == garbage[20]
 
 
 def test_seed_changes_random_message(tmp_path):

@@ -3,13 +3,13 @@ from __future__ import annotations
 import importlib.resources
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpusim import scanner
 from bpusim.scanner import (
-    _LINE,
     CONTROL_FLOW,
     DEFAULT_TRACKED,
     JCC,
@@ -110,7 +110,7 @@ def test_parse_rejects_empty_memory_terms(operand):
     ("mov rax, 42", 42), ("jne 0x401000", 0x401000),
     ("mov rax, --5", None), ("mov rax, +7", None), ("mov rax, 1_000", None),
     ("mov rax, 0x_ff", None), ("jne 0x40_1000", None), ("mov rax, - 5", None),
-    ("mov rax, [rdx+0x_8]", None),
+    ("mov rax, [rdx+0x_8]", None), ("mov rax, -", None), ("mov rax, 0x", None),
 ])
 def test_parse_numbers_are_decimal_or_hex(instruction, value):
     text = f"401000: nop\n401001: {instruction}\n"
@@ -129,9 +129,13 @@ def test_parse_accepts_every_x86_scale():
         assert recs[0].operands[1].memory == Memory("RBX", "RCX", scale, 8)
 
 
+_LINE = re.compile(r"^\s*(?:0x)?([0-9a-fA-F]+)\s*:\s*(\S+)(?:\s+(.*))?$")
+
+
 def _reference_parse_disasm(text):
-    """The parser `parse_disasm` replaced: it parses every operand text
-    again on every line that holds it."""
+    """The parser `parse_disasm` replaced: it matches every line against the
+    `_LINE` regex and parses every operand text again on every line that
+    holds it."""
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,7 +195,8 @@ def _listing_texts(draw):
             mnemonic = draw(st.sampled_from(["mov", "TEST", "jne", "nop"]))
             operands = draw(st.sampled_from(
                 _BAD_OPERAND_TEXTS if "operand" in fault else _OPERAND_TEXTS))
-            prefix = draw(st.sampled_from(["", "0x", "  "]))
+            # "0X" and "+": int(head, 16) accepts both, the format neither
+            prefix = draw(st.sampled_from(["", "0x", "  "] * 4 + ["0X", "+"]))
             note = draw(st.sampled_from(["", "  # note", "# x, y"]))
             lines.append(f"{prefix}{addr:x}: {mnemonic} {operands}{note}")
     return "\n".join(lines)
@@ -208,6 +213,25 @@ def _outcome(parse, text):
 @given(_listing_texts())
 def test_parse_disasm_matches_the_per_line_reference(text):
     assert _outcome(parse_disasm, text) == _outcome(_reference_parse_disasm, text)
+
+
+@pytest.mark.parametrize("line", [
+    # address heads that int(head, 16) reads, or that hold no hex digits
+    *(f"{head} nop" for head in ("0X10:", "+10:", "-10:", "1_0:", "0x_10:",
+                                 "\u0661\u0660:", "0x:", ":", "0x 10:")),
+    "10:", "10 nop",  # no mnemonic, no colon
+])
+def test_parse_refuses_lines_outside_the_format(line):
+    text = f"0x8: nop\n{line}\n"
+    assert _outcome(parse_disasm, text) == _outcome(_reference_parse_disasm, text) \
+        == (2, f"unrecognized line {line!r}")
+
+
+@pytest.mark.parametrize("head, addr", [("0x10  :", 0x10), ("AbC:", 0xABC)])
+def test_parse_accepts_address_heads_of_the_format(head, addr):
+    text = f"{head} nop\n"
+    assert _outcome(parse_disasm, text) == _outcome(_reference_parse_disasm, text)
+    assert parse_disasm(text)[0].addr == addr
 
 
 def test_parse_disasm_parses_each_distinct_operand_text_once(monkeypatch):
