@@ -408,6 +408,56 @@ def test_scan_accepts_canonical_registers_in_any_case(tmp_path):
                              "--window", "8"]).output
 
 
+def _usage_error(args) -> str:
+    """The one `Error:` line of a command line refused with exit status 2."""
+    result = _fail(args)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1, result.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("args, names", [
+    (["--config", "{missing}", "probe-mode"], ("'--config'", "{missing}", "does not exist")),
+    (["--config", "{dir}", "probe-mode"], ("'--config'", "{dir}", "is a directory")),
+    (["--out", "{file}", "probe-mode"], ("'--out'", "{file}", "is a file")),
+    (["--out", "{out}", "scan", "{missing}"], ("FILES", "{missing}", "does not exist")),
+    (["--out", "{out}", "scan", "{dir}"], ("FILES", "{dir}", "is a directory")),
+    (["--out", "{out}", "bogus"], ("'bogus'",)),
+    (["--out", "{out}", "--bogus", "probe-mode"], ("'--bogus'",)),
+    (["--out", "{out}", "probe-mode", "--bogus"], ("'--bogus'",)),
+    (["--out", "{out}", "--se", "3", "covert"], ("'--se'",)),
+    (["--out", "{out}", "sidechannel-v1", "--se", "3"], ("'--se'",)),
+    (["--out", "{out}", "covert", "--mode", "bogus"], ("'--mode'", "'bogus'")),
+    (["--out", "{out}", "covert", "extra"], ("extra",)),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_usage_errors_name_the_option(tmp_path, args, names):
+    paths = {"missing": tmp_path / "missing.disasm", "dir": tmp_path / "adir",
+             "file": tmp_path / "afile", "out": tmp_path / "out"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    error = _usage_error([a.format_map(paths) for a in args])
+    for name in names:
+        assert name.format_map(paths) in error
+    assert not paths["out"].exists()
+
+
+def test_scan_takes_files_on_either_side_of_an_option(tmp_path):
+    corpus = importlib.resources.files("bpusim") / "data" / "corpus"
+    a, b = tmp_path / "a.disasm", tmp_path / "b.disasm"
+    a.write_text((corpus / "corpus_v1.disasm").read_text())
+    b.write_text((corpus / "corpus_v2.disasm").read_text())
+    mixed, grouped = tmp_path / "mixed", tmp_path / "grouped"
+    r = _run(["--out", str(mixed), "scan", str(a), "--window", "8", str(b)])
+    assert [line.split(":")[0] for line in r.output.splitlines()] == ["a.disasm", "b.disasm"]
+    assert _run(["--out", str(grouped), "scan", "--window", "8", str(a), str(b)]).output \
+        == r.output
+    for name in ("report.json", "report.csv"):
+        assert (mixed / name).read_bytes() == (grouped / name).read_bytes()
+    assert [rep["binary_name"] for rep in json.loads((mixed / "report.json").read_text())] \
+        == ["a.disasm", "b.disasm"]
+
+
 def test_zero_sizes_stay_valid(tmp_path):
     r = _run(["--out", str(tmp_path), "sidechannel-v1", "--random-bits", "0"])
     assert "trials=10 accuracy=1.000" in r.output
