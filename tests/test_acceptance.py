@@ -10,7 +10,7 @@ import filecmp
 import json
 import random
 
-from click.testing import CliRunner
+from conftest import invoke
 
 from bpusim.attacks import (
     BranchHarness,
@@ -23,7 +23,6 @@ from bpusim.attacks import (
     side_channel_v2,
     speculative_update_scenario,
 )
-from bpusim.cli import main as cli_main
 from bpusim.engine import CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash, ShadowPht
 from bpusim.predictor import (
     Direction,
@@ -268,13 +267,12 @@ def test_criterion_11_determinism(capsys, tmp_path):
         ["defense-eval"],
         ["scan"],
     ]
-    runner = CliRunner()
     ok = True
     for cmd in commands:
         dirs = []
         for rep in range(2):
             out = tmp_path / f"{cmd[0]}_{rep}"
-            result = runner.invoke(cli_main, ["--seed", "3", "--out", str(out)] + cmd)
+            result = invoke(["--seed", "3", "--out", str(out)] + cmd)
             ok &= result.exit_code == 0
             dirs.append(out)
         names = sorted(p.name for p in dirs[0].iterdir())

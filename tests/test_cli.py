@@ -1,9 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import importlib.resources
-import inspect
 import io
 import json
 import os
@@ -12,19 +12,19 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from bpusim import attacks, engine as eng
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
-from bpusim.cli import MAX_BITS, MAX_ITERATIONS, MAX_PROBE_N, main
+from bpusim.cli import MAX_BITS, MAX_ITERATIONS, MAX_PROBE_N, cmd_scan
 from bpusim.config import ConfigFileError, parse_config
 from bpusim.engine import SimulationError
 from bpusim.predictor import PredictorConfig
 from bpusim.program import ProgramError
 
 
-def _run(args, **kwargs):
-    result = CliRunner().invoke(main, args, **kwargs)
+def _run(args):
+    result = invoke(args)
     assert result.exit_code == 0, result.output
     return result
 
@@ -218,7 +218,7 @@ def _tiled_corpus(tiles: int) -> str:
 def test_scan_runs_no_collection_and_leaves_no_cyclic_garbage_per_record(tmp_path):
     # the collector pauses for the scan; that is safe only if the records
     # it parses make no cyclic garbage, which would then pile up unseen
-    scan_code = inspect.unwrap(main.commands["scan"].callback).__code__
+    scan_code = cmd_scan.__code__
     starts = []
 
     def on_gc(phase, info):
@@ -292,9 +292,8 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
 # errors at the boundary: one line on stderr, non-zero exit, no traceback
 
 def _fail(args):
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)  # an exception main does not report propagates
     assert result.exit_code != 0
-    assert isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     return result
 
@@ -409,12 +408,12 @@ def test_scan_accepts_canonical_registers_in_any_case(tmp_path):
 
 
 def _usage_error(args) -> str:
-    """The one `Error:` line of a command line refused with exit status 2."""
+    """The one line, `Error: ...`, of a command line refused with exit status 2."""
     result = _fail(args)
     assert result.exit_code == 2
-    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
-    assert len(errors) == 1, result.output
-    return errors[0]
+    [error] = result.output.splitlines()
+    assert error.startswith("Error: ")
+    return error
 
 
 @pytest.mark.parametrize("args, names", [
@@ -429,7 +428,8 @@ def _usage_error(args) -> str:
     (["--out", "{out}", "--se", "3", "covert"], ("'--se'",)),
     (["--out", "{out}", "sidechannel-v1", "--se", "3"], ("'--se'",)),
     (["--out", "{out}", "covert", "--mode", "bogus"], ("'--mode'", "'bogus'")),
-    (["--out", "{out}", "covert", "extra"], ("extra",)),
+    (["--out", "{out}", "covert", "extra"], ("(extra)",)),
+    (["--out", "{out}", "covert", "--", "extra"], ("(extra)",)),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_usage_errors_name_the_option(tmp_path, args, names):
     paths = {"missing": tmp_path / "missing.disasm", "dir": tmp_path / "adir",
@@ -527,6 +527,51 @@ def test_domain_errors_become_click_errors(tmp_path, monkeypatch, exc):
     result = _fail(["--out", str(tmp_path), "defense-eval"])
     assert result.exit_code == 1
     assert result.output.strip() == f"Error: {exc}"
+
+
+def test_an_artifact_that_cannot_be_written_is_clean_error(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub"
+    result = _fail(["--out", str(out), "probe-mode"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {out}: Not a directory"]
+    out = tmp_path / "out"
+    (out / "probe_mode.json").mkdir(parents=True)
+    result = _fail(["--out", str(out), "probe-mode"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {out / 'probe_mode.json'}: Is a directory"]
+
+
+def test_a_command_makes_its_output_directory_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = pathlib.Path.mkdir
+    monkeypatch.setattr(pathlib.Path, "mkdir",
+                        lambda self, *args, **kwargs: made.append(self) or mkdir(self, *args,
+                                                                                 **kwargs))
+    out = tmp_path / "out"
+    _run(["--out", str(out), "covert", "--bits", "8"])
+    assert made == [out]
+    assert sorted(p.name for p in out.iterdir()) == ["covert.json", "covert_trace.csv"]
+
+
+def test_importing_the_cli_loads_no_click():
+    code = "import sys, bpusim.cli\nprint([n for n in sys.modules if n.split('.')[0] == 'click'])"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(attacks.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
+def test_main_parses_with_the_parser_built_at_import(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args,
+                                                                                **kwargs))
+    _run(["--out", str(tmp_path), "probe-mode"])
+    _fail(["--out", str(tmp_path), "covert", "--bits", "0"])
+    assert built == []
 
 
 def test_speculative_update_trace_is_the_rendered_records(tmp_path, monkeypatch):

@@ -3,9 +3,10 @@ else in `src/`: called, read as an attribute, subclassed or decorated with.
 A helper that only tests call is dead code kept alive by its tests.
 
 Names count by spelling, not by scope: a method is live when any attribute
-read in `src/` has its name. Exempt are dunders, the click commands (click
-calls them), the public API (`bpusim.__all__`), the names the benchmark's
-tracer wraps, and the allow-list below."""
+read in `src/` has its name. A CLI command counts too: the parser names
+each one it dispatches to. Exempt are dunders, the public API
+(`bpusim.__all__`), the names the benchmark's tracer wraps, and the
+allow-list below."""
 
 from __future__ import annotations
 
@@ -32,10 +33,7 @@ def _unnamed_defs(trees: dict[str, ast.AST]) -> list[str]:
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                is_command = any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-                                 and d.func.attr == "command" for d in node.decorator_list)
-                dunder = node.name.startswith("__") and node.name.endswith("__")
-                if not (is_command or dunder):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
                     defs.append((path, node.lineno, node.name))
             elif isinstance(node, ast.Name):
                 named.add(node.id)
@@ -67,4 +65,5 @@ def test_guard_sees_unnamed_definitions_only():
         "def dead(): pass\n"
         "@main.command('go')\n"
         "def cmd_go(): pass\n")
-    assert _unnamed_defs({"m.py": tree}) == ["m.py:4 orphan", "m.py:6 dead"]
+    # a decorator does not name what it decorates
+    assert _unnamed_defs({"m.py": tree}) == ["m.py:4 orphan", "m.py:6 dead", "m.py:8 cmd_go"]

@@ -11,10 +11,9 @@ import hashlib
 import random
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from bpusim import attacks, cli, engine
-from bpusim.cli import main
 from bpusim.predictor import Mode
 from bpusim.timing import LatencyModel, NoiseKind
 
@@ -188,7 +187,7 @@ def test_policy_registry_holds_each_policy_class_once():
 
 @pytest.mark.parametrize("args", CASES, ids=" ".join)
 def test_cli_artifacts_match_golden(tmp_path, args):
-    result = CliRunner().invoke(main, ["--seed", "3", "--out", str(tmp_path), *args])
+    result = invoke(["--seed", "3", "--out", str(tmp_path), *args])
     assert result.exit_code == 0, result.output
     assert artifact_digest(tmp_path) == GOLDEN[" ".join(args)]
 
