@@ -4,29 +4,17 @@ covert channel, and the v1/v2 side channels.
 Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: a sequence of `(addr, outcome,
 target)` triples run `times` over by one `PredictorState.execute` call
-against the shared predictor, directly or through `BranchHarness`. The
-kernel sweeps a phase's repeated passes at once and reports the flag of
-only the execution the receiver reads, if any; the harness draws the
-noise of every execution and returns that one's latency. A trial's probes
-read the decisive execution, and the preset and the chained context
-replay read none. So are the victim's always-taken preamble to its
-trigger, one untimed kernel call before each run of the victim's body,
-and v1's in-bounds warm-ups, one untimed kernel call per trial over the
-preamble, the trigger and the transmitter. The channel's sequences, the
-preamble and the warm-up are `Branches`, built once, so their indexes and
-GHR effect are computed once and their history indexes once per starting
-GHR word. Only the body of the run on the trial's bit, where the
-transient step happens, goes through the speculation engine, so the
-update policy governs exactly the speculative updates.
-
-A trial's body run (`VictimLayout.transmit`) is replayed from a memo of
-its footprint. It is keyed on the policy, the env (lists as tuples), the
-seed, whether the selector is in one-level mode, the GHR word and the BTB
-slots of the body's indirect branches, and a footprint holds the before
-and after values of the PHT entries the run's conditional branches were
-fetched at. A run misses when its key is new, when some such entry's live
-value differs from each footprint of the key, or when its selector could
-switch mode mid-run (unfrozen, one-level); the engine then runs it.
+against the shared predictor, directly or through `BranchHarness`, which
+times the one execution the receiver reads, if any: a trial's probes read
+the decisive execution, and the preset and the chained context replay
+read none. So are the victim's always-taken preamble to its trigger, one
+untimed kernel call before each run of the victim's body, and v1's
+in-bounds warm-ups, one untimed kernel call per trial over the preamble,
+the trigger and the transmitter. The channel's sequences, the preamble
+and the warm-up are `Branches`, built once. Only the body of the run on
+the trial's bit, where the transient step happens, goes through the
+speculation engine (`VictimLayout.transmit`, which replays it from a
+memo), so the update policy governs exactly the speculative updates.
 """
 
 from __future__ import annotations
@@ -36,7 +24,7 @@ from dataclasses import dataclass, field
 from . import engine as eng
 from .engine import ResolveTime
 from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Branches, Direction, Mode,
-                        PredictorConfig, PredictorState, index_one_level)
+                        PredictorConfig, PredictorState, diff, index_one_level)
 from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 from .timing import LatencyModel, LatencySampler, LatencyTrace
 
@@ -213,29 +201,27 @@ class VictimLayout:
         """The preamble's `(addr, TAKEN, target)` triples."""
         return list(self.preamble.triples)
 
-    def run(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
-            seed: int) -> eng.RunResult:
-        """A trial's victim run, on its bit (v1's in-bounds warm-ups are one
-        kernel call instead): the preamble in one kernel call, then the body
-        in one engine run. The engine would fetch each preamble branch into
-        an empty ROB and commit it before the next fetch, with no policy
-        state yet, so under every policy it makes the same predictor reads
-        and writes, in the same order, as the kernel does."""
-        predictor.execute(self.preamble)
-        return eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
-
     def transmit(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
                  seed: int) -> tuple[bool, bool]:
-        """What `run` does to `predictor`, returning whether the transmitter
-        was fetched and whether it resolved, replaying the body run from the
-        memo unless it misses (module docstring). A body run whose
-        selector cannot switch mode reads and writes only the entries of its
-        mode's table that its conditional branches were fetched at, the BTB
-        slots of its indirect branches and the GHR, so its key and the
-        values of those entries fix it. A miss first copies the entries it
-        can reach: the body's static one-level ones, or the whole history
-        table. Each key keeps at most `Branches.MEMO_WORDS` footprints, and
-        the memo as many keys; each starts over when full."""
+        """A trial's victim run on its bit: the preamble in one kernel call,
+        then the body, replayed from the memo unless it misses. Returns
+        whether the transmitter was fetched and whether it resolved. The
+        engine would fetch each preamble branch into an empty ROB and commit
+        it before the next fetch, with no policy state yet, so under every
+        policy it makes the kernel's reads and writes.
+
+        A body run whose selector cannot switch mode reads and writes only
+        its conditional branches' entries of its mode's table, its indirect
+        branches' BTB slots and the GHR. So the memo keys it on the policy,
+        the env (lists as tuples), the seed, whether the selector is in
+        one-level mode, the GHR word and those BTB slots, and a footprint
+        holds each such entry's value before and after. A run misses when
+        its key is new, when some such entry's live value differs from each
+        footprint of the key, or when its selector could switch mode mid-run
+        (unfrozen, one-level); the engine then runs it. A miss first copies
+        the entries it can reach: the body's static one-level ones, or the
+        whole history table. Each key keeps at most `Branches.MEMO_WORDS`
+        footprints, and the memo as many keys; each starts over when full."""
         predictor.execute(self.preamble)
         sel, btb = predictor.selector, predictor.btb
         if sel.mode is ONE_LEVEL and not sel.frozen:
@@ -562,28 +548,23 @@ def speculative_update_scenario(
         Instruction(0, HALT, 0x410),
     ])
     idx = index_one_level(child, config)
-    outer_idx = index_one_level(0x100, config)
-    before = predictor.pht_one_level[idx]
-    table_before = list(predictor.pht_one_level)
+    before = predictor.snapshot()
     result, predictor = eng.run(program, [0], policy, predictor,
                                 env={"outer": 1, "sec": 1}, seed=seed)
-    after = predictor.pht_one_level[idx]
     child_dyn = _find_branch(result, child)
     if child_dyn is None or not child_dyn.resolved or not child_dyn.squashed:
         raise AttackError("child branch did not resolve speculatively before the squash")
-    # the outer branch's own entry legitimately moves when it commits; every
-    # other entry must match the pre-run snapshot for a clean policy
-    unchanged = all(v == w for i, (v, w) in
-                    enumerate(zip(table_before, predictor.pht_one_level))
-                    if i != outer_idx)
+    moved = diff(before, predictor.snapshot()).get("pht_one_level", {})
     return {
         "policy": policy.name,
         "child_addr": f"{child:#x}",
-        "entry_before": before,
-        "entry_after": after,
-        "state_unchanged": unchanged,
-        "persisted": after != before,
-        "verdict": "persisted" if after != before else "not persisted",
+        "entry_before": before.pht_one_level[idx],
+        "entry_after": predictor.pht_one_level[idx],
+        # the outer branch's own entry legitimately moves when it commits;
+        # a clean policy moves no other one-level entry
+        "state_unchanged": moved.keys() <= {index_one_level(0x100, config)},
+        "persisted": idx in moved,
+        "verdict": "persisted" if idx in moved else "not persisted",
         "events": result.events,
         "summary": result.summary,
     }

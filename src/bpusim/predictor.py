@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 
 class Direction(enum.Enum):
@@ -119,6 +120,13 @@ def _split(raw: bytes, n: int, width: int) -> list[int]:
     return list(values[:n])
 
 
+def _history_values(config: "PredictorConfig", seed: int) -> list[int]:
+    """The history PHT a reset with `seed` draws on first read: the seed's
+    stream under `_HISTORY_TAG`, split."""
+    n, width = config.pht_entries_history, config.history_bits
+    return _split(_xof(_seed_bytes(seed) + _HISTORY_TAG, _lane_bytes(n, width)), n, width)
+
+
 def _step(tbl: list[int], pairs, top: int, steps: int) -> None:
     """Step the counter of each `(taken, index)` pair `steps` times, pair
     after pair: toward 0 on taken, toward `top` on not-taken, saturating.
@@ -137,15 +145,11 @@ def _is_pow2(n: int) -> bool:
 
 
 # PredictorConfig's size fields, each with its least and largest value. A
+# counter has at least 2 bits, a weak and a strong state per direction. A
 # one-entry PHT has no index bits: the GHR fold and the probes' alias-avoiding
-# address search would never terminate. probe-ghr's --max-n (cli.MAX_PROBE_N)
-# reaches every admitted GHR depth. With every field at its bound, probe-ghr
-# at its default arguments takes about 0.6-0.9 s and 23 MB, most of it
-# walking history indexes, and covert about 0.2-0.3 s and 20 MB for its
-# default 1,024 bits, as each 511-probe phase of 257 branches is two sweeps
-# (2-CPU Xeon, CPython 3.11). One-level sidechannel-v1 there shares the
-# trigger's PHT entry with its preamble, so whether it raises AttackError
-# depends on the reset's draw of that entry (at seed 3 it does, within 0.25 s).
+# address search would never terminate. The largest values cap a command's time
+# and memory: 2^16 entries per table and BTB, 9 bits per counter or GHR entry
+# (the widest the tests draw), and 256 GHR entries, which cli.MAX_PROBE_N reaches.
 _SIZE_BOUNDS = (
     ("one_level_bits", 2, 9), ("history_bits", 2, 9), ("target_bits_per_entry", 1, 9),
     ("ghr_depth", 1, 256), ("pht_entries_one_level", 2, 1 << 16),
@@ -381,19 +385,12 @@ class PredictorState:
     @property
     def pht_history(self) -> list[int]:
         if self._pht_history is None:
-            self._draw_history()
+            self.pht_history = _history_values(self.config, self._reset_seed)
         return self._pht_history
 
     @pht_history.setter
     def pht_history(self, values: list[int]) -> None:
         self._pht_history, self._reset_seed = values, None
-
-    def _draw_history(self) -> None:
-        """Draw the history PHT the last reset left undrawn, from its seed's
-        stream under `_HISTORY_TAG`."""
-        n, width = self.config.pht_entries_history, self.config.history_bits
-        raw = _xof(_seed_bytes(self._reset_seed) + _HISTORY_TAG, _lane_bytes(n, width))
-        self._pht_history, self._reset_seed = _split(raw, n, width), None
 
     def table(self, mode: Mode) -> list[int]:
         return self.pht_one_level if mode is ONE_LEVEL else self.pht_history
@@ -421,7 +418,7 @@ class PredictorState:
         first draws the history PHT, so callers read `_pht_history` after
         it. The fold costs one shift-xor per index width of history bits."""
         if self._pht_history is None:
-            self._draw_history()
+            self.pht_history = _history_values(self.config, self._reset_seed)
         mask = self.config.pht_entries_history - 1
         width = mask.bit_length()
         word, index = (ghr or self.ghr)._word, (addr >> 2) ^ self.config.index_salt
@@ -553,17 +550,44 @@ class PredictorState:
         c._pht_history, c._reset_seed = list(self.pht_history), None
         c.ghr = self.ghr.clone()
         c.btb = self.btb.clone()
-        c.selector = TournamentSelector(
-            self.selector.mode, self.selector.mispredict_accumulator, self.selector.frozen
-        )
+        c.selector = replace(self.selector)
         return c
 
-    def state_fingerprint(self) -> tuple:
-        return (
-            tuple(self.pht_one_level),
-            tuple(self.pht_history),
-            tuple(self.ghr.entries),
-            tuple(self.btb.slots),
-            self.selector.mode,
-            self.selector.mispredict_accumulator,
-        )
+    def snapshot(self) -> "Snapshot":
+        """Every component, copied for `diff`. It draws nothing: an undrawn
+        history PHT is kept as its reset's seed. No hot path takes one."""
+        sel, history = self.selector, self._pht_history
+        return Snapshot(self.config, tuple(self.pht_one_level),
+                        self._reset_seed if history is None else tuple(history), self.ghr._word,
+                        tuple(self.btb.slots), {"mode": sel.mode, "frozen": sel.frozen,
+                                                "accumulator": sel.mispredict_accumulator})
+
+
+class Snapshot(namedtuple("Snapshot", "config pht_one_level pht_history ghr btb selector")):
+    """`PredictorState.snapshot()`: the config, then the named components:
+    each table's values (an undrawn history PHT as its reset's int seed),
+    the GHR word, the BTB slots, and the selector's fields by name."""
+
+    def items(self, component: str):
+        """A component's `(key, value)` pairs, as `diff` keys them. An undrawn
+        history PHT gives what its first read will draw, written nowhere."""
+        value = getattr(self, component)
+        if component == "ghr":
+            ghr = GlobalHistoryRegister(self.config)
+            ghr._word = value
+            value = ghr.entries
+        elif isinstance(value, int):
+            value = _history_values(self.config, value)
+        return value.items() if component == "selector" else enumerate(value)
+
+
+def diff(a: Snapshot, b: Snapshot) -> dict[str, dict]:
+    """`{component: {key: (before, after)}}` for each part where snapshot
+    `b` differs from `a`: table and BTB indexes, GHR entry positions (oldest
+    first), selector field names. Empty when the states are equal. Undrawn
+    history PHTs of one seed are equal undrawn; else values are compared."""
+    if a.config != b.config:
+        raise ValueError("the snapshots are of two predictor configs")
+    changed = {name: {k: (u, v) for (k, u), (_, v) in zip(a.items(name), b.items(name)) if u != v}
+               for name in Snapshot._fields[1:] if getattr(a, name) != getattr(b, name)}
+    return {name: parts for name, parts in changed.items() if parts}

@@ -5,7 +5,8 @@ failure is reported; without it the failure is reported as soon as
 shrinking ends. A property that fails in two distinct ways would shrink
 both; `report_multiple_bugs=False` shrinks and reports the first only.
 
-`invoke` runs one `bpusim` command line in the test's process."""
+`invoke` runs one `bpusim` command line in the test's process, and
+`victim_run` runs a victim through the engine, with no memo."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from typing import NamedTuple
 
 from hypothesis import Phase, settings
 
+from bpusim import engine as eng
 from bpusim.cli import main
 
 settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain],
@@ -33,3 +35,11 @@ def invoke(args) -> Invocation:
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(list(args), standalone_mode=False)
     return Invocation(code, sink.getvalue())
+
+
+def victim_run(layout, policy, predictor, env, seed):
+    """What `VictimLayout.transmit` does to `predictor`, unmemoized: the
+    victim's preamble in one kernel call, then its body in one engine run.
+    Returns the body run's `RunResult`."""
+    predictor.execute(layout.preamble)
+    return eng.run(layout.program, layout.schedule, policy, predictor, env=env, seed=seed)[0]

@@ -10,7 +10,7 @@ import filecmp
 import json
 import random
 
-from conftest import invoke
+from conftest import invoke, victim_run
 
 from bpusim.attacks import (
     BranchHarness,
@@ -134,8 +134,8 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 for _ in range((1 << n) - 1):
                     execute(d)
                 p.btb.update(layout.trigger_addr, layout.bv_addr)
-                res = layout.run(ResolveTime, p, {"bit": 1 if o is Direction.TAKEN else 0},
-                                 seed=0)
+                res = victim_run(layout, ResolveTime, p,
+                                 {"bit": 1 if o is Direction.TAKEN else 0}, seed=0)
                 bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
                 ok &= bool(bv) and bv[0].resolved and bv[0].squashed
                 mis = None

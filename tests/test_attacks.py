@@ -9,6 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import victim_run
+
 from bpusim import attacks, engine as eng
 from bpusim.attacks import (
     AttackError,
@@ -30,7 +32,7 @@ from bpusim.attacks import (
 from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash,
                            ShadowPht)
 from bpusim.predictor import (Branches, Direction, Mode, PredictorConfig, PredictorState,
-                              index_one_level)
+                              diff, index_one_level)
 from bpusim.program import Program
 from bpusim.timing import LatencyModel, LatencySampler, NoiseKind
 
@@ -61,13 +63,13 @@ def _assert_probe_finds(p, mode):
 @pytest.mark.parametrize("widths", WIDTH_PAIRS, ids=str)
 def test_probe_mode_detects_both_modes_without_mutating_state(widths):
     p = PredictorState(PredictorConfig(one_level_bits=widths[0], history_bits=widths[1]))
-    fp = p.state_fingerprint()
+    before = p.snapshot()
     _assert_probe_finds(p, Mode.ONE_LEVEL)
-    assert p.state_fingerprint() == fp
+    assert diff(before, p.snapshot()) == {}
     activate_history_mode(p)
-    fp = p.state_fingerprint()
+    before = p.snapshot()
     _assert_probe_finds(p, Mode.HISTORY)
-    assert p.state_fingerprint() == fp
+    assert diff(before, p.snapshot()) == {}
 
 
 @pytest.mark.parametrize("widths", WIDTH_PAIRS, ids=str)
@@ -133,7 +135,7 @@ def test_harness_reads_the_execution_at_its_index(mode):
         p = state.clone()
         assert BranchHarness(p, LatencyModel().sampler()).execute(triples, 4, read) == \
             (50 if mispredicted else 10)
-        assert p.state_fingerprint() == reference.state_fingerprint()
+        assert diff(p.snapshot(), reference.snapshot()) == {}
 
 
 def test_victim_layouts_are_valid_programs():
@@ -272,12 +274,12 @@ def test_v1_warmups_as_one_kernel_call_match_the_engine_runs(case):
     p.selector.mode = mode
     p.selector.frozen = mode is Mode.ONE_LEVEL
     for env in envs:  # scramble the state with whole victim runs
-        layout.run(policy, p, env, seed)
+        victim_run(layout, policy, p, env, seed)
     engine, kernel = p.clone(), p.clone()
     for _ in range(n):
-        layout.run(policy, engine, {"oob": 0, "sec": 0}, seed)
+        victim_run(layout, policy, engine, {"oob": 0, "sec": 0}, seed)
     kernel.execute(Branches(_v1_warmup(layout), config), n)
-    assert kernel.state_fingerprint() == engine.state_fingerprint()
+    assert diff(kernel.snapshot(), engine.snapshot()) == {}
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -378,10 +380,10 @@ def test_transient_gadget_only_reachable_through_poisoned_btb():
     layout = build_victim_v2(cfg)
     p = PredictorState(cfg)
     p.selector.frozen = True
-    res = layout.run(ResolveTime, p, {"sec": 1}, seed=0)
+    res = victim_run(layout, ResolveTime, p, {"sec": 1}, seed=0)
     assert not any(b.instr.addr == layout.bv_addr for b in res.branches)
     p.btb.update(layout.trigger_addr, layout.bv_addr)
-    res = layout.run(ResolveTime, p, {"sec": 1}, seed=0)
+    res = victim_run(layout, ResolveTime, p, {"sec": 1}, seed=0)
     bv = [b for b in res.branches if b.instr.addr == layout.bv_addr]
     assert bv and bv[0].resolved and bv[0].squashed and bv[0].speculative
 
@@ -610,8 +612,18 @@ def test_victim_bodies_reach_the_engine_only_on_memo_misses(monkeypatch, attack)
     _assert_memo_bounded(layouts)
 
 
+def test_channels_take_no_snapshot(monkeypatch):
+    """A snapshot copies both tables and the BTB, so no trial loop, kernel
+    call or victim-run memo takes one."""
+    calls, snapshot = [], PredictorState.snapshot
+    monkeypatch.setattr(PredictorState, "snapshot", lambda s: calls.append(s) or snapshot(s))
+    assert covert_send_receive("0110" * 16, Mode.HISTORY).errors == 0
+    assert side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3).recovered == [1, 0, 1, 1]
+    assert calls == []
+
+
 def _direct_outcome(layout, policy, predictor, env, seed) -> tuple[bool, bool]:
-    bv = attacks._find_branch(layout.run(policy, predictor, env, seed), layout.bv_addr)
+    bv = attacks._find_branch(victim_run(layout, policy, predictor, env, seed), layout.bv_addr)
     return bv is not None, bv is not None and bv.resolved
 
 
@@ -692,7 +704,7 @@ def test_memoized_victim_runs_match_direct_runs(case):
                 layout = layouts[which]
                 assert layout.transmit(policy, memo, env, seed) == \
                     _direct_outcome(layout, policy, direct, env, seed)
-                assert memo.state_fingerprint() == direct.state_fingerprint()
+                assert diff(memo.snapshot(), direct.snapshot()) == {}
                 _assert_memo_bounded(layouts)
 
 

@@ -21,6 +21,7 @@ from bpusim.predictor import (
     Mode,
     PredictorConfig,
     PredictorState,
+    diff,
     index_one_level,
 )
 from bpusim.program import Instruction, Kind, Program, ProgramError, parse_program
@@ -346,7 +347,7 @@ def test_commit_time_matches_resolve_time_without_speculation():
                         env={"t": 1, "n": 0})
     _, pred_b = eng.run(parse_program(text), [0], CommitTime, pred_b,
                         env={"t": 1, "n": 0})
-    assert pred_a.state_fingerprint() == pred_b.state_fingerprint()
+    assert diff(pred_a.snapshot(), pred_b.snapshot()) == {}
 
 
 def test_shadow_pht_merges_on_commit():
@@ -485,16 +486,16 @@ def test_speculative_ghr_insertions_survive_squash():
 
 # ---------------------------------------------------------------------------
 # leak contract: which predictor components a squashed secret-dependent
-# branch still changes, per policy (selector left unfrozen)
-
-FINGERPRINT_COMPONENTS = ("pht_one_level", "pht_history", "ghr", "btb",
-                          "selector_mode", "selector_accumulator")
+# branch still changes, per policy (selector left unfrozen); a selector
+# field counts as `selector_<field>`
 
 
 # per program, the condition values besides `sec`: a squashed secret branch
-# under a mispredicted outer one ("shielded"), and one under a mispredicted
+# under a mispredicted outer one ("shielded"); one under a mispredicted
 # 0x108 that resolves speculatively on the entry of the older 0x104, just
-# after 0x104 does, and is squashed only after 0x104 commits ("flush")
+# after 0x104 does, and is squashed only after 0x104 commits ("flush"); and
+# a shielded one whose taken path reaches an indirect branch that misses in
+# the BTB and resolves speculatively ("btb")
 LEAK_PROGRAMS = {
     "shielded": ("""
         0 CondBranch 0x100 0x400 cond=outer delay=50
@@ -511,30 +512,43 @@ LEAK_PROGRAMS = {
         0 Alu 0x1108
         0 Halt 0x2000
         """, {"outer": 0, "a": 0, "c": 1}),
+    "btb": ("""
+        0 CondBranch 0x100 0x400 cond=outer delay=60
+        0 CondBranch 0x300 0x500 cond=sec delay=2
+        0 Alu 0x310
+        0 Alu 0x400
+        0 Halt 0x410
+        0 IndirectBranch 0x500 0x600 delay=2
+        0 Halt 0x600
+        """, {"outer": 1}),
 }
+
+
+# every policy trains the BTB at resolve, so a squashed indirect branch's
+# BTB write stays
+_BTB_LEAK = {"btb", "selector_accumulator"}
 
 
 @pytest.mark.parametrize("policy, leaking", [
     (ResolveTime, {"shielded": {"pht_one_level", "ghr", "selector_accumulator"},
-                   "flush": {"pht_one_level", "selector_accumulator"}}),
-    (CommitTime, {"shielded": {"selector_accumulator"}, "flush": {"selector_accumulator"}}),
+                   "flush": {"pht_one_level", "selector_accumulator"},
+                   "btb": {"pht_one_level", *_BTB_LEAK}}),
+    (CommitTime, {"shielded": {"selector_accumulator"}, "flush": {"selector_accumulator"},
+                  "btb": _BTB_LEAK}),
     (RestoreOnSquash, {"shielded": {"ghr", "selector_accumulator"},
-                       "flush": {"selector_accumulator"}}),
+                       "flush": {"selector_accumulator"}, "btb": _BTB_LEAK}),
     (ShadowPht, {"shielded": {"ghr", "selector_accumulator"},
-                 "flush": {"selector_accumulator"}}),
+                 "flush": {"selector_accumulator"}, "btb": _BTB_LEAK}),
     (ObfuscateOnSquash, {"shielded": {"ghr", "selector_accumulator"},
-                         "flush": {"selector_accumulator"}}),
+                         "flush": {"selector_accumulator"}, "btb": _BTB_LEAK}),
 ])
 def test_squashed_secret_branch_leak_contract(policy, leaking):
     differing = {}
     for name, (text, env) in LEAK_PROGRAMS.items():
-        fingerprints = []
-        for sec in (0, 1):
-            _, pred = eng.run(parse_program(text), [0], policy, PredictorState(),
-                              env={**env, "sec": sec}, seed=7)
-            fingerprints.append(pred.state_fingerprint())
-        differing[name] = {component for component, a, b
-                           in zip(FINGERPRINT_COMPONENTS, *fingerprints) if a != b}
+        snapshots = [eng.run(parse_program(text), [0], policy, PredictorState(),
+                             env={**env, "sec": sec}, seed=7)[1].snapshot() for sec in (0, 1)]
+        differing[name] = {f"selector_{key}" if component == "selector" else component
+                           for component, changes in diff(*snapshots).items() for key in changes}
     assert differing == leaking
 
 
@@ -624,7 +638,7 @@ def test_runs_of_one_program_are_isolated(run_args):
     assert second.records == first.records
     # a field absent from vars() holds its class default in both runs
     assert [vars(b) for b in second.branches] == [vars(b) for b in first.branches]
-    assert p2.state_fingerprint() == p1.state_fingerprint()
+    assert diff(p1.snapshot(), p2.snapshot()) == {}
 
 
 class _AccessLog(list):

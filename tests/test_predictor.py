@@ -18,6 +18,7 @@ from bpusim.predictor import (
     PredictorState,
     counter_predict,
     counter_update,
+    diff,
     index_one_level,
     parse_outcomes,
 )
@@ -283,7 +284,7 @@ def test_randomize_reset_deterministic_and_resets_mode():
     a.randomize_reset(42)
     b.randomize_reset(42)
     assert a.selector.mode is Mode.ONE_LEVEL
-    assert a.state_fingerprint()[:3] == b.state_fingerprint()[:3]
+    assert diff(a.snapshot(), b.snapshot()).keys() <= {"btb", "selector"}
 
 
 @pytest.mark.parametrize("config", [
@@ -310,8 +311,92 @@ def test_clone_is_independent():
     a = PredictorState()
     b = a.clone()
     _run_branch(a, 0x4000, parse_outcomes("TTTT"))
-    assert a.state_fingerprint() != b.state_fingerprint()
-    assert b.state_fingerprint() == PredictorState().state_fingerprint()
+    assert diff(a.snapshot(), b.snapshot()) != {}
+    assert diff(b.snapshot(), PredictorState().snapshot()) == {}
+
+
+@st.composite
+def _one_change(draw):
+    """A state with small tables, maybe reset, and then maybe with its
+    history PHT drawn, and one change to make to a clone of it: a counter in
+    either table, a GHR insert, a BTB update, one selector field, or a
+    reset."""
+    cfg = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 9)), history_bits=draw(st.integers(2, 9)),
+        pht_entries_one_level=1 << draw(st.integers(1, 6)),
+        pht_entries_history=1 << draw(st.integers(1, 6)), ghr_depth=draw(st.integers(1, 16)),
+        target_bits_per_entry=draw(st.integers(1, 4)), btb_entries=1 << draw(st.integers(0, 4)))
+    state = PredictorState(cfg)
+    if draw(st.booleans()):
+        state.randomize_reset(draw(st.integers(0, 2**32)))
+        if draw(st.booleans()):
+            state.pht_history  # a read draws it
+    sel = state.selector
+    sel.mode, sel.frozen = draw(st.sampled_from(list(Mode))), draw(st.booleans())
+    sel.mispredict_accumulator = draw(st.integers(0, 3))
+    return state, draw(st.one_of(
+        st.tuples(st.sampled_from(list(Mode)), st.integers(0, 63), st.integers(1, 511)),
+        st.tuples(st.just("ghr"), st.integers(0, 0xFFF)),
+        st.tuples(st.just("btb"), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+        st.tuples(st.just("selector"), st.sampled_from(["mode", "accumulator", "frozen"])),
+        st.tuples(st.just("reset"), st.integers(0, 2**32))))
+
+
+def _changed(old, new) -> dict:
+    return {k: (u, v) for k, (u, v) in enumerate(zip(old, new)) if u != v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_change())
+def test_diff_names_exactly_the_changed_parts(case):
+    """`diff` of a state's snapshot against a clone's, after one change to
+    the clone, names exactly the keys the change moved, each with its value
+    before and after, worked out here from the change itself; swapped, it
+    gives each pair the other way round. An undrawn history PHT counts as
+    the values the reset reference draws."""
+    state, change = case
+    before = state.snapshot()
+    assert diff(before, before) == {}
+    cfg, after = state.config, state.clone()  # the clone draws the history PHT
+    old = {"pht_one_level": list(state.pht_one_level), "pht_history": list(state.pht_history),
+           "ghr": state.ghr.entries, "btb": list(state.btb.slots)}
+    new = {name: list(values) for name, values in old.items()}
+    fields = {"mode": state.selector.mode, "accumulator": state.selector.mispredict_accumulator,
+              "frozen": state.selector.frozen}
+    moved = dict(fields)
+    kind = change[0]
+    if isinstance(kind, Mode):
+        name = "pht_one_level" if kind is Mode.ONE_LEVEL else "pht_history"
+        index = change[1] % len(old[name])
+        value = (old[name][index] + change[2]) % (1 << cfg.counter_width(kind))
+        if value == old[name][index]:
+            value = (value + 1) % (1 << cfg.counter_width(kind))
+        after.table(kind)[index] = new[name][index] = value
+    elif kind == "ghr":
+        after.ghr.insert_taken(change[1])
+        new["ghr"] = old["ghr"][1:] + [change[1] % (1 << cfg.target_bits_per_entry)]
+    elif kind == "btb":
+        _, addr, target = change
+        after.btb.update(addr, target)
+        slot = (addr >> 2) % cfg.btb_entries
+        new["btb"][slot] = (addr >> 2 >> (cfg.btb_entries - 1).bit_length(), target)
+    elif kind == "selector":
+        other = {Mode.ONE_LEVEL: Mode.HISTORY, Mode.HISTORY: Mode.ONE_LEVEL}
+        moved[change[1]] = {"mode": other[fields["mode"]], "accumulator": fields["accumulator"] + 1,
+                            "frozen": not fields["frozen"]}[change[1]]
+        after.selector.mode, after.selector.mispredict_accumulator, after.selector.frozen = \
+            moved["mode"], moved["accumulator"], moved["frozen"]
+    else:
+        after.randomize_reset(change[1])
+        new["pht_one_level"], new["ghr"], new["pht_history"] = reset_reference(cfg, change[1])
+        moved.update(mode=Mode.ONE_LEVEL, accumulator=0)
+    expected = {name: _changed(old[name], new[name]) for name in old}
+    expected["selector"] = {k: (fields[k], moved[k]) for k in fields if fields[k] != moved[k]}
+    expected = {name: parts for name, parts in expected.items() if parts}
+    snapshot = after.snapshot()
+    assert diff(before, snapshot) == expected
+    assert diff(snapshot, before) == {name: {k: (v, u) for k, (u, v) in parts.items()}
+                                      for name, parts in expected.items()}
 
 
 @pytest.mark.parametrize("entries", [1, 16, 1 << 16])
@@ -366,7 +451,7 @@ def test_execute_matches_predict_and_record_resolution(case):
     for read in [None, *range(len(branches))]:
         fused = state.clone()
         assert fused.execute(branches, read=read) == _reads(flags, len(branches), read)
-        assert fused.state_fingerprint() == reference.state_fingerprint()
+        assert diff(fused.snapshot(), reference.snapshot()) == {}
 
 
 def _reads(flags, size, read):
@@ -441,7 +526,7 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
             read = read % len(triples) if triples else None
             assert fused.execute(branches, times, read) == _reads(
                 _reference_execute(reference, triples, times), len(triples), read)
-            assert fused.state_fingerprint() == reference.state_fingerprint()
+            assert diff(fused.snapshot(), reference.snapshot()) == {}
             assert len(branches._memo) <= SMALL_MEMO_WORDS
 
 
@@ -459,7 +544,7 @@ def test_the_memo_starts_over_past_its_bound():
         assert fused.execute(branches, read=k % 9) == _reads(
             _reference_execute(reference, triples, 1), 9, k % 9)
         sizes.append(len(branches._memo))
-    assert fused.state_fingerprint() == reference.state_fingerprint()
+    assert diff(fused.snapshot(), reference.snapshot()) == {}
     assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
 
 
@@ -478,7 +563,7 @@ def test_joined_passes_start_over_past_their_bound():
             _reference_execute(reference, triples, 2), 9, k % 9)
         sizes.append(len(branches._runs))
         assert len(branches._memo) <= Branches.MEMO_WORDS
-    assert fused.state_fingerprint() == reference.state_fingerprint()
+    assert diff(fused.snapshot(), reference.snapshot()) == {}
     assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
 
 
@@ -487,10 +572,10 @@ def test_joined_passes_start_over_past_their_bound():
 def test_execute_refuses_fewer_than_one_pass(mode, times):
     state = PredictorState()
     state.selector.mode = mode
-    before = state.state_fingerprint()
+    before = state.snapshot()
     with pytest.raises(ValueError, match=f"times must be >= 1, got {times}"):
         state.execute(Branches([(0x4000, Direction.TAKEN, 0x4040)], state.config), times)
-    assert state.state_fingerprint() == before
+    assert diff(before, state.snapshot()) == {}
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -498,10 +583,10 @@ def test_execute_refuses_fewer_than_one_pass(mode, times):
 def test_execute_refuses_a_read_outside_the_sequence(mode, read):
     state = PredictorState()
     state.selector.mode = mode
-    before = state.state_fingerprint()
+    before = state.snapshot()
     with pytest.raises(IndexError, match=f"read position {read} outside the sequence's 2"):
         state.execute([(0x4000, Direction.TAKEN, 0x4040)] * 2, 3, read)
-    assert state.state_fingerprint() == before
+    assert diff(before, state.snapshot()) == {}
 
 
 @st.composite
@@ -531,7 +616,7 @@ def _assert_every_read_matches(state, triples, times):
     for read in [None, *range(len(triples))]:
         fused = state.clone()
         assert fused.execute(branches, times, read) == _reads(flags, len(triples), read)
-        assert fused.state_fingerprint() == reference.state_fingerprint()
+        assert diff(fused.snapshot(), reference.snapshot()) == {}
 
 
 @settings(max_examples=150, deadline=None)

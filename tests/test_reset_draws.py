@@ -31,6 +31,7 @@ from bpusim.predictor import (
     Mode,
     PredictorConfig,
     PredictorState,
+    diff,
 )
 from test_run_result_golden import GOLDEN, run_digest
 
@@ -246,6 +247,24 @@ def _count_draws(monkeypatch) -> tuple[list[tuple[int, int]], list[bytes]]:
     return draws, keys
 
 
+def test_a_snapshot_draws_nothing(monkeypatch):
+    """After a reset, a snapshot keeps the history PHT undrawn, as its
+    seed, and two such snapshots are equal without a draw. Against a drawn
+    table, `diff` draws the values once and writes them nowhere."""
+    draws, _ = _count_draws(monkeypatch)
+    cfg = PredictorConfig()
+    lazy, eager = PredictorState(cfg), PredictorState(cfg)
+    lazy.randomize_reset(5)
+    _eager_reset(eager, 5)
+    draws.clear()
+    a, b = lazy.snapshot(), lazy.snapshot()
+    assert a.pht_history == 5 and diff(a, b) == {}
+    assert draws == []
+    assert diff(a, eager.snapshot()) == {}
+    assert draws == [(cfg.pht_entries_history, cfg.history_bits)]
+    assert lazy.snapshot().pht_history == 5
+
+
 def test_one_level_side_channel_never_draws_the_history_table(monkeypatch):
     draws, keys = _count_draws(monkeypatch)
     r = side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3)
@@ -334,13 +353,11 @@ _ops = st.one_of(
     st.tuples(st.just("assign"), st.integers(0, 2**16)),
     st.tuples(st.just("clone")),
     st.tuples(st.just("read"), st.sampled_from(
-        ["fingerprint", "pht_history", "table", "entries", "ghr clone", "history_index"])),
+        ["snapshot", "pht_history", "table", "entries", "ghr clone", "history_index"])),
 )
 
 
 def _read(state: PredictorState, what: str):
-    if what == "fingerprint":
-        return state.state_fingerprint()
     if what == "pht_history":
         return list(state.pht_history)
     if what == "table":
@@ -386,7 +403,9 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
             lazy.pht_history, eager.pht_history = values, list(values)
         elif kind == "clone":
             lazy, eager = lazy.clone(), eager.clone()
-            assert lazy.state_fingerprint() == eager.state_fingerprint()
+            assert diff(lazy.snapshot(), eager.snapshot()) == {}
+        elif op[1] == "snapshot":  # equal, though the lazy one may be undrawn
+            assert diff(lazy.snapshot(), eager.snapshot()) == {}
         else:
             assert _read(lazy, op[1]) == _read(eager, op[1])
-    assert lazy.state_fingerprint() == eager.state_fingerprint()
+    assert diff(lazy.snapshot(), eager.snapshot()) == {}

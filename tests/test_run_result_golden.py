@@ -3,7 +3,8 @@
 The CLI golden test pins artifacts, but no artifact records the final tick
 or the per-branch flags. These digests cover, for each run of a case:
 `(ticks, events, summary)`, per branch `(dseq, resolved, squashed,
-speculative, mispredicted)`, and the predictor's final `state_fingerprint()`.
+speculative, mispredicted)`, and `fingerprint` of the predictor's final
+`snapshot()`.
 The `random` case pins 20 seeded multi-process programs, whose
 interleavings the four hand-written cases do not reach.
 
@@ -14,7 +15,7 @@ passing; only then did `arch` and those kinds leave the engine. CHANGES.md
 lists the old and new digest of each case.
 
 A victim run is its preamble's committed executions in one kernel call,
-then an engine run of its body (`VictimLayout.run`). The victim cases run
+then an engine run of its body (`conftest.victim_run`). The victim cases run
 `with_preamble(layout)` instead: the same victim with its preamble as code,
 which the property at the end shows leaves the same predictor state and
 body branches.
@@ -28,11 +29,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import victim_run
+
 from bpusim import engine as eng
 from bpusim.attacks import (activate_history_mode, build_victim_v1, build_victim_v2,
                             defense_workload)
 from bpusim.engine import POLICIES
-from bpusim.predictor import PredictorConfig, PredictorState
+from bpusim.predictor import PredictorConfig, PredictorState, diff
 from bpusim.program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 
 # the seed each run gives its update policy (only obfuscate-on-squash reads it)
@@ -135,13 +138,22 @@ CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process,
          "random": _random}
 
 
+def fingerprint(snapshot) -> tuple:
+    """The tuple the digests hash: each table's values, the GHR's entries
+    oldest first and the BTB's slots, as tuples, then the selector's mode
+    and accumulator. An undrawn history PHT gives the values it would draw."""
+    values = [tuple(v for _, v in snapshot.items(component))
+              for component in ("pht_one_level", "pht_history", "ghr", "btb")]
+    return (*values, snapshot.selector["mode"], snapshot.selector["accumulator"])
+
+
 def run_digest(case: str, policy) -> str:
     h = hashlib.sha256()
     for result, predictor in CASES[case](policy):
         branches = [(b.dseq, b.resolved, b.squashed, b.speculative, b.mispredicted)
                     for b in result.branches]
         h.update(repr((result.ticks, result.events, result.summary,
-                       branches, predictor.state_fingerprint())).encode())
+                       branches, fingerprint(predictor.snapshot()))).encode())
     return h.hexdigest()
 
 
@@ -248,10 +260,10 @@ def _flags(branches):
 def test_victim_run_matches_the_preamble_run_as_code(run_args):
     layout, predictor, env, policy, seed = run_args
     kernel = predictor.clone()
-    result = layout.run(policy, kernel, env, seed)
+    result = victim_run(layout, policy, kernel, env, seed)
     full, engine = eng.run(with_preamble(layout), layout.schedule, policy, predictor.clone(),
                            env={"pre": 1, **env}, seed=seed)
-    assert kernel.state_fingerprint() == engine.state_fingerprint()
+    assert diff(kernel.snapshot(), engine.snapshot()) == {}
     depth = len(layout.context)
     assert [b.instr.addr for b in full.branches[:depth]] == [a for a, _, _ in layout.context]
     assert _flags(result.branches) == _flags(full.branches[depth:])
