@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import engine as eng
+from . import predictor as bpu
 from .engine import ResolveTime
 from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Branches, Direction, Mode,
-                        PredictorConfig, PredictorState, diff, index_one_level)
+                        PredictorConfig, PredictorState, diff, index_btb, index_one_level)
 from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 from .timing import LatencyModel, LatencySampler, LatencyTrace
 
@@ -74,15 +75,15 @@ class BranchHarness:
         triples) `times` over, in one predictor call, and return the latency
         of execution `read`, or None when `read` is None: what the attacker
         observes. The predictor call reports only that execution's flag,
-        and one sampler call draws the noise of every execution."""
+        and one sampler call draws the noise of every execution. A `read`
+        outside the phase is refused before anything executes."""
         if not isinstance(branches, Branches):
             branches = Branches(branches, self.predictor.config)
         size = len(branches.triples)
-        if read is None or not 0 <= read < size * times:  # the sampler refuses a read outside
-            self.predictor.execute(branches, times)
-            return self.sampler.measure(size * times, read)
-        flags = self.predictor.execute(branches, times, read % size)
-        return self.sampler.measure(size * times, read, flags[read // size])
+        if read is not None and not 0 <= read < size * times:
+            raise IndexError(f"read index {read} outside the phase's {size * times} executions")
+        flags = self.predictor.execute(branches, times, None if read is None else read % size)
+        return self.sampler.measure(size * times, read, read is not None and flags[read // size])
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -191,9 +192,8 @@ class VictimLayout:
         # a frozen one-level run's PHT entries: its conditional branches'
         self._one_level = {index_one_level(i.addr, config) for i in instrs
                            if i.kind is COND_BRANCH}
-        # the BTB slots of its indirect branches, as BranchTargetBuffer._index
-        # finds them
-        self._slots = [(i.addr >> 2) & (config.btb_entries - 1) for i in instrs
+        # the BTB slots of its indirect branches
+        self._slots = [index_btb(i.addr, config.btb_entries) for i in instrs
                        if i.kind is INDIRECT_BRANCH]
 
     @property
@@ -220,7 +220,7 @@ class VictimLayout:
         footprint of the key, or when its selector could switch mode mid-run
         (unfrozen, one-level); the engine then runs it. A miss first copies
         the entries it can reach: the body's static one-level ones, or the
-        whole history table. Each key keeps at most `Branches.MEMO_WORDS`
+        whole history table. Each key keeps at most `predictor.MEMO_WORDS`
         footprints, and the memo as many keys; each starts over when full."""
         predictor.execute(self.preamble)
         sel, btb = predictor.selector, predictor.btb
@@ -234,7 +234,7 @@ class VictimLayout:
         tbl = predictor.table(sel.mode)
         footprints = self._memo.get(key)
         if footprints is None:
-            if len(self._memo) >= Branches.MEMO_WORDS:
+            if len(self._memo) >= bpu.MEMO_WORDS:
                 self._memo.clear()
             footprints = self._memo[key] = []
         for pht, ghr_word, btb_after, outcome in footprints:
@@ -252,7 +252,7 @@ class VictimLayout:
         result = eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
         outcome = self._outcome(result)
         touched = dict.fromkeys(b.pred_index for b in result.branches if b.pred_mode is not None)
-        if len(footprints) >= Branches.MEMO_WORDS:
+        if len(footprints) >= bpu.MEMO_WORDS:
             footprints.clear()
         footprints.append((tuple([(i, before[i], tbl[i]) for i in touched]), predictor.ghr._word,
                            tuple([btb.slots[s] for s in slots]), outcome))

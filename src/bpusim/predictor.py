@@ -193,6 +193,11 @@ def index_one_level(addr: int, config: PredictorConfig) -> int:
     return (addr >> 2) & (config.pht_entries_one_level - 1)
 
 
+def index_btb(addr: int, entries: int) -> int:
+    """The BTB slot of the branch at `addr`: as `index_one_level`, modulo `entries`."""
+    return (addr >> 2) & (entries - 1)
+
+
 class GlobalHistoryRegister:
     """Fixed-depth queue of partial target-address bits of taken branches,
     held as one history word: each entry takes `target_bits_per_entry` bits,
@@ -255,20 +260,17 @@ class BranchTargetBuffer:
         self._idx_bits = (entries - 1).bit_length()
         self.slots: list[tuple[int, int] | None] = [None] * entries
 
-    def _index(self, addr: int) -> int:
-        return (addr >> 2) & (self._n - 1)
-
     def _tag(self, addr: int) -> int:
         return addr >> (2 + self._idx_bits)
 
     def lookup(self, addr: int) -> int | None:
-        slot = self.slots[self._index(addr)]
+        slot = self.slots[index_btb(addr, self._n)]
         if slot is not None and slot[0] == self._tag(addr):
             return slot[1]
         return None
 
     def update(self, addr: int, target: int) -> None:
-        self.slots[self._index(addr)] = (self._tag(addr), target)
+        self.slots[index_btb(addr, self._n)] = (self._tag(addr), target)
 
     def clone(self) -> "BranchTargetBuffer":
         c = object.__new__(BranchTargetBuffer)
@@ -293,6 +295,11 @@ class Prediction:
     index: int
 
 
+# each memo of `Branches` and of a victim's body runs
+# (`attacks.VictimLayout.transmit`) starts over when it holds this many keys
+MEMO_WORDS = 16
+
+
 class Branches:
     """A committed branch sequence, `(addr, outcome, target)` triples, bound
     to one config, with what `PredictorState.execute` reads of it computed
@@ -302,23 +309,17 @@ class Branches:
     them.
 
     Its outcomes and targets are fixed, so its history indexes depend only
-    on the GHR word it starts from. They are kept per starting word, and a
-    run of `times` passes as its groups of identical passes per starting
-    word and `times`, each memo for at most `MEMO_WORDS` keys; a replayed
-    attacker sequence meets a few."""
+    on the GHR word it starts from. `_runs` keeps a run of `times` passes
+    as its groups of identical passes per starting word and `times`, for at
+    most `MEMO_WORDS` keys; a replayed attacker sequence meets a few."""
 
-    __slots__ = ("config", "triples", "one_level", "distinct", "count", "tail", "_memo",
-                 "_runs")
-
-    # each memo starts over when it holds this many keys
-    MEMO_WORDS = 16
+    __slots__ = ("config", "triples", "one_level", "distinct", "count", "tail", "_runs")
 
     def __init__(self, branches, config: PredictorConfig):
         self.config = config
         self.triples = tuple(branches)
-        mask = config.pht_entries_one_level - 1
         # (taken, index) pairs: all the kernel's counter loop reads
-        self.one_level = tuple((o is TAKEN, (a >> 2) & mask) for a, o, _ in self.triples)
+        self.one_level = tuple((o is TAKEN, index_one_level(a, config)) for a, o, _ in self.triples)
         self.distinct = len({i for _, i in self.one_level}) == len(self.one_level)
         targets = [t for _, o, t in self.triples if o is TAKEN]
         bits, emask = config.target_bits_per_entry, (1 << config.target_bits_per_entry) - 1
@@ -326,7 +327,6 @@ class Branches:
         for t in targets[-config.ghr_depth:]:
             tail = (tail << bits) | (t & emask)
         self.count, self.tail = len(targets), tail
-        self._memo: dict[int, tuple[tuple, bool]] = {}
         self._runs: dict[tuple[int, int], list[tuple[tuple, bool, int]]] = {}
 
     def groups(self, state: "PredictorState", times: int = 1) -> list[tuple[tuple, bool, int]]:
@@ -336,30 +336,23 @@ class Branches:
         those indexes are pairwise distinct, and how many passes in a row
         start from that GHR word. Once a pass leaves the word as it found
         it, every later pass starts there, so the last group holds them
-        all, and a call has at most ceil(ghr_depth / count) + 1 groups. A
-        word's pairs are walked by `history_index` over a GHR clone."""
+        all, and a call has at most ceil(ghr_depth / count) + 1 groups. On
+        a memo miss each group's pass walks `history_index` over a GHR
+        clone, which its taken branches advance."""
         word = state.ghr._word
         groups = self._runs.get((word, times))
         if groups is None:
-            if len(self._runs) >= self.MEMO_WORDS:
+            if len(self._runs) >= MEMO_WORDS:
                 self._runs.clear()
             ghr, groups, left = state.ghr.clone(), [], times
             while left:
-                start = ghr._word
-                walked = self._memo.get(start)
-                if walked is None:
-                    if len(self._memo) >= self.MEMO_WORDS:
-                        self._memo.clear()
-                    walk, pairs = ghr.clone(), []
-                    for addr, outcome, target in self.triples:
-                        pairs.append((outcome is TAKEN, state.history_index(addr, walk)))
-                        if outcome is TAKEN:
-                            walk.insert_taken(target)
-                    distinct = len({i for _, i in pairs}) == len(pairs)
-                    walked = self._memo[start] = (tuple(pairs), distinct)
-                ghr.advance(self.count, self.tail)
+                start, pairs = ghr._word, []
+                for addr, outcome, target in self.triples:
+                    pairs.append((outcome is TAKEN, state.history_index(addr, ghr)))
+                    if outcome is TAKEN:
+                        ghr.insert_taken(target)
                 passes = left if ghr._word == start else 1
-                groups.append((*walked, passes))
+                groups.append((tuple(pairs), len({i for _, i in pairs}) == len(pairs), passes))
                 left -= passes
             self._runs[word, times] = groups
         return groups
@@ -397,26 +390,20 @@ class PredictorState:
 
     # -- prediction / resolution ----------------------------------------
 
-    # the hot path: inlines index_one_level, table, counter_width, counter_predict
     def predict(self, addr: int) -> Prediction:
         cfg, mode = self.config, self.selector.mode
-        if mode is ONE_LEVEL:
-            index = (addr >> 2) & (cfg.pht_entries_one_level - 1)
-            value, width = self.pht_one_level[index], cfg.one_level_bits
-        else:
-            index = self.history_index(addr)
-            value, width = self._pht_history[index], cfg.history_bits
-        taken = value < (1 << (width - 1))
-        return Prediction(TAKEN if taken else NOT_TAKEN, mode, index)
+        index = index_one_level(addr, cfg) if mode is ONE_LEVEL else self.history_index(addr)
+        return Prediction(counter_predict(self.table(mode)[index], cfg.counter_width(mode)),
+                          mode, index)
 
     def history_index(self, addr: int, ghr: GlobalHistoryRegister | None = None) -> int:
         """History-PHT index of the branch at `addr` under `ghr`, by default
         the predictor's own: the GHR word xor-folded to the index width, xor
         the address above its alignment bits and the salt. This is the
-        formula's one copy: `predict` calls it per branch, and `Branches`
-        walks it over a GHR clone to fill the kernel's memo. After a reset it
-        first draws the history PHT, so callers read `_pht_history` after
-        it. The fold costs one shift-xor per index width of history bits."""
+        formula's one copy: `predict` calls it per branch, and
+        `Branches.groups` walks it over a GHR clone on a memo miss. After a
+        reset it first draws the history PHT. The fold costs one shift-xor
+        per index width of history bits."""
         if self._pht_history is None:
             self.pht_history = _history_values(self.config, self._reset_seed)
         mask = self.config.pht_entries_history - 1
@@ -428,13 +415,8 @@ class PredictorState:
         return index & mask
 
     def apply_counter_update(self, mode: Mode, index: int, outcome: Direction) -> None:
-        one_level = mode is ONE_LEVEL
-        tbl = self.pht_one_level if one_level else self.pht_history
-        if outcome is TAKEN:
-            tbl[index] = max(tbl[index] - 1, 0)
-        else:
-            width = self.config.one_level_bits if one_level else self.config.history_bits
-            tbl[index] = min(tbl[index] + 1, (1 << width) - 1)
+        tbl = self.table(mode)
+        tbl[index] = counter_update(tbl[index], self.config.counter_width(mode), outcome)
 
     def note_resolution(self, addr: int, mode_used: Mode, mispredicted: bool) -> None:
         sel = self.selector
@@ -547,7 +529,8 @@ class PredictorState:
         c = object.__new__(PredictorState)
         c.config = self.config
         c.pht_one_level = list(self.pht_one_level)
-        c._pht_history, c._reset_seed = list(self.pht_history), None
+        c._pht_history = None if self._pht_history is None else list(self._pht_history)
+        c._reset_seed = self._reset_seed  # an undrawn history PHT stays undrawn
         c.ghr = self.ghr.clone()
         c.btb = self.btb.clone()
         c.selector = replace(self.selector)

@@ -91,11 +91,9 @@ class LatencyTrace:
     samples: list[tuple[int, int]]
 
     def __post_init__(self):
-        last = None
-        for idx, _ in self.samples:
-            if last is not None and idx <= last:
-                raise ValueError("probe indices must be strictly increasing")
-            last = idx
+        samples, self.samples = self.samples, []
+        for probe_index, latency in samples:
+            self.append(probe_index, latency)
 
     def append(self, probe_index: int, latency: int) -> None:
         if self.samples and probe_index <= self.samples[-1][0]:

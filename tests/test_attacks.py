@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import victim_run
 
-from bpusim import attacks, engine as eng
+from bpusim import attacks, engine as eng, predictor as bpu
 from bpusim.attacks import (
     AttackError,
     BranchHarness,
@@ -31,8 +31,8 @@ from bpusim.attacks import (
 )
 from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash,
                            ShadowPht)
-from bpusim.predictor import (Branches, Direction, Mode, PredictorConfig, PredictorState,
-                              diff, index_one_level)
+from bpusim.predictor import (Branches, Direction, GlobalHistoryRegister, Mode, PredictorConfig,
+                              PredictorState, diff, index_one_level)
 from bpusim.program import Program
 from bpusim.timing import LatencyModel, LatencySampler, NoiseKind
 
@@ -518,7 +518,21 @@ def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert calls == {"BranchHarness.execute": 193, "LatencySampler.measure": 193}
     assert reads == {None: 97, 51: 96}
-    assert max(len(c) for b in built for c in (b._memo, b._runs)) <= Branches.MEMO_WORDS
+    assert max(len(b._runs) for b in built) <= bpu.MEMO_WORDS
+
+
+@pytest.mark.parametrize("read", [3, 7, -1])
+def test_harness_refuses_a_read_outside_the_phase_before_it_executes(read):
+    """A read outside the phase's three executions leaves the predictor and
+    the noise stream as they were."""
+    p = PredictorState()
+    sampler = LatencyModel(NoiseKind.GAUSSIAN, 2.0, seed=1).sampler()
+    before, stream = p.snapshot(), sampler._rng.getstate()
+    branches = Branches([(0x4000, Direction.TAKEN, 0x4040)], p.config)
+    with pytest.raises(IndexError, match=f"read index {read} outside the phase's 3 executions"):
+        BranchHarness(p, sampler).execute(branches, 3, read)
+    assert diff(before, p.snapshot()) == {}
+    assert sampler._rng.getstate() == stream
 
 
 @pytest.mark.parametrize("times", [0, -3])
@@ -587,8 +601,8 @@ def _record_layouts(monkeypatch) -> list:
 
 def _assert_memo_bounded(layouts) -> None:
     for layout in layouts:
-        assert len(layout._memo) <= Branches.MEMO_WORDS
-        assert all(len(f) <= Branches.MEMO_WORDS for f in layout._memo.values())
+        assert len(layout._memo) <= bpu.MEMO_WORDS
+        assert all(len(f) <= bpu.MEMO_WORDS for f in layout._memo.values())
 
 
 @pytest.mark.parametrize("attack", [
@@ -681,7 +695,7 @@ def test_memoized_victim_runs_match_direct_runs(case):
     but one PHT entry's value, meet the same state."""
     layouts, predictor, calls, steps, memo_words = case
     state = memo = predictor
-    with mock.patch.object(Branches, "MEMO_WORDS", memo_words):
+    with mock.patch.object(bpu, "MEMO_WORDS", memo_words):
         for carry, change in [(False, ("none",))] + steps:
             state = (memo if carry else state).clone()
             if change[0] == "poison":
@@ -706,6 +720,20 @@ def test_memoized_victim_runs_match_direct_runs(case):
                     _direct_outcome(layout, policy, direct, env, seed)
                 assert diff(memo.snapshot(), direct.snapshot()) == {}
                 _assert_memo_bounded(layouts)
+
+
+def _pass_words(branches: Branches) -> set[int]:
+    """The GHR words the passes of a `Branches`'s memoized calls start from:
+    each call's own word, then the word each group's one pass leaves (only
+    a call's last group holds more passes, all from one word)."""
+    words = set()
+    for (word, _), groups in branches._runs.items():
+        ghr = GlobalHistoryRegister(branches.config)
+        ghr._word = word
+        for _ in groups:
+            words.add(ghr._word)
+            ghr.advance(branches.count, branches.tail)
+    return words
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
@@ -735,9 +763,9 @@ def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy
 
     monkeypatch.setattr(Branches, "__init__", record)
     monkeypatch.setattr(VictimLayout, "transmit", transmit_and_record)
-    bound = Branches.MEMO_WORDS
-    # no memo starts over, so each holds every starting word its sequence met
-    monkeypatch.setattr(Branches, "MEMO_WORDS", 1 << 30)
+    bound = bpu.MEMO_WORDS
+    # no memo starts over, so each holds every call its sequence made
+    monkeypatch.setattr(bpu, "MEMO_WORDS", 1 << 30)
     message = "".join(random.Random(4).choices("01", k=1000))
     assert set(message) == {"0", "1"}
     covert_send_receive(message, Mode.HISTORY, policy=policy)
@@ -751,11 +779,13 @@ def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy
         p.ghr.advance(b.count, b.tail)
         ends[b] = p.ghr._word
     assert len(left) <= 2
-    assert set(preamble._memo) <= set(ends.values())
-    assert set(not_taken._memo) <= {ends[not_taken]} | left
-    assert set(taken._memo) <= {switched, ends[taken]} | left
-    assert max(len(set(b._memo) - {switched}) for b in built) <= 3
-    assert max(len(b._memo) for b in built) <= 4 <= bound
+    words = {b: _pass_words(b) for b in built}
+    assert words[preamble] <= set(ends.values())
+    assert words[not_taken] <= {ends[not_taken]} | left
+    assert words[taken] <= {switched, ends[taken]} | left
+    assert max(len(w - {switched}) for w in words.values()) <= 3
+    assert max(len(w) for w in words.values()) <= 4
+    assert max(len(b._runs) for b in built) <= 4 <= bound
 
 
 def test_attack_loops_never_render_event_text(monkeypatch):

@@ -22,6 +22,7 @@ from bpusim.predictor import (
     PredictorConfig,
     PredictorState,
     diff,
+    index_btb,
     index_one_level,
 )
 from bpusim.program import Instruction, Kind, Program, ProgramError, parse_program
@@ -665,7 +666,7 @@ def test_a_run_touches_only_its_fetched_branches_entries(run_args):
     # (pred_mode, pred_index), and the BTB slots it changes its indirect
     # branches', under every policy
     program, schedule, _, predictor, env = run_args
-    btb_slots = {predictor.btb._index(i.addr) for i in program.instructions
+    btb_slots = {index_btb(i.addr, predictor.config.btb_entries) for i in program.instructions
                  if i.kind is Kind.INDIRECT_BRANCH}
     for policy in POLICIES:
         p, log = predictor.clone(), set()

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpusim import predictor
 from bpusim.predictor import (
     Branches,
     BranchTargetBuffer,
@@ -504,12 +505,12 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
     read at one position, against `predict` + `record_resolution` per
     execution. Before each call come GHR
     inserts, then maybe resets, clones and mode changes. The memo holds
-    `SMALL_MEMO_WORDS` words here, and the history-mode calls of about half
-    the examples start from more, so it starts over."""
+    `SMALL_MEMO_WORDS` keys here, and the history-mode calls of about half
+    the examples make more, so it starts over."""
     state, triples = case
     branches = Branches(triples, state.config)
     fused, reference = state.clone(), state.clone()
-    with mock.patch.object(Branches, "MEMO_WORDS", SMALL_MEMO_WORDS):
+    with mock.patch.object(predictor, "MEMO_WORDS", SMALL_MEMO_WORDS):
         for inserts, ops, times, read in calls:
             for s in (fused, reference):
                 for t in inserts:
@@ -527,10 +528,12 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
             assert fused.execute(branches, times, read) == _reads(
                 _reference_execute(reference, triples, times), len(triples), read)
             assert diff(fused.snapshot(), reference.snapshot()) == {}
-            assert len(branches._memo) <= SMALL_MEMO_WORDS
+            assert len(branches._runs) <= SMALL_MEMO_WORDS
 
 
 def test_the_memo_starts_over_past_its_bound():
+    """Each call starts from a word no call has started from, with one pass
+    or two joined ones, so each adds a key to the memo until it starts over."""
     cfg = PredictorConfig(ghr_depth=8, target_bits_per_entry=8)
     triples = [(0x40 * i, Direction.TAKEN if i % 3 else Direction.NOT_TAKEN, i) for i in range(9)]
     branches = Branches(triples, cfg)
@@ -538,33 +541,15 @@ def test_the_memo_starts_over_past_its_bound():
     for s in (fused, reference):
         s.selector.mode = Mode.HISTORY
     sizes = []
-    for k in range(2 * Branches.MEMO_WORDS + 3):
-        for s in (fused, reference):
-            s.ghr.insert_taken(k)  # a word no call has started from
-        assert fused.execute(branches, read=k % 9) == _reads(
-            _reference_execute(reference, triples, 1), 9, k % 9)
-        sizes.append(len(branches._memo))
-    assert diff(fused.snapshot(), reference.snapshot()) == {}
-    assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
-
-
-def test_joined_passes_start_over_past_their_bound():
-    cfg = PredictorConfig(ghr_depth=8, target_bits_per_entry=8)
-    triples = [(0x40 * i, Direction.TAKEN if i % 3 else Direction.NOT_TAKEN, i) for i in range(9)]
-    branches = Branches(triples, cfg)
-    fused, reference = PredictorState(cfg), PredictorState(cfg)
-    for s in (fused, reference):
-        s.selector.mode = Mode.HISTORY
-    sizes = []
-    for k in range(2 * Branches.MEMO_WORDS + 3):
+    for k in range(2 * predictor.MEMO_WORDS + 3):
         for s in (fused, reference):
             s.ghr.insert_taken(k)
-        assert fused.execute(branches, 2, k % 9) == _reads(
-            _reference_execute(reference, triples, 2), 9, k % 9)
+        times = 1 + k % 2
+        assert fused.execute(branches, times, k % 9) == _reads(
+            _reference_execute(reference, triples, times), 9, k % 9)
         sizes.append(len(branches._runs))
-        assert len(branches._memo) <= Branches.MEMO_WORDS
     assert diff(fused.snapshot(), reference.snapshot()) == {}
-    assert max(sizes) == Branches.MEMO_WORDS and sizes[-1] < Branches.MEMO_WORDS
+    assert max(sizes) == predictor.MEMO_WORDS and sizes[-1] < predictor.MEMO_WORDS
 
 
 @pytest.mark.parametrize("mode", list(Mode))

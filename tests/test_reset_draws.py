@@ -307,6 +307,9 @@ def test_a_history_read_draws_the_history_table_exactly_once(monkeypatch):
     assert draws == whole[:1]
     assert probe_mode(p) is Mode.ONE_LEVEL
     assert probe_mode(p) is Mode.ONE_LEVEL
+    assert draws == whole[:1]  # the probe's clone reads no history entry
+    p.table(Mode.HISTORY)
+    p.table(Mode.HISTORY)
     assert draws == whole
     assert keys == [seed_key(5), seed_key(5) + HISTORY_TAG]
 
