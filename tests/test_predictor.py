@@ -531,9 +531,10 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
             assert len(branches._runs) <= SMALL_MEMO_WORDS
 
 
-def test_the_memo_starts_over_past_its_bound():
-    """Each call starts from a word no call has started from, with one pass
-    or two joined ones, so each adds a key to the memo until it starts over."""
+def _memo_sizes_over_fresh_words(passes):
+    """Run `passes(k)` joined passes of one `Branches` from each of
+    2 * MEMO_WORDS + 3 words no call has started from, checking each call
+    against the reference; return the memo size after each call."""
     cfg = PredictorConfig(ghr_depth=8, target_bits_per_entry=8)
     triples = [(0x40 * i, Direction.TAKEN if i % 3 else Direction.NOT_TAKEN, i) for i in range(9)]
     branches = Branches(triples, cfg)
@@ -544,11 +545,24 @@ def test_the_memo_starts_over_past_its_bound():
     for k in range(2 * predictor.MEMO_WORDS + 3):
         for s in (fused, reference):
             s.ghr.insert_taken(k)
-        times = 1 + k % 2
+        times = passes(k)
         assert fused.execute(branches, times, k % 9) == _reads(
             _reference_execute(reference, triples, times), 9, k % 9)
         sizes.append(len(branches._runs))
     assert diff(fused.snapshot(), reference.snapshot()) == {}
+    return sizes
+
+
+def test_the_memo_starts_over_past_its_bound():
+    """Each call starts from a fresh word, with one pass or two joined ones,
+    so each adds a key to the memo until it starts over."""
+    sizes = _memo_sizes_over_fresh_words(lambda k: 1 + k % 2)
+    assert max(sizes) == predictor.MEMO_WORDS and sizes[-1] < predictor.MEMO_WORDS
+
+
+def test_joined_passes_start_over_past_their_bound():
+    """Two joined passes from each fresh word fill the memo and start it over."""
+    sizes = _memo_sizes_over_fresh_words(lambda k: 2)
     assert max(sizes) == predictor.MEMO_WORDS and sizes[-1] < predictor.MEMO_WORDS
 
 
