@@ -2,19 +2,20 @@
 covert channel, and the v1/v2 side channels.
 
 Attacker-side phases (the history-mode switch, training, presetting and
-probing) are committed branch executions: a sequence of `(addr, outcome,
-target)` triples run `times` over by one `PredictorState.execute` call
-against the shared predictor, directly or through `BranchHarness`, which
-times the one execution the receiver reads, if any: a trial's probes read
-the decisive execution, and the preset and the chained context replay
-read none. So are the victim's always-taken preamble to its trigger, one
+probing) are committed branch executions: a `Branches` sequence of
+`(addr, outcome, target)` triples run `times` over by one
+`PredictorState.execute` call against the shared predictor, directly or
+through `BranchHarness`, which times the one execution the receiver reads,
+if any: a trial's probes read the decisive execution, and the preset reads
+none. So are the victim's always-taken preamble to its trigger, one
 untimed kernel call before each run of the victim's body, and v1's
 in-bounds warm-ups, one untimed kernel call per trial over the preamble,
 the trigger and the transmitter. The channel's sequences, the preamble
-and the warm-up are `Branches`, built once. Only the body of the run on
-the trial's bit, where the transient step happens, goes through the
-speculation engine (`VictimLayout.transmit`, which replays it from a
-memo), so the update policy governs exactly the speculative updates.
+and the warm-up are built once; the mode and depth probes build theirs
+per call. Only the body of the run on the trial's bit, where the transient
+step happens, goes through the speculation engine (`VictimLayout.transmit`,
+which replays it from a memo), so the update policy governs exactly the
+speculative updates.
 """
 
 from __future__ import annotations
@@ -70,16 +71,14 @@ class BranchHarness:
         self.predictor = predictor
         self.sampler = sampler
 
-    def execute(self, branches, times: int = 1, read: int | None = None) -> int | None:
-        """Execute a branch sequence (`Branches` or `(addr, outcome, target)`
-        triples) `times` over, in one predictor call, and return the latency
-        of execution `read`, or None when `read` is None: what the attacker
-        observes. The predictor call reports only that execution's flag,
-        and one sampler call draws the noise of every execution. A `read`
-        outside the phase is refused before anything executes."""
-        if not isinstance(branches, Branches):
-            branches = Branches(branches, self.predictor.config)
-        size = len(branches.triples)
+    def execute(self, branches: Branches, times: int = 1, read: int | None = None) -> int | None:
+        """Execute a branch sequence `times` over, in one predictor call, and
+        return the latency of execution `read`, or None when `read` is None:
+        what the attacker observes. The predictor call reports only that
+        execution's flag, and one sampler call draws the noise of every
+        execution. A `read` outside the phase is refused before anything
+        executes."""
+        size = len(branches)
         if read is not None and not 0 <= read < size * times:
             raise IndexError(f"read index {read} outside the phase's {size * times} executions")
         flags = self.predictor.execute(branches, times, None if read is None else read % size)
@@ -88,8 +87,9 @@ class BranchHarness:
 
 def activate_history_mode(predictor: PredictorState) -> None:
     """Flip the selector with the six-execution TNTNTN exercising sequence."""
-    target = HISTORY_SCRATCH_ADDR + 0x40
-    predictor.execute([(HISTORY_SCRATCH_ADDR, o, target) for o in (TAKEN, NOT_TAKEN) * 3])
+    a = HISTORY_SCRATCH_ADDR
+    tntntn = [(a, o, a + 0x40) for o in (TAKEN, NOT_TAKEN) * 3]
+    predictor.execute(Branches(tntntn, predictor.config))
     if predictor.selector.mode is not HISTORY:
         raise ProbeError("TNTNTN did not trigger history-based prediction")
 
@@ -97,19 +97,18 @@ def activate_history_mode(predictor: PredictorState) -> None:
 # ---------------------------------------------------------------------------
 # probes
 
-def _probe_preamble(predictor: PredictorState) -> list[tuple[int, int]]:
-    """(addr, target) pairs presetting the GHR; addresses are chosen to never
-    alias the target's one-level entry."""
+def _probe_preamble(predictor: PredictorState) -> list[tuple[int, Direction, int]]:
+    """Taken `(addr, outcome, target)` triples presetting the GHR; addresses
+    are chosen to never alias the target's one-level entry."""
     cfg = predictor.config
-    pairs = []
-    addr = 0x90000
+    triples, addr = [], 0x90000
     tgt_idx = index_one_level(PROBE_TARGET, cfg)
     for i in range(cfg.ghr_depth):
         while index_one_level(addr, cfg) == tgt_idx:
             addr += 4
-        pairs.append((addr, addr + 0x100 + ((i * 3 + 1) % 4)))
+        triples.append((addr, TAKEN, addr + 0x100 + ((i * 3 + 1) % 4)))
         addr += 0x20
-    return pairs
+    return triples
 
 
 def probe_mode(predictor: PredictorState) -> Mode:
@@ -128,10 +127,11 @@ def probe_mode(predictor: PredictorState) -> Mode:
     n = max(cfg.one_level_bits, cfg.history_bits)
     work = predictor.clone()
     work.selector.frozen = True
-    context = [(a, TAKEN, t) for a, t in _probe_preamble(work)]
-    work.execute(context + [(PROBE_TARGET, TAKEN, PROBE_TARGET + 0x40)], 1 << n)
-    count = sum(work.execute(context + [(PROBE_TARGET, NOT_TAKEN, PROBE_TARGET + 0x40)],
-                             1 << (n - 1), len(context)))
+    context = _probe_preamble(work)
+    taken, not_taken = (Branches([*context, (PROBE_TARGET, d, PROBE_TARGET + 0x40)], cfg)
+                        for d in (TAKEN, NOT_TAKEN))
+    work.execute(taken, 1 << n)
+    count = sum(work.execute(not_taken, 1 << (n - 1), len(context)))
     if count in expected:
         return expected[count]
     raise ProbeError(f"ambiguous misprediction count {count} in "
@@ -162,8 +162,9 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
         work.selector.frozen = True
         work.pht_history = [weak_nt] * cfg.pht_entries_history
         preamble = [(0x90000 + i * 0x20, TAKEN, (i * 3 + 1) % entry_values) for i in range(N)]
-        work.execute(p1 + preamble + [(target, TAKEN, target + 0x40)], (1 << n) - 1)
-        probe = p2 + preamble + [(target, NOT_TAKEN, target + 0x40)]
+        work.execute(Branches([*p1, *preamble, (target, TAKEN, target + 0x40)], cfg),
+                     (1 << n) - 1)
+        probe = Branches([*p2, *preamble, (target, NOT_TAKEN, target + 0x40)], cfg)
         if all(work.execute(probe, 1 << (n - 1), len(probe) - 1)):
             return N
     raise ProbeError(f"no PHT collision observed up to N={max_N}")
@@ -195,11 +196,6 @@ class VictimLayout:
         # the BTB slots of its indirect branches
         self._slots = [index_btb(i.addr, config.btb_entries) for i in instrs
                        if i.kind is INDIRECT_BRANCH]
-
-    @property
-    def context(self) -> list[tuple[int, Direction, int]]:
-        """The preamble's `(addr, TAKEN, target)` triples."""
-        return list(self.preamble.triples)
 
     def transmit(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
                  seed: int) -> tuple[bool, bool]:
@@ -366,15 +362,13 @@ class _Channel:
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
         # the last branch of the half-th probe execution
-        decisive_index = half * (len(self.context.triples) + 1) - 1
+        decisive_index = half * (len(self.context) + 1) - 1
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
             prepare(i)
             if self.direction is None:
                 self.harness.execute(self.executions[TAKEN], full)
                 self.direction = TAKEN
-            if chained:
-                self.harness.execute(self.context)
             fetched, resolved = self.layout.transmit(self.policy, self.predictor, env(bit),
                                                      self.seed)
             if unresolved is not None and not resolved:
@@ -471,7 +465,7 @@ def side_channel_v1(
         if not 0 <= corrupt_preamble_entry < config.ghr_depth:
             raise ValueError(f"corrupt_preamble_entry must be in 0..{config.ghr_depth - 1}, "
                              f"got {corrupt_preamble_entry}")
-        context = layout.context
+        context = list(layout.preamble.triples)
         addr, taken, target = context[corrupt_preamble_entry]
         context[corrupt_preamble_entry] = (addr, taken, target ^ 0x3)
     ch = _Channel(layout, mode, config, latency_model, policy, seed, context)
@@ -535,19 +529,23 @@ def speculative_update_scenario(
 ) -> dict:
     """Mispredicted long-latency branch shields a wrong-path child branch;
     the child resolves speculatively, then the whole path is squashed.
-    Reports whether the child's PHT entry kept the speculative update."""
+    Reports whether the child's PHT entry kept the speculative update, and
+    refuses a table where the outer branch's committed step moves that entry."""
     config = config or PredictorConfig()
     predictor = PredictorState(config)
     predictor.selector.frozen = True
-    child = 0x300
+    outer, child = 0x100, 0x300
+    idx, outer_idx = index_one_level(child, config), index_one_level(outer, config)
+    if idx == outer_idx:
+        raise AttackError(f"the outer branch ({outer:#x}) and the child ({child:#x}) share "
+                          f"one-level PHT entry {idx}, so its move cannot tell their steps apart")
     program = Program([
-        Instruction(0, COND_BRANCH, 0x100, 0x400, "outer", 50),
+        Instruction(0, COND_BRANCH, outer, 0x400, "outer", 50),
         Instruction(0, COND_BRANCH, child, 0x310, "sec", 2),
         Instruction(0, ALU, 0x310),
         Instruction(0, ALU, 0x400),
         Instruction(0, HALT, 0x410),
     ])
-    idx = index_one_level(child, config)
     before = predictor.snapshot()
     result, predictor = eng.run(program, [0], policy, predictor,
                                 env={"outer": 1, "sec": 1}, seed=seed)
@@ -562,7 +560,7 @@ def speculative_update_scenario(
         "entry_after": predictor.pht_one_level[idx],
         # the outer branch's own entry legitimately moves when it commits;
         # a clean policy moves no other one-level entry
-        "state_unchanged": moved.keys() <= {index_one_level(0x100, config)},
+        "state_unchanged": moved.keys() <= {outer_idx},
         "persisted": idx in moved,
         "verdict": "persisted" if idx in moved else "not persisted",
         "events": result.events,

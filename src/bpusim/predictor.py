@@ -329,6 +329,9 @@ class Branches:
         self.count, self.tail = len(targets), tail
         self._runs: dict[tuple[int, int], list[tuple[tuple, bool, int]]] = {}
 
+    def __len__(self) -> int:
+        return len(self.triples)
+
     def groups(self, state: "PredictorState", times: int = 1) -> list[tuple[tuple, bool, int]]:
         """The sequence run `times` over from `state`'s GHR, in history
         mode, as `(pairs, distinct, passes)` groups of identical passes in
@@ -442,10 +445,9 @@ class PredictorState:
     def execute(self, branches, times: int = 1, read: int | None = None) -> list[bool] | None:
         """Committed executions of a branch sequence, `times` over: for each
         branch, what `predict` and then `record_resolution` do. `branches`
-        is a `Branches` of this config, or `(addr, outcome, target)`
-        triples, wrapped on the fly. Returns whether the branch at position
-        `read` of the sequence mispredicted, once per pass, or None when
-        `read` is None.
+        is a `Branches` of this config; anything else is a TypeError.
+        Returns whether the branch at position `read` of the sequence
+        mispredicted, once per pass, or None when `read` is None.
 
         A selector that cannot switch mid-call (history mode, or a frozen
         one-level one) takes the counter-only path over the passes' groups
@@ -460,10 +462,10 @@ class PredictorState:
             raise ValueError(f"times must be >= 1, got {times}")
         cfg, sel = self.config, self.selector
         if not isinstance(branches, Branches):
-            branches = Branches(branches, cfg)
-        elif branches.config is not cfg and branches.config != cfg:
+            raise TypeError(f"execute takes a Branches, not {type(branches).__name__}")
+        if branches.config is not cfg and branches.config != cfg:
             raise ValueError("the branches are bound to another predictor config")
-        size = len(branches.triples)
+        size = len(branches)
         if read is not None and not 0 <= read < size:
             raise IndexError(f"read position {read} outside the sequence's {size} branches")
         flags = None if read is None else []

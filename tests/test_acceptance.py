@@ -25,6 +25,7 @@ from bpusim.attacks import (
 )
 from bpusim.engine import CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash, ShadowPht
 from bpusim.predictor import (
+    Branches,
     Direction,
     Mode,
     PredictorConfig,
@@ -122,13 +123,14 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                 layout = build_victim_v2(cfg, cond_name="bit")
                 model = LatencyModel()
                 h = BranchHarness(p, model.sampler())
-                context = layout.context if mode is Mode.HISTORY else []
+                context = layout.preamble.triples if mode is Mode.HISTORY else ()
 
                 def execute(direction):
                     """Whether one execution of the transmitter after the
                     context mispredicted, read from its noiseless latency."""
-                    latency = h.execute(context + [(layout.bv_addr, direction,
-                                                    layout.bv_addr + 0x40)], read=len(context))
+                    latency = h.execute(Branches([*context, (layout.bv_addr, direction,
+                                                             layout.bv_addr + 0x40)], cfg),
+                                        read=len(context))
                     return latency > model.threshold
 
                 for _ in range((1 << n) - 1):

@@ -103,14 +103,15 @@ def test_harness_latency_sampling():
     p = PredictorState()
     p.selector.frozen = True
     h = BranchHarness(p, LatencyModel().sampler())
+    not_taken = Branches([(0x4000, Direction.NOT_TAKEN, 0x4040)], p.config)
     # the fresh entry is weakly not-taken: predicted correctly
-    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)], read=0) == 10
+    assert h.execute(not_taken, read=0) == 10
     # a strongly taken entry mispredicts the not-taken execution
     p.pht_one_level[index_one_level(0x4000, p.config)] = 0
-    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)], read=0) == 50
+    assert h.execute(not_taken, read=0) == 50
     assert p.pht_one_level[index_one_level(0x4000, p.config)] == 1
     # a phase read at no execution still executes
-    assert h.execute([(0x4000, Direction.NOT_TAKEN, 0x4040)]) is None
+    assert h.execute(not_taken) is None
     assert p.pht_one_level[index_one_level(0x4000, p.config)] == 2
 
 
@@ -131,9 +132,10 @@ def test_harness_reads_the_execution_at_its_index(mode):
             flags.append(pred.direction is not outcome)
             reference.record_resolution(addr, outcome, pred, target)
     assert True in flags and False in flags
+    branches = Branches(triples, state.config)
     for read, mispredicted in enumerate(flags):
         p = state.clone()
-        assert BranchHarness(p, LatencyModel().sampler()).execute(triples, 4, read) == \
+        assert BranchHarness(p, LatencyModel().sampler()).execute(branches, 4, read) == \
             (50 if mispredicted else 10)
         assert diff(p.snapshot(), reference.snapshot()) == {}
 
@@ -144,9 +146,9 @@ def test_victim_layouts_are_valid_programs():
         instrs = layout.program.instructions
         assert len({i.addr for i in instrs}) == len(instrs)
         # the program is the body: the preamble is only its executions
-        assert len(layout.context) == cfg.ghr_depth
-        assert not {addr for addr, _, _ in layout.context} & {i.addr for i in instrs}
-        assert layout.context[-1][2] == layout.trigger_addr
+        assert len(layout.preamble) == cfg.ghr_depth
+        assert not {addr for addr, _, _ in layout.preamble.triples} & {i.addr for i in instrs}
+        assert layout.preamble.triples[-1][2] == layout.trigger_addr
         assert layout.program.entry == {0: layout.trigger_addr}
 
 
@@ -469,12 +471,12 @@ def _count_calls(monkeypatch, methods):
     return calls
 
 
-def test_covert_context_replay_is_one_predictor_call(monkeypatch):
-    """A 96-bit history-mode transmission is 290 kernel calls: the TNTNTN
-    switch, 193 harness calls, one per attacker phase (one call for the 7
-    presets, then per bit one context replay before the victim run and one
-    call for the 7 probes, each probe an execution with its 12-branch
-    context), and per bit one for the victim's preamble. 4 `predict` calls
+def test_covert_makes_one_kernel_call_per_phase_and_victim_preamble(monkeypatch):
+    """A 96-bit history-mode transmission is 194 kernel calls: the TNTNTN
+    switch, 97 harness calls, one per attacker phase (one call for the 7
+    presets, then per bit one call for the 7 probes, each probe an
+    execution with its 12-branch context), and per bit one for the victim's
+    preamble, which sets the GHR the probes replay. 4 `predict` calls
     are the engine's, one for the transmitter in each victim body run that
     misses the memo: a body run is keyed on its bit, and the chained probes
     leave the transmitter's entry at 0 and at 7 in turn, so each of the two
@@ -487,17 +489,15 @@ def test_covert_context_replay_is_one_predictor_call(monkeypatch):
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert set(message) == {"0", "1"}
-    assert calls == {"PredictorState.execute": 290, "BranchHarness.execute": 193,
+    assert calls == {"PredictorState.execute": 194, "BranchHarness.execute": 97,
                      "PredictorState.predict": 10,
                      "PredictorState.record_resolution": 6}
 
 
-def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
-    """The same 96-bit transmission makes one sampler call per harness call,
-    193 in all, and no `Branches` cache holds more than its bound. The preset
-    and the 96 context replays read no latency; each of the 96 probe phases
-    reads its decisive execution, the last branch of the fourth 13-branch
-    probe, index 51."""
+def _covert_sampler_calls(monkeypatch, mode):
+    """Transmit the 96-bit seed-0 message in `mode`; return the harness and
+    sampler call counts, the reads per read index, and every `Branches`
+    built on the way."""
     built = []
     init = Branches.__init__
 
@@ -515,10 +515,43 @@ def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
 
     monkeypatch.setattr(LatencySampler, "measure", record_read)
     message = "".join(random.Random(0).choices("01", k=96))
-    assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
-    assert calls == {"BranchHarness.execute": 193, "LatencySampler.measure": 193}
-    assert reads == {None: 97, 51: 96}
+    assert covert_send_receive(message, mode, seed=0).errors == 0
+    return calls, reads, built
+
+
+def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
+    """The same 96-bit transmission makes one sampler call per harness call,
+    97 in all, and no `Branches` cache holds more than its bound. The preset
+    reads no latency; each of the 96 probe phases reads its decisive
+    execution, the last branch of the fourth 13-branch probe, index 51."""
+    calls, reads, built = _covert_sampler_calls(monkeypatch, Mode.HISTORY)
+    assert calls == {"BranchHarness.execute": 97, "LatencySampler.measure": 97}
+    assert reads == {None: 1, 51: 96}
     assert max(len(b._runs) for b in built) <= bpu.MEMO_WORDS
+
+
+def test_one_level_covert_presets_after_each_reset(monkeypatch):
+    """In one-level mode the 96 bits make 98 harness and sampler calls: a
+    preset after the first reset and after the one at bit 64, which read no
+    latency, and the 96 probe phases. With no GHR context a probe is the
+    transmitter alone, so each phase reads its second execution."""
+    calls, reads, _ = _covert_sampler_calls(monkeypatch, Mode.ONE_LEVEL)
+    assert calls == {"BranchHarness.execute": 98, "LatencySampler.measure": 98}
+    assert reads == {None: 2, 1: 96}
+
+
+@pytest.mark.parametrize("owner", ["predictor", "harness"])
+def test_execute_refuses_raw_triples(owner):
+    """An attacker phase is a prebuilt `Branches`; a list of triples is a
+    TypeError that leaves the predictor and the noise stream as they were."""
+    p = PredictorState()
+    sampler = LatencyModel(NoiseKind.GAUSSIAN, 2.0, seed=1).sampler()
+    before, stream = p.snapshot(), sampler._rng.getstate()
+    execute = p.execute if owner == "predictor" else BranchHarness(p, sampler).execute
+    with pytest.raises(TypeError, match="execute takes a Branches, not list"):
+        execute([(0x4000, Direction.TAKEN, 0x4040)], 1, 0)
+    assert diff(before, p.snapshot()) == {}
+    assert sampler._rng.getstate() == stream
 
 
 @pytest.mark.parametrize("read", [3, 7, -1])
@@ -539,7 +572,7 @@ def test_harness_refuses_a_read_outside_the_phase_before_it_executes(read):
 def test_harness_refuses_fewer_than_one_pass(times):
     h = BranchHarness(PredictorState(), LatencyModel().sampler())
     with pytest.raises(ValueError, match=f"times must be >= 1, got {times}"):
-        h.execute([(0x4000, Direction.TAKEN, 0x4040)], times)
+        h.execute(Branches([(0x4000, Direction.TAKEN, 0x4040)], h.predictor.config), times)
 
 
 def test_probes_make_one_predictor_call_per_phase(monkeypatch):

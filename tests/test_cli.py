@@ -8,13 +8,14 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 from conftest import invoke
 
-from bpusim import attacks, engine as eng
+from bpusim import attacks, config, engine as eng, predictor
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
 from bpusim.cli import MAX_BITS, MAX_ITERATIONS, MAX_PROBE_N, cmd_scan
 from bpusim.config import ConfigFileError, parse_config
@@ -63,6 +64,43 @@ def test_parse_config_rejects_a_repeated_key():
         parse_config("ghr_depth = 8\nghr_depth = 12\n")
 
 
+def _documented_bounds() -> dict[str, tuple[int, int | None, bool]]:
+    """The size bounds `config`'s docstring lists, as field -> (least value,
+    largest value or None, whether it must be a power of two)."""
+    bounds = {}
+    for line in config.__doc__.splitlines():
+        m = re.fullmatch(r"- (.+): (a power of two, )?(?:(\d+) to (\d+)|at least (\d+))[;.]", line)
+        if m:
+            names, pow2, least, most, floor = m.groups()
+            for name in re.findall(r"`(\w+)`", names):
+                bounds[name] = (int(least or floor), most and int(most), bool(pow2))
+    return bounds
+
+
+def _refused(field: str, value: int) -> str | None:
+    try:
+        PredictorConfig(**{field: value})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_documented_config_bounds_match_the_code():
+    """Each bound in the config file format's docstring is the one
+    `PredictorConfig` enforces: `_SIZE_BOUNDS`, the power-of-two rule (3 is
+    inside every bound, and a power of two nowhere) and the threshold's
+    floor. A bound changed without its doc fails here."""
+    documented = _documented_bounds()
+    code = {name: (least, most, _refused(name, 3) == f"{name} must be a power of two")
+            for name, least, most in predictor._SIZE_BOUNDS}
+    code["transition_threshold"] = (1, None, False)
+    assert documented == code
+    for name, (least, most, _) in documented.items():
+        assert _refused(name, least) is None and _refused(name, least - 1) is not None
+        if most is not None:
+            assert _refused(name, most) is None and _refused(name, most + 1) is not None
+
+
 @pytest.mark.parametrize("tok, value", [
     ("-8", -8), ("0x10", 0x10), ("0X1F", 0x1F), ("42", 42),
     ("1_2", None), ("0x_1f", None), ("+7", None), ("--5", None), ("- 5", None),
@@ -94,6 +132,22 @@ def test_speculative_update_verdicts(tmp_path):
     r = _run(["--out", str(out), "--policy", "commit-time", "speculative-update"])
     doc = json.loads((out / "speculative_update.json").read_text())
     assert doc["verdict"] == "not persisted"
+
+
+@pytest.mark.parametrize("entries, shared", [(2, 0), (128, 64)])
+@pytest.mark.parametrize("policy", ["commit-time", "shadow-pht"])
+def test_speculative_update_refuses_a_shared_outer_entry(tmp_path, policy, entries, shared):
+    """Both policies drop the squashed child's step; an entry shared with the
+    outer branch would still move, and read as persisted."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"pht_entries_one_level = {entries}\n")
+    result = _fail(["--config", str(cfg), "--out", str(tmp_path), "--policy", policy,
+                    "speculative-update"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"Error: the outer branch (0x100) and the child (0x300) share one-level PHT entry "
+        f"{shared}, so its move cannot tell their steps apart"]
+    assert not list(tmp_path.glob("speculative_update*"))
 
 
 def test_trace_artifact_format(tmp_path):

@@ -15,7 +15,7 @@ from bpusim.engine import (
     SimulationError,
     obfuscate_entries,
 )
-from bpusim.attacks import speculative_update_scenario
+from bpusim.attacks import AttackError, speculative_update_scenario
 from bpusim.predictor import (
     Direction,
     Mode,
@@ -318,6 +318,22 @@ def test_mitigations_leave_entry_bit_identical(policy):
     doc = speculative_update_scenario(policy)
     assert not doc["persisted"] and doc["verdict"] == "not persisted"
     assert doc["state_unchanged"]
+
+
+@pytest.mark.parametrize("entries, shared", [(2, 0), (128, 64)])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_speculative_update_refuses_an_outer_branch_on_the_childs_entry(policy, entries, shared):
+    """At 128 one-level entries or fewer, 0x100 and 0x300 share an entry,
+    and the outer branch's committed step would read as the child's."""
+    with pytest.raises(AttackError, match=f"share one-level PHT entry {shared},"):
+        speculative_update_scenario(policy, PredictorConfig(pht_entries_one_level=entries))
+
+
+@pytest.mark.parametrize("policy", [ResolveTime, CommitTime, RestoreOnSquash, ShadowPht])
+def test_speculative_update_verdict_at_the_smallest_unshared_table(policy):
+    doc = speculative_update_scenario(policy, PredictorConfig(pht_entries_one_level=256))
+    assert doc["persisted"] is (policy is ResolveTime)
+    assert doc["state_unchanged"] is not doc["persisted"]
 
 
 def test_obfuscate_on_squash_scrambles_deterministically():

@@ -161,9 +161,9 @@ GOLDEN = {
     "covert --bits 96 --noise gaussian --sigma 15 --mode one-level":
         "f487bbb51f471830df62831e8ddc46ef9b78d4a837e36adcc9a6fd47ad2d8167",
     "covert --bits 96 --noise gaussian --sigma 15 --mode history":
-        "5df8b89f7f63d420dc1b07aeb256841f666f83f12e11bab6a6edef2810422db5",
+        "6680ad3104b0b752ed9c93024f89040a1975eec51a3a02d2ddfe27df8504d4c2",
     "covert --bits 96 --noise uniform --sigma 20 --mode history":
-        "e91ba5c65947f88f602afd6dca5a9ff038cd16a239e37a4665c0af8eb00bf963",
+        "b0dbccf37aede3e132e4ef0424cca5ca8c908983e1b0dfd80d965c62d83e01cc",
     "sidechannel-v1 --random-bits 40 --noise uniform --sigma 25 --mode history":
         "941ede3c12bc36e6cd69a15ac4e9dd81b61b9ba34c388d203bf946abb64eb215",
     "sidechannel-v2 --no-poison --random-bits 40 --noise gaussian --sigma 10":

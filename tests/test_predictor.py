@@ -449,9 +449,10 @@ def test_execute_matches_predict_and_record_resolution(case):
         pred = reference.predict(addr)
         flags.append(pred.direction is not outcome)
         reference.record_resolution(addr, outcome, pred, target)
+    sequence = Branches(branches, state.config)
     for read in [None, *range(len(branches))]:
         fused = state.clone()
-        assert fused.execute(branches, read=read) == _reads(flags, len(branches), read)
+        assert fused.execute(sequence, read=read) == _reads(flags, len(branches), read)
         assert diff(fused.snapshot(), reference.snapshot()) == {}
 
 
@@ -584,7 +585,7 @@ def test_execute_refuses_a_read_outside_the_sequence(mode, read):
     state.selector.mode = mode
     before = state.snapshot()
     with pytest.raises(IndexError, match=f"read position {read} outside the sequence's 2"):
-        state.execute([(0x4000, Direction.TAKEN, 0x4040)] * 2, 3, read)
+        state.execute(Branches([(0x4000, Direction.TAKEN, 0x4040)] * 2, state.config), 3, read)
     assert diff(before, state.snapshot()) == {}
 
 

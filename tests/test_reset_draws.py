@@ -26,6 +26,7 @@ from bpusim import predictor as pred
 from bpusim.attacks import covert_send_receive, probe_mode, side_channel_v1, side_channel_v2
 from bpusim.engine import POLICIES
 from bpusim.predictor import (
+    Branches,
     Direction,
     GlobalHistoryRegister,
     Mode,
@@ -203,7 +204,7 @@ def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
         reset = list(digests)
         p.selector.mode = Mode.HISTORY
         p.predict(0x4000)
-        p.execute([(0x4000, Direction.TAKEN, 0x4041)])
+        p.execute(Branches([(0x4000, Direction.TAKEN, 0x4041)], cfg))
         key = seed_key(entries)
         assert reset == [(key, table_bytes(entries, widths[0]) + -(-depth * widths[2] // 8))]
         assert digests == reset + [(key + HISTORY_TAG, table_bytes(entries, widths[1]))]
@@ -315,10 +316,11 @@ def test_a_history_read_draws_the_history_table_exactly_once(monkeypatch):
 
     draws.clear()
     p.randomize_reset(6)
-    p.execute([(0x4000, Direction.TAKEN, 0x4041)] * 3)  # one-level: no draw
+    thrice = Branches([(0x4000, Direction.TAKEN, 0x4041)] * 3, p.config)
+    p.execute(thrice)  # one-level: no draw
     p.selector.mode = Mode.HISTORY
     p.predict(0x4000)
-    p.execute([(0x4000, Direction.TAKEN, 0x4041)] * 3)
+    p.execute(thrice)
     p.predict(0x4000)
     assert draws == whole
 
@@ -391,8 +393,9 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
             for s in (lazy, eager):
                 s.selector.mode, s.selector.frozen = op[1], op[2]
         elif kind == "execute":  # every pass's flag at one position
-            _, branches, times, read = op
-            read = read % len(branches) if branches else None
+            _, triples, times, read = op
+            read = read % len(triples) if triples else None
+            branches = Branches(triples, cfg)
             assert lazy.execute(branches, times, read) == eager.execute(branches, times, read)
         elif kind == "predict":
             _, addr, outcome, target = op

@@ -49,7 +49,7 @@ def with_preamble(layout) -> Program:
     entry."""
     pid = layout.schedule[0]
     pre = [Instruction(pid, COND_BRANCH, addr, target, "pre", 1)
-           for addr, _, target in layout.context]
+           for addr, _, target in layout.preamble.triples]
     return Program(pre + list(layout.program.instructions))
 
 
@@ -264,6 +264,7 @@ def test_victim_run_matches_the_preamble_run_as_code(run_args):
     full, engine = eng.run(with_preamble(layout), layout.schedule, policy, predictor.clone(),
                            env={"pre": 1, **env}, seed=seed)
     assert diff(kernel.snapshot(), engine.snapshot()) == {}
-    depth = len(layout.context)
-    assert [b.instr.addr for b in full.branches[:depth]] == [a for a, _, _ in layout.context]
+    depth = len(layout.preamble)
+    assert [b.instr.addr for b in full.branches[:depth]] == \
+        [a for a, _, _ in layout.preamble.triples]
     assert _flags(result.branches) == _flags(full.branches[depth:])
