@@ -5,17 +5,17 @@ Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: a `Branches` sequence of
 `(addr, outcome, target)` triples run `times` over by one
 `PredictorState.execute` call against the shared predictor, directly or
-through `BranchHarness`, which times the one execution the receiver reads,
-if any: a trial's probes read the decisive execution, and the preset reads
-none. So are the victim's always-taken preamble to its trigger, one
-untimed kernel call before each run of the victim's body, and v1's
-in-bounds warm-ups, one untimed kernel call per trial over the preamble,
-the trigger and the transmitter. The channel's sequences, the preamble
-and the warm-up are built once; the mode and depth probes build theirs
-per call. Only the body of the run on the trial's bit, where the transient
-step happens, goes through the speculation engine (`VictimLayout.transmit`,
-which replays it from a memo), so the update policy governs exactly the
-speculative updates.
+through `BranchHarness`. The harness times the last execution of the one
+pass the receiver reads, with one noise draw: a trial's probes read the
+decisive pass, and the preset reads none. So are the victim's always-taken
+preamble to its trigger, one untimed kernel call before each run of the
+victim's body, and v1's in-bounds warm-ups, one untimed kernel call per
+trial over the preamble, the trigger and the transmitter. The channel's
+sequences, the preamble and the warm-up are built once; the mode and depth
+probes build theirs per call. Only the body of the run on the trial's bit,
+where the transient step happens, goes through the speculation engine
+(`VictimLayout.transmit`, which replays it from a memo), so the update
+policy governs exactly the speculative updates.
 """
 
 from __future__ import annotations
@@ -73,16 +73,14 @@ class BranchHarness:
 
     def execute(self, branches: Branches, times: int = 1, read: int | None = None) -> int | None:
         """Execute a branch sequence `times` over, in one predictor call, and
-        return the latency of execution `read`, or None when `read` is None:
-        what the attacker observes. The predictor call reports only that
-        execution's flag, and one sampler call draws the noise of every
-        execution. A `read` outside the phase is refused before anything
-        executes."""
-        size = len(branches)
-        if read is not None and not 0 <= read < size * times:
-            raise IndexError(f"read index {read} outside the phase's {size * times} executions")
-        flags = self.predictor.execute(branches, times, None if read is None else read % size)
-        return self.sampler.measure(size * times, read, read is not None and flags[read // size])
+        return the latency of the last execution of pass `read`, or None
+        when `read` is None: what the attacker observes. Only a read calls
+        the sampler. A pass outside `0 .. times - 1` is refused before
+        anything executes."""
+        if read is not None and not 0 <= read < times:
+            raise IndexError(f"read pass {read} outside the phase's {times} passes")
+        flags = self.predictor.execute(branches, times, read is not None)
+        return None if read is None else self.sampler.measure(flags[read])
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -131,7 +129,7 @@ def probe_mode(predictor: PredictorState) -> Mode:
     taken, not_taken = (Branches([*context, (PROBE_TARGET, d, PROBE_TARGET + 0x40)], cfg)
                         for d in (TAKEN, NOT_TAKEN))
     work.execute(taken, 1 << n)
-    count = sum(work.execute(not_taken, 1 << (n - 1), len(context)))
+    count = sum(work.execute(not_taken, 1 << (n - 1), True))
     if count in expected:
         return expected[count]
     raise ProbeError(f"ambiguous misprediction count {count} in "
@@ -165,7 +163,7 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
         work.execute(Branches([*p1, *preamble, (target, TAKEN, target + 0x40)], cfg),
                      (1 << n) - 1)
         probe = Branches([*p2, *preamble, (target, NOT_TAKEN, target + 0x40)], cfg)
-        if all(work.execute(probe, 1 << (n - 1), len(probe) - 1)):
+        if all(work.execute(probe, 1 << (n - 1), True)):
             return N
     raise ProbeError(f"no PHT collision observed up to N={max_N}")
 
@@ -338,10 +336,11 @@ class _Channel:
         # (by default the victim's own preamble), and each execution of the
         # transmitter's address, context first
         if mode is not HISTORY:
-            context = []
-        self.context = layout.preamble if context is None else Branches(context, config)
+            context = ()
+        elif context is None:
+            context = layout.preamble.triples
         b_a = layout.bv_addr
-        self.executions = {d: Branches([*self.context.triples, (b_a, d, b_a + 0x40)], config)
+        self.executions = {d: Branches([*context, (b_a, d, b_a + 0x40)], config)
                            for d in Direction}
         self.n = config.counter_width(mode)
         self.direction: Direction | None = None  # None: the entry needs a preset
@@ -361,8 +360,6 @@ class _Channel:
         anyway. Returns the decoded bits and the trace of decisive probes."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
-        # the last branch of the half-th probe execution
-        decisive_index = half * (len(self.context) + 1) - 1
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
             prepare(i)
@@ -374,7 +371,7 @@ class _Channel:
             if unresolved is not None and not resolved:
                 raise unresolved(i, fetched)
             latency = self.harness.execute(self.executions[self.direction.opposite()], probes,
-                                           decisive_index)
+                                           half - 1)
             trace.append(probe + half, latency)
             probe += probes
             looks_mispredicted = latency > self.model.threshold

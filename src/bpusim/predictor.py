@@ -235,7 +235,8 @@ class GlobalHistoryRegister:
         their masked targets packed oldest first. Only the last `ghr_depth`
         stay in the window, so `tail` need hold no more, and the passes after
         the first ceil(ghr_depth / count) leave the word as it is: with
-        `count >= ghr_depth` it is the masked tail after one pass."""
+        `count >= ghr_depth`, as in every channel execution in history
+        mode, it is the masked tail after one pass."""
         if count >= self._depth and times > 0:
             self._word = tail & self._wmask
             return
@@ -329,9 +330,6 @@ class Branches:
         self.count, self.tail = len(targets), tail
         self._runs: dict[tuple[int, int], list[tuple[tuple, bool, int]]] = {}
 
-    def __len__(self) -> int:
-        return len(self.triples)
-
     def groups(self, state: "PredictorState", times: int = 1) -> list[tuple[tuple, bool, int]]:
         """The sequence run `times` over from `state`'s GHR, in history
         mode, as `(pairs, distinct, passes)` groups of identical passes in
@@ -404,11 +402,10 @@ class PredictorState:
         the predictor's own: the GHR word xor-folded to the index width, xor
         the address above its alignment bits and the salt. This is the
         formula's one copy: `predict` calls it per branch, and
-        `Branches.groups` walks it over a GHR clone on a memo miss. After a
-        reset it first draws the history PHT. The fold costs one shift-xor
-        per index width of history bits."""
-        if self._pht_history is None:
-            self.pht_history = _history_values(self.config, self._reset_seed)
+        `Branches.groups` walks it over a GHR clone on a memo miss. It
+        reads no table, so after a reset the history PHT stays undrawn until
+        a caller reads it. The fold costs one shift-xor per index width of
+        history bits."""
         mask = self.config.pht_entries_history - 1
         width = mask.bit_length()
         word, index = (ghr or self.ghr)._word, (addr >> 2) ^ self.config.index_salt
@@ -442,12 +439,12 @@ class PredictorState:
         if outcome is TAKEN:
             self.ghr.insert_taken(target)
 
-    def execute(self, branches, times: int = 1, read: int | None = None) -> list[bool] | None:
+    def execute(self, branches, times: int = 1, read: bool = False) -> list[bool] | None:
         """Committed executions of a branch sequence, `times` over: for each
         branch, what `predict` and then `record_resolution` do. `branches`
         is a `Branches` of this config; anything else is a TypeError.
-        Returns whether the branch at position `read` of the sequence
-        mispredicted, once per pass, or None when `read` is None.
+        When `read`, returns whether the sequence's last branch mispredicted,
+        once per pass, and refuses an empty sequence; else returns None.
 
         A selector that cannot switch mid-call (history mode, or a frozen
         one-level one) takes the counter-only path over the passes' groups
@@ -465,10 +462,9 @@ class PredictorState:
             raise TypeError(f"execute takes a Branches, not {type(branches).__name__}")
         if branches.config is not cfg and branches.config != cfg:
             raise ValueError("the branches are bound to another predictor config")
-        size = len(branches)
-        if read is not None and not 0 <= read < size:
-            raise IndexError(f"read position {read} outside the sequence's {size} branches")
-        flags = None if read is None else []
+        if read and not branches.triples:
+            raise ValueError("an empty sequence has no last branch to read")
+        flags = [] if read else None
         if sel.mode is HISTORY:
             tbl, width = self.pht_history, cfg.history_bits
             groups = branches.groups(self, times)
@@ -477,34 +473,33 @@ class PredictorState:
             groups = ((branches.one_level, branches.distinct, times),)
         else:
             for _ in range(times):
-                for k, (addr, outcome, target) in enumerate(branches.triples):
+                for addr, outcome, target in branches.triples:
                     pred = self.predict(addr)
                     self.record_resolution(addr, outcome, pred, target)
-                    if k == read:
-                        flags.append(pred.direction is not outcome)
+                if read:  # the pass's last branch
+                    flags.append(pred.direction is not outcome)
             return flags
         half, top = 1 << (width - 1), (1 << width) - 1
         for pairs, distinct, passes in groups:
             if distinct:
-                if read is not None:
+                if read:
                     # a taken execution mispredicts while the entry is at or
                     # above half, a not-taken one while it is below
-                    taken, index = pairs[read]
+                    taken, index = pairs[-1]
                     wrong = tbl[index] - half + 1 if taken else half - tbl[index]
                     wrong = min(max(wrong, 0), passes)
                     flags += [True] * wrong + [False] * (passes - wrong)
                 _step(tbl, pairs, top, passes)
                 continue
-            # the read branch's entry is read between the steps before it
-            # and the steps from it on
-            split = len(pairs) if read is None else read
-            before, after = pairs[:split], pairs[split:]
+            # the last branch's entry is read between the steps before it
+            # and its own
+            before, last = pairs[:-1], pairs[-1:]
+            taken, index = last[0]
             for _ in range(passes):
                 _step(tbl, before, top, 1)
-                if read is not None:
-                    taken, index = after[0]
+                if read:
                     flags.append(tbl[index] >= half if taken else tbl[index] < half)
-                _step(tbl, after, top, 1)
+                _step(tbl, last, top, 1)
         self.ghr.advance(branches.count, branches.tail, times)
         return flags
 

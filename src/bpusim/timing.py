@@ -1,8 +1,7 @@
 """What the attacker sees of its branch executions: the latency model, a
-seeded noise stream that draws once per execution, the one latency a phase
-returns (the execution its receiver reads, known to the sampler by the
-phase's length, its index and whether it mispredicted), and the trace of
-decisive probes."""
+seeded noise stream that draws once per timed execution, the latency of
+the one execution a phase's receiver reads (known to the sampler only by
+whether it mispredicted), and the trace of decisive probes."""
 
 from __future__ import annotations
 
@@ -52,37 +51,25 @@ class LatencyModel:
 class LatencySampler:
     """Owns the seeded noise stream for one simulation run.
 
-    A phase draws one noise value per execution, in order, but builds the
-    latency of only the execution its receiver reads, so the stream does
-    not depend on which one that is. Uniform noise adds a whole number of
-    latency units drawn uniformly from [-sigma, sigma]. Gaussian noise is
-    drawn as a standard normal scaled by sigma, so runs that share a seed
-    see error counts monotone in sigma.
+    Each timed execution draws one noise value, in order. Uniform noise
+    adds a whole number of latency units drawn uniformly from [-sigma,
+    sigma]. Gaussian noise is drawn as a standard normal scaled by sigma,
+    so runs that share a seed see error counts monotone in sigma.
     """
 
     def __init__(self, model: LatencyModel):
         self.model = model
         self._rng = random.Random(model.seed)
 
-    def measure(self, n: int, read: int | None = None, mispredicted: bool = False) -> int | None:
-        """The latency of execution `read` of a phase of `n` executions,
-        given whether it `mispredicted`, or None when `read` is None. Noise
-        is drawn for every execution, in order, whichever one is read, so
-        the stream ends where a latency per execution would leave it."""
-        if read is not None and not 0 <= read < n:
-            raise IndexError(f"read index {read} outside the phase's {n} executions")
-        m, rng, noise = self.model, self._rng, 0
+    def measure(self, mispredicted: bool) -> int:
+        """The latency of one timed execution, given whether it
+        `mispredicted`, with the stream's next noise value added."""
+        m, noise = self.model, 0
         if m.noise is UNIFORM:
             s = int(m.noise_param)
-            draws = [rng.randint(-s, s) for _ in range(n)]
-            if read is not None:
-                noise = draws[read]
+            noise = self._rng.randint(-s, s)
         elif m.noise is GAUSSIAN:
-            draws = [rng.gauss(0.0, 1.0) for _ in range(n)]
-            if read is not None:
-                noise = round(draws[read] * m.noise_param)
-        if read is None:
-            return None
+            noise = round(self._rng.gauss(0.0, 1.0) * m.noise_param)
         return (BASE_LATENCY + MISPREDICT_PENALTY if mispredicted else BASE_LATENCY) + noise
 
 

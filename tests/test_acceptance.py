@@ -130,7 +130,7 @@ def test_criterion_04_inference_rule_exhaustive(capsys):
                     context mispredicted, read from its noiseless latency."""
                     latency = h.execute(Branches([*context, (layout.bv_addr, direction,
                                                              layout.bv_addr + 0x40)], cfg),
-                                        read=len(context))
+                                        read=0)
                     return latency > model.threshold
 
                 for _ in range((1 << n) - 1):

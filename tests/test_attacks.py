@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import victim_run
 
-from bpusim import attacks, engine as eng, predictor as bpu
+from bpusim import attacks, engine as eng, predictor as bpu, timing
 from bpusim.attacks import (
     AttackError,
     BranchHarness,
@@ -117,20 +118,23 @@ def test_harness_latency_sampling():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_harness_reads_the_execution_at_its_index(mode):
-    """Read at any execution of any pass, a harness call returns that
-    execution's noiseless latency, as the branch-by-branch reference finds
-    it, and leaves the state the reference leaves."""
-    triples = [(0x4000, Direction.NOT_TAKEN, 0x4040), (0x4100, Direction.TAKEN, 0x4141),
-               (0x4000, Direction.TAKEN, 0x4040)]
+    """Read at any pass, a harness call returns the noiseless latency of
+    that pass's last execution, as the branch-by-branch reference finds it,
+    and leaves the state the reference leaves. The last branch shares its
+    entry with the first, so the kernel runs pass by pass."""
+    triples = [(0x4000, Direction.NOT_TAKEN, 0x4040), (0x4100, Direction.TAKEN, 0x4140),
+               (0x4000, Direction.NOT_TAKEN, 0x4040)]
     state = PredictorState()
     state.selector.mode, state.selector.frozen = mode, True
-    state.pht_one_level[index_one_level(0x4000, state.config)] = 0
+    # the taken target inserts 0 into the zero GHR, so 0x4000 keeps this entry
+    state.table(mode)[state.predict(0x4000).index] = 0
     reference, flags = state.clone(), []
     for _ in range(4):
         for addr, outcome, target in triples:
             pred = reference.predict(addr)
             flags.append(pred.direction is not outcome)
             reference.record_resolution(addr, outcome, pred, target)
+    flags = flags[len(triples) - 1::len(triples)]  # each pass's last execution
     assert True in flags and False in flags
     branches = Branches(triples, state.config)
     for read, mispredicted in enumerate(flags):
@@ -146,7 +150,7 @@ def test_victim_layouts_are_valid_programs():
         instrs = layout.program.instructions
         assert len({i.addr for i in instrs}) == len(instrs)
         # the program is the body: the preamble is only its executions
-        assert len(layout.preamble) == cfg.ghr_depth
+        assert len(layout.preamble.triples) == cfg.ghr_depth
         assert not {addr for addr, _, _ in layout.preamble.triples} & {i.addr for i in instrs}
         assert layout.preamble.triples[-1][2] == layout.trigger_addr
         assert layout.program.entry == {0: layout.trigger_addr}
@@ -496,8 +500,8 @@ def test_covert_makes_one_kernel_call_per_phase_and_victim_preamble(monkeypatch)
 
 def _covert_sampler_calls(monkeypatch, mode):
     """Transmit the 96-bit seed-0 message in `mode`; return the harness and
-    sampler call counts, the reads per read index, and every `Branches`
-    built on the way."""
+    sampler call counts, the harness calls per read pass, and every
+    `Branches` built on the way."""
     built = []
     init = Branches.__init__
 
@@ -507,37 +511,65 @@ def _covert_sampler_calls(monkeypatch, mode):
 
     monkeypatch.setattr(Branches, "__init__", record)
     calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
-    reads, measure = Counter(), LatencySampler.measure
+    reads, execute = Counter(), BranchHarness.execute
 
-    def record_read(self, n, read=None, mispredicted=False):
+    def record_read(self, branches, times=1, read=None):
         reads[read] += 1
-        return measure(self, n, read, mispredicted)
+        return execute(self, branches, times, read)
 
-    monkeypatch.setattr(LatencySampler, "measure", record_read)
+    monkeypatch.setattr(BranchHarness, "execute", record_read)
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, mode, seed=0).errors == 0
     return calls, reads, built
 
 
-def test_covert_makes_one_sampler_call_per_harness_call(monkeypatch):
-    """The same 96-bit transmission makes one sampler call per harness call,
-    97 in all, and no `Branches` cache holds more than its bound. The preset
-    reads no latency; each of the 96 probe phases reads its decisive
-    execution, the last branch of the fourth 13-branch probe, index 51."""
+def test_covert_makes_one_sampler_call_per_probe_phase(monkeypatch):
+    """The same 96-bit transmission makes 97 harness calls and one sampler
+    call per probe phase, 96 in all, and no `Branches` cache holds more
+    than its bound. The preset reads no latency and calls no sampler; each
+    of the 96 probe phases reads its decisive pass, the fourth of its 7
+    13-branch probes, pass 3."""
     calls, reads, built = _covert_sampler_calls(monkeypatch, Mode.HISTORY)
-    assert calls == {"BranchHarness.execute": 97, "LatencySampler.measure": 97}
-    assert reads == {None: 1, 51: 96}
+    assert calls == {"BranchHarness.execute": 97, "LatencySampler.measure": 96}
+    assert reads == {None: 1, 3: 96}
     assert max(len(b._runs) for b in built) <= bpu.MEMO_WORDS
 
 
 def test_one_level_covert_presets_after_each_reset(monkeypatch):
-    """In one-level mode the 96 bits make 98 harness and sampler calls: a
-    preset after the first reset and after the one at bit 64, which read no
-    latency, and the 96 probe phases. With no GHR context a probe is the
-    transmitter alone, so each phase reads its second execution."""
+    """In one-level mode the 96 bits make 98 harness calls: a preset after
+    the first reset and after the one at bit 64, which read no latency and
+    call no sampler, and the 96 probe phases, one sampler call each. With
+    2-bit counters a phase probes 3 times and reads its second pass."""
     calls, reads, _ = _covert_sampler_calls(monkeypatch, Mode.ONE_LEVEL)
-    assert calls == {"BranchHarness.execute": 98, "LatencySampler.measure": 98}
+    assert calls == {"BranchHarness.execute": 98, "LatencySampler.measure": 96}
     assert reads == {None: 2, 1: 96}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_covert_draws_one_noise_value_per_timed_probe(monkeypatch, mode):
+    """The seed-0 96-bit transmission draws one noise value per probe phase:
+    96 standard normals under Gaussian noise, 96 whole numbers under
+    uniform noise, and none without noise. A draw per attacker execution
+    made 8,827 in history mode and 294 in one-level mode."""
+    draws = Counter()
+
+    class Counting(random.Random):
+        def gauss(self, *args):
+            draws["gauss"] += 1
+            return super().gauss(*args)
+
+        def randint(self, *args):
+            draws["randint"] += 1
+            return super().randint(*args)
+
+    monkeypatch.setattr(timing, "random", SimpleNamespace(Random=Counting))
+    message = "".join(random.Random(0).choices("01", k=96))
+    counts = []
+    for noise, sigma in ((NoiseKind.NONE, 0), (NoiseKind.GAUSSIAN, 15), (NoiseKind.UNIFORM, 20)):
+        draws.clear()
+        covert_send_receive(message, mode, LatencyModel(noise, sigma, seed=0), seed=0)
+        counts.append(dict(draws))
+    assert counts == [{}, {"gauss": 96}, {"randint": 96}]
 
 
 @pytest.mark.parametrize("owner", ["predictor", "harness"])
@@ -556,13 +588,14 @@ def test_execute_refuses_raw_triples(owner):
 
 @pytest.mark.parametrize("read", [3, 7, -1])
 def test_harness_refuses_a_read_outside_the_phase_before_it_executes(read):
-    """A read outside the phase's three executions leaves the predictor and
-    the noise stream as they were."""
+    """A read outside the phase's three passes, of two branches each, leaves
+    the predictor and the noise stream as they were."""
     p = PredictorState()
     sampler = LatencyModel(NoiseKind.GAUSSIAN, 2.0, seed=1).sampler()
     before, stream = p.snapshot(), sampler._rng.getstate()
-    branches = Branches([(0x4000, Direction.TAKEN, 0x4040)], p.config)
-    with pytest.raises(IndexError, match=f"read index {read} outside the phase's 3 executions"):
+    branches = Branches([(0x4000, Direction.TAKEN, 0x4040), (0x4100, Direction.TAKEN, 0x4140)],
+                        p.config)
+    with pytest.raises(IndexError, match=f"read pass {read} outside the phase's 3 passes"):
         BranchHarness(p, sampler).execute(branches, 3, read)
     assert diff(before, p.snapshot()) == {}
     assert sampler._rng.getstate() == stream

@@ -47,7 +47,7 @@ ONCE = [
     ["scan", "--registers", "RDI,RSI", "--window", "8"],
 ]
 
-# with noise the sampler draws once per probe, so these see a changed probe count
+# with noise each timed probe draws from the seeded stream, so these pin the draws
 NOISY = [
     ["covert", "--bits", "96", "--noise", "gaussian", "--sigma", "15", "--mode", "one-level"],
     ["covert", "--bits", "96", "--noise", "gaussian", "--sigma", "15", "--mode", "history"],
@@ -159,15 +159,15 @@ GOLDEN = {
     "scan --registers RDI,RSI --window 8":
         "22d24b94e816404c559e3d02ca4804b3554977ae1428a75fbb866c4b3df711ad",
     "covert --bits 96 --noise gaussian --sigma 15 --mode one-level":
-        "f487bbb51f471830df62831e8ddc46ef9b78d4a837e36adcc9a6fd47ad2d8167",
+        "7b1d15d89c6d93e7a92260bb31411b70808b1bd731706d9b9b360270491fc91d",
     "covert --bits 96 --noise gaussian --sigma 15 --mode history":
-        "6680ad3104b0b752ed9c93024f89040a1975eec51a3a02d2ddfe27df8504d4c2",
+        "4678e782fc8d80d4b942e67d6c71a6b83d0f5d991e4b34a95d0a20788d99be4e",
     "covert --bits 96 --noise uniform --sigma 20 --mode history":
-        "b0dbccf37aede3e132e4ef0424cca5ca8c908983e1b0dfd80d965c62d83e01cc",
+        "7bf28cc4a8dc2f50c8a2d94b496726d7516a716bee4d7a6843776e4abed18b6b",
     "sidechannel-v1 --random-bits 40 --noise uniform --sigma 25 --mode history":
-        "941ede3c12bc36e6cd69a15ac4e9dd81b61b9ba34c388d203bf946abb64eb215",
+        "86e97235d4af5c94b19c7105af0d42566234ab356315b26e575b40f1e3cdd751",
     "sidechannel-v2 --no-poison --random-bits 40 --noise gaussian --sigma 10":
-        "d77e9050443abb646c757d04c594ba8c3695381546ad46ab59e4713e2a2ed7d3",
+        "dd36115b97ae63839c06ee4aee72c90e53ce9c076ddaab89e1d95ff21f9da0e1",
 }
 
 
@@ -232,11 +232,11 @@ def library_digest(call) -> str:
 
 LIBRARY_GOLDEN = {
     "covert one-level reset_interval=16":
-        "bc6da40ab2b7bf6d259bdab48310d37f4b92a14a75db372b58700e2cfb190a88",
+        "a084298bc74354d875122d09b7e036ce853865a95c53c59bc53ef184d388605a",
     "v1 history corrupt_preamble_entry=3":
-        "f09849e1f4e63cfc41b47f68e5fe96c8ba776c00efe2da4c2069ef77d4dfd153",
+        "937439b67c5e412a33953c9c3a30fc671790f12288bf8f586c1c08747acd1dfd",
     "v1 history corrupt_preamble_entry=5":
-        "f09849e1f4e63cfc41b47f68e5fe96c8ba776c00efe2da4c2069ef77d4dfd153",
+        "937439b67c5e412a33953c9c3a30fc671790f12288bf8f586c1c08747acd1dfd",
 }
 
 

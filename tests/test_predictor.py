@@ -441,7 +441,7 @@ def _execute_cases(draw):
 def test_execute_matches_predict_and_record_resolution(case):
     """The committed-execution kernel against `predict` + `record_resolution`
     per branch, through one-level -> history switches of an unfrozen
-    selector, read at every position and at none."""
+    selector, read at the last branch and at none."""
     state, branches = case
     reference = state.clone()
     flags = []
@@ -450,16 +450,16 @@ def test_execute_matches_predict_and_record_resolution(case):
         flags.append(pred.direction is not outcome)
         reference.record_resolution(addr, outcome, pred, target)
     sequence = Branches(branches, state.config)
-    for read in [None, *range(len(branches))]:
+    for read in (False, True) if branches else (False,):
         fused = state.clone()
         assert fused.execute(sequence, read=read) == _reads(flags, len(branches), read)
         assert diff(fused.snapshot(), reference.snapshot()) == {}
 
 
 def _reads(flags, size, read):
-    """Each pass's flag at position `read` of a `size`-branch sequence, from
-    the flags of all executions, or None when `read` is None."""
-    return None if read is None else flags[read::size]
+    """Each pass's flag at the last branch of a `size`-branch sequence, from
+    the flags of all executions, when `read`; else None."""
+    return flags[size - 1::size] if read else None
 
 
 def _reference_execute(state, branches, times):
@@ -499,12 +499,12 @@ SMALL_MEMO_WORDS = 2
 @given(_monitored_execute_cases(),
        st.lists(st.tuples(st.lists(st.integers(0, 0xFF), min_size=1, max_size=3),
                           st.lists(_between_calls, max_size=2), st.integers(1, 4),
-                          st.integers(0, 40)),
+                          st.booleans()),
                 min_size=2 * SMALL_MEMO_WORDS + 1, max_size=40))
 def test_one_branches_executed_again_matches_the_reference(case, calls):
     """One `Branches` run by many `execute` calls, `times` 1-4 each and each
-    read at one position, against `predict` + `record_resolution` per
-    execution. Before each call come GHR
+    read at the last branch or at none, against `predict` +
+    `record_resolution` per execution. Before each call come GHR
     inserts, then maybe resets, clones and mode changes. The memo holds
     `SMALL_MEMO_WORDS` keys here, and the history-mode calls of about half
     the examples make more, so it starts over."""
@@ -525,7 +525,7 @@ def test_one_branches_executed_again_matches_the_reference(case, calls):
                 else:
                     for s in (fused, reference):
                         s.selector.mode, s.selector.frozen = op[1], op[2]
-            read = read % len(triples) if triples else None
+            read = read and bool(triples)
             assert fused.execute(branches, times, read) == _reads(
                 _reference_execute(reference, triples, times), len(triples), read)
             assert diff(fused.snapshot(), reference.snapshot()) == {}
@@ -547,8 +547,8 @@ def _memo_sizes_over_fresh_words(passes):
         for s in (fused, reference):
             s.ghr.insert_taken(k)
         times = passes(k)
-        assert fused.execute(branches, times, k % 9) == _reads(
-            _reference_execute(reference, triples, times), 9, k % 9)
+        assert fused.execute(branches, times, True) == _reads(
+            _reference_execute(reference, triples, times), 9, True)
         sizes.append(len(branches._runs))
     assert diff(fused.snapshot(), reference.snapshot()) == {}
     return sizes
@@ -579,14 +579,15 @@ def test_execute_refuses_fewer_than_one_pass(mode, times):
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("read", [-1, 2])
-def test_execute_refuses_a_read_outside_the_sequence(mode, read):
+@pytest.mark.parametrize("frozen", [False, True])
+def test_execute_refuses_to_read_an_empty_sequence(mode, frozen):
     state = PredictorState()
-    state.selector.mode = mode
+    state.selector.mode, state.selector.frozen = mode, frozen
     before = state.snapshot()
-    with pytest.raises(IndexError, match=f"read position {read} outside the sequence's 2"):
-        state.execute(Branches([(0x4000, Direction.TAKEN, 0x4040)] * 2, state.config), 3, read)
+    with pytest.raises(ValueError, match="an empty sequence has no last branch to read"):
+        state.execute(Branches([], state.config), 3, True)
     assert diff(before, state.snapshot()) == {}
+    assert state.execute(Branches([], state.config), 3) is None
 
 
 @st.composite
@@ -613,7 +614,7 @@ def _assert_every_read_matches(state, triples, times):
     reference = state.clone()
     flags = _reference_execute(reference, triples, times)
     branches = Branches(triples, state.config)
-    for read in [None, *range(len(triples))]:
+    for read in (False, True):
         fused = state.clone()
         assert fused.execute(branches, times, read) == _reads(flags, len(triples), read)
         assert diff(fused.snapshot(), reference.snapshot()) == {}
@@ -622,7 +623,7 @@ def _assert_every_read_matches(state, triples, times):
 @settings(max_examples=150, deadline=None)
 @given(_aliasing_cases())
 def test_closed_form_passes_match_the_reference(case):
-    """A call's per-pass flags, read at every position and at none, and the
+    """A call's per-pass flags, read at the last branch and at none, and the
     state it leaves, against `predict` + `record_resolution` per execution:
     swept groups of passes that touch each entry once, and pass-by-pass
     groups where a pass touches one twice."""
@@ -668,7 +669,7 @@ def test_a_calls_table_reads_do_not_grow_with_its_passes(mode, times):
             reference.record_resolution(a, o, reference.predict(a), t)
     starts = 1 if mode is Mode.ONE_LEVEL else len(words)
     assert starts == min(times, 1 if mode is Mode.ONE_LEVEL else 2)
-    for read in (None, 0, 4):
+    for read in (False, True):
         fused = state.clone()
         table = _CountingTable(fused.table(mode))
         if mode is Mode.ONE_LEVEL:
@@ -676,12 +677,12 @@ def test_a_calls_table_reads_do_not_grow_with_its_passes(mode, times):
         else:
             fused.pht_history = table
         fused.execute(Branches(triples, cfg), times, read)
-        assert table.reads <= (len(triples) + (read is not None)) * starts
+        assert table.reads <= (len(triples) + read) * starts
 
 
 def test_branches_of_another_config_are_refused():
     branches = Branches([(0x4000, Direction.TAKEN, 0x4040)], PredictorConfig(ghr_depth=8))
-    assert PredictorState(PredictorConfig(ghr_depth=8)).execute(branches, read=0) == [True]
+    assert PredictorState(PredictorConfig(ghr_depth=8)).execute(branches, read=True) == [True]
     with pytest.raises(ValueError, match="another predictor config"):
         PredictorState().execute(branches)
 

@@ -352,7 +352,7 @@ _ops = st.one_of(
     st.tuples(st.just("reset"), st.integers(0, 2**32)),
     st.tuples(st.just("insert"), st.lists(st.integers(0, 0x3FF), max_size=34)),
     st.tuples(st.just("mode"), st.sampled_from(list(Mode)), st.booleans()),
-    st.tuples(st.just("execute"), _branches, st.integers(1, 3), st.integers(0, 11)),
+    st.tuples(st.just("execute"), _branches, st.integers(1, 3), st.booleans()),
     st.tuples(st.just("predict"), st.integers(0, 0x400), st.sampled_from(list(Direction)),
               st.integers(0, 0x3FF)),
     st.tuples(st.just("assign"), st.integers(0, 2**16)),
@@ -392,9 +392,9 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
         elif kind == "mode":
             for s in (lazy, eager):
                 s.selector.mode, s.selector.frozen = op[1], op[2]
-        elif kind == "execute":  # every pass's flag at one position
+        elif kind == "execute":  # every pass's flag at the last branch, or none
             _, triples, times, read = op
-            read = read % len(triples) if triples else None
+            read = read and bool(triples)
             branches = Branches(triples, cfg)
             assert lazy.execute(branches, times, read) == eager.execute(branches, times, read)
         elif kind == "predict":

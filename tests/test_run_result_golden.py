@@ -264,7 +264,7 @@ def test_victim_run_matches_the_preamble_run_as_code(run_args):
     full, engine = eng.run(with_preamble(layout), layout.schedule, policy, predictor.clone(),
                            env={"pre": 1, **env}, seed=seed)
     assert diff(kernel.snapshot(), engine.snapshot()) == {}
-    depth = len(layout.preamble)
+    depth = len(layout.preamble.triples)
     assert [b.instr.addr for b in full.branches[:depth]] == \
         [a for a, _, _ in layout.preamble.triples]
     assert _flags(result.branches) == _flags(full.branches[depth:])

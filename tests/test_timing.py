@@ -17,10 +17,9 @@ from bpusim.timing import (
 def test_noiseless_latencies_exact():
     m = LatencyModel()
     s = m.sampler()
-    assert s.measure(1, 0) == 10
-    assert s.measure(1, 0, True) == 50
-    assert s.measure(2, 1, False) == 10
-    assert s.measure(2) is None
+    assert s.measure(False) == 10
+    assert s.measure(True) == 50
+    assert s.measure(False) == 10
 
 
 def test_threshold_between_hit_and_penalty():
@@ -30,12 +29,12 @@ def test_threshold_between_hit_and_penalty():
 
 def test_uniform_noise_bounded():
     m = LatencyModel(noise=NoiseKind.UNIFORM, noise_param=5, seed=1)
-    # two samplers on one seed, each reading one execution of the same phases
+    # two samplers on one seed, one timing hits and one misses
     reads_hit, reads_miss = m.sampler(), m.sampler()
     hits = set()
     for _ in range(500):
-        hit = reads_hit.measure(2, 0, False)
-        miss = reads_miss.measure(2, 1, True)
+        hit = reads_hit.measure(False)
+        miss = reads_miss.measure(True)
         hits.add(hit)
         assert 45 <= miss <= 55
     assert hits == set(range(5, 16))  # every whole number in [-5, 5] is drawn
@@ -56,13 +55,13 @@ def test_no_noise_rejects_a_sigma(sigma):
 
 def test_gaussian_noise_seeded_and_deterministic():
     m = LatencyModel(noise=NoiseKind.GAUSSIAN, noise_param=8, seed=3)
-    a = m.sampler().measure(1, 0, True)
-    b = m.sampler().measure(1, 0, True)
+    a = m.sampler().measure(True)
+    b = m.sampler().measure(True)
     assert a == b
     s1 = m.sampler()
     s2 = m.sampler()
-    assert ([s1.measure(50, i) for i in range(50)]
-            == [s2.measure(50, i) for i in range(50)])
+    assert ([s1.measure(False) for _ in range(50)]
+            == [s2.measure(False) for _ in range(50)])
 
 
 def test_gaussian_misclassification_monotone_in_sigma():
@@ -75,7 +74,7 @@ def test_gaussian_misclassification_monotone_in_sigma():
         bad = 0
         for i in range(400):
             mis = i % 2 == 0
-            lat = s.measure(1, 0, mis)
+            lat = s.measure(mis)
             bad += (lat > m.threshold) != mis
         errors.append(bad)
     assert errors == sorted(errors)
@@ -100,36 +99,15 @@ def _models(draw):
     return LatencyModel(noise=kind, noise_param=draw(sigma), seed=draw(st.integers(0, 2**32)))
 
 
-@given(_models(), st.lists(st.booleans(), max_size=60), st.data())
-def test_one_measure_call_draws_what_any_split_of_it_draws(model, flags, data):
-    """The flags split into phases at any cuts, each phase read at any index
-    or at none: each read latency is the per-execution reference's at its
-    position, and after each call the stream sits where the reference,
-    which draws once per execution, leaves it."""
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(flags)), max_size=5)))
-    rng = random.Random(model.seed)
-    reference = [BASE_LATENCY + MISPREDICT_PENALTY * mis + _next_draw(rng, model)
-                 for mis in flags]
+@given(_models(), st.lists(st.booleans(), max_size=60))
+def test_each_measure_call_draws_one_value(model, flags):
+    """Each call's latency is its flag's plus the stream's next noise value,
+    and after each call the stream sits where one draw per call leaves it."""
     sampler, rng = model.sampler(), random.Random(model.seed)
-    for lo, hi in zip([0] + cuts, cuts + [len(flags)]):
-        read = data.draw(st.none() | st.integers(lo, hi - 1)) if hi > lo else None
-        latency = (sampler.measure(hi - lo) if read is None
-                   else sampler.measure(hi - lo, read - lo, flags[read]))
-        assert latency == (None if read is None else reference[read])
-        for _ in range(lo, hi):
-            _next_draw(rng, model)
+    for mis in flags:
+        assert sampler.measure(mis) == BASE_LATENCY + MISPREDICT_PENALTY * mis \
+            + _next_draw(rng, model)
         assert sampler._rng.getstate() == rng.getstate()
-
-
-@pytest.mark.parametrize("kind", list(NoiseKind))
-@pytest.mark.parametrize("flags,read", [([False, True], -1), ([False, True], 2), ([], 0)])
-def test_measure_refuses_a_read_outside_the_phase(kind, flags, read):
-    model = LatencyModel(noise=kind, noise_param=0 if kind is NoiseKind.NONE else 5, seed=2)
-    sampler = model.sampler()
-    with pytest.raises(IndexError, match=f"read index {read} outside the phase's "
-                                         f"{len(flags)} executions"):
-        sampler.measure(len(flags), read)
-    assert sampler._rng.getstate() == random.Random(2).getstate()  # nothing drawn
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind))
