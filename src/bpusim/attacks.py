@@ -20,7 +20,7 @@ policy governs exactly the speculative updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import engine as eng
 from . import predictor as bpu
@@ -171,7 +171,6 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 # ---------------------------------------------------------------------------
 # victim / trojan program builders
 
-@dataclass
 class VictimLayout:
     """A victim: its body's code, checked and indexed once for the engine
     runs of every trial, its addresses, and its always-taken preamble to
@@ -179,15 +178,12 @@ class VictimLayout:
     GHR context a history-mode attacker replays. `_memo` maps a body run's
     key to the footprints of its runs (`transmit`)."""
 
-    program: Program
-    schedule: list[int]
-    trigger_addr: int
-    bv_addr: int
-    preamble: Branches
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        instrs, config = self.program.instructions, self.preamble.config
+    def __init__(self, program: Program, schedule: list[int], trigger_addr: int, bv_addr: int,
+                 preamble: Branches):
+        self.program, self.schedule, self.preamble = program, schedule, preamble
+        self.trigger_addr, self.bv_addr = trigger_addr, bv_addr
+        self._memo = {}
+        instrs, config = program.instructions, preamble.config
         # a frozen one-level run's PHT entries: its conditional branches'
         self._one_level = {index_one_level(i.addr, config) for i in instrs
                            if i.kind is COND_BRANCH}
@@ -383,8 +379,7 @@ class _Channel:
 # ---------------------------------------------------------------------------
 # covert channel
 
-@dataclass
-class CovertResult:
+class CovertResult(NamedTuple):
     decoded: str
     errors: int
     trace: LatencyTrace
@@ -427,8 +422,7 @@ def covert_send_receive(
 # ---------------------------------------------------------------------------
 # side channels
 
-@dataclass
-class SideChannelResult:
+class SideChannelResult(NamedTuple):
     recovered: list[int]
     ground_truth: list[int]
     accuracy: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import importlib.resources
 import io
 import json
 import math
@@ -272,7 +271,7 @@ def cmd_defense_eval(obj, iterations):
 
 
 def _bundled_corpus() -> list[pathlib.Path]:
-    root = importlib.resources.files("bpusim") / "data" / "corpus"
+    root = pathlib.Path(__file__).parent / "data" / "corpus"
     return sorted(p for p in root.iterdir() if p.name.endswith(".disasm"))
 
 

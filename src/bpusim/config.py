@@ -24,7 +24,6 @@ ConfigFileError:
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 
 from .predictor import PredictorConfig
@@ -36,7 +35,6 @@ class ConfigFileError(ValueError):
 
 
 def parse_config(text: str) -> PredictorConfig:
-    fields = {f.name: f for f in dataclasses.fields(PredictorConfig)}
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -47,7 +45,7 @@ def parse_config(text: str) -> PredictorConfig:
             raise ConfigFileError(f"line {lineno}: expected 'key = value'")
         key = key.strip()
         value = value.strip()
-        if key not in fields:
+        if key not in PredictorConfig._fields:
             raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ConfigFileError(f"line {lineno}: repeated key {key!r}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .predictor import (NOT_TAKEN, TAKEN, Direction, Mode, PredictorState, Prediction,
@@ -107,7 +106,6 @@ def summarize(records: list[tuple]) -> dict:
     return {str(pid): counts for pid, counts in per.items()}
 
 
-@dataclass
 class RunResult:
     """What one engine run returns. `records` holds one tuple
     `(tick, kind, dseq, pid, *fields)` per event; `events` (their text) and
@@ -119,10 +117,10 @@ class RunResult:
     hits its tick limit returns no result; its `SimulationError` carries
     `visited_ticks` instead."""
 
-    records: list[tuple]
-    branches: list[DynamicBranch]
-    ticks: int
-    visited_ticks: int = 0
+    def __init__(self, records: list[tuple], branches: list[DynamicBranch], ticks: int,
+                 visited_ticks: int):
+        self.records, self.branches, self.ticks = records, branches, ticks
+        self.visited_ticks = visited_ticks
 
     @functools.cached_property
     def events(self) -> list[str]:

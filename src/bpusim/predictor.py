@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 class Direction(enum.Enum):
@@ -156,8 +156,7 @@ _SIZE_BOUNDS = (
     ("pht_entries_history", 2, 1 << 16), ("btb_entries", 1, 1 << 16))
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
+class _ConfigFields(NamedTuple):
     one_level_bits: int = 2
     history_bits: int = 3
     pht_entries_one_level: int = 1024
@@ -171,7 +170,12 @@ class PredictorConfig:
     # the listed branch addresses do.
     monitored_branches: frozenset[int] | None = None
 
-    def __post_init__(self):
+
+class PredictorConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("pht_entries_one_level", "pht_entries_history", "btb_entries"):
             if not _is_pow2(getattr(self, name)):
                 raise ValueError(f"{name} must be a power of two")
@@ -183,6 +187,10 @@ class PredictorConfig:
                 raise ValueError(f"{name} must be <= {most}")
         if self.transition_threshold < 1:
             raise ValueError("transition_threshold must be >= 1")
+        return self
+
+    # `_replace` copies through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def counter_width(self, mode: Mode) -> int:
         return self.one_level_bits if mode is ONE_LEVEL else self.history_bits
@@ -280,20 +288,20 @@ class BranchTargetBuffer:
         return c
 
 
-@dataclass
 class TournamentSelector:
-    mode: Mode = Mode.ONE_LEVEL
-    mispredict_accumulator: int = 0
-    # Frozen selectors never transition; attack harnesses use this to model
-    # the re-enforcement procedures that keep one prediction mode active.
-    frozen: bool = False
+    __slots__ = ("mode", "mispredict_accumulator", "frozen")
+
+    def __init__(self, mode=ONE_LEVEL, mispredict_accumulator=0, frozen=False):
+        # Frozen selectors never transition; attack harnesses use this to model
+        # the re-enforcement procedures that keep one prediction mode active.
+        self.mode, self.mispredict_accumulator, self.frozen = mode, mispredict_accumulator, frozen
 
 
-@dataclass(slots=True)
 class Prediction:
-    direction: Direction
-    mode: Mode
-    index: int
+    __slots__ = ("direction", "mode", "index")
+
+    def __init__(self, direction: Direction, mode: Mode, index: int):
+        self.direction, self.mode, self.index = direction, mode, index
 
 
 # each memo of `Branches` and of a victim's body runs
@@ -530,7 +538,8 @@ class PredictorState:
         c._reset_seed = self._reset_seed  # an undrawn history PHT stays undrawn
         c.ghr = self.ghr.clone()
         c.btb = self.btb.clone()
-        c.selector = replace(self.selector)
+        sel = self.selector
+        c.selector = TournamentSelector(sel.mode, sel.mispredict_accumulator, sel.frozen)
         return c
 
     def snapshot(self) -> "Snapshot":

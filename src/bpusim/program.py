@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Kind(enum.Enum):
@@ -39,8 +39,7 @@ class ProgramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Instruction:
+class _InstructionFields(NamedTuple):
     process_id: int
     kind: Kind
     addr: int
@@ -48,7 +47,12 @@ class Instruction:
     condition_source: str | None = None
     resolve_delay: int = 1
 
-    def __post_init__(self):
+
+class Instruction(_InstructionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for field in ("process_id", "addr", "static_target"):
             value = getattr(self, field)
             if value is not None and value < 0:
@@ -68,6 +72,10 @@ class Instruction:
             raise ProgramError(f"{self.kind.value} at {self.addr:#x} takes no cond=")
         if self.resolve_delay != 1 and self.kind is HALT:
             raise ProgramError(f"Halt at {self.addr:#x} takes no delay")
+        return self
+
+    # `_replace` copies through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 _NUMBER = re.compile(r"-?(?:0[xX](?P<hex>[0-9a-fA-F]+)|[0-9]+)")

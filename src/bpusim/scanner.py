@@ -68,7 +68,6 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -289,8 +288,7 @@ def parse_disasm(stream) -> list[DisasmRecord]:
 # ---------------------------------------------------------------------------
 # sites and taint
 
-@dataclass(frozen=True)
-class GadgetSite:
+class GadgetSite(NamedTuple):
     addr: int
     classification: str
     register: str | None
@@ -529,15 +527,14 @@ def _path_ports(records, start: int, diagnostics) -> frozenset[int] | None:
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass
-class GadgetReport:
+class GadgetReport(NamedTuple):
     binary_name: str
     v2_count: int
     smotherspectre_count: int
     v1_count: int
     bit_offsets: dict[str, set[int]]
     gadget_sites: list[tuple[int, str, str | None, tuple[int, ...], bool]]
-    unknown_mnemonics: set[str] = field(default_factory=set)
+    unknown_mnemonics: set[str]
 
     def to_dict(self) -> dict:
         """The report as plain JSON-ready data."""

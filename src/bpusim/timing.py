@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NoiseKind(enum.Enum):
@@ -25,13 +25,17 @@ BASE_LATENCY = 10
 MISPREDICT_PENALTY = 40
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    noise: NoiseKind = NoiseKind.NONE
+class _LatencyFields(NamedTuple):
+    noise: NoiseKind = NONE
     noise_param: float = 0.0
     seed: int = 0
 
-    def __post_init__(self):
+
+class LatencyModel(_LatencyFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.noise_param) or self.noise_param < 0:
             raise ValueError(f"noise_param must be a finite number >= 0, got {self.noise_param}")
         if self.noise is NONE and self.noise_param != 0:
@@ -39,6 +43,10 @@ class LatencyModel:
         if self.noise is UNIFORM and self.noise_param != int(self.noise_param):
             raise ValueError("uniform noise takes a whole number of latency units, "
                              f"got {self.noise_param}")
+        return self
+
+    # `_replace` copies through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def threshold(self) -> float:
@@ -73,12 +81,9 @@ class LatencySampler:
         return (BASE_LATENCY + MISPREDICT_PENALTY if mispredicted else BASE_LATENCY) + noise
 
 
-@dataclass
 class LatencyTrace:
-    samples: list[tuple[int, int]]
-
-    def __post_init__(self):
-        samples, self.samples = self.samples, []
+    def __init__(self, samples: list[tuple[int, int]]):
+        self.samples = []
         for probe_index, latency in samples:
             self.append(probe_index, latency)
 

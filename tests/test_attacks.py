@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -655,13 +654,13 @@ def test_history_covert_folds_no_history_index_past_its_first_four_bits(monkeypa
 def _record_layouts(monkeypatch) -> list:
     """Every VictimLayout built from now on."""
     built = []
-    init = attacks.VictimLayout.__post_init__
+    init = attacks.VictimLayout.__init__
 
-    def record(self):
-        init(self)
+    def record(self, *args):
+        init(self, *args)
         built.append(self)
 
-    monkeypatch.setattr(attacks.VictimLayout, "__post_init__", record)
+    monkeypatch.setattr(attacks.VictimLayout, "__init__", record)
     return built
 
 
@@ -733,8 +732,9 @@ def _memo_cases(draw):
     layouts = []
     for layout in (build_victim_v1(config), build_victim_v2(config)):
         cut = draw(st.integers(0, config.ghr_depth))
-        layouts.append(dataclasses.replace(
-            layout, preamble=Branches(layout.preamble.triples[:cut], config)))
+        layouts.append(attacks.VictimLayout(
+            layout.program, layout.schedule, layout.trigger_addr, layout.bv_addr,
+            Branches(layout.preamble.triples[:cut], config)))
     predictor = PredictorState(config)
     predictor.randomize_reset(draw(st.integers(0, 2**16)))
     predictor.selector.mode = draw(st.sampled_from(list(Mode)))

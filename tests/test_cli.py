@@ -609,11 +609,18 @@ def test_a_command_makes_its_output_directory_once(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["covert.json", "covert_trace.csv"]
 
 
-def test_importing_the_cli_loads_no_click():
-    code = "import sys, bpusim.cli\nprint([n for n in sys.modules if n.split('.')[0] == 'click'])"
+def test_importing_the_cli_loads_no_unused_heavy_module():
+    """`import bpusim.cli` loads neither click nor `dataclasses`, `inspect`
+    or `importlib.resources`, each of which costs start-up time and serves no
+    command. `-S` keeps site-packages' `.pth` hooks, which may load some of
+    them, out of the count. This counts modules and times nothing."""
+    heavy = ("click", "dataclasses", "inspect", "importlib.resources")
+    code = ("import sys, bpusim.cli\n"
+            f"print(sorted(n for n in sys.modules for h in {heavy!r} "
+            "if n == h or n.startswith(h + '.')))")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(attacks.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
     assert out == "[]\n"
 
 

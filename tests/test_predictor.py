@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
+import math
 import random
+import re
 from collections import deque
 from unittest import mock
 
@@ -23,6 +24,8 @@ from bpusim.predictor import (
     index_one_level,
     parse_outcomes,
 )
+from bpusim.program import Instruction, Kind, ProgramError
+from bpusim.timing import LatencyModel, NoiseKind
 from test_reset_draws import reset_reference
 
 
@@ -111,6 +114,57 @@ def test_config_rejects_degenerate_sizes(field, value):
 def test_config_rejects_sizes_past_their_bound(field, bound, value):
     with pytest.raises(ValueError, match=f"^{field} must be <= {bound}$"):
         PredictorConfig(**{field: value})
+
+
+_CONFIG = PredictorConfig()
+_BRANCH = Instruction(0, Kind.COND_BRANCH, 0x100, 0x200, "c", 2)
+_UNIFORM = LatencyModel(NoiseKind.UNIFORM, 2.0)
+
+
+# one value past each range check of the three validated records, with the
+# message the check raises
+@pytest.mark.parametrize("record, field, value, message", [
+    (_CONFIG, "one_level_bits", 1, "one_level_bits must be >= 2"),
+    (_CONFIG, "one_level_bits", 10, "one_level_bits must be <= 9"),
+    (_CONFIG, "history_bits", 1, "history_bits must be >= 2"),
+    (_CONFIG, "history_bits", 10, "history_bits must be <= 9"),
+    (_CONFIG, "target_bits_per_entry", 0, "target_bits_per_entry must be >= 1"),
+    (_CONFIG, "target_bits_per_entry", 10, "target_bits_per_entry must be <= 9"),
+    (_CONFIG, "ghr_depth", 0, "ghr_depth must be >= 1"),
+    (_CONFIG, "ghr_depth", 257, "ghr_depth must be <= 256"),
+    (_CONFIG, "pht_entries_one_level", 1, "pht_entries_one_level must be >= 2"),
+    (_CONFIG, "pht_entries_one_level", 1 << 17, "pht_entries_one_level must be <= 65536"),
+    (_CONFIG, "pht_entries_one_level", 1000, "pht_entries_one_level must be a power of two"),
+    (_CONFIG, "pht_entries_history", 1, "pht_entries_history must be >= 2"),
+    (_CONFIG, "pht_entries_history", 1 << 17, "pht_entries_history must be <= 65536"),
+    (_CONFIG, "pht_entries_history", 3, "pht_entries_history must be a power of two"),
+    (_CONFIG, "btb_entries", 0, "btb_entries must be a power of two"),
+    (_CONFIG, "btb_entries", 1 << 17, "btb_entries must be <= 65536"),
+    (_CONFIG, "transition_threshold", 0, "transition_threshold must be >= 1"),
+    (_BRANCH, "process_id", -1, "process_id must be >= 0, got -1"),
+    (_BRANCH, "addr", -4, "addr must be >= 0, got -4"),
+    (_BRANCH, "static_target", -8, "static_target must be >= 0, got -8"),
+    (_BRANCH, "resolve_delay", 0, "resolve_delay must be >= 1, got 0"),
+    (_UNIFORM, "noise_param", -1.0, "noise_param must be a finite number >= 0, got -1.0"),
+    (_UNIFORM, "noise_param", math.inf, "noise_param must be a finite number >= 0, got inf"),
+    (_UNIFORM, "noise_param", 2.5,
+     "uniform noise takes a whole number of latency units, got 2.5"),
+    (_UNIFORM, "noise", NoiseKind.NONE, "no noise takes no sigma, got 2.0"),
+], ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None)
+@pytest.mark.parametrize("build", [
+    lambda record, **changes: type(record)(**{**record._asdict(), **changes}),
+    lambda record, **changes: record._replace(**changes),
+    lambda record, **changes: type(record)._make({**record._asdict(), **changes}.values()),
+], ids=["constructor", "_replace", "_make"])
+def test_every_construction_path_checks_each_field(build, record, field, value, message):
+    """A record built by its constructor or copied by `_replace` or `_make`
+    passes the same checks: a copy with a valid value is a record of the
+    same type, and one with a value past a check raises its message."""
+    copy = build(record, **{field: getattr(record, field)})
+    assert copy == record and type(copy) is type(record)
+    error = ProgramError if isinstance(record, Instruction) else ValueError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(record, **{field: value})
 
 
 def test_index_one_level_hand_computed():
@@ -486,7 +540,7 @@ def _monitored_execute_cases(draw):
     state, triples = draw(_execute_cases())
     if triples and draw(st.booleans()):
         monitored = draw(st.frozensets(st.sampled_from([a for a, _, _ in triples])))
-        state.config = dataclasses.replace(state.config, monitored_branches=monitored)
+        state.config = state.config._replace(monitored_branches=monitored)
     return state, triples
 
 
