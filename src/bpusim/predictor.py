@@ -127,19 +127,6 @@ def _history_values(config: "PredictorConfig", seed: int) -> list[int]:
     return _split(_xof(_seed_bytes(seed) + _HISTORY_TAG, _lane_bytes(n, width)), n, width)
 
 
-def _step(tbl: list[int], pairs, top: int, steps: int) -> None:
-    """Step the counter of each `(taken, index)` pair `steps` times, pair
-    after pair: toward 0 on taken, toward `top` on not-taken, saturating.
-    With `steps` above 1 this is exact only when no two pairs share an
-    index."""
-    for taken, index in pairs:
-        value = tbl[index]
-        if taken:
-            tbl[index] = value - steps if value > steps else 0
-        else:
-            tbl[index] = value + steps if value + steps < top else top
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -309,60 +296,88 @@ class Prediction:
 MEMO_WORDS = 16
 
 
+def _sweep(pairs, width: int, passes: int):
+    """`passes` passes of `(outcome, index)` steps of `width`-bit counters, as
+    `(maps, passes, last)`. Each entry's steps compose into one map x ->
+    min(hi, max(lo, x + s)): a step applies `counter_update` to `lo` and
+    `hi`, and a pass's map run `passes` times is, for s > 0, (passes * s,
+    min(lo + (passes - 1) * s, hi), hi), mirrored for s < 0. `maps` holds
+    `(index, image)`, the image listing that map's value at each x. `last`,
+    None for an empty pass, is what the read flags take: whether the last
+    step is taken, its index, `t` below and its entry's one-pass map."""
+    maps, top, half = {}, (1 << width) - 1, 1 << (width - 1)
+    for outcome, index in pairs:
+        s, lo, hi = maps.get(index, (0, 0, top))
+        # the least value that the entry's steps before this one take to
+        # half or above: a taken step mispredicts from there up, else below
+        t = 0 if lo >= half else top + 1 if hi < half else half - s
+        maps[index] = (s - 1 if outcome is TAKEN else s + 1, counter_update(lo, width, outcome),
+                       counter_update(hi, width, outcome))
+    last = (outcome is TAKEN, index, t, *maps[index]) if pairs else None
+    swept, images, n = [], {}, passes - 1
+    for index, (s, lo, hi) in maps.items():
+        if s > 0:
+            lo = lo + n * s if lo + n * s < hi else hi
+        elif s < 0:
+            hi = hi + n * s if hi + n * s > lo else lo
+        s *= passes
+        if (s, lo, hi) not in images:  # entries stepped alike share an image
+            images[s, lo, hi] = tuple([lo if x < lo else hi if x > hi else x
+                                       for x in range(s, s + top + 1)])
+        swept.append((index, images[s, lo, hi]))
+    return tuple(swept), passes, last
+
+
 class Branches:
     """A committed branch sequence, `(addr, outcome, target)` triples, bound
-    to one config, with what `PredictorState.execute` reads of it computed
-    once: each branch's taken flag with its one-level index, whether those
-    indexes are pairwise distinct, and the sequence's GHR effect, its taken
-    count and their targets packed as `GlobalHistoryRegister.advance` takes
-    them.
+    to one config, with its GHR effect computed once: its taken count and
+    their targets packed as `GlobalHistoryRegister.advance` takes them.
 
     Its outcomes and targets are fixed, so its history indexes depend only
-    on the GHR word it starts from. `_runs` keeps a run of `times` passes
-    as its groups of identical passes per starting word and `times`, for at
-    most `MEMO_WORDS` keys; a replayed attacker sequence meets a few."""
+    on the GHR word it starts from, and its one-level indexes on nothing.
+    `_runs` keeps a run of `times` passes as its `_sweep` groups per
+    starting word (None in one-level mode) and `times`, for at most
+    `MEMO_WORDS` keys; a replayed attacker sequence meets a few."""
 
-    __slots__ = ("config", "triples", "one_level", "distinct", "count", "tail", "_runs")
+    __slots__ = ("config", "triples", "count", "tail", "_runs")
 
     def __init__(self, branches, config: PredictorConfig):
         self.config = config
         self.triples = tuple(branches)
-        # (taken, index) pairs: all the kernel's counter loop reads
-        self.one_level = tuple((o is TAKEN, index_one_level(a, config)) for a, o, _ in self.triples)
-        self.distinct = len({i for _, i in self.one_level}) == len(self.one_level)
         targets = [t for _, o, t in self.triples if o is TAKEN]
         bits, emask = config.target_bits_per_entry, (1 << config.target_bits_per_entry) - 1
         tail = 0
         for t in targets[-config.ghr_depth:]:
             tail = (tail << bits) | (t & emask)
         self.count, self.tail = len(targets), tail
-        self._runs: dict[tuple[int, int], list[tuple[tuple, bool, int]]] = {}
+        self._runs: dict[tuple[int | None, int], list[tuple]] = {}
 
-    def groups(self, state: "PredictorState", times: int = 1) -> list[tuple[tuple, bool, int]]:
-        """The sequence run `times` over from `state`'s GHR, in history
-        mode, as `(pairs, distinct, passes)` groups of identical passes in
-        order: the (taken, history index) of each branch of a pass, whether
-        those indexes are pairwise distinct, and how many passes in a row
-        start from that GHR word. Once a pass leaves the word as it found
-        it, every later pass starts there, so the last group holds them
-        all, and a call has at most ceil(ghr_depth / count) + 1 groups. On
-        a memo miss each group's pass walks `history_index` over a GHR
-        clone, which its taken branches advance."""
-        word = state.ghr._word
+    def groups(self, state: "PredictorState", times: int = 1) -> list[tuple]:
+        """The sequence run `times` over from `state`, whose selector cannot
+        switch mid-call, as `_sweep` groups of identical passes in order: one
+        in one-level mode; in history mode, one per run of passes from one
+        GHR word, at most ceil(ghr_depth / count) + 1, as a pass that leaves
+        the word as it found it leaves it so for every later pass. A memo
+        miss walks `history_index` over a GHR clone."""
+        cfg, word = self.config, None if state.selector.mode is ONE_LEVEL else state.ghr._word
         groups = self._runs.get((word, times))
         if groups is None:
             if len(self._runs) >= MEMO_WORDS:
                 self._runs.clear()
-            ghr, groups, left = state.ghr.clone(), [], times
-            while left:
-                start, pairs = ghr._word, []
-                for addr, outcome, target in self.triples:
-                    pairs.append((outcome is TAKEN, state.history_index(addr, ghr)))
-                    if outcome is TAKEN:
-                        ghr.insert_taken(target)
-                passes = left if ghr._word == start else 1
-                groups.append((tuple(pairs), len({i for _, i in pairs}) == len(pairs), passes))
-                left -= passes
+            if word is None:
+                pairs = [(o, index_one_level(a, cfg)) for a, o, _ in self.triples]
+                groups = [_sweep(pairs, cfg.one_level_bits, times)]
+            else:
+                ghr, groups, left = state.ghr.clone(), [], times
+                while left:
+                    start, pairs = ghr._word, []
+                    for addr, outcome, target in self.triples:
+                        pairs.append((outcome, state.history_index(addr, ghr)))
+                        if outcome is TAKEN:
+                            ghr.insert_taken(target)
+                    passes = left if ghr._word == start else 1
+                    groups.append(_sweep(pairs, cfg.history_bits, passes))
+                    left -= passes
             self._runs[word, times] = groups
         return groups
 
@@ -454,18 +469,13 @@ class PredictorState:
         When `read`, returns whether the sequence's last branch mispredicted,
         once per pass, and refuses an empty sequence; else returns None.
 
-        A selector that cannot switch mid-call (history mode, or a frozen
-        one-level one) takes the counter-only path over the passes' groups
-        of identical passes (`Branches.groups`; one group when frozen), and
-        then moves the GHR once by their effect. A group whose pass touches
-        each entry once steps each of them `passes` times in one write,
-        saturating, as no other branch of the group touches it; a pass that
-        touches an entry twice runs pass by pass. An unfrozen one-level
-        selector runs branch by branch through `predict` and
-        `record_resolution` themselves."""
+        An unfrozen one-level selector can switch mid-call, so it runs
+        branch by branch through `predict` and `record_resolution`. Any other
+        takes the `_sweep` groups of `Branches.groups`, writing each entry a
+        group touches once, and then moves the GHR once."""
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
-        cfg, sel = self.config, self.selector
+        cfg, mode = self.config, self.selector.mode
         if not isinstance(branches, Branches):
             raise TypeError(f"execute takes a Branches, not {type(branches).__name__}")
         if branches.config is not cfg and branches.config != cfg:
@@ -473,13 +483,7 @@ class PredictorState:
         if read and not branches.triples:
             raise ValueError("an empty sequence has no last branch to read")
         flags = [] if read else None
-        if sel.mode is HISTORY:
-            tbl, width = self.pht_history, cfg.history_bits
-            groups = branches.groups(self, times)
-        elif sel.frozen:
-            tbl, width = self.pht_one_level, cfg.one_level_bits
-            groups = ((branches.one_level, branches.distinct, times),)
-        else:
+        if mode is ONE_LEVEL and not self.selector.frozen:
             for _ in range(times):
                 for addr, outcome, target in branches.triples:
                     pred = self.predict(addr)
@@ -487,27 +491,22 @@ class PredictorState:
                 if read:  # the pass's last branch
                     flags.append(pred.direction is not outcome)
             return flags
-        half, top = 1 << (width - 1), (1 << width) - 1
-        for pairs, distinct, passes in groups:
-            if distinct:
-                if read:
-                    # a taken execution mispredicts while the entry is at or
-                    # above half, a not-taken one while it is below
-                    taken, index = pairs[-1]
-                    wrong = tbl[index] - half + 1 if taken else half - tbl[index]
-                    wrong = min(max(wrong, 0), passes)
-                    flags += [True] * wrong + [False] * (passes - wrong)
-                _step(tbl, pairs, top, passes)
-                continue
-            # the last branch's entry is read between the steps before it
-            # and its own
-            before, last = pairs[:-1], pairs[-1:]
-            taken, index = last[0]
-            for _ in range(passes):
-                _step(tbl, before, top, 1)
-                if read:
-                    flags.append(tbl[index] >= half if taken else tbl[index] < half)
-                _step(tbl, last, top, 1)
+        tbl = self.pht_one_level if mode is ONE_LEVEL else self.pht_history
+        for maps, passes, last in branches.groups(self, times):
+            if read:
+                taken, index, t, s, lo, hi = last
+                value = tbl[index]
+                flags.append((value >= t) is taken)
+                # after one pass the value moves by s a pass and stops at a
+                # bound: n passes on its side of t, then the rest across
+                value, rest = value + s, passes - 1
+                value = lo if value < lo else hi if value > hi else value
+                n = (-((value - t) // s) if s > 0 and value < t <= hi else
+                     (value - t) // -s + 1 if s < 0 and lo < t <= value else rest)
+                side = (value >= t) is taken
+                flags += [side] * n + [not side] * (rest - n) if n < rest else [side] * rest
+            for index, image in maps:
+                tbl[index] = image[tbl[index]]
         self.ghr.advance(branches.count, branches.tail, times)
         return flags
 

@@ -120,7 +120,7 @@ def test_harness_reads_the_execution_at_its_index(mode):
     """Read at any pass, a harness call returns the noiseless latency of
     that pass's last execution, as the branch-by-branch reference finds it,
     and leaves the state the reference leaves. The last branch shares its
-    entry with the first, so the kernel runs pass by pass."""
+    entry with the first, so a pass steps that entry twice."""
     triples = [(0x4000, Direction.NOT_TAKEN, 0x4040), (0x4100, Direction.TAKEN, 0x4140),
                (0x4000, Direction.NOT_TAKEN, 0x4040)]
     state = PredictorState()

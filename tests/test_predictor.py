@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -646,11 +647,11 @@ def test_execute_refuses_to_read_an_empty_sequence(mode, frozen):
 
 @st.composite
 def _aliasing_cases(draw, times=st.integers(1, 64)):
-    """A state with 2-16-entry tables, so that a pass's branches and the
-    passes' history indexes alias, in either mode, frozen or not, and a
-    sequence of 1-8 branches run `times` over."""
+    """A state with 2-16-entry tables of 2-9-bit counters, so that a pass's
+    branches and the passes' history indexes alias, in either mode, frozen
+    or not, and a sequence of 1-8 branches run `times` over."""
     cfg = PredictorConfig(
-        one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
+        one_level_bits=draw(st.integers(2, 9)), history_bits=draw(st.integers(2, 9)),
         pht_entries_one_level=1 << draw(st.integers(1, 4)),
         pht_entries_history=1 << draw(st.integers(1, 4)),
         ghr_depth=draw(st.integers(1, 12)), target_bits_per_entry=draw(st.integers(1, 3)),
@@ -674,22 +675,49 @@ def _assert_every_read_matches(state, triples, times):
         assert diff(fused.snapshot(), reference.snapshot()) == {}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_aliasing_cases())
 def test_closed_form_passes_match_the_reference(case):
     """A call's per-pass flags, read at the last branch and at none, and the
-    state it leaves, against `predict` + `record_resolution` per execution:
-    swept groups of passes that touch each entry once, and pass-by-pass
-    groups where a pass touches one twice."""
+    state it leaves, against `predict` + `record_resolution` per execution,
+    whether a pass touches each entry once or some entry more than once."""
     _assert_every_read_matches(*case)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_aliasing_cases(times=st.just(511)))
+@settings(max_examples=100, deadline=None)
+@given(_aliasing_cases(times=st.integers(1, 600)))
 def test_closed_form_over_511_passes(case):
-    """511 passes, as many as a 9-bit covert probe phase makes."""
+    """Up to 600 passes, past the 511 a 9-bit covert probe phase makes."""
     state, triples, times = case
     _assert_every_read_matches(state, triples, times)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_every_pass_on_one_entry_matches_the_counter_rule(width):
+    """Every pass of 1-7 steps on one entry, from each counter value, run up
+    to 12 times: the per-pass read flags and the value left, against
+    `counter_predict` and `counter_update` step by step. These reach the
+    closed form's saturated cases, such as a pass that climbs but never
+    reaches the read's threshold, which random sequences rarely draw."""
+    cfg = PredictorConfig(one_level_bits=width, pht_entries_one_level=2, btb_entries=1)
+    index = index_one_level(0x4000, cfg)
+    for length in range(1, 8):
+        for outcomes in itertools.product(list(Direction), repeat=length):
+            branches = Branches([(0x4000, o, 0x4040) for o in outcomes], cfg)
+            for start in range(1 << width):
+                value, flags, values = start, [], []
+                for _ in range(12):
+                    for o in outcomes:
+                        mispredicted = counter_predict(value, width) is not o
+                        value = counter_update(value, width, o)
+                    flags.append(mispredicted)
+                    values.append(value)
+                for times in (1, 2, 3, 6, 12):
+                    state = PredictorState(cfg)
+                    state.selector.frozen = True
+                    state.pht_one_level[index] = start
+                    assert state.execute(branches, times, True) == flags[:times]
+                    assert state.pht_one_level[index] == values[times - 1]
 
 
 class _CountingTable(list):
@@ -702,36 +730,48 @@ class _CountingTable(list):
         return super().__getitem__(index)
 
 
+# five taken branches, each touching its own entry, and, as in
+# test_attacks.test_harness_reads_the_execution_at_its_index, a sequence
+# whose last branch shares its entry with the first: each with the entries
+# a pass touches and the GHR words history passes start from
+_TABLE_READ_SEQUENCES = (
+    ([(0x1000 + 0x40 * i, Direction.TAKEN, i) for i in range(5)], 5, 2),
+    ([(0x4000, Direction.NOT_TAKEN, 0x4040), (0x4100, Direction.TAKEN, 0x4140),
+      (0x4000, Direction.NOT_TAKEN, 0x4040)], 2, 1),
+)
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("times", [1, 2, 3, 64, 511, 4096])
 def test_a_calls_table_reads_do_not_grow_with_its_passes(mode, times):
-    """A sequence whose passes each touch an entry once reads the table at
-    most once per branch (and once more for the read flag) per distinct GHR
-    word a pass starts from, whatever `times` is. Five taken branches shift
-    a 4-entry GHR window out at once, so history passes start from at most
-    two words; a frozen one-level call's passes are all one."""
+    """A call reads the table at most once per entry a pass touches (and
+    once more for the read flag) per distinct GHR word a pass starts from,
+    whatever `times` is, and also when a pass touches an entry twice. Five
+    taken branches shift a 4-entry GHR window out at once, so their history
+    passes start from at most two words; the other sequence's one taken
+    target inserts 0 into the zero GHR, so its passes start from one. A
+    frozen one-level call's passes are all one."""
     cfg = PredictorConfig(ghr_depth=4)
-    triples = [(0x1000 + 0x40 * i, Direction.TAKEN, i) for i in range(5)]
-    state = PredictorState(cfg)
-    state.selector.mode, state.selector.frozen = mode, True
-    reference, words = state.clone(), set()
-    for _ in range(min(times, 8)):  # the words after the second pass repeat
-        words.add(reference.ghr._word)
-        indexes = [reference.predict(a).index for a, _, _ in triples]
-        assert len(set(indexes)) == len(indexes)  # each pass touches an entry once
-        for a, o, t in triples:
-            reference.record_resolution(a, o, reference.predict(a), t)
-    starts = 1 if mode is Mode.ONE_LEVEL else len(words)
-    assert starts == min(times, 1 if mode is Mode.ONE_LEVEL else 2)
-    for read in (False, True):
-        fused = state.clone()
-        table = _CountingTable(fused.table(mode))
-        if mode is Mode.ONE_LEVEL:
-            fused.pht_one_level = table
-        else:
-            fused.pht_history = table
-        fused.execute(Branches(triples, cfg), times, read)
-        assert table.reads <= (len(triples) + read) * starts
+    for triples, entries, history_starts in _TABLE_READ_SEQUENCES:
+        state = PredictorState(cfg)
+        state.selector.mode, state.selector.frozen = mode, True
+        reference, words = state.clone(), set()
+        for _ in range(min(times, 8)):  # the words after the second pass repeat
+            words.add(reference.ghr._word)
+            assert len({reference.predict(a).index for a, _, _ in triples}) == entries
+            for a, o, t in triples:
+                reference.record_resolution(a, o, reference.predict(a), t)
+        starts = 1 if mode is Mode.ONE_LEVEL else len(words)
+        assert starts == min(times, 1 if mode is Mode.ONE_LEVEL else history_starts)
+        for read in (False, True):
+            fused = state.clone()
+            table = _CountingTable(fused.table(mode))
+            if mode is Mode.ONE_LEVEL:
+                fused.pht_one_level = table
+            else:
+                fused.pht_history = table
+            fused.execute(Branches(triples, cfg), times, read)
+            assert table.reads <= (entries + read) * starts
 
 
 def test_branches_of_another_config_are_refused():
