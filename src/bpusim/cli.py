@@ -283,10 +283,12 @@ def _csv_field(value: str) -> str:
 
 
 def _scan_file(path: pathlib.Path, registers, window: int, mode: str) -> scanner.GadgetReport:
-    """The report of one listing; its records are freed on return."""
+    """The report of one listing; its records are freed on return. The file
+    is parsed line by line and closed before the scans run."""
     try:
-        records = scanner.parse_disasm(path.read_text(encoding="utf-8"))
-    except (scanner.DisasmParseError, UnicodeDecodeError) as exc:
+        with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+            records = scanner.parse_disasm(lines)
+    except scanner.DisasmParseError as exc:
         raise CommandError(f"{path}: {exc}") from exc
     return scanner.build_report(path.name, records, registers, window, mode)
 

@@ -4,6 +4,7 @@ and tournament mode selection."""
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from collections import namedtuple
 from typing import NamedTuple
@@ -59,13 +60,18 @@ def counter_update(value: int, width: int, outcome: Direction) -> int:
     return min(value + 1, (1 << width) - 1)
 
 
-# bytes.translate tables for _split, per width up to 8: for each lane of a
-# byte, lowest first, byte -> that lane's low `width` bits. A lane is the
-# next power of two >= width bits wide: 1, 2, 4 or 8. Wider values take
-# 16-bit lanes, whose high byte _HIGH masks to its low `width - 8` bits.
-_LANES = {w: [bytes((b >> s) & ((1 << w) - 1) for b in range(256))
-              for s in range(0, 8, 1 << (w - 1).bit_length())] for w in range(1, 9)}
-_HIGH = {w: bytes(b & ((1 << (w - 8)) - 1) for b in range(256)) for w in range(9, 17)}
+# bytes.translate tables for _split, per width, built on its first use:
+# most runs never reset. Up to 8 bits, for each lane of a byte, lowest
+# first, byte -> that lane's low `width` bits; a lane is the next power of
+# two >= width bits wide: 1, 2, 4 or 8. Wider values take 16-bit lanes,
+# whose high byte the one table masks to its low `width - 8` bits.
+@functools.cache
+def _tables(width: int) -> list[bytes]:
+    if width > 8:
+        return [bytes(b & ((1 << (width - 8)) - 1) for b in range(256))]
+    return [bytes((b >> s) & ((1 << width) - 1) for b in range(256))
+            for s in range(0, 8, 1 << (width - 1).bit_length())]
+
 
 # follows a seed's bytes in the key of the history PHT's stream. A seed's
 # bytes never end in two zero bytes (their top byte is zero only above a
@@ -99,7 +105,7 @@ def _xof(key: bytes, size: int) -> bytes:
 
 def _lane_bytes(n: int, width: int) -> int:
     """The bytes `_split` reads for `n` `width`-bit values."""
-    return 2 * n if width > 8 else -(-n // len(_LANES[width]))
+    return 2 * n if width > 8 else -(-n // len(_tables(width)))
 
 
 def _split(raw: bytes, n: int, width: int) -> list[int]:
@@ -110,9 +116,9 @@ def _split(raw: bytes, n: int, width: int) -> list[int]:
     raw = raw[:_lane_bytes(n, width)]
     if width > 8:
         raw = bytearray(raw)
-        raw[1::2] = raw[1::2].translate(_HIGH[width])
+        raw[1::2] = raw[1::2].translate(_tables(width)[0])
         return list(struct.unpack(f"<{n}H", raw))
-    lanes = _LANES[width]
+    lanes = _tables(width)
     per = len(lanes)  # lanes per byte
     values = bytearray(per * len(raw))
     for k, lane in enumerate(lanes):

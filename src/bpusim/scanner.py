@@ -1,4 +1,4 @@
-"""Static gadget scanner over normalized disassembly text.
+r"""Static gadget scanner over normalized disassembly text.
 
 Input format, one instruction per line::
 
@@ -17,6 +17,14 @@ anything else is rejected rather than read with a register dropped. This
 normalized format is the only input accepted: raw `objdump` output is
 rejected at its section headers, `<sym>` labels and `rip`-relative
 operands, and its bare-hex jump targets (`je 2012`) are misread as decimal.
+
+`parse_disasm` takes a string or a text file and reads it one line at a
+time, so a listing is held only as its records. A line ends at `\n`,
+`\r\n` or `\r`; no other character (`\f`, `\v`, `\x85`, `\u2028`, ...)
+ends one. The `scan` command opens a listing as UTF-8 with
+`errors="surrogateescape"`, and a line that is not ASCII is decoded again
+strictly, so a byte that is not UTF-8 is a parse error of its line. The
+first faulty line is reported, whether it fails to decode or to parse.
 
 Records, operands and memory references are named tuples. Parsing splits
 each line at its first colon and at whitespace, with no regular
@@ -239,7 +247,17 @@ def _parse_operand(text: str, lineno: int) -> Operand:
 
 
 def parse_disasm(stream) -> list[DisasmRecord]:
-    """Parse normalized disassembly text (string or file-like).
+    r"""Parse normalized disassembly: a string, or a text file to iterate.
+
+    The input is read one line at a time and never whole: a string through
+    `io.StringIO(text, newline=None)`, a file by iterating it. A line ends
+    at `\n`, `\r\n` or `\r`; `\f`, `\v` and the other `str.splitlines`
+    breaks do not end one. A line that is not ASCII is encoded back with
+    `surrogateescape` and decoded strictly, so a byte that is not UTF-8,
+    which a file opened with `errors="surrogateescape"` keeps as a lone
+    surrogate, raises `DisasmParseError` with the codec's message and the
+    byte's position within the line. The first faulty line is reported,
+    whether it fails to decode or to parse.
 
     A line is read as `HEAD:BODY` at its first colon. HEAD is the address:
     `(?:0x)?[0-9a-fA-F]+` with optional trailing whitespace. BODY is the
@@ -248,14 +266,19 @@ def parse_disasm(stream) -> list[DisasmRecord]:
     Each distinct operand text is parsed once per call, and records with the
     same text share one operand tuple; records with the same mnemonic share
     its lower-case string."""
-    text = stream if isinstance(stream, str) else stream.read()
+    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
     records: list[DisasmRecord] = []
     # tuple.__new__ builds a record without the named tuple's Python __new__
     append, new, intern = records.append, tuple.__new__, sys.intern
     # operand text -> its operands, shared by every record with that text
     parsed: dict[str, tuple[Operand, ...]] = {}
     last = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            try:
+                raw = raw.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeError as exc:
+                raise DisasmParseError(lineno, str(exc)) from None
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue

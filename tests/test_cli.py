@@ -547,13 +547,49 @@ def test_bad_disassembly_is_clean_error(tmp_path):
     assert f"Error: {src}: line 2: unrecognized line 'bogus'" in result.output
 
 
-def test_disassembly_that_is_not_utf8_is_clean_error(tmp_path):
+def _scan_error(tmp_path, listing: bytes) -> str:
+    """The one line `scan` prints for a listing it refuses."""
     src = tmp_path / "bad.disasm"
-    src.write_bytes(b"401000: test r8b, 0x4\n401004: nop \xff\n")
+    src.write_bytes(listing)
     result = _fail(["--out", str(tmp_path), "scan", str(src)])
     assert result.exit_code == 1
-    assert result.output.startswith(f"Error: {src}: 'utf-8' codec can't decode byte 0xff")
     assert len(result.output.strip().splitlines()) == 1
+    assert "Traceback" not in result.output
+    return result.output.removeprefix(f"Error: {src}: ")
+
+
+def test_disassembly_that_is_not_utf8_is_clean_error(tmp_path):
+    error = _scan_error(tmp_path, b"401000: test r8b, 0x4\n401004: nop \xff\n")
+    assert error.startswith("line 2: 'utf-8' codec can't decode byte 0xff")
+
+
+def _nops(n: int) -> bytes:
+    return b"".join(b"%x: nop\n" % (0x1000 + i) for i in range(n))
+
+
+@pytest.mark.parametrize("listing, error", [
+    # past the first 64 KiB of the file: 8,000 lines of 10 bytes come first
+    (_nops(8000) + b"ffff: nop # \xc3\n",
+     "line 8001: 'utf-8' codec can't decode byte 0xc3 in position 12: invalid continuation byte"),
+    # the first faulty line is reported, although a later one does not decode
+    (_nops(3) + b"bogus\n" + _nops(2) + b"\xff\n", "line 4: unrecognized line 'bogus'"),
+], ids=["past-64-kib", "parse-fault-first"])
+def test_undecodable_listing_reports_its_first_faulty_line(tmp_path, listing, error):
+    assert _scan_error(tmp_path, listing) == error + "\n"
+
+
+def test_scan_never_reads_a_listing_whole(tmp_path, monkeypatch):
+    src = tmp_path / "big.disasm"
+    src.write_bytes(_nops(8000))
+    assert src.stat().st_size > 64 * 1024
+
+    def whole_file(*args, **kwargs):
+        raise AssertionError("a whole file was read")
+
+    monkeypatch.setattr(pathlib.Path, "read_text", whole_file)
+    monkeypatch.setattr(pathlib.Path, "read_bytes", whole_file)
+    result = _run(["--out", str(tmp_path / "out"), "scan", str(src)])
+    assert result.output == "big.disasm: v2=0 ss=0 v1=0\n"
 
 
 def test_config_that_is_not_utf8_is_clean_error(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import io
 import json
 import random
 import re
@@ -167,21 +168,28 @@ _OPERAND_TEXTS = [
 _BAD_OPERAND_TEXTS = ["[qqq]", "rax, 0xzz", "rax, [rsi*2+rdi*4]"]
 
 
+_FAULTS = ("operand", "line", "address", "operand address")
+# lone surrogates stand for bytes that are not UTF-8, as a file opened with
+# errors="surrogateescape" reads them: a stray lead byte, 0xff, and an
+# encoded surrogate
+_BAD_BYTES = ["\udcc3", "\udcff", "\udced\udca0\udc80"]
+
+
 @st.composite
-def _listing_texts(draw):
-    """Listings of up to 30 lines; up to two of them carry a fault: a bad
-    operand text, an unrecognized line, an address that does not increase,
-    or both a bad operand text and such an address."""
+def _listing_lines(draw, faults=_FAULTS):
+    """Up to 30 listing lines; up to two of them carry a fault drawn from
+    `faults`: a bad operand text, an unrecognized line, an address that does
+    not increase, both a bad operand text and such an address, or ("byte")
+    a byte that is not UTF-8 in the operands or the comment."""
     n = draw(st.integers(0, 30))
-    faults = {}
+    faults_at = {}
     if n:
         for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-            faults[i] = draw(st.sampled_from(
-                ["operand", "line", "address", "operand address"]))
+            faults_at[i] = draw(st.sampled_from(faults))
     lines = []
     addr = 0x1000
     for i in range(n):
-        fault = faults.get(i, "")
+        fault = faults_at.get(i, "")
         kind = draw(st.sampled_from(["ins"] * 6 + ["blank", "comment"]))
         if fault == "line":
             lines.append("garbage")
@@ -197,9 +205,38 @@ def _listing_texts(draw):
                 _BAD_OPERAND_TEXTS if "operand" in fault else _OPERAND_TEXTS))
             # "0X" and "+": int(head, 16) accepts both, the format neither
             prefix = draw(st.sampled_from(["", "0x", "  "] * 4 + ["0X", "+"]))
-            note = draw(st.sampled_from(["", "  # note", "# x, y"]))
+            note = draw(st.sampled_from(["", "  # note", "# x, y", "  # \u00e9 \u4e2d"]))
+            if fault == "byte":
+                bad = draw(st.sampled_from(_BAD_BYTES))
+                if draw(st.booleans()):
+                    operands += bad
+                else:
+                    note = "  # " + bad
             lines.append(f"{prefix}{addr:x}: {mnemonic} {operands}{note}")
-    return "\n".join(lines)
+    return lines
+
+
+@st.composite
+def _listing_texts(draw):
+    r"""Listings whose lines end in `\n`, with the faults of `_listing_lines`
+    other than a byte that is not UTF-8."""
+    return "\n".join(draw(_listing_lines()))
+
+
+@st.composite
+def _listing_bytes(draw):
+    r"""Listings as bytes, each line ended by `\n`, `\r\n` or `\r` (the
+    last one maybe by nothing), with every fault of `_listing_lines`. Two
+    in five listings end every line in `\n`, and one in five mixes all
+    three endings."""
+    lines = draw(_listing_lines(faults=(*_FAULTS, "byte")))
+    endings = draw(st.sampled_from([("\n",), ("\n",), ("\r\n",), ("\r",),
+                                    ("\n", "\r\n", "\r")]))
+    ends = draw(st.lists(st.sampled_from(endings), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if ends and draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _outcome(parse, text):
@@ -213,6 +250,63 @@ def _outcome(parse, text):
 @given(_listing_texts())
 def test_parse_disasm_matches_the_per_line_reference(text):
     assert _outcome(parse_disasm, text) == _outcome(_reference_parse_disasm, text)
+
+
+def _as_scan_reads(data: bytes) -> io.TextIOWrapper:
+    """`data` as a text file, opened as `bpusim scan` opens a listing."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def _reference_outcome(text):
+    """`_reference_parse_disasm`'s outcome, except that the first line that
+    does not decode as UTF-8 is reported unless an earlier line fails."""
+    lines = text.splitlines(keepends=True)
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as err:
+            before = _outcome(_reference_parse_disasm, "".join(lines[:lineno - 1]))
+            return before if isinstance(before, tuple) else (lineno, str(err))
+    return _outcome(_reference_parse_disasm, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_listing_bytes())
+def test_a_string_and_its_bytes_read_as_scan_reads_them_parse_alike(data):
+    text = data.decode("utf-8", "surrogateescape")
+    outcome = _outcome(parse_disasm, _as_scan_reads(data))
+    assert _outcome(parse_disasm, text) == outcome
+    if "\r" not in text:
+        assert outcome == _reference_outcome(text)
+
+
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_only_newline_and_carriage_return_end_a_line(brk):
+    text = f"10: nop{brk}20: nop\n"
+    assert len(_reference_parse_disasm(text)) == 2  # str.splitlines breaks there
+    assert _outcome(parse_disasm, text) == (1, "bad numeric token '20: nop'")
+
+
+def test_a_line_ends_at_newline_carriage_return_or_both():
+    assert parse_disasm("10: nop\r20: nop\r\n30: nop\n\r\n40: nop") == [
+        DisasmRecord(addr, "nop", ()) for addr in (0x10, 0x20, 0x30, 0x40)]
+    assert _outcome(parse_disasm, "10: nop\r\r\nbogus\n") == (3, "unrecognized line 'bogus'")
+
+
+class _Unreadable(io.StringIO):
+    """A text file that can be iterated but not read whole."""
+
+    def read(self, *args):
+        raise AssertionError("the whole file was read")
+
+    readlines = read
+
+
+def test_parse_disasm_iterates_a_file_without_reading_it_whole():
+    text = "".join(f"{0x1000 + 4 * i:x}: test dl, 0x{i % 7 + 1:x}\n" for i in range(2000))
+    records = parse_disasm(_Unreadable(text))
+    assert len(records) == 2000 and records == parse_disasm(text)
 
 
 @pytest.mark.parametrize("line", [
