@@ -316,11 +316,14 @@ class _Channel:
     branch resolved in the preset direction. A chained channel (the covert
     ST/SN protocol) probes `2^n - 1` times, which saturates the entry the
     other way, so the next trial needs no preset and flips the direction.
-    `seed` seeds the update policy; `reset` scrambles a one-level predictor."""
+    `seed` seeds the update policy; `reset` scrambles a one-level predictor.
+    A `warmup` sequence runs `2^(n-1)` times after each trial's `prepare`."""
 
     def __init__(self, layout: VictimLayout, mode: Mode, config: PredictorConfig,
-                 latency_model, policy: type[ResolveTime], seed: int, context=None):
+                 latency_model, policy: type[ResolveTime], seed: int, context=None,
+                 warmup: Branches | None = None):
         self.layout, self.mode, self.policy, self.seed = layout, mode, policy, seed
+        self.warmup = warmup
         self.model = latency_model or LatencyModel()
         self.predictor = PredictorState(config)
         if mode is HISTORY:
@@ -338,27 +341,39 @@ class _Channel:
         b_a = layout.bv_addr
         self.executions = {d: Branches([*context, (b_a, d, b_a + 0x40)], config)
                            for d in Direction}
+        # the one-level entries a trial can touch: its committed sequences'
+        # and the body's conditional branches'. The selector is frozen and the
+        # program static, so no kernel call, memo replay or engine run (nor
+        # `ObfuscateOnSquash`'s writes) reads or writes another, and a reset
+        # of these alone leaves every trial as a full reset does
+        sequences = [*self.executions.values(), layout.preamble] + ([warmup] if warmup else [])
+        self.entries = tuple(sorted(layout._one_level.union(
+            *[[index_one_level(a, config) for a, _, _ in b.triples] for b in sequences])))
         self.n = config.counter_width(mode)
         self.direction: Direction | None = None  # None: the entry needs a preset
 
     def reset(self, seed: int) -> None:
-        """Scramble a one-level predictor, as a random branch storm does."""
+        """Scramble a one-level predictor, as a random branch storm does, at
+        the entries its trials can touch (`entries`)."""
         if self.mode is ONE_LEVEL:
-            self.predictor.randomize_reset(seed)
+            self.predictor.randomize_reset(seed, self.entries)
             self.direction = None
 
     def trials(self, bits, env, prepare, unresolved, chained=False):
-        """One trial per bit: `prepare(i)`, the preset if needed, the victim
-        run on `env(bit)` (`VictimLayout.transmit`) and the probes; the
-        preset and the probes are one harness call each. `unresolved(i,
-        fetched)` is the error raised when the transmitter does not resolve
-        (`fetched` says whether it was fetched at all), or None to decode
-        anyway. Returns the decoded bits and the trace of decisive probes."""
+        """One trial per bit: `prepare(i)`, the warm-ups, the preset if
+        needed, the victim run on `env(bit)` (`VictimLayout.transmit`) and
+        the probes; the warm-ups, the preset and the probes are one call
+        each. `unresolved(i, fetched)` is the error raised when the
+        transmitter does not resolve (`fetched` says whether it was fetched
+        at all), or None to decode anyway. Returns the decoded bits and the
+        trace of decisive probes."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
             prepare(i)
+            if self.warmup is not None:
+                self.predictor.execute(self.warmup, half)
             if self.direction is None:
                 self.harness.execute(self.executions[TAKEN], full)
                 self.direction = TAKEN
@@ -459,19 +474,14 @@ def side_channel_v1(
         context = list(layout.preamble.triples)
         addr, taken, target = context[corrupt_preamble_entry]
         context[corrupt_preamble_entry] = (addr, taken, target ^ 0x3)
-    ch = _Channel(layout, mode, config, latency_model, policy, seed, context)
     # from the far end of its taken half, an n-bit trigger counter predicts
-    # not-taken after 2^(n-1) in-bounds runs: the preamble, then trigger and
-    # transmitter not-taken (their targets unread). Such a run squashes no
-    # conditional branch and moves no GHR, BTB or selector state, so every
-    # policy makes the kernel's writes
-    warmups = 1 << (ch.n - 1)
+    # not-taken after 2^(n-1) in-bounds runs, the channel's warm-ups: the
+    # preamble, then trigger and transmitter not-taken (their targets
+    # unread). Such a run squashes no conditional branch and moves no GHR,
+    # BTB or selector state, so every policy makes the kernel's writes
     warmup = Branches([*layout.preamble.triples, (layout.trigger_addr, NOT_TAKEN, 0),
                        (layout.bv_addr, NOT_TAKEN, 0)], config)
-
-    def prepare(i):
-        ch.reset(seed * 1000 + i)
-        ch.predictor.execute(warmup, warmups)
+    ch = _Channel(layout, mode, config, latency_model, policy, seed, context, warmup)
 
     def unresolved(i, fetched):
         if not fetched:
@@ -479,8 +489,8 @@ def side_channel_v1(
                                "before the trigger resolved")
         return AttackError(f"trial {i}: transmitter branch squashed before resolution")
 
-    recovered, trace = ch.trials(
-        secret, lambda bit: {"oob": 1, "sec": bit}, prepare, unresolved)
+    recovered, trace = ch.trials(secret, lambda bit: {"oob": 1, "sec": bit},
+                                 lambda i: ch.reset(seed * 1000 + i), unresolved)
     return _side_channel_result(recovered, secret, trace)
 
 

@@ -9,7 +9,8 @@ Recognized keys are exactly the PredictorConfig field names, e.g.::
 Each key may appear at most once. Values are decimal or 0x-prefixed hex
 numbers (`program.parse_int`), and `monitored_branches` takes a
 comma-separated list of them. Blank lines and `#` comments are ignored. The
-file is read as UTF-8.
+file is read as UTF-8, and a line that does not decode is a ConfigFileError
+naming the file, the line and the position within it.
 
 PredictorConfig bounds the size fields, and a value past a bound is a
 ConfigFileError:
@@ -63,8 +64,14 @@ def parse_config(text: str) -> PredictorConfig:
 
 
 def load_config(path) -> PredictorConfig:
-    try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
+    """The config in the file at `path`. A line that is not UTF-8 is
+    reported as `scan` reports a listing's, numbered as `parse_config`
+    numbers lines."""
+    text = pathlib.Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeError as exc:
+                raise ConfigFileError(f"{path}: line {lineno}: {exc}") from None
     return parse_config(text)

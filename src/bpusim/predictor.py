@@ -516,19 +516,35 @@ class PredictorState:
         self.ghr.advance(branches.count, branches.tail, times)
         return flags
 
-    def randomize_reset(self, seed: int) -> None:
+    def randomize_reset(self, seed: int, entries=None) -> None:
         """Model the effect of a long random-outcome branch storm: scrambled
         PHTs and GHR, one-level mode selected, accumulator cleared. The
         one-level PHT and then the GHR word are the first bytes of one
         SHAKE-128 stream keyed by the seed's bytes (`_split`; the word
         masked to the window). The history PHT is drawn when first read,
         from a second stream keyed by the same bytes and `_HISTORY_TAG`, so
-        the seed alone fixes the state, and each value is uniform."""
+        the seed alone fixes the state, and each value is uniform.
+
+        With `entries`, an iterable of one-level indexes, only those entries
+        are written, in place, each from its lane of the same stream: for a
+        caller that reads no other one-level entry, the reset is the full
+        one. Every other entry keeps its value; the rest is set as above."""
         cfg = self.config
         n, width = cfg.pht_entries_one_level, cfg.one_level_bits
         size = _lane_bytes(n, width)
         raw = _xof(_seed_bytes(seed), size + -(-cfg.ghr_depth * cfg.target_bits_per_entry // 8))
-        self.pht_one_level = _split(raw, n, width)
+        if entries is None:
+            self.pht_one_level = _split(raw, n, width)
+        else:
+            tbl, mask = self.pht_one_level, (1 << width) - 1
+            if width > 8:  # a little-endian byte pair
+                for i in entries:
+                    tbl[i] = (raw[2 * i] | raw[2 * i + 1] << 8) & mask
+            else:  # lane i % per of byte i // per, lowest first
+                per = len(_tables(width))
+                lane = 8 // per
+                for i in entries:
+                    tbl[i] = raw[i // per] >> (i % per * lane) & mask
         self.ghr = self.ghr.clone()
         self.ghr._word = int.from_bytes(raw[size:], "little") & self.ghr._wmask
         self._pht_history, self._reset_seed = None, seed

@@ -594,11 +594,12 @@ def test_scan_never_reads_a_listing_whole(tmp_path, monkeypatch):
 
 def test_config_that_is_not_utf8_is_clean_error(tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_bytes(b"ghr_depth = 8 # \xff\n")
+    cfg.write_bytes(b"ghr_depth = 8\n\n# - \xff\n")
     result = _fail(["--config", str(cfg), "--out", str(tmp_path), "probe-ghr"])
     assert result.exit_code == 1
-    assert result.output.startswith(f"Error: {cfg}: 'utf-8' codec can't decode byte 0xff")
-    assert len(result.output.strip().splitlines()) == 1
+    assert result.output == (f"Error: {cfg}: line 3: 'utf-8' codec can't decode byte 0xff "
+                             "in position 4: invalid start byte\n")
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("exc", [

@@ -5,7 +5,10 @@ bytes and a tag. A table's value i is lane i of its bytes' bits: a lane is
 the least of 1, 2, 4, 8 and 16 bits that holds the width, masked to the
 width, so every value is uniform and none needs a redraw. Every value a
 caller can observe must be what that reference gives; a channel that never
-reads the history PHT must never draw it."""
+reads the history PHT must never draw it. `randomize_reset(seed, entries)`
+writes only the listed one-level entries, and a one-level channel, which
+lists every entry its trials touch, must give what it gives after full
+resets."""
 
 from __future__ import annotations
 
@@ -18,12 +21,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpusim import predictor as pred
-from bpusim.attacks import covert_send_receive, probe_mode, side_channel_v1, side_channel_v2
+from bpusim import attacks, predictor as pred
+from bpusim.attacks import (AttackError, TransmissionError, covert_send_receive, probe_mode,
+                            side_channel_v1, side_channel_v2)
 from bpusim.engine import POLICIES
 from bpusim.predictor import (
     Branches,
@@ -34,6 +39,7 @@ from bpusim.predictor import (
     PredictorState,
     diff,
 )
+from bpusim.timing import LatencyModel, NoiseKind
 from test_run_result_golden import GOLDEN, run_digest
 
 HISTORY_TAG = b"pht_history\x00\x00"
@@ -270,9 +276,9 @@ def test_one_level_side_channel_never_draws_the_history_table(monkeypatch):
     draws, keys = _count_draws(monkeypatch)
     r = side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3)
     assert r.recovered == [1, 0, 1, 1]
-    cfg = PredictorConfig()
-    # one reset per trial, none when the channel is built
-    assert draws == [(cfg.pht_entries_one_level, cfg.one_level_bits)] * 4
+    # one reset per trial, none when the channel is built; each writes only
+    # the channel's entries, from their lanes, so no table is split
+    assert draws == []
     assert keys == [seed_key(3000 + i) for i in range(4)]
 
 
@@ -280,9 +286,9 @@ def test_each_one_level_channel_resets_once_before_its_first_trial(monkeypatch):
     seeds = []
     reset = PredictorState.randomize_reset
 
-    def counted(state, seed):
+    def counted(state, seed, entries=None):
         seeds.append(seed)
-        reset(state, seed)
+        reset(state, seed, entries)
 
     monkeypatch.setattr(PredictorState, "randomize_reset", counted)
     covert_send_receive("0" * 130, Mode.ONE_LEVEL, seed=7, reset_interval=64)
@@ -415,3 +421,143 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
         else:
             assert _read(lazy, op[1]) == _read(eager, op[1])
     assert diff(lazy.snapshot(), eager.snapshot()) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs(), st.integers() | st.sampled_from(SEEDS), st.data())
+def test_a_reset_of_listed_entries_writes_those_alone(cfg, seed, data):
+    """`randomize_reset(seed, entries)` sets each listed one-level entry, in
+    place, to the reference's value and leaves every other as it was; the
+    GHR, the undrawn history PHT, the BTB and the selector are as after a
+    full reset."""
+    n, top = cfg.pht_entries_one_level, (1 << cfg.one_level_bits) - 1
+    before = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    entries = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    partial, full = PredictorState(cfg), PredictorState(cfg)
+    for state in (partial, full):
+        state.pht_one_level, state.pht_history = list(before), [0] * cfg.pht_entries_history
+        state.ghr.insert_taken(0x3FF)
+        state.btb.update(0x4000, 0x4100)
+        state.selector.mode, state.selector.mispredict_accumulator = Mode.HISTORY, 2
+        state.selector.frozen = True
+    table = partial.pht_one_level
+    partial.randomize_reset(seed, entries)
+    full.randomize_reset(seed)
+    one_level = reset_reference(cfg, seed)[0]
+    assert partial.pht_one_level is table
+    assert table == [one_level[i] if i in entries else v for i, v in enumerate(before)]
+    a, b = partial.snapshot(), full.snapshot()
+    assert (a.ghr, a.pht_history, a.btb, a.selector) == (b.ghr, b.pht_history, b.btb, b.selector)
+    assert a.pht_history == seed
+
+
+def _full_reset(channel, seed):
+    """`_Channel.reset` as a whole-table reset."""
+    if channel.mode is Mode.ONE_LEVEL:
+        channel.predictor.randomize_reset(seed)
+        channel.direction = None
+
+
+def _channel_outcomes(cfg, policy, model, seed, secret, reset_interval):
+    """Each one-level channel's result, with its trace's samples, or the
+    type and message of the error it raised: v1, v2 with and without
+    poisoning, and the covert channel."""
+    one = Mode.ONE_LEVEL
+    calls = [lambda: side_channel_v1(secret, one, model, cfg, policy, seed),
+             lambda: side_channel_v2(secret, one, model, cfg, policy, seed),
+             lambda: side_channel_v2(secret, one, model, cfg, policy, seed, poison=False),
+             lambda: covert_send_receive("".join(map(str, secret)), one, model, cfg, policy,
+                                         seed, reset_interval)]
+    outcomes = []
+    for call in calls:
+        try:
+            result = call()
+        except (AttackError, TransmissionError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        else:
+            outcomes.append(tuple(result._replace(trace=result.trace.samples)))
+    return outcomes
+
+
+@st.composite
+def _one_level_channels(draw):
+    """A one-level channel config, policy, latency model, seed, secret and
+    covert reset interval."""
+    cfg = PredictorConfig(one_level_bits=draw(st.integers(2, 9)),
+                          pht_entries_one_level=1 << draw(st.integers(1, 12)),
+                          ghr_depth=draw(st.integers(1, 64)),
+                          target_bits_per_entry=draw(st.integers(1, 9)))
+    model = draw(st.one_of(
+        st.just(LatencyModel()),
+        st.builds(LatencyModel, st.just(NoiseKind.UNIFORM), st.integers(0, 40).map(float),
+                  st.integers(0, 99)),
+        st.builds(LatencyModel, st.just(NoiseKind.GAUSSIAN), st.floats(0, 40),
+                  st.integers(0, 99))))
+    return (cfg, draw(st.sampled_from(POLICIES)), model, draw(st.integers(-10**6, 10**6)),
+            draw(st.lists(st.integers(0, 1), min_size=1, max_size=8)), draw(st.integers(1, 8)))
+
+
+# every size field at its bound: 65,536 9-bit entries in each table
+BOUND_CONFIG = PredictorConfig(one_level_bits=9, history_bits=9, target_bits_per_entry=9,
+                               ghr_depth=256, pht_entries_one_level=1 << 16,
+                               pht_entries_history=1 << 16, btb_entries=1 << 16)
+
+
+def _assert_as_full_reset(case):
+    outcomes = _channel_outcomes(*case)
+    with mock.patch.object(attacks._Channel, "reset", _full_reset):
+        assert outcomes == _channel_outcomes(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_level_channels())
+def test_one_level_channels_reset_only_their_entries_as_a_full_reset_does(case):
+    _assert_as_full_reset(case)
+
+
+def test_bound_config_channels_reset_only_their_entries_as_a_full_reset_does():
+    _assert_as_full_reset((BOUND_CONFIG, POLICIES[0], LatencyModel(), 1, [1, 0, 1], 2))
+
+
+class _Recording(list):
+    """A table that records each index read or written through it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.seen = set()
+
+    def _note(self, key):
+        self.seen.update(range(len(self))[key] if isinstance(key, slice) else [key % len(self)])
+
+    def __getitem__(self, key):
+        self._note(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self._note(key)
+        super().__setitem__(key, value)
+
+    def __iter__(self):
+        self._note(slice(None))
+        return super().__iter__()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_one_level_channels())
+def test_one_level_channels_touch_no_entry_outside_their_reset(case):
+    """Each channel's trials read and write only the one-level entries its
+    reset lists, through the victim-run memo, the engine and the kernel."""
+    channels, init = [], attacks._Channel.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.predictor.pht_one_level = _Recording(self.predictor.pht_one_level)
+        channels.append(self)
+
+    with mock.patch.object(attacks._Channel, "__init__", recording):
+        _channel_outcomes(*case)
+    assert len(channels) == 4
+    for channel in channels:
+        table = channel.predictor.pht_one_level
+        assert isinstance(table, _Recording)  # each reset wrote in place
+        assert table.seen and table.seen <= set(channel.entries)
