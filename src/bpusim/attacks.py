@@ -6,16 +6,15 @@ probing) are committed branch executions: a `Branches` sequence of
 `(addr, outcome, target)` triples run `times` over by one
 `PredictorState.execute` call against the shared predictor, directly or
 through `BranchHarness`. The harness times the last execution of the one
-pass the receiver reads, with one noise draw: a trial's probes read the
-decisive pass, and the preset reads none. So are the victim's always-taken
-preamble to its trigger, one untimed kernel call before each run of the
-victim's body, and v1's in-bounds warm-ups, one untimed kernel call per
-trial over the preamble, the trigger and the transmitter. The channel's
-sequences, the preamble and the warm-up are built once; the mode and depth
-probes build theirs per call. Only the body of the run on the trial's bit,
-where the transient step happens, goes through the speculation engine
-(`VictimLayout.transmit`, which replays it from a memo), so the update
-policy governs exactly the speculative updates.
+pass the receiver reads, with one noise draw. A channel's trial is four
+steps: `prepare` (the reset and the BTB poisoning); one untimed setup
+call (a `Chain` of v1's in-bounds warm-ups, the preset when needed and
+the victim's always-taken preamble to its trigger, or that preamble
+alone); the victim's body; and one timed probe phase. The mode and depth
+probes build their sequences per call. Only the body of the run on the
+trial's bit, where the transient step happens, goes through the
+speculation engine (`VictimLayout.transmit`, which replays it from a
+memo), so the update policy governs exactly the speculative updates.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import NamedTuple
 from . import engine as eng
 from . import predictor as bpu
 from .engine import ResolveTime
-from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Branches, Direction, Mode,
+from .predictor import (HISTORY, NOT_TAKEN, ONE_LEVEL, TAKEN, Branches, Chain, Direction, Mode,
                         PredictorConfig, PredictorState, diff, index_btb, index_one_level)
 from .program import ALU, COND_BRANCH, HALT, INDIRECT_BRANCH, Instruction, Program
 from .timing import LatencyModel, LatencySampler, LatencyTrace
@@ -193,12 +192,9 @@ class VictimLayout:
 
     def transmit(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
                  seed: int) -> tuple[bool, bool]:
-        """A trial's victim run on its bit: the preamble in one kernel call,
-        then the body, replayed from the memo unless it misses. Returns
-        whether the transmitter was fetched and whether it resolved. The
-        engine would fetch each preamble branch into an empty ROB and commit
-        it before the next fetch, with no policy state yet, so under every
-        policy it makes the kernel's reads and writes.
+        """The body of a trial's victim run on its bit, after the preamble,
+        replayed from the memo unless it misses. Returns whether the
+        transmitter was fetched and whether it resolved.
 
         A body run whose selector cannot switch mode reads and writes only
         its conditional branches' entries of its mode's table, its indirect
@@ -212,7 +208,6 @@ class VictimLayout:
         the entries it can reach: the body's static one-level ones, or the
         whole history table. Each key keeps at most `predictor.MEMO_WORDS`
         footprints, and the memo as many keys; each starts over when full."""
-        predictor.execute(self.preamble)
         sel, btb = predictor.selector, predictor.btb
         if sel.mode is ONE_LEVEL and not sel.frozen:
             return self._outcome(eng.run(self.program, self.schedule, policy, predictor,
@@ -254,7 +249,9 @@ class VictimLayout:
 
 
 def _preamble_block(config: PredictorConfig, trigger_addr: int) -> Branches:
-    """The always-taken preamble to the trigger, as its committed executions."""
+    """The always-taken preamble to the trigger, as committed executions: the
+    engine commits each before the next is fetched, so every policy makes the
+    kernel's writes."""
     addrs = [PREAMBLE_BASE + i * 0x20 + ((i * 3 + 1) % 4) for i in range(config.ghr_depth)]
     return Branches([(a, TAKEN, t) for a, t in zip(addrs, addrs[1:] + [trigger_addr])], config)
 
@@ -317,13 +314,12 @@ class _Channel:
     ST/SN protocol) probes `2^n - 1` times, which saturates the entry the
     other way, so the next trial needs no preset and flips the direction.
     `seed` seeds the update policy; `reset` scrambles a one-level predictor.
-    A `warmup` sequence runs `2^(n-1)` times after each trial's `prepare`."""
+    One `setup` call precedes each body run: a `Chain`, or the bare preamble (cheaper)."""
 
     def __init__(self, layout: VictimLayout, mode: Mode, config: PredictorConfig,
                  latency_model, policy: type[ResolveTime], seed: int, context=None,
                  warmup: Branches | None = None):
         self.layout, self.mode, self.policy, self.seed = layout, mode, policy, seed
-        self.warmup = warmup
         self.model = latency_model or LatencyModel()
         self.predictor = PredictorState(config)
         if mode is HISTORY:
@@ -349,7 +345,11 @@ class _Channel:
         sequences = [*self.executions.values(), layout.preamble] + ([warmup] if warmup else [])
         self.entries = tuple(sorted(layout._one_level.union(
             *[[index_one_level(a, config) for a, _, _ in b.triples] for b in sequences])))
-        self.n = config.counter_width(mode)
+        self.n = n = config.counter_width(mode)
+        head = [(warmup, 1 << (n - 1))] if warmup else []
+        self.setup = {need: Chain(head + [(self.executions[TAKEN], (1 << n) - 1)] * need
+                                  + [(layout.preamble, 1)]) if head or need else layout.preamble
+                      for need in (False, True)}
         self.direction: Direction | None = None  # None: the entry needs a preset
 
     def reset(self, seed: int) -> None:
@@ -360,23 +360,19 @@ class _Channel:
             self.direction = None
 
     def trials(self, bits, env, prepare, unresolved, chained=False):
-        """One trial per bit: `prepare(i)`, the warm-ups, the preset if
-        needed, the victim run on `env(bit)` (`VictimLayout.transmit`) and
-        the probes; the warm-ups, the preset and the probes are one call
-        each. `unresolved(i, fetched)` is the error raised when the
-        transmitter does not resolve (`fetched` says whether it was fetched
-        at all), or None to decode anyway. Returns the decoded bits and the
-        trace of decisive probes."""
+        """One trial per bit: `prepare(i)`, the setup call, the victim's body
+        run on `env(bit)` (`VictimLayout.transmit`) and the probes; the
+        setup and the probes are one kernel call each. `unresolved(i,
+        fetched)` is the error raised when the transmitter does not resolve
+        (`fetched` says whether it was fetched at all), or None to decode
+        anyway. Returns the decoded bits and the trace of decisive probes."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
         decoded, trace, probe = [], LatencyTrace([]), 0
         for i, bit in enumerate(bits):
             prepare(i)
-            if self.warmup is not None:
-                self.predictor.execute(self.warmup, half)
-            if self.direction is None:
-                self.harness.execute(self.executions[TAKEN], full)
-                self.direction = TAKEN
+            self.predictor.execute(self.setup[self.direction is None])
+            self.direction = self.direction or TAKEN
             fetched, resolved = self.layout.transmit(self.policy, self.predictor, env(bit),
                                                      self.seed)
             if unresolved is not None and not resolved:

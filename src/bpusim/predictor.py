@@ -233,16 +233,16 @@ class GlobalHistoryRegister:
 
     def advance(self, count: int, tail: int, times: int = 1) -> None:
         """What `count` `insert_taken` calls do, `times` over, given `tail`,
-        their masked targets packed oldest first. Only the last `ghr_depth`
-        stay in the window, so `tail` need hold no more, and the passes after
-        the first ceil(ghr_depth / count) leave the word as it is: with
-        `count >= ghr_depth`, as in every channel execution in history
-        mode, it is the masked tail after one pass."""
-        if count >= self._depth and times > 0:
+        their masked targets packed oldest first, in one step: only k =
+        min(times, ceil(ghr_depth / count)) passes reach the window. With s
+        bits a pass, the word shifts by s·k and the tail, repeated k times at
+        stride s, fills the gap; at `count >= ghr_depth` it is the tail."""
+        if count >= self._depth and times:
             self._word = tail & self._wmask
-            return
-        for _ in range(min(times, -(-self._depth // max(count, 1)))):
-            self._word = ((self._word << (self._bits * count)) | tail) & self._wmask
+        elif count:
+            s, k = self._bits * count, min(times, -(-self._depth // count))
+            self._word = (self._word << s * k | tail * ((1 << s * k) - 1) // ((1 << s) - 1)) \
+                & self._wmask
 
     def clone(self) -> "GlobalHistoryRegister":
         c = object.__new__(GlobalHistoryRegister)
@@ -364,28 +364,53 @@ class Branches:
         in one-level mode; in history mode, one per run of passes from one
         GHR word, at most ceil(ghr_depth / count) + 1, as a pass that leaves
         the word as it found it leaves it so for every later pass. A memo
-        miss walks `history_index` over a GHR clone."""
-        cfg, word = self.config, None if state.selector.mode is ONE_LEVEL else state.ghr._word
-        groups = self._runs.get((word, times))
+        miss walks `history_index` over a GHR clone (`_groups`)."""
+        key = (None if state.selector.mode is ONE_LEVEL else state.ghr._word, times)
+        groups = self._runs.get(key)
         if groups is None:
             if len(self._runs) >= MEMO_WORDS:
                 self._runs.clear()
-            if word is None:
-                pairs = [(o, index_one_level(a, cfg)) for a, o, _ in self.triples]
-                groups = [_sweep(pairs, cfg.one_level_bits, times)]
-            else:
-                ghr, groups, left = state.ghr.clone(), [], times
-                while left:
-                    start, pairs = ghr._word, []
-                    for addr, outcome, target in self.triples:
-                        pairs.append((outcome, state.history_index(addr, ghr)))
-                        if outcome is TAKEN:
-                            ghr.insert_taken(target)
-                    passes = left if ghr._word == start else 1
-                    groups.append(_sweep(pairs, cfg.history_bits, passes))
-                    left -= passes
-            self._runs[word, times] = groups
+            groups = self._runs[key] = self._groups(state, times, state.ghr.clone())
         return groups
+
+    def _groups(self, state: "PredictorState", times: int, ghr) -> list[tuple]:
+        cfg = self.config  # in history mode, `ghr` walks to the word the passes leave
+        if state.selector.mode is ONE_LEVEL:
+            pairs = [(o, index_one_level(a, cfg)) for a, o, _ in self.triples]
+            return [_sweep(pairs, cfg.one_level_bits, times)]
+        groups, left = [], times
+        while left:
+            start, pairs = ghr._word, []
+            for addr, outcome, target in self.triples:
+                pairs.append((outcome, state.history_index(addr, ghr)))
+                if outcome is TAKEN:
+                    ghr.insert_taken(target)
+            passes = left if ghr._word == start else 1
+            groups.append(_sweep(pairs, cfg.history_bits, passes))
+            left -= passes
+        return groups
+
+
+class Chain(Branches):
+    """`(branches, times)` segments that one `execute` call runs in order:
+    their closed-form groups compose per entry into one map, memoised per
+    starting GHR word, and the GHR moves once. It has no triples."""
+
+    def __init__(self, segments):
+        self.segments, self.triples, self._runs = segments, (), {}
+        self.config = segments[0][0].config
+        ghr = GlobalHistoryRegister(self.config)
+        for branches, times in segments:
+            ghr.advance(branches.count, branches.tail, times)
+        self.count, self.tail = sum([b.count * times for b, times in segments]), ghr._word
+
+    def _groups(self, state: "PredictorState", times: int, ghr) -> list[tuple]:
+        maps = {}
+        for branches, k in self.segments * times:
+            for swept, _, _ in branches._groups(state, k, ghr):
+                for i, image in swept:  # composed after the maps before it
+                    maps[i] = tuple([image[v] for v in maps[i]]) if i in maps else image
+        return [(tuple(maps.items()), 1, None)]
 
 
 class PredictorState:
@@ -471,14 +496,14 @@ class PredictorState:
     def execute(self, branches, times: int = 1, read: bool = False) -> list[bool] | None:
         """Committed executions of a branch sequence, `times` over: for each
         branch, what `predict` and then `record_resolution` do. `branches`
-        is a `Branches` of this config; anything else is a TypeError.
-        When `read`, returns whether the sequence's last branch mispredicted,
-        once per pass, and refuses an empty sequence; else returns None.
+        is a `Branches` (a `Chain` too) of this config; anything else is a
+        TypeError. When `read`, returns whether the sequence's last branch
+        mispredicted, once per pass, and refuses an empty sequence; else None.
 
-        An unfrozen one-level selector can switch mid-call, so it runs
-        branch by branch through `predict` and `record_resolution`. Any other
-        takes the `_sweep` groups of `Branches.groups`, writing each entry a
-        group touches once, and then moves the GHR once."""
+        An unfrozen one-level selector can switch mid-call, so it runs branch
+        by branch through `predict` and `record_resolution`, and refuses a
+        chain. Any other takes the `_sweep` groups of `groups`, writing each
+        entry a group touches once, and then moves the GHR once."""
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
         cfg, mode = self.config, self.selector.mode
@@ -490,6 +515,8 @@ class PredictorState:
             raise ValueError("an empty sequence has no last branch to read")
         flags = [] if read else None
         if mode is ONE_LEVEL and not self.selector.frozen:
+            if isinstance(branches, Chain):
+                raise ValueError("a chain runs only where the selector cannot switch mid-call")
             for _ in range(times):
                 for addr, outcome, target in branches.triples:
                     pred = self.predict(addr)
@@ -525,17 +552,19 @@ class PredictorState:
         from a second stream keyed by the same bytes and `_HISTORY_TAG`, so
         the seed alone fixes the state, and each value is uniform.
 
-        With `entries`, an iterable of one-level indexes, only those entries
-        are written, in place, each from its lane of the same stream: for a
-        caller that reads no other one-level entry, the reset is the full
-        one. Every other entry keeps its value; the rest is set as above."""
-        cfg = self.config
-        n, width = cfg.pht_entries_one_level, cfg.one_level_bits
-        size = _lane_bytes(n, width)
-        raw = _xof(_seed_bytes(seed), size + -(-cfg.ghr_depth * cfg.target_bits_per_entry // 8))
+        With `entries`, one-level indexes, only those are written, in place,
+        from the stream's prefix (a shorter digest) through the last one's
+        lane. Other entries and the GHR word keep values that a one-level
+        channel reads nowhere before its preamble refills the GHR."""
+        n, width = self.config.pht_entries_one_level, self.config.one_level_bits
         if entries is None:
+            size = _lane_bytes(n, width)
+            raw = _xof(_seed_bytes(seed), size + -(-self.ghr._wmask.bit_length() // 8))
             self.pht_one_level = _split(raw, n, width)
+            self.ghr = self.ghr.clone()
+            self.ghr._word = int.from_bytes(raw[size:], "little") & self.ghr._wmask
         else:
+            raw = _xof(_seed_bytes(seed), _lane_bytes(max(entries, default=-1) + 1, width))
             tbl, mask = self.pht_one_level, (1 << width) - 1
             if width > 8:  # a little-endian byte pair
                 for i in entries:
@@ -545,8 +574,6 @@ class PredictorState:
                 lane = 8 // per
                 for i in entries:
                     tbl[i] = raw[i // per] >> (i % per * lane) & mask
-        self.ghr = self.ghr.clone()
-        self.ghr._word = int.from_bytes(raw[size:], "little") & self.ghr._wmask
         self._pht_history, self._reset_seed = None, seed
         self.selector.mode = ONE_LEVEL
         self.selector.mispredict_accumulator = 0

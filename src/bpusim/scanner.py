@@ -178,6 +178,7 @@ class DisasmRecord(NamedTuple):
 
 
 _SIZE_PREFIX = re.compile(r"^(byte|word|dword|qword)\s+ptr\s+", re.IGNORECASE)
+_SLICE = r"(?s).{1,16384}[^\n]*\n?"  # 16,384 characters, on to a `\n`; compiled on first use
 _NUMBER_START = frozenset("0123456789-")
 
 
@@ -250,14 +251,14 @@ def parse_disasm(stream) -> list[DisasmRecord]:
     r"""Parse normalized disassembly: a string, or a text file to iterate.
 
     The input is read one line at a time and never whole: a string through
-    `io.StringIO(text, newline=None)`, a file by iterating it. A line ends
-    at `\n`, `\r\n` or `\r`; `\f`, `\v` and the other `str.splitlines`
-    breaks do not end one. A line that is not ASCII is encoded back with
-    `surrogateescape` and decoded strictly, so a byte that is not UTF-8,
-    which a file opened with `errors="surrogateescape"` keeps as a lone
-    surrogate, raises `DisasmParseError` with the codec's message and the
-    byte's position within the line. The first faulty line is reported,
-    whether it fails to decode or to parse.
+    `io.StringIO(part, newline=None)` per `_SLICE` part, a file by iterating
+    it. A line ends at `\n`, `\r\n` or `\r`; `\f`, `\v` and the other
+    `str.splitlines` breaks do not end one. A line that is not ASCII is
+    encoded back with `surrogateescape` and decoded strictly, so a byte that
+    is not UTF-8, which a file opened with `errors="surrogateescape"` keeps
+    as a lone surrogate, raises `DisasmParseError` with the codec's message
+    and the byte's position within the line. The first faulty line is
+    reported, whether it fails to decode or to parse.
 
     A line is read as `HEAD:BODY` at its first colon. HEAD is the address:
     `(?:0x)?[0-9a-fA-F]+` with optional trailing whitespace. BODY is the
@@ -266,14 +267,15 @@ def parse_disasm(stream) -> list[DisasmRecord]:
     Each distinct operand text is parsed once per call, and records with the
     same text share one operand tuple; records with the same mnemonic share
     its lower-case string."""
-    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
+    if isinstance(stream, str):  # part by part: StringIO copies at 4 bytes a character
+        stream = (x for m in re.finditer(_SLICE, stream) for x in io.StringIO(m[0], newline=None))
     records: list[DisasmRecord] = []
     # tuple.__new__ builds a record without the named tuple's Python __new__
     append, new, intern = records.append, tuple.__new__, sys.intern
     # operand text -> its operands, shared by every record with that text
     parsed: dict[str, tuple[Operand, ...]] = {}
     last = -1
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(stream, start=1):
         if not raw.isascii():
             try:
                 raw = raw.encode("utf-8", "surrogateescape").decode("utf-8")

@@ -38,8 +38,9 @@ def invoke(args) -> Invocation:
 
 
 def victim_run(layout, policy, predictor, env, seed):
-    """What `VictimLayout.transmit` does to `predictor`, unmemoized: the
-    victim's preamble in one kernel call, then its body in one engine run.
-    Returns the body run's `RunResult`."""
+    """A victim run on `predictor`: its preamble in one kernel call, which
+    ends a channel's setup chain, then its body in one engine run, which
+    `VictimLayout.transmit` replays from its memo. Returns the body run's
+    `RunResult`."""
     predictor.execute(layout.preamble)
     return eng.run(layout.program, layout.schedule, policy, predictor, env=env, seed=seed)[0]

@@ -31,8 +31,8 @@ from bpusim.attacks import (
 )
 from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime, RestoreOnSquash,
                            ShadowPht)
-from bpusim.predictor import (Branches, Direction, GlobalHistoryRegister, Mode, PredictorConfig,
-                              PredictorState, diff, index_one_level)
+from bpusim.predictor import (Branches, Chain, Direction, GlobalHistoryRegister, Mode,
+                              PredictorConfig, PredictorState, diff, index_one_level)
 from bpusim.program import Program
 from bpusim.timing import LatencyModel, LatencySampler, NoiseKind
 
@@ -226,9 +226,10 @@ def _v1_warmup(layout: attacks.VictimLayout) -> list:
 @pytest.mark.parametrize("mode, runs", [(Mode.ONE_LEVEL, 3), (Mode.HISTORY, 5)],
                          ids=lambda v: getattr(v, "value", v))
 def test_side_channel_v1_trial_makes_warmups_and_one_victim_run(monkeypatch, mode, runs):
-    # 2^(n-1) in-bounds warm-ups, as one kernel call, and the transient run
-    # through the engine, at the default widths
-    calls, warmups = [], []
+    # one setup kernel call, a chain of the 2^(n-1) in-bounds warm-ups, the
+    # 2^n - 1 presets and the victim's preamble; then the transient run
+    # through the engine and one probe call, at the default widths
+    calls, kernel = [], []
     run, execute = eng.run, PredictorState.execute
     layout = build_victim_v1(PredictorConfig())
 
@@ -236,10 +237,8 @@ def test_side_channel_v1_trial_makes_warmups_and_one_victim_run(monkeypatch, mod
         calls.append(kwargs["env"])
         return run(*args, **kwargs)
 
-    def counted_execute(self, branches, times=1, read=None):
-        triples = getattr(branches, "triples", branches)
-        if any(addr == layout.trigger_addr for addr, _, _ in triples):
-            warmups.append((list(triples), times))
+    def counted_execute(self, branches, times=1, read=False):
+        kernel.append((branches, times, read))
         return execute(self, branches, times, read)
 
     monkeypatch.setattr(eng, "run", counted)
@@ -248,7 +247,18 @@ def test_side_channel_v1_trial_makes_warmups_and_one_victim_run(monkeypatch, mod
     r = side_channel_v1([1], mode)
     assert r.accuracy == 1.0
     assert calls == [{"oob": 1, "sec": 1}]
-    assert warmups == [(_v1_warmup(layout), runs - 1)]
+    if mode is Mode.HISTORY:
+        kernel.pop(0)  # the TNTNTN switch
+    (chain, times, read), (probe, probes, probe_read) = kernel
+    assert isinstance(chain, Chain) and (times, read) == (1, False)
+    context = list(layout.preamble.triples) if mode is Mode.HISTORY else []
+    bv = layout.bv_addr
+    assert [(list(b.triples), k) for b, k in chain.segments] == [
+        (_v1_warmup(layout), runs - 1),
+        ([*context, (bv, Direction.TAKEN, bv + 0x40)], (1 << n) - 1),
+        (list(layout.preamble.triples), 1)]
+    assert list(probe.triples) == [*context, (bv, Direction.NOT_TAKEN, bv + 0x40)]
+    assert (probes, probe_read) == (runs - 1, True)
     assert runs - 1 == 1 << (n - 1)
 
 
@@ -475,73 +485,90 @@ def _count_calls(monkeypatch, methods):
 
 
 def test_covert_makes_one_kernel_call_per_phase_and_victim_preamble(monkeypatch):
-    """A 96-bit history-mode transmission is 194 kernel calls: the TNTNTN
-    switch, 97 harness calls, one per attacker phase (one call for the 7
-    presets, then per bit one call for the 7 probes, each probe an
-    execution with its 12-branch context), and per bit one for the victim's
-    preamble, which sets the GHR the probes replay. 4 `predict` calls
-    are the engine's, one for the transmitter in each victim body run that
-    misses the memo: a body run is keyed on its bit, and the chained probes
-    leave the transmitter's entry at 0 and at 7 in turn, so each of the two
-    bit values misses once at each value. The other 6, with the 6
-    `record_resolution` calls, are the TNTNTN switch, which an unfrozen
-    selector runs branch by branch; the other kernel calls make none."""
+    """A 96-bit history-mode transmission is 193 kernel calls: the TNTNTN
+    switch, then per bit one setup call and one probe call. The setup call
+    is the victim's preamble, which sets the GHR the probes replay; the
+    first one is a chain of the 7 presets and the preamble. Each of the 96
+    probe calls goes through the harness: 7 probes, each an execution with
+    its 12-branch context. 4 `predict` calls are the engine's, one for the
+    transmitter in each victim body run that misses the memo: a body run is
+    keyed on its bit, and the chained probes leave the transmitter's entry
+    at 0 and at 7 in turn, so each of the two bit values misses once at
+    each value. The other 6, with the 6 `record_resolution` calls, are the
+    TNTNTN switch, which an unfrozen selector runs branch by branch; the
+    other kernel calls make none."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (BranchHarness, "execute"),
         (PredictorState, "predict"), (PredictorState, "record_resolution")])
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert set(message) == {"0", "1"}
-    assert calls == {"PredictorState.execute": 194, "BranchHarness.execute": 97,
+    assert calls == {"PredictorState.execute": 193, "BranchHarness.execute": 96,
                      "PredictorState.predict": 10,
                      "PredictorState.record_resolution": 6}
 
 
 def _covert_sampler_calls(monkeypatch, mode):
     """Transmit the 96-bit seed-0 message in `mode`; return the harness and
-    sampler call counts, the harness calls per read pass, and every
-    `Branches` built on the way."""
+    sampler call counts, the harness calls per read pass, the setup calls
+    (a chain's segment `times`, or "preamble" for the bare preamble),
+    counted, and every `Branches` and `Chain` built on the way."""
     built = []
-    init = Branches.__init__
+    for cls in (Branches, Chain):
+        def record(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            built.append(self)
 
-    def record(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(Branches, "__init__", record)
+        monkeypatch.setattr(cls, "__init__", record)
     calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
-    reads, execute = Counter(), BranchHarness.execute
+    reads, setups, execute = Counter(), Counter(), BranchHarness.execute
+    kernel = PredictorState.execute
 
     def record_read(self, branches, times=1, read=None):
         reads[read] += 1
         return execute(self, branches, times, read)
 
+    def record_setup(self, branches, times=1, read=False):
+        if isinstance(branches, Chain):
+            setups[tuple(k for _, k in branches.segments)] += 1
+        elif branches is built[0]:  # the victim's preamble, the first built
+            setups["preamble"] += 1
+        return kernel(self, branches, times, read)
+
     monkeypatch.setattr(BranchHarness, "execute", record_read)
+    monkeypatch.setattr(PredictorState, "execute", record_setup)
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, mode, seed=0).errors == 0
-    return calls, reads, built
+    return calls, reads, setups, built
 
 
 def test_covert_makes_one_sampler_call_per_probe_phase(monkeypatch):
-    """The same 96-bit transmission makes 97 harness calls and one sampler
-    call per probe phase, 96 in all, and no `Branches` cache holds more
-    than its bound. The preset reads no latency and calls no sampler; each
-    of the 96 probe phases reads its decisive pass, the fourth of its 7
-    13-branch probes, pass 3."""
-    calls, reads, built = _covert_sampler_calls(monkeypatch, Mode.HISTORY)
-    assert calls == {"BranchHarness.execute": 97, "LatencySampler.measure": 96}
-    assert reads == {None: 1, 3: 96}
+    """The same 96-bit transmission makes 96 harness calls, the probe
+    phases, and one sampler call each; no `Branches` or `Chain` memo holds
+    more than its bound. Each phase reads its decisive pass, the fourth of
+    its 7 13-branch probes, pass 3. The preset reads no latency and calls
+    no sampler: it is a segment of the first setup call, a chain of its 7
+    passes and the preamble; the other 95 setup calls are the bare
+    preamble."""
+    calls, reads, setups, built = _covert_sampler_calls(monkeypatch, Mode.HISTORY)
+    assert calls == {"BranchHarness.execute": 96, "LatencySampler.measure": 96}
+    assert reads == {3: 96}
+    assert setups == {(7, 1): 1, "preamble": 95}
+    assert any(isinstance(b, Chain) for b in built)
     assert max(len(b._runs) for b in built) <= bpu.MEMO_WORDS
 
 
 def test_one_level_covert_presets_after_each_reset(monkeypatch):
-    """In one-level mode the 96 bits make 98 harness calls: a preset after
-    the first reset and after the one at bit 64, which read no latency and
-    call no sampler, and the 96 probe phases, one sampler call each. With
-    2-bit counters a phase probes 3 times and reads its second pass."""
-    calls, reads, _ = _covert_sampler_calls(monkeypatch, Mode.ONE_LEVEL)
-    assert calls == {"BranchHarness.execute": 98, "LatencySampler.measure": 96}
-    assert reads == {None: 2, 1: 96}
+    """In one-level mode the 96 bits make 96 harness calls, the probe
+    phases, one sampler call each. With 2-bit counters a phase probes 3
+    times and reads its second pass. The setup call is a chain that
+    presets, 3 passes ahead of the preamble, after the first reset and
+    after the one at bit 64, and reads no latency and calls no sampler; the
+    other 94 are the bare preamble."""
+    calls, reads, setups, _ = _covert_sampler_calls(monkeypatch, Mode.ONE_LEVEL)
+    assert calls == {"BranchHarness.execute": 96, "LatencySampler.measure": 96}
+    assert reads == {1: 96}
+    assert setups == {(3, 1): 2, "preamble": 94}
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -754,11 +781,11 @@ def _memo_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_memo_cases())
 def test_memoized_victim_runs_match_direct_runs(case):
-    """`transmit` against `run`, on two predictors kept equal: the same
-    outcome and state after every run, with the memo at its bound. Every
-    call runs under every policy from the first state, then from the state
-    each step leaves, so that runs sharing all but one key field, or all
-    but one PHT entry's value, meet the same state."""
+    """The preamble and `transmit` against `victim_run`, on two predictors
+    kept equal: the same outcome and state after every run, with the memo
+    at its bound. Every call runs under every policy from the first state,
+    then from the state each step leaves, so that runs sharing all but one
+    key field, or all but one PHT entry's value, meet the same state."""
     layouts, predictor, calls, steps, memo_words = case
     state = memo = predictor
     with mock.patch.object(bpu, "MEMO_WORDS", memo_words):
@@ -782,6 +809,7 @@ def test_memoized_victim_runs_match_direct_runs(case):
             for policy, (which, env, seed) in itertools.product(POLICIES, calls):
                 memo, direct = state.clone(), state.clone()
                 layout = layouts[which]
+                memo.execute(layout.preamble)  # a channel's setup chain ends in it
                 assert layout.transmit(policy, memo, env, seed) == \
                     _direct_outcome(layout, policy, direct, env, seed)
                 assert diff(memo.snapshot(), direct.snapshot()) == {}
@@ -810,17 +838,22 @@ def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy
     transmitter execution (the context, then the transmitter), leaves one
     word: the context's, with the transmitter's target shifted in when it
     is taken. A transmitter execution's later passes start from the word its
-    own pass leaves, and its first probe pass from the word a victim run
-    leaves, one per bit value at most (a policy that lets the squashed
+    own pass leaves, and its first probe pass from the word a victim body
+    run leaves, one per bit value at most (a policy that lets the squashed
     gadget's taken branch reach the GHR leaves another word on a 1). The
-    context starts from where either execution ends. The taken execution
-    also starts once from the switch's word, at the first preset."""
-    built, left = [], set()
-    init, transmit = Branches.__init__, VictimLayout.transmit
+    context, run bare as a trial's setup call, starts from where either
+    execution ends. The one setup chain, the preset and then the context,
+    runs once, from the switch's word."""
+    built, chains, left = [], [], set()
+    init, chain_init, transmit = Branches.__init__, Chain.__init__, VictimLayout.transmit
 
     def record(self, *args):
         init(self, *args)
         built.append(self)
+
+    def record_chain(self, *args):
+        chain_init(self, *args)
+        chains.append(self)
 
     def transmit_and_record(self, policy, predictor, env, seed):
         outcome = transmit(self, policy, predictor, env, seed)
@@ -828,6 +861,7 @@ def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy
         return outcome
 
     monkeypatch.setattr(Branches, "__init__", record)
+    monkeypatch.setattr(Chain, "__init__", record_chain)
     monkeypatch.setattr(VictimLayout, "transmit", transmit_and_record)
     bound = bpu.MEMO_WORDS
     # no memo starts over, so each holds every call its sequence made
@@ -836,8 +870,10 @@ def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy
     assert set(message) == {"0", "1"}
     covert_send_receive(message, Mode.HISTORY, policy=policy)
     # the victim's preamble (also the replayed context), the TNTNTN switch,
-    # two transmitter executions
+    # two transmitter executions; the setup chain that presets
     preamble, _, taken, not_taken = built
+    (presetting,) = chains
+    assert [b for b, _ in presetting.segments] == [taken, preamble]
     p = PredictorState()
     activate_history_mode(p)
     switched, ends = p.ghr._word, {}
@@ -852,6 +888,7 @@ def test_covert_sequences_start_from_at_most_three_ghr_words(monkeypatch, policy
     assert max(len(w - {switched}) for w in words.values()) <= 3
     assert max(len(w) for w in words.values()) <= 4
     assert max(len(b._runs) for b in built) <= 4 <= bound
+    assert [word for word, _ in presetting._runs] == [switched]
 
 
 def test_attack_loops_never_render_event_text(monkeypatch):

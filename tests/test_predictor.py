@@ -14,6 +14,7 @@ from bpusim import predictor
 from bpusim.predictor import (
     Branches,
     BranchTargetBuffer,
+    Chain,
     Direction,
     GlobalHistoryRegister,
     Mode,
@@ -781,16 +782,19 @@ def test_branches_of_another_config_are_refused():
         PredictorState().execute(branches)
 
 
-@given(st.integers(1, 256), st.integers(1, 9), st.integers(1, 20), st.data())
-def test_advance_equals_repeated_insert_taken(depth, bits, times, data):
-    """`times` passes of `count` taken branches, with `count` below, at and
-    above `ghr_depth`: the one-step path serves `count >= ghr_depth`, and its
-    tail may hold more entries than the window."""
+@given(st.integers(1, 256) | st.just(256), st.integers(1, 9), st.data())
+def test_advance_equals_repeated_insert_taken(depth, bits, data):
+    """`times` passes of `count` taken branches, with `count` 0, below, at
+    and above `ghr_depth`, and `times` up to 600 at counts up to 4, far past
+    the ceil(ghr_depth / count) passes that the one-step form shifts in: its
+    shift, its repeated tail and its mask all reach their edges. The tail
+    may hold more entries than the window."""
     cfg = PredictorConfig(ghr_depth=depth, target_bits_per_entry=bits)
     entries = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=depth,
                                  max_size=depth))
-    count = data.draw(st.integers(0, depth - 1) | st.just(depth)
+    count = data.draw(st.sampled_from([0, 1]) | st.integers(0, depth - 1) | st.just(depth)
                       | st.integers(depth + 1, 2 * depth + 3))
+    times = data.draw(st.integers(1, 600 if count <= 4 else 20))
     targets = data.draw(st.lists(st.integers(0, 1 << 12), min_size=count, max_size=count))
     stepped, advanced = GlobalHistoryRegister(cfg, entries), GlobalHistoryRegister(cfg, entries)
     tail = 0
@@ -811,3 +815,65 @@ def test_advance_equals_repeated_insert_taken(depth, bits, times, data):
             stepped.insert_taken(t)
     advanced.advance(branches.count, branches.tail, times)
     assert advanced._word == stepped._word
+
+
+@st.composite
+def _chain_cases(draw):
+    """A state in history mode or frozen one-level mode, with 2-9-bit
+    counters, GHR depth 1-256 and tables small enough that the segments'
+    entries alias, and 1-4 segments of 0-6 branches, each run 1-511 times."""
+    cfg = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 9)), history_bits=draw(st.integers(2, 9)),
+        pht_entries_one_level=1 << draw(st.integers(1, 6)),
+        pht_entries_history=1 << draw(st.integers(1, 8)),
+        ghr_depth=draw(st.integers(1, 256)), target_bits_per_entry=draw(st.integers(1, 3)),
+        index_salt=draw(st.integers(0, 15)))
+    state = PredictorState(cfg)
+    state.randomize_reset(draw(st.integers(0, 2**32)))
+    state.selector.mode, state.selector.frozen = draw(st.sampled_from(list(Mode))), True
+    triples = st.lists(st.tuples(st.integers(0, 0x3FF), st.sampled_from(list(Direction)),
+                                 st.integers(0, 0xFF)), max_size=6)
+    segments = draw(st.lists(st.tuples(triples, st.integers(1, 511) | st.integers(1, 4)),
+                             min_size=1, max_size=4))
+    return state, [(Branches(t, cfg), k) for t, k in segments], draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_cases())
+def test_a_chain_runs_as_its_segments_one_call_each(case):
+    """One chained call, `times` 1-3, against its segments run one `execute`
+    call each, in order, `times` over: both PHTs, the GHR word and the
+    read flags (none) alike. Each chain runs twice, so that the second call
+    starts from the word the first leaves, and a third time from the first
+    call's word, which its memo then holds."""
+    state, segments, times = case
+    chain, chained, separate = Chain(segments), state.clone(), state.clone()
+    start = state.ghr._word
+    for word in (None, None, start):
+        if word is not None:
+            chained.ghr._word = separate.ghr._word = word
+        assert chained.execute(chain, times) is None
+        for branches, k in segments * times:
+            assert separate.execute(branches, k) is None
+        a, b = chained.snapshot(), separate.snapshot()
+        assert (a.pht_one_level, a.ghr) == (b.pht_one_level, b.ghr)
+        assert chained.pht_history == separate.pht_history
+        assert diff(a, b) == {}
+    assert len(chain._runs) <= 3
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_chain_reads_no_flag_and_needs_a_selector_that_cannot_switch(mode):
+    """A chain has no last branch to read; an unfrozen one-level selector,
+    which could switch mode mid-chain, is refused one. Neither writes."""
+    state = PredictorState()
+    state.selector.mode = mode
+    taken = Branches([(0x4000, Direction.TAKEN, 0x4040)], state.config)
+    chain = Chain([(taken, 3), (taken, 1)])
+    before = state.snapshot()
+    with pytest.raises(ValueError, match="an empty sequence has no last branch to read"):
+        state.execute(chain, read=True)
+    if mode is Mode.ONE_LEVEL:
+        with pytest.raises(ValueError, match="a chain runs only where the selector cannot"):
+            state.execute(chain)
+    assert diff(before, state.snapshot()) == {}

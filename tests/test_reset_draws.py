@@ -427,9 +427,9 @@ def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
 @given(_configs(), st.integers() | st.sampled_from(SEEDS), st.data())
 def test_a_reset_of_listed_entries_writes_those_alone(cfg, seed, data):
     """`randomize_reset(seed, entries)` sets each listed one-level entry, in
-    place, to the reference's value and leaves every other as it was; the
-    GHR, the undrawn history PHT, the BTB and the selector are as after a
-    full reset."""
+    place, to the reference's value and leaves every other as it was, and
+    the GHR word too; the undrawn history PHT, the BTB and the selector are
+    as after a full reset."""
     n, top = cfg.pht_entries_one_level, (1 << cfg.one_level_bits) - 1
     before = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     entries = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
@@ -440,14 +440,15 @@ def test_a_reset_of_listed_entries_writes_those_alone(cfg, seed, data):
         state.btb.update(0x4000, 0x4100)
         state.selector.mode, state.selector.mispredict_accumulator = Mode.HISTORY, 2
         state.selector.frozen = True
-    table = partial.pht_one_level
+    table, ghr = partial.pht_one_level, partial.ghr._word
     partial.randomize_reset(seed, entries)
     full.randomize_reset(seed)
     one_level = reset_reference(cfg, seed)[0]
     assert partial.pht_one_level is table
     assert table == [one_level[i] if i in entries else v for i, v in enumerate(before)]
     a, b = partial.snapshot(), full.snapshot()
-    assert (a.ghr, a.pht_history, a.btb, a.selector) == (b.ghr, b.pht_history, b.btb, b.selector)
+    assert a.ghr == ghr
+    assert (a.pht_history, a.btb, a.selector) == (b.pht_history, b.btb, b.selector)
     assert a.pht_history == seed
 
 
@@ -561,3 +562,30 @@ def test_one_level_channels_touch_no_entry_outside_their_reset(case):
         table = channel.predictor.pht_one_level
         assert isinstance(table, _Recording)  # each reset wrote in place
         assert table.seen and table.seen <= set(channel.entries)
+
+
+def test_a_listed_reset_digests_only_through_its_last_entry(monkeypatch):
+    """A one-level channel's reset digests its stream only through the lane
+    of the last entry it lists: a prefix of the full reset's bytes, as
+    SHAKE-128's shorter digests are prefixes. At the default config every
+    channel lists entries up to 152, four 2-bit lanes a byte, so 39 bytes
+    (a full reset digests the table and the GHR word, 259). With every size
+    field at its bound, v2's entries reach 3,128, 2 bytes each: 6,258
+    (131,360). The history stream is never digested. This counts bytes,
+    not time."""
+    sizes = []
+    xof = pred._xof
+    monkeypatch.setattr(pred, "_xof", lambda key, size: sizes.append(size) or xof(key, size))
+    one = Mode.ONE_LEVEL
+    for channel, resets in ((lambda: side_channel_v1([1, 0, 1], one), 3),
+                            (lambda: side_channel_v2([1, 0, 1], one), 3),
+                            (lambda: covert_send_receive("101", one), 1)):
+        sizes.clear()
+        channel()
+        assert sizes == [39] * resets
+    sizes.clear()
+    side_channel_v2([1, 0], one, config=BOUND_CONFIG)
+    assert sizes == [6258] * 2
+    sizes.clear()
+    PredictorState().randomize_reset(0)
+    assert sizes == [259]

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +308,34 @@ def test_parse_disasm_iterates_a_file_without_reading_it_whole():
     text = "".join(f"{0x1000 + 4 * i:x}: test dl, 0x{i % 7 + 1:x}\n" for i in range(2000))
     records = parse_disasm(_Unreadable(text))
     assert len(records) == 2000 and records == parse_disasm(text)
+
+
+def test_a_string_parses_in_about_the_memory_of_its_file(tmp_path):
+    """Parsing a 20,000-line listing from a string peaks (`tracemalloc`)
+    within 256 KiB of parsing it from a file opened as `bpusim scan` opens
+    it: a string is read part by part, so only a part, not the whole text,
+    is copied at StringIO's 4 bytes a character (about 3.9 MB here)."""
+    regs = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi"]
+    text = "".join(f"{0x1000 + 4 * i:x}: mov {regs[i % 6]}, qword ptr [rbp - 0x{i % 9 + 1:x}8]"
+                   f"  # load {i % 13}\n" for i in range(20_000))
+    path = tmp_path / "listing.disasm"
+    path.write_text(text)
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            records = parse()
+            return tracemalloc.get_traced_memory()[1], records
+        finally:
+            tracemalloc.stop()
+
+    def from_file():
+        with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+            return parse_disasm(lines)
+
+    (from_str, records), (from_path, expected) = peak(lambda: parse_disasm(text)), peak(from_file)
+    assert records == expected and len(records) == 20_000
+    assert from_str <= from_path + (1 << 18)
 
 
 @pytest.mark.parametrize("line", [
