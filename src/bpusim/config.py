@@ -8,8 +8,9 @@ Recognized keys are exactly the PredictorConfig field names, e.g.::
 
 Each key may appear at most once. Values are decimal or 0x-prefixed hex
 numbers (`program.parse_int`), and `monitored_branches` takes a
-comma-separated list of them. Blank lines and `#` comments are ignored. The
-file is read as UTF-8, and a line that does not decode is a ConfigFileError
+comma-separated list of them. Blank lines and `#` comments are ignored. A
+line ends at `\n`, `\r\n` or `\r` (`program.text_lines`). The file is read
+as UTF-8, and a line that does not decode is a ConfigFileError
 naming the file, the line and the position within it.
 
 PredictorConfig bounds the size fields, and a value past a bound is a
@@ -28,7 +29,7 @@ from __future__ import annotations
 import pathlib
 
 from .predictor import PredictorConfig
-from .program import parse_int
+from .program import parse_int, text_lines
 
 
 class ConfigFileError(ValueError):
@@ -37,7 +38,7 @@ class ConfigFileError(ValueError):
 
 def parse_config(text: str) -> PredictorConfig:
     kwargs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -68,7 +69,7 @@ def load_config(path) -> PredictorConfig:
     reported as `scan` reports a listing's, numbered as `parse_config`
     numbers lines."""
     text = pathlib.Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         if not line.isascii():
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")

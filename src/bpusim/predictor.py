@@ -126,13 +126,6 @@ def _split(raw: bytes, n: int, width: int) -> list[int]:
     return list(values[:n])
 
 
-def _history_values(config: "PredictorConfig", seed: int) -> list[int]:
-    """The history PHT a reset with `seed` draws on first read: the seed's
-    stream under `_HISTORY_TAG`, split."""
-    n, width = config.pht_entries_history, config.history_bits
-    return _split(_xof(_seed_bytes(seed) + _HISTORY_TAG, _lane_bytes(n, width)), n, width)
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -358,19 +351,19 @@ class Branches:
         self.count, self.tail = len(targets), tail
         self._runs: dict[tuple[int | None, int], list[tuple]] = {}
 
-    def groups(self, state: "PredictorState", times: int = 1) -> list[tuple]:
+    def groups(self, state: "PredictorState", times: int, ghr) -> list[tuple]:
         """The sequence run `times` over from `state`, whose selector cannot
-        switch mid-call, as `_sweep` groups of identical passes in order: one
-        in one-level mode; in history mode, one per run of passes from one
-        GHR word, at most ceil(ghr_depth / count) + 1, as a pass that leaves
-        the word as it found it leaves it so for every later pass. A memo
-        miss walks `history_index` over a GHR clone (`_groups`)."""
-        key = (None if state.selector.mode is ONE_LEVEL else state.ghr._word, times)
+        switch mid-call, and `ghr`, as `_sweep` groups of identical passes in
+        order: one in one-level mode; in history mode, one per run of passes
+        from one GHR word, at most ceil(ghr_depth / count) + 1, as a pass that
+        leaves the word as it found it leaves it so for every later pass. A
+        memo miss walks `history_index` over a clone of `ghr` (`_groups`)."""
+        key = (None if state.selector.mode is ONE_LEVEL else ghr._word, times)
         groups = self._runs.get(key)
         if groups is None:
             if len(self._runs) >= MEMO_WORDS:
                 self._runs.clear()
-            groups = self._runs[key] = self._groups(state, times, state.ghr.clone())
+            groups = self._runs[key] = self._groups(state, times, ghr.clone())
         return groups
 
     def _groups(self, state: "PredictorState", times: int, ghr) -> list[tuple]:
@@ -393,8 +386,8 @@ class Branches:
 
 class Chain(Branches):
     """`(branches, times)` segments that one `execute` call runs in order:
-    their closed-form groups compose per entry into one map, memoised per
-    starting GHR word, and the GHR moves once. It has no triples."""
+    their closed-form groups, from each one's memo, compose per entry into
+    one map, memoised per starting GHR word, and the GHR moves once."""
 
     def __init__(self, segments):
         self.segments, self.triples, self._runs = segments, (), {}
@@ -407,9 +400,10 @@ class Chain(Branches):
     def _groups(self, state: "PredictorState", times: int, ghr) -> list[tuple]:
         maps = {}
         for branches, k in self.segments * times:
-            for swept, _, _ in branches._groups(state, k, ghr):
+            for swept, _, _ in branches.groups(state, k, ghr):
                 for i, image in swept:  # composed after the maps before it
                     maps[i] = tuple([image[v] for v in maps[i]]) if i in maps else image
+            ghr.advance(branches.count, branches.tail, k)
         return [(tuple(maps.items()), 1, None)]
 
 
@@ -421,24 +415,12 @@ class PredictorState:
         weak_one = 1 << (self.config.one_level_bits - 1)
         weak_hist = 1 << (self.config.history_bits - 1)
         self.pht_one_level = [weak_one] * self.config.pht_entries_one_level
-        self._pht_history: list[int] | None = [weak_hist] * self.config.pht_entries_history
-        # the last reset's seed while `_pht_history` is undrawn
-        self._reset_seed: int | None = None
+        self.pht_history = [weak_hist] * self.config.pht_entries_history
         self.ghr = GlobalHistoryRegister(self.config)
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.selector = TournamentSelector()
 
     # -- tables ----------------------------------------------------------
-
-    @property
-    def pht_history(self) -> list[int]:
-        if self._pht_history is None:
-            self.pht_history = _history_values(self.config, self._reset_seed)
-        return self._pht_history
-
-    @pht_history.setter
-    def pht_history(self, values: list[int]) -> None:
-        self._pht_history, self._reset_seed = values, None
 
     def table(self, mode: Mode) -> list[int]:
         return self.pht_one_level if mode is ONE_LEVEL else self.pht_history
@@ -456,10 +438,8 @@ class PredictorState:
         the predictor's own: the GHR word xor-folded to the index width, xor
         the address above its alignment bits and the salt. This is the
         formula's one copy: `predict` calls it per branch, and
-        `Branches.groups` walks it over a GHR clone on a memo miss. It
-        reads no table, so after a reset the history PHT stays undrawn until
-        a caller reads it. The fold costs one shift-xor per index width of
-        history bits."""
+        `Branches.groups` walks it over a GHR clone on a memo miss. The fold
+        costs one shift-xor per index width of history bits."""
         mask = self.config.pht_entries_history - 1
         width = mask.bit_length()
         word, index = (ghr or self.ghr)._word, (addr >> 2) ^ self.config.index_salt
@@ -525,7 +505,7 @@ class PredictorState:
                     flags.append(pred.direction is not outcome)
             return flags
         tbl = self.pht_one_level if mode is ONE_LEVEL else self.pht_history
-        for maps, passes, last in branches.groups(self, times):
+        for maps, passes, last in branches.groups(self, times, self.ghr):
             if read:
                 taken, index, t, s, lo, hi = last
                 value = tbl[index]
@@ -548,23 +528,27 @@ class PredictorState:
         PHTs and GHR, one-level mode selected, accumulator cleared. The
         one-level PHT and then the GHR word are the first bytes of one
         SHAKE-128 stream keyed by the seed's bytes (`_split`; the word
-        masked to the window). The history PHT is drawn when first read,
-        from a second stream keyed by the same bytes and `_HISTORY_TAG`, so
-        the seed alone fixes the state, and each value is uniform.
+        masked to the window), and the history PHT is a second stream keyed
+        by the same bytes and `_HISTORY_TAG`, so the seed alone fixes the
+        state, and each value is uniform.
 
         With `entries`, one-level indexes, only those are written, in place,
         from the stream's prefix (a shorter digest) through the last one's
-        lane. Other entries and the GHR word keep values that a one-level
-        channel reads nowhere before its preamble refills the GHR."""
-        n, width = self.config.pht_entries_one_level, self.config.one_level_bits
+        lane. Other entries, the history PHT and the GHR word keep values
+        that a one-level channel reads nowhere before its preamble refills
+        the GHR."""
+        key, cfg = _seed_bytes(seed), self.config
+        n, width = cfg.pht_entries_one_level, cfg.one_level_bits
         if entries is None:
             size = _lane_bytes(n, width)
-            raw = _xof(_seed_bytes(seed), size + -(-self.ghr._wmask.bit_length() // 8))
+            raw = _xof(key, size + -(-self.ghr._wmask.bit_length() // 8))
             self.pht_one_level = _split(raw, n, width)
             self.ghr = self.ghr.clone()
             self.ghr._word = int.from_bytes(raw[size:], "little") & self.ghr._wmask
+            n, width = cfg.pht_entries_history, cfg.history_bits
+            self.pht_history = _split(_xof(key + _HISTORY_TAG, _lane_bytes(n, width)), n, width)
         else:
-            raw = _xof(_seed_bytes(seed), _lane_bytes(max(entries, default=-1) + 1, width))
+            raw = _xof(key, _lane_bytes(max(entries, default=-1) + 1, width))
             tbl, mask = self.pht_one_level, (1 << width) - 1
             if width > 8:  # a little-endian byte pair
                 for i in entries:
@@ -574,7 +558,6 @@ class PredictorState:
                 lane = 8 // per
                 for i in entries:
                     tbl[i] = raw[i // per] >> (i % per * lane) & mask
-        self._pht_history, self._reset_seed = None, seed
         self.selector.mode = ONE_LEVEL
         self.selector.mispredict_accumulator = 0
 
@@ -582,8 +565,7 @@ class PredictorState:
         c = object.__new__(PredictorState)
         c.config = self.config
         c.pht_one_level = list(self.pht_one_level)
-        c._pht_history = None if self._pht_history is None else list(self._pht_history)
-        c._reset_seed = self._reset_seed  # an undrawn history PHT stays undrawn
+        c.pht_history = list(self.pht_history)
         c.ghr = self.ghr.clone()
         c.btb = self.btb.clone()
         sel = self.selector
@@ -591,40 +573,32 @@ class PredictorState:
         return c
 
     def snapshot(self) -> "Snapshot":
-        """Every component, copied for `diff`. It draws nothing: an undrawn
-        history PHT is kept as its reset's seed. No hot path takes one."""
-        sel, history = self.selector, self._pht_history
-        return Snapshot(self.config, tuple(self.pht_one_level),
-                        self._reset_seed if history is None else tuple(history), self.ghr._word,
-                        tuple(self.btb.slots), {"mode": sel.mode, "frozen": sel.frozen,
-                                                "accumulator": sel.mispredict_accumulator})
+        """Every component, copied for `diff`. No hot path takes one."""
+        selector = {"mode": self.selector.mode, "frozen": self.selector.frozen,
+                    "accumulator": self.selector.mispredict_accumulator}
+        return Snapshot(self.config, tuple(self.pht_one_level), tuple(self.pht_history),
+                        self.ghr._word, tuple(self.btb.slots), selector)
 
 
 class Snapshot(namedtuple("Snapshot", "config pht_one_level pht_history ghr btb selector")):
-    """`PredictorState.snapshot()`: the config, then the named components:
-    each table's values (an undrawn history PHT as its reset's int seed),
-    the GHR word, the BTB slots, and the selector's fields by name."""
+    """`PredictorState.snapshot()`: the config, then each table's values,
+    the GHR word, the BTB slots and the selector's fields, by name."""
 
     def items(self, component: str):
-        """A component's `(key, value)` pairs, as `diff` keys them. An undrawn
-        history PHT gives what its first read will draw, written nowhere."""
+        """A component's `(key, value)` pairs, as `diff` keys them."""
         value = getattr(self, component)
         if component == "ghr":
             ghr = GlobalHistoryRegister(self.config)
             ghr._word = value
             value = ghr.entries
-        elif isinstance(value, int):
-            value = _history_values(self.config, value)
         return value.items() if component == "selector" else enumerate(value)
 
 
 def diff(a: Snapshot, b: Snapshot) -> dict[str, dict]:
     """`{component: {key: (before, after)}}` for each part where snapshot
     `b` differs from `a`: table and BTB indexes, GHR entry positions (oldest
-    first), selector field names. Empty when the states are equal. Undrawn
-    history PHTs of one seed are equal undrawn; else values are compared."""
+    first), selector field names. Empty when the states are equal."""
     if a.config != b.config:
         raise ValueError("the snapshots are of two predictor configs")
-    changed = {name: {k: (u, v) for (k, u), (_, v) in zip(a.items(name), b.items(name)) if u != v}
-               for name in Snapshot._fields[1:] if getattr(a, name) != getattr(b, name)}
-    return {name: parts for name, parts in changed.items() if parts}
+    return {name: {k: (u, v) for (k, u), (_, v) in zip(a.items(name), b.items(name)) if u != v}
+            for name in Snapshot._fields[1:] if getattr(a, name) != getattr(b, name)}

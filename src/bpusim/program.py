@@ -10,7 +10,8 @@ hex, with an optional leading minus; `parse_int` reads it. The delay is at
 least 1 and the other numbers at least 0. Kinds: CondBranch,
 IndirectBranch, Alu, Halt. A branch needs a target, which an Alu or Halt
 may not have; a CondBranch needs `cond=`, which no other kind takes; a
-Halt takes no delay. A `#` starts a comment.
+Halt takes no delay. A `#` starts a comment. A line ends at `\n`, `\r\n`
+or `\r` (`text_lines`).
 
 `parse_program` reads the text into a `Program`, the one program value the
 engine runs and victim builders make. `Program` groups a flat list of
@@ -21,6 +22,7 @@ address; every check raises `ProgramError`.
 from __future__ import annotations
 
 import enum
+import io
 import re
 from typing import NamedTuple
 
@@ -89,6 +91,14 @@ def parse_int(tok: str) -> int:
     if m is None:
         raise ValueError(f"bad number {tok!r}")
     return int(tok, 16) if m["hex"] else int(tok)
+
+
+def text_lines(text: str):
+    r"""`text`'s lines, each read to `\n`: a line ends at `\n`, `\r\n` or `\r`,
+    not at another `str.splitlines` break. StringIO copies at 4 bytes a
+    character, so it takes parts of 16,384 characters and on to a line end."""
+    parts = re.finditer(r"(?s).{1,16384}[^\n\r]*(?:\r\n?|\n)?", text)
+    return (line for m in parts for line in io.StringIO(m[0], newline=None))
 
 
 _KINDS = {k.value: k for k in Kind}
@@ -160,7 +170,7 @@ class Program:
 def parse_program(text: str) -> Program:
     """Parse program text, one instruction per line, into a Program."""
     instrs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             instrs.append(parse_program_line(line, lineno))

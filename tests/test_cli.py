@@ -64,6 +64,17 @@ def test_parse_config_rejects_a_repeated_key():
         parse_config("ghr_depth = 8\nghr_depth = 12\n")
 
 
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_config_lines_end_only_at_newline_and_carriage_return(brk):
+    """`str.splitlines` breaks inside a comment leave it one line, and
+    lines ending in `\n`, `\r\n` or `\r` are numbered as a listing's."""
+    assert parse_config(f"ghr_depth = 12  # depth{brk}note\none_level_bits = 3\n") == \
+        PredictorConfig(ghr_depth=12, one_level_bits=3)
+    with pytest.raises(ConfigFileError, match="^line 4: repeated key 'ghr_depth'$"):
+        parse_config(f"# a{brk}b\rghr_depth = 8\r\n\nghr_depth = 12\n")
+
+
 def _documented_bounds() -> dict[str, tuple[int, int | None, bool]]:
     """The size bounds `config`'s docstring lists, as field -> (least value,
     largest value or None, whether it must be a power of two)."""

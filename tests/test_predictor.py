@@ -409,12 +409,12 @@ def test_diff_names_exactly_the_changed_parts(case):
     """`diff` of a state's snapshot against a clone's, after one change to
     the clone, names exactly the keys the change moved, each with its value
     before and after, worked out here from the change itself; swapped, it
-    gives each pair the other way round. An undrawn history PHT counts as
-    the values the reset reference draws."""
+    gives each pair the other way round. A reset's tables are the values
+    the reset reference draws."""
     state, change = case
     before = state.snapshot()
     assert diff(before, before) == {}
-    cfg, after = state.config, state.clone()  # the clone draws the history PHT
+    cfg, after = state.config, state.clone()
     old = {"pht_one_level": list(state.pht_one_level), "pht_history": list(state.pht_history),
            "ghr": state.ghr.entries, "btb": list(state.btb.slots)}
     new = {name: list(values) for name, values in old.items()}
@@ -877,3 +877,28 @@ def test_a_chain_reads_no_flag_and_needs_a_selector_that_cannot_switch(mode):
         with pytest.raises(ValueError, match="a chain runs only where the selector cannot"):
             state.execute(chain)
     assert diff(before, state.snapshot()) == {}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_chain_fills_its_segments_memos(monkeypatch, mode):
+    """A chained call walks each segment through that segment's own memo,
+    so its segments then run bare, in order, from the words the chain met
+    without a `_sweep` or `history_index` call, and to the same state."""
+    cfg = PredictorConfig(ghr_depth=4)
+    state = PredictorState(cfg)
+    state.randomize_reset(1)
+    state.selector.mode, state.selector.frozen = mode, True
+    first = Branches([(0x1000 + 0x40 * i, Direction.TAKEN, i) for i in range(3)], cfg)
+    second = Branches([(0x4000, Direction.NOT_TAKEN, 0x4040),
+                       (0x4100, Direction.TAKEN, 0x4141)], cfg)
+    chained, bare = state.clone(), state.clone()
+    chained.execute(Chain([(first, 2), (second, 5)]))
+    calls = []
+    sweep, index = predictor._sweep, PredictorState.history_index
+    monkeypatch.setattr(predictor, "_sweep", lambda *a: calls.append("_sweep") or sweep(*a))
+    monkeypatch.setattr(PredictorState, "history_index",
+                        lambda *a: calls.append("history_index") or index(*a))
+    bare.execute(first, 2)
+    bare.execute(second, 5)
+    assert calls == []
+    assert diff(chained.snapshot(), bare.snapshot()) == {}

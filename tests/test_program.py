@@ -109,6 +109,17 @@ def test_parse_program_sorts_and_groups():
                                                                      (0x210, None)]
 
 
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_program_lines_end_only_at_newline_and_carriage_return(brk):
+    """`str.splitlines` breaks inside a comment leave it one line, and
+    lines ending in `\n`, `\r\n` or `\r` are numbered as a listing's."""
+    program = parse_program(f"0 Alu 0x100  # first{brk}op\n0 Halt 0x104\n")
+    assert [i.addr for i in program.instructions] == [0x100, 0x104]
+    with pytest.raises(ProgramError, match="^line 4: bad target 'x'$"):
+        parse_program(f"# a{brk}b\r0 Alu 0x100\r\n\n0 CondBranch 0x104 x cond=c\n")
+
+
 def test_parse_program_duplicate_address():
     with pytest.raises(ProgramError):
         parse_program("0 Alu 0x100\n0 Alu 0x100\n")

@@ -1,14 +1,14 @@
 """`randomize_reset(seed)` reads the one-level PHT and then the GHR word
 from one SHAKE-128 stream keyed by the seed's signed little-endian bytes,
-and the history PHT, on first read, from a second stream keyed by those
-bytes and a tag. A table's value i is lane i of its bytes' bits: a lane is
-the least of 1, 2, 4, 8 and 16 bits that holds the width, masked to the
-width, so every value is uniform and none needs a redraw. Every value a
-caller can observe must be what that reference gives; a channel that never
-reads the history PHT must never draw it. `randomize_reset(seed, entries)`
-writes only the listed one-level entries, and a one-level channel, which
-lists every entry its trials touch, must give what it gives after full
-resets."""
+and the history PHT from a second stream keyed by those bytes and a tag.
+A table's value i is lane i of its bytes' bits: a lane is the least of 1,
+2, 4, 8 and 16 bits that holds the width, masked to the width, so every
+value is uniform and none needs a redraw. Every value a caller can observe
+must be what that reference gives. `randomize_reset(seed, entries)` writes
+only the listed one-level entries and leaves the history PHT and the GHR
+word as they were; a one-level channel, which lists every entry its trials
+touch, must never draw the history PHT and must give what it gives after
+full resets."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import hashlib
 import math
 import os
 import pathlib
-import random
 import subprocess
 import sys
 from collections import Counter
@@ -27,8 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpusim import attacks, predictor as pred
-from bpusim.attacks import (AttackError, TransmissionError, covert_send_receive, probe_mode,
-                            side_channel_v1, side_channel_v2)
+from bpusim.attacks import (AttackError, TransmissionError, covert_send_receive, side_channel_v1,
+                            side_channel_v2)
 from bpusim.engine import POLICIES
 from bpusim.predictor import (
     Branches,
@@ -37,7 +36,6 @@ from bpusim.predictor import (
     Mode,
     PredictorConfig,
     PredictorState,
-    diff,
 )
 from bpusim.timing import LatencyModel, NoiseKind
 from test_run_result_golden import GOLDEN, run_digest
@@ -119,9 +117,10 @@ def test_drawn_values_are_uniform(width):
 @pytest.mark.parametrize("bits", range(1, 10))
 def test_reset_ghr_entries_are_uniform(bits):
     """The same bound on the GHR entries of successive resets: a 3-entry
-    window, so at most widths an entry straddles a byte."""
+    window, so at most widths an entry straddles a byte. Both tables hold
+    2 entries, as each reset draws them too."""
     state = PredictorState(PredictorConfig(target_bits_per_entry=bits, ghr_depth=3,
-                                           pht_entries_one_level=2))
+                                           pht_entries_one_level=2, pht_entries_history=2))
     counts = Counter()
     for seed in range(-(-(256 << bits) // 3)):
         state.randomize_reset(seed)
@@ -187,8 +186,8 @@ def test_seed_keys_are_distinct_and_never_the_history_key(seed):
 def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
     """At every width, table size and GHR depth, a reset makes one read of
     one SHAKE-128 stream for the one-level PHT, which the GHR word follows,
-    and the first history read one more, of the tagged stream, for the
-    history PHT."""
+    and one more, of the tagged stream, for the history PHT. History reads
+    after it make none."""
     digests, shake = [], hashlib.shake_128
 
     class Counted:
@@ -212,8 +211,9 @@ def test_a_reset_makes_one_generator_call_per_table(monkeypatch, widths):
         p.predict(0x4000)
         p.execute(Branches([(0x4000, Direction.TAKEN, 0x4041)], cfg))
         key = seed_key(entries)
-        assert reset == [(key, table_bytes(entries, widths[0]) + -(-depth * widths[2] // 8))]
-        assert digests == reset + [(key + HISTORY_TAG, table_bytes(entries, widths[1]))]
+        assert reset == [(key, table_bytes(entries, widths[0]) + -(-depth * widths[2] // 8)),
+                         (key + HISTORY_TAG, table_bytes(entries, widths[1]))]
+        assert digests == reset
 
 
 def test_the_hash_loads_on_the_first_reset():
@@ -254,24 +254,6 @@ def _count_draws(monkeypatch) -> tuple[list[tuple[int, int]], list[bytes]]:
     return draws, keys
 
 
-def test_a_snapshot_draws_nothing(monkeypatch):
-    """After a reset, a snapshot keeps the history PHT undrawn, as its
-    seed, and two such snapshots are equal without a draw. Against a drawn
-    table, `diff` draws the values once and writes them nowhere."""
-    draws, _ = _count_draws(monkeypatch)
-    cfg = PredictorConfig()
-    lazy, eager = PredictorState(cfg), PredictorState(cfg)
-    lazy.randomize_reset(5)
-    _eager_reset(eager, 5)
-    draws.clear()
-    a, b = lazy.snapshot(), lazy.snapshot()
-    assert a.pht_history == 5 and diff(a, b) == {}
-    assert draws == []
-    assert diff(a, eager.snapshot()) == {}
-    assert draws == [(cfg.pht_entries_history, cfg.history_bits)]
-    assert lazy.snapshot().pht_history == 5
-
-
 def test_one_level_side_channel_never_draws_the_history_table(monkeypatch):
     draws, keys = _count_draws(monkeypatch)
     r = side_channel_v1([1, 0, 1, 1], Mode.ONE_LEVEL, seed=3)
@@ -303,34 +285,6 @@ def test_each_one_level_channel_resets_once_before_its_first_trial(monkeypatch):
     assert seeds == []
 
 
-def test_a_history_read_draws_the_history_table_exactly_once(monkeypatch):
-    draws, keys = _count_draws(monkeypatch)
-    cfg = PredictorConfig()
-    whole = [(cfg.pht_entries_one_level, cfg.one_level_bits),
-             (cfg.pht_entries_history, cfg.history_bits)]
-
-    p = PredictorState(cfg)
-    p.randomize_reset(5)
-    assert draws == whole[:1]
-    assert probe_mode(p) is Mode.ONE_LEVEL
-    assert probe_mode(p) is Mode.ONE_LEVEL
-    assert draws == whole[:1]  # the probe's clone reads no history entry
-    p.table(Mode.HISTORY)
-    p.table(Mode.HISTORY)
-    assert draws == whole
-    assert keys == [seed_key(5), seed_key(5) + HISTORY_TAG]
-
-    draws.clear()
-    p.randomize_reset(6)
-    thrice = Branches([(0x4000, Direction.TAKEN, 0x4041)] * 3, p.config)
-    p.execute(thrice)  # one-level: no draw
-    p.selector.mode = Mode.HISTORY
-    p.predict(0x4000)
-    p.execute(thrice)
-    p.predict(0x4000)
-    assert draws == whole
-
-
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
 def test_run_result_digests_match_an_eager_reset(monkeypatch, policy):
     """The seeded random runs start from a reset predictor: with the eager
@@ -352,90 +306,22 @@ def _configs(draw):
         transition_threshold=draw(st.integers(1, 3)), index_salt=draw(st.integers(0, 255)))
 
 
-_branches = st.lists(st.tuples(st.integers(0, 0x400), st.sampled_from(list(Direction)),
-                               st.integers(0, 0x3FF)), max_size=12)
-_ops = st.one_of(
-    st.tuples(st.just("reset"), st.integers(0, 2**32)),
-    st.tuples(st.just("insert"), st.lists(st.integers(0, 0x3FF), max_size=34)),
-    st.tuples(st.just("mode"), st.sampled_from(list(Mode)), st.booleans()),
-    st.tuples(st.just("execute"), _branches, st.integers(1, 3), st.booleans()),
-    st.tuples(st.just("predict"), st.integers(0, 0x400), st.sampled_from(list(Direction)),
-              st.integers(0, 0x3FF)),
-    st.tuples(st.just("assign"), st.integers(0, 2**16)),
-    st.tuples(st.just("clone")),
-    st.tuples(st.just("read"), st.sampled_from(
-        ["snapshot", "pht_history", "table", "entries", "ghr clone", "history_index"])),
-)
-
-
-def _read(state: PredictorState, what: str):
-    if what == "pht_history":
-        return list(state.pht_history)
-    if what == "table":
-        return list(state.table(Mode.HISTORY))
-    if what == "entries":
-        return state.ghr.entries
-    if what == "ghr clone":
-        return state.ghr.clone().entries
-    return [state.history_index(a) for a in (0, 0x104, 0x3FC)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_configs(), st.integers(0, 2**32), st.lists(_ops, max_size=14))
-def test_lazy_reset_matches_an_eager_draw_at_every_read(cfg, seed, ops):
-    lazy, eager = PredictorState(cfg), PredictorState(cfg)
-    lazy.randomize_reset(seed)
-    _eager_reset(eager, seed)
-    for op in ops:
-        kind = op[0]
-        if kind == "reset":
-            lazy.randomize_reset(op[1])
-            _eager_reset(eager, op[1])
-        elif kind == "insert":  # up to twice ghr_depth targets, so past the window too
-            for s in (lazy, eager):
-                for t in op[1]:
-                    s.ghr.insert_taken(t)
-        elif kind == "mode":
-            for s in (lazy, eager):
-                s.selector.mode, s.selector.frozen = op[1], op[2]
-        elif kind == "execute":  # every pass's flag at the last branch, or none
-            _, triples, times, read = op
-            read = read and bool(triples)
-            branches = Branches(triples, cfg)
-            assert lazy.execute(branches, times, read) == eager.execute(branches, times, read)
-        elif kind == "predict":
-            _, addr, outcome, target = op
-            p, q = lazy.predict(addr), eager.predict(addr)
-            assert (p.direction, p.mode, p.index) == (q.direction, q.mode, q.index)
-            lazy.record_resolution(addr, outcome, p, target)
-            eager.record_resolution(addr, outcome, q, target)
-        elif kind == "assign":
-            rng = random.Random(op[1])
-            values = [rng.randrange(1 << cfg.history_bits) for _ in range(cfg.pht_entries_history)]
-            lazy.pht_history, eager.pht_history = values, list(values)
-        elif kind == "clone":
-            lazy, eager = lazy.clone(), eager.clone()
-            assert diff(lazy.snapshot(), eager.snapshot()) == {}
-        elif op[1] == "snapshot":  # equal, though the lazy one may be undrawn
-            assert diff(lazy.snapshot(), eager.snapshot()) == {}
-        else:
-            assert _read(lazy, op[1]) == _read(eager, op[1])
-    assert diff(lazy.snapshot(), eager.snapshot()) == {}
-
-
 @settings(max_examples=150, deadline=None)
 @given(_configs(), st.integers() | st.sampled_from(SEEDS), st.data())
 def test_a_reset_of_listed_entries_writes_those_alone(cfg, seed, data):
     """`randomize_reset(seed, entries)` sets each listed one-level entry, in
     place, to the reference's value and leaves every other as it was, and
-    the GHR word too; the undrawn history PHT, the BTB and the selector are
-    as after a full reset."""
+    the history PHT and the GHR word too; the BTB and the selector are as
+    after a full reset."""
     n, top = cfg.pht_entries_one_level, (1 << cfg.one_level_bits) - 1
     before = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    history = data.draw(st.lists(st.integers(0, (1 << cfg.history_bits) - 1),
+                                 min_size=cfg.pht_entries_history,
+                                 max_size=cfg.pht_entries_history))
     entries = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
     partial, full = PredictorState(cfg), PredictorState(cfg)
     for state in (partial, full):
-        state.pht_one_level, state.pht_history = list(before), [0] * cfg.pht_entries_history
+        state.pht_one_level, state.pht_history = list(before), list(history)
         state.ghr.insert_taken(0x3FF)
         state.btb.update(0x4000, 0x4100)
         state.selector.mode, state.selector.mispredict_accumulator = Mode.HISTORY, 2
@@ -447,9 +333,8 @@ def test_a_reset_of_listed_entries_writes_those_alone(cfg, seed, data):
     assert partial.pht_one_level is table
     assert table == [one_level[i] if i in entries else v for i, v in enumerate(before)]
     a, b = partial.snapshot(), full.snapshot()
-    assert a.ghr == ghr
-    assert (a.pht_history, a.btb, a.selector) == (b.pht_history, b.btb, b.selector)
-    assert a.pht_history == seed
+    assert (a.ghr, a.pht_history) == (ghr, tuple(history))
+    assert (a.btb, a.selector) == (b.btb, b.selector)
 
 
 def _full_reset(channel, seed):
@@ -569,10 +454,11 @@ def test_a_listed_reset_digests_only_through_its_last_entry(monkeypatch):
     of the last entry it lists: a prefix of the full reset's bytes, as
     SHAKE-128's shorter digests are prefixes. At the default config every
     channel lists entries up to 152, four 2-bit lanes a byte, so 39 bytes
-    (a full reset digests the table and the GHR word, 259). With every size
+    (a full reset digests the table and the GHR word, 259, and then the
+    history stream, 4,096 3-bit values in 4-bit lanes, 2,048). With every size
     field at its bound, v2's entries reach 3,128, 2 bytes each: 6,258
-    (131,360). The history stream is never digested. This counts bytes,
-    not time."""
+    (131,360). A listed reset never digests the history stream. This counts
+    bytes, not time."""
     sizes = []
     xof = pred._xof
     monkeypatch.setattr(pred, "_xof", lambda key, size: sizes.append(size) or xof(key, size))
@@ -588,4 +474,4 @@ def test_a_listed_reset_digests_only_through_its_last_entry(monkeypatch):
     assert sizes == [6258] * 2
     sizes.clear()
     PredictorState().randomize_reset(0)
-    assert sizes == [259]
+    assert sizes == [259, 2048]

@@ -141,7 +141,7 @@ CASES = {"v1": _v1, "v2": _v2, "defense": _defense, "two-process": _two_process,
 def fingerprint(snapshot) -> tuple:
     """The tuple the digests hash: each table's values, the GHR's entries
     oldest first and the BTB's slots, as tuples, then the selector's mode
-    and accumulator. An undrawn history PHT gives the values it would draw."""
+    and accumulator."""
     values = [tuple(v for _, v in snapshot.items(component))
               for component in ("pht_one_level", "pht_history", "ghr", "btb")]
     return (*values, snapshot.selector["mode"], snapshot.selector["accumulator"])

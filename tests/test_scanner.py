@@ -310,14 +310,16 @@ def test_parse_disasm_iterates_a_file_without_reading_it_whole():
     assert len(records) == 2000 and records == parse_disasm(text)
 
 
-def test_a_string_parses_in_about_the_memory_of_its_file(tmp_path):
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["newline", "carriage-return"])
+def test_a_string_parses_in_about_the_memory_of_its_file(tmp_path, end):
     """Parsing a 20,000-line listing from a string peaks (`tracemalloc`)
     within 256 KiB of parsing it from a file opened as `bpusim scan` opens
-    it: a string is read part by part, so only a part, not the whole text,
-    is copied at StringIO's 4 bytes a character (about 3.9 MB here)."""
+    it, whichever character ends its lines: a string is read part by part,
+    so only a part, not the whole text, is copied at StringIO's 4 bytes a
+    character (about 3.9 MB here)."""
     regs = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi"]
     text = "".join(f"{0x1000 + 4 * i:x}: mov {regs[i % 6]}, qword ptr [rbp - 0x{i % 9 + 1:x}8]"
-                   f"  # load {i % 13}\n" for i in range(20_000))
+                   f"  # load {i % 13}{end}" for i in range(20_000))
     path = tmp_path / "listing.disasm"
     path.write_text(text)
 
