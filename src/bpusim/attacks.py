@@ -154,10 +154,11 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
     p2 = p1[:-1] + [(p1[-1][0], TAKEN, 1)]
 
     weak_nt = 1 << (n - 1)
+    # a frozen history-mode run touches only the history PHT and GHR; N shares the rest
+    work = object.__new__(PredictorState)
+    vars(work).update(vars(predictor), selector=bpu.TournamentSelector(HISTORY, 0, True))
     for N in range(1, max_N + 1):
-        work = predictor.clone()
-        work.selector.frozen = True
-        work.pht_history = [weak_nt] * cfg.pht_entries_history
+        work.pht_history, work.ghr = [weak_nt] * cfg.pht_entries_history, predictor.ghr.clone()
         preamble = [(0x90000 + i * 0x20, TAKEN, (i * 3 + 1) % entry_values) for i in range(N)]
         work.execute(Branches([*p1, *preamble, (target, TAKEN, target + 0x40)], cfg),
                      (1 << n) - 1)

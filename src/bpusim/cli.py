@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import io
 import json
 import math
 import pathlib
@@ -61,13 +60,16 @@ class Context:
         self.policy = policy
         self._out_made = False
 
-    def write(self, name: str, text: str) -> pathlib.Path:
+    def write(self, name: str, text) -> pathlib.Path:
+        """Write artifact `name` as UTF-8, a lone surrogate as its byte: `text`,
+        or what the function `text` writes to the open file."""
         path = self.out / name
         try:
             if not self._out_made:
                 self.out.mkdir(parents=True, exist_ok=True)
                 self._out_made = True
-            path.write_text(text)
+            with path.open("w", encoding="utf-8", errors="surrogateescape") as file:
+                text(file) if callable(text) else file.write(text)
         except OSError as exc:
             raise CommandError(f"{exc.filename or path}: {exc.strerror}") from exc
         return path
@@ -275,22 +277,34 @@ def _bundled_corpus() -> list[pathlib.Path]:
     return sorted(p for p in root.iterdir() if p.name.endswith(".disasm"))
 
 
-def _csv_field(value: str) -> str:
-    """`value` as one CSV field, quoted as the report's `csv.writer` quotes."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value])
-    return buf.getvalue()[:-1]
+def _write_json(file, reports: list[scanner.GadgetReport]) -> None:
+    """`reports` as `json.dumps(sort_keys=True, indent=2)` lays them out, in chunks."""
+    file.write("[")
+    for i, report in enumerate(reports):
+        file.write(",\n  " if i else "\n  ")
+        file.writelines(report.json_chunks(1))
+    file.write("\n]\n" if reports else "]\n")
+
+
+def _write_csv(file, reports: list[scanner.GadgetReport]) -> None:
+    """Every report's sites as CSV rows, each led by its binary's name."""
+    rows = csv.writer(file, lineterminator="\n")
+    rows.writerow(["binary", *scanner.CSV_HEADER])
+    for report in reports:
+        rows.writerows([report.binary_name, *row] for row in report.csv_rows())
 
 
 def _scan_file(path: pathlib.Path, registers, window: int, mode: str) -> scanner.GadgetReport:
-    """The report of one listing; its records are freed on return. The file
-    is parsed line by line and closed before the scans run."""
+    """The report of one listing, named by its file name's bytes read as UTF-8 as its
+    lines are; its records are freed on return. The file is closed before the scans run."""
     try:
         with path.open(encoding="utf-8", errors="surrogateescape") as lines:
             records = scanner.parse_disasm(lines)
     except scanner.DisasmParseError as exc:
         raise CommandError(f"{path}: {exc}") from exc
-    return scanner.build_report(path.name, records, registers, window, mode)
+    name = path.name.encode(sys.getfilesystemencoding(), sys.getfilesystemencodeerrors())
+    return scanner.build_report(name.decode("utf-8", "surrogateescape"), records, registers,
+                                window, mode)
 
 
 def cmd_scan(obj, files, registers, window, mode):
@@ -306,20 +320,14 @@ def cmd_scan(obj, files, registers, window, mode):
     gc.disable()
     try:
         reports = []
-        csv_rows = []
         for path in paths:
             report = _scan_file(path, registers, window, mode)
-            reports.append(report.to_dict())
-            body = report.to_csv().splitlines()
-            header, rows = body[0], body[1:]
-            if not csv_rows:
-                csv_rows.append("binary," + header)
-            binary = _csv_field(path.name)
-            csv_rows.extend(f"{binary},{row}" for row in rows)
-            print(f"{path.name}: v2={report.v2_count} "
+            reports.append(report)
+            shown = report.binary_name.encode("utf-8", "surrogateescape")  # \xff for a byte 0xff
+            print(f"{shown.decode('utf-8', 'backslashreplace')}: v2={report.v2_count} "
                   f"ss={report.smotherspectre_count} v1={report.v1_count}")
-        obj.write_json("report.json", reports)
-        obj.write("report.csv", "\n".join(csv_rows) + "\n")
+        obj.write("report.json", lambda file: _write_json(file, reports))
+        obj.write("report.csv", lambda file: _write_csv(file, reports))
     finally:
         if enabled:
             gc.enable()

@@ -20,23 +20,25 @@ operands, and its bare-hex jump targets (`je 2012`) are misread as decimal.
 
 `parse_disasm` takes a string or a text file and reads it one line at a
 time, so a listing is held only as its records. A line ends at `\n`,
-`\r\n` or `\r`; no other character (`\f`, `\v`, `\x85`, `\u2028`, ...)
-ends one. The `scan` command opens a listing as UTF-8 with
-`errors="surrogateescape"`, and a line that is not ASCII is decoded again
-strictly, so a byte that is not UTF-8 is a parse error of its line. The
-first faulty line is reported, whether it fails to decode or to parse.
+`\r\n` or `\r` and at no other character (`\f`, `\v`, `\x85`, ...). The
+`scan` command opens a listing as UTF-8 with `errors="surrogateescape"`,
+and a line that is not ASCII is decoded again strictly, so a byte that is
+not UTF-8 is an error of its line. The first faulty line is reported,
+whether it fails to decode or to parse.
 
 Records, operands and memory references are named tuples. Parsing splits
 each line at its first colon and at whitespace, with no regular
-expression: the address is checked against the format's characters
-before `int(head, 16)` reads it. It reads each distinct operand text once
-per listing (records with the same text share one operand tuple). The
-records hold no reference cycle, so the `scan` command pauses the cyclic
-garbage collector while it runs; this module leaves the collector alone.
-Scan time is linear in the number of records: each search for the Jcc
-that reads a TEST's or CMP's flags is a forward walk that ends at the next
-flag writer, and jump targets and sites are found by bisecting the
-strictly increasing addresses.
+expression, and reads each distinct operand text once per listing
+(records with the same text share one operand tuple). The records hold no
+reference cycle, so the `scan` command pauses the cyclic garbage collector
+while it runs; this module leaves the collector alone. Scan time is linear
+in the number of records: each search for the Jcc that reads a TEST's or
+CMP's flags is a forward walk that ends at the next flag writer, and jump
+targets and sites are found by bisecting the strictly increasing addresses.
+
+A report is never held as one document: `GadgetReport.json_chunks` yields
+its `json.dumps(sort_keys=True, indent=2)` text a site at a time, each
+string through the C encoder, and `csv_rows` yields its CSV rows.
 
 Scanning rules (documented approximations):
 
@@ -154,6 +156,7 @@ for _m in CONTROL_FLOW:
 DEFAULT_TRACKED = ("RDI", "RSI", "RDX", "RCX")
 # B, the number of instructions of each path the port-contention scan compares
 PATH_LENGTH = 8
+CSV_HEADER = ("addr", "classification", "register", "bit_positions", "smotherspectre")
 
 
 # Records are named tuples: cheap to build, and the scans read their fields
@@ -559,39 +562,43 @@ class GadgetReport(NamedTuple):
     gadget_sites: list[tuple[int, str, str | None, tuple[int, ...], bool]]
     unknown_mnemonics: set[str]
 
-    def to_dict(self) -> dict:
-        """The report as plain JSON-ready data."""
-        return {
-            "binary_name": self.binary_name,
-            "v2_count": self.v2_count,
-            "smotherspectre_count": self.smotherspectre_count,
-            "v1_count": self.v1_count,
-            "bit_offsets": {r: sorted(b) for r, b in self.bit_offsets.items()},
-            "gadget_sites": [
-                {
-                    "addr": f"{addr:#x}",
-                    "classification": cls,
-                    "register": reg,
-                    "bit_positions": list(bits),
-                    "smotherspectre": ss,
-                }
-                for addr, cls, reg, bits, ss in self.gadget_sites
-            ],
-            "unknown_mnemonics": sorted(self.unknown_mnemonics),
-        }
+    def json_chunks(self, level: int):
+        """Yield the report's JSON text, as `json.dumps(sort_keys=True, indent=2)`
+        lays it out at nesting `level`, a chunk per site; leaves at C speed."""
+        enc, p1 = json.encoder.encode_basestring_ascii, "\n" + "  " * (level + 1)
+        p2, p3, sites = p1 + "  ", p1 + "    ", self.gadget_sites
+        offsets = [f"{enc(r)}: {_json_items([*map(repr, sorted(b))], p2)}"
+                   for r, b in sorted(self.bit_offsets.items())]
+        yield (f'{{{p1}"binary_name": {enc(self.binary_name)},{p1}"bit_offsets": '
+               f'{_json_items(offsets, p1, "{}")},{p1}"gadget_sites": {"[" if sites else "[]"}')
+        for i, (addr, cls, reg, bits, ss) in enumerate(sites):
+            yield (f'{"," if i else ""}{p2}{{{p3}"addr": "{addr:#x}",{p3}"bit_positions": '
+                   f'{_json_items([*map(repr, bits)], p3)},{p3}"classification": {enc(cls)},'
+                   f'{p3}"register": {"null" if reg is None else enc(reg)},'
+                   f'{p3}"smotherspectre": {"true" if ss else "false"}{p2}}}')
+        unknown = [*map(enc, sorted(self.unknown_mnemonics))]
+        yield (f'{p1 + "]" if sites else ""},{p1}"smotherspectre_count": '
+               f'{self.smotherspectre_count!r},{p1}"unknown_mnemonics": {_json_items(unknown, p1)},'
+               f'{p1}"v1_count": {self.v1_count!r},{p1}"v2_count": {self.v2_count!r}{p1[:-2]}}}')
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return "".join(self.json_chunks(0)) + "\n"
+
+    def csv_rows(self):
+        """The report's CSV rows, one per site, as lists of fields."""
+        return ([f"{addr:#x}", cls, reg or "", ";".join(map(str, bits)), "true" if ss else "false"]
+                for addr, cls, reg, bits, ss in self.gadget_sites)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["addr", "classification", "register", "bit_positions",
-                    "smotherspectre"])
-        for addr, cls, reg, bits, ss in self.gadget_sites:
-            w.writerow([f"{addr:#x}", cls, reg or "",
-                        ";".join(str(b) for b in bits), str(ss).lower()])
+        csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER, *self.csv_rows()])
         return buf.getvalue()
+
+
+def _json_items(items: list[str], pad: str, ends: str = "[]") -> str:
+    """Encoded `items` between `ends`, as `json.dumps(indent=2)` lays them out after `pad`."""
+    inner = pad + "  "
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
 def build_report(

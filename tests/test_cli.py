@@ -11,11 +11,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import invoke
 
-from bpusim import attacks, config, engine as eng, predictor
+from bpusim import attacks, cli, config, engine as eng, predictor, scanner
 from bpusim.attacks import AttackError, ProbeError, TransmissionError
 from bpusim.cli import MAX_BITS, MAX_ITERATIONS, MAX_PROBE_N, cmd_scan
 from bpusim.config import ConfigFileError, parse_config
@@ -264,6 +265,80 @@ def test_scan_restores_the_collector_state(tmp_path):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def _corpus_copy(directory: pathlib.Path, name) -> str:
+    """A copy of the bundled v2 listing named `name` (str or bytes), as the
+    path string a command line passes."""
+    corpus = importlib.resources.files("bpusim") / "data" / "corpus" / "corpus_v2.disasm"
+    path = os.path.join(os.fsencode(directory), os.fsencode(name))
+    with open(path, "wb") as file:
+        file.write(corpus.read_bytes())
+    return os.fsdecode(path)
+
+
+def _scan_process(out: pathlib.Path, src: str, **env) -> bytes:
+    """What `bpusim --out OUT scan SRC` prints in a fresh interpreter whose
+    environment adds `env`."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": str(pathlib.Path(attacks.__file__).resolve().parents[1])}
+    code = "import sys; from bpusim.cli import main; main(sys.argv[1:])"
+    return subprocess.run([sys.executable, "-c", code, "--out", os.fsencode(out), "scan",
+                           os.fsencode(src)], env=env, capture_output=True, check=True).stdout
+
+
+def test_scan_writes_a_name_that_is_not_utf8_back_as_its_bytes(tmp_path):
+    # stdout refuses lone surrogates, as under a UTF-8 locale
+    src = _corpus_copy(tmp_path, b"lib\xff.disasm")
+    assert _scan_process(tmp_path, src, PYTHONIOENCODING="utf-8:strict") == \
+        b"lib\\xff.disasm: v2=5 ss=2 v1=0\n"
+    rows = (tmp_path / "report.csv").read_bytes().splitlines()
+    assert len(rows) == 6 and all(row.startswith(b"lib\xff.disasm,0x") for row in rows[1:])
+    assert b'"binary_name": "lib\\udcff.disasm"' in (tmp_path / "report.json").read_bytes()
+
+
+def test_scan_artifacts_do_not_depend_on_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, the locale's encoding is ASCII,
+    # and a file name that is not ASCII decodes to lone surrogates
+    src = _corpus_copy(tmp_path, 'é, "ü".disasm')
+    _run(["--out", str(tmp_path / "utf8"), "scan", src])
+    assert _scan_process(tmp_path / "c", src, LC_ALL="C", PYTHONUTF8="0",
+                         PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8:surrogateescape") == \
+        'é, "ü".disasm: v2=5 ss=2 v1=0\n'.encode()
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+    assert 'é, ""ü"".disasm' in (tmp_path / "c" / "report.csv").read_text(encoding="utf-8")
+
+
+def test_a_parse_error_in_a_later_listing_writes_no_report(tmp_path):
+    good, bad = tmp_path / "good.disasm", tmp_path / "bad.disasm"
+    good.write_text("401000: test dil, 0x4\n401004: jne 0x401020\n")
+    bad.write_text("401000: nop\nbogus\n")
+    out = tmp_path / "out"
+    result = _fail(["--out", str(out), "scan", str(good), str(bad)])
+    assert result.output == ("good.disasm: v2=1 ss=0 v1=0\n"
+                             f"Error: {bad}: line 2: unrecognized line 'bogus'\n")
+    assert not out.exists()
+
+
+def test_scan_writes_report_json_without_a_whole_document_string(tmp_path, monkeypatch):
+    """The artifacts are written from the reports in parts: the write's
+    peak (`tracemalloc`) is a small share of report.json's size, where a
+    whole-document string would take at least that size."""
+    sites = [(0x1000 + 4 * i, "v2", "RDI", (i % 64,), i % 3 == 0) for i in range(20_000)]
+    report = scanner.GadgetReport("big.disasm", 20_000, 6_667, 0, {"RDI": set(range(64))},
+                                  sites, set())
+    monkeypatch.setattr(cli, "_scan_file", lambda *args: report)  # the write phase alone
+    src = tmp_path / "big.disasm"
+    src.write_text("")
+    tracemalloc.start()
+    try:
+        _run(["--out", str(tmp_path), "scan", str(src)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "report.json").stat().st_size
+    assert size > 3_000_000 and peak < size // 8, (size, peak)
 
 
 def _tiled_corpus(tiles: int) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import importlib.resources
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpusim import scanner
+from bpusim.cli import _write_csv, _write_json
 from bpusim.scanner import (
     CONTROL_FLOW,
     DEFAULT_TRACKED,
@@ -839,3 +841,52 @@ def test_report_csv_rows_match_sites():
     rows = report.to_csv().splitlines()
     assert rows[0] == "addr,classification,register,bit_positions,smotherspectre"
     assert len(rows) - 1 == len(report.gadget_sites)
+
+
+# names with CSV and JSON specials, non-ASCII characters and lone surrogates
+_NAMES = st.one_of(
+    st.sampled_from(['a,b "v2".disasm', "lib\udcff.disasm", "é ü.disasm", "", "\ud800"]),
+    st.text(st.characters(exclude_categories=()), max_size=8))
+_SITES = st.tuples(st.integers(0, 2**64), st.sampled_from(["v1", "v2", "v2-zero-test"]) | _NAMES,
+                   st.none() | st.sampled_from(DEFAULT_TRACKED) | _NAMES,
+                   st.lists(st.integers(-5, 200), max_size=3).map(tuple), st.booleans())
+_REPORTS = st.builds(
+    scanner.GadgetReport, _NAMES, st.integers(0, 10**6), st.integers(0, 10**6),
+    st.integers(0, 10**6), st.dictionaries(_NAMES, st.sets(st.integers(0, 63)), max_size=3),
+    st.lists(_SITES, max_size=4), st.sets(_NAMES, max_size=3))
+
+
+def _report_dict(report: scanner.GadgetReport) -> dict:
+    return {
+        "binary_name": report.binary_name, "v2_count": report.v2_count,
+        "smotherspectre_count": report.smotherspectre_count, "v1_count": report.v1_count,
+        "bit_offsets": {r: sorted(b) for r, b in report.bit_offsets.items()},
+        "gadget_sites": [{"addr": f"{addr:#x}", "classification": cls, "register": reg,
+                          "bit_positions": list(bits), "smotherspectre": ss}
+                         for addr, cls, reg, bits, ss in report.gadget_sites],
+        "unknown_mnemonics": sorted(report.unknown_mnemonics),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1, 3]).flatmap(lambda n: st.lists(_REPORTS, min_size=n, max_size=n)))
+def test_report_artifacts_match_the_json_and_csv_modules(reports):
+    """report.json is `json.dumps` of the reports' dicts and report.csv is
+    what a `csv.writer` writes of their sites, each led by its binary."""
+    for report in reports:
+        assert report.to_json() == json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n"
+    text = io.StringIO()
+    _write_json(text, reports)
+    assert text.getvalue() == json.dumps([_report_dict(r) for r in reports], sort_keys=True,
+                                         indent=2) + "\n"
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["binary", "addr", "classification", "register", "bit_positions",
+                     "smotherspectre"])
+    for r in reports:
+        writer.writerows([r.binary_name, f"{addr:#x}", cls, "" if reg is None else reg,
+                          ";".join(str(b) for b in bits), "true" if ss else "false"]
+                         for addr, cls, reg, bits, ss in r.gadget_sites)
+    text = io.StringIO()
+    _write_csv(text, reports)
+    assert text.getvalue() == want.getvalue()
