@@ -226,41 +226,24 @@ def cmd_covert(obj, bits, message, mode, noise, sigma):
     print(f"mode={mode} bits={result.bits_sent} errors={result.errors}")
 
 
-def _secret_option(secret, random_bits, seed):
-    if random_bits:
-        rng = random.Random(seed)
-        return [rng.randint(0, 1) for _ in range(random_bits)]
-    return [int(c) for c in secret]
-
-
-def _emit_sidechannel(obj, name, mode, result):
-    obj.write(f"{name}_trace.csv", result.trace.to_csv())
-    obj.write_json(f"{name}.json", {
-        "mode": mode,
-        "ground_truth": result.ground_truth,
-        "recovered": result.recovered,
-        "accuracy": result.accuracy,
-        "trials": result.trials,
-    })
+def cmd_sidechannel(obj, variant, secret, random_bits, mode, noise, sigma, poison):
+    """Recover a victim secret through side channel `variant`: v1, the
+    conditional-trigger gadget, or v2, BTB poisoning (if `poison`) toward one."""
+    rng = random.Random(obj.seed)
+    bits = ([rng.randint(0, 1) for _ in range(random_bits)] if random_bits
+            else [int(c) for c in secret])
+    model = _model(noise, sigma, obj.seed)
+    if variant == "v1":
+        result = attacks.side_channel_v1(bits, Mode(mode), latency_model=model,
+                                         config=obj.config, policy=obj.policy, seed=obj.seed)
+    else:
+        result = attacks.side_channel_v2(bits, Mode(mode), latency_model=model, config=obj.config,
+                                         policy=obj.policy, seed=obj.seed, poison=poison)
+    obj.write(f"sidechannel_{variant}_trace.csv", result.trace.to_csv())
+    obj.write_json(f"sidechannel_{variant}.json", {
+        "mode": mode, "ground_truth": result.ground_truth, "recovered": result.recovered,
+        "accuracy": result.accuracy, "trials": result.trials})
     print(f"mode={mode} trials={result.trials} accuracy={result.accuracy:.3f}")
-
-
-def cmd_sidechannel_v1(obj, secret, random_bits, mode, noise, sigma):
-    """Recover a victim secret via the conditional-trigger gadget."""
-    bits = _secret_option(secret, random_bits, obj.seed)
-    result = attacks.side_channel_v1(
-        bits, Mode(mode), latency_model=_model(noise, sigma, obj.seed),
-        config=obj.config, policy=obj.policy, seed=obj.seed)
-    _emit_sidechannel(obj, "sidechannel_v1", mode, result)
-
-
-def cmd_sidechannel_v2(obj, secret, random_bits, mode, poison, noise, sigma):
-    """Recover a victim secret via BTB poisoning toward a gadget."""
-    bits = _secret_option(secret, random_bits, obj.seed)
-    result = attacks.side_channel_v2(
-        bits, Mode(mode), latency_model=_model(noise, sigma, obj.seed),
-        config=obj.config, policy=obj.policy, seed=obj.seed, poison=poison)
-    _emit_sidechannel(obj, "sidechannel_v2", mode, result)
 
 
 def cmd_defense_eval(obj, iterations):
@@ -302,6 +285,8 @@ def _scan_file(path: pathlib.Path, registers, window: int, mode: str) -> scanner
             records = scanner.parse_disasm(lines)
     except scanner.DisasmParseError as exc:
         raise CommandError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise CommandError(f"{path}: {exc.strerror}") from exc
     name = path.name.encode(sys.getfilesystemencoding(), sys.getfilesystemencodeerrors())
     return scanner.build_report(name.decode("utf-8", "surrogateescape"), records, registers,
                                 window, mode)
@@ -324,7 +309,10 @@ def cmd_scan(obj, files, registers, window, mode):
             report = _scan_file(path, registers, window, mode)
             reports.append(report)
             shown = report.binary_name.encode("utf-8", "surrogateescape")  # \xff for a byte 0xff
-            print(f"{shown.decode('utf-8', 'backslashreplace')}: v2={report.v2_count} "
+            # and \xe9 for an é that stdout's encoding cannot hold
+            encoding = sys.stdout.encoding or "utf-8"
+            shown = shown.decode("utf-8", "backslashreplace").encode(encoding, "backslashreplace")
+            print(f"{shown.decode(encoding)}: v2={report.v2_count} "
                   f"ss={report.smotherspectre_count} v1={report.v1_count}")
         obj.write("report.json", lambda file: _write_json(file, reports))
         obj.write("report.csv", lambda file: _write_csv(file, reports))
@@ -353,9 +341,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
     ]
     commands = parser.add_subparsers(title="commands", metavar="COMMAND")
 
-    def command(name, run):
-        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, **shared)
-        sub.set_defaults(run=run)
+    def command(name, run, doc, **bound):
+        sub = commands.add_parser(name, help=doc, description=doc, **shared)
+        sub.set_defaults(run=run, **bound)
         return sub
 
     def noise_options(sub):
@@ -363,33 +351,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
                        help="Noise added to each probe latency.")
         _option(sub, "--sigma", _sigma, default=0.0, help="Scale of the noise.")
 
-    command("speculative-update", cmd_speculative_update)
-    _choice_option(command("probe-mode", cmd_probe_mode), "--actual", MODE_CHOICES,
-                   default=Mode.ONE_LEVEL.value, help="Prediction mode to set up before probing.")
-    _option(command("probe-ghr", cmd_probe_ghr), "--max-n", _integer(1, MAX_PROBE_N),
-            default=32, help="Largest preamble length to try.")
-    sub = command("covert", cmd_covert)
+    command("speculative-update", cmd_speculative_update, cmd_speculative_update.__doc__)
+    _choice_option(command("probe-mode", cmd_probe_mode, cmd_probe_mode.__doc__), "--actual",
+                   MODE_CHOICES, default=Mode.ONE_LEVEL.value,
+                   help="Prediction mode to set up before probing.")
+    _option(command("probe-ghr", cmd_probe_ghr, cmd_probe_ghr.__doc__), "--max-n",
+            _integer(1, MAX_PROBE_N), default=32, help="Largest preamble length to try.")
+    sub = command("covert", cmd_covert, cmd_covert.__doc__)
     _option(sub, "--bits", _integer(1, MAX_BITS), default=1024,
             help="Number of random message bits.")
     _option(sub, "--message", _bit_string, help="Explicit 0/1 message (overrides --bits).")
     _choice_option(sub, "--mode", MODE_CHOICES, default=Mode.HISTORY.value,
                    help="Prediction mode of the channel.")
     noise_options(sub)
-    for name, run in (("sidechannel-v1", cmd_sidechannel_v1),
-                      ("sidechannel-v2", cmd_sidechannel_v2)):
-        sub = command(name, run)
+    for variant, doc in (("v1", "Recover a victim secret via the conditional-trigger gadget."),
+                         ("v2", "Recover a victim secret via BTB poisoning toward a gadget.")):
+        sub = command(f"sidechannel-{variant}", cmd_sidechannel, doc, variant=variant)
         _option(sub, "--secret", _bit_string, default="1101110001", help="Victim secret bits.")
         _option(sub, "--random-bits", _integer(0, MAX_BITS), default=0,
                 help="Use this many random secret bits instead of --secret.")
         _choice_option(sub, "--mode", MODE_CHOICES, default=Mode.ONE_LEVEL.value,
                        help="Prediction mode of the channel.")
-        if run is cmd_sidechannel_v2:
+        if variant == "v2":
             sub.add_argument("--poison", action=argparse.BooleanOptionalAction, default=True,
                              help="Whether the attacker poisons the victim's BTB slot.")
+        else:  # v1 poisons nothing
+            sub.set_defaults(poison=None)
         noise_options(sub)
-    _option(command("defense-eval", cmd_defense_eval), "--iterations",
+    _option(command("defense-eval", cmd_defense_eval, cmd_defense_eval.__doc__), "--iterations",
             _integer(0, MAX_ITERATIONS), default=15, help="Inner loop iterations of the workload.")
-    sub = command("scan", cmd_scan)
+    sub = command("scan", cmd_scan, cmd_scan.__doc__)
     sub.add_argument("files", nargs="*", metavar="FILES",
                      help="Listings to scan; the bundled corpus when none is given.")
     _option(sub, "--registers", _registers, default=",".join(scanner.DEFAULT_TRACKED),
@@ -441,7 +432,10 @@ def _run(argv: list[str]) -> int:
     try:
         options = _parse(argv)
         run, config_path = options.pop("run"), options.pop("config_path")
-        config = load_config(config_path) if config_path else PredictorConfig()
+        try:
+            config = load_config(config_path) if config_path else PredictorConfig()
+        except OSError as exc:
+            raise CommandError(f"{config_path}: {exc.strerror}") from exc
         obj = Context(config, options.pop("seed"), options.pop("out"),
                       POLICY_CHOICES[options.pop("policy")])
         run(obj, **options)

@@ -55,6 +55,7 @@ class DynamicBranch:
     mispredicted = False
     speculative = False
     stalled = False
+    replaced: int | None = None  # the counter its PHT write replaced (restore-on-squash)
 
     def __init__(self, instr: Instruction, dseq: int, env_index: int, is_branch: bool = False):
         self.instr, self.dseq, self.env_index, self.is_branch = instr, dseq, env_index, is_branch
@@ -139,10 +140,11 @@ def obfuscate_entries(predictor: PredictorState, marked, seed: int) -> None:
         predictor.table(mode)[index] = rng.randrange(1 << width)
 
 
-# -- update policies: each conditional branch resolves once and writes one
-# PHT entry. A policy keeps in `pending` what it must remember about a
-# resolved, unretired branch's writes, keyed by its dseq; the engine tells
-# it about a squash only while `pending` holds something, and about a
+# -- update policies: a resolving branch trains the selector (conditional) or
+# the BTB (indirect), then `land`s its PHT and GHR writes. A policy picks when
+# those land and what a squash or commit does to them; it holds in `pending`,
+# by dseq, each resolved, unretired branch it must still land or undo. The
+# engine tells it of a squash only while `pending` holds something, and of a
 # commit only of a branch held there.
 
 class ResolveTime:
@@ -157,26 +159,28 @@ class ResolveTime:
     def __init__(self, predictor: PredictorState, seed: int):
         self.predictor = predictor
         self.seed = seed
-        self.pending: dict[int, object] = {}
+        self.pending: dict[int, DynamicBranch] = {}
 
-    def resolved(self, b: DynamicBranch, ghr_target: int | None) -> None:
-        """Train the selector (conditional) or the BTB (indirect), then write
-        the PHT counter and, for a taken branch, the GHR."""
-        predictor = self.predictor
+    def resolved(self, b: DynamicBranch) -> None:
         if b.instr.kind is COND_BRANCH:
-            predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
-            predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual)
+            self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
         else:
-            predictor.btb.update(b.instr.addr, b.actual)
-        if ghr_target is not None:
-            predictor.ghr.insert_taken(ghr_target)
+            self.predictor.btb.update(b.instr.addr, b.actual)
+        self.land(b)
+
+    def land(self, b: DynamicBranch) -> None:
+        """The PHT write (conditional), then the GHR insert unless not taken."""
+        if b.instr.kind is COND_BRANCH:
+            self.predictor.apply_counter_update(b.pred_mode, b.pred_index, b.actual)
+        if b.actual is not NOT_TAKEN:
+            self.predictor.ghr.insert_taken(b.instr.static_target)
 
     def squashed(self, victims: list[DynamicBranch]) -> None:
         for d in victims:
             self.pending.pop(d.dseq, None)
 
     def committed(self, d: DynamicBranch) -> None:
-        self.pending.pop(d.dseq, None)
+        del self.pending[d.dseq]
 
 
 class CommitTime(ResolveTime):
@@ -185,37 +189,30 @@ class CommitTime(ResolveTime):
 
     name = "commit-time"
 
-    def resolved(self, b, ghr_target):
-        if b.instr.kind is COND_BRANCH:
-            self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
-        else:
-            self.predictor.btb.update(b.instr.addr, b.actual)
-        self.pending[b.dseq] = ghr_target
+    def land(self, b):
+        self.pending[b.dseq] = b
 
     def committed(self, d):
-        ghr_target = self.pending.pop(d.dseq)
-        if d.instr.kind is COND_BRANCH:
-            self.predictor.apply_counter_update(d.pred_mode, d.pred_index, d.actual)
-        if ghr_target is not None:
-            self.predictor.ghr.insert_taken(ghr_target)
+        del self.pending[d.dseq]
+        super().land(d)
 
 
 class RestoreOnSquash(ResolveTime):
-    """Journal each PHT write; a squash undoes its victims' writes, newest first."""
+    """A squash puts back the counter value each victim's PHT write replaced, newest first."""
 
     name = "restore-on-squash"
 
-    def resolved(self, b, ghr_target):
+    def land(self, b):
         if b.instr.kind is COND_BRANCH:
-            self.pending[b.dseq] = (b.pred_mode, b.pred_index,
-                                    self.predictor.table(b.pred_mode)[b.pred_index])
-        super().resolved(b, ghr_target)
+            b.replaced = self.predictor.table(b.pred_mode)[b.pred_index]
+            self.pending[b.dseq] = b
+        super().land(b)
 
     def squashed(self, victims):
         gone = {d.dseq for d in victims}
-        for dseq in [k for k in reversed(self.pending) if k in gone]:  # dict order = resolve order
-            mode, index, prev = self.pending.pop(dseq)
-            self.predictor.table(mode)[index] = prev
+        for b in [b for b in reversed(self.pending.values()) if b.dseq in gone]:  # resolve order
+            del self.pending[b.dseq]
+            self.predictor.table(b.pred_mode)[b.pred_index] = b.replaced
 
 
 class ShadowPht(ResolveTime):
@@ -235,13 +232,12 @@ class ShadowPht(ResolveTime):
                 value = counter_update(value, width, b.actual)
         pred.direction = counter_predict(value, width)
 
-    def resolved(self, b, ghr_target):
+    def land(self, b):
         if not b.speculative or b.instr.kind is not COND_BRANCH:
-            return super().resolved(b, ghr_target)
-        self.predictor.note_resolution(b.instr.addr, b.pred_mode, b.mispredicted)
+            return super().land(b)
         self.pending[b.dseq] = b
-        if ghr_target is not None:
-            self.predictor.ghr.insert_taken(ghr_target)
+        if b.actual is TAKEN:
+            self.predictor.ghr.insert_taken(b.instr.static_target)
 
     def committed(self, d):
         del self.pending[d.dseq]
@@ -253,13 +249,13 @@ class ObfuscateOnSquash(ResolveTime):
 
     name = "obfuscate-on-squash"
 
-    def resolved(self, b, ghr_target):
-        super().resolved(b, ghr_target)
+    def land(self, b):
+        super().land(b)
         if b.instr.kind is COND_BRANCH:
-            self.pending[b.dseq] = (b.pred_mode, b.pred_index)
+            self.pending[b.dseq] = b
 
     def squashed(self, victims):
-        marked = [self.pending.pop(d.dseq) for d in victims if d.dseq in self.pending]
+        marked = [(d.pred_mode, d.pred_index) for d in victims if self.pending.pop(d.dseq, None)]
         if marked:
             obfuscate_entries(self.predictor, marked, self.seed)
 
@@ -369,13 +365,12 @@ def run(program: Program, schedule: list[int], policy: type[ResolveTime] = Resol
                 if isinstance(value, (list, tuple)):  # one per execution; the last repeats
                     value = value[min(b.env_index, len(value) - 1)] if value else 0
                 b.actual = actual = NOT_TAKEN if value == 0 else TAKEN
-                ghr_target = instr.static_target if actual is TAKEN else None
             else:
-                b.actual = actual = ghr_target = instr.static_target
+                b.actual = actual = instr.static_target
                 if b.stalled:  # never mispredicts: fetch resumes at the target
                     p.fetch_addr = actual
             b.mispredicted = mispredicted = pred != actual and not b.stalled
-            resolved(b, ghr_target)
+            resolved(b)
             append((tick, "resolve", b.dseq, p.pid, instr.addr, pred, actual,
                     mispredicted, spec))
             if not mispredicted:

@@ -310,6 +310,18 @@ def test_scan_artifacts_do_not_depend_on_the_locale(tmp_path):
     assert 'é, ""ü"".disasm' in (tmp_path / "c" / "report.csv").read_text(encoding="utf-8")
 
 
+def test_scan_escapes_a_name_that_stdout_cannot_encode(tmp_path):
+    # under the C locale with UTF-8 mode off, stdout is ASCII; an empty
+    # PYTHONIOENCODING is unset, so the stream keeps its locale encoding
+    src = _corpus_copy(tmp_path, "é.disasm")
+    _run(["--out", str(tmp_path / "utf8"), "scan", src])
+    assert _scan_process(tmp_path / "c", src, LC_ALL="C", PYTHONUTF8="0",
+                         PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="") == \
+        b"\\xe9.disasm: v2=5 ss=2 v1=0\n"
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+
+
 def test_a_parse_error_in_a_later_listing_writes_no_report(tmp_path):
     good, bad = tmp_path / "good.disasm", tmp_path / "bad.disasm"
     good.write_text("401000: test dil, 0x4\n401004: jne 0x401020\n")
@@ -718,6 +730,29 @@ def test_an_artifact_that_cannot_be_written_is_clean_error(tmp_path):
     result = _fail(["--out", str(out), "probe-mode"])
     assert result.exit_code == 1
     assert result.output.splitlines() == [f"Error: {out / 'probe_mode.json'}: Is a directory"]
+
+
+def _denied(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def test_a_config_that_cannot_be_read_is_clean_error(tmp_path, monkeypatch):
+    cfg, out = tmp_path / "bpu.cfg", tmp_path / "out"
+    cfg.write_text("ghr_depth = 8\n")
+    monkeypatch.setattr(pathlib.Path, "read_text", _denied)
+    result = _fail(["--config", str(cfg), "--out", str(out), "probe-mode"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {cfg}: Permission denied"]
+    assert not out.exists()
+
+
+def test_a_listing_that_cannot_be_read_is_clean_error(tmp_path, monkeypatch):
+    src, out = _corpus_copy(tmp_path, "lib.disasm"), tmp_path / "out"
+    monkeypatch.setattr(pathlib.Path, "open", _denied)
+    result = _fail(["--out", str(out), "scan", src])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {src}: Permission denied"]
+    assert not out.exists()
 
 
 def test_a_command_makes_its_output_directory_once(tmp_path, monkeypatch):

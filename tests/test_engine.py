@@ -658,6 +658,24 @@ def test_runs_of_one_program_are_isolated(run_args):
     assert diff(p1.snapshot(), p2.snapshot()) == {}
 
 
+@settings(max_examples=60, deadline=None)
+@given(nested_runs())
+def test_a_run_that_returns_leaves_pending_empty(run_args):
+    # each branch a policy holds commits or is squashed before the run ends,
+    # so a policy that keeps one it has landed or dropped leaves it here
+    program, schedule, _, predictor, env = run_args
+    for policy in POLICIES:
+        built = []
+
+        class Kept(policy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        eng.run(program, schedule, Kept, predictor.clone(), env=env, seed=3)
+        assert built[0].pending == {}
+
+
 class _AccessLog(list):
     """A PHT that logs the `(mode, index)` of each element it reads or writes."""
 
