@@ -5,20 +5,24 @@ Attacker-side phases (the history-mode switch, training, presetting and
 probing) are committed branch executions: a `Branches` sequence of
 `(addr, outcome, target)` triples run `times` over by one
 `PredictorState.execute` call against the shared predictor, directly or
-through `BranchHarness`. The harness times the last execution of the one
-pass the receiver reads, with one noise draw. A channel's trial is four
-steps: `prepare` (the reset and the BTB poisoning); one untimed setup
-call (a `Chain` of v1's in-bounds warm-ups, the preset when needed and
-the victim's always-taken preamble to its trigger, or that preamble
-alone); the victim's body; and one timed probe phase. The mode and depth
-probes build their sequences per call. Only the body of the run on the
-trial's bit, where the transient step happens, goes through the
-speculation engine (`VictimLayout.transmit`, which replays it from a
-memo), so the update policy governs exactly the speculative updates.
+through `BranchHarness`. The receiver reads the last execution of one
+pass, timed with one noise draw. A channel's trial is four steps:
+`prepare` (the reset and the BTB poisoning); one untimed setup call (a
+`Chain` of v1's in-bounds warm-ups, the preset when needed and the
+victim's always-taken preamble to its trigger, or that preamble alone);
+the victim's body; and one timed probe phase. The mode and depth probes
+build their sequences per call. Only the body of the run on the trial's
+bit, where the transient step happens, goes through the speculation
+engine, so the update policy governs exactly the speculative updates.
+
+Two memos replay runs from their read footprints (`_replay`): a victim's
+body run (`VictimLayout.transmit`) and, in a channel, everything a trial
+does after its setup call, the body and the probe phase (`_Channel.trials`).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import engine as eng
@@ -74,12 +78,19 @@ class BranchHarness:
         """Execute a branch sequence `times` over, in one predictor call, and
         return the latency of the last execution of pass `read`, or None
         when `read` is None: what the attacker observes. Only a read calls
-        the sampler. A pass outside `0 .. times - 1` is refused before
-        anything executes."""
-        if read is not None and not 0 <= read < times:
+        the sampler."""
+        if read is None:
+            self.predictor.execute(branches, times)
+            return None
+        return self.sampler.measure(self.mispredicted(branches, times, read))
+
+    def mispredicted(self, branches: Branches, times: int, read: int) -> bool:
+        """Execute a branch sequence `times` over, in one predictor call, and
+        return whether the last execution of pass `read` mispredicted. A pass
+        outside `0 .. times - 1` is refused before anything executes."""
+        if not 0 <= read < times:
             raise IndexError(f"read pass {read} outside the phase's {times} passes")
-        flags = self.predictor.execute(branches, times, read is not None)
-        return None if read is None else self.sampler.measure(flags[read])
+        return self.predictor.execute(branches, times, True)[read]
 
 
 def activate_history_mode(predictor: PredictorState) -> None:
@@ -169,6 +180,70 @@ def probe_ghr_depth(predictor: PredictorState, max_N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# read-footprint memos
+
+class _Footprint(NamedTuple):
+    """A memoized run, as FastSim (Schnarr & Larus, ASPLOS 1998) memoizes
+    state transitions: each PHT entry it read with its value before it
+    (`reads`, and `before` as `get` reads them off a table at C speed), each
+    entry it changed with its value after, the GHR word and BTB slots it
+    left, and its outcome."""
+    reads: dict
+    get: object
+    before: object
+    writes: tuple
+    ghr: int
+    btb: tuple
+    outcome: object
+
+
+def _getter(indexes):
+    """A reader of `indexes` off a list or dict at C speed (`itemgetter`);
+    of no indexes, which `itemgetter` refuses, one that reads ()."""
+    return itemgetter(*indexes) if indexes else lambda _: ()
+
+
+def _replay(memo: dict, key, tbl: list, predictor: PredictorState,
+            slots: list) -> _Footprint | None:
+    """The newest footprint of `key` whose read entries hold their values in
+    `tbl`, the live table, after writing its changed entries there, its GHR
+    word and its BTB `slots`; None when none matches. A run is fixed by what
+    it reads, so any match would do; a channel's steady state is its newest."""
+    for fp in reversed(memo.get(key, ())):
+        _, get, before, writes, word, btb_after, _ = fp
+        if get(tbl) == before:
+            for i, value in writes:
+                tbl[i] = value
+            predictor.ghr._word = word
+            btb = predictor.btb.slots
+            for s, slot in zip(slots, btb_after):
+                btb[s] = slot
+            return fp
+    return None
+
+
+def _record(memo: dict, key, reads: dict, tbl: list, predictor: PredictorState, slots: list,
+            outcome) -> _Footprint:
+    """Keep under `key` the footprint of a run that read the entries `reads`
+    maps to their values before it and left `tbl` and `predictor` as they
+    are. The memo holds at most `predictor.MEMO_WORDS` keys, with as many
+    footprints each, and each starts over when full."""
+    footprints = memo.get(key)
+    if footprints is None:
+        if len(memo) >= bpu.MEMO_WORDS:
+            memo.clear()
+        footprints = memo[key] = []
+    elif len(footprints) >= bpu.MEMO_WORDS:
+        footprints.clear()
+    get = _getter(reads)
+    fp = _Footprint(reads, get, get(reads),
+                    tuple([(i, tbl[i]) for i, value in reads.items() if tbl[i] != value]),
+                    predictor.ghr._word, tuple([predictor.btb.slots[s] for s in slots]), outcome)
+    footprints.append(fp)
+    return fp
+
+
+# ---------------------------------------------------------------------------
 # victim / trojan program builders
 
 class VictimLayout:
@@ -187,62 +262,46 @@ class VictimLayout:
         # a frozen one-level run's PHT entries: its conditional branches'
         self._one_level = {index_one_level(i.addr, config) for i in instrs
                            if i.kind is COND_BRANCH}
-        # the BTB slots of its indirect branches
+        # the BTB slots of its indirect branches, and their reader
         self._slots = [index_btb(i.addr, config.btb_entries) for i in instrs
                        if i.kind is INDIRECT_BRANCH]
+        self._read_slots = _getter(self._slots)
 
     def transmit(self, policy: type[ResolveTime], predictor: PredictorState, env: dict,
-                 seed: int) -> tuple[bool, bool]:
-        """The body of a trial's victim run on its bit, after the preamble,
-        replayed from the memo unless it misses. Returns whether the
-        transmitter was fetched and whether it resolved.
+                 seed: int) -> _Footprint:
+        """The body of a trial's victim run on its bit, after the preamble, as
+        its footprint, replayed from the memo unless it misses. Its `outcome`
+        says whether the transmitter was fetched and whether it resolved.
 
         A body run whose selector cannot switch mode reads and writes only
-        its conditional branches' entries of its mode's table, its indirect
-        branches' BTB slots and the GHR. So the memo keys it on the policy,
-        the env (lists as tuples), the seed, whether the selector is in
-        one-level mode, the GHR word and those BTB slots, and a footprint
-        holds each such entry's value before and after. A run misses when
-        its key is new, when some such entry's live value differs from each
-        footprint of the key, or when its selector could switch mode mid-run
-        (unfrozen, one-level); the engine then runs it. A miss first copies
+        its fetched conditional branches' entries of its mode's table, its
+        indirect branches' BTB slots and the GHR. So the memo keys it on the
+        policy, the env (lists as tuples), the seed, whether the selector is
+        in one-level mode, the GHR word and those BTB slots. A run misses
+        when its key is new, or when some entry it reads differs from each
+        footprint of the key; the engine then runs it. A miss first copies
         the entries it can reach: the body's static one-level ones, or the
-        whole history table. Each key keeps at most `predictor.MEMO_WORDS`
-        footprints, and the memo as many keys; each starts over when full."""
-        sel, btb = predictor.selector, predictor.btb
-        if sel.mode is ONE_LEVEL and not sel.frozen:
-            return self._outcome(eng.run(self.program, self.schedule, policy, predictor,
-                                         env=env, seed=seed)[0])
-        slots, one_level = self._slots, sel.mode is ONE_LEVEL
+        whole history table. A selector that could switch mode mid-run
+        (unfrozen, one-level) always goes to the engine, and its footprint,
+        never replayed, lists no entries."""
+        sel, slots = predictor.selector, self._slots
+        one_level = sel.mode is ONE_LEVEL
+        if one_level and not sel.frozen:
+            result = eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
+            return _Footprint({}, _getter(()), (), (), predictor.ghr._word, (),
+                              self._outcome(result))
         key = (policy, tuple([(k, tuple(v) if isinstance(v, list) else v)
                               for k, v in env.items()]),
-               seed, one_level, predictor.ghr._word, tuple([btb.slots[s] for s in slots]))
+               seed, one_level, predictor.ghr._word, self._read_slots(predictor.btb.slots))
         tbl = predictor.table(sel.mode)
-        footprints = self._memo.get(key)
-        if footprints is None:
-            if len(self._memo) >= bpu.MEMO_WORDS:
-                self._memo.clear()
-            footprints = self._memo[key] = []
-        for pht, ghr_word, btb_after, outcome in footprints:
-            for i, before, _ in pht:
-                if tbl[i] != before:
-                    break
-            else:
-                for i, _, after in pht:
-                    tbl[i] = after
-                predictor.ghr._word = ghr_word
-                for s, slot in zip(slots, btb_after):
-                    btb.slots[s] = slot
-                return outcome
+        fp = _replay(self._memo, key, tbl, predictor, slots)
+        if fp is not None:
+            return fp
         before = {i: tbl[i] for i in self._one_level} if one_level else tbl[:]
         result = eng.run(self.program, self.schedule, policy, predictor, env=env, seed=seed)[0]
-        outcome = self._outcome(result)
-        touched = dict.fromkeys(b.pred_index for b in result.branches if b.pred_mode is not None)
-        if len(footprints) >= bpu.MEMO_WORDS:
-            footprints.clear()
-        footprints.append((tuple([(i, before[i], tbl[i]) for i in touched]), predictor.ghr._word,
-                           tuple([btb.slots[s] for s in slots]), outcome))
-        return outcome
+        reads = {b.pred_index: before[b.pred_index] for b in result.branches
+                 if b.pred_mode is not None}
+        return _record(self._memo, key, reads, tbl, predictor, slots, self._outcome(result))
 
     def _outcome(self, result: eng.RunResult) -> tuple[bool, bool]:
         bv = _find_branch(result, self.bv_addr)
@@ -315,7 +374,9 @@ class _Channel:
     ST/SN protocol) probes `2^n - 1` times, which saturates the entry the
     other way, so the next trial needs no preset and flips the direction.
     `seed` seeds the update policy; `reset` scrambles a one-level predictor.
-    One `setup` call precedes each body run: a `Chain`, or the bare preamble (cheaper)."""
+    One `setup` call precedes each body run: a `Chain`, or the bare preamble (cheaper).
+    `_memo` maps a trial's key to the footprints of what it did after its
+    setup call (`trials`)."""
 
     def __init__(self, layout: VictimLayout, mode: Mode, config: PredictorConfig,
                  latency_model, policy: type[ResolveTime], seed: int, context=None,
@@ -361,30 +422,55 @@ class _Channel:
             self.direction = None
 
     def trials(self, bits, env, prepare, unresolved, chained=False):
-        """One trial per bit: `prepare(i)`, the setup call, the victim's body
-        run on `env(bit)` (`VictimLayout.transmit`) and the probes; the
-        setup and the probes are one kernel call each. `unresolved(i,
-        fetched)` is the error raised when the transmitter does not resolve
-        (`fetched` says whether it was fetched at all), or None to decode
-        anyway. Returns the decoded bits and the trace of decisive probes."""
+        """One trial per bit: `prepare(i)`, the setup call (one kernel call),
+        the victim's body run on `env(bit)` and the probes, which read one
+        latency. `unresolved(i, fetched)` is the error raised when the
+        transmitter does not resolve (`fetched` says whether it was fetched
+        at all), or None to decode anyway. Returns the decoded bits and the
+        trace of decisive probes.
+
+        The body run and the probes replay from `_memo`, new for each call.
+        With the policy, seed and env per bit fixed, they are fixed by the
+        key (the preset direction, the bit, the GHR word and the body's BTB
+        slots) and the entries they read: the body's (`VictimLayout.transmit`)
+        and those in the probes' `Branches.groups`. A footprint's outcome is
+        the decisive probe's mispredict flag, from which the trial draws its
+        noise value. A miss runs the body through its own memo and the probes
+        through one kernel call; a trial that raises records nothing."""
         half, full = 1 << (self.n - 1), (1 << self.n) - 1
         probes = full if chained else half
+        predictor, layout, harness = self.predictor, self.layout, self.harness
+        slots, read_slots = layout._slots, layout._read_slots
+        measure, threshold = harness.sampler.measure, self.model.threshold
         decoded, trace, probe = [], LatencyTrace([]), 0
+        self._memo = {}
         for i, bit in enumerate(bits):
             prepare(i)
-            self.predictor.execute(self.setup[self.direction is None])
-            self.direction = self.direction or TAKEN
-            fetched, resolved = self.layout.transmit(self.policy, self.predictor, env(bit),
-                                                     self.seed)
-            if unresolved is not None and not resolved:
-                raise unresolved(i, fetched)
-            latency = self.harness.execute(self.executions[self.direction.opposite()], probes,
-                                           half - 1)
+            predictor.execute(self.setup[self.direction is None])
+            self.direction = direction = self.direction or TAKEN
+            tbl = predictor.table(self.mode)  # a full reset replaces the list
+            # the direction as a bool: an Enum member hashes in Python
+            key = (direction is TAKEN, bit, predictor.ghr._word, read_slots(predictor.btb.slots))
+            fp = _replay(self._memo, key, tbl, predictor, slots)
+            if fp is None:
+                body = layout.transmit(self.policy, predictor, env(bit), self.seed)
+                fetched, resolved = body.outcome
+                if unresolved is not None and not resolved:
+                    raise unresolved(i, fetched)
+                execution = self.executions[direction.opposite()]
+                # an entry the probes read but the body did not holds its post-setup value
+                reads = {k: tbl[k] for maps, _, _ in execution.groups(predictor, probes,
+                                                                      predictor.ghr)
+                         for k, _ in maps}
+                reads.update(body.reads)
+                flag = harness.mispredicted(execution, probes, half - 1)
+                fp = _record(self._memo, key, reads, tbl, predictor, slots, flag)
+            latency = measure(fp.outcome)
             trace.append(probe + half, latency)
             probe += probes
-            looks_mispredicted = latency > self.model.threshold
-            decoded.append(int(looks_mispredicted == (self.direction is TAKEN)))
-            self.direction = self.direction.opposite() if chained else None
+            looks_mispredicted = latency > threshold
+            decoded.append(int(looks_mispredicted == (direction is TAKEN)))
+            self.direction = direction.opposite() if chained else None
         return decoded, trace
 
 

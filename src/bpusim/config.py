@@ -14,7 +14,7 @@ as UTF-8, and a line that does not decode is a ConfigFileError
 naming the file, the line and the position within it.
 
 PredictorConfig bounds the size fields, and a value past a bound is a
-ConfigFileError:
+ConfigFileError naming its line:
 
 - `one_level_bits`, `history_bits`: 2 to 9;
 - `target_bits_per_entry`: 1 to 9;
@@ -56,12 +56,10 @@ def parse_config(text: str) -> PredictorConfig:
                 kwargs[key] = frozenset(parse_int(t.strip()) for t in value.split(","))
             else:
                 kwargs[key] = parse_int(value)
+            PredictorConfig(**{key: kwargs[key]})  # each of its checks reads one field
         except ValueError as exc:
             raise ConfigFileError(f"line {lineno}: {exc}") from exc
-    try:
-        return PredictorConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigFileError(str(exc)) from exc
+    return PredictorConfig(**kwargs)
 
 
 def load_config(path) -> PredictorConfig:

@@ -5,8 +5,9 @@ failure is reported; without it the failure is reported as soon as
 shrinking ends. A property that fails in two distinct ways would shrink
 both; `report_multiple_bugs=False` shrinks and reports the first only.
 
-`invoke` runs one `bpusim` command line in the test's process, and
-`victim_run` runs a victim through the engine, with no memo."""
+`invoke` runs one `bpusim` command line in the test's process,
+`victim_run` runs a victim through the engine, with no memo, and
+`full_reset` is `_Channel.reset` as a whole-table reset."""
 
 import contextlib
 import io
@@ -15,6 +16,7 @@ from typing import NamedTuple
 from hypothesis import Phase, settings
 
 from bpusim import engine as eng
+from bpusim.predictor import Mode
 from bpusim.cli import main
 
 settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain],
@@ -44,3 +46,10 @@ def victim_run(layout, policy, predictor, env, seed):
     `RunResult`."""
     predictor.execute(layout.preamble)
     return eng.run(layout.program, layout.schedule, policy, predictor, env=env, seed=seed)[0]
+
+
+def full_reset(channel, seed):
+    """`_Channel.reset` as a whole-table reset."""
+    if channel.mode is Mode.ONE_LEVEL:
+        channel.predictor.randomize_reset(seed)
+        channel.direction = None

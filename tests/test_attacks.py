@@ -7,9 +7,9 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import victim_run
+from conftest import full_reset, victim_run
 
 from bpusim import attacks, engine as eng, predictor as bpu, timing
 from bpusim.attacks import (
@@ -34,7 +34,7 @@ from bpusim.engine import (POLICIES, CommitTime, ObfuscateOnSquash, ResolveTime,
 from bpusim.predictor import (Branches, Chain, Direction, GlobalHistoryRegister, Mode,
                               PredictorConfig, PredictorState, diff, index_one_level)
 from bpusim.program import Program
-from bpusim.timing import LatencyModel, LatencySampler, NoiseKind
+from bpusim.timing import LatencyModel, LatencySampler, LatencyTrace, NoiseKind
 
 REFERENCE_SECRET = [1, 1, 0, 1, 1, 1, 0, 0, 0, 1]
 
@@ -485,33 +485,36 @@ def _count_calls(monkeypatch, methods):
 
 
 def test_covert_makes_one_kernel_call_per_phase_and_victim_preamble(monkeypatch):
-    """A 96-bit history-mode transmission is 193 kernel calls: the TNTNTN
-    switch, then per bit one setup call and one probe call. The setup call
-    is the victim's preamble, which sets the GHR the probes replay; the
-    first one is a chain of the 7 presets and the preamble. Each of the 96
-    probe calls goes through the harness: 7 probes, each an execution with
-    its 12-branch context. 4 `predict` calls are the engine's, one for the
-    transmitter in each victim body run that misses the memo: a body run is
-    keyed on its bit, and the chained probes leave the transmitter's entry
-    at 0 and at 7 in turn, so each of the two bit values misses once at
-    each value. The other 6, with the 6 `record_resolution` calls, are the
-    TNTNTN switch, which an unfrozen selector runs branch by branch; the
-    other kernel calls make none."""
+    """A 96-bit history-mode transmission is 109 kernel calls: the TNTNTN
+    switch, then per bit one setup call, and one probe call for each of the
+    12 trials that miss the trial memo; a hit replays the body and the
+    probes. The setup call is the victim's preamble, which sets the GHR the
+    probes replay; the first one is a chain of the 7 presets and the
+    preamble. Each of the 12 probe calls goes through the harness's read:
+    7 probes, each an execution with its 12-branch context. 4 `predict`
+    calls are the engine's, one for the transmitter in each victim body run
+    that misses the body memo: a body run is keyed on its bit, and the
+    chained probes leave the transmitter's entry at 0 and at 7 in turn, so
+    each of the two bit values misses once at each value. The other 6, with
+    the 6 `record_resolution` calls, are the TNTNTN switch, which an
+    unfrozen selector runs branch by branch; the other kernel calls make
+    none. No trial calls the harness's `execute`."""
     calls = _count_calls(monkeypatch, [
         (PredictorState, "execute"), (BranchHarness, "execute"),
+        (BranchHarness, "mispredicted"),
         (PredictorState, "predict"), (PredictorState, "record_resolution")])
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
     assert set(message) == {"0", "1"}
-    assert calls == {"PredictorState.execute": 193, "BranchHarness.execute": 96,
-                     "PredictorState.predict": 10,
+    assert calls == {"PredictorState.execute": 1 + 96 + 12, "BranchHarness.execute": 0,
+                     "BranchHarness.mispredicted": 12, "PredictorState.predict": 10,
                      "PredictorState.record_resolution": 6}
 
 
 def _covert_sampler_calls(monkeypatch, mode):
-    """Transmit the 96-bit seed-0 message in `mode`; return the harness and
-    sampler call counts, the harness calls per read pass, the setup calls
-    (a chain's segment `times`, or "preamble" for the bare preamble),
+    """Transmit the 96-bit seed-0 message in `mode`; return the harness read
+    and sampler call counts, the harness reads per read pass, the setup
+    calls (a chain's segment `times`, or "preamble" for the bare preamble),
     counted, and every `Branches` and `Chain` built on the way."""
     built = []
     for cls in (Branches, Chain):
@@ -520,13 +523,14 @@ def _covert_sampler_calls(monkeypatch, mode):
             built.append(self)
 
         monkeypatch.setattr(cls, "__init__", record)
-    calls = _count_calls(monkeypatch, [(BranchHarness, "execute"), (LatencySampler, "measure")])
-    reads, setups, execute = Counter(), Counter(), BranchHarness.execute
+    calls = _count_calls(monkeypatch, [(BranchHarness, "mispredicted"),
+                                       (LatencySampler, "measure")])
+    reads, setups, mispredicted = Counter(), Counter(), BranchHarness.mispredicted
     kernel = PredictorState.execute
 
-    def record_read(self, branches, times=1, read=None):
+    def record_read(self, branches, times, read):
         reads[read] += 1
-        return execute(self, branches, times, read)
+        return mispredicted(self, branches, times, read)
 
     def record_setup(self, branches, times=1, read=False):
         if isinstance(branches, Chain):
@@ -535,7 +539,7 @@ def _covert_sampler_calls(monkeypatch, mode):
             setups["preamble"] += 1
         return kernel(self, branches, times, read)
 
-    monkeypatch.setattr(BranchHarness, "execute", record_read)
+    monkeypatch.setattr(BranchHarness, "mispredicted", record_read)
     monkeypatch.setattr(PredictorState, "execute", record_setup)
     message = "".join(random.Random(0).choices("01", k=96))
     assert covert_send_receive(message, mode, seed=0).errors == 0
@@ -543,32 +547,69 @@ def _covert_sampler_calls(monkeypatch, mode):
 
 
 def test_covert_makes_one_sampler_call_per_probe_phase(monkeypatch):
-    """The same 96-bit transmission makes 96 harness calls, the probe
-    phases, and one sampler call each; no `Branches` or `Chain` memo holds
-    more than its bound. Each phase reads its decisive pass, the fourth of
-    its 7 13-branch probes, pass 3. The preset reads no latency and calls
-    no sampler: it is a segment of the first setup call, a chain of its 7
-    passes and the preamble; the other 95 setup calls are the bare
-    preamble."""
+    """The same 96-bit transmission makes one sampler call per probe phase,
+    96, and 12 harness reads, one per trial that misses the trial memo; no
+    `Branches` or `Chain` memo holds more than its bound. Each read is of
+    the decisive pass, the fourth of its 7 13-branch probes, pass 3. The
+    preset reads no latency and calls no sampler: it is a segment of the
+    first setup call, a chain of its 7 passes and the preamble; the other
+    95 setup calls are the bare preamble."""
     calls, reads, setups, built = _covert_sampler_calls(monkeypatch, Mode.HISTORY)
-    assert calls == {"BranchHarness.execute": 96, "LatencySampler.measure": 96}
-    assert reads == {3: 96}
+    assert calls == {"BranchHarness.mispredicted": 12, "LatencySampler.measure": 96}
+    assert reads == {3: 12}
     assert setups == {(7, 1): 1, "preamble": 95}
     assert any(isinstance(b, Chain) for b in built)
     assert max(len(b._runs) for b in built) <= bpu.MEMO_WORDS
 
 
 def test_one_level_covert_presets_after_each_reset(monkeypatch):
-    """In one-level mode the 96 bits make 96 harness calls, the probe
-    phases, one sampler call each. With 2-bit counters a phase probes 3
-    times and reads its second pass. The setup call is a chain that
-    presets, 3 passes ahead of the preamble, after the first reset and
-    after the one at bit 64, and reads no latency and calls no sampler; the
-    other 94 are the bare preamble."""
+    """In one-level mode the 96 bits make 96 sampler calls, one per probe
+    phase, and 4 harness reads, one per trial that misses the trial memo.
+    With 2-bit counters a phase probes 3 times and reads its second pass.
+    The setup call is a chain that presets, 3 passes ahead of the preamble,
+    after the first reset and after the one at bit 64, and reads no latency
+    and calls no sampler; the other 94 are the bare preamble."""
     calls, reads, setups, _ = _covert_sampler_calls(monkeypatch, Mode.ONE_LEVEL)
-    assert calls == {"BranchHarness.execute": 96, "LatencySampler.measure": 96}
-    assert reads == {1: 96}
+    assert calls == {"BranchHarness.mispredicted": 4, "LatencySampler.measure": 96}
+    assert reads == {1: 4}
     assert setups == {(3, 1): 2, "preamble": 94}
+
+
+def _record_channels(monkeypatch) -> list:
+    """Every `_Channel` built from now on."""
+    built = []
+    init = attacks._Channel.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(attacks._Channel, "__init__", record)
+    return built
+
+
+def test_trials_miss_the_trial_memo_once_per_footprint(monkeypatch):
+    """A trial misses the trial memo, and probes through the harness's
+    read, once per key and post-setup values of the entries it reads: 12
+    times in the seed-0 96-bit history covert message, and 4 times in a
+    40-bit one-level `sidechannel-v1` under each policy (bit 0 or 1, with
+    the trigger entry at 2 or 3 after the warm-ups). No memo starts over,
+    so each miss is one footprint kept."""
+    channels = _record_channels(monkeypatch)
+    calls = _count_calls(monkeypatch, [(BranchHarness, "mispredicted")])
+    misses = []
+    message = "".join(random.Random(0).choices("01", k=96))
+    assert covert_send_receive(message, Mode.HISTORY, seed=0).errors == 0
+    misses.append(calls["BranchHarness.mispredicted"])
+    rng = random.Random(4)
+    secret = [rng.randint(0, 1) for _ in range(40)]
+    for policy in POLICIES:
+        calls["BranchHarness.mispredicted"] = 0
+        side_channel_v1(secret, Mode.ONE_LEVEL, policy=policy)
+        misses.append(calls["BranchHarness.mispredicted"])
+    assert misses == [12] + [4] * len(POLICIES)
+    assert [sum(map(len, c._memo.values())) for c in channels] == misses
+    _assert_memo_bounded([], channels)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -691,10 +732,12 @@ def _record_layouts(monkeypatch) -> list:
     return built
 
 
-def _assert_memo_bounded(layouts) -> None:
-    for layout in layouts:
-        assert len(layout._memo) <= bpu.MEMO_WORDS
-        assert all(len(f) <= bpu.MEMO_WORDS for f in layout._memo.values())
+def _assert_memo_bounded(layouts, channels=()) -> None:
+    """Each victim's body memo and each channel's trial memo holds at most
+    `predictor.MEMO_WORDS` keys, each with at most as many footprints."""
+    for memo in [layout._memo for layout in layouts] + [c._memo for c in channels]:
+        assert len(memo) <= bpu.MEMO_WORDS
+        assert all(len(f) <= bpu.MEMO_WORDS for f in memo.values())
 
 
 @pytest.mark.parametrize("attack", [
@@ -716,6 +759,109 @@ def test_victim_bodies_reach_the_engine_only_on_memo_misses(monkeypatch, attack)
     assert len(envs) == 4
     assert len(layouts) == 1
     _assert_memo_bounded(layouts)
+
+
+def _reference_trials(self, bits, env, prepare, unresolved, chained=False):
+    """`_Channel.trials` with no trial memo: per bit the setup call, an
+    engine run of the body, with no body memo either, and the probes as one
+    harness call, which reads the decisive latency."""
+    half, full = 1 << (self.n - 1), (1 << self.n) - 1
+    probes = full if chained else half
+    layout, decoded, trace, probe = self.layout, [], LatencyTrace([]), 0
+    for i, bit in enumerate(bits):
+        prepare(i)
+        self.predictor.execute(self.setup[self.direction is None])
+        self.direction = self.direction or Direction.TAKEN
+        result = eng.run(layout.program, layout.schedule, self.policy, self.predictor,
+                         env=env(bit), seed=self.seed)[0]
+        fetched, resolved = layout._outcome(result)
+        if unresolved is not None and not resolved:
+            raise unresolved(i, fetched)
+        latency = self.harness.execute(self.executions[self.direction.opposite()], probes,
+                                       half - 1)
+        trace.append(probe + half, latency)
+        probe += probes
+        decoded.append(int((latency > self.model.threshold) == (self.direction is Direction.TAKEN)))
+        self.direction = self.direction.opposite() if chained else None
+    return decoded, trace
+
+
+def _channel_runs(case):
+    """Each channel's result, with its trace's samples, or the type and
+    message of the error it raised, and the final state of each channel's
+    predictor: v1, v2 with and without poisoning, and the covert channel."""
+    cfg, mode, policy, model, seed, secret, interval, full = case
+    channels, init = [], attacks._Channel.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        channels.append(self)
+
+    calls = [lambda: side_channel_v1(secret, mode, model, cfg, policy, seed),
+             lambda: side_channel_v2(secret, mode, model, cfg, policy, seed),
+             lambda: side_channel_v2(secret, mode, model, cfg, policy, seed, poison=False),
+             lambda: covert_send_receive("".join(map(str, secret)), mode, model, cfg, policy,
+                                         seed, interval)]
+    outcomes = []
+    with mock.patch.object(attacks._Channel, "__init__", record), \
+            mock.patch.object(attacks._Channel, "reset",
+                              full_reset if full else attacks._Channel.reset):
+        for call in calls:
+            try:
+                result = call()
+            except (AttackError, TransmissionError, ProbeError) as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+            else:
+                outcomes.append(tuple(result._replace(trace=result.trace.samples)))
+    return outcomes, [c.predictor.snapshot() for c in channels], channels
+
+
+@st.composite
+def _channel_cases(draw):
+    """A channel config (2- to 4-bit counters, tables of 2 to 4,096
+    entries, GHR depths 1 to 121), mode, policy, latency model, seed,
+    secret, covert reset interval, and whether resets are full or listed."""
+    cfg = PredictorConfig(
+        one_level_bits=draw(st.integers(2, 4)), history_bits=draw(st.integers(2, 4)),
+        pht_entries_one_level=1 << draw(st.integers(1, 12)),
+        pht_entries_history=1 << draw(st.integers(1, 12)),
+        ghr_depth=draw(st.integers(1, 121)), target_bits_per_entry=draw(st.integers(1, 3)),
+        btb_entries=1 << draw(st.integers(0, 9)))
+    model = draw(st.one_of(
+        st.just(LatencyModel()),
+        st.builds(LatencyModel, st.just(NoiseKind.UNIFORM), st.integers(0, 40).map(float),
+                  st.integers(0, 99)),
+        st.builds(LatencyModel, st.just(NoiseKind.GAUSSIAN), st.floats(0, 40),
+                  st.integers(0, 99))))
+    return (cfg, draw(st.sampled_from(list(Mode))), draw(st.sampled_from(POLICIES)), model,
+            draw(st.integers(-10**6, 10**6)),
+            draw(st.lists(st.integers(0, 1), min_size=1, max_size=12)),
+            draw(st.integers(1, 8)), draw(st.booleans()))
+
+
+_TWO_ENTRIES = PredictorConfig(pht_entries_one_level=2, pht_entries_history=2, btb_entries=2)
+_DEPTH_121 = PredictorConfig(ghr_depth=121)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_channel_cases(), st.sampled_from([2, 16]))
+@example((_TWO_ENTRIES, Mode.ONE_LEVEL, ResolveTime, LatencyModel(), 3, [1, 0, 1, 1, 0], 2, True),
+         2)
+@example((_TWO_ENTRIES, Mode.HISTORY, ShadowPht, LatencyModel(), 3, [0, 1, 1, 0], 3, False), 16)
+@example((_DEPTH_121, Mode.ONE_LEVEL, RestoreOnSquash,
+          LatencyModel(NoiseKind.GAUSSIAN, 15.0, 1), 3, [1, 1, 0, 1, 0, 0], 2, False), 16)
+@example((_DEPTH_121, Mode.HISTORY, ObfuscateOnSquash,
+          LatencyModel(NoiseKind.UNIFORM, 20.0, 2), 3, [1, 0, 0, 1, 1], 2, True), 2)
+def test_memoized_trials_match_unmemoized_trials(case, memo_words):
+    """Every channel's trials, replayed from the trial memo and the body
+    memo, against `_reference_trials`: the same decoded bits, trace
+    samples and error, and the same final predictor state, with each memo
+    at its bound."""
+    with mock.patch.object(bpu, "MEMO_WORDS", memo_words):
+        outcomes, states, channels = _channel_runs(case)
+        _assert_memo_bounded([c.layout for c in channels], channels)
+    with mock.patch.object(attacks._Channel, "trials", _reference_trials):
+        assert _channel_runs(case)[:2] == (outcomes, states)
 
 
 def test_channels_take_no_snapshot(monkeypatch):
@@ -810,7 +956,7 @@ def test_memoized_victim_runs_match_direct_runs(case):
                 memo, direct = state.clone(), state.clone()
                 layout = layouts[which]
                 memo.execute(layout.preamble)  # a channel's setup chain ends in it
-                assert layout.transmit(policy, memo, env, seed) == \
+                assert layout.transmit(policy, memo, env, seed).outcome == \
                     _direct_outcome(layout, policy, direct, env, seed)
                 assert diff(memo.snapshot(), direct.snapshot()) == {}
                 _assert_memo_bounded(layouts)

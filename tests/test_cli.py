@@ -65,6 +65,17 @@ def test_parse_config_rejects_a_repeated_key():
         parse_config("ghr_depth = 8\nghr_depth = 12\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("# deep\nghr_depth = 999\n", "line 2: ghr_depth must be <= 256"),
+    ("ghr_depth = 8\n\npht_entries_history = 1000\n",
+     "line 3: pht_entries_history must be a power of two"),
+    ("btb_entries = 0x10\ntransition_threshold = 0\n", "line 2: transition_threshold must be >= 1"),
+])
+def test_parse_config_names_the_line_of_a_refused_value(text, error):
+    with pytest.raises(ConfigFileError, match=f"^{error}$"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                  "\u2028", "\u2029"])
 def test_config_lines_end_only_at_newline_and_carriage_return(brk):
@@ -513,6 +524,23 @@ def test_sigma_must_be_finite_and_non_negative(tmp_path, command, noise, sigma):
 @pytest.mark.parametrize("command, size", [("covert", "--bits"),
                                            ("sidechannel-v1", "--random-bits"),
                                            ("sidechannel-v2", "--random-bits")])
+@pytest.mark.parametrize("noise", ["uniform", "gaussian"])
+def test_sigma_past_its_maximum_is_a_usage_error(tmp_path, command, size, noise):
+    """A Gaussian sigma of 1e308 once scaled a draw to infinity, which
+    `round` refused with a traceback; sigma is at most `timing.MAX_NOISE`."""
+    for sigma in ("1e308", "1000001"):
+        result = _fail(["--out", str(tmp_path), command, size, "200", "--noise", noise,
+                        "--sigma", sigma])
+        assert result.exit_code == 2
+        assert (f"Invalid value for '--sigma': noise_param must be <= 1000000, "
+                f"got {float(sigma)}") in result.output
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+    _run(["--out", str(tmp_path), command, size, "200", "--noise", noise, "--sigma", "1000000"])
+
+
+@pytest.mark.parametrize("command, size", [("covert", "--bits"),
+                                           ("sidechannel-v1", "--random-bits"),
+                                           ("sidechannel-v2", "--random-bits")])
 def test_uniform_sigma_must_be_a_whole_number(tmp_path, command, size):
     # either option order: the check needs both --noise and --sigma
     for args in (["--noise", "uniform", "--sigma", "0.9"],
@@ -626,7 +654,7 @@ def test_bad_config_value_is_clean_error(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("target_bits_per_entry = 0\n")
     result = _fail(["--config", str(cfg), "--out", str(tmp_path), "probe-ghr"])
-    assert "Error: target_bits_per_entry must be >= 1" in result.output
+    assert "Error: line 1: target_bits_per_entry must be >= 1" in result.output
 
 
 def test_config_past_a_size_bound_is_clean_error(tmp_path):
@@ -634,7 +662,7 @@ def test_config_past_a_size_bound_is_clean_error(tmp_path):
     cfg.write_text("one_level_bits = 10\n")
     result = _fail(["--config", str(cfg), "--out", str(tmp_path), "probe-mode"])
     assert result.exit_code == 1
-    assert result.output.splitlines() == ["Error: one_level_bits must be <= 9"]
+    assert result.output.splitlines() == ["Error: line 1: one_level_bits must be <= 9"]
     assert not list(tmp_path.glob("*.json"))
 
 

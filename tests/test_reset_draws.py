@@ -38,6 +38,7 @@ from bpusim.predictor import (
     PredictorState,
 )
 from bpusim.timing import LatencyModel, NoiseKind
+from conftest import full_reset
 from test_run_result_golden import GOLDEN, run_digest
 
 HISTORY_TAG = b"pht_history\x00\x00"
@@ -337,13 +338,6 @@ def test_a_reset_of_listed_entries_writes_those_alone(cfg, seed, data):
     assert (a.btb, a.selector) == (b.btb, b.selector)
 
 
-def _full_reset(channel, seed):
-    """`_Channel.reset` as a whole-table reset."""
-    if channel.mode is Mode.ONE_LEVEL:
-        channel.predictor.randomize_reset(seed)
-        channel.direction = None
-
-
 def _channel_outcomes(cfg, policy, model, seed, secret, reset_interval):
     """Each one-level channel's result, with its trace's samples, or the
     type and message of the error it raised: v1, v2 with and without
@@ -391,7 +385,7 @@ BOUND_CONFIG = PredictorConfig(one_level_bits=9, history_bits=9, target_bits_per
 
 def _assert_as_full_reset(case):
     outcomes = _channel_outcomes(*case)
-    with mock.patch.object(attacks._Channel, "reset", _full_reset):
+    with mock.patch.object(attacks._Channel, "reset", full_reset):
         assert outcomes == _channel_outcomes(*case)
 
 

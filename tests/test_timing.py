@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bpusim.timing import (
     BASE_LATENCY,
+    MAX_NOISE,
     MISPREDICT_PENALTY,
     LatencyModel,
     LatencyTrace,
@@ -115,6 +116,17 @@ def test_each_measure_call_draws_one_value(model, flags):
 def test_noise_param_must_be_finite_and_non_negative(kind, sigma):
     with pytest.raises(ValueError, match="noise_param must be a finite number >= 0"):
         LatencyModel(noise=kind, noise_param=sigma)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.UNIFORM, NoiseKind.GAUSSIAN])
+def test_noise_param_is_bounded(kind):
+    """Up to `MAX_NOISE` every draw is a whole latency; past it the model is
+    refused, as a Gaussian draw scaled by 1e308 can overflow to infinity."""
+    sampler = LatencyModel(kind, MAX_NOISE, seed=3).sampler()
+    assert all(isinstance(sampler.measure(mis), int) for mis in [True, False] * 500)
+    for sigma in (MAX_NOISE + 1, 1e308):
+        with pytest.raises(ValueError, match=f"^noise_param must be <= {MAX_NOISE}, got "):
+            LatencyModel(kind, sigma)
 
 
 def test_trace_requires_increasing_probe_indices():
