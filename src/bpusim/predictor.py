@@ -7,8 +7,6 @@ import enum
 import functools
 import struct
 from collections import namedtuple
-from itertools import compress
-from operator import ne
 from typing import NamedTuple
 
 
@@ -588,31 +586,19 @@ class Snapshot(namedtuple("Snapshot", "config pht_one_level pht_history ghr btb 
 
     def items(self, component: str):
         """A component's `(key, value)` pairs, as `diff` keys them."""
-        value = self.values(component)
-        return value.items() if component == "selector" else enumerate(value)
-
-    def values(self, component: str):
-        """A component's values: the selector's fields by name, any other's
-        a sequence by index, the GHR's entries oldest first."""
         value = getattr(self, component)
         if component == "ghr":
             ghr = GlobalHistoryRegister(self.config)
             ghr._word = value
             value = ghr.entries
-        return value
+        return value.items() if component == "selector" else enumerate(value)
 
 
 def diff(a: Snapshot, b: Snapshot) -> dict[str, dict]:
     """`{component: {key: (before, after)}}` for each part where snapshot
     `b` differs from `a`: table and BTB indexes, GHR entry positions (oldest
-    first), selector field names. Empty when the states are equal. A
-    sequence's changed indexes are found at C speed, `compress` over `ne`."""
+    first), selector field names. Empty when the states are equal."""
     if a.config != b.config:
         raise ValueError("the snapshots are of two predictor configs")
-    changed = {}
-    for name in Snapshot._fields[1:]:
-        if getattr(a, name) != getattr(b, name):
-            u, v = a.values(name), b.values(name)
-            keys = u if name == "selector" else compress(range(len(u)), map(ne, u, v))
-            changed[name] = {k: (u[k], v[k]) for k in keys if u[k] != v[k]}
-    return changed
+    return {name: {k: (u, v) for (k, u), (_, v) in zip(a.items(name), b.items(name)) if u != v}
+            for name in Snapshot._fields[1:] if getattr(a, name) != getattr(b, name)}

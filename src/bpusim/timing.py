@@ -23,10 +23,11 @@ NONE, UNIFORM, GAUSSIAN = NoiseKind
 # probe latency of a correctly predicted branch, and what a misprediction adds
 BASE_LATENCY = 10
 MISPREDICT_PENALTY = 40
-# the largest noise_param, in latency units: 25,000 penalties, so the noise
-# already swamps every probe, while a draw scaled by it stays a finite
-# number that rounds to a whole latency (1e308 times a normal draw does not)
-MAX_NOISE = 10 ** 6
+# the largest Gaussian sigma, in latency units: 25,000 penalties, so the noise
+# already swamps every probe, while a normal draw scaled by it stays a finite
+# number that rounds to a whole latency (scaled by 1e308 it can overflow);
+# uniform noise draws a whole number directly and needs no bound
+MAX_GAUSSIAN_SIGMA = 10 ** 6
 
 
 class _LatencyFields(NamedTuple):
@@ -42,8 +43,9 @@ class LatencyModel(_LatencyFields):
         self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.noise_param) or self.noise_param < 0:
             raise ValueError(f"noise_param must be a finite number >= 0, got {self.noise_param}")
-        if self.noise_param > MAX_NOISE:
-            raise ValueError(f"noise_param must be <= {MAX_NOISE}, got {self.noise_param}")
+        if self.noise is GAUSSIAN and self.noise_param > MAX_GAUSSIAN_SIGMA:
+            raise ValueError(f"gaussian noise takes a sigma <= {MAX_GAUSSIAN_SIGMA}, "
+                             f"got {self.noise_param}")
         if self.noise is NONE and self.noise_param != 0:
             raise ValueError(f"no noise takes no sigma, got {self.noise_param}")
         if self.noise is UNIFORM and self.noise_param != int(self.noise_param):

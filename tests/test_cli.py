@@ -524,18 +524,20 @@ def test_sigma_must_be_finite_and_non_negative(tmp_path, command, noise, sigma):
 @pytest.mark.parametrize("command, size", [("covert", "--bits"),
                                            ("sidechannel-v1", "--random-bits"),
                                            ("sidechannel-v2", "--random-bits")])
-@pytest.mark.parametrize("noise", ["uniform", "gaussian"])
-def test_sigma_past_its_maximum_is_a_usage_error(tmp_path, command, size, noise):
+def test_gaussian_sigma_past_its_maximum_is_a_usage_error(tmp_path, command, size):
     """A Gaussian sigma of 1e308 once scaled a draw to infinity, which
-    `round` refused with a traceback; sigma is at most `timing.MAX_NOISE`."""
+    `round` refused with a traceback; it is at most
+    `timing.MAX_GAUSSIAN_SIGMA`. Uniform noise keeps any whole sigma."""
     for sigma in ("1e308", "1000001"):
-        result = _fail(["--out", str(tmp_path), command, size, "200", "--noise", noise,
+        result = _fail(["--out", str(tmp_path), command, size, "200", "--noise", "gaussian",
                         "--sigma", sigma])
         assert result.exit_code == 2
-        assert (f"Invalid value for '--sigma': noise_param must be <= 1000000, "
+        assert (f"Invalid value for '--sigma': gaussian noise takes a sigma <= 1000000, "
                 f"got {float(sigma)}") in result.output
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
-    _run(["--out", str(tmp_path), command, size, "200", "--noise", noise, "--sigma", "1000000"])
+    _run(["--out", str(tmp_path), command, size, "200", "--noise", "gaussian",
+          "--sigma", "1000000"])
+    _run(["--out", str(tmp_path), command, size, "200", "--noise", "uniform", "--sigma", "1e308"])
 
 
 @pytest.mark.parametrize("command, size", [("covert", "--bits"),

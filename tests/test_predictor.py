@@ -20,7 +20,6 @@ from bpusim.predictor import (
     Mode,
     PredictorConfig,
     PredictorState,
-    Snapshot,
     counter_predict,
     counter_update,
     diff,
@@ -455,54 +454,6 @@ def test_diff_names_exactly_the_changed_parts(case):
     assert diff(before, snapshot) == expected
     assert diff(snapshot, before) == {name: {k: (v, u) for k, (u, v) in parts.items()}
                                       for name, parts in expected.items()}
-
-
-def _walked_diff(a, b) -> dict:
-    """`diff` as a walk over every `(key, value)` pair of each component
-    that differs, the reference for its C-speed search."""
-    return {name: {k: (u, v) for (k, u), (_, v) in zip(a.items(name), b.items(name)) if u != v}
-            for name in Snapshot._fields[1:] if getattr(a, name) != getattr(b, name)}
-
-
-@st.composite
-def _state_pairs(draw):
-    """Two states of one small config, each with its own draws of every
-    component, and a share of the second's entries copied from the first,
-    so that any number of keys differ, from none to all."""
-    cfg = PredictorConfig(
-        one_level_bits=draw(st.integers(2, 9)), history_bits=draw(st.integers(2, 9)),
-        pht_entries_one_level=1 << draw(st.integers(1, 6)),
-        pht_entries_history=1 << draw(st.integers(1, 6)), ghr_depth=draw(st.integers(1, 16)),
-        target_bits_per_entry=draw(st.integers(1, 4)), btb_entries=1 << draw(st.integers(0, 4)))
-    states = []
-    for _ in range(2):
-        state = PredictorState(cfg)
-        state.randomize_reset(draw(st.integers(0, 2**32)))
-        for _ in range(draw(st.integers(0, 3))):
-            state.btb.update(draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)))
-        sel = state.selector
-        sel.mode, sel.frozen = draw(st.sampled_from(list(Mode))), draw(st.booleans())
-        sel.mispredict_accumulator = draw(st.integers(0, 2))
-        states.append(state)
-    a, b = states
-    keep = draw(st.floats(0, 1))
-    for name in ("pht_one_level", "pht_history"):
-        ours, theirs = getattr(a, name), getattr(b, name)
-        for i in range(len(ours)):
-            if draw(st.floats(0, 1)) < keep:
-                theirs[i] = ours[i]
-    if draw(st.booleans()):
-        b.ghr._word = a.ghr._word
-    return a.snapshot(), b.snapshot()
-
-
-@settings(max_examples=200, deadline=None)
-@given(_state_pairs())
-def test_diff_matches_a_walk_over_every_key(pair):
-    a, b = pair
-    assert diff(a, b) == _walked_diff(a, b)
-    assert diff(b, a) == _walked_diff(b, a)
-    assert list(diff(a, b)) == list(_walked_diff(a, b))
 
 
 @pytest.mark.parametrize("entries", [1, 16, 1 << 16])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from bpusim.timing import (
     BASE_LATENCY,
-    MAX_NOISE,
+    MAX_GAUSSIAN_SIGMA,
     MISPREDICT_PENALTY,
     LatencyModel,
     LatencyTrace,
@@ -118,15 +118,18 @@ def test_noise_param_must_be_finite_and_non_negative(kind, sigma):
         LatencyModel(noise=kind, noise_param=sigma)
 
 
-@pytest.mark.parametrize("kind", [NoiseKind.UNIFORM, NoiseKind.GAUSSIAN])
-def test_noise_param_is_bounded(kind):
-    """Up to `MAX_NOISE` every draw is a whole latency; past it the model is
-    refused, as a Gaussian draw scaled by 1e308 can overflow to infinity."""
-    sampler = LatencyModel(kind, MAX_NOISE, seed=3).sampler()
+def test_gaussian_sigma_is_bounded():
+    """Up to `MAX_GAUSSIAN_SIGMA` every Gaussian draw is a whole latency;
+    past it the model is refused, as a draw scaled by 1e308 can overflow to
+    infinity. Uniform noise draws a whole number at any whole sigma."""
+    sampler = LatencyModel(NoiseKind.GAUSSIAN, MAX_GAUSSIAN_SIGMA, seed=3).sampler()
     assert all(isinstance(sampler.measure(mis), int) for mis in [True, False] * 500)
-    for sigma in (MAX_NOISE + 1, 1e308):
-        with pytest.raises(ValueError, match=f"^noise_param must be <= {MAX_NOISE}, got "):
-            LatencyModel(kind, sigma)
+    for sigma in (MAX_GAUSSIAN_SIGMA + 1, 1e308):
+        with pytest.raises(ValueError, match=f"^gaussian noise takes a sigma <= "
+                                             f"{MAX_GAUSSIAN_SIGMA}, got "):
+            LatencyModel(NoiseKind.GAUSSIAN, sigma)
+    sampler = LatencyModel(NoiseKind.UNIFORM, 1e308, seed=3).sampler()
+    assert all(isinstance(sampler.measure(mis), int) for mis in [True, False] * 500)
 
 
 def test_trace_requires_increasing_probe_indices():
